@@ -24,7 +24,7 @@ from .model import (
     snr_pair,
     threshold_snr,
 )
-from .montecarlo import McPlan, estimate_outage, estimate_outage_with_cost
+from .montecarlo import McPlan, estimate_outage
 from .optimize import OptResult, minimize_over_eh_param
 from .quadrature import QuadratureError, QuadSpec, integrate_lognormal_weighted
 
@@ -43,7 +43,6 @@ __all__ = [
     "SystemConfig",
     "capacities",
     "estimate_outage",
-    "estimate_outage_with_cost",
     "fd_af_outage",
     "fd_df_outage",
     "hd_af_outage",

@@ -76,11 +76,18 @@ def product_ccdf(x: float, ch1: ChannelSpec, ch2: ChannelSpec) -> float:
     return q_function((XI * math.log(x) - mean) / std)
 
 
-def sample_sq_gain(ch: ChannelSpec, rng: np.random.Generator, size=None):
-    """Draw squared gains h^2 = 10^(g/10) with g Gaussian in dB.
+def sample_sq_gain(ch: ChannelSpec, rng: np.random.Generator, size=None, out=None):
+    """Draw squared gains h^2 = exp(g/XI) with g Gaussian in dB.
 
-    Scalar draw by default; pass `size` for a vectorized batch. Identical
-    generator state yields identical draws.
+    Scalar draw by default; pass `size` for a vectorized batch, or a float64
+    array `out` to fill in place (it is returned). Identical generator state
+    yields identical draws either way: g = 2*mu_db + 2*sigma_db*n for the
+    standard normals n, the same ones `rng.normal` would use.
     """
-    g_db = rng.normal(2.0 * ch.mu_db, 2.0 * ch.sigma_db, size)
-    return 10.0 ** (g_db / 10.0)
+    scale, shift = 2.0 * ch.sigma_db / XI, 2.0 * ch.mu_db / XI
+    n = rng.standard_normal(size, out=out)
+    if out is None and size is None:
+        return math.exp(n * scale + shift)
+    np.multiply(n, scale, out=n)
+    np.add(n, shift, out=n)
+    return np.exp(n, out=n)

@@ -15,6 +15,8 @@ import numpy as np
 
 from .lognormal import ChannelSpec
 
+_LN2 = math.log(2.0)
+
 DUPLEX_MODES = ("hd", "fd")
 RELAY_PROTOCOLS = ("df", "af")
 EH_PROTOCOLS = ("tsr", "psr", "irr")
@@ -55,6 +57,22 @@ class SystemConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not self.cth >= 0:
             raise ValueError(f"cth must be >= 0, got {self.cth}")
+        # Every SNR coefficient is one of these scales times protocol
+        # factors; an overflowed or underflowed scale would make the SNRs
+        # infinite or zero for every fade.
+        try:
+            lp1, lp2 = hop_losses(self)
+        except OverflowError:
+            lp1 = lp2 = math.inf
+        derived = {
+            "path loss d1_m**path_loss_exp": lp1,
+            "path loss d2_m**path_loss_exp": lp2,
+            "relay SNR scale": self.ps_watts / (lp1 * (self.sigma_a2_w + self.sigma_c2_w)),
+            "destination SNR scale": self.ps_watts / (lp1 * lp2 * self.sigma_d2_w),
+        }
+        for name, value in derived.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -229,24 +247,61 @@ def af_snr_coefficients(cfg: SystemConfig, scenario: Scenario) -> tuple[float, f
     return a, b, c
 
 
-def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
-    """Relay and destination SNRs (gamma_r, gamma_d); gamma_r is None for AF."""
+def _empty_pair(fade: FadeSample):
+    """Two float64 arrays of the fades' broadcast shape (0-d for scalars)."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (fade.x, fade.y, fade.w)
+                                  if v is not None))
+    return np.empty(shape), np.empty(shape)
+
+
+def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample, out=None):
+    """Relay and destination SNRs (gamma_r, gamma_d); gamma_r is None for AF.
+
+    `out` is an optional pair of float64 arrays of the fades' shape that
+    receive gamma_r and gamma_d in place and are returned (AF uses the first
+    as scratch). Without it the SNRs are fresh arrays, or numpy scalars for
+    scalar fades. The fade arrays are never written.
+    """
     x, y, w = fade.x, fade.y, fade.w
     if scenario.duplex == "fd" and w is None:
         raise ValueError("fd scenarios need the loop-back gain w in the fade sample")
+    r, d = _empty_pair(fade) if out is None else out
     if scenario.relay == "df":
         k1, k2 = df_snr_coefficients(cfg, scenario)
-        gamma_r = k1 / w if scenario.duplex == "fd" else k1 * x
-        return gamma_r, k2 * x * y
-    if scenario.duplex == "hd":
+        if scenario.duplex == "fd":
+            np.divide(k1, w, out=r)
+        else:
+            np.multiply(k1, x, out=r)
+        np.multiply(k2, x, out=d)
+        np.multiply(d, y, out=d)
+    elif scenario.duplex == "hd":
+        # a*x*y / (b*y + c)
         a, b, c = af_snr_coefficients(cfg, scenario)
-        return None, a * x * y / (b * y + c)
-    # fd-af: amplified loop-back interference enters both signal path and gain
-    lp1, lp2 = hop_losses(cfg)
-    k = eh_time_gain(cfg, scenario)
-    sr2 = relay_noise_w(cfg, scenario)
-    denom = lp1 * lp2 * sr2 * (1.0 / k + w) + cfg.ps_watts * k * w * x * y
-    return None, cfg.ps_watts * x * y / denom
+        np.multiply(b, y, out=r)
+        np.add(r, c, out=r)
+        np.multiply(a, x, out=d)
+        np.multiply(d, y, out=d)
+        np.divide(d, r, out=d)
+        r = None
+    else:
+        # fd-af: amplified loop-back interference enters both signal path and
+        # gain, ps*x*y / (lp1*lp2*sr2*(1/k + w) + ps*k*w*x*y)
+        lp1, lp2 = hop_losses(cfg)
+        k = eh_time_gain(cfg, scenario)
+        sr2 = relay_noise_w(cfg, scenario)
+        np.add(1.0 / k, w, out=r)
+        np.multiply(lp1 * lp2 * sr2, r, out=r)
+        np.multiply(cfg.ps_watts * k, w, out=d)
+        np.multiply(d, x, out=d)
+        np.multiply(d, y, out=d)
+        np.add(r, d, out=r)
+        np.multiply(cfg.ps_watts, x, out=d)
+        np.multiply(d, y, out=d)
+        np.divide(d, r, out=d)
+        r = None
+    if out is None:
+        return (None if r is None else r[()]), d[()]
+    return r, d
 
 
 def capacity_prefactor(scenario: Scenario) -> float:
@@ -258,19 +313,37 @@ def capacity_prefactor(scenario: Scenario) -> float:
     return 0.5
 
 
+def capacity(pre: float, gamma, out=None):
+    """Capacity pre*log2(1 + gamma) in bps/Hz, as pre*log1p(gamma)/ln 2;
+    written into the float64 array `out` when given."""
+    c = np.log1p(gamma, out=out)
+    return np.multiply(c, pre / _LN2, out=out)
+
+
 def capacities(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
     """Instantaneous capacities (c_r, c_d) in bps/Hz; c_r is None for AF."""
     gamma_r, gamma_d = snr_pair(cfg, scenario, fade)
     pre = capacity_prefactor(scenario)
-    c_r = None if gamma_r is None else pre * np.log2(1.0 + gamma_r)
-    return c_r, pre * np.log2(1.0 + gamma_d)
+    c_r = None if gamma_r is None else capacity(pre, gamma_r)
+    return c_r, capacity(pre, gamma_d)
 
 
-def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
-    """1 when the end-to-end capacity is below cth (bool array for arrays)."""
-    c_r, c_d = capacities(cfg, scenario, fade)
-    effective = c_d if c_r is None else np.minimum(c_r, c_d)
-    return effective < cfg.cth
+def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
+                     scratch=None):
+    """True where the end-to-end capacity is below cth (bool array for arrays).
+
+    Both hops share the capacity prefactor and log1p is increasing, so the
+    end-to-end capacity is that of the weaker hop's SNR. `scratch` is an
+    optional pair of float64 arrays of the fades' shape that takes the SNRs
+    and capacity (see snr_pair); without it fresh ones are used. The fade
+    arrays are never written.
+    """
+    if scratch is None:
+        scratch = _empty_pair(fade)
+    gamma_r, gamma_d = snr_pair(cfg, scenario, fade, out=scratch)
+    if gamma_r is not None:
+        np.minimum(gamma_r, gamma_d, out=gamma_d)
+    return capacity(capacity_prefactor(scenario), gamma_d, out=gamma_d) < cfg.cth
 
 
 def threshold_snr(scenario: Scenario, cth: float) -> float:

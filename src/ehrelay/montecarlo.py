@@ -4,13 +4,17 @@ Trials are partitioned into fixed-size blocks; each block draws its fades
 from a substream derived deterministically from (seed, block index), so
 the estimate depends only on the plan and not on how blocks are scheduled.
 Outage is decided from the instantaneous capacities, keeping this path
-algebraically independent of the analytic evaluators.
+algebraically independent of the analytic evaluators. A block draws into
+float64 arrays kept per thread and reused across blocks and calls,
+converts them to squared gains in place and decides in place, so it
+allocates nothing larger than its boolean outage flags.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +51,26 @@ class McPlan:
         return out
 
 
+_local = threading.local()
+
+
+def _thread_buffers(size: int) -> list[np.ndarray]:
+    """The calling thread's five reusable float64 arrays, cut to `size`:
+    three fade channels and the two scratch arrays of outage_indicator.
+    No two threads share them, so results do not depend on scheduling."""
+    bufs = getattr(_local, "bufs", None)
+    if bufs is None or bufs[0].size < size:
+        bufs = _local.bufs = [np.empty(size) for _ in range(5)]
+    return [b[:size] for b in bufs]
+
+
 def _block_outages(cfg: SystemConfig, scenario: Scenario,
                    seed: int, index: int, size: int) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    x = sample_sq_gain(cfg.ch1, rng, size)
-    y = sample_sq_gain(cfg.ch2, rng, size)
-    w = sample_sq_gain(cfg.chg, rng, size) if scenario.duplex == "fd" else None
-    fade = FadeSample(x, y, w)
-    return int(np.count_nonzero(outage_indicator(cfg, scenario, fade)))
+    bufs = _thread_buffers(size)
+    channels = (cfg.ch1, cfg.ch2, cfg.chg) if scenario.duplex == "fd" else (cfg.ch1, cfg.ch2)
+    fade = FadeSample(*(sample_sq_gain(ch, rng, out=buf) for ch, buf in zip(channels, bufs)))
+    return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=bufs[3:])))
 
 
 def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
@@ -79,16 +95,3 @@ def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
     p_hat = failures / plan.trials
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / plan.trials)
     return OutageEstimate(p_hat, "monte_carlo", float(stderr), plan.trials)
-
-
-def estimate_outage_with_cost(cfg: SystemConfig, scenario: Scenario,
-                              pc_fraction: float, plan: McPlan,
-                              threads: int = 1) -> OutageEstimate:
-    """estimate_outage with the DF relay's usable power scaled by (1 - pc).
-
-    A processing cost on an AF relay is out of scope and rejected.
-    """
-    if scenario.relay != "df" and pc_fraction > 0:
-        raise ValueError("pc_fraction > 0 applies to df relaying only")
-    return estimate_outage(cfg, replace(scenario, pc_fraction=pc_fraction),
-                           plan, threads=threads)

@@ -14,7 +14,7 @@ from ehrelay.analytic import outage
 from ehrelay.cli import main as cli_main
 from ehrelay.lognormal import ChannelSpec
 from ehrelay.model import Scenario, SystemConfig
-from ehrelay.montecarlo import McPlan, estimate_outage, estimate_outage_with_cost
+from ehrelay.montecarlo import McPlan, estimate_outage
 from ehrelay.optimize import minimize_over_eh_param
 
 CFG = SystemConfig()
@@ -195,8 +195,8 @@ def relay_position_study():
             cfg = replace(CFG, d1_m=d1, d2_m=30.0 - d1)
             plan = McPlan(trials=TRIALS, seed=SEED + 1000 + idx)
             idx += 1
-            rows[("df", pc, d1)] = estimate_outage_with_cost(
-                cfg, Scenario("hd", "df", "irr"), pc, plan
+            rows[("df", pc, d1)] = estimate_outage(
+                cfg, Scenario("hd", "df", "irr", pc_fraction=pc), plan
             )
     for d1 in d1_values:
         cfg = replace(CFG, d1_m=d1, d2_m=30.0 - d1)

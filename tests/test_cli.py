@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ehrelay.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -35,6 +37,22 @@ class TestPoint:
         code = run(["point", "--scenario", "hd-df-tsr", "--tau", "1.2", "--no-mc"])
         assert code == EXIT_CONFIG
         assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, threads, capsys):
+        assert run(["point", "--scenario", "hd-df-irr", "--no-mc",
+                    "--threads", threads]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--threads" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("label,override", [
+        ("hd-df-tsr", "system.d1_m=1e200"),  # path loss overflows
+        ("fd-df-tsr", "system.path_loss_exp=400"),  # SNR scale underflows
+    ])
+    def test_degenerate_link_rejected(self, label, override, capsys):
+        assert run(["point", "--scenario", label, "--tau", "0.5", "--no-mc",
+                    "--override", override]) == EXIT_CONFIG
+        assert "config error: system:" in capsys.readouterr().err
 
     def test_no_mc_skips_simulation(self, capsys):
         assert run(["point", "--scenario", "hd-df-irr", "--no-mc"]) == EXIT_OK

@@ -178,6 +178,13 @@ class TestSampler:
         b = sample_sq_gain(CH, np.random.default_rng(9), 1000)
         assert np.array_equal(a, b)
 
+    def test_in_place_draw_matches_allocated(self):
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(2):  # the generator state advances the same way
+            buf = np.empty(1000)
+            assert sample_sq_gain(CH, rng_a, out=buf) is buf
+            assert np.array_equal(buf, sample_sq_gain(CH, rng_b, 1000))
+
     def test_scalar_draw(self):
         val = sample_sq_gain(CH, np.random.default_rng(1))
         assert np.isscalar(val) and val > 0

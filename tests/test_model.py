@@ -166,6 +166,42 @@ class TestOutageIndicator:
         assert not np.any(high & ~low)
 
 
+ALL_SCENARIOS = [
+    hd("df", "tsr", tau=0.3), hd("df", "psr", rho=0.6), hd("df", "irr"),
+    hd("af", "tsr", tau=0.3), hd("af", "psr", rho=0.6), hd("af", "irr"),
+    Scenario("fd", "df", "tsr", tau=0.3), Scenario("fd", "af", "tsr", tau=0.3),
+]
+
+
+def sample_fades(rng, n):
+    return FadeSample(*sample_pair(rng, n), sample_sq_gain(CFG.chg, rng, n))
+
+
+@pytest.mark.parametrize("s", ALL_SCENARIOS, ids=Scenario.label)
+def test_vector_indicator_matches_scalar_calls(s):
+    fades = sample_fades(np.random.default_rng(53), 500)
+    w = fades.w if s.duplex == "fd" else None
+    c_r, c_d = capacities(CFG, s, FadeSample(fades.x, fades.y, w))
+    end_to_end = c_d if c_r is None else np.minimum(c_r, c_d)
+    cfg = replace(CFG, cth=float(np.median(end_to_end)))  # about half in outage
+    vec = outage_indicator(cfg, s, FadeSample(fades.x, fades.y, w))
+    scalar = [outage_indicator(cfg, s, FadeSample(float(fades.x[i]), float(fades.y[i]),
+                                                  None if w is None else float(w[i])))
+              for i in range(500)]
+    assert vec.shape == (500,) and np.array_equal(vec, scalar)
+    assert np.array_equal(vec, end_to_end < cfg.cth)
+
+
+def test_indicator_leaves_fades_unchanged():
+    fades = sample_fades(np.random.default_rng(59), 500)
+    before = [v.copy() for v in (fades.x, fades.y, fades.w)]
+    for s in ALL_SCENARIOS:
+        outage_indicator(CFG, s, fades)
+        snr_pair(CFG, s, fades)
+    for v, b in zip((fades.x, fades.y, fades.w), before):
+        assert v.tobytes() == b.tobytes()
+
+
 def sample_pair(rng, n):
     return (
         sample_sq_gain(CFG.ch1, rng, n),
@@ -217,6 +253,8 @@ class TestValidation:
             {"d1_m": -1.0},
             {"sigma_d2_w": 0.0},
             {"cth": -0.1},
+            {"d1_m": 1e200},  # path loss overflows
+            {"path_loss_exp": 400.0},  # destination SNR scale underflows to 0
         ],
     )
     def test_system_config_rejects(self, kwargs):

@@ -7,7 +7,7 @@ import pytest
 
 from ehrelay.lognormal import sample_sq_gain
 from ehrelay.model import FadeSample, Scenario, SystemConfig, outage_indicator
-from ehrelay.montecarlo import McPlan, estimate_outage, estimate_outage_with_cost
+from ehrelay.montecarlo import McPlan, estimate_outage
 
 CFG = SystemConfig()
 TSR = Scenario("hd", "df", "tsr", tau=0.5)
@@ -30,6 +30,18 @@ def test_thread_count_does_not_change_estimate():
     serial = estimate_outage(CFG, TSR, plan, threads=1)
     parallel = estimate_outage(CFG, TSR, plan, threads=4)
     assert serial.value == parallel.value
+
+
+def test_fd_estimate_independent_of_threads_and_buffer_reuse():
+    # short last block; per-thread buffers must leak nothing between blocks,
+    # calls or threads
+    s = Scenario("fd", "df", "tsr", tau=0.3)
+    cfg = replace(CFG, ps_watts=10.0, cth=1.0)
+    plan = McPlan(trials=5 * 2**12 + 123, seed=424242, block_size=2**12)
+    first, second = estimate_outage(cfg, s, plan), estimate_outage(cfg, s, plan)
+    assert 0.0 < first.value < 1.0 and first.value == second.value
+    for threads in (2, 4):
+        assert estimate_outage(cfg, s, plan, threads=threads).value == first.value
 
 
 def test_fd_scenario_draws_loop_back_gains():
@@ -70,19 +82,21 @@ class TestProcessingCost:
     def test_zero_cost_matches_plain_estimate(self):
         plan = McPlan(trials=10**5, seed=31337)
         assert (
-            estimate_outage_with_cost(CFG, TSR, 0.0, plan).value
+            estimate_outage(CFG, replace(TSR, pc_fraction=0.0), plan).value
             == estimate_outage(CFG, TSR, plan).value
         )
 
     def test_cost_ordering_under_common_random_numbers(self):
         plan = McPlan(trials=2 * 10**5, seed=2718)
-        vals = [estimate_outage_with_cost(CFG, TSR, pc, plan).value for pc in (0.0, 0.01, 0.02)]
+        vals = [estimate_outage(CFG, replace(TSR, pc_fraction=pc), plan).value
+                for pc in (0.0, 0.01, 0.02)]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_af_with_cost_is_rejected(self):
         with pytest.raises(ValueError):
-            estimate_outage_with_cost(
-                CFG, Scenario("hd", "af", "irr"), 0.01, McPlan(trials=10**4, seed=1)
+            estimate_outage(
+                CFG, replace(Scenario("hd", "af", "irr"), pc_fraction=0.01),
+                McPlan(trials=10**4, seed=1),
             )
 
     def test_midpoint_relays_are_comparable_with_cost(self):
@@ -90,7 +104,7 @@ class TestProcessingCost:
         # within a few percent of each other
         cfg = replace(CFG, d1_m=15.0, d2_m=15.0)
         plan = McPlan(trials=10**7, seed=60221023)
-        df = estimate_outage_with_cost(cfg, Scenario("hd", "df", "irr"), 0.01, plan)
+        df = estimate_outage(cfg, replace(Scenario("hd", "df", "irr"), pc_fraction=0.01), plan)
         af = estimate_outage(cfg, Scenario("hd", "af", "irr"), plan)
         assert abs(df.value - af.value) <= 0.05
 
