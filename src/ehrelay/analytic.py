@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .lognormal import XI, product_ccdf, q_function, sq_gain_cdf
+from .lognormal import XI, _standardize, product_ccdf, q_function, sq_gain_cdf
 from .model import (
     OutageEstimate,
     Scenario,
@@ -46,7 +46,7 @@ _NEGLIGIBLE_TAIL = 1e-9
 
 def _upper_tail(x: float, ch) -> float:
     # weight mass above x, accurate deep into the tail
-    return q_function((XI * math.log(x) - 2.0 * ch.mu_db) / (2.0 * ch.sigma_db))
+    return q_function(_standardize(x, ch))
 
 
 def hd_df_outage(cfg: SystemConfig, scenario: Scenario,

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .quadrature import QuadratureError
 
 SWEEP_AXES = ("tau", "rho", "cth", "d1", "sigma_db", "ps", "sigma_g_db")
 
-CSV_HEADER = "scenario,axis,axis_value,analytic,mc,mc_stderr,trials,seed"
+OUTPUT_FORMATS = ("csv", "json")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,23 +43,40 @@ class ConfigError(Exception):
     """User-facing configuration problem; message names the offending key."""
 
 
+def _flatten(obj, prefix: str) -> dict:
+    """Dotted keys and values of a dataclass; a nested one adds a key level."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out.update(_flatten(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
+def _from_settings(cls, settings: dict, prefix: str):
+    """The inverse of _flatten: construct cls from its dotted keys."""
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(f.default):
+            kwargs[f.name] = _from_settings(type(f.default), settings, f"{prefix}{f.name}.")
+        else:
+            kwargs[f.name] = settings[prefix + f.name]
+    return cls(**kwargs)
+
+
+def _construct(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a rejected value as ConfigError(section)."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def default_settings() -> dict:
     return {
-        "system.ps_watts": 1.0,
-        "system.eta": 1.0,
-        "system.path_loss_exp": 2.0,
-        "system.d1_m": 5.0,
-        "system.d2_m": 5.0,
-        "system.sigma_a2_w": 0.0025,
-        "system.sigma_c2_w": 0.0025,
-        "system.sigma_d2_w": 0.005,
-        "system.cth": 2.0,
-        "system.ch1.mu_db": 3.0,
-        "system.ch1.sigma_db": 2.0,
-        "system.ch2.mu_db": 3.0,
-        "system.ch2.sigma_db": 2.0,
-        "system.chg.mu_db": 3.0,
-        "system.chg.sigma_db": math.sqrt(5.0),
+        **_flatten(SystemConfig(), "system."),
         "scenario.duplex": "hd",
         "scenario.relay": "df",
         "scenario.eh": "tsr",
@@ -96,8 +113,6 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def _coerce(key: str, raw: str, template) -> object:
     try:
-        if isinstance(template, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(template, int):
             return int(raw)
         if isinstance(template, float):
@@ -115,49 +130,24 @@ def apply_entries(settings: dict, entries: dict[str, str], source: str) -> None:
 
 
 def build_system(settings: dict) -> SystemConfig:
-    try:
-        return SystemConfig(
-            ps_watts=settings["system.ps_watts"],
-            eta=settings["system.eta"],
-            path_loss_exp=settings["system.path_loss_exp"],
-            d1_m=settings["system.d1_m"],
-            d2_m=settings["system.d2_m"],
-            sigma_a2_w=settings["system.sigma_a2_w"],
-            sigma_c2_w=settings["system.sigma_c2_w"],
-            sigma_d2_w=settings["system.sigma_d2_w"],
-            cth=settings["system.cth"],
-            ch1=ChannelSpec(settings["system.ch1.mu_db"], settings["system.ch1.sigma_db"]),
-            ch2=ChannelSpec(settings["system.ch2.mu_db"], settings["system.ch2.sigma_db"]),
-            chg=ChannelSpec(settings["system.chg.mu_db"], settings["system.chg.sigma_db"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from exc
+    return _construct("system", _from_settings, SystemConfig, settings, "system.")
 
 
 def build_scenario(settings: dict) -> Scenario:
     eh = settings["scenario.eh"]
-    try:
-        return Scenario(
-            duplex=settings["scenario.duplex"],
-            relay=settings["scenario.relay"],
-            eh=eh,
-            tau=settings["scenario.tau"] if eh == "tsr" else None,
-            rho=settings["scenario.rho"] if eh == "psr" else None,
-            pc_fraction=settings["scenario.pc_fraction"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
+    return _construct(
+        "scenario", Scenario,
+        duplex=settings["scenario.duplex"],
+        relay=settings["scenario.relay"],
+        eh=eh,
+        tau=settings["scenario.tau"] if eh == "tsr" else None,
+        rho=settings["scenario.rho"] if eh == "psr" else None,
+        pc_fraction=settings["scenario.pc_fraction"],
+    )
 
 
 def build_plan(settings: dict) -> McPlan:
-    try:
-        return McPlan(
-            trials=settings["mc.trials"],
-            seed=settings["mc.seed"],
-            block_size=settings["mc.block_size"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mc: {exc}") from exc
+    return _construct("mc", _from_settings, McPlan, settings, "mc.")
 
 
 def _fmt(value) -> str:
@@ -188,48 +178,29 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class Row:
-    curve: str
+    """One dataset row; the fields are the CSV columns and JSON row keys."""
+
+    scenario: str
     axis: str
     axis_value: float
     analytic: float
-    mc: float | None
-    mc_stderr: float | None
-    trials: int | None
-    seed: int | None
+    mc: float | None = None
+    mc_stderr: float | None = None
+    trials: int | None = None
+    seed: int | None = None
 
     def csv(self) -> str:
-        return ",".join(
-            [
-                self.curve,
-                self.axis,
-                _fmt(self.axis_value),
-                _fmt(self.analytic),
-                _fmt(self.mc),
-                _fmt(self.mc_stderr),
-                _fmt(self.trials),
-                _fmt(self.seed),
-            ]
-        )
+        return ",".join(_fmt(value) for value in astuple(self))
 
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.curve,
-            "axis": self.axis,
-            "axis_value": self.axis_value,
-            "analytic": self.analytic,
-            "mc": self.mc,
-            "mc_stderr": self.mc_stderr,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+
+CSV_HEADER = ",".join(f.name for f in fields(Row))
 
 
 def evaluate_point(point: SweepPoint, plan_template: McPlan | None, seed: int | None) -> Row:
     scenario = point.scenario
     if point.optimize:
         result = minimize_over_eh_param(point.cfg, scenario)
-        param = "tau" if scenario.eh == "tsr" else "rho"
-        scenario = replace(scenario, **{param: result.arg_opt})
+        scenario = scenario.with_eh_param(result.arg_opt)
         analytic = result.value_opt
     else:
         analytic = outage(point.cfg, scenario).value
@@ -253,49 +224,45 @@ def run_points(points, plan_template, base_seed, threads) -> list[Row]:
 
 
 def dataset_text(settings: dict, rows: list[Row], fmt: str, notes: list[str]) -> str:
-    if fmt == "json":
-        payload = {
-            "settings": {k: settings[k] for k in sorted(settings) if k != "output.path"},
-            "notes": notes,
-            "rows": [r.as_dict() for r in rows],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     # output.path names the file being written; echoing it would make
     # otherwise-identical datasets differ byte-wise
-    lines = [f"# {key} = {_fmt(settings[key])}"
-             for key in sorted(settings) if key != "output.path"]
+    echoed = {key: settings[key] for key in sorted(settings) if key != "output.path"}
+    if fmt == "json":
+        payload = {"settings": echoed, "notes": notes, "rows": [asdict(r) for r in rows]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = [f"# {key} = {_fmt(value)}" for key, value in echoed.items()]
     lines += [f"# note: {n}" for n in notes]
     lines.append(CSV_HEADER)
     lines += [r.csv() for r in rows]
     return "\n".join(lines) + "\n"
 
 
-def emit(text: str, path: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+def emit(settings: dict, rows: list[Row], notes: list[str]) -> None:
+    """Write the dataset in output.format to output.path, or to stdout."""
+    text = dataset_text(settings, rows, settings["output.format"], notes)
+    if settings["output.path"]:
+        with open(settings["output.path"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
-# axis application
+# axis application and curves
 
-def apply_axis(cfg: SystemConfig, scenario: Scenario, settings: dict,
+def apply_axis(cfg: SystemConfig, scenario: Scenario, total: str | float,
                axis: str, value: float) -> tuple[SystemConfig, Scenario]:
+    """(cfg, scenario) with `axis` set to `value`. A d1 sweep with a
+    `total` distance other than "" keeps d1 + d2 equal to it."""
     try:
-        if axis == "tau":
-            if scenario.eh != "tsr":
-                raise ConfigError("sweep.axis: tau sweeps need a tsr scenario")
-            return cfg, replace(scenario, tau=value)
-        if axis == "rho":
-            if scenario.eh != "psr":
-                raise ConfigError("sweep.axis: rho sweeps need a psr scenario")
-            return cfg, replace(scenario, rho=value)
+        if axis in ("tau", "rho"):
+            if scenario.eh_param_name != axis:
+                eh = "tsr" if axis == "tau" else "psr"
+                raise ConfigError(f"sweep.axis: {axis} sweeps need a {eh} scenario")
+            return cfg, scenario.with_eh_param(value)
         if axis == "cth":
             return replace(cfg, cth=value), scenario
         if axis == "d1":
-            total = settings["sweep.total_distance"]
             if total != "":
                 d2 = float(total) - value
                 if not d2 > 0:
@@ -316,77 +283,76 @@ def apply_axis(cfg: SystemConfig, scenario: Scenario, settings: dict,
     raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
 
 
+def axis_points(cfg: SystemConfig, base: Scenario, axis: str, values, curve: str = "",
+                total: str | float = "", optimize: bool = False) -> list[SweepPoint]:
+    """One curve: `base` on `cfg` with `axis` set to each value in turn (see
+    apply_axis), named `curve` or else after the scenario."""
+    points = []
+    for value in values:
+        c, s = apply_axis(cfg, base, total, axis, value)
+        points.append(SweepPoint(curve or s.label(), axis, value, c, s, optimize))
+    return points
+
+
+def base_scenario(label: str) -> Scenario:
+    """The scenario named `label` with its harvesting parameter, if any, at 0.5."""
+    return Scenario.from_label(label, tau=0.5, rho=0.5)
+
+
+def hd_param_curves(cfg: SystemConfig, relay: str, grid) -> list[SweepPoint]:
+    """The HD TSR curve over tau, then the HD PSR curve over rho, of one relay."""
+    return (axis_points(cfg, base_scenario(f"hd-{relay}-tsr"), "tau", grid)
+            + axis_points(cfg, base_scenario(f"hd-{relay}-psr"), "rho", grid))
+
+
 # ---------------------------------------------------------------------------
 # figure presets
 
-def preset_fig4(cfg: SystemConfig, settings: dict):
+def preset_fig4(cfg: SystemConfig):
     """Outage versus tau/rho for the four parameterized HD systems."""
     grid = [round(0.05 * i, 2) for i in range(1, 20)]
-    points = []
-    for relay in ("df", "af"):
-        for eh, axis in (("tsr", "tau"), ("psr", "rho")):
-            base = Scenario("hd", relay, eh,
-                            tau=0.5 if eh == "tsr" else None,
-                            rho=0.5 if eh == "psr" else None)
-            for value in grid:
-                c, s = apply_axis(cfg, base, settings, axis, value)
-                points.append(SweepPoint(s.label(), axis, value, c, s))
-    return points, []
+    return hd_param_curves(cfg, "df", grid) + hd_param_curves(cfg, "af", grid), []
 
 
-def preset_fig5(cfg: SystemConfig, settings: dict):
+def preset_fig5(cfg: SystemConfig):
     """Minimum achievable outage versus channel spread for the six HD systems."""
     sigmas = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     points = []
     for ps in (1.0, 5.0):
-        cfg_ps = replace(cfg, ps_watts=ps)
         for relay in ("df", "af"):
             for eh in ("tsr", "psr", "irr"):
-                base = Scenario("hd", relay, eh,
-                                tau=0.5 if eh == "tsr" else None,
-                                rho=0.5 if eh == "psr" else None)
-                curve = f"{base.label()} ps={_fmt(ps)}"
-                for sigma in sigmas:
-                    c, s = apply_axis(cfg_ps, base, settings, "sigma_db", sigma)
-                    points.append(SweepPoint(curve, "sigma_db", sigma, c, s,
-                                             optimize=eh != "irr"))
+                base = base_scenario(f"hd-{relay}-{eh}")
+                cfg_ps, _ = apply_axis(cfg, base, "", "ps", ps)
+                points += axis_points(cfg_ps, base, "sigma_db", sigmas,
+                                      f"{base.label()} ps={_fmt(ps)}", optimize=eh != "irr")
     return points, ["sigma_db sweep values are implementation-chosen"]
 
 
-def preset_fig6(cfg: SystemConfig, settings: dict):
+def preset_fig6(cfg: SystemConfig):
     """Outage versus relay position under a fixed 30 m end-to-end distance."""
     d1_values = [float(d) for d in range(3, 28, 2)]
-    total = 30.0
     points = []
     for pc in (0.0, 0.01, 0.02):
-        for d1 in d1_values:
-            c = replace(cfg, d1_m=d1, d2_m=total - d1)
-            s = Scenario("hd", "df", "irr", pc_fraction=pc)
-            points.append(SweepPoint(f"hd-df-irr pc={_fmt(pc)}", "d1", d1, c, s))
-    for d1 in d1_values:
-        c = replace(cfg, d1_m=d1, d2_m=total - d1)
-        points.append(SweepPoint("hd-af-irr", "d1", d1, c, Scenario("hd", "af", "irr")))
+        points += axis_points(cfg, Scenario("hd", "df", "irr", pc_fraction=pc), "d1",
+                              d1_values, f"hd-df-irr pc={_fmt(pc)}", total=30.0)
+    points += axis_points(cfg, Scenario("hd", "af", "irr"), "d1", d1_values, total=30.0)
     return points, ["d1 + d2 fixed at 30 m"]
 
 
-def preset_fig7(cfg: SystemConfig, settings: dict):
+def preset_fig7(cfg: SystemConfig):
     """Outage versus threshold rate for FD and HD TSR systems at tau = 0.01."""
     cth_values = [round(0.5 + 0.25 * i, 2) for i in range(15)]
-    tau = 0.01
     points = []
     for ps in (1.0, 10.0):
         for relay in ("df", "af"):
+            fd = Scenario("fd", relay, "tsr", tau=0.01)
+            cfg_ps, _ = apply_axis(cfg, fd, "", "ps", ps)
             for sg2 in (2.0, 5.0):
-                c0 = replace(cfg, ps_watts=ps, chg=ChannelSpec(cfg.chg.mu_db, math.sqrt(sg2)))
-                s = Scenario("fd", relay, "tsr", tau=tau)
-                curve = f"fd-{relay}-tsr ps={_fmt(ps)} sg2={_fmt(sg2)}"
-                for cth in cth_values:
-                    points.append(SweepPoint(curve, "cth", cth, replace(c0, cth=cth), s))
-            s = Scenario("hd", relay, "tsr", tau=tau)
-            curve = f"hd-{relay}-tsr ps={_fmt(ps)}"
-            for cth in cth_values:
-                c = replace(cfg, ps_watts=ps, cth=cth)
-                points.append(SweepPoint(curve, "cth", cth, c, s))
+                c, _ = apply_axis(cfg_ps, fd, "", "sigma_g_db", math.sqrt(sg2))
+                points += axis_points(c, fd, "cth", cth_values,
+                                      f"fd-{relay}-tsr ps={_fmt(ps)} sg2={_fmt(sg2)}")
+            points += axis_points(cfg_ps, Scenario("hd", relay, "tsr", tau=0.01), "cth",
+                                  cth_values, f"hd-{relay}-tsr ps={_fmt(ps)}")
     return points, ["tau fixed at 0.01; loop-back spread per-curve via sg2"]
 
 
@@ -399,73 +365,47 @@ FIGURE_PRESETS = {
 
 
 # ---------------------------------------------------------------------------
-# selftest grid
+# selftest: the grids of acceptance criteria 1 and 2
 
-def selftest_points(cfg: SystemConfig, settings: dict) -> list[SweepPoint]:
+def selftest_points(cfg: SystemConfig) -> list[SweepPoint]:
+    """The 74 analytic-vs-MC points: per relay, HD TSR over tau, HD PSR over
+    rho, HD IRR, then FD TSR over tau at loop-back spreads sg2 = 2 and 5."""
     grid = [round(0.1 * i, 1) for i in range(1, 10)]
     points = []
     for relay in ("df", "af"):
-        for eh, axis in (("tsr", "tau"), ("psr", "rho")):
-            base = Scenario("hd", relay, eh,
-                            tau=0.5 if eh == "tsr" else None,
-                            rho=0.5 if eh == "psr" else None)
-            for value in grid:
-                c, s = apply_axis(cfg, base, settings, axis, value)
-                points.append(SweepPoint(s.label(), axis, value, c, s))
+        points += hd_param_curves(cfg, relay, grid)
         points.append(SweepPoint(f"hd-{relay}-irr", "none", 0.0, cfg,
                                  Scenario("hd", relay, "irr")))
+        fd = base_scenario(f"fd-{relay}-tsr")
         for sg2 in (2.0, 5.0):
-            c0 = replace(cfg, chg=ChannelSpec(cfg.chg.mu_db, math.sqrt(sg2)))
-            for value in grid:
-                s = Scenario("fd", relay, "tsr", tau=value)
-                points.append(SweepPoint(f"fd-{relay}-tsr sg2={_fmt(sg2)}", "tau",
-                                         value, c0, s))
+            c, _ = apply_axis(cfg, fd, "", "sigma_g_db", math.sqrt(sg2))
+            points += axis_points(c, fd, "tau", grid, f"fd-{relay}-tsr sg2={_fmt(sg2)}")
     return points
 
 
-def run_selftest(settings: dict, threads: int) -> int:
-    cfg = build_system(settings)
-    plan = build_plan(settings)
-    points = selftest_points(cfg, settings)
-    rows = run_points(points, plan, settings["mc.seed"], threads)
-    failures = 0
-    for row in rows:
-        tol = max(3.0 * row.mc_stderr, 1e-3)
-        ok = abs(row.analytic - row.mc) <= tol
-        status = "PASS" if ok else "FAIL"
-        failures += not ok
-        print(f"{status} {row.curve} {row.axis}={_fmt(row.axis_value)}: "
-              f"analytic={row.analytic:.6f} mc={row.mc:.6f} "
-              f"|diff|={abs(row.analytic - row.mc):.2e} tol={tol:.2e}")
-    # boundary limits: saturation at extreme tau/rho, zero outage at cth=0
+def boundary_points(cfg: SystemConfig) -> list[SweepPoint]:
+    """The 20 boundary probes: outage saturates (>= 0.999) at tau or rho of
+    1e-4 and 1 - 1e-4, and vanishes (<= 1e-12) on the cth axis, at cth = 0."""
+    edges = (1e-4, 1.0 - 1e-4)
+    points = []
     for label in ("hd-df-tsr", "hd-af-tsr", "fd-df-tsr", "fd-af-tsr"):
-        for tau in (1e-4, 1.0 - 1e-4):
-            val = outage(cfg, Scenario.from_label(label, tau=tau)).value
-            ok = val >= 0.999
-            failures += not ok
-            print(f"{'PASS' if ok else 'FAIL'} {label} tau={tau:g}: {val:.6f} >= 0.999")
+        points += axis_points(cfg, base_scenario(label), "tau", edges)
     for label in ("hd-df-psr", "hd-af-psr"):
-        for rho in (1e-4, 1.0 - 1e-4):
-            val = outage(cfg, Scenario.from_label(label, rho=rho)).value
-            ok = val >= 0.999
-            failures += not ok
-            print(f"{'PASS' if ok else 'FAIL'} {label} rho={rho:g}: {val:.6f} >= 0.999")
-    cfg0 = replace(cfg, cth=0.0)
-    for label, kwargs in (
-        ("hd-df-tsr", {"tau": 0.5}), ("hd-df-psr", {"rho": 0.5}), ("hd-df-irr", {}),
-        ("hd-af-tsr", {"tau": 0.5}), ("hd-af-psr", {"rho": 0.5}), ("hd-af-irr", {}),
-        ("fd-df-tsr", {"tau": 0.5}), ("fd-af-tsr", {"tau": 0.5}),
-    ):
-        val = outage(cfg0, Scenario.from_label(label, **kwargs)).value
-        ok = val <= 1e-12
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} {label} cth=0: {val:.3e} <= 1e-12")
-    print(f"selftest: {failures} failure(s)")
-    return failures
+        points += axis_points(cfg, base_scenario(label), "rho", edges)
+    for label in ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr",
+                  "hd-af-irr", "fd-df-tsr", "fd-af-tsr"):
+        points += axis_points(cfg, base_scenario(label), "cth", [0.0])
+    return points
 
 
 # ---------------------------------------------------------------------------
 # commands
+
+# command-line flags (argparse dest) and the settings key each one sets
+FLAG_KEYS = (("trials", "mc.trials"), ("seed", "mc.seed"), ("out", "output.path"),
+             ("format", "output.format"), ("tau", "scenario.tau"), ("rho", "scenario.rho"),
+             ("pc", "scenario.pc_fraction"), ("axis", "sweep.axis"), ("values", "sweep.values"))
+
 
 def _settings_from_args(args) -> dict:
     settings = default_settings()
@@ -476,24 +416,18 @@ def _settings_from_args(args) -> dict:
             raise ConfigError(f"--override {pair!r}: expected key=value")
         key, _, value = pair.partition("=")
         apply_entries(settings, {key.strip(): value.strip()}, "--override")
-    if args.trials is not None:
-        settings["mc.trials"] = args.trials
-    if args.seed is not None:
-        settings["mc.seed"] = args.seed
-    if args.out is not None:
-        settings["output.path"] = args.out
-    if args.format is not None:
-        settings["output.format"] = args.format
+    for flag, key in FLAG_KEYS:
+        value = getattr(args, flag, None)
+        if value is not None:
+            settings[key] = value
     if getattr(args, "scenario", None):
         parts = args.scenario.lower().split("-")
         if len(parts) != 3:
             raise ConfigError(f"--scenario {args.scenario!r}: expected duplex-relay-eh")
         settings["scenario.duplex"], settings["scenario.relay"], settings["scenario.eh"] = parts
-    for flag, key in (("tau", "scenario.tau"), ("rho", "scenario.rho"),
-                      ("pc", "scenario.pc_fraction")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            settings[key] = value
+    if settings["output.format"] not in OUTPUT_FORMATS:
+        raise ConfigError(f"output.format: must be one of {OUTPUT_FORMATS}, "
+                          f"got {settings['output.format']!r}")
     return settings
 
 
@@ -504,47 +438,35 @@ def cmd_point(args) -> int:
     analytic = outage(cfg, scenario)
     print(f"scenario           {scenario.label()}")
     print(f"analytic outage    {analytic.value:.9f}")
-    rows = [Row(scenario.label(), "none", 0.0, analytic.value, None, None, None, None)]
+    row = Row(scenario.label(), "none", 0.0, analytic.value)
     if not args.no_mc:
         plan = build_plan(settings)
         mc = estimate_outage(cfg, scenario, plan, threads=args.threads)
         print(f"monte carlo        {mc.value:.9f}")
         print(f"difference         {abs(analytic.value - mc.value):.3e}")
         print(f"mc stderr          {mc.stderr:.3e}  (trials {mc.trials}, seed {settings['mc.seed']})")
-        rows = [Row(scenario.label(), "none", 0.0, analytic.value,
-                    mc.value, mc.stderr, mc.trials, settings["mc.seed"])]
+        row = replace(row, mc=mc.value, mc_stderr=mc.stderr, trials=mc.trials,
+                      seed=settings["mc.seed"])
     if settings["output.path"]:
-        emit(dataset_text(settings, rows, settings["output.format"], []),
-             settings["output.path"])
+        emit(settings, [row], [])
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     settings = _settings_from_args(args)
-    if args.axis:
-        settings["sweep.axis"] = args.axis
-    if args.values:
-        settings["sweep.values"] = args.values
     axis = settings["sweep.axis"]
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
     raw_values = str(settings["sweep.values"])
-    if not raw_values.strip():
-        raise ConfigError("sweep.values: no values given")
     try:
         values = [float(tok) for tok in raw_values.replace(";", ",").split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"sweep.values: {exc}") from exc
+    if not values:
+        raise ConfigError("sweep.values: no values given")
     cfg = build_system(settings)
     scenario = build_scenario(settings)
-    points = []
-    for value in values:
-        c, s = apply_axis(cfg, scenario, settings, axis, value)
-        points.append(SweepPoint(s.label(), axis, value, c, s))
+    points = axis_points(cfg, scenario, axis, values, total=settings["sweep.total_distance"])
     plan = None if args.no_mc else build_plan(settings)
-    rows = run_points(points, plan, settings["mc.seed"], args.threads)
-    emit(dataset_text(settings, rows, settings["output.format"], []),
-         settings["output.path"])
+    emit(settings, run_points(points, plan, settings["mc.seed"], args.threads), [])
     return EXIT_OK
 
 
@@ -552,10 +474,10 @@ def cmd_optimize(args) -> int:
     settings = _settings_from_args(args)
     cfg = build_system(settings)
     scenario = build_scenario(settings)
-    if scenario.eh not in ("tsr", "psr"):
+    param = scenario.eh_param_name
+    if param is None:
         raise ConfigError("scenario.eh: optimize needs a tsr or psr scenario")
     result = minimize_over_eh_param(cfg, scenario, tol=args.tol)
-    param = "tau" if scenario.eh == "tsr" else "rho"
     print(f"scenario           {scenario.label()}")
     print(f"optimal {param}        {result.arg_opt:.6f}")
     print(f"outage at optimum  {result.value_opt:.9f}")
@@ -564,28 +486,43 @@ def cmd_optimize(args) -> int:
     if result.non_unimodal:
         print("warning: multiple grid minima seen; dense-scan fallback used")
     if settings["output.path"]:
-        rows = [Row(scenario.label(), param, result.arg_opt, result.value_opt,
-                    None, None, None, None)]
-        emit(dataset_text(settings, rows, settings["output.format"], []),
-             settings["output.path"])
+        emit(settings, [Row(scenario.label(), param, result.arg_opt, result.value_opt)], [])
     return EXIT_OK
 
 
 def cmd_figure(args) -> int:
     settings = _settings_from_args(args)
     cfg = build_system(settings)
-    points, notes = FIGURE_PRESETS[args.which](cfg, settings)
+    points, notes = FIGURE_PRESETS[args.which](cfg)
     plan = None if args.no_mc else build_plan(settings)
     rows = run_points(points, plan, settings["mc.seed"], args.threads)
-    notes = [f"figure = {args.which}"] + notes
-    emit(dataset_text(settings, rows, settings["output.format"], notes),
-         settings["output.path"])
+    emit(settings, rows, [f"figure = {args.which}", *notes])
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
     settings = _settings_from_args(args)
-    failures = run_selftest(settings, args.threads)
+    cfg = build_system(settings)
+    plan = build_plan(settings)
+    rows = run_points(selftest_points(cfg), plan, settings["mc.seed"], args.threads)
+    failures = 0
+    for row in rows:
+        tol = max(3.0 * row.mc_stderr, 1e-3)
+        ok = abs(row.analytic - row.mc) <= tol
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'} {row.scenario} {row.axis}={_fmt(row.axis_value)}: "
+              f"analytic={row.analytic:.6f} mc={row.mc:.6f} "
+              f"|diff|={abs(row.analytic - row.mc):.2e} tol={tol:.2e}")
+    for point in boundary_points(cfg):
+        val = outage(point.cfg, point.scenario).value
+        if point.axis == "cth":
+            ok, check = val <= 1e-12, f"{val:.3e} <= 1e-12"
+        else:
+            ok, check = val >= 0.999, f"{val:.6f} >= 0.999"
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'} {point.curve} {point.axis}={point.axis_value:g}: "
+              f"{check}")
+    print(f"selftest: {failures} failure(s)")
     return EXIT_SELFTEST if failures else EXIT_OK
 
 
@@ -602,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
         p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--out", help="output path (default: stdout for datasets)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
         p.add_argument("--no-mc", action="store_true", help="skip Monte Carlo")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="set any config key; repeatable")

@@ -9,7 +9,7 @@ scalar fades or numpy arrays of fades and broadcast elementwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -117,13 +117,21 @@ class Scenario:
             raise ValueError("pc_fraction > 0 applies to df relaying only")
 
     @property
+    def eh_param_name(self) -> str | None:
+        """Name of the free harvesting parameter (tau, rho; None for irr)."""
+        return {"tsr": "tau", "psr": "rho"}.get(self.eh)
+
+    @property
     def eh_param(self) -> float | None:
         """The free harvesting parameter (tau for tsr, rho for psr)."""
-        if self.eh == "tsr":
-            return self.tau
-        if self.eh == "psr":
-            return self.rho
-        return None
+        name = self.eh_param_name
+        return None if name is None else getattr(self, name)
+
+    def with_eh_param(self, value: float) -> "Scenario":
+        """This scenario with its free harvesting parameter set to value."""
+        if self.eh_param_name is None:
+            raise ValueError(f"{self.eh} has no harvesting parameter")
+        return replace(self, **{self.eh_param_name: value})
 
     def label(self) -> str:
         return f"{self.duplex}-{self.relay}-{self.eh}"
@@ -151,11 +159,10 @@ class FadeSample:
     w: object = None
 
     def __post_init__(self):
-        for name in ("x", "y"):
-            if not np.all(np.asarray(getattr(self, name)) > 0):
+        # one reduction per channel and no temporary; a NaN minimum fails too
+        for name in ("x", "y") if self.w is None else ("x", "y", "w"):
+            if not np.asarray(getattr(self, name)).min(initial=np.inf) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.w is not None and not np.all(np.asarray(self.w) > 0):
-            raise ValueError("w must be strictly positive")
 
 
 def hop_losses(cfg: SystemConfig) -> tuple[float, float]:

@@ -10,7 +10,7 @@ grid and is flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,21 +42,17 @@ class OptResult:
 def minimize_over_eh_param(cfg: SystemConfig, scenario: Scenario,
                            tol: float = 1e-3,
                            quad: QuadSpec = DEFAULT_QUAD) -> OptResult:
-    """Minimize the analytic outage over tau (TSR) or rho (PSR).
+    """Minimize the analytic outage over tau (TSR) or rho (PSR); IRR raises ValueError.
 
     Coarse scan over 0.02..0.98 in steps of 0.02, then golden-section
     refinement of the best cell until the bracket is narrower than tol.
     """
-    if scenario.eh not in ("tsr", "psr"):
-        raise ValueError("irr has no harvesting parameter to optimize")
-    param = "tau" if scenario.eh == "tsr" else "rho"
-
     evaluations = 0
 
     def objective(p: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return outage(cfg, replace(scenario, **{param: p}), quad).value
+        return outage(cfg, scenario.with_eh_param(p), quad).value
 
     grid = np.linspace(0.02, 0.98, 49)
     values = [objective(p) for p in grid]

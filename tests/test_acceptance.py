@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from ehrelay.analytic import outage
+from ehrelay.cli import boundary_points, selftest_points
 from ehrelay.cli import main as cli_main
 from ehrelay.lognormal import ChannelSpec
 from ehrelay.model import Scenario, SystemConfig
@@ -36,31 +37,19 @@ def psr(relay, rho):
     return Scenario("hd", relay, "psr", rho=rho)
 
 
-def agreement_points():
-    """The eight-scenario grid: every parameterized point to cross-check."""
-    points = []
-    for relay in ("df", "af"):
-        points += [(f"hd-{relay}-tsr", CFG, tsr("hd", relay, p)) for p in GRID]
-        points += [(f"hd-{relay}-psr", CFG, psr(relay, p)) for p in GRID]
-        points.append((f"hd-{relay}-irr", CFG, Scenario("hd", relay, "irr")))
-        for sg2 in (2.0, 5.0):
-            cfg = replace(CFG, chg=ChannelSpec(3.0, math.sqrt(sg2)))
-            points += [(f"fd-{relay}-tsr sg2={sg2}", cfg, tsr("fd", relay, p))
-                       for p in GRID]
-    return points
-
-
 def test_criterion_1_analytic_matches_monte_carlo():
     worst = 0.0
     failures = []
-    for i, (name, cfg, scenario) in enumerate(agreement_points()):
-        analytic = outage(cfg, scenario).value
-        mc = estimate_outage(cfg, scenario, McPlan(trials=TRIALS, seed=SEED + i))
+    # the selftest's eight-scenario grid: every parameterized point to cross-check
+    for i, point in enumerate(selftest_points(CFG)):
+        analytic = outage(point.cfg, point.scenario).value
+        mc = estimate_outage(point.cfg, point.scenario, McPlan(trials=TRIALS, seed=SEED + i))
         diff = abs(analytic - mc.value)
         tol = max(3 * mc.stderr, 1e-3)
         worst = max(worst, diff / tol)
         if diff > tol:
-            failures.append(f"{name} {scenario.eh_param}: |{analytic:.5f}-{mc.value:.5f}|>{tol:.1e}")
+            failures.append(f"{point.curve} {point.scenario.eh_param}: "
+                            f"|{analytic:.5f}-{mc.value:.5f}|>{tol:.1e}")
     ok = report(
         "criterion 1 (analytic = Monte Carlo on the 8-scenario grid)",
         not failures,
@@ -71,26 +60,12 @@ def test_criterion_1_analytic_matches_monte_carlo():
 
 def test_criterion_2_boundary_limits():
     bad = []
-    for label in ("hd-df-tsr", "hd-af-tsr", "fd-df-tsr", "fd-af-tsr"):
-        for t in (1e-4, 1 - 1e-4):
-            v = outage(CFG, Scenario.from_label(label, tau=t)).value
-            if v < 0.999:
-                bad.append(f"{label} tau={t:g} -> {v:.6f}")
-    for label in ("hd-df-psr", "hd-af-psr"):
-        for r in (1e-4, 1 - 1e-4):
-            v = outage(CFG, Scenario.from_label(label, rho=r)).value
-            if v < 0.999:
-                bad.append(f"{label} rho={r:g} -> {v:.6f}")
-    cfg0 = replace(CFG, cth=0.0)
-    zero_points = [
-        tsr("hd", "df", 0.5), psr("df", 0.5), Scenario("hd", "df", "irr"),
-        tsr("hd", "af", 0.5), psr("af", 0.5), Scenario("hd", "af", "irr"),
-        tsr("fd", "df", 0.5), tsr("fd", "af", 0.5),
-    ]
-    for s in zero_points:
-        v = outage(cfg0, s).value
-        if v > 1e-12:
-            bad.append(f"{s.label()} cth=0 -> {v:.2e}")
+    # the selftest's probes: saturation at extreme tau/rho, zero outage at cth=0
+    for point in boundary_points(CFG):
+        v = outage(point.cfg, point.scenario).value
+        ok = v <= 1e-12 if point.axis == "cth" else v >= 0.999
+        if not ok:
+            bad.append(f"{point.curve} {point.axis}={point.axis_value:g} -> {v:.6g}")
     ok = report(
         "criterion 2 (saturation at extreme tau/rho; zero outage at cth=0)",
         not bad,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config handling and dataset files."""
 
 import json
+from dataclasses import asdict, fields, is_dataclass
 
 import pytest
 
@@ -8,9 +9,14 @@ from ehrelay.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_OK,
+    Row,
+    boundary_points,
+    build_system,
     default_settings,
     main,
+    selftest_points,
 )
+from ehrelay.model import SystemConfig
 
 
 def run(args):
@@ -105,6 +111,14 @@ class TestConfigFile:
                     "system.d1_m=ten"]) == EXIT_CONFIG
         assert "system.d1_m" in capsys.readouterr().err
 
+    def test_unknown_output_format_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.out"
+        assert run(["sweep", "--scenario", "hd-df-irr", "--axis", "cth", "--values", "1",
+                    "--no-mc", "--override", "output.format=xml",
+                    "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: output.format: ")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_tau_sweep_rows(self, tmp_path):
@@ -149,6 +163,9 @@ class TestSweep:
     def test_missing_values_rejected(self, capsys):
         assert run(["sweep", "--scenario", "hd-df-tsr", "--axis", "tau",
                     "--no-mc"]) == EXIT_CONFIG
+        # separators alone leave no value either
+        assert run(["sweep", "--scenario", "hd-df-tsr", "--axis", "tau",
+                    "--values", ",;", "--no-mc"]) == EXIT_CONFIG
 
 
 class TestOptimize:
@@ -205,6 +222,14 @@ class TestFigures:
         assert "fd-df-tsr ps=1 sg2=5" in body
         assert "hd-af-tsr ps=10" in body
 
+    def test_preset_config_error_names_axis_and_value(self, capsys):
+        # the destination SNR scale underflows at the first point, d1 = 3 m and d2 = 27 m
+        assert run(["figure", "fig6", "--no-mc", "--override",
+                    "system.path_loss_exp=200"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+        assert "d1 = 3.0" in err
+
     def test_fig4_curves_have_interior_minima(self, tmp_path):
         out = tmp_path / "fig4.csv"
         assert run(["figure", "fig4", "--no-mc", "--out", str(out)]) == EXIT_OK
@@ -236,6 +261,43 @@ def test_default_settings_cover_all_keys():
     assert settings["mc.block_size"] == 65536
     # every dotted key belongs to a known section
     assert {k.split(".")[0] for k in settings} == {"system", "scenario", "sweep", "mc", "output"}
+
+
+def test_system_settings_mirror_system_config():
+    settings = default_settings()
+    assert build_system(settings) == SystemConfig()
+    for f in fields(SystemConfig):
+        if is_dataclass(f.default):
+            for part in ("mu_db", "sigma_db"):
+                assert settings[f"system.{f.name}.{part}"] == getattr(f.default, part)
+        else:
+            assert settings[f"system.{f.name}"] == f.default
+    assert len([k for k in settings if k.startswith("system.")]) == 9 + 3 * 2
+
+
+def test_csv_header_matches_json_row_keys():
+    row = Row("hd-df-tsr", "tau", 0.5, 0.25, 0.26, 0.01, 10000, 7)
+    assert CSV_HEADER.split(",") == list(asdict(row))
+    assert row.csv() == "hd-df-tsr,tau,0.5,0.25,0.26,0.01,10000,7"
+
+
+def test_selftest_grid_covers_eight_scenarios():
+    points = selftest_points(SystemConfig())
+    labels = [p.scenario.label() for p in points]
+    assert len(points) == 74
+    assert labels.count("hd-df-tsr") + labels.count("hd-af-tsr") == 18
+    assert labels.count("hd-df-psr") + labels.count("hd-af-psr") == 18
+    assert labels.count("hd-df-irr") + labels.count("hd-af-irr") == 2
+    assert sum(p.scenario.duplex == "fd" for p in points) == 36
+
+
+def test_boundary_probe_table():
+    probes = boundary_points(SystemConfig())
+    assert len(probes) == 20
+    # 12 saturation probes (tau/rho at 1e-4 and 1 - 1e-4), 8 zero-threshold ones
+    assert sum(p.axis in ("tau", "rho") for p in probes) == 12
+    assert [p.cfg.cth for p in probes if p.axis == "cth"] == [0.0] * 8
+    assert len({p.scenario.label() for p in probes if p.axis == "cth"}) == 8
 
 
 def test_selftest_passes_at_reduced_budget(capsys):

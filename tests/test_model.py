@@ -266,6 +266,24 @@ class TestValidation:
             FadeSample(0.0, 1.0)
         with pytest.raises(ValueError):
             FadeSample(np.array([1.0, -2.0]), np.array([1.0, 1.0]))
+        FadeSample(np.array([]), np.array([]))  # an empty batch stays valid
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("channel", ["x", "y", "w"])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_fade_sample_rejects_each_channel(self, bad, channel, as_array):
+        good = np.array([1.0, 2.0, 3.0]) if as_array else 1.0
+        gains = {"x": good, "y": good, "w": good}
+        gains[channel] = np.array([1.0, bad, 3.0]) if as_array else bad
+        with pytest.raises(ValueError, match=f"^{channel} must"):
+            FadeSample(**gains)
+
+    def test_with_eh_param_sets_tau_or_rho(self):
+        assert hd("df", "tsr", tau=0.5).with_eh_param(0.3) == hd("df", "tsr", tau=0.3)
+        assert hd("af", "psr", rho=0.5).with_eh_param(0.7) == hd("af", "psr", rho=0.7)
+        assert hd("df", "irr").eh_param_name is None
+        with pytest.raises(ValueError):
+            hd("df", "irr").with_eh_param(0.5)
 
     def test_outage_estimate_bounds(self):
         with pytest.raises(ValueError):
