@@ -22,7 +22,7 @@ from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replac
 
 import numpy as np
 
-from .analytic import outage
+from .analytic import outage, outages
 from .lognormal import ChannelSpec
 from .model import Scenario, SystemConfig
 from .montecarlo import McPlan, estimate_outage
@@ -196,14 +196,14 @@ class Row:
 CSV_HEADER = ",".join(f.name for f in fields(Row))
 
 
-def evaluate_point(point: SweepPoint, plan_template: McPlan | None, seed: int | None) -> Row:
+def evaluate_point(point: SweepPoint, plan_template: McPlan | None, seed: int | None,
+                   analytic: float | None) -> Row:
+    """The row of one point; `analytic` is its value, None for an optimize point."""
     scenario = point.scenario
     if point.optimize:
         result = minimize_over_eh_param(point.cfg, scenario)
         scenario = scenario.with_eh_param(result.arg_opt)
         analytic = result.value_opt
-    else:
-        analytic = outage(point.cfg, scenario).value
     mc = stderr = trials = None
     if plan_template is not None:
         plan = replace(plan_template, seed=seed)
@@ -213,14 +213,16 @@ def evaluate_point(point: SweepPoint, plan_template: McPlan | None, seed: int | 
 
 
 def run_points(points, plan_template, base_seed, threads) -> list[Row]:
-    """Evaluate sweep points on a worker pool; rows come back in sweep order."""
+    """Evaluate sweep points, non-optimize analytic values in one batch; rows keep sweep order."""
     seeds = [None if plan_template is None else row_seed(base_seed, i)
              for i in range(len(points))]
+    plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]))
+    args = (points, [plan_template] * len(points), seeds,
+            [None if p.optimize else next(plain) for p in points])
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda ps: evaluate_point(ps[0], plan_template, ps[1]),
-                                 zip(points, seeds)))
-    return [evaluate_point(p, plan_template, s) for p, s in zip(points, seeds)]
+            return list(pool.map(evaluate_point, *args))
+    return list(map(evaluate_point, *args))
 
 
 def dataset_text(settings: dict, rows: list[Row], fmt: str, notes: list[str]) -> str:
@@ -264,7 +266,7 @@ def apply_axis(cfg: SystemConfig, scenario: Scenario, total: str | float,
             return replace(cfg, cth=value), scenario
         if axis == "d1":
             if total != "":
-                d2 = float(total) - value
+                d2 = total - value
                 if not d2 > 0:
                     raise ConfigError(
                         f"sweep.values: d1 = {value} leaves no room under total {total}")
@@ -462,9 +464,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep.values: {exc}") from exc
     if not values:
         raise ConfigError("sweep.values: no values given")
+    total = settings["sweep.total_distance"]
+    if total != "":
+        total = _coerce("sweep.total_distance", total, 0.0)
+        if not 0 < total < math.inf:
+            raise ConfigError(f"sweep.total_distance: must be empty or finite and > 0, got {total}")
     cfg = build_system(settings)
     scenario = build_scenario(settings)
-    points = axis_points(cfg, scenario, axis, values, total=settings["sweep.total_distance"])
+    points = axis_points(cfg, scenario, axis, values, total=total)
     plan = None if args.no_mc else build_plan(settings)
     emit(settings, run_points(points, plan, settings["mc.seed"], args.threads), [])
     return EXIT_OK

@@ -42,16 +42,25 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def q_array(x: np.ndarray) -> np.ndarray:
+    """q_function elementwise, bit for bit (math.erfc on every element)."""
+    return 0.5 * np.asarray(_erfc(x / _SQRT2), dtype=np.float64)
+
+
 def _standardize(x: float, ch: ChannelSpec) -> float:
     # dB coordinate of x relative to the squared-gain Gaussian
     return (XI * math.log(x) - 2.0 * ch.mu_db) / (2.0 * ch.sigma_db)
 
 
 def sq_gain_cdf(x: float, ch: ChannelSpec) -> float:
-    """CDF of the squared gain h^2 evaluated at x > 0."""
+    """CDF of the squared gain h^2 at x > 0, as the lower tail Q(-u): precise far below
+    the median, where 1 - Q(u) would round to 0."""
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
-    return 1.0 - q_function(_standardize(x, ch))
+    return q_function(-_standardize(x, ch))
 
 
 def sq_gain_pdf(x: float, ch: ChannelSpec) -> float:

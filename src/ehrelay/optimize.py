@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import outage
+from .analytic import outage, outages
 from .model import Scenario, SystemConfig
 from .quadrature import DEFAULT_QUAD, QuadSpec
 
@@ -44,18 +44,19 @@ def minimize_over_eh_param(cfg: SystemConfig, scenario: Scenario,
                            quad: QuadSpec = DEFAULT_QUAD) -> OptResult:
     """Minimize the analytic outage over tau (TSR) or rho (PSR); IRR raises ValueError.
 
-    Coarse scan over 0.02..0.98 in steps of 0.02, then golden-section
-    refinement of the best cell until the bracket is narrower than tol.
+    Coarse scan over 0.02..0.98 in steps of 0.02 (one batched `outages`
+    call), then golden-section refinement of the best cell until the
+    bracket is narrower than tol.
     """
-    evaluations = 0
+    grid = np.linspace(0.02, 0.98, 49)
+    evaluations = len(grid)
 
     def objective(p: float) -> float:
         nonlocal evaluations
         evaluations += 1
         return outage(cfg, scenario.with_eh_param(p), quad).value
 
-    grid = np.linspace(0.02, 0.98, 49)
-    values = [objective(p) for p in grid]
+    values = outages([(cfg, scenario.with_eh_param(p)) for p in grid], quad)
     best_i = int(np.argmin(values))
     best_arg, best_val = float(grid[best_i]), values[best_i]
 
@@ -66,7 +67,8 @@ def minimize_over_eh_param(cfg: SystemConfig, scenario: Scenario,
     ]
     if len(interior_minima) > 1:
         dense = np.arange(1, 1000) / 1000.0
-        dense_vals = [objective(p) for p in dense]
+        dense_vals = outages([(cfg, scenario.with_eh_param(p)) for p in dense], quad)
+        evaluations += len(dense)
         j = int(np.argmin(dense_vals))
         if dense_vals[j] < best_val:
             best_arg, best_val = float(dense[j]), dense_vals[j]

@@ -150,6 +150,13 @@ class TestSweep:
                     "--values", "35", "--no-mc",
                     "--override", "sweep.total_distance=30"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("axis,values", [("cth", "2"), ("d1", "5")])
+    @pytest.mark.parametrize("total", ["abc", "inf", "nan", "0", "-3"])
+    def test_bad_total_distance_rejected_on_every_axis(self, capsys, axis, values, total):
+        assert run(["sweep", "--axis", axis, "--values", values, "--no-mc",
+                    "--override", f"sweep.total_distance={total}"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sweep.total_distance: ")
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert run(["sweep", "--scenario", "hd-df-tsr", "--axis", "tau",

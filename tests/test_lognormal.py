@@ -76,7 +76,16 @@ class TestSqGainCdf:
     def test_matches_standardized_q_bit_for_bit(self):
         for x in (0.3, 1.0, 4.0, 25.0, 400.0):
             u = (XI * math.log(x) - 2.0 * CH.mu_db) / (2.0 * CH.sigma_db)
-            assert sq_gain_cdf(x, CH) == 1.0 - q_function(u)
+            assert sq_gain_cdf(x, CH) == q_function(-u)
+
+    @pytest.mark.parametrize("x", [1e-3, 1e-2])
+    def test_lower_tail_relative_precision(self, x):
+        # 1e-3 sits 9 sigma below the median, where 1 - Q(u) rounds to 0
+        ch = ChannelSpec(3, 2)
+        with mpmath.workdps(50):
+            u = (10 * mpmath.log10(mpmath.mpf(x)) - 2 * ch.mu_db) / (2 * ch.sigma_db)
+            ref = float(mpmath.ncdf(u))
+        assert abs(sq_gain_cdf(x, ch) - ref) <= 1e-12 * ref
 
     def test_against_empirical_cdf(self):
         # 1e7 sampler draws; binomial 3-sigma tolerance at the probe point

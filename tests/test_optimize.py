@@ -76,6 +76,8 @@ def test_multimodal_objective_falls_back_to_dense_grid(monkeypatch):
                             - 0.4 * np.exp(-((p - 0.7) ** 2) / 0.002))
 
     monkeypatch.setattr(opt, "outage", fake_outage)
+    monkeypatch.setattr(opt, "outages",
+                        lambda pairs, quad: [fake_outage(c, s, quad).value for c, s in pairs])
     result = minimize_over_eh_param(CFG, TSR)
     assert result.non_unimodal
     assert result.arg_opt == pytest.approx(0.7, abs=2e-3)

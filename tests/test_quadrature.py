@@ -1,15 +1,20 @@
 """Adaptive log-normal-weighted integration against a brute-force oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ehrelay.lognormal import XI, ChannelSpec, q_function
+from ehrelay.lognormal import XI, ChannelSpec, q_array, q_function
 from ehrelay.quadrature import (
     DEFAULT_QUAD,
     QuadratureError,
     QuadSpec,
+    integrate_lognormal_batch,
     integrate_lognormal_weighted,
 )
 
@@ -28,7 +33,7 @@ def trapezoid_oracle(f, weight, lower, upper, n=10**6, pad=14.0):
         t_hi = min(t_hi, XI * math.log(upper))
     ts = np.linspace(t_lo, t_hi, n + 1)
     gauss = np.exp(-0.5 * ((ts - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
-    vals = np.array([f(z) for z in np.exp(ts / XI)]) * gauss
+    vals = f(np.exp(ts / XI)) * gauss
     return float(np.trapezoid(vals, ts))
 
 
@@ -45,7 +50,7 @@ def test_ccdf_shaped_integrand_against_trapezoid():
     other = ChannelSpec(1.0, 1.5)
 
     def f(z):
-        return q_function((XI * math.log(z) - 2 * other.mu_db) / (2 * other.sigma_db))
+        return q_array((XI * np.log(z) - 2 * other.mu_db) / (2 * other.sigma_db))
 
     got = integrate_lognormal_weighted(f, CH)
     ref = trapezoid_oracle(f, CH, 0.0, math.inf)
@@ -59,6 +64,15 @@ def test_finite_window_against_trapezoid():
     assert got == pytest.approx(ref, rel=1e-6)
 
 
+def test_narrow_peak_needs_bisection():
+    # a 0.05 dB wide peak: the 8 initial panels are 10 dB wide, so only
+    # bisection driven by the error estimate resolves it
+    f = lambda z: 1.0 / (1.0 + ((XI * np.log(z) - 7.0) / 0.05) ** 2)
+    got = integrate_lognormal_weighted(f, CH)
+    ref = trapezoid_oracle(f, CH, 0.0, math.inf)
+    assert got == pytest.approx(ref, rel=1e-6)
+
+
 def test_tail_truncation_insensitive():
     f = lambda z: z / (1.0 + z)
     base = integrate_lognormal_weighted(f, CH, spec=QuadSpec(tail_sigmas=10))
@@ -67,7 +81,7 @@ def test_tail_truncation_insensitive():
 
 
 def test_subdivision_cap_insensitive():
-    f = lambda z: math.exp(-z / 10.0)
+    f = lambda z: np.exp(-z / 10.0)
     base = integrate_lognormal_weighted(f, CH, spec=QuadSpec(max_subdivisions=2000))
     more = integrate_lognormal_weighted(f, CH, spec=QuadSpec(max_subdivisions=4000))
     assert more == pytest.approx(base, rel=DEFAULT_QUAD.rel_tol)
@@ -89,7 +103,7 @@ def test_empty_window_is_zero():
 
 
 def test_nonconvergence_is_reported():
-    wild = lambda z: math.sin(1e6 * math.log(z))
+    wild = lambda z: np.sin(1e6 * np.log(z))
     with pytest.raises(QuadratureError):
         integrate_lognormal_weighted(
             wild, CH, spec=QuadSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=8)
@@ -115,3 +129,78 @@ def test_bound_validation():
 def test_quadspec_validation(kwargs):
     with pytest.raises(ValueError):
         QuadSpec(**kwargs)
+
+
+def test_batch_matches_each_integral_alone():
+    # mixed weights, windows and tolerances; the fourth window misses its
+    # weight's truncated support
+    far = math.exp((2 * CH.mu_db + 11 * 2 * CH.sigma_db) / XI)
+    weights = [CH, ChannelSpec(1.0, 1.5), ChannelSpec(-2.0, 3.0), CH, ChannelSpec(0.0, 0.5)]
+    lower = [0.0, 2.0, 0.0, far, 0.3]
+    upper = [math.inf, 40.0, 5.0, math.inf, math.inf]
+    specs = [DEFAULT_QUAD, QuadSpec(rel_tol=1e-11), DEFAULT_QUAD, DEFAULT_QUAD,
+             QuadSpec(tail_sigmas=12)]
+    shift = np.array([1.0, 2.0, 25.0, 1.0, 0.5])
+    batch = integrate_lognormal_batch(lambda z, k: z / (shift[k] + z),
+                                      weights, lower, upper, specs)
+    for k in range(len(weights)):
+        alone = integrate_lognormal_weighted(lambda z: z / (shift[k] + z),
+                                             weights[k], lower[k], upper[k], specs[k])
+        assert abs(batch[k] - alone) <= 1e-13
+    assert batch[3] == 0.0
+
+
+def test_one_nonconverging_integral_fails_the_batch():
+    mixed = lambda z, k: np.where(k == 1, np.sin(1e6 * np.log(z)), 1.0 / (1.0 + z))
+    with pytest.raises(QuadratureError):
+        integrate_lognormal_batch(mixed, [CH] * 3, [0.0] * 3, [math.inf] * 3, [DEFAULT_QUAD] * 3)
+
+
+def test_tails_match_scipy_quad_on_the_selftest_grid():
+    # every integral the selftest grid needs (HD-DF, HD-AF and FD-AF tails),
+    # each integrated alone by QUADPACK on the same t window
+    integrate = pytest.importorskip("scipy.integrate")
+    from ehrelay.analytic import _KINDS, _reduce, outages
+    from ehrelay.cli import selftest_points
+    from ehrelay.model import SystemConfig
+
+    pairs = [(p.cfg, p.scenario) for p in selftest_points(SystemConfig())]
+    got = outages(pairs)
+    kinds = set()
+    for (cfg, scenario), value in zip(pairs, got):
+        reduced = _reduce(cfg, scenario)
+        if not isinstance(reduced, tuple):
+            continue
+        kind, head, weight, lower, upper, (m, s, *coefs) = reduced
+        threshold, sign = _KINDS[kind]
+        kinds.add(kind)
+        mean, std = 2 * weight.mu_db, 2 * weight.sigma_db
+        t_lo = max(mean - 10 * std, XI * math.log(lower) if lower > 0 else -math.inf)
+        t_hi = min(mean + 10 * std, XI * math.log(upper) if math.isfinite(upper) else math.inf)
+
+        def integrand(t):
+            with np.errstate(divide="ignore"):
+                x = float(threshold(math.exp(t / XI), *coefs))
+            u = (t - mean) / std
+            return (q_function(-sign * (XI * math.log(x) - m) / s)
+                    * math.exp(-0.5 * u * u) / (std * math.sqrt(2 * math.pi)))
+
+        tail = integrate.quad(integrand, t_lo, t_hi, epsabs=1e-12, epsrel=1e-9, limit=2000)[0]
+        assert abs(value - (head + sign * tail)) <= 1e-10, (scenario.label(), cfg.chg)
+    assert kinds == set(_KINDS)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import ehrelay
+
+    src = str(Path(ehrelay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, ehrelay.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_nan_integrand_is_reported_not_converged():
+    with pytest.raises(QuadratureError):
+        integrate_lognormal_weighted(lambda z: np.where(z > 5.0, np.nan, 1.0), CH)
