@@ -26,7 +26,8 @@ from .analytic import outage, outages
 from .lognormal import ChannelSpec
 from .model import Scenario, SystemConfig
 from .montecarlo import McPlan, estimate_outage
-from .optimize import minimize_over_eh_param
+# minimize_over_eh_param stays importable here: bench/spans.py hooks this name
+from .optimize import minimize_many, minimize_over_eh_param
 from .quadrature import QuadratureError
 
 SWEEP_AXES = ("tau", "rho", "cth", "d1", "sigma_db", "ps", "sigma_g_db")
@@ -196,33 +197,42 @@ class Row:
 CSV_HEADER = ",".join(f.name for f in fields(Row))
 
 
-def evaluate_point(point: SweepPoint, plan_template: McPlan | None, seed: int | None,
-                   analytic: float | None) -> Row:
-    """The row of one point; `analytic` is its value, None for an optimize point."""
-    scenario = point.scenario
-    if point.optimize:
-        result = minimize_over_eh_param(point.cfg, scenario)
-        scenario = scenario.with_eh_param(result.arg_opt)
-        analytic = result.value_opt
+def evaluate_point(point: SweepPoint, scenario: Scenario, analytic: float,
+                   plan_template: McPlan | None, seed: int | None) -> Row:
+    """The row of one point, with its MC estimate at `scenario` (the point's own or its optimum)."""
     mc = stderr = trials = None
     if plan_template is not None:
-        plan = replace(plan_template, seed=seed)
-        est = estimate_outage(point.cfg, scenario, plan)
+        est = estimate_outage(point.cfg, scenario, replace(plan_template, seed=seed))
         mc, stderr, trials = est.value, est.stderr, est.trials
     return Row(point.curve, point.axis, point.axis_value, analytic, mc, stderr, trials, seed)
 
 
-def run_points(points, plan_template, base_seed, threads) -> list[Row]:
-    """Evaluate sweep points, non-optimize analytic values in one batch; rows keep sweep order."""
+def run_points(points, plan_template, base_seed, threads) -> tuple[list[Row], list[str]]:
+    """Sweep-ordered rows (analytic values from one `outages` and one `minimize_many` call) and
+    dataset notes: one names every optimize point that fell back to the dense grid."""
     seeds = [None if plan_template is None else row_seed(base_seed, i)
              for i in range(len(points))]
     plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]))
-    args = (points, [plan_template] * len(points), seeds,
-            [None if p.optimize else next(plain) for p in points])
+    optima = iter(minimize_many([(p.cfg, p.scenario) for p in points if p.optimize]))
+    scenarios, values, fallbacks = [], [], []
+    for p in points:
+        if p.optimize:
+            result = next(optima)
+            scenarios.append(p.scenario.with_eh_param(result.arg_opt))
+            values.append(result.value_opt)
+            if result.non_unimodal:
+                fallbacks.append(f"{p.curve} {p.axis}={_fmt(p.axis_value)}")
+        else:
+            scenarios.append(p.scenario)
+            values.append(next(plain))
+    args = (points, scenarios, values, [plan_template] * len(points), seeds)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(evaluate_point, *args))
-    return list(map(evaluate_point, *args))
+            rows = list(pool.map(evaluate_point, *args))
+    else:
+        rows = list(map(evaluate_point, *args))
+    notes = [f"dense-grid fallback (several local minima): {'; '.join(fallbacks)}"]
+    return rows, (notes if fallbacks else [])
 
 
 def dataset_text(settings: dict, rows: list[Row], fmt: str, notes: list[str]) -> str:
@@ -473,7 +483,7 @@ def cmd_sweep(args) -> int:
     scenario = build_scenario(settings)
     points = axis_points(cfg, scenario, axis, values, total=total)
     plan = None if args.no_mc else build_plan(settings)
-    emit(settings, run_points(points, plan, settings["mc.seed"], args.threads), [])
+    emit(settings, *run_points(points, plan, settings["mc.seed"], args.threads))
     return EXIT_OK
 
 
@@ -502,8 +512,8 @@ def cmd_figure(args) -> int:
     cfg = build_system(settings)
     points, notes = FIGURE_PRESETS[args.which](cfg)
     plan = None if args.no_mc else build_plan(settings)
-    rows = run_points(points, plan, settings["mc.seed"], args.threads)
-    emit(settings, rows, [f"figure = {args.which}", *notes])
+    rows, fallbacks = run_points(points, plan, settings["mc.seed"], args.threads)
+    emit(settings, rows, [f"figure = {args.which}", *notes, *fallbacks])
     return EXIT_OK
 
 
@@ -511,7 +521,7 @@ def cmd_selftest(args) -> int:
     settings = _settings_from_args(args)
     cfg = build_system(settings)
     plan = build_plan(settings)
-    rows = run_points(selftest_points(cfg), plan, settings["mc.seed"], args.threads)
+    rows, _ = run_points(selftest_points(cfg), plan, settings["mc.seed"], args.threads)
     failures = 0
     for row in rows:
         tol = max(3.0 * row.mc_stderr, 1e-3)

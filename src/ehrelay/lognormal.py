@@ -42,12 +42,10 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def q_array(x: np.ndarray) -> np.ndarray:
     """q_function elementwise, bit for bit (math.erfc on every element)."""
-    return 0.5 * np.asarray(_erfc(x / _SQRT2), dtype=np.float64)
+    u = (x / _SQRT2).ravel().tolist()
+    return 0.5 * np.fromiter(map(math.erfc, u), np.float64, len(u)).reshape(np.shape(x))
 
 
 def _standardize(x: float, ch: ChannelSpec) -> float:

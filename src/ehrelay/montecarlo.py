@@ -12,6 +12,7 @@ allocates nothing larger than its boolean outage flags.
 
 from __future__ import annotations
 
+import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -64,6 +65,12 @@ def _thread_buffers(size: int) -> list[np.ndarray]:
     return [b[:size] for b in bufs]
 
 
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The one pool of `threads` workers, so calls reuse its threads' buffers."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
 def _block_outages(cfg: SystemConfig, scenario: Scenario,
                    seed: int, index: int, size: int) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
@@ -82,13 +89,8 @@ def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
     """
     blocks = plan.blocks()
     if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(
-                pool.map(
-                    lambda blk: _block_outages(cfg, scenario, plan.seed, *blk),
-                    blocks,
-                )
-            )
+        counts = list(_pool(threads).map(
+            lambda blk: _block_outages(cfg, scenario, plan.seed, *blk), blocks))
     else:
         counts = [_block_outages(cfg, scenario, plan.seed, *blk) for blk in blocks]
     failures = sum(counts)

@@ -4,7 +4,7 @@ A coarse grid scan locates the best cell before golden-section refinement;
 the scan guards against the possibility of multiple local minima, which
 unimodality of the outage curves would rule out but nothing proves. When
 the scan does see several interior minima the result falls back to a dense
-grid and is flagged.
+grid and is flagged. All pairs of a batch advance in lock-step.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import outage, outages
+# outage stays importable here: bench/spans.py hooks this name
+from .analytic import outage, outages  # noqa: F401
 from .model import Scenario, SystemConfig
 from .quadrature import DEFAULT_QUAD, QuadSpec
 
@@ -39,58 +40,67 @@ class OptResult:
     non_unimodal: bool = False
 
 
-def minimize_over_eh_param(cfg: SystemConfig, scenario: Scenario,
-                           tol: float = 1e-3,
-                           quad: QuadSpec = DEFAULT_QUAD) -> OptResult:
-    """Minimize the analytic outage over tau (TSR) or rho (PSR); IRR raises ValueError.
+def minimize_many(pairs, tol: float = 1e-3,
+                  quad: QuadSpec = DEFAULT_QUAD) -> list[OptResult]:
+    """Minimize the analytic outage of each (cfg, scenario) pair over tau
+    (TSR) or rho (PSR); an IRR pair raises ValueError.
 
-    Coarse scan over 0.02..0.98 in steps of 0.02 (one batched `outages`
-    call), then golden-section refinement of the best cell until the
-    bracket is narrower than tol.
+    Per pair: a coarse scan over 0.02..0.98 in steps of 0.02, then
+    golden-section refinement of the best cell until the bracket is
+    narrower than tol. The pairs advance in lock-step, one `outages` call
+    per stage over the pairs still active, and each result equals that of
+    the pair's batch of one.
     """
-    grid = np.linspace(0.02, 0.98, 49)
-    evaluations = len(grid)
+    pairs = list(pairs)
 
-    def objective(p: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return outage(cfg, scenario.with_eh_param(p), quad).value
+    def objective(index, params) -> np.ndarray:
+        return np.array(outages([(pairs[i][0], pairs[i][1].with_eh_param(p))
+                                 for i, p in zip(index, params)], quad))
 
-    values = outages([(cfg, scenario.with_eh_param(p)) for p in grid], quad)
-    best_i = int(np.argmin(values))
-    best_arg, best_val = float(grid[best_i]), values[best_i]
+    n, grid, dense = len(pairs), np.linspace(0.02, 0.98, 49), np.arange(1, 1000) / 1000.0
+    values = objective(np.repeat(np.arange(n), grid.size), np.tile(grid, n)).reshape(n, grid.size)
+    inner = values[:, 1:-1]
+    multi = np.count_nonzero((inner < values[:, :-2] - _NOISE_FLOOR)
+                             & (inner < values[:, 2:] - _NOISE_FLOOR), axis=1) > 1
+    best_i = np.argmin(values, axis=1)
+    best_arg, best_val = grid[best_i], values[np.arange(n), best_i]
+    evaluations = np.where(multi, grid.size + dense.size, grid.size + 2)
 
-    interior_minima = [
-        i for i in range(1, len(grid) - 1)
-        if values[i] < values[i - 1] - _NOISE_FLOOR
-        and values[i] < values[i + 1] - _NOISE_FLOOR
-    ]
-    if len(interior_minima) > 1:
-        dense = np.arange(1, 1000) / 1000.0
-        dense_vals = outages([(cfg, scenario.with_eh_param(p)) for p in dense], quad)
-        evaluations += len(dense)
-        j = int(np.argmin(dense_vals))
-        if dense_vals[j] < best_val:
-            best_arg, best_val = float(dense[j]), dense_vals[j]
-        return OptResult(best_arg, best_val, evaluations, 1e-3, non_unimodal=True)
+    m = np.flatnonzero(multi)
+    dense_vals = objective(np.repeat(m, dense.size),
+                           np.tile(dense, m.size)).reshape(m.size, dense.size)
+    j = np.argmin(dense_vals, axis=1)
+    take = dense_vals[np.arange(m.size), j] < best_val[m]
+    best_arg[m[take]], best_val[m[take]] = dense[j[take]], dense_vals[take, j[take]]
 
-    lo = grid[best_i - 1] if best_i > 0 else _PARAM_LO
-    hi = grid[best_i + 1] if best_i < len(grid) - 1 else _PARAM_HI
+    uni = np.flatnonzero(~multi)
+    edges = np.concatenate([[_PARAM_LO], grid, [_PARAM_HI]])
+    lo, hi = edges[best_i], edges[best_i + 2]
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = np.full(n, np.nan), np.full(n, np.nan)
+    fc[uni], fd[uni] = np.split(objective(np.tile(uni, 2), np.concatenate([c[uni], d[uni]])), 2)
+    active = uni[hi[uni] - lo[uni] > tol]
+    while active.size:
+        left = fc[active] < fd[active]
+        l, r = active[left], active[~left]
+        hi[l], d[l], fd[l] = d[l], c[l], fc[l]
+        lo[r], c[r], fc[r] = c[r], d[r], fd[r]
+        c[l] = hi[l] - _INV_PHI * (hi[l] - lo[l])
+        d[r] = lo[r] + _INV_PHI * (hi[r] - lo[r])
+        fc[l], fd[r] = np.split(objective(np.concatenate([l, r]),
+                                          np.concatenate([c[l], d[r]])), [l.size])
+        evaluations[active] += 1
+        c_wins = fc < fd
+        inner_arg, inner_val = np.where(c_wins, c, d), np.where(c_wins, fc, fd)
+        better = active[inner_val[active] < best_val[active]]
+        best_arg[better], best_val[better] = inner_arg[better], inner_val[better]
+        active = active[hi[active] - lo[active] > tol]
 
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = objective(d)
-        inner_arg, inner_val = (c, fc) if fc < fd else (d, fd)
-        if inner_val < best_val:
-            best_arg, best_val = float(inner_arg), inner_val
+    return [OptResult(float(a), float(v), int(e), float(b), bool(f)) for a, v, e, b, f
+            in zip(best_arg, best_val, evaluations, np.where(multi, 1e-3, hi - lo), multi)]
 
-    return OptResult(best_arg, best_val, evaluations, float(hi - lo))
+
+def minimize_over_eh_param(cfg: SystemConfig, scenario: Scenario, tol: float = 1e-3,
+                           quad: QuadSpec = DEFAULT_QUAD) -> OptResult:
+    """minimize_many of the one pair (cfg, scenario)."""
+    return minimize_many([(cfg, scenario)], tol, quad)[0]

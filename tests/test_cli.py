@@ -3,8 +3,10 @@
 import json
 from dataclasses import asdict, fields, is_dataclass
 
+import numpy as np
 import pytest
 
+import ehrelay.optimize as opt
 from ehrelay.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -212,6 +214,36 @@ class TestFigures:
         sigmas = {float(r.split(",")[2]) for r in rows}
         assert min(sigmas) == 0.5
         assert "implementation-chosen" in out.read_text()
+
+    def test_fig5_names_dense_grid_fallbacks_in_one_note(self, tmp_path, monkeypatch):
+        # the two-well objective for the hd-df-psr ps=5 curve only; no note without it
+        real = opt.outages
+
+        def two_wells(p):
+            return 0.5 - 0.3 * np.exp(-((p - 0.2) ** 2) / 0.002) \
+                - 0.4 * np.exp(-((p - 0.7) ** 2) / 0.002)
+
+        def walled(pairs, quad):
+            return [two_wells(s.rho) if s.eh == "psr" and c.ps_watts == 5.0 else v
+                    for (c, s), v in zip(pairs, real(pairs, quad))]
+
+        plain = tmp_path / "plain.csv"
+        assert run(["figure", "fig5", "--no-mc", "--out", str(plain)]) == EXIT_OK
+        assert "fallback" not in plain.read_text()
+        monkeypatch.setattr(opt, "outages", walled)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"fig5.{fmt}"
+            assert run(["figure", "fig5", "--no-mc", "--format", fmt,
+                        "--out", str(out)]) == EXIT_OK
+            text = out.read_text()
+            notes = ([l for l in text.splitlines() if l.startswith("# note:")] if fmt == "csv"
+                     else json.loads(text)["notes"])
+            fallback = [n for n in notes if "fallback" in n]
+            assert len(fallback) == 1, notes
+            for relay in ("df", "af"):
+                for sigma in ("0.5", "1", "1.5", "2", "2.5", "3"):
+                    assert f"hd-{relay}-psr ps=5 sigma_db={sigma}" in fallback[0]
+            assert "ps=1" not in fallback[0] and "tsr" not in fallback[0]
 
     def test_fig6_covers_probe_distances(self, tmp_path):
         out = tmp_path / "fig6.csv"

@@ -16,6 +16,7 @@ from ehrelay.lognormal import (
     XI,
     ChannelSpec,
     product_ccdf,
+    q_array,
     q_function,
     sample_sq_gain,
     sq_gain_cdf,
@@ -59,6 +60,15 @@ class TestQFunction:
         xs = np.linspace(-6, 6, 200)
         qs = [q_function(float(x)) for x in xs]
         assert all(a > b for a, b in zip(qs, qs[1:]))
+
+
+    def test_q_array_equals_q_function_bit_for_bit(self):
+        x = np.array([[0.0, -0.0, 40.0, -40.0, np.inf],
+                      [-np.inf, np.nan, 1.96, -7.5, 1e-300]])
+        expected = np.array([[q_function(float(v)) for v in row] for row in x])
+        got = q_array(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSqGainCdf:

@@ -1,10 +1,12 @@
 """Monte Carlo estimator: determinism, block structure and cost handling."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ehrelay.montecarlo as mc
 from ehrelay.lognormal import sample_sq_gain
 from ehrelay.model import FadeSample, Scenario, SystemConfig, outage_indicator
 from ehrelay.montecarlo import McPlan, estimate_outage
@@ -28,8 +30,8 @@ def test_same_plan_is_bit_identical():
 def test_thread_count_does_not_change_estimate():
     plan = McPlan(trials=3 * 10**5 + 17, seed=5150, block_size=1 << 14)
     serial = estimate_outage(CFG, TSR, plan, threads=1)
-    parallel = estimate_outage(CFG, TSR, plan, threads=4)
-    assert serial.value == parallel.value
+    for threads in (2, 4):
+        assert estimate_outage(CFG, TSR, plan, threads=threads) == serial
 
 
 def test_fd_estimate_independent_of_threads_and_buffer_reuse():
@@ -42,6 +44,23 @@ def test_fd_estimate_independent_of_threads_and_buffer_reuse():
     assert 0.0 < first.value < 1.0 and first.value == second.value
     for threads in (2, 4):
         assert estimate_outage(cfg, s, plan, threads=threads).value == first.value
+
+
+def test_threaded_calls_reuse_one_pool(monkeypatch):
+    workers = set()
+    block = mc._block_outages
+
+    def recorded(*args):
+        workers.add(threading.current_thread())
+        return block(*args)
+
+    monkeypatch.setattr(mc, "_block_outages", recorded)
+    plan = McPlan(trials=6 * 2**12 + 5, seed=77, block_size=2**12)
+    first = estimate_outage(CFG, TSR, plan, threads=2)
+    second = estimate_outage(CFG, TSR, plan, threads=2)
+    assert mc._pool(2) is mc._pool(2)
+    assert workers and workers <= set(mc._pool(2)._threads) and len(workers) <= 2
+    assert first == second
 
 
 def test_fd_scenario_draws_loop_back_gains():
