@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .lognormal import XI, _standardize, product_ccdf, q_array, q_function, sq_gain_cdf
+from .lognormal import (XI, _standardize, _standardize_product, q_array, q_function,
+                        sq_gain_cdf)
 from .model import (OutageEstimate, Scenario, SystemConfig, af_snr_coefficients,
                     df_snr_coefficients, eh_time_gain, hop_losses, relay_noise_w, threshold_snr)
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
@@ -56,11 +57,14 @@ def _reduce(cfg: SystemConfig, scenario: Scenario):
         return 1.0
     if scenario.duplex == "fd" and scenario.relay == "df":
         # The relay link is loop-back limited (gamma_r = k1/W) and the
-        # destination sees Z = X*Y, so non-outage factors into Pr{W <= k1/v},
-        # written on the standardized dB coordinate, times the product CCDF.
+        # destination sees Z = X*Y, so the link fails when W > k1/v (p_w) or
+        # Z < v/k2 (p_z), independently. Both are tails Q(-u) on standardized
+        # dB coordinates, and p_w + p_z - p_w*p_z keeps their relative
+        # precision where 1 - (1 - p_w)(1 - p_z) would round to 0.
         k1, k2 = df_snr_coefficients(cfg, scenario)
-        w_ok = q_function((XI * math.log(v / k1) + 2.0 * cfg.chg.mu_db) / (2.0 * cfg.chg.sigma_db))
-        return _clamp01(1.0 - w_ok * product_ccdf(v / k2, cfg.ch1, cfg.ch2))
+        p_w = q_function(-(XI * math.log(v / k1) + 2.0 * cfg.chg.mu_db) / (2.0 * cfg.chg.sigma_db))
+        p_z = q_function(-_standardize_product(v / k2, cfg.ch1, cfg.ch2))
+        return _clamp01(p_w + p_z - p_w * p_z)
     if scenario.duplex == "fd":
         # Beyond W = 1/(k*v) the amplified interference makes outage certain;
         # below it Z = X*Y must clear a W-dependent threshold.

@@ -17,15 +17,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
-
-import numpy as np
 
 from .analytic import outage, outages
 from .lognormal import ChannelSpec
 from .model import Scenario, SystemConfig
-from .montecarlo import McPlan, estimate_outage
+from .montecarlo import McPlan, estimate_outage, shared_fades
 # minimize_over_eh_param stays importable here: bench/spans.py hooks this name
 from .optimize import minimize_many, minimize_over_eh_param
 from .quadrature import QuadratureError
@@ -159,12 +156,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def row_seed(base_seed: int, index: int) -> int:
-    """Per-row 64-bit substream seed, independent of worker scheduling."""
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One dataset row waiting to be evaluated."""
@@ -198,20 +189,19 @@ CSV_HEADER = ",".join(f.name for f in fields(Row))
 
 
 def evaluate_point(point: SweepPoint, scenario: Scenario, analytic: float,
-                   plan_template: McPlan | None, seed: int | None) -> Row:
+                   plan: McPlan | None, threads: int) -> Row:
     """The row of one point, with its MC estimate at `scenario` (the point's own or its optimum)."""
-    mc = stderr = trials = None
-    if plan_template is not None:
-        est = estimate_outage(point.cfg, scenario, replace(plan_template, seed=seed))
-        mc, stderr, trials = est.value, est.stderr, est.trials
-    return Row(point.curve, point.axis, point.axis_value, analytic, mc, stderr, trials, seed)
+    if plan is None:
+        return Row(point.curve, point.axis, point.axis_value, analytic)
+    est = estimate_outage(point.cfg, scenario, plan, threads=threads)
+    return Row(point.curve, point.axis, point.axis_value, analytic,
+               est.value, est.stderr, est.trials, plan.seed)
 
 
-def run_points(points, plan_template, base_seed, threads) -> tuple[list[Row], list[str]]:
+def run_points(points, plan, threads) -> tuple[list[Row], list[str]]:
     """Sweep-ordered rows (analytic values from one `outages` and one `minimize_many` call) and
-    dataset notes: one names every optimize point that fell back to the dense grid."""
-    seeds = [None if plan_template is None else row_seed(base_seed, i)
-             for i in range(len(points))]
+    dataset notes: one names every optimize point that fell back to the dense grid. Every MC
+    estimate uses `plan` as it is, so rows share their fades (see shared_fades)."""
     plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]))
     optima = iter(minimize_many([(p.cfg, p.scenario) for p in points if p.optimize]))
     scenarios, values, fallbacks = [], [], []
@@ -225,12 +215,9 @@ def run_points(points, plan_template, base_seed, threads) -> tuple[list[Row], li
         else:
             scenarios.append(p.scenario)
             values.append(next(plain))
-    args = (points, scenarios, values, [plan_template] * len(points), seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate_point, *args))
-    else:
-        rows = list(map(evaluate_point, *args))
+    with shared_fades():
+        rows = [evaluate_point(p, s, v, plan, threads)
+                for p, s, v in zip(points, scenarios, values)]
     notes = [f"dense-grid fallback (several local minima): {'; '.join(fallbacks)}"]
     return rows, (notes if fallbacks else [])
 
@@ -483,7 +470,7 @@ def cmd_sweep(args) -> int:
     scenario = build_scenario(settings)
     points = axis_points(cfg, scenario, axis, values, total=total)
     plan = None if args.no_mc else build_plan(settings)
-    emit(settings, *run_points(points, plan, settings["mc.seed"], args.threads))
+    emit(settings, *run_points(points, plan, args.threads))
     return EXIT_OK
 
 
@@ -512,7 +499,7 @@ def cmd_figure(args) -> int:
     cfg = build_system(settings)
     points, notes = FIGURE_PRESETS[args.which](cfg)
     plan = None if args.no_mc else build_plan(settings)
-    rows, fallbacks = run_points(points, plan, settings["mc.seed"], args.threads)
+    rows, fallbacks = run_points(points, plan, args.threads)
     emit(settings, rows, [f"figure = {args.which}", *notes, *fallbacks])
     return EXIT_OK
 
@@ -521,7 +508,9 @@ def cmd_selftest(args) -> int:
     settings = _settings_from_args(args)
     cfg = build_system(settings)
     plan = build_plan(settings)
-    rows, _ = run_points(selftest_points(cfg), plan, settings["mc.seed"], args.threads)
+    rows, _ = run_points(selftest_points(cfg), plan, args.threads)
+    # every row replays alone with `point --seed S --trials N`
+    print(f"selftest: seed {plan.seed}, {plan.trials} trials per point")
     failures = 0
     for row in rows:
         tol = max(3.0 * row.mc_stderr, 1e-3)

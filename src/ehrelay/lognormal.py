@@ -78,9 +78,14 @@ def product_ccdf(x: float, ch1: ChannelSpec, ch2: ChannelSpec) -> float:
     """
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
+    return q_function(_standardize_product(x, ch1, ch2))
+
+
+def _standardize_product(x: float, ch1: ChannelSpec, ch2: ChannelSpec) -> float:
+    # dB coordinate of x relative to the product's Gaussian
     mean = 2.0 * (ch1.mu_db + ch2.mu_db)
     std = 2.0 * math.hypot(ch1.sigma_db, ch2.sigma_db)
-    return q_function((XI * math.log(x) - mean) / std)
+    return (XI * math.log(x) - mean) / std
 
 
 def sample_sq_gain(ch: ChannelSpec, rng: np.random.Generator, size=None, out=None):

@@ -8,13 +8,21 @@ algebraically independent of the analytic evaluators. A block draws into
 float64 arrays kept per thread and reused across blocks and calls,
 converts them to squared gains in place and decides in place, so it
 allocates nothing larger than its boolean outage flags.
+
+Inside a `shared_fades()` scope, estimates with the scope's plan also
+share their draws: a block's squared gains per channel slot are kept and
+reused by every later estimate that asks for the same (block index, slot,
+ChannelSpec), so each estimate is still bit for bit the one it would be
+alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +79,115 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=threads)
 
 
-def _block_outages(cfg: SystemConfig, scenario: Scenario,
-                   seed: int, index: int, size: int) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _block_rng(seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+# Bytes of gains one shared_fades scope may keep; a plan whose gains exceed
+# it draws per call.
+_SHARED_BYTES = 16 << 20
+_spare_lock = threading.Lock()
+# Gain arrays of closed scopes, at most _SHARED_BYTES of them, kept so that a
+# later scope reuses them instead of a run freeing block-sized arrays.
+_spare: list[np.ndarray] = []
+
+
+def _spare_array(size: int) -> np.ndarray:
+    with _spare_lock:
+        for i, arr in enumerate(_spare):
+            if arr.size == size:
+                return _spare.pop(i)
+    return np.empty(size)
+
+
+class _SharedFades:
+    """The squared gains kept inside one `shared_fades` scope.
+
+    Bound to the first plan that fits the byte budget and to the thread that
+    entered the scope; other plans and threads draw per call. One array per
+    (block index, slot), tagged with the ChannelSpec it holds. A different
+    spec redraws that slot alone, in place, from the generator state saved
+    after the slot before it. That is safe because the scope's estimates run
+    one after another and a block reads only its own keys.
+    """
+
+    def __init__(self):
+        self.owner = threading.get_ident()
+        self.plan = None
+        self.kept = {}  # (index, slot) -> (spec, gains)
+        self.states = {}  # (index, slot) -> generator state before that slot's draw
+        self.samples = {}  # (index, slots) -> checked FadeSample of the kept gains
+
+    def accepts(self, plan: McPlan, slots: int) -> bool:
+        if threading.get_ident() != self.owner or 8 * plan.trials * slots > _SHARED_BYTES:
+            return False
+        if self.plan is None:
+            self.plan = plan
+        return plan == self.plan
+
+    def block_fades(self, index: int, size: int, channels) -> FadeSample:
+        """The block's squared gains for the slots of `channels`, drawing
+        only the slots whose kept spec differs."""
+        rng = None
+        for slot, ch in enumerate(channels):
+            spec, gains = self.kept.get((index, slot), (None, None))
+            if spec == ch:
+                rng = None
+                continue
+            if rng is None:
+                rng = _block_rng(self.plan.seed, index)
+                if slot:
+                    rng.bit_generator.state = self.states[index, slot]
+            gains = sample_sq_gain(ch, rng, out=_spare_array(size) if gains is None else gains)
+            self.kept[index, slot] = (ch, gains)
+            self.states[index, slot + 1] = rng.bit_generator.state
+            for slots in range(slot + 1, 4):
+                self.samples.pop((index, slots), None)
+        key = (index, len(channels))
+        if key not in self.samples:
+            self.samples[key] = FadeSample(*(self.kept[index, slot][1]
+                                             for slot in range(len(channels))))
+        return self.samples[key]
+
+    def close(self) -> None:
+        """Hand the kept arrays to the spares, newest first, within the budget."""
+        with _spare_lock:
+            _spare[:0] = [gains for _, gains in self.kept.values()]
+            while sum(arr.nbytes for arr in _spare) > _SHARED_BYTES:
+                _spare.pop()
+        self.kept.clear()
+        self.states.clear()
+        self.samples.clear()
+
+
+_active: contextvars.ContextVar[_SharedFades | None] = contextvars.ContextVar(
+    "shared_fades", default=None)
+
+
+@contextlib.contextmanager
+def shared_fades():
+    """Within this scope (in this thread), estimate_outage keeps each block's
+    squared gains and reuses them in later estimates with the same plan,
+    wherever their channels agree. Every estimate is bit for bit the one it
+    gives outside the scope. Nothing is reused after the scope."""
+    fades = _SharedFades()
+    token = _active.set(fades)
+    try:
+        yield
+    finally:
+        _active.reset(token)
+        fades.close()
+
+
+def _block_outages(cfg: SystemConfig, scenario: Scenario, seed: int, index: int, size: int,
+                   fades: _SharedFades | None = None) -> int:
     bufs = _thread_buffers(size)
     channels = (cfg.ch1, cfg.ch2, cfg.chg) if scenario.duplex == "fd" else (cfg.ch1, cfg.ch2)
-    fade = FadeSample(*(sample_sq_gain(ch, rng, out=buf) for ch, buf in zip(channels, bufs)))
+    if fades is None:
+        rng = _block_rng(seed, index)
+        fade = FadeSample(*(sample_sq_gain(ch, rng, out=buf) for ch, buf in zip(channels, bufs)))
+    else:
+        fade = fades.block_fades(index, size, channels)
     return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=bufs[3:])))
 
 
@@ -86,13 +197,22 @@ def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
 
     Deterministic for a fixed plan regardless of `threads`: blocks hold
     exact integer outage counts and summation is order-independent.
+    Inside `shared_fades()`, blocks reuse the gains kept there when the
+    scope accepts the plan.
     """
     blocks = plan.blocks()
+    fades = _active.get()
+    if fades is not None and not fades.accepts(plan, 3 if scenario.duplex == "fd" else 2):
+        fades = None
     if threads > 1 and len(blocks) > 1:
-        counts = list(_pool(threads).map(
-            lambda blk: _block_outages(cfg, scenario, plan.seed, *blk), blocks))
+        pool = _pool(threads)
+        futures = [pool.submit(_block_outages, cfg, scenario, plan.seed, index, size, fades)
+                   for index, size in blocks]
+        wait(futures)  # no block still reads a kept array once this call returns or raises
+        counts = [f.result() for f in futures]
     else:
-        counts = [_block_outages(cfg, scenario, plan.seed, *blk) for blk in blocks]
+        counts = [_block_outages(cfg, scenario, plan.seed, index, size, fades)
+                  for index, size in blocks]
     failures = sum(counts)
     p_hat = failures / plan.trials
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / plan.trials)

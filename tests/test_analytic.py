@@ -3,12 +3,13 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from ehrelay.analytic import fd_af_outage, fd_df_outage, hd_af_outage, hd_df_outage, outage
 from ehrelay.lognormal import ChannelSpec, product_ccdf
-from ehrelay.model import Scenario, SystemConfig
+from ehrelay.model import Scenario, SystemConfig, df_snr_coefficients, threshold_snr
 from ehrelay.montecarlo import McPlan, estimate_outage
 from ehrelay.quadrature import QuadSpec
 
@@ -152,3 +153,23 @@ def test_loose_quadspec_is_accepted():
     loose = outage(CFG, s, QuadSpec(rel_tol=1e-6, abs_tol=1e-9)).value
     tight = outage(CFG, s).value
     assert loose == pytest.approx(tight, rel=1e-5)
+
+
+def test_fd_df_low_outage_keeps_relative_precision():
+    # both failure events are rare here, so 1 - (1 - p_w)(1 - p_z) rounds to 0
+    cfg = replace(CFG, cth=0.05, ps_watts=1000.0, chg=ChannelSpec(-15.0, math.sqrt(5.0)))
+    s = Scenario("fd", "df", "tsr", tau=0.5)
+    k1, k2 = df_snr_coefficients(cfg, s)
+    v = threshold_snr(s, cfg.cth)
+    with mpmath.workdps(50):
+        xi = 10 / mpmath.log(10)
+        # Pr{W > k1/v}: the loop-back gain swamps the relay
+        p_w = mpmath.ncdf(-(xi * mpmath.log(mpmath.mpf(k1) / v) - 2 * cfg.chg.mu_db)
+                          / (2 * mpmath.mpf(cfg.chg.sigma_db)))
+        # Pr{X*Y < v/k2}: the product gain misses the destination threshold
+        mean = 2 * (mpmath.mpf(cfg.ch1.mu_db) + cfg.ch2.mu_db)
+        std = 2 * mpmath.sqrt(mpmath.mpf(cfg.ch1.sigma_db) ** 2 + mpmath.mpf(cfg.ch2.sigma_db) ** 2)
+        p_z = mpmath.ncdf((xi * mpmath.log(mpmath.mpf(v) / k2) - mean) / std)
+        want = float(p_w + p_z - p_w * p_z)
+    assert 1e-18 < want < 1e-17
+    assert abs(fd_df_outage(cfg, s).value - want) <= 1e-9 * want

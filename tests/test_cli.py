@@ -344,3 +344,46 @@ def test_selftest_passes_at_reduced_budget(capsys):
     assert main(["selftest", "--trials", "20000"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+# three MC blocks per point, the last one short
+MULTI_BLOCK = ["--trials", "10000", "--override", "mc.block_size=4096"]
+
+
+def test_fig7_dataset_identical_at_one_two_and_four_threads(tmp_path):
+    # fig7 alternates the loop-back spread between curves, so rows redraw
+    # that slot while the blocks run on the pool
+    blobs = []
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"fig7-{threads}.csv"
+        assert run(["figure", "fig7", *MULTI_BLOCK, "--seed", "99", "--threads", threads,
+                    "--out", str(out)]) == EXIT_OK
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("label,extra", [("hd-af-psr", ["--rho", "0.4"]),
+                                         ("fd-df-tsr", ["--tau", "0.3"])])
+def test_sweep_rows_replay_with_point(tmp_path, label, extra):
+    sweep = tmp_path / "sweep.csv"
+    assert run(["sweep", "--scenario", label, *extra, "--axis", "ps", "--values", "1,10,100",
+                *MULTI_BLOCK, "--seed", "2024", "--out", str(sweep)]) == EXIT_OK
+    rows = [line.split(",") for line in sweep.read_text().splitlines()[-3:]]
+    for cols in rows:
+        point = tmp_path / "point.csv"
+        assert run(["point", "--scenario", label, *extra, *MULTI_BLOCK, "--seed", "2024",
+                    "--override", f"system.ps_watts={cols[2]}", "--out", str(point)]) == EXIT_OK
+        replayed = point.read_text().splitlines()[-1].split(",")
+        assert replayed[3:] == cols[3:] and cols[-1] == "2024"
+
+
+def test_selftest_names_seed_and_rows_replay_with_point(capsys):
+    assert main(["selftest", "--trials", "10000", "--seed", "77"]) in (EXIT_OK, 4)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "selftest: seed 77, 10000 trials per point"
+    row = next(line for line in lines if line.startswith("PASS fd-af-tsr sg2=5 tau=0.3:")
+               or line.startswith("FAIL fd-af-tsr sg2=5 tau=0.3:"))
+    assert run(["point", "--scenario", "fd-af-tsr", "--tau", "0.3", "--trials", "10000",
+                "--seed", "77", "--override", f"system.chg.sigma_db={5 ** 0.5!r}"]) == EXIT_OK
+    replayed = float(capsys.readouterr().out.split("monte carlo")[1].split()[0])
+    assert f"mc={replayed:.6f} " in row

@@ -1,5 +1,6 @@
 """Monte Carlo estimator: determinism, block structure and cost handling."""
 
+import contextvars
 import threading
 from dataclasses import replace
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import ehrelay.montecarlo as mc
-from ehrelay.lognormal import sample_sq_gain
+from ehrelay import cli
+from ehrelay.lognormal import ChannelSpec, sample_sq_gain
 from ehrelay.model import FadeSample, Scenario, SystemConfig, outage_indicator
 from ehrelay.montecarlo import McPlan, estimate_outage
 
@@ -144,3 +146,102 @@ class TestPlanValidation:
         blocks = plan.blocks()
         assert sum(size for _, size in blocks) == plan.trials
         assert [i for i, _ in blocks] == list(range(len(blocks)))
+
+
+# ---------------------------------------------------------------------------
+# shared_fades: blocks drawn once per scope, estimates unchanged
+
+def _selftest_batch():
+    """Every variant at one grid value each, in selftest order: per relay HD
+    TSR, PSR, IRR, then FD at loop-back spreads sg2 = 2 and 5, so the
+    loop-back channel alternates and HD rows sit between FD ones."""
+    return [p for p in cli.selftest_points(CFG) if p.axis_value in (0.0, 0.3)]
+
+
+# three blocks, the last one short
+SHORT_LAST = McPlan(trials=2 * 2**13 + 123, seed=8675309, block_size=2**13)
+
+
+def _alone(points, plan):
+    return [estimate_outage(p.cfg, p.scenario, plan) for p in points]
+
+
+def _mc_columns(rows):
+    return [(r.mc, r.mc_stderr, r.trials, r.seed) for r in rows]
+
+
+def _expected_columns(estimates, plan):
+    return [(e.value, e.stderr, e.trials, plan.seed) for e in estimates]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_points_equals_per_call_estimates(threads):
+    points = _selftest_batch()
+    assert len({p.scenario.label() for p in points}) == 8
+    rows, _ = cli.run_points(points, SHORT_LAST, threads)
+    assert _mc_columns(rows) == _expected_columns(_alone(points, SHORT_LAST), SHORT_LAST)
+
+
+def test_plan_over_budget_draws_per_call_and_matches(monkeypatch):
+    points = _selftest_batch()
+    expected = _expected_columns(_alone(points, SHORT_LAST), SHORT_LAST)
+    kept = []
+
+    def recorded(*args):
+        kept.append(args[-1] is not None)
+        return block(*args)
+
+    block = mc._block_outages
+    monkeypatch.setattr(mc, "_block_outages", recorded)
+    # room for the HD plans' two slots but not the FD plans' three
+    monkeypatch.setattr(mc, "_SHARED_BYTES", 8 * SHORT_LAST.trials * 2)
+    rows, _ = cli.run_points(points, SHORT_LAST, 1)
+    assert _mc_columns(rows) == expected
+    hd_rows = sum(p.scenario.duplex == "hd" for p in points)
+    assert sum(kept) == 3 * hd_rows and len(kept) == 3 * len(points)
+
+
+def test_scopes_share_nothing():
+    plan_a, plan_b = SHORT_LAST, replace(SHORT_LAST, seed=4)
+    points = _selftest_batch()
+    cli.run_points(points, plan_a, 1)
+    rows, _ = cli.run_points(points, plan_b, 1)
+    assert _mc_columns(rows) == _expected_columns(_alone(points, plan_b), plan_b)
+    assert mc._active.get() is None
+
+
+def test_scope_keeps_nothing_for_another_thread():
+    """A thread that runs in a copy of the scope's context draws per call,
+    so no kept array is ever redrawn under a block of the owning thread."""
+    point = _selftest_batch()[-1]
+    with mc.shared_fades():
+        fades = mc._active.get()
+        result = []
+        t = threading.Thread(target=contextvars.copy_context().run, args=(
+            lambda: result.append(estimate_outage(point.cfg, point.scenario, SHORT_LAST)),))
+        t.start()
+        t.join()
+        assert fades.kept == {} and fades.plan is None
+    assert result == _alone([point], SHORT_LAST)
+
+
+def test_redrawn_slot_is_checked_again():
+    # a loop-back gain of 10^-700 underflows to 0.0, which FadeSample rejects
+    point = _selftest_batch()[-1]
+    dead = replace(point.cfg, chg=ChannelSpec(-3500.0, 1.0))
+    with pytest.raises(ValueError, match="w must be strictly positive"):
+        estimate_outage(dead, point.scenario, SHORT_LAST)
+    with mc.shared_fades():
+        estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+        with pytest.raises(ValueError, match="w must be strictly positive"):
+            estimate_outage(dead, point.scenario, SHORT_LAST)
+
+
+def test_next_scope_reuses_the_arrays_of_the_last(monkeypatch):
+    monkeypatch.setattr(mc, "_spare", [])
+    points = _selftest_batch()
+    cli.run_points(points, SHORT_LAST, 1)
+    arrays = {id(a) for a in mc._spare}
+    assert len(arrays) == 3 * len(SHORT_LAST.blocks())
+    cli.run_points(points, SHORT_LAST, 1)
+    assert {id(a) for a in mc._spare} == arrays
