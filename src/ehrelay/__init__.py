@@ -3,7 +3,7 @@ shadowing: analytic evaluators cross-validated by a seeded Monte Carlo
 channel simulator, plus a scalar optimizer for the harvesting parameter
 and a command-line experiment runner (`ehrelay`)."""
 
-from .analytic import fd_af_outage, fd_df_outage, hd_af_outage, hd_df_outage, outage
+from .analytic import outage
 from .lognormal import (
     XI,
     ChannelSpec,
@@ -20,13 +20,12 @@ from .model import (
     SystemConfig,
     capacities,
     outage_indicator,
-    relay_power,
     snr_pair,
     threshold_snr,
 )
 from .montecarlo import McPlan, estimate_outage
 from .optimize import OptResult, minimize_over_eh_param
-from .quadrature import QuadratureError, QuadSpec, integrate_lognormal_weighted
+from .quadrature import QuadratureError, integrate_lognormal_weighted
 
 __version__ = "0.1.0"
 
@@ -37,23 +36,17 @@ __all__ = [
     "McPlan",
     "OptResult",
     "OutageEstimate",
-    "QuadSpec",
     "QuadratureError",
     "Scenario",
     "SystemConfig",
     "capacities",
     "estimate_outage",
-    "fd_af_outage",
-    "fd_df_outage",
-    "hd_af_outage",
-    "hd_df_outage",
     "integrate_lognormal_weighted",
     "minimize_over_eh_param",
     "outage",
     "outage_indicator",
     "product_ccdf",
     "q_function",
-    "relay_power",
     "sample_sq_gain",
     "snr_pair",
     "sq_gain_cdf",

@@ -5,8 +5,7 @@ value or to a head term plus one integral over a fading distribution: the
 six half-duplex variants share two integrands (one DF, one AF), the
 full-duplex DF case is closed form and the full-duplex AF case is a single
 finite-interval integral. `outages` evaluates many (cfg, scenario) pairs
-with one batched quadrature per integrand kind; every other evaluator is a
-batch of one.
+with one batched quadrature per integrand kind; `outage` is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from .lognormal import (XI, _standardize, _standardize_product, q_array, q_funct
 from .model import (OutageEstimate, Scenario, SystemConfig, af_snr_coefficients,
                     df_snr_coefficients, eh_time_gain, hop_losses, relay_noise_w, threshold_snr)
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
-from .quadrature import (DEFAULT_QUAD, QuadSpec, integrate_lognormal_batch,  # noqa: F401
-                         integrate_lognormal_weighted)
+from .quadrature import integrate_lognormal_batch, integrate_lognormal_weighted  # noqa: F401
 
 
 def _clamp01(p: float) -> float:
@@ -35,21 +33,22 @@ def _clamp01(p: float) -> float:
 # every tolerance downstream is at least four orders of magnitude larger.
 _NEGLIGIBLE_TAIL = 1e-9
 
-# Per integrand kind: the threshold x(z, *coefs) given the integration
-# variable z (a zero denominator is where it diverges), and the sign of the
-# integral: HD adds the destination CDF Q(-u) over X to the head, FD-AF takes
-# the product CCDF Q(u) over W from 1. u is x in dB, standardized by (m, s).
+# Per integrand kind, the threshold x(z, *coefs) that a squared gain must
+# clear given the integration variable z (a zero denominator is where it
+# diverges). The outage adds the integral of the lower tail Q(-u) to a head
+# term, with u the dB value of x standardized by (m, s): HD integrates the
+# second hop Y over the first hop X, FD-AF the product X*Y over the
+# loop-back W.
 _KINDS = {
-    "hd-df": (lambda z, v, k2: v / (k2 * z), 1.0),
-    "hd-af": (lambda z, a, b, c, v: v * c / np.maximum(a * z - v * b, 0.0), 1.0),
-    "fd-af": (lambda w, k, v, scale: scale * (1.0 / k + w) / np.maximum(1.0 - k * v * w, 0.0),
-              -1.0),
+    "hd-df": lambda z, v, k2: v / (k2 * z),
+    "hd-af": lambda z, a, b, c, v: v * c / np.maximum(a * z - v * b, 0.0),
+    "fd-af": lambda w, k, v, scale: scale * (1.0 / k + w) / np.maximum(1.0 - k * v * w, 0.0),
 }
 
 
 def _reduce(cfg: SystemConfig, scenario: Scenario):
     """The outage of one pair as a closed value, or as (kind, head, weight,
-    lower, upper, (m, s, *coefs)): head + sign * the integral (see _KINDS)."""
+    lower, upper, (m, s, unit, *coefs)): head + unit * the integral (see _KINDS)."""
     v = threshold_snr(scenario, cfg.cth)
     if v == 0.0:
         return 0.0
@@ -66,17 +65,23 @@ def _reduce(cfg: SystemConfig, scenario: Scenario):
         p_z = q_function(-_standardize_product(v / k2, cfg.ch1, cfg.ch2))
         return _clamp01(p_w + p_z - p_w * p_z)
     if scenario.duplex == "fd":
-        # Beyond W = 1/(k*v) the amplified interference makes outage certain;
-        # below it Z = X*Y must clear a W-dependent threshold.
+        # Beyond W = 1/(k*v) the amplified interference makes outage certain
+        # (the head Pr{W > upper}); below it Z = X*Y must clear a W-dependent
+        # threshold. Summing both failure events, not subtracting success from
+        # 1, keeps the relative precision of a tiny outage.
         k = eh_time_gain(cfg, scenario)
         upper = 1.0 / (k * v)
         if sq_gain_cdf(upper, cfg.chg) <= _NEGLIGIBLE_TAIL:
             return 1.0  # essentially no loop-back realization survives the cutoff
         lp1, lp2 = hop_losses(cfg)
         scale = lp1 * lp2 * v * relay_noise_w(cfg, scenario) / cfg.ps_watts
-        return ("fd-af", 1.0, cfg.chg, 0.0, upper,
+        # The integrand is at least its value at W = 0, Pr{Z < scale/k}.
+        # Integrated in units of that floor, the fixed absolute tolerance
+        # acts as a relative one where the outage is tiny.
+        unit = max(q_function(-_standardize_product(scale / k, cfg.ch1, cfg.ch2)), 1e-300)
+        return ("fd-af", q_function(_standardize(upper, cfg.chg)), cfg.chg, 0.0, upper,
                 (2.0 * (cfg.ch1.mu_db + cfg.ch2.mu_db),
-                 2.0 * math.hypot(cfg.ch1.sigma_db, cfg.ch2.sigma_db), k, v, scale))
+                 2.0 * math.hypot(cfg.ch1.sigma_db, cfg.ch2.sigma_db), unit, k, v, scale))
     # HD: outage is certain when the first hop X misses `lower` (DF: k1*X < v;
     # AF, with gamma_d = A*X*Y/(B*Y + C): X <= v*B/A), otherwise the second
     # hop Y must miss the threshold given X
@@ -90,49 +95,30 @@ def _reduce(cfg: SystemConfig, scenario: Scenario):
     if q_function(_standardize(lower, cfg.ch1)) <= _NEGLIGIBLE_TAIL:
         return _clamp01(head)
     return (f"hd-{scenario.relay}", head, cfg.ch1, lower, math.inf,
-            (2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, *coefs))
+            (2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, 1.0, *coefs))
 
 
-def outages(pairs, quad: QuadSpec = DEFAULT_QUAD) -> list[float]:
+def outages(pairs) -> list[float]:
     """Analytic outage of every (cfg, scenario) pair; one quadrature batch per kind."""
     values = [_reduce(cfg, scenario) for cfg, scenario in pairs]
-    for kind, (threshold, sign) in _KINDS.items():
+    for kind, threshold in _KINDS.items():
         todo = [i for i, r in enumerate(values) if isinstance(r, tuple) and r[0] == kind]
         if not todo:
             continue
         _, heads, weights, lowers, uppers, params = zip(*(values[i] for i in todo))
-        m, s, *coefs = np.array(params).T
+        m, s, unit, *coefs = np.array(params).T
 
         def integrand(z, k):
             with np.errstate(divide="ignore"):
                 x = threshold(z, *(col[k] for col in coefs))
-            return q_array(-sign * ((XI * np.log(x) - m[k]) / s[k]))
+            return q_array(-((XI * np.log(x) - m[k]) / s[k])) / unit[k]
 
-        tails = integrate_lognormal_batch(integrand, weights, lowers, uppers, [quad] * len(todo))
-        for i, head, tail in zip(todo, heads, tails):
-            values[i] = _clamp01(head + sign * float(tail))
+        tails = integrate_lognormal_batch(integrand, weights, lowers, uppers)
+        for i, head, u, tail in zip(todo, heads, unit, tails):
+            values[i] = _clamp01(head + float(u * tail))
     return values
 
 
-def outage(cfg: SystemConfig, scenario: Scenario,
-           quad: QuadSpec = DEFAULT_QUAD) -> OutageEstimate:
+def outage(cfg: SystemConfig, scenario: Scenario) -> OutageEstimate:
     """Analytic outage of one scenario, any variant."""
-    return OutageEstimate(outages([(cfg, scenario)], quad)[0], "analytic")
-
-
-def _evaluator(duplex: str, relay: str, doc: str):
-    """outage() restricted to one duplex-relay pair; ValueError for any other."""
-    def evaluate(cfg: SystemConfig, scenario: Scenario,
-                 quad: QuadSpec = DEFAULT_QUAD) -> OutageEstimate:
-        if scenario.duplex != duplex or scenario.relay != relay:
-            raise ValueError(f"expected a {duplex}-{relay} scenario, got {scenario.label()}")
-        return outage(cfg, scenario, quad)
-    evaluate.__name__ = evaluate.__qualname__ = f"{duplex}_{relay}_outage"
-    evaluate.__doc__ = doc
-    return evaluate
-
-
-hd_df_outage = _evaluator("hd", "df", "Half-duplex decode-and-forward outage (TSR, PSR or IRR).")
-hd_af_outage = _evaluator("hd", "af", "Half-duplex amplify-and-forward outage (TSR, PSR or IRR).")
-fd_df_outage = _evaluator("fd", "df", "Full-duplex decode-and-forward outage, closed form.")
-fd_af_outage = _evaluator("fd", "af", "Full-duplex amplify-and-forward outage, one integral.")
+    return OutageEstimate(outages([(cfg, scenario)])[0], "analytic")

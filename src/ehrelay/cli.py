@@ -436,12 +436,12 @@ def cmd_point(args) -> int:
     scenario = build_scenario(settings)
     analytic = outage(cfg, scenario)
     print(f"scenario           {scenario.label()}")
-    print(f"analytic outage    {analytic.value:.9f}")
+    print(f"analytic outage    {analytic.value:.9g}")
     row = Row(scenario.label(), "none", 0.0, analytic.value)
     if not args.no_mc:
         plan = build_plan(settings)
         mc = estimate_outage(cfg, scenario, plan, threads=args.threads)
-        print(f"monte carlo        {mc.value:.9f}")
+        print(f"monte carlo        {mc.value:.9g}")
         print(f"difference         {abs(analytic.value - mc.value):.3e}")
         print(f"mc stderr          {mc.stderr:.3e}  (trials {mc.trials}, seed {settings['mc.seed']})")
         row = replace(row, mc=mc.value, mc_stderr=mc.stderr, trials=mc.trials,
@@ -484,7 +484,7 @@ def cmd_optimize(args) -> int:
     result = minimize_over_eh_param(cfg, scenario, tol=args.tol)
     print(f"scenario           {scenario.label()}")
     print(f"optimal {param}        {result.arg_opt:.6f}")
-    print(f"outage at optimum  {result.value_opt:.9f}")
+    print(f"outage at optimum  {result.value_opt:.9g}")
     print(f"evaluations        {result.evaluations}")
     print(f"bracket width      {result.bracket:.2e}")
     if result.non_unimodal:

@@ -184,33 +184,14 @@ def eh_time_gain(cfg: SystemConfig, scenario: Scenario) -> float:
     return cfg.eta * scenario.tau / (1.0 - scenario.tau)
 
 
-def relay_power(cfg: SystemConfig, scenario: Scenario, x):
-    """Usable relay transmit power for a first-hop squared gain x.
-
-    HD-TSR retransmits over half the remaining frame, FD-TSR over all of
-    it, which halves the FD power for the same harvest. A DF relay loses
-    the pc_fraction share to processing.
-    """
-    lp1, _ = hop_losses(cfg)
-    received = cfg.ps_watts * x / lp1
-    if scenario.eh == "tsr":
-        pr = eh_time_gain(cfg, scenario) * received
-        if scenario.duplex == "hd":
-            pr = 2.0 * pr
-    elif scenario.eh == "psr":
-        pr = cfg.eta * scenario.rho * received
-    else:
-        pr = cfg.eta * received
-    if scenario.relay == "df":
-        pr = (1.0 - scenario.pc_fraction) * pr
-    return pr
-
-
 def df_snr_coefficients(cfg: SystemConfig, scenario: Scenario) -> tuple[float, float]:
     """SNR coefficients (k1, k2) for DF relaying.
 
     HD: gamma_r = k1*x and gamma_d = k2*x*y.
     FD: gamma_r = k1/w (loop-back limited) and gamma_d = k2*x*y.
+    k2*d2**m*sigma_d2 is the relay transmit power per unit first-hop gain:
+    HD-TSR retransmits over half the remaining frame and FD-TSR over all of
+    it, which halves the FD power, and pc_fraction of it goes to processing.
     """
     if scenario.relay != "df":
         raise ValueError("df_snr_coefficients requires a df scenario")
@@ -355,12 +336,7 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
 
 def threshold_snr(scenario: Scenario, cth: float) -> float:
     """Minimum SNR at which the instantaneous capacity reaches cth."""
-    if scenario.duplex == "fd":
-        expo = cth / (1.0 - scenario.tau)
-    elif scenario.eh == "tsr":
-        expo = 2.0 * cth / (1.0 - scenario.tau)
-    else:
-        expo = 2.0 * cth
+    expo = cth / capacity_prefactor(scenario)
     if expo >= 1024.0:
         return math.inf
     return 2.0**expo - 1.0

@@ -17,7 +17,6 @@ import numpy as np
 # outage stays importable here: bench/spans.py hooks this name
 from .analytic import outage, outages  # noqa: F401
 from .model import Scenario, SystemConfig
-from .quadrature import DEFAULT_QUAD, QuadSpec
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -40,8 +39,7 @@ class OptResult:
     non_unimodal: bool = False
 
 
-def minimize_many(pairs, tol: float = 1e-3,
-                  quad: QuadSpec = DEFAULT_QUAD) -> list[OptResult]:
+def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
     """Minimize the analytic outage of each (cfg, scenario) pair over tau
     (TSR) or rho (PSR); an IRR pair raises ValueError.
 
@@ -55,7 +53,7 @@ def minimize_many(pairs, tol: float = 1e-3,
 
     def objective(index, params) -> np.ndarray:
         return np.array(outages([(pairs[i][0], pairs[i][1].with_eh_param(p))
-                                 for i, p in zip(index, params)], quad))
+                                 for i, p in zip(index, params)]))
 
     n, grid, dense = len(pairs), np.linspace(0.02, 0.98, 49), np.arange(1, 1000) / 1000.0
     values = objective(np.repeat(np.arange(n), grid.size), np.tile(grid, n)).reshape(n, grid.size)
@@ -100,7 +98,7 @@ def minimize_many(pairs, tol: float = 1e-3,
             in zip(best_arg, best_val, evaluations, np.where(multi, 1e-3, hi - lo), multi)]
 
 
-def minimize_over_eh_param(cfg: SystemConfig, scenario: Scenario, tol: float = 1e-3,
-                           quad: QuadSpec = DEFAULT_QUAD) -> OptResult:
+def minimize_over_eh_param(cfg: SystemConfig, scenario: Scenario,
+                           tol: float = 1e-3) -> OptResult:
     """minimize_many of the one pair (cfg, scenario)."""
-    return minimize_many([(cfg, scenario)], tol, quad)[0]
+    return minimize_many([(cfg, scenario)], tol)[0]

@@ -4,8 +4,8 @@ Evaluates integrals of the form  int f(z) * w(z) dz  over (lower, upper),
 where w is the squared-gain density of a ChannelSpec. Substituting
 t = XI*ln(z) turns w into a plain Gaussian density in t, so integrands
 that span many decades in z become smooth and effectively compact in t.
-The Gaussian tail is cut at tail_sigmas standard deviations (mass below
-1e-23 at the default 10) and the finite interval is handled by adaptive
+The Gaussian tail is cut at TAIL_SIGMAS standard deviations (mass below
+1e-23 at 10) and the finite interval is handled by adaptive
 Gauss-Kronrod 10/21 bisection (Piessens et al., QUADPACK, 1983), written
 in numpy so that a whole batch of integrals shares each integrand call.
 """
@@ -13,35 +13,18 @@ in numpy so that a whole batch of integrals shares each integrand call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .lognormal import XI, ChannelSpec
 
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tolerances and limits for the adaptive rule."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-    tail_sigmas: float = 10.0
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_subdivisions < 8:
-            raise ValueError(f"max_subdivisions must be >= 8, got {self.max_subdivisions}")
-        if self.tail_sigmas < 6:
-            raise ValueError(f"tail_sigmas must be >= 6, got {self.tail_sigmas}")
-
-
-DEFAULT_QUAD = QuadSpec()
+# every integral is converged to max(ABS_TOL, REL_TOL * |value|), in at most
+# MAX_SUBDIVISIONS panels, over TAIL_SIGMAS standard deviations of its weight
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 2000
+TAIL_SIGMAS = 10.0
 
 
 class QuadratureError(RuntimeError):
@@ -84,16 +67,16 @@ def _panel_rule(f, a, b, k, mean, std):
     return resk * h, np.maximum(50 * np.finfo(float).eps * resabs, err)
 
 
-def integrate_lognormal_batch(f, weights, lower, upper, specs) -> np.ndarray:
+def integrate_lognormal_batch(f, weights, lower, upper) -> np.ndarray:
     """Integral k of f( . , k) against the squared-gain density of weights[k]
-    over gains (lower[k], upper[k]) to the tolerances of specs[k], for every k.
+    over gains (lower[k], upper[k]), for every k.
 
     f(z, k) gives integrand k at gain z, elementwise over arrays that
     broadcast together (k is a column of integral indexes). Each
     integral starts as 8 equal panels in t; each round calls f once on the
     21 nodes of all new panels, then bisects the panels whose error exceeds
     their width's share of their integral's tolerance. An empty window gives
-    0.0, a rule that is still above tolerance at max_subdivisions panels
+    0.0, a rule that is still above tolerance at MAX_SUBDIVISIONS panels
     raises QuadratureError (never a silently low-accuracy value).
     """
     lower, upper = np.asarray(lower, float), np.asarray(upper, float)
@@ -101,11 +84,9 @@ def integrate_lognormal_batch(f, weights, lower, upper, specs) -> np.ndarray:
         raise ValueError(f"bounds must satisfy 0 <= lower < upper, got {lower} and {upper}")
     mean = np.array([2.0 * w.mu_db for w in weights])
     std = np.array([2.0 * w.sigma_db for w in weights])
-    rel, absol, cap, sigmas = (np.array(col) for col in zip(
-        *((s.rel_tol, s.abs_tol, s.max_subdivisions, s.tail_sigmas) for s in specs)))
     with np.errstate(divide="ignore"):
-        t_lo = np.maximum(mean - sigmas * std, XI * np.log(lower))
-        t_hi = np.minimum(mean + sigmas * std, XI * np.log(upper))
+        t_lo = np.maximum(mean - TAIL_SIGMAS * std, XI * np.log(lower))
+        t_hi = np.minimum(mean + TAIL_SIGMAS * std, XI * np.log(upper))
     total, active = np.zeros(mean.size), t_hi > t_lo
     panels = np.where(active, _PANELS, 0)
     live = np.flatnonzero(active)
@@ -119,7 +100,7 @@ def integrate_lognormal_batch(f, weights, lower, upper, specs) -> np.ndarray:
             for i in range(0, a.size, _CHUNK))))
         a, b, k, val, err = (np.concatenate((old, *new)) for old, new in zip(kept, fresh))
         est = np.bincount(k, val, total.size)
-        tol = np.maximum(absol, rel * np.abs(est))
+        tol = np.maximum(ABS_TOL, REL_TOL * np.abs(est))
         bad = ~(err <= tol[k] * (b - a) / (t_hi - t_lo)[k])  # a NaN error is never good
         n_bad = np.bincount(k[bad], minlength=total.size)
         done = active & ((np.bincount(k, err, total.size) <= tol) | (n_bad == 0))
@@ -127,12 +108,12 @@ def integrate_lognormal_batch(f, weights, lower, upper, specs) -> np.ndarray:
         active &= ~done
         if not active.any():
             break
-        stuck = np.flatnonzero(active & (panels + n_bad > cap))
+        stuck = np.flatnonzero(active & (panels + n_bad > MAX_SUBDIVISIONS))
         if stuck.size:
             i = stuck[0]
             raise QuadratureError(
                 f"integral over t in [{t_lo[i]:.6g}, {t_hi[i]:.6g}] did not converge: "
-                f"error above tolerance {tol[i]:.3g} at the cap of {cap[i]} subdivisions")
+                f"error above tolerance {tol[i]:.3g} at the cap of {MAX_SUBDIVISIONS} subdivisions")
         panels += n_bad
         kept = tuple(x[active[k] & ~bad] for x in (a, b, k, val, err))
         split = active[k] & bad
@@ -142,9 +123,9 @@ def integrate_lognormal_batch(f, weights, lower, upper, specs) -> np.ndarray:
 
 
 def integrate_lognormal_weighted(f: Callable, weight: ChannelSpec, lower: float = 0.0,
-                                 upper: float = math.inf, spec: QuadSpec = DEFAULT_QUAD) -> float:
+                                 upper: float = math.inf) -> float:
     """Integrate f(z), vectorized in z, against the squared-gain density of
     `weight` over gains 0 <= lower < upper <= inf: integrate_lognormal_batch
     with a batch of one."""
-    batch = integrate_lognormal_batch(lambda z, k: f(z), [weight], [lower], [upper], [spec])
+    batch = integrate_lognormal_batch(lambda z, k: f(z), [weight], [lower], [upper])
     return float(batch[0])

@@ -7,11 +7,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from ehrelay.analytic import fd_af_outage, fd_df_outage, hd_af_outage, hd_df_outage, outage
+from ehrelay import quadrature
+from ehrelay.analytic import outage
 from ehrelay.lognormal import ChannelSpec, product_ccdf
-from ehrelay.model import Scenario, SystemConfig, df_snr_coefficients, threshold_snr
+from ehrelay.model import (Scenario, SystemConfig, df_snr_coefficients, eh_time_gain,
+                           hop_losses, relay_noise_w, threshold_snr)
 from ehrelay.montecarlo import McPlan, estimate_outage
-from ehrelay.quadrature import QuadSpec
 
 CFG = SystemConfig()
 
@@ -50,22 +51,22 @@ def test_matches_monte_carlo(scenario):
 def test_hd_df_tsr_against_ten_million_trials():
     s = Scenario("hd", "df", "tsr", tau=0.5)
     mc = estimate_outage(CFG, s, McPlan(trials=10**7, seed=271828))
-    assert abs(hd_df_outage(CFG, s).value - mc.value) <= 3 * mc.stderr
+    assert abs(outage(CFG, s).value - mc.value) <= 3 * mc.stderr
 
 
 def test_fd_closed_form_and_quadrature_at_small_tau():
     # operating point of the rate-sweep experiments: tau = 0.01
     cfg = replace(CFG, chg=ChannelSpec(3.0, math.sqrt(5.0)))
     plan = McPlan(trials=10**7, seed=314159)
-    for relay, evaluate in (("df", fd_df_outage), ("af", fd_af_outage)):
+    for relay in ("df", "af"):
         s = Scenario("fd", relay, "tsr", tau=0.01)
         mc = estimate_outage(cfg, s, plan)
-        assert abs(evaluate(cfg, s).value - mc.value) <= 3 * mc.stderr
+        assert abs(outage(cfg, s).value - mc.value) <= 3 * mc.stderr
 
 
 def test_af_outage_decreases_with_power():
     vals = [
-        hd_af_outage(replace(CFG, ps_watts=ps), Scenario("hd", "af", "irr")).value
+        outage(replace(CFG, ps_watts=ps), Scenario("hd", "af", "irr")).value
         for ps in (1.0, 10.0, 100.0)
     ]
     assert vals[0] > vals[1] > vals[2]
@@ -122,7 +123,7 @@ def test_fuzz_values_stay_probabilities():
 
 def test_fd_df_saturates_as_tau_approaches_one():
     s = Scenario("fd", "df", "tsr", tau=0.999)
-    assert fd_df_outage(CFG, s).value > 0.9999
+    assert outage(CFG, s).value > 0.9999
 
 
 def test_fd_af_degenerate_loop_back_reduces_to_product_threshold():
@@ -130,9 +131,7 @@ def test_fd_af_degenerate_loop_back_reduces_to_product_threshold():
     # binds and outage is governed by the product Z alone
     cfg = replace(CFG, chg=ChannelSpec(-40.0, 0.01))
     s = Scenario("fd", "af", "tsr", tau=0.5)
-    got = fd_af_outage(cfg, s).value
-    from ehrelay.model import eh_time_gain, threshold_snr
-
+    got = outage(cfg, s).value
     k = eh_time_gain(cfg, s)
     v = threshold_snr(s, cfg.cth)
     w0 = cfg.chg.median_sq_gain()
@@ -141,17 +140,12 @@ def test_fd_af_degenerate_loop_back_reduces_to_product_threshold():
     assert got == pytest.approx(want, abs=1e-4)
 
 
-def test_wrong_scenario_kind_is_rejected():
-    with pytest.raises(ValueError):
-        hd_df_outage(CFG, Scenario("hd", "af", "irr"))
-    with pytest.raises(ValueError):
-        fd_df_outage(CFG, Scenario("hd", "df", "irr"))
-
-
-def test_loose_quadspec_is_accepted():
+def test_loose_quadspec_is_accepted(monkeypatch):
     s = Scenario("hd", "df", "tsr", tau=0.5)
-    loose = outage(CFG, s, QuadSpec(rel_tol=1e-6, abs_tol=1e-9)).value
     tight = outage(CFG, s).value
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-6)
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-9)
+    loose = outage(CFG, s).value
     assert loose == pytest.approx(tight, rel=1e-5)
 
 
@@ -172,4 +166,38 @@ def test_fd_df_low_outage_keeps_relative_precision():
         p_z = mpmath.ncdf((xi * mpmath.log(mpmath.mpf(v) / k2) - mean) / std)
         want = float(p_w + p_z - p_w * p_z)
     assert 1e-18 < want < 1e-17
-    assert abs(fd_df_outage(cfg, s).value - want) <= 1e-9 * want
+    assert abs(outage(cfg, s).value - want) <= 1e-9 * want
+
+
+# FD-DF's low-outage point, where 1 - Pr{success} rounds to 0, and one whose
+# narrow hops put the integrand's floor Pr{X*Y < x(0)} below 1e-308
+@pytest.mark.parametrize("ps,hop", [(1000.0, ChannelSpec(3.0, 2.0)), (1e4, ChannelSpec(3.0, 0.5))])
+def test_fd_af_low_outage_keeps_relative_precision(ps, hop):
+    cfg = replace(CFG, cth=0.05, ps_watts=ps, ch1=hop, ch2=hop,
+                  chg=ChannelSpec(-15.0, math.sqrt(5.0)))
+    s = Scenario("fd", "af", "tsr", tau=0.5)
+    got = outage(cfg, s).value
+    assert got > 0.0
+    assert got >= outage(cfg, replace(s, relay="df")).value
+    k, v = eh_time_gain(cfg, s), threshold_snr(s, cfg.cth)
+    lp1, lp2 = hop_losses(cfg)
+    scale = lp1 * lp2 * v * relay_noise_w(cfg, s) / cfg.ps_watts
+    with mpmath.workdps(30):
+        xi = 10 / mpmath.log(10)
+        mean_z = 2 * (mpmath.mpf(cfg.ch1.mu_db) + cfg.ch2.mu_db)
+        std_z = 2 * mpmath.sqrt(mpmath.mpf(cfg.ch1.sigma_db) ** 2 + cfg.ch2.sigma_db**2)
+        mean_w, std_w = 2 * mpmath.mpf(cfg.chg.mu_db), 2 * mpmath.mpf(cfg.chg.sigma_db)
+        t_upper = -xi * mpmath.log(mpmath.mpf(k) * v)  # dB of W = 1/(k*v)
+
+        def integrand(t):
+            # Pr{X*Y < x(W)} times the density of W's dB value t
+            w = mpmath.exp(t / xi)
+            x = scale * (1 / mpmath.mpf(k) + w) / (1 - k * v * w)
+            return (mpmath.ncdf((xi * mpmath.log(x) - mean_z) / std_z)
+                    * mpmath.npdf(t, mean_w, std_w))
+
+        # beyond W = 1/(k*v) outage is certain
+        want = float(mpmath.ncdf(-(t_upper - mean_w) / std_w)
+                     + mpmath.quad(integrand, [mean_w - 12 * std_w, mean_w, t_upper]))
+    assert 1e-21 < want < 1e-16
+    assert abs(got - want) <= 1e-6 * want

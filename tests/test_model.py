@@ -15,8 +15,8 @@ from ehrelay.model import (
     af_snr_coefficients,
     capacities,
     capacity_prefactor,
+    df_snr_coefficients,
     outage_indicator,
-    relay_power,
     snr_pair,
     threshold_snr,
 )
@@ -28,31 +28,35 @@ def hd(relay, eh, **kw):
     return Scenario("hd", relay, eh, **kw)
 
 
+def relay_power(scenario):
+    """Relay transmit power per unit first-hop gain, k2*d2^m*sigma_d2."""
+    _, k2 = df_snr_coefficients(CFG, scenario)
+    return k2 * CFG.d2_m**CFG.path_loss_exp * CFG.sigma_d2_w
+
+
 class TestRelayPower:
     def test_hd_tsr_frozen(self):
-        # 2*eta*tau*Ps*x / ((1-tau)*d1^m) at defaults, tau=0.5, x=1
-        assert relay_power(CFG, hd("df", "tsr", tau=0.5), 1.0) == pytest.approx(0.08)
+        # 2*eta*tau*Ps / ((1-tau)*d1^m) at defaults, tau=0.5
+        assert relay_power(hd("df", "tsr", tau=0.5)) == pytest.approx(0.08)
 
     def test_fd_tsr_is_half_of_hd(self):
         s_fd = Scenario("fd", "df", "tsr", tau=0.5)
-        assert relay_power(CFG, s_fd, 1.0) == pytest.approx(0.04)
-        assert relay_power(CFG, s_fd, 1.0) == pytest.approx(
-            relay_power(CFG, hd("df", "tsr", tau=0.5), 1.0) / 2
-        )
+        assert relay_power(s_fd) == pytest.approx(0.04)
+        assert relay_power(s_fd) == pytest.approx(relay_power(hd("df", "tsr", tau=0.5)) / 2)
 
     def test_psr_and_irr_frozen(self):
-        assert relay_power(CFG, hd("df", "psr", rho=0.5), 1.0) == pytest.approx(0.02)
-        assert relay_power(CFG, hd("df", "irr"), 1.0) == pytest.approx(0.04)
+        assert relay_power(hd("df", "psr", rho=0.5)) == pytest.approx(0.02)
+        assert relay_power(hd("df", "irr")) == pytest.approx(0.04)
 
     def test_processing_cost_scales_df_power(self):
-        base = relay_power(CFG, hd("df", "tsr", tau=0.5), 1.0)
-        costed = relay_power(CFG, hd("df", "tsr", tau=0.5, pc_fraction=0.02), 1.0)
+        base = relay_power(hd("df", "tsr", tau=0.5))
+        costed = relay_power(hd("df", "tsr", tau=0.5, pc_fraction=0.02))
         assert costed == pytest.approx(0.98 * base, rel=1e-15)
 
     def test_zero_cost_is_bit_identical(self):
         s0 = hd("df", "irr")
         s1 = hd("df", "irr", pc_fraction=0.0)
-        assert relay_power(CFG, s0, 1.7) == relay_power(CFG, s1, 1.7)
+        assert df_snr_coefficients(CFG, s0) == df_snr_coefficients(CFG, s1)
 
 
 class TestSnrPair:

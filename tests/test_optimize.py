@@ -71,14 +71,14 @@ def test_multimodal_objective_falls_back_to_dense_grid(monkeypatch):
         def __init__(self, value):
             self.value = value
 
-    def fake_outage(cfg, scenario, quad):
+    def fake_outage(cfg, scenario):
         p = scenario.tau
         return FakeEstimate(0.5 - 0.3 * np.exp(-((p - 0.2) ** 2) / 0.002)
                             - 0.4 * np.exp(-((p - 0.7) ** 2) / 0.002))
 
     monkeypatch.setattr(opt, "outage", fake_outage)
     monkeypatch.setattr(opt, "outages",
-                        lambda pairs, quad: [fake_outage(c, s, quad).value for c, s in pairs])
+                        lambda pairs: [fake_outage(c, s).value for c, s in pairs])
     result = minimize_over_eh_param(CFG, TSR)
     assert result.non_unimodal
     assert result.arg_opt == pytest.approx(0.7, abs=2e-3)
@@ -169,8 +169,8 @@ def test_mixed_batch_equals_batches_of_one(monkeypatch, tol, evaluations):
     walled, sloped = replace(CFG, cth=1.25), replace(CFG, cth=1.5)
     fakes = {id(walled): two_wells, id(sloped): lambda p: p}
 
-    def mixed_outages(pairs, quad):
-        real = iter(outages([(c, s) for c, s in pairs if id(c) not in fakes], quad))
+    def mixed_outages(pairs):
+        real = iter(outages([(c, s) for c, s in pairs if id(c) not in fakes]))
         return [fakes[id(c)](getattr(s, s.eh_param_name)) if id(c) in fakes else next(real)
                 for c, s in pairs]
 

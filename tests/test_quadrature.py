@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ehrelay import quadrature
 from ehrelay.lognormal import XI, ChannelSpec, q_array, q_function
 from ehrelay.quadrature import (
-    DEFAULT_QUAD,
+    REL_TOL,
     QuadratureError,
-    QuadSpec,
     integrate_lognormal_batch,
     integrate_lognormal_weighted,
 )
@@ -73,18 +73,20 @@ def test_narrow_peak_needs_bisection():
     assert got == pytest.approx(ref, rel=1e-6)
 
 
-def test_tail_truncation_insensitive():
+def test_tail_truncation_insensitive(monkeypatch):
     f = lambda z: z / (1.0 + z)
-    base = integrate_lognormal_weighted(f, CH, spec=QuadSpec(tail_sigmas=10))
-    wide = integrate_lognormal_weighted(f, CH, spec=QuadSpec(tail_sigmas=14))
-    assert wide == pytest.approx(base, rel=DEFAULT_QUAD.rel_tol)
+    base = integrate_lognormal_weighted(f, CH)
+    monkeypatch.setattr(quadrature, "TAIL_SIGMAS", 14.0)
+    wide = integrate_lognormal_weighted(f, CH)
+    assert wide == pytest.approx(base, rel=REL_TOL)
 
 
-def test_subdivision_cap_insensitive():
+def test_subdivision_cap_insensitive(monkeypatch):
     f = lambda z: np.exp(-z / 10.0)
-    base = integrate_lognormal_weighted(f, CH, spec=QuadSpec(max_subdivisions=2000))
-    more = integrate_lognormal_weighted(f, CH, spec=QuadSpec(max_subdivisions=4000))
-    assert more == pytest.approx(base, rel=DEFAULT_QUAD.rel_tol)
+    base = integrate_lognormal_weighted(f, CH)
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4000)
+    more = integrate_lognormal_weighted(f, CH)
+    assert more == pytest.approx(base, rel=REL_TOL)
 
 
 def test_linearity():
@@ -93,7 +95,7 @@ def test_linearity():
     a, b = 3.0, -0.5
     combined = integrate_lognormal_weighted(lambda z: a * f(z) + b * g(z), CH)
     parts = a * integrate_lognormal_weighted(f, CH) + b * integrate_lognormal_weighted(g, CH)
-    assert combined == pytest.approx(parts, rel=2 * DEFAULT_QUAD.rel_tol)
+    assert combined == pytest.approx(parts, rel=2 * REL_TOL)
 
 
 def test_empty_window_is_zero():
@@ -102,12 +104,11 @@ def test_empty_window_is_zero():
     assert integrate_lognormal_weighted(lambda z: 1.0, CH, lower=far) == 0.0
 
 
-def test_nonconvergence_is_reported():
+def test_nonconvergence_is_reported(monkeypatch):
     wild = lambda z: np.sin(1e6 * np.log(z))
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 8)
     with pytest.raises(QuadratureError):
-        integrate_lognormal_weighted(
-            wild, CH, spec=QuadSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=8)
-        )
+        integrate_lognormal_weighted(wild, CH)
 
 
 def test_bound_validation():
@@ -117,35 +118,19 @@ def test_bound_validation():
         integrate_lognormal_weighted(lambda z: 1.0, CH, lower=5.0, upper=5.0)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"rel_tol": 0.0},
-        {"abs_tol": -1.0},
-        {"max_subdivisions": 4},
-        {"tail_sigmas": 5.0},
-    ],
-)
-def test_quadspec_validation(kwargs):
-    with pytest.raises(ValueError):
-        QuadSpec(**kwargs)
-
-
 def test_batch_matches_each_integral_alone():
-    # mixed weights, windows and tolerances; the fourth window misses its
-    # weight's truncated support
+    # mixed weights and windows; the fourth window misses its weight's
+    # truncated support
     far = math.exp((2 * CH.mu_db + 11 * 2 * CH.sigma_db) / XI)
     weights = [CH, ChannelSpec(1.0, 1.5), ChannelSpec(-2.0, 3.0), CH, ChannelSpec(0.0, 0.5)]
     lower = [0.0, 2.0, 0.0, far, 0.3]
     upper = [math.inf, 40.0, 5.0, math.inf, math.inf]
-    specs = [DEFAULT_QUAD, QuadSpec(rel_tol=1e-11), DEFAULT_QUAD, DEFAULT_QUAD,
-             QuadSpec(tail_sigmas=12)]
     shift = np.array([1.0, 2.0, 25.0, 1.0, 0.5])
     batch = integrate_lognormal_batch(lambda z, k: z / (shift[k] + z),
-                                      weights, lower, upper, specs)
+                                      weights, lower, upper)
     for k in range(len(weights)):
         alone = integrate_lognormal_weighted(lambda z: z / (shift[k] + z),
-                                             weights[k], lower[k], upper[k], specs[k])
+                                             weights[k], lower[k], upper[k])
         assert abs(batch[k] - alone) <= 1e-13
     assert batch[3] == 0.0
 
@@ -153,7 +138,7 @@ def test_batch_matches_each_integral_alone():
 def test_one_nonconverging_integral_fails_the_batch():
     mixed = lambda z, k: np.where(k == 1, np.sin(1e6 * np.log(z)), 1.0 / (1.0 + z))
     with pytest.raises(QuadratureError):
-        integrate_lognormal_batch(mixed, [CH] * 3, [0.0] * 3, [math.inf] * 3, [DEFAULT_QUAD] * 3)
+        integrate_lognormal_batch(mixed, [CH] * 3, [0.0] * 3, [math.inf] * 3)
 
 
 def test_tails_match_scipy_quad_on_the_selftest_grid():
@@ -171,8 +156,8 @@ def test_tails_match_scipy_quad_on_the_selftest_grid():
         reduced = _reduce(cfg, scenario)
         if not isinstance(reduced, tuple):
             continue
-        kind, head, weight, lower, upper, (m, s, *coefs) = reduced
-        threshold, sign = _KINDS[kind]
+        kind, head, weight, lower, upper, (m, s, unit, *coefs) = reduced
+        threshold = _KINDS[kind]
         kinds.add(kind)
         mean, std = 2 * weight.mu_db, 2 * weight.sigma_db
         t_lo = max(mean - 10 * std, XI * math.log(lower) if lower > 0 else -math.inf)
@@ -182,11 +167,11 @@ def test_tails_match_scipy_quad_on_the_selftest_grid():
             with np.errstate(divide="ignore"):
                 x = float(threshold(math.exp(t / XI), *coefs))
             u = (t - mean) / std
-            return (q_function(-sign * (XI * math.log(x) - m) / s)
+            return (q_function(-(XI * math.log(x) - m) / s)
                     * math.exp(-0.5 * u * u) / (std * math.sqrt(2 * math.pi)))
 
         tail = integrate.quad(integrand, t_lo, t_hi, epsabs=1e-12, epsrel=1e-9, limit=2000)[0]
-        assert abs(value - (head + sign * tail)) <= 1e-10, (scenario.label(), cfg.chg)
+        assert abs(value - (head + tail)) <= 1e-10, (scenario.label(), cfg.chg)
     assert kinds == set(_KINDS)
 
 
