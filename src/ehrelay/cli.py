@@ -86,7 +86,6 @@ def default_settings() -> dict:
         "sweep.total_distance": "",
         "mc.trials": 100_000,
         "mc.seed": 12345,
-        "mc.block_size": 1 << 16,
         "output.path": "",
         "output.format": "csv",
     }
@@ -481,7 +480,7 @@ def cmd_optimize(args) -> int:
     param = scenario.eh_param_name
     if param is None:
         raise ConfigError("scenario.eh: optimize needs a tsr or psr scenario")
-    result = minimize_over_eh_param(cfg, scenario, tol=args.tol)
+    result = _construct("--tol", minimize_over_eh_param, cfg, scenario, tol=args.tol)
     print(f"scenario           {scenario.label()}")
     print(f"optimal {param}        {result.arg_opt:.6f}")
     print(f"outage at optimum  {result.value_opt:.9g}")
@@ -540,16 +539,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_flags=True):
+    def common(p, scenario_flags=True, mc=True, output=True):
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-        p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--out", help="output path (default: stdout for datasets)")
-        p.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
-        p.add_argument("--no-mc", action="store_true", help="skip Monte Carlo")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="set any config key; repeatable")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        if mc:
+            p.add_argument("--trials", type=int, help="Monte Carlo trials per point")
+            p.add_argument("--seed", type=int, help="master random seed")
+            p.add_argument("--threads", type=int, default=1, help="worker threads")
+        if output:
+            p.add_argument("--out", help="output path (default: stdout for datasets)")
+            p.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
+        if mc and output:  # a dataset's MC columns are optional; selftest always runs MC
+            p.add_argument("--no-mc", action="store_true", help="skip Monte Carlo")
         if scenario_flags:
             p.add_argument("--scenario", help="label like hd-df-tsr")
             p.add_argument("--tau", type=float, help="TSR harvesting time factor")
@@ -567,8 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_opt = sub.add_parser("optimize", help="minimize outage over tau or rho")
-    common(p_opt)
-    p_opt.add_argument("--tol", type=float, default=1e-3, help="parameter tolerance")
+    common(p_opt, mc=False)
+    p_opt.add_argument("--tol", type=float, default=1e-3,
+                       help="parameter tolerance, in [1e-12, 1)")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_fig = sub.add_parser("figure", help="emit a bundled dataset")
@@ -577,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure)
 
     p_self = sub.add_parser("selftest", help="run the analytic-vs-MC grid")
-    common(p_self, scenario_flags=False)
+    common(p_self, scenario_flags=False, output=False)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser
@@ -586,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         return args.func(args)
     except ConfigError as exc:

@@ -32,10 +32,6 @@ class ChannelSpec:
         if not (math.isfinite(self.sigma_db) and self.sigma_db > 0):
             raise ValueError(f"sigma_db must be > 0, got {self.sigma_db}")
 
-    def median_sq_gain(self) -> float:
-        """Median of h^2, i.e. the gain whose dB value equals 2*mu_db."""
-        return 10.0 ** (2.0 * self.mu_db / 10.0)
-
 
 def q_function(x: float) -> float:
     """Upper-tail probability of the standard normal distribution."""
@@ -89,17 +85,14 @@ def _standardize_product(x: float, ch1: ChannelSpec, ch2: ChannelSpec) -> float:
 
 
 def sample_sq_gain(ch: ChannelSpec, rng: np.random.Generator, size=None, out=None):
-    """Draw squared gains h^2 = exp(g/XI) with g Gaussian in dB.
-
-    Scalar draw by default; pass `size` for a vectorized batch, or a float64
-    array `out` to fill in place (it is returned). Identical generator state
-    yields identical draws either way: g = 2*mu_db + 2*sigma_db*n for the
-    standard normals n, the same ones `rng.normal` would use.
+    """Draw `size` squared gains h^2 = exp(g/XI) with g Gaussian in dB, or
+    fill the float64 array `out` in place (it is returned). Identical
+    generator state yields identical draws either way: g = 2*mu_db +
+    2*sigma_db*n for the standard normals n, the same ones `rng.normal`
+    would use.
     """
     scale, shift = 2.0 * ch.sigma_db / XI, 2.0 * ch.mu_db / XI
     n = rng.standard_normal(size, out=out)
-    if out is None and size is None:
-        return math.exp(n * scale + shift)
     np.multiply(n, scale, out=n)
     np.add(n, shift, out=n)
     return np.exp(n, out=n)

@@ -121,12 +121,6 @@ class Scenario:
         """Name of the free harvesting parameter (tau, rho; None for irr)."""
         return {"tsr": "tau", "psr": "rho"}.get(self.eh)
 
-    @property
-    def eh_param(self) -> float | None:
-        """The free harvesting parameter (tau for tsr, rho for psr)."""
-        name = self.eh_param_name
-        return None if name is None else getattr(self, name)
-
     def with_eh_param(self, value: float) -> "Scenario":
         """This scenario with its free harvesting parameter set to value."""
         if self.eh_param_name is None:
@@ -359,8 +353,3 @@ class OutageEstimate:
             raise ValueError(f"value must be in [0, 1], got {self.value}")
         if self.stderr is not None and self.stderr < 0:
             raise ValueError(f"stderr must be >= 0, got {self.stderr}")
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True for a Monte Carlo estimate that saw only one outcome."""
-        return self.method == "monte_carlo" and self.value in (0.0, 1.0)

@@ -47,8 +47,10 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
     golden-section refinement of the best cell until the bracket is
     narrower than tol. The pairs advance in lock-step, one `outages` call
     per stage over the pairs still active, and each result equals that of
-    the pair's batch of one.
+    the pair's batch of one. A tol outside [1e-12, 1) raises ValueError.
     """
+    if not 1e-12 <= tol < 1:
+        raise ValueError(f"tol must be in [1e-12, 1), got {tol}")
     pairs = list(pairs)
 
     def objective(index, params) -> np.ndarray:

@@ -48,7 +48,7 @@ def test_criterion_1_analytic_matches_monte_carlo():
         tol = max(3 * mc.stderr, 1e-3)
         worst = max(worst, diff / tol)
         if diff > tol:
-            failures.append(f"{point.curve} {point.scenario.eh_param}: "
+            failures.append(f"{point.curve} {point.axis_value}: "
                             f"|{analytic:.5f}-{mc.value:.5f}|>{tol:.1e}")
     ok = report(
         "criterion 1 (analytic = Monte Carlo on the 8-scenario grid)",

@@ -134,7 +134,7 @@ def test_fd_af_degenerate_loop_back_reduces_to_product_threshold():
     got = outage(cfg, s).value
     k = eh_time_gain(cfg, s)
     v = threshold_snr(s, cfg.cth)
-    w0 = cfg.chg.median_sq_gain()
+    w0 = 10 ** (2 * cfg.chg.mu_db / 10)
     gamma = 25 * 25 * v * 0.005 * (1 / k + w0) / (cfg.ps_watts * (1 - k * v * w0))
     want = 1.0 - product_ccdf(gamma, cfg.ch1, cfg.ch2)
     assert got == pytest.approx(want, abs=1e-4)

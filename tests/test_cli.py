@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, config handling and dataset files."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ehrelay.montecarlo as mc
 import ehrelay.optimize as opt
 from ehrelay.cli import (
     CSV_HEADER,
@@ -99,6 +104,14 @@ class TestConfigFile:
         assert run(["point", "--config", str(cfg), "--no-mc"]) == EXIT_CONFIG
         assert "system.voltage" in capsys.readouterr().err
 
+    def test_block_size_is_not_a_setting(self, tmp_path, capsys):
+        # the MC block size is fixed, so every dataset row replays with `point`
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("mc.block_size = 4096\n")
+        for extra in (["--config", str(cfg)], ["--override", "mc.block_size=4096"]):
+            assert run(["point", "--scenario", "hd-df-irr", *extra]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("config error: mc.block_size: unknown key")
+
     def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
@@ -185,6 +198,39 @@ class TestOptimize:
 
     def test_irr_rejected(self, capsys):
         assert run(["optimize", "--scenario", "hd-df-irr"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-300"])
+    def test_bad_tolerance_rejected(self, tol):
+        # a subprocess with a timeout: a tolerance the bracket never reaches loops forever
+        src = str(Path(mc.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "ehrelay.cli", "optimize", "--scenario",
+                               "hd-df-tsr", f"--tol={tol}"], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error: --tol: ")
+
+    def test_finest_tolerance_converges(self, capsys):
+        assert run(["optimize", "--scenario", "hd-df-psr", "--tol", "1e-12"]) == EXIT_OK
+        width = capsys.readouterr().out.split("bracket width")[1].split()[0]
+        assert float(width) <= 1e-12
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("selftest", ["--no-mc"]),
+    ("selftest", ["--out", "selftest.csv"]),
+    ("selftest", ["--format", "json"]),
+    ("optimize", ["--trials", "10000"]),
+    ("optimize", ["--seed", "5"]),
+    ("optimize", ["--no-mc"]),
+    ("optimize", ["--threads", "8"]),
+])
+def test_flag_the_subcommand_never_reads_is_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flag])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestFigures:
@@ -297,7 +343,7 @@ def test_emitted_cth_sweep_is_monotone(tmp_path):
 def test_default_settings_cover_all_keys():
     settings = default_settings()
     assert settings["system.cth"] == 2.0
-    assert settings["mc.block_size"] == 65536
+    assert {k for k in settings if k.startswith("mc.")} == {"mc.trials", "mc.seed"}
     # every dotted key belongs to a known section
     assert {k.split(".")[0] for k in settings} == {"system", "scenario", "sweep", "mc", "output"}
 
@@ -346,10 +392,16 @@ def test_selftest_passes_at_reduced_budget(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-# three MC blocks per point, the last one short
-MULTI_BLOCK = ["--trials", "10000", "--override", "mc.block_size=4096"]
+# three MC blocks per point (see multi_block), the last one short
+MULTI_BLOCK = ["--trials", "10000"]
 
 
+@pytest.fixture
+def multi_block(monkeypatch):
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 4096)
+
+
+@pytest.mark.usefixtures("multi_block")
 def test_fig7_dataset_identical_at_one_two_and_four_threads(tmp_path):
     # fig7 alternates the loop-back spread between curves, so rows redraw
     # that slot while the blocks run on the pool
@@ -362,6 +414,7 @@ def test_fig7_dataset_identical_at_one_two_and_four_threads(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.usefixtures("multi_block")
 @pytest.mark.parametrize("label,extra", [("hd-af-psr", ["--rho", "0.4"]),
                                          ("fd-df-tsr", ["--tau", "0.3"])])
 def test_sweep_rows_replay_with_point(tmp_path, label, extra):

@@ -1,17 +1,23 @@
-"""Every library name the benchmark's trace hooks patch still exists.
+"""Every library name the benchmark hooks or imports still exists.
 
 bench/spans.py skips a hook whose target is gone and only notes it, so a
 deleted or renamed function would quietly turn the benchmark's per-layer
 metrics and its MC trial-count check into a "hook missing" note.
+bench/layers.py likewise turns an ImportError, AttributeError or TypeError
+into a note and drops that layer's metrics.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from ehrelay.montecarlo import McPlan
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _hooks():
@@ -25,3 +31,28 @@ def _hooks():
                          ids=lambda x: x)
 def test_hook_target_is_callable(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def _bench_imports():
+    """(module, name) of every `from ehrelay... import name` in the files
+    whose metrics the benchmark drops on a failed import."""
+    found = set()
+    for path in (BENCH / "layers.py", BENCH / "workloads.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ehrelay":
+                found.update((node.module, alias.name) for alias in node.names)
+    return sorted(found)
+
+
+def test_bench_imports_are_found():
+    assert ("ehrelay.montecarlo", "McPlan") in _bench_imports()
+
+
+@pytest.mark.parametrize("module,name", _bench_imports(), ids=lambda x: x)
+def test_bench_import_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name)
+
+
+def test_bench_plan_arguments_bind():
+    # bench/layers.py builds its plans by keyword
+    assert McPlan(trials=10_000, seed=1) == McPlan(10_000, 1)

@@ -246,7 +246,7 @@ class TestValidation:
 
     def test_scenario_labels_roundtrip(self):
         s = Scenario.from_label("fd-af-tsr", tau=0.25)
-        assert s.label() == "fd-af-tsr" and s.tau == 0.25 and s.eh_param == 0.25
+        assert s.label() == "fd-af-tsr" and s.tau == 0.25 and s.rho is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -294,5 +294,6 @@ class TestValidation:
             OutageEstimate(1.2, "analytic")
         with pytest.raises(ValueError):
             OutageEstimate(0.5, "guesswork")
-        est = OutageEstimate(1.0, "monte_carlo", 0.0, 10000)
-        assert est.is_degenerate
+        with pytest.raises(ValueError):
+            OutageEstimate(1.0, "monte_carlo", -0.1, 10000)
+        OutageEstimate(1.0, "monte_carlo", 0.0, 10000)

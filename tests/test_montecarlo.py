@@ -19,7 +19,7 @@ TSR = Scenario("hd", "df", "tsr", tau=0.5)
 
 def test_zero_threshold_gives_degenerate_zero():
     est = estimate_outage(replace(CFG, cth=0.0), TSR, McPlan(trials=10**4, seed=1))
-    assert est.value == 0.0 and est.stderr == 0.0 and est.is_degenerate
+    assert est.value == 0.0 and est.stderr == 0.0
 
 
 def test_same_plan_is_bit_identical():
@@ -29,19 +29,21 @@ def test_same_plan_is_bit_identical():
     assert a.value == b.value and a.stderr == b.stderr and a.trials == b.trials
 
 
-def test_thread_count_does_not_change_estimate():
-    plan = McPlan(trials=3 * 10**5 + 17, seed=5150, block_size=1 << 14)
+def test_thread_count_does_not_change_estimate(monkeypatch):
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 1 << 14)
+    plan = McPlan(trials=3 * 10**5 + 17, seed=5150)
     serial = estimate_outage(CFG, TSR, plan, threads=1)
     for threads in (2, 4):
         assert estimate_outage(CFG, TSR, plan, threads=threads) == serial
 
 
-def test_fd_estimate_independent_of_threads_and_buffer_reuse():
-    # short last block; per-thread buffers must leak nothing between blocks,
+def test_fd_estimate_independent_of_threads_and_buffer_reuse(monkeypatch):
+    # short last block; per-thread arrays must leak nothing between blocks,
     # calls or threads
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 2**12)
     s = Scenario("fd", "df", "tsr", tau=0.3)
     cfg = replace(CFG, ps_watts=10.0, cth=1.0)
-    plan = McPlan(trials=5 * 2**12 + 123, seed=424242, block_size=2**12)
+    plan = McPlan(trials=5 * 2**12 + 123, seed=424242)
     first, second = estimate_outage(cfg, s, plan), estimate_outage(cfg, s, plan)
     assert 0.0 < first.value < 1.0 and first.value == second.value
     for threads in (2, 4):
@@ -57,7 +59,8 @@ def test_threaded_calls_reuse_one_pool(monkeypatch):
         return block(*args)
 
     monkeypatch.setattr(mc, "_block_outages", recorded)
-    plan = McPlan(trials=6 * 2**12 + 5, seed=77, block_size=2**12)
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 2**12)
+    plan = McPlan(trials=6 * 2**12 + 5, seed=77)
     first = estimate_outage(CFG, TSR, plan, threads=2)
     second = estimate_outage(CFG, TSR, plan, threads=2)
     assert mc._pool(2) is mc._pool(2)
@@ -141,11 +144,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             McPlan(trials=10**4, seed=2**64)
 
-    def test_block_partition_covers_trials(self):
-        plan = McPlan(trials=10**5 + 3, seed=0, block_size=2**12)
+    def test_block_partition_covers_trials(self, monkeypatch):
+        monkeypatch.setattr(mc, "BLOCK_SIZE", 2**12)
+        plan = McPlan(trials=10**5 + 3, seed=0)
         blocks = plan.blocks()
         assert sum(size for _, size in blocks) == plan.trials
         assert [i for i, _ in blocks] == list(range(len(blocks)))
+        assert [size for _, size in blocks[:-1]] == [2**12] * (len(blocks) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +163,13 @@ def _selftest_batch():
     return [p for p in cli.selftest_points(CFG) if p.axis_value in (0.0, 0.3)]
 
 
-# three blocks, the last one short
-SHORT_LAST = McPlan(trials=2 * 2**13 + 123, seed=8675309, block_size=2**13)
+# three blocks of 2**13 trials (see small_blocks), the last one short
+SHORT_LAST = McPlan(trials=2 * 2**13 + 123, seed=8675309)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 2**13)
 
 
 def _alone(points, plan):
@@ -174,6 +184,7 @@ def _expected_columns(estimates, plan):
     return [(e.value, e.stderr, e.trials, plan.seed) for e in estimates]
 
 
+@pytest.mark.usefixtures("small_blocks")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_points_equals_per_call_estimates(threads):
     points = _selftest_batch()
@@ -182,6 +193,7 @@ def test_run_points_equals_per_call_estimates(threads):
     assert _mc_columns(rows) == _expected_columns(_alone(points, SHORT_LAST), SHORT_LAST)
 
 
+@pytest.mark.usefixtures("small_blocks")
 def test_plan_over_budget_draws_per_call_and_matches(monkeypatch):
     points = _selftest_batch()
     expected = _expected_columns(_alone(points, SHORT_LAST), SHORT_LAST)
@@ -201,6 +213,7 @@ def test_plan_over_budget_draws_per_call_and_matches(monkeypatch):
     assert sum(kept) == 3 * hd_rows and len(kept) == 3 * len(points)
 
 
+@pytest.mark.usefixtures("small_blocks")
 def test_scopes_share_nothing():
     plan_a, plan_b = SHORT_LAST, replace(SHORT_LAST, seed=4)
     points = _selftest_batch()
@@ -210,6 +223,7 @@ def test_scopes_share_nothing():
     assert mc._active.get() is None
 
 
+@pytest.mark.usefixtures("small_blocks")
 def test_scope_keeps_nothing_for_another_thread():
     """A thread that runs in a copy of the scope's context draws per call,
     so no kept array is ever redrawn under a block of the owning thread."""
@@ -225,6 +239,17 @@ def test_scope_keeps_nothing_for_another_thread():
     assert result == _alone([point], SHORT_LAST)
 
 
+def test_scopes_do_not_nest_in_one_thread():
+    # both would keep their gains under the same (block index, slot) keys
+    with mc.shared_fades():
+        with pytest.raises(RuntimeError, match="do not nest"):
+            with mc.shared_fades():
+                pass
+    with mc.shared_fades():
+        pass
+
+
+@pytest.mark.usefixtures("small_blocks")
 def test_redrawn_slot_is_checked_again():
     # a loop-back gain of 10^-700 underflows to 0.0, which FadeSample rejects
     point = _selftest_batch()[-1]
@@ -237,11 +262,18 @@ def test_redrawn_slot_is_checked_again():
             estimate_outage(dead, point.scenario, SHORT_LAST)
 
 
+def _kept_arrays():
+    # the calling thread's store, (block index, slot) keys only
+    return {key: id(arr) for key, arr in vars(mc._local).items() if isinstance(key, tuple)}
+
+
+@pytest.mark.usefixtures("small_blocks")
 def test_next_scope_reuses_the_arrays_of_the_last(monkeypatch):
-    monkeypatch.setattr(mc, "_spare", [])
+    monkeypatch.setattr(mc, "_local", threading.local())
     points = _selftest_batch()
     cli.run_points(points, SHORT_LAST, 1)
-    arrays = {id(a) for a in mc._spare}
-    assert len(arrays) == 3 * len(SHORT_LAST.blocks())
+    arrays = _kept_arrays()
+    assert set(arrays) == {(index, slot) for index, _ in SHORT_LAST.blocks()
+                           for slot in range(3)}
     cli.run_points(points, SHORT_LAST, 1)
-    assert {id(a) for a in mc._spare} == arrays
+    assert _kept_arrays() == arrays

@@ -42,6 +42,14 @@ def test_bracket_meets_tolerance():
     assert 0 <= result.value_opt <= 1
 
 
+# tolerances below 1e-12 that the bracket never reaches are tested through a
+# subprocess with a timeout (test_cli), since without the check they loop forever
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1.0])
+def test_tolerance_outside_range_is_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be in"):
+        minimize_many([(CFG, TSR)], tol)
+
+
 def test_tighter_tolerance_is_stable():
     base = minimize_over_eh_param(CFG, TSR, tol=1e-3)
     fine = minimize_over_eh_param(CFG, TSR, tol=1e-4)

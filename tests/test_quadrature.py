@@ -42,7 +42,7 @@ def test_weight_normalization():
 
 
 def test_half_mass_above_median():
-    got = integrate_lognormal_weighted(lambda z: 1.0, CH, lower=CH.median_sq_gain())
+    got = integrate_lognormal_weighted(lambda z: 1.0, CH, lower=10 ** (2 * CH.mu_db / 10))
     assert got == pytest.approx(0.5, abs=1e-9)
 
 
