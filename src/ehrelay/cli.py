@@ -22,7 +22,7 @@ from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replac
 from .analytic import outage, outages
 from .lognormal import ChannelSpec
 from .model import Scenario, SystemConfig
-from .montecarlo import McPlan, estimate_outage, shared_fades
+from .montecarlo import McPlan, estimate_outage
 # minimize_over_eh_param stays importable here: bench/spans.py hooks this name
 from .optimize import minimize_many, minimize_over_eh_param
 from .quadrature import QuadratureError
@@ -39,6 +39,10 @@ EXIT_SELFTEST = 4
 
 class ConfigError(Exception):
     """User-facing configuration problem; message names the offending key."""
+
+
+class NumericalError(Exception):
+    """A Monte Carlo estimate whose fades leave the float64 range."""
 
 
 def _flatten(obj, prefix: str) -> dict:
@@ -192,7 +196,10 @@ def evaluate_point(point: SweepPoint, scenario: Scenario, analytic: float,
     """The row of one point, with its MC estimate at `scenario` (the point's own or its optimum)."""
     if plan is None:
         return Row(point.curve, point.axis, point.axis_value, analytic)
-    est = estimate_outage(point.cfg, scenario, plan, threads=threads)
+    try:
+        est = estimate_outage(point.cfg, scenario, plan, threads=threads)
+    except ValueError as exc:  # gains outside the float64 range: FadeSample rejects 0 and NaN
+        raise NumericalError(f"monte carlo: {exc}") from exc
     return Row(point.curve, point.axis, point.axis_value, analytic,
                est.value, est.stderr, est.trials, plan.seed)
 
@@ -200,7 +207,7 @@ def evaluate_point(point: SweepPoint, scenario: Scenario, analytic: float,
 def run_points(points, plan, threads) -> tuple[list[Row], list[str]]:
     """Sweep-ordered rows (analytic values from one `outages` and one `minimize_many` call) and
     dataset notes: one names every optimize point that fell back to the dense grid. Every MC
-    estimate uses `plan` as it is, so rows share their fades (see shared_fades)."""
+    estimate uses `plan` as it is, so rows share their fades (see montecarlo._block_fade)."""
     plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]))
     optima = iter(minimize_many([(p.cfg, p.scenario) for p in points if p.optimize]))
     scenarios, values, fallbacks = [], [], []
@@ -214,9 +221,7 @@ def run_points(points, plan, threads) -> tuple[list[Row], list[str]]:
         else:
             scenarios.append(p.scenario)
             values.append(next(plain))
-    with shared_fades():
-        rows = [evaluate_point(p, s, v, plan, threads)
-                for p, s, v in zip(points, scenarios, values)]
+    rows = [evaluate_point(p, s, v, plan, threads) for p, s, v in zip(points, scenarios, values)]
     notes = [f"dense-grid fallback (several local minima): {'; '.join(fallbacks)}"]
     return rows, (notes if fallbacks else [])
 
@@ -436,15 +441,13 @@ def cmd_point(args) -> int:
     analytic = outage(cfg, scenario)
     print(f"scenario           {scenario.label()}")
     print(f"analytic outage    {analytic.value:.9g}")
-    row = Row(scenario.label(), "none", 0.0, analytic.value)
-    if not args.no_mc:
-        plan = build_plan(settings)
-        mc = estimate_outage(cfg, scenario, plan, threads=args.threads)
-        print(f"monte carlo        {mc.value:.9g}")
-        print(f"difference         {abs(analytic.value - mc.value):.3e}")
-        print(f"mc stderr          {mc.stderr:.3e}  (trials {mc.trials}, seed {settings['mc.seed']})")
-        row = replace(row, mc=mc.value, mc_stderr=mc.stderr, trials=mc.trials,
-                      seed=settings["mc.seed"])
+    plan = None if args.no_mc else build_plan(settings)
+    row = evaluate_point(SweepPoint(scenario.label(), "none", 0.0, cfg, scenario), scenario,
+                         analytic.value, plan, args.threads)
+    if plan is not None:
+        print(f"monte carlo        {row.mc:.9g}")
+        print(f"difference         {abs(row.analytic - row.mc):.3e}")
+        print(f"mc stderr          {row.mc_stderr:.3e}  (trials {row.trials}, seed {row.seed})")
     if settings["output.path"]:
         emit(settings, [row], [])
     return EXIT_OK
@@ -540,6 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, scenario_flags=True, mc=True, output=True):
+        p.set_defaults(parser=p)  # main reports a flag p does not take with p's usage
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="set any config key; repeatable")
@@ -587,7 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
@@ -595,7 +601,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QuadratureError as exc:
+    except (QuadratureError, NumericalError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

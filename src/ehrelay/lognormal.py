@@ -91,6 +91,8 @@ def sample_sq_gain(ch: ChannelSpec, rng: np.random.Generator, size=None, out=Non
     2*sigma_db*n for the standard normals n, the same ones `rng.normal`
     would use.
     """
+    if size is None and out is None:
+        raise TypeError("sample_sq_gain needs `size` or `out`")
     scale, shift = 2.0 * ch.sigma_db / XI, 2.0 * ch.mu_db / XI
     n = rng.standard_normal(size, out=out)
     np.multiply(n, scale, out=n)

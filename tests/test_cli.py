@@ -15,6 +15,7 @@ import ehrelay.optimize as opt
 from ehrelay.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     Row,
     boundary_points,
@@ -28,6 +29,14 @@ from ehrelay.model import SystemConfig
 
 def run(args):
     return main(args)
+
+
+def run_subprocess(args, timeout=60):
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "ehrelay.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestPoint:
@@ -202,14 +211,18 @@ class TestOptimize:
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-300"])
     def test_bad_tolerance_rejected(self, tol):
         # a subprocess with a timeout: a tolerance the bracket never reaches loops forever
-        src = str(Path(mc.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "ehrelay.cli", "optimize", "--scenario",
-                               "hd-df-tsr", f"--tol={tol}"], env=env, capture_output=True,
-                              text=True, timeout=60)
+        proc = run_subprocess(["optimize", "--scenario", "hd-df-tsr", f"--tol={tol}"])
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("config error: --tol: ")
+
+    @pytest.mark.parametrize("command", ["point", "selftest"])
+    def test_mc_gains_out_of_float_range_exit_numerical(self, command):
+        # a 1e300 dB spread makes exp() of the dB draws underflow to 0 or overflow
+        proc = run_subprocess([command, "--trials", "10000",
+                               "--override", "system.ch1.sigma_db=1e300"])
+        assert proc.returncode == EXIT_NUMERICAL
+        assert "numerical error: monte carlo: x must be strictly positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_finest_tolerance_converges(self, capsys):
         assert run(["optimize", "--scenario", "hd-df-psr", "--tol", "1e-12"]) == EXIT_OK
@@ -230,7 +243,9 @@ def test_flag_the_subcommand_never_reads_is_rejected(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, *flag])
     assert exc.value.code == EXIT_CONFIG
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ehrelay {command} ")
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 class TestFigures:

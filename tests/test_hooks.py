@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+import ehrelay.montecarlo as mc
+from ehrelay import SystemConfig, cli
 from ehrelay.montecarlo import McPlan
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -56,3 +58,33 @@ def test_bench_import_resolves(module, name):
 def test_bench_plan_arguments_bind():
     # bench/layers.py builds its plans by keyword
     assert McPlan(trials=10_000, seed=1) == McPlan(10_000, 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_mc_row_is_one_estimate_call_deciding_its_trials(monkeypatch, threads):
+    """The benchmark counts each row's trials from the outage-indicator calls
+    below its `cli.estimate_outage` call, so a dataset run makes one call per
+    MC row with the benchmark's signature, and each decides plan.trials trials."""
+    decided = []  # per estimate_outage call, the size of each outage decision
+    estimate, indicator = cli.estimate_outage, mc.outage_indicator
+
+    def fake_estimate(cfg, scenario, plan, threads=1):
+        decided.append([])
+        return estimate(cfg, scenario, plan, threads=threads)
+
+    def counted_indicator(*args, **kwargs):
+        out = indicator(*args, **kwargs)
+        decided[-1].append(out.size)
+        return out
+
+    monkeypatch.setattr(cli, "estimate_outage", fake_estimate)
+    monkeypatch.setattr(mc, "outage_indicator", counted_indicator)
+    monkeypatch.setattr(mc, "BLOCK_SIZE", 2**13)
+    plan = McPlan(trials=2 * 2**13 + 123, seed=11)
+    points = [p for p in cli.selftest_points(SystemConfig()) if p.axis_value in (0.0, 0.3)]
+    for _ in range(2):  # the second run finds every block's gains kept
+        decided.clear()
+        cli.run_points(points, plan, threads)
+        assert len(decided) == len(points)
+        assert [sum(sizes) for sizes in decided] == [plan.trials] * len(points)
+        assert all(len(sizes) == len(plan.blocks()) for sizes in decided)

@@ -205,6 +205,10 @@ class TestSampler:
             assert sample_sq_gain(CH, rng_a, out=buf) is buf
             assert np.array_equal(buf, sample_sq_gain(CH, rng_b, 1000))
 
+    def test_draw_needs_size_or_out(self):
+        with pytest.raises(TypeError, match="needs `size` or `out`"):
+            sample_sq_gain(CH, np.random.default_rng(7))
+
 
 def test_channel_spec_validation():
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Monte Carlo estimator: determinism, block structure and cost handling."""
 
-import contextvars
+import itertools
+import sys
 import threading
 from dataclasses import replace
 
@@ -154,7 +155,7 @@ class TestPlanValidation:
 
 
 # ---------------------------------------------------------------------------
-# shared_fades: blocks drawn once per scope, estimates unchanged
+# the memo of block gains: each block drawn once per thread, estimates unchanged
 
 def _selftest_batch():
     """Every variant at one grid value each, in selftest order: per relay HD
@@ -172,8 +173,24 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(mc, "BLOCK_SIZE", 2**13)
 
 
-def _alone(points, plan):
-    return [estimate_outage(p.cfg, p.scenario, plan) for p in points]
+@pytest.fixture
+def empty_stores(monkeypatch):
+    # every thread's store starts empty, whatever earlier tests kept
+    monkeypatch.setattr(mc, "_local", threading.local())
+
+
+def _in_fresh_thread(fn):
+    """fn() run in a new thread, whose store starts empty, so every block is drawn afresh."""
+    result = []
+    t = threading.Thread(target=lambda: result.append(fn()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(result) == 1
+    return result[0]
+
+
+def _fresh(points, plan):
+    return _in_fresh_thread(lambda: [estimate_outage(p.cfg, p.scenario, plan) for p in points])
 
 
 def _mc_columns(rows):
@@ -184,69 +201,79 @@ def _expected_columns(estimates, plan):
     return [(e.value, e.stderr, e.trials, plan.seed) for e in estimates]
 
 
-@pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("threads", [1, 2])
+def _tags(store):
+    """(entry, slot) -> tag of every kept slot in `store`."""
+    return {(key[1], slot): kept[0] for key, value in store.items() if key[0] == "kept"
+            for slot, kept in value.items()}
+
+
+@pytest.fixture
+def short_switches():
+    # more workers than cores, switching often, so a lost update would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("small_blocks", "empty_stores", "short_switches")
+@pytest.mark.parametrize("threads", [1, 2, 4])
 def test_run_points_equals_per_call_estimates(threads):
     points = _selftest_batch()
     assert len({p.scenario.label() for p in points}) == 8
     rows, _ = cli.run_points(points, SHORT_LAST, threads)
-    assert _mc_columns(rows) == _expected_columns(_alone(points, SHORT_LAST), SHORT_LAST)
+    assert _mc_columns(rows) == _expected_columns(_fresh(points, SHORT_LAST), SHORT_LAST)
+    # a plan that fits the memo keeps its gains in the caller's store, even on the pool
+    assert {index for index, _ in _tags(vars(mc._local))} == {0, 1, 2}
 
 
-@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.usefixtures("small_blocks", "empty_stores", "short_switches")
 def test_plan_over_budget_draws_per_call_and_matches(monkeypatch):
+    """A plan of more blocks than the memo keeps wraps its entries: a block
+    overwrites one kept for an earlier block, and every estimate still matches."""
     points = _selftest_batch()
-    expected = _expected_columns(_alone(points, SHORT_LAST), SHORT_LAST)
-    kept = []
+    expected = _expected_columns(_fresh(points, SHORT_LAST), SHORT_LAST)
+    draws = []
 
-    def recorded(*args):
-        kept.append(args[-1] is not None)
-        return block(*args)
+    def counted(*args, **kwargs):
+        draws.append(None)
+        return sample_sq_gain(*args, **kwargs)
 
-    block = mc._block_outages
-    monkeypatch.setattr(mc, "_block_outages", recorded)
-    # room for the HD plans' two slots but not the FD plans' three
-    monkeypatch.setattr(mc, "_SHARED_BYTES", 8 * SHORT_LAST.trials * 2)
-    rows, _ = cli.run_points(points, SHORT_LAST, 1)
-    assert _mc_columns(rows) == expected
-    hd_rows = sum(p.scenario.duplex == "hd" for p in points)
-    assert sum(kept) == 3 * hd_rows and len(kept) == 3 * len(points)
+    monkeypatch.setattr(mc, "sample_sq_gain", counted)
+    for kept_blocks, threads in itertools.product((1, 2), (1, 2, 4)):
+        monkeypatch.setattr(mc, "_KEPT_BLOCKS", kept_blocks)
+        draws.clear()
+        rows, _ = cli.run_points(points, SHORT_LAST, threads)
+        assert _mc_columns(rows) == expected
+        if kept_blocks == 1 and threads == 1:  # each block finds the last block's gains
+            slots = {"hd": 2, "fd": 3}
+            assert len(draws) == 3 * sum(slots[p.scenario.duplex] for p in points)
 
 
 @pytest.mark.usefixtures("small_blocks")
 def test_scopes_share_nothing():
+    """Two seeds interleaved row by row: neither reuses the other's gains."""
     plan_a, plan_b = SHORT_LAST, replace(SHORT_LAST, seed=4)
     points = _selftest_batch()
-    cli.run_points(points, plan_a, 1)
-    rows, _ = cli.run_points(points, plan_b, 1)
-    assert _mc_columns(rows) == _expected_columns(_alone(points, plan_b), plan_b)
-    assert mc._active.get() is None
+    got = [[estimate_outage(p.cfg, p.scenario, plan) for plan in (plan_a, plan_b)]
+           for p in points]
+    assert got == [list(pair) for pair in zip(_fresh(points, plan_a), _fresh(points, plan_b))]
 
 
-@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.usefixtures("small_blocks", "empty_stores")
 def test_scope_keeps_nothing_for_another_thread():
-    """A thread that runs in a copy of the scope's context draws per call,
-    so no kept array is ever redrawn under a block of the owning thread."""
+    """Another thread's estimate draws into its own store and leaves the
+    calling thread's tags as they were."""
     point = _selftest_batch()[-1]
-    with mc.shared_fades():
-        fades = mc._active.get()
-        result = []
-        t = threading.Thread(target=contextvars.copy_context().run, args=(
-            lambda: result.append(estimate_outage(point.cfg, point.scenario, SHORT_LAST)),))
-        t.start()
-        t.join()
-        assert fades.kept == {} and fades.plan is None
-    assert result == _alone([point], SHORT_LAST)
-
-
-def test_scopes_do_not_nest_in_one_thread():
-    # both would keep their gains under the same (block index, slot) keys
-    with mc.shared_fades():
-        with pytest.raises(RuntimeError, match="do not nest"):
-            with mc.shared_fades():
-                pass
-    with mc.shared_fades():
-        pass
+    mine = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+    tags = _tags(vars(mc._local))
+    assert len(tags) == 3 * 3
+    other = replace(SHORT_LAST, seed=5)
+    theirs = _in_fresh_thread(lambda: estimate_outage(point.cfg, point.scenario, other))
+    assert _tags(vars(mc._local)) == tags
+    assert [theirs] == _fresh([point], other) and [mine] == _fresh([point], SHORT_LAST)
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -254,26 +281,46 @@ def test_redrawn_slot_is_checked_again():
     # a loop-back gain of 10^-700 underflows to 0.0, which FadeSample rejects
     point = _selftest_batch()[-1]
     dead = replace(point.cfg, chg=ChannelSpec(-3500.0, 1.0))
-    with pytest.raises(ValueError, match="w must be strictly positive"):
-        estimate_outage(dead, point.scenario, SHORT_LAST)
-    with mc.shared_fades():
-        estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+    estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+    for _ in range(2):  # redrawn, then kept but still checked
         with pytest.raises(ValueError, match="w must be strictly positive"):
             estimate_outage(dead, point.scenario, SHORT_LAST)
-
-
-def _kept_arrays():
-    # the calling thread's store, (block index, slot) keys only
-    return {key: id(arr) for key, arr in vars(mc._local).items() if isinstance(key, tuple)}
+    assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
+        _fresh([point], SHORT_LAST)
 
 
 @pytest.mark.usefixtures("small_blocks")
-def test_next_scope_reuses_the_arrays_of_the_last(monkeypatch):
-    monkeypatch.setattr(mc, "_local", threading.local())
+def test_interrupted_draw_leaves_no_stale_tag(monkeypatch):
+    """A draw that writes its array and then raises must not leave the
+    array's old tag behind: asking for that tag again draws afresh."""
+    point = _selftest_batch()[-1]
+    estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+
+    def interrupted(ch, rng, size=None, out=None):
+        out.fill(1.0)
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patched, pytest.raises(KeyboardInterrupt):
+        patched.setattr(mc, "sample_sq_gain", interrupted)
+        estimate_outage(point.cfg, point.scenario, replace(SHORT_LAST, seed=6))
+    assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
+        _fresh([point], SHORT_LAST)
+
+
+def _arrays():
+    # the calling thread's store, arrays only
+    return {key: id(arr) for key, arr in vars(mc._local).items() if isinstance(arr, np.ndarray)}
+
+
+@pytest.mark.usefixtures("small_blocks", "empty_stores")
+def test_next_scope_reuses_the_arrays_of_the_last():
+    """A second run, at another seed, redraws every block in place and
+    allocates no array."""
     points = _selftest_batch()
     cli.run_points(points, SHORT_LAST, 1)
-    arrays = _kept_arrays()
-    assert set(arrays) == {(index, slot) for index, _ in SHORT_LAST.blocks()
-                           for slot in range(3)}
-    cli.run_points(points, SHORT_LAST, 1)
-    assert _kept_arrays() == arrays
+    arrays = _arrays()
+    assert {key for key in arrays if key[0] == "gains"} == {
+        ("gains", index, slot) for index, _ in SHORT_LAST.blocks() for slot in range(3)}
+    cli.run_points(points, replace(SHORT_LAST, seed=9), 1)
+    assert _arrays() == arrays
+    assert {tag[0] for tag in _tags(vars(mc._local)).values()} == {9}
