@@ -21,7 +21,7 @@ from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replac
 
 from .analytic import outage, outages
 from .lognormal import ChannelSpec
-from .model import Scenario, SystemConfig
+from .model import FadeRangeError, Scenario, SystemConfig
 from .montecarlo import McPlan, estimate_outage
 # minimize_over_eh_param stays importable here: bench/spans.py hooks this name
 from .optimize import minimize_many, minimize_over_eh_param
@@ -39,10 +39,6 @@ EXIT_SELFTEST = 4
 
 class ConfigError(Exception):
     """User-facing configuration problem; message names the offending key."""
-
-
-class NumericalError(Exception):
-    """A Monte Carlo estimate whose fades leave the float64 range."""
 
 
 def _flatten(obj, prefix: str) -> dict:
@@ -196,10 +192,7 @@ def evaluate_point(point: SweepPoint, scenario: Scenario, analytic: float,
     """The row of one point, with its MC estimate at `scenario` (the point's own or its optimum)."""
     if plan is None:
         return Row(point.curve, point.axis, point.axis_value, analytic)
-    try:
-        est = estimate_outage(point.cfg, scenario, plan, threads=threads)
-    except ValueError as exc:  # gains outside the float64 range: FadeSample rejects 0 and NaN
-        raise NumericalError(f"monte carlo: {exc}") from exc
+    est = estimate_outage(point.cfg, scenario, plan, threads=threads)
     return Row(point.curve, point.axis, point.axis_value, analytic,
                est.value, est.stderr, est.trials, plan.seed)
 
@@ -601,7 +594,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, NumericalError) as exc:
+    except (QuadratureError, FadeRangeError) as exc:  # MC gains outside the float64 range
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

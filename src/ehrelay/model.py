@@ -143,6 +143,10 @@ class Scenario:
                    pc_fraction=pc_fraction)
 
 
+class FadeRangeError(ValueError):
+    """Squared gains that are not all strictly positive, as when fades leave the float64 range."""
+
+
 @dataclass(frozen=True)
 class FadeSample:
     """One joint realization of squared gains (arrays allowed): x = h1^2,
@@ -156,7 +160,7 @@ class FadeSample:
         # one reduction per channel and no temporary; a NaN minimum fails too
         for name in ("x", "y") if self.w is None else ("x", "y", "w"):
             if not np.asarray(getattr(self, name)).min(initial=np.inf) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise FadeRangeError(f"{name} must be strictly positive")
 
 
 def hop_losses(cfg: SystemConfig) -> tuple[float, float]:

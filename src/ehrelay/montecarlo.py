@@ -74,19 +74,20 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-# Blocks whose gains one store keeps; block i uses entry i % _KEPT_BLOCKS, so at most
-# 8 blocks x 3 slots x 512 KiB = 12 MiB per thread.
-_KEPT_BLOCKS = 8
+# Bytes of gains a plan may keep in a store, 8 per trial and slot: HD plans of up
+# to 2**20 trials and FD plans of up to 699,050 keep them; a larger plan keeps none.
+_KEPT_BYTES = 16 << 20
 
 
-def _block_fade(seed: int, index: int, size: int, channels, store: dict) -> FadeSample:
+def _block_fade(seed: int, index: int, size: int, channels, store: dict | None) -> FadeSample:
     """The squared gains of block `index` for the slots of `channels`, from
-    memo entry `index % _KEPT_BLOCKS` of `store`. A slot's normals depend
-    only on (seed, index, size), so gains tagged (seed, index, size, spec)
-    are what a fresh draw gives, whichever call asks. A slot whose tag
-    differs is redrawn in place, from the state saved after the slot before
-    it. A checked FadeSample is kept until a slot it uses is redrawn."""
-    entry = index % _KEPT_BLOCKS
+    memo entry `index` of `store`, or from entry 0 of the running thread's
+    store when `store` is None. A slot's normals depend only on (seed, index,
+    size), so gains tagged (seed, index, size, spec) are what a fresh draw
+    gives, whichever call asks. A slot whose tag differs is redrawn in place,
+    from the state saved after the slot before it. A checked FadeSample is
+    kept until a slot it uses is redrawn."""
+    entry, store = (index, store) if store is not None else (0, vars(_local))
     kept = store.setdefault(("kept", entry), {})  # slot -> (tag, state after it, gains)
     samples = store.setdefault(("samples", entry), {})  # slot count -> FadeSample
     for slot, ch in enumerate(channels):
@@ -109,7 +110,7 @@ def _block_fade(seed: int, index: int, size: int, channels, store: dict) -> Fade
 
 def _block_outages(cfg: SystemConfig, scenario: Scenario, channels, seed: int, index: int,
                    size: int, store: dict | None) -> int:
-    fade = _block_fade(seed, index, size, channels, vars(_local) if store is None else store)
+    fade = _block_fade(seed, index, size, channels, store)
     scratch = [_thread_array(key, size) for key in ("scratch0", "scratch1")]
     return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=scratch)))
 
@@ -123,16 +124,20 @@ def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
     """
     blocks = plan.blocks()
     channels = (cfg.ch1, cfg.ch2, cfg.chg) if scenario.duplex == "fd" else (cfg.ch1, cfg.ch2)
-    # blocks of a plan that fits the memo map to distinct entries, so pool
-    # workers may share the caller's store; a larger plan uses each worker's own
-    store = vars(_local) if len(blocks) <= _KEPT_BLOCKS else None
+    # a plan that keeps its gains puts each block in its own entry of the caller's
+    # store, which pool workers share; a larger plan draws into entry 0 of each thread's
+    store = vars(_local) if 8 * plan.trials * len(channels) <= _KEPT_BYTES else None
     if threads > 1 and len(blocks) > 1:
         pool = _pool(threads)
         futures = [pool.submit(_block_outages, cfg, scenario, channels, plan.seed, index,
                                size, store)
                    for index, size in blocks]
-        wait(futures)  # no block still writes the caller's store once this call returns or raises
-        counts = [f.result() for f in futures]
+        try:
+            counts = [f.result() for f in futures]
+        finally:  # even when interrupted, no block outlives the call to write the store
+            for f in futures:
+                f.cancel()
+            wait(futures)
     else:
         counts = [_block_outages(cfg, scenario, channels, plan.seed, index, size, store)
                   for index, size in blocks]

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ehrelay.cli as cli
 import ehrelay.montecarlo as mc
 import ehrelay.optimize as opt
 from ehrelay.cli import (
@@ -221,8 +222,18 @@ class TestOptimize:
         proc = run_subprocess([command, "--trials", "10000",
                                "--override", "system.ch1.sigma_db=1e300"])
         assert proc.returncode == EXIT_NUMERICAL
-        assert "numerical error: monte carlo: x must be strictly positive" in proc.stderr
+        assert "numerical error: x must be strictly positive" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_other_value_error_is_not_numerical(self, monkeypatch):
+        # only FadeRangeError means gains outside the float64 range; any other
+        # ValueError from the MC path keeps its traceback
+        def broken(*args, **kwargs):
+            raise ValueError("broken plumbing")
+
+        monkeypatch.setattr(cli, "estimate_outage", broken)
+        with pytest.raises(ValueError, match="broken plumbing"):
+            run(["point", "--trials", "10000"])
 
     def test_finest_tolerance_converges(self, capsys):
         assert run(["optimize", "--scenario", "hd-df-psr", "--tol", "1e-12"]) == EXIT_OK

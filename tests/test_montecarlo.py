@@ -1,8 +1,10 @@
 """Monte Carlo estimator: determinism, block structure and cost handling."""
 
 import itertools
+import signal
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 import ehrelay.montecarlo as mc
 from ehrelay import cli
 from ehrelay.lognormal import ChannelSpec, sample_sq_gain
-from ehrelay.model import FadeSample, Scenario, SystemConfig, outage_indicator
+from ehrelay.model import FadeRangeError, FadeSample, Scenario, SystemConfig, outage_indicator
 from ehrelay.montecarlo import McPlan, estimate_outage
 
 CFG = SystemConfig()
@@ -231,25 +233,37 @@ def test_run_points_equals_per_call_estimates(threads):
 
 @pytest.mark.usefixtures("small_blocks", "empty_stores", "short_switches")
 def test_plan_over_budget_draws_per_call_and_matches(monkeypatch):
-    """A plan of more blocks than the memo keeps wraps its entries: a block
-    overwrites one kept for an earlier block, and every estimate still matches."""
+    """A plan whose gains exceed the budget keeps none: every thread draws each
+    of its blocks into entry 0 of its own store, and every estimate still
+    matches. A budget between the HD and FD sizes keeps only HD gains."""
     points = _selftest_batch()
     expected = _expected_columns(_fresh(points, SHORT_LAST), SHORT_LAST)
-    draws = []
+    draws, stores = [], []
+    fade = mc._block_fade
 
     def counted(*args, **kwargs):
         draws.append(None)
         return sample_sq_gain(*args, **kwargs)
 
+    def recorded(*args):
+        stores.append(vars(mc._local) if args[-1] is None else args[-1])
+        return fade(*args)
+
     monkeypatch.setattr(mc, "sample_sq_gain", counted)
-    for kept_blocks, threads in itertools.product((1, 2), (1, 2, 4)):
-        monkeypatch.setattr(mc, "_KEPT_BLOCKS", kept_blocks)
+    monkeypatch.setattr(mc, "_block_fade", recorded)
+    hd_bytes = 8 * SHORT_LAST.trials * 2
+    for budget, threads in itertools.product((0, hd_bytes), (1, 2, 4)):
+        monkeypatch.setattr(mc, "_KEPT_BYTES", budget)
         draws.clear()
         rows, _ = cli.run_points(points, SHORT_LAST, threads)
         assert _mc_columns(rows) == expected
-        if kept_blocks == 1 and threads == 1:  # each block finds the last block's gains
+        if budget == 0:  # no store keeps more than one entry
+            assert {index for store in stores for index, _ in _tags(store)} == {0}
+        if budget == 0 and threads == 1:  # each block finds the last block's gains
             slots = {"hd": 2, "fd": 3}
             assert len(draws) == 3 * sum(slots[p.scenario.duplex] for p in points)
+    # at the last budget the caller's store keeps HD gains in entries 0-2, FD ones in entry 0
+    assert set(_tags(vars(mc._local))) == {(i, s) for i in range(3) for s in range(2)} | {(0, 2)}
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -283,7 +297,7 @@ def test_redrawn_slot_is_checked_again():
     dead = replace(point.cfg, chg=ChannelSpec(-3500.0, 1.0))
     estimate_outage(point.cfg, point.scenario, SHORT_LAST)
     for _ in range(2):  # redrawn, then kept but still checked
-        with pytest.raises(ValueError, match="w must be strictly positive"):
+        with pytest.raises(FadeRangeError, match="w must be strictly positive"):
             estimate_outage(dead, point.scenario, SHORT_LAST)
     assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
         _fresh([point], SHORT_LAST)
@@ -304,6 +318,35 @@ def test_interrupted_draw_leaves_no_stale_tag(monkeypatch):
         patched.setattr(mc, "sample_sq_gain", interrupted)
         estimate_outage(point.cfg, point.scenario, replace(SHORT_LAST, seed=6))
     assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
+        _fresh([point], SHORT_LAST)
+
+
+@pytest.mark.usefixtures("small_blocks", "empty_stores")
+def test_interrupted_call_lets_no_block_outlive_it(monkeypatch):
+    """A caller interrupted while its blocks run on the pool raises only once
+    none of them can still write its store."""
+    point = _selftest_batch()[-1]
+    finished = []
+    block = mc._block_outages
+
+    def interrupting(*args):
+        if args[4] == 0:  # interrupts the caller waiting for the results, then draws
+            time.sleep(0.05)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.2)
+        count = block(*args)
+        finished.append(args[4])
+        return count
+
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with monkeypatch.context() as patched, pytest.raises(KeyboardInterrupt):
+            patched.setattr(mc, "_block_outages", interrupting)
+            estimate_outage(point.cfg, point.scenario, SHORT_LAST, threads=2)
+        assert 0 in finished
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST, threads=2)] == \
         _fresh([point], SHORT_LAST)
 
 
