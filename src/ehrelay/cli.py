@@ -14,20 +14,20 @@ from its own header.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 
 from .analytic import outage, outages
-from .lognormal import ChannelSpec
+from .grids import (FIGURE_PRESETS, SWEEP_AXES, SweepPoint, axis_points, boundary_points,
+                    fmt_value, selftest_points)
 from .model import FadeRangeError, Scenario, SystemConfig
 from .montecarlo import McPlan, estimate_outage
 # minimize_over_eh_param stays importable here: bench/spans.py hooks this name
 from .optimize import minimize_many, minimize_over_eh_param
 from .quadrature import QuadratureError
-
-SWEEP_AXES = ("tau", "rho", "cth", "d1", "sigma_db", "ps", "sigma_g_db")
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -131,40 +131,13 @@ def build_system(settings: dict) -> SystemConfig:
 
 
 def build_scenario(settings: dict) -> Scenario:
-    eh = settings["scenario.eh"]
-    return _construct(
-        "scenario", Scenario,
-        duplex=settings["scenario.duplex"],
-        relay=settings["scenario.relay"],
-        eh=eh,
-        tau=settings["scenario.tau"] if eh == "tsr" else None,
-        rho=settings["scenario.rho"] if eh == "psr" else None,
-        pc_fraction=settings["scenario.pc_fraction"],
-    )
+    label = "-".join(settings[f"scenario.{part}"] for part in ("duplex", "relay", "eh"))
+    return _construct("scenario", Scenario.from_label, label, settings["scenario.tau"],
+                      settings["scenario.rho"], settings["scenario.pc_fraction"])
 
 
 def build_plan(settings: dict) -> McPlan:
     return _construct("mc", _from_settings, McPlan, settings, "mc.")
-
-
-def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One dataset row waiting to be evaluated."""
-
-    curve: str
-    axis: str
-    axis_value: float
-    cfg: SystemConfig
-    scenario: Scenario
-    optimize: bool = False
 
 
 @dataclass(frozen=True)
@@ -181,40 +154,34 @@ class Row:
     seed: int | None = None
 
     def csv(self) -> str:
-        return ",".join(_fmt(value) for value in astuple(self))
+        return ",".join(fmt_value(value) for value in vars(self).values())
 
 
 CSV_HEADER = ",".join(f.name for f in fields(Row))
 
 
-def evaluate_point(point: SweepPoint, scenario: Scenario, analytic: float,
-                   plan: McPlan | None, threads: int) -> Row:
-    """The row of one point, with its MC estimate at `scenario` (the point's own or its optimum)."""
-    if plan is None:
-        return Row(point.curve, point.axis, point.axis_value, analytic)
-    est = estimate_outage(point.cfg, scenario, plan, threads=threads)
-    return Row(point.curve, point.axis, point.axis_value, analytic,
-               est.value, est.stderr, est.trials, plan.seed)
-
-
 def run_points(points, plan, threads) -> tuple[list[Row], list[str]]:
     """Sweep-ordered rows (analytic values from one `outages` and one `minimize_many` call) and
-    dataset notes: one names every optimize point that fell back to the dense grid. Every MC
-    estimate uses `plan` as it is, so rows share their fades (see montecarlo._block_fade)."""
+    dataset notes: one names every optimize point that fell back to the dense grid. With a
+    `plan`, each row makes one `estimate_outage` call at `plan` as it is (at its optimum for an
+    optimize point), so rows share their fades (see montecarlo._block_fade)."""
     plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]))
     optima = iter(minimize_many([(p.cfg, p.scenario) for p in points if p.optimize]))
-    scenarios, values, fallbacks = [], [], []
+    rows, fallbacks = [], []
     for p in points:
+        scenario = p.scenario
         if p.optimize:
             result = next(optima)
-            scenarios.append(p.scenario.with_eh_param(result.arg_opt))
-            values.append(result.value_opt)
+            scenario, value = scenario.with_eh_param(result.arg_opt), result.value_opt
             if result.non_unimodal:
-                fallbacks.append(f"{p.curve} {p.axis}={_fmt(p.axis_value)}")
+                fallbacks.append(f"{p.curve} {p.axis}={fmt_value(p.axis_value)}")
         else:
-            scenarios.append(p.scenario)
-            values.append(next(plain))
-    rows = [evaluate_point(p, s, v, plan, threads) for p, s, v in zip(points, scenarios, values)]
+            value = next(plain)
+        mc = ()
+        if plan is not None:
+            est = estimate_outage(p.cfg, scenario, plan, threads=threads)
+            mc = (est.value, est.stderr, est.trials, plan.seed)
+        rows.append(Row(p.curve, p.axis, p.axis_value, value, *mc))
     notes = [f"dense-grid fallback (several local minima): {'; '.join(fallbacks)}"]
     return rows, (notes if fallbacks else [])
 
@@ -224,9 +191,9 @@ def dataset_text(settings: dict, rows: list[Row], fmt: str, notes: list[str]) ->
     # otherwise-identical datasets differ byte-wise
     echoed = {key: settings[key] for key in sorted(settings) if key != "output.path"}
     if fmt == "json":
-        payload = {"settings": echoed, "notes": notes, "rows": [asdict(r) for r in rows]}
+        payload = {"settings": echoed, "notes": notes, "rows": [vars(r) for r in rows]}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    lines = [f"# {key} = {_fmt(value)}" for key, value in echoed.items()]
+    lines = [f"# {key} = {fmt_value(value)}" for key, value in echoed.items()]
     lines += [f"# note: {n}" for n in notes]
     lines.append(CSV_HEADER)
     lines += [r.csv() for r in rows]
@@ -241,157 +208,6 @@ def emit(settings: dict, rows: list[Row], notes: list[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-# ---------------------------------------------------------------------------
-# axis application and curves
-
-def apply_axis(cfg: SystemConfig, scenario: Scenario, total: str | float,
-               axis: str, value: float) -> tuple[SystemConfig, Scenario]:
-    """(cfg, scenario) with `axis` set to `value`. A d1 sweep with a
-    `total` distance other than "" keeps d1 + d2 equal to it."""
-    try:
-        if axis in ("tau", "rho"):
-            if scenario.eh_param_name != axis:
-                eh = "tsr" if axis == "tau" else "psr"
-                raise ConfigError(f"sweep.axis: {axis} sweeps need a {eh} scenario")
-            return cfg, scenario.with_eh_param(value)
-        if axis == "cth":
-            return replace(cfg, cth=value), scenario
-        if axis == "d1":
-            if total != "":
-                d2 = total - value
-                if not d2 > 0:
-                    raise ConfigError(
-                        f"sweep.values: d1 = {value} leaves no room under total {total}")
-                return replace(cfg, d1_m=value, d2_m=d2), scenario
-            return replace(cfg, d1_m=value), scenario
-        if axis == "sigma_db":
-            return replace(cfg,
-                           ch1=ChannelSpec(cfg.ch1.mu_db, value),
-                           ch2=ChannelSpec(cfg.ch2.mu_db, value)), scenario
-        if axis == "ps":
-            return replace(cfg, ps_watts=value), scenario
-        if axis == "sigma_g_db":
-            return replace(cfg, chg=ChannelSpec(cfg.chg.mu_db, value)), scenario
-    except ValueError as exc:
-        raise ConfigError(f"sweep.values: {axis} = {value}: {exc}") from exc
-    raise ConfigError(f"sweep.axis: must be one of {SWEEP_AXES}, got {axis!r}")
-
-
-def axis_points(cfg: SystemConfig, base: Scenario, axis: str, values, curve: str = "",
-                total: str | float = "", optimize: bool = False) -> list[SweepPoint]:
-    """One curve: `base` on `cfg` with `axis` set to each value in turn (see
-    apply_axis), named `curve` or else after the scenario."""
-    points = []
-    for value in values:
-        c, s = apply_axis(cfg, base, total, axis, value)
-        points.append(SweepPoint(curve or s.label(), axis, value, c, s, optimize))
-    return points
-
-
-def base_scenario(label: str) -> Scenario:
-    """The scenario named `label` with its harvesting parameter, if any, at 0.5."""
-    return Scenario.from_label(label, tau=0.5, rho=0.5)
-
-
-def hd_param_curves(cfg: SystemConfig, relay: str, grid) -> list[SweepPoint]:
-    """The HD TSR curve over tau, then the HD PSR curve over rho, of one relay."""
-    return (axis_points(cfg, base_scenario(f"hd-{relay}-tsr"), "tau", grid)
-            + axis_points(cfg, base_scenario(f"hd-{relay}-psr"), "rho", grid))
-
-
-# ---------------------------------------------------------------------------
-# figure presets
-
-def preset_fig4(cfg: SystemConfig):
-    """Outage versus tau/rho for the four parameterized HD systems."""
-    grid = [round(0.05 * i, 2) for i in range(1, 20)]
-    return hd_param_curves(cfg, "df", grid) + hd_param_curves(cfg, "af", grid), []
-
-
-def preset_fig5(cfg: SystemConfig):
-    """Minimum achievable outage versus channel spread for the six HD systems."""
-    sigmas = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    points = []
-    for ps in (1.0, 5.0):
-        for relay in ("df", "af"):
-            for eh in ("tsr", "psr", "irr"):
-                base = base_scenario(f"hd-{relay}-{eh}")
-                cfg_ps, _ = apply_axis(cfg, base, "", "ps", ps)
-                points += axis_points(cfg_ps, base, "sigma_db", sigmas,
-                                      f"{base.label()} ps={_fmt(ps)}", optimize=eh != "irr")
-    return points, ["sigma_db sweep values are implementation-chosen"]
-
-
-def preset_fig6(cfg: SystemConfig):
-    """Outage versus relay position under a fixed 30 m end-to-end distance."""
-    d1_values = [float(d) for d in range(3, 28, 2)]
-    points = []
-    for pc in (0.0, 0.01, 0.02):
-        points += axis_points(cfg, Scenario("hd", "df", "irr", pc_fraction=pc), "d1",
-                              d1_values, f"hd-df-irr pc={_fmt(pc)}", total=30.0)
-    points += axis_points(cfg, Scenario("hd", "af", "irr"), "d1", d1_values, total=30.0)
-    return points, ["d1 + d2 fixed at 30 m"]
-
-
-def preset_fig7(cfg: SystemConfig):
-    """Outage versus threshold rate for FD and HD TSR systems at tau = 0.01."""
-    cth_values = [round(0.5 + 0.25 * i, 2) for i in range(15)]
-    points = []
-    for ps in (1.0, 10.0):
-        for relay in ("df", "af"):
-            fd = Scenario("fd", relay, "tsr", tau=0.01)
-            cfg_ps, _ = apply_axis(cfg, fd, "", "ps", ps)
-            for sg2 in (2.0, 5.0):
-                c, _ = apply_axis(cfg_ps, fd, "", "sigma_g_db", math.sqrt(sg2))
-                points += axis_points(c, fd, "cth", cth_values,
-                                      f"fd-{relay}-tsr ps={_fmt(ps)} sg2={_fmt(sg2)}")
-            points += axis_points(cfg_ps, Scenario("hd", relay, "tsr", tau=0.01), "cth",
-                                  cth_values, f"hd-{relay}-tsr ps={_fmt(ps)}")
-    return points, ["tau fixed at 0.01; loop-back spread per-curve via sg2"]
-
-
-FIGURE_PRESETS = {
-    "fig4": preset_fig4,
-    "fig5": preset_fig5,
-    "fig6": preset_fig6,
-    "fig7": preset_fig7,
-}
-
-
-# ---------------------------------------------------------------------------
-# selftest: the grids of acceptance criteria 1 and 2
-
-def selftest_points(cfg: SystemConfig) -> list[SweepPoint]:
-    """The 74 analytic-vs-MC points: per relay, HD TSR over tau, HD PSR over
-    rho, HD IRR, then FD TSR over tau at loop-back spreads sg2 = 2 and 5."""
-    grid = [round(0.1 * i, 1) for i in range(1, 10)]
-    points = []
-    for relay in ("df", "af"):
-        points += hd_param_curves(cfg, relay, grid)
-        points.append(SweepPoint(f"hd-{relay}-irr", "none", 0.0, cfg,
-                                 Scenario("hd", relay, "irr")))
-        fd = base_scenario(f"fd-{relay}-tsr")
-        for sg2 in (2.0, 5.0):
-            c, _ = apply_axis(cfg, fd, "", "sigma_g_db", math.sqrt(sg2))
-            points += axis_points(c, fd, "tau", grid, f"fd-{relay}-tsr sg2={_fmt(sg2)}")
-    return points
-
-
-def boundary_points(cfg: SystemConfig) -> list[SweepPoint]:
-    """The 20 boundary probes: outage saturates (>= 0.999) at tau or rho of
-    1e-4 and 1 - 1e-4, and vanishes (<= 1e-12) on the cth axis, at cth = 0."""
-    edges = (1e-4, 1.0 - 1e-4)
-    points = []
-    for label in ("hd-df-tsr", "hd-af-tsr", "fd-df-tsr", "fd-af-tsr"):
-        points += axis_points(cfg, base_scenario(label), "tau", edges)
-    for label in ("hd-df-psr", "hd-af-psr"):
-        points += axis_points(cfg, base_scenario(label), "rho", edges)
-    for label in ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr",
-                  "hd-af-irr", "fd-df-tsr", "fd-af-tsr"):
-        points += axis_points(cfg, base_scenario(label), "cth", [0.0])
-    return points
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +247,12 @@ def cmd_point(args) -> int:
     settings = _settings_from_args(args)
     cfg = build_system(settings)
     scenario = build_scenario(settings)
-    analytic = outage(cfg, scenario)
-    print(f"scenario           {scenario.label()}")
-    print(f"analytic outage    {analytic.value:.9g}")
     plan = None if args.no_mc else build_plan(settings)
-    row = evaluate_point(SweepPoint(scenario.label(), "none", 0.0, cfg, scenario), scenario,
-                         analytic.value, plan, args.threads)
-    if plan is not None:
+    (row,), _ = run_points([SweepPoint(scenario.label(), "none", 0.0, cfg, scenario)], plan,
+                           args.threads)
+    print(f"scenario           {scenario.label()}")
+    print(f"analytic outage    {row.analytic:.9g}")
+    if row.mc is not None:
         print(f"monte carlo        {row.mc:.9g}")
         print(f"difference         {abs(row.analytic - row.mc):.3e}")
         print(f"mc stderr          {row.mc_stderr:.3e}  (trials {row.trials}, seed {row.seed})")
@@ -456,14 +271,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep.values: {exc}") from exc
     if not values:
         raise ConfigError("sweep.values: no values given")
-    total = settings["sweep.total_distance"]
-    if total != "":
-        total = _coerce("sweep.total_distance", total, 0.0)
+    total = None
+    if settings["sweep.total_distance"] != "":
+        total = _coerce("sweep.total_distance", settings["sweep.total_distance"], 0.0)
         if not 0 < total < math.inf:
             raise ConfigError(f"sweep.total_distance: must be empty or finite and > 0, got {total}")
     cfg = build_system(settings)
     scenario = build_scenario(settings)
-    points = axis_points(cfg, scenario, axis, values, total=total)
+    points = _construct("sweep", axis_points, cfg, scenario, axis, values, total=total)
     plan = None if args.no_mc else build_plan(settings)
     emit(settings, *run_points(points, plan, args.threads))
     return EXIT_OK
@@ -492,7 +307,7 @@ def cmd_optimize(args) -> int:
 def cmd_figure(args) -> int:
     settings = _settings_from_args(args)
     cfg = build_system(settings)
-    points, notes = FIGURE_PRESETS[args.which](cfg)
+    points, notes = _construct(f"figure {args.which}", FIGURE_PRESETS[args.which], cfg)
     plan = None if args.no_mc else build_plan(settings)
     rows, fallbacks = run_points(points, plan, args.threads)
     emit(settings, rows, [f"figure = {args.which}", *notes, *fallbacks])
@@ -511,7 +326,7 @@ def cmd_selftest(args) -> int:
         tol = max(3.0 * row.mc_stderr, 1e-3)
         ok = abs(row.analytic - row.mc) <= tol
         failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} {row.scenario} {row.axis}={_fmt(row.axis_value)}: "
+        print(f"{'PASS' if ok else 'FAIL'} {row.scenario} {row.axis}={fmt_value(row.axis_value)}: "
               f"analytic={row.analytic:.6f} mc={row.mc:.6f} "
               f"|diff|={abs(row.analytic - row.mc):.2e} tol={tol:.2e}")
     for point in boundary_points(cfg):
@@ -527,6 +342,7 @@ def cmd_selftest(args) -> int:
     return EXIT_SELFTEST if failures else EXIT_OK
 
 
+@functools.cache  # parsing never changes the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ehrelay",

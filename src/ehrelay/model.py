@@ -144,7 +144,8 @@ class Scenario:
 
 
 class FadeRangeError(ValueError):
-    """Squared gains that are not all strictly positive, as when fades leave the float64 range."""
+    """Squared gains that are not all finite and strictly positive, as when fades leave the
+    float64 range."""
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,13 @@ class FadeSample:
     w: object = None
 
     def __post_init__(self):
-        # one reduction per channel and no temporary; a NaN minimum fails too
+        # two reductions per channel and no temporary; a NaN minimum fails too
         for name in ("x", "y") if self.w is None else ("x", "y", "w"):
-            if not np.asarray(getattr(self, name)).min(initial=np.inf) > 0:
+            gains = np.asarray(getattr(self, name))
+            if not gains.min(initial=np.inf) > 0:
                 raise FadeRangeError(f"{name} must be strictly positive")
+            if not gains.max(initial=0.0) < np.inf:
+                raise FadeRangeError(f"{name} must be finite")
 
 
 def hop_losses(cfg: SystemConfig) -> tuple[float, float]:

@@ -225,6 +225,15 @@ class TestOptimize:
         assert "numerical error: x must be strictly positive" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_infinite_mc_gains_exit_numerical(self):
+        # a 1e300 dB mean makes every h1^2 draw overflow to inf
+        proc = run_subprocess(["point", "--trials", "10000",
+                               "--override", "system.ch1.mu_db=1e300"])
+        assert proc.returncode == EXIT_NUMERICAL
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("numerical error:")]
+        assert errors == ["numerical error: x must be finite"]
+        assert "Traceback" not in proc.stderr
+
     def test_other_value_error_is_not_numerical(self, monkeypatch):
         # only FadeRangeError means gains outside the float64 range; any other
         # ValueError from the MC path keeps its traceback
@@ -338,7 +347,7 @@ class TestFigures:
         assert run(["figure", "fig6", "--no-mc", "--override",
                     "system.path_loss_exp=200"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: figure fig6: ") and len(err.strip().splitlines()) == 1
         assert "d1 = 3.0" in err
 
     def test_fig4_curves_have_interior_minima(self, tmp_path):

@@ -10,23 +10,30 @@ into a note and drops that layer's metrics.
 import ast
 import importlib
 import importlib.util
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
 import ehrelay.montecarlo as mc
-from ehrelay import SystemConfig, cli
+from ehrelay import ChannelSpec, SystemConfig, cli, grids
 from ehrelay.montecarlo import McPlan
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SPANS = BENCH / "spans.py"
 
 
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a @dataclass with string annotations looks up its module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _hooks():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.HOOKS
+    return _load("bench_spans", SPANS).HOOKS
 
 
 @pytest.mark.parametrize("module,attr", [(m, a) for m, a, _, _ in _hooks()],
@@ -88,3 +95,20 @@ def test_every_mc_row_is_one_estimate_call_deciding_its_trials(monkeypatch, thre
         assert len(decided) == len(points)
         assert [sum(sizes) for sizes in decided] == [plan.trials] * len(points)
         assert all(len(sizes) == len(plan.blocks()) for sizes in decided)
+
+
+def test_bench_acceptance_grid_matches_selftest_points():
+    """bench/workloads.acceptance_grid() keeps its own copy of the 74 selftest
+    points, and its captured reference values hold only while both agree."""
+    def bench_point(curve, axis, value, label, tau, rho, sg2):
+        cfg = SystemConfig()
+        if sg2 is not None:  # the benchmark's loop-back variance, in dB^2
+            cfg = SystemConfig(chg=ChannelSpec(cfg.chg.mu_db, math.sqrt(sg2)))
+        return curve, axis, value, label, tau, rho, cfg
+
+    grid = _load("bench_workloads", BENCH / "workloads.py").acceptance_grid()
+    points = grids.selftest_points(SystemConfig())
+    assert len(points) == 74
+    assert [bench_point(*point) for point in grid] == [
+        (p.curve, p.axis, p.axis_value, p.scenario.label(), p.scenario.tau, p.scenario.rho, p.cfg)
+        for p in points]

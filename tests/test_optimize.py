@@ -7,7 +7,7 @@ import pytest
 
 import ehrelay.optimize as opt
 from ehrelay.analytic import outage, outages
-from ehrelay.cli import preset_fig5
+from ehrelay.grids import preset_fig5
 from ehrelay.model import Scenario, SystemConfig
 from ehrelay.optimize import OptResult, minimize_many, minimize_over_eh_param
 
