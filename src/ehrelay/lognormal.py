@@ -33,20 +33,31 @@ class ChannelSpec:
             raise ValueError(f"sigma_db must be > 0, got {self.sigma_db}")
 
 
-def q_function(x: float) -> float:
-    """Upper-tail probability of the standard normal distribution."""
-    return 0.5 * math.erfc(x / _SQRT2)
+def elementwise(fn, *args):
+    """fn(*args) for scalar args; for numpy arrays of one shape, a float64
+    array of fn on their elements. Every math-library call that may meet an
+    array (log, hypot, erfc, non-integer powers) goes through here, so that
+    an array gives bit for bit the floats its elements give alone: numpy's
+    SIMD log, power and hypot differ from libm in the last bit on some
+    inputs."""
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    flat = [a.ravel().tolist() for a in args]
+    return np.fromiter(map(fn, *flat), np.float64, args[0].size).reshape(args[0].shape)
 
 
-def q_array(x: np.ndarray) -> np.ndarray:
-    """q_function elementwise, bit for bit (math.erfc on every element)."""
-    u = (x / _SQRT2).ravel().tolist()
-    return 0.5 * np.fromiter(map(math.erfc, u), np.float64, len(u)).reshape(np.shape(x))
+def q_function(x):
+    """Upper-tail probability of the standard normal distribution, elementwise
+    over an array."""
+    return 0.5 * elementwise(math.erfc, x / _SQRT2)
 
 
-def _standardize(x: float, ch: ChannelSpec) -> float:
+q_array = q_function  # the name integrands use for the array form
+
+
+def _standardize(x, ch: ChannelSpec):
     # dB coordinate of x relative to the squared-gain Gaussian
-    return (XI * math.log(x) - 2.0 * ch.mu_db) / (2.0 * ch.sigma_db)
+    return (XI * elementwise(math.log, x) - 2.0 * ch.mu_db) / (2.0 * ch.sigma_db)
 
 
 def sq_gain_cdf(x: float, ch: ChannelSpec) -> float:
@@ -77,11 +88,16 @@ def product_ccdf(x: float, ch1: ChannelSpec, ch2: ChannelSpec) -> float:
     return q_function(_standardize_product(x, ch1, ch2))
 
 
-def _standardize_product(x: float, ch1: ChannelSpec, ch2: ChannelSpec) -> float:
+def product_db_moments(ch1: ChannelSpec, ch2: ChannelSpec):
+    """Mean and standard deviation of the dB value of the product of two
+    independent squared gains."""
+    return 2.0 * (ch1.mu_db + ch2.mu_db), 2.0 * elementwise(math.hypot, ch1.sigma_db, ch2.sigma_db)
+
+
+def _standardize_product(x, ch1: ChannelSpec, ch2: ChannelSpec):
     # dB coordinate of x relative to the product's Gaussian
-    mean = 2.0 * (ch1.mu_db + ch2.mu_db)
-    std = 2.0 * math.hypot(ch1.sigma_db, ch2.sigma_db)
-    return (XI * math.log(x) - mean) / std
+    mean, std = product_db_moments(ch1, ch2)
+    return (XI * elementwise(math.log, x) - mean) / std
 
 
 def sample_sq_gain(ch: ChannelSpec, rng: np.random.Generator, size=None, out=None):
@@ -95,6 +111,8 @@ def sample_sq_gain(ch: ChannelSpec, rng: np.random.Generator, size=None, out=Non
         raise TypeError("sample_sq_gain needs `size` or `out`")
     scale, shift = 2.0 * ch.sigma_db / XI, 2.0 * ch.mu_db / XI
     n = rng.standard_normal(size, out=out)
-    np.multiply(n, scale, out=n)
-    np.add(n, shift, out=n)
-    return np.exp(n, out=n)
+    # gains outside the float64 range are reported by model.FadeSample, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(n, scale, out=n)
+        np.add(n, shift, out=n)
+        return np.exp(n, out=n)

@@ -3,7 +3,11 @@
 Covers the harvested relay power, the per-scenario SNRs, instantaneous
 capacities and the outage indicator for a dual-hop link whose relay is
 powered entirely by the source signal. The SNR/capacity functions accept
-scalar fades or numpy arrays of fades and broadcast elementwise.
+scalar fades or numpy arrays of fades and broadcast elementwise. The
+coefficient helpers (hop_losses, relay_noise_w, eh_time_gain, the two
+*_snr_coefficients, capacity_prefactor and threshold_snr) also accept a
+cfg and scenario whose numeric fields are float64 arrays, as the analytic
+path's columns are, and give each element the float its row gives alone.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lognormal import ChannelSpec
+from .lognormal import ChannelSpec, elementwise
 
 _LN2 = math.log(2.0)
 
@@ -168,7 +172,8 @@ class FadeSample:
 
 
 def hop_losses(cfg: SystemConfig) -> tuple[float, float]:
-    return cfg.d1_m**cfg.path_loss_exp, cfg.d2_m**cfg.path_loss_exp
+    return (elementwise(pow, cfg.d1_m, cfg.path_loss_exp),
+            elementwise(pow, cfg.d2_m, cfg.path_loss_exp))
 
 
 def relay_noise_w(cfg: SystemConfig, scenario: Scenario) -> float:
@@ -336,12 +341,14 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
     return capacity(capacity_prefactor(scenario), gamma_d, out=gamma_d) < cfg.cth
 
 
+def _snr_for_rate(expo: float) -> float:
+    # 2**expo - 1, infinite where 2**expo leaves the float64 range
+    return math.inf if expo >= 1024.0 else 2.0**expo - 1.0
+
+
 def threshold_snr(scenario: Scenario, cth: float) -> float:
     """Minimum SNR at which the instantaneous capacity reaches cth."""
-    expo = cth / capacity_prefactor(scenario)
-    if expo >= 1024.0:
-        return math.inf
-    return 2.0**expo - 1.0
+    return elementwise(_snr_for_rate, cth / capacity_prefactor(scenario))
 
 
 @dataclass(frozen=True)

@@ -46,16 +46,18 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
     Per pair: a coarse scan over 0.02..0.98 in steps of 0.02, then
     golden-section refinement of the best cell until the bracket is
     narrower than tol. The pairs advance in lock-step, one `outages` call
-    per stage over the pairs still active, and each result equals that of
-    the pair's batch of one. A tol outside [1e-12, 1) raises ValueError.
+    per stage over the pairs still active with the trial values as its
+    params, and each result equals that of the pair's batch of one. A tol
+    outside [1e-12, 1) raises ValueError.
     """
     if not 1e-12 <= tol < 1:
         raise ValueError(f"tol must be in [1e-12, 1), got {tol}")
     pairs = list(pairs)
+    if not pairs:
+        return []
 
     def objective(index, params) -> np.ndarray:
-        return np.array(outages([(pairs[i][0], pairs[i][1].with_eh_param(p))
-                                 for i, p in zip(index, params)]))
+        return np.array(outages([pairs[i] for i in index.tolist()], params))
 
     n, grid, dense = len(pairs), np.linspace(0.02, 0.98, 49), np.arange(1, 1000) / 1000.0
     values = objective(np.repeat(np.arange(n), grid.size), np.tile(grid, n)).reshape(n, grid.size)

@@ -56,7 +56,10 @@ def _panel_rule(f, a, b, k, mean, std):
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     t, k = c[:, None] + h[:, None] * _NODES, k[:, None]
     u = (t - mean[k]) / std[k]
-    g = f(np.exp(t / XI), k) * (1.0 / (std[k] * math.sqrt(2.0 * math.pi))) * np.exp(-0.5 * u * u)
+    # a gain or integrand out of range shows as a NaN error estimate (QuadratureError)
+    with np.errstate(all="ignore"):
+        g = (f(np.exp(t / XI), k) * (1.0 / (std[k] * math.sqrt(2.0 * math.pi)))
+             * np.exp(-0.5 * u * u))
     # row sums, not BLAS products: a panel's numbers must not depend on its batch
     resk, resg = (g[:, None] * _WEIGHTS).sum(axis=2).T
     err = np.abs((resk - resg) * h)
@@ -67,9 +70,10 @@ def _panel_rule(f, a, b, k, mean, std):
     return resk * h, np.maximum(50 * np.finfo(float).eps * resabs, err)
 
 
-def integrate_lognormal_batch(f, weights, lower, upper) -> np.ndarray:
-    """Integral k of f( . , k) against the squared-gain density of weights[k]
-    over gains (lower[k], upper[k]), for every k.
+def integrate_lognormal_batch(f, mu_db, sigma_db, lower, upper) -> np.ndarray:
+    """Integral k of f( . , k) against the squared-gain density of
+    ChannelSpec(mu_db[k], sigma_db[k]) over gains (lower[k], upper[k]), for
+    every k.
 
     f(z, k) gives integrand k at gain z, elementwise over arrays that
     broadcast together (k is a column of integral indexes). Each
@@ -82,8 +86,7 @@ def integrate_lognormal_batch(f, weights, lower, upper) -> np.ndarray:
     lower, upper = np.asarray(lower, float), np.asarray(upper, float)
     if not ((lower >= 0).all() and (upper > lower).all()):
         raise ValueError(f"bounds must satisfy 0 <= lower < upper, got {lower} and {upper}")
-    mean = np.array([2.0 * w.mu_db for w in weights])
-    std = np.array([2.0 * w.sigma_db for w in weights])
+    mean, std = 2.0 * np.asarray(mu_db, float), 2.0 * np.asarray(sigma_db, float)
     with np.errstate(divide="ignore"):
         t_lo = np.maximum(mean - TAIL_SIGMAS * std, XI * np.log(lower))
         t_hi = np.minimum(mean + TAIL_SIGMAS * std, XI * np.log(upper))
@@ -127,5 +130,6 @@ def integrate_lognormal_weighted(f: Callable, weight: ChannelSpec, lower: float 
     """Integrate f(z), vectorized in z, against the squared-gain density of
     `weight` over gains 0 <= lower < upper <= inf: integrate_lognormal_batch
     with a batch of one."""
-    batch = integrate_lognormal_batch(lambda z, k: f(z), [weight], [lower], [upper])
+    batch = integrate_lognormal_batch(lambda z, k: f(z), [weight.mu_db], [weight.sigma_db],
+                                      [lower], [upper])
     return float(batch[0])

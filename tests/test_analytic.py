@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ehrelay import quadrature
-from ehrelay.analytic import outage
+from ehrelay.analytic import _Columns, _reduce, outage, outages
 from ehrelay.lognormal import ChannelSpec, product_ccdf
 from ehrelay.model import (Scenario, SystemConfig, df_snr_coefficients, eh_time_gain,
                            hop_losses, relay_noise_w, threshold_snr)
@@ -201,3 +201,62 @@ def test_fd_af_low_outage_keeps_relative_precision(ps, hop):
                      + mpmath.quad(integrand, [mean_w - 12 * std_w, mean_w, t_upper]))
     assert 1e-21 < want < 1e-16
     assert abs(got - want) <= 1e-6 * want
+
+
+def branch(cfg, scenario):
+    """Which rule of analytic._reduce settles the pair's outage."""
+    v = threshold_snr(scenario, cfg.cth)
+    if v == 0.0:
+        return "cth = 0"
+    if math.isinf(v):
+        return "exponent >= 1024"
+    _, kind, pending, _ = _reduce(_Columns([cfg]), _Columns([scenario]))
+    if kind is None:
+        return "fd-df closed form"
+    return f"{kind} integral" if pending[0] else f"{kind} no tail"
+
+
+def mixed_batch():
+    """All eight variants, each at three settings, and pairs that reach every
+    early exit of the reduction."""
+    pairs = [(c, s) for s in ALL_SCENARIOS
+             for c in (CFG, replace(CFG, ps_watts=10.0), replace(CFG, cth=0.75, d1_m=2.0))]
+    pairs += [(replace(CFG, cth=0.0), ALL_SCENARIOS[3]), (replace(CFG, cth=0.0), ALL_SCENARIOS[7]),
+              (replace(CFG, cth=600.0), ALL_SCENARIOS[1]),
+              (replace(CFG, cth=700.0), ALL_SCENARIOS[6]),
+              (replace(CFG, cth=20.0), ALL_SCENARIOS[0]),
+              (replace(CFG, cth=20.0), ALL_SCENARIOS[4]),
+              (replace(CFG, cth=10.0), ALL_SCENARIOS[7]),
+              (CFG, Scenario("hd", "df", "psr", rho=0.3, pc_fraction=0.2)),
+              (replace(CFG, ps_watts=10.0), Scenario("fd", "df", "tsr", tau=0.2, pc_fraction=0.1)),
+              (CFG, Scenario("hd", "df", "irr", pc_fraction=0.05))]
+    return pairs
+
+
+def test_mixed_batch_equals_batches_of_one_bit_for_bit():
+    pairs = mixed_batch()
+    assert {s.label() for _, s in pairs} == {s.label() for s in ALL_SCENARIOS}
+    assert {branch(c, s) for c, s in pairs} == {
+        "cth = 0", "exponent >= 1024", "fd-df closed form", "fd-af no tail", "fd-af integral",
+        "hd-df no tail", "hd-df integral", "hd-af no tail", "hd-af integral"}
+    assert any(s.pc_fraction > 0 for _, s in pairs)
+    batch = outages(pairs)
+    assert list(map(float.hex, batch)) == [float.hex(outages([pair])[0]) for pair in pairs]
+
+
+def test_params_column_equals_scenarios_with_that_parameter():
+    pairs = [(c, s) for c, s in mixed_batch() if s.eh != "irr"]
+    params = np.linspace(0.03, 0.97, len(pairs))
+    moved = outages([(c, s.with_eh_param(p)) for (c, s), p in zip(pairs, params)])
+    assert list(map(float.hex, outages(pairs, params))) == list(map(float.hex, moved))
+    with pytest.raises(ValueError, match="no harvesting parameter"):
+        outages([(CFG, ALL_SCENARIOS[2])], [0.5])
+    for bad in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            outages(pairs[:2], [0.5, bad])
+    with pytest.raises(ValueError, match="one harvesting parameter per pair"):
+        outages(pairs[:2], [0.5])
+
+
+def test_empty_batch():
+    assert outages([]) == [] and outages([], []) == []

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config handling and dataset files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -225,6 +226,15 @@ class TestOptimize:
         assert "numerical error: x must be strictly positive" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("mc,code,stdout", [
+        (["--no-mc"], EXIT_OK, "scenario           hd-df-tsr\nanalytic outage    0.5\n"),
+        (["--trials", "10000"], EXIT_NUMERICAL, "")], ids=["no-mc", "mc"])
+    def test_out_of_range_spread_prints_no_numpy_warning(self, mc, code, stdout):
+        # at a 1e300 dB spread the quadrature nodes, the integrand and the MC draws overflow
+        proc = run_subprocess(["point", *mc, "--override", "system.ch1.sigma_db=1e300"])
+        assert (proc.returncode, proc.stdout) == (code, stdout)
+        assert "Warning" not in proc.stderr
+
     def test_infinite_mc_gains_exit_numerical(self):
         # a 1e300 dB mean makes every h1^2 draw overflow to inf
         proc = run_subprocess(["point", "--trials", "10000",
@@ -268,7 +278,25 @@ def test_flag_the_subcommand_never_reads_is_rejected(command, flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
+# SHA-256 of `figure figN --no-mc` CSV as the row-at-a-time analytic path wrote it.
+# Like FIG5_OPTIMA, the digits are those of the platform they were captured on
+# (x86-64 with AVX-512, glibc 2.36, numpy 2.4): another libm or numpy build may
+# round a last bit differently.
+FIGURE_CSV_SHA256 = {
+    "fig4": "c998ec1022d17e05cdb813321673993d3f062d6a9553777bf488bd70f6d8beb0",
+    "fig5": "09928e47abf13b9f2a1867e6f842bddd91edf5e6af30a698bee88c5675f6e5d4",
+    "fig6": "019196873bf5c984575ee6eb22adee6ce8128440ea1b63245bd2700cd2bb55d3",
+    "fig7": "ef06751b64d57ceaf6dabc088ce4126e4e1762dc5334ea325c4e67b65d5a9eb3",
+}
+
+
 class TestFigures:
+    @pytest.mark.parametrize("which", sorted(FIGURE_CSV_SHA256))
+    def test_analytic_csv_is_byte_identical(self, which, tmp_path):
+        out = tmp_path / f"{which}.csv"
+        assert run(["figure", which, "--no-mc", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256[which]
+
     def test_fig4_deterministic_across_runs_and_threads(self, tmp_path):
         paths = [tmp_path / f"fig4-{i}.csv" for i in range(3)]
         assert run(["figure", "fig4", "--trials", "10000", "--seed", "7",
@@ -304,9 +332,9 @@ class TestFigures:
             return 0.5 - 0.3 * np.exp(-((p - 0.2) ** 2) / 0.002) \
                 - 0.4 * np.exp(-((p - 0.7) ** 2) / 0.002)
 
-        def walled(pairs):
-            return [two_wells(s.rho) if s.eh == "psr" and c.ps_watts == 5.0 else v
-                    for (c, s), v in zip(pairs, real(pairs))]
+        def walled(pairs, params):
+            return [two_wells(p) if s.eh == "psr" and c.ps_watts == 5.0 else v
+                    for (c, s), p, v in zip(pairs, params, real(pairs, params))]
 
         plain = tmp_path / "plain.csv"
         assert run(["figure", "fig5", "--no-mc", "--out", str(plain)]) == EXIT_OK

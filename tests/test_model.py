@@ -297,3 +297,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             OutageEstimate(1.0, "monte_carlo", -0.1, 10000)
         OutageEstimate(1.0, "monte_carlo", 0.0, 10000)
+
+
+@pytest.mark.parametrize("label", ["hd-df-tsr", "hd-df-psr", "hd-af-tsr", "hd-af-irr",
+                                   "fd-df-tsr"])
+def test_coefficient_helpers_take_columns_bit_for_bit(label):
+    # the analytic path calls these helpers with float64 columns in place of the
+    # fields; each element must be the float its row gives alone (numpy's SIMD power
+    # differs from libm's in the last bit on about 5 % of inputs)
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(17)
+    n = 2000
+    p, cth = rng.uniform(0.01, 0.99, n), rng.uniform(0.0, 9.0, n)
+    d1, exp = rng.uniform(1.0, 30.0, n), rng.uniform(1.0, 4.0, n)
+    rows = [(replace(CFG, cth=c, d1_m=d, path_loss_exp=e), Scenario.from_label(label, q, q))
+            for c, d, e, q in zip(cth, d1, exp, p)]
+    cfg = SimpleNamespace(**{k: np.full(n, float(v)) for k, v in vars(CFG).items()
+                             if isinstance(v, float)})
+    cfg.cth, cfg.d1_m, cfg.path_loss_exp = cth, d1, exp
+    s = rows[0][1]
+    scenario = SimpleNamespace(duplex=s.duplex, relay=s.relay, eh=s.eh, pc_fraction=np.zeros(n),
+                               tau=p if s.tau is not None else None,
+                               rho=p if s.rho is not None else None)
+    coefficients = df_snr_coefficients if s.relay == "df" else af_snr_coefficients
+    columns = (threshold_snr(scenario, cfg.cth), *coefficients(cfg, scenario))
+    for got, want in zip(columns, zip(*((threshold_snr(s, c.cth), *coefficients(c, s))
+                                        for c, s in rows))):
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.array(want).view(np.uint64))

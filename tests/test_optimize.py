@@ -85,8 +85,8 @@ def test_multimodal_objective_falls_back_to_dense_grid(monkeypatch):
                             - 0.4 * np.exp(-((p - 0.7) ** 2) / 0.002))
 
     monkeypatch.setattr(opt, "outage", fake_outage)
-    monkeypatch.setattr(opt, "outages",
-                        lambda pairs: [fake_outage(c, s).value for c, s in pairs])
+    monkeypatch.setattr(opt, "outages", lambda pairs, params: [
+        fake_outage(c, s.with_eh_param(p)).value for (c, s), p in zip(pairs, params)])
     result = minimize_over_eh_param(CFG, TSR)
     assert result.non_unimodal
     assert result.arg_opt == pytest.approx(0.7, abs=2e-3)
@@ -177,10 +177,11 @@ def test_mixed_batch_equals_batches_of_one(monkeypatch, tol, evaluations):
     walled, sloped = replace(CFG, cth=1.25), replace(CFG, cth=1.5)
     fakes = {id(walled): two_wells, id(sloped): lambda p: p}
 
-    def mixed_outages(pairs):
-        real = iter(outages([(c, s) for c, s in pairs if id(c) not in fakes]))
-        return [fakes[id(c)](getattr(s, s.eh_param_name)) if id(c) in fakes else next(real)
-                for c, s in pairs]
+    def mixed_outages(pairs, params):
+        kept = [i for i, (c, _) in enumerate(pairs) if id(c) not in fakes]
+        real = iter(outages([pairs[i] for i in kept], params[kept]))
+        return [fakes[id(c)](p) if id(c) in fakes else next(real)
+                for (c, _), p in zip(pairs, params)]
 
     monkeypatch.setattr(opt, "outages", mixed_outages)
     pairs = [(CFG, TSR), (walled, TSR), (CFG, PSR), (replace(CFG, ps_watts=5.0), TSR),
