@@ -109,6 +109,9 @@ def _reduce(cfg, scenario):
         # no loop-back realization survives the cutoff the outage is 1.
         k = eh_time_gain(cfg, scenario)
         upper = 1.0 / (k * v)
+        # where k*v overflows the cutoff is 0: no loop-back realization survives it
+        settled |= upper == 0.0
+        upper = np.where(settled, 1.0, upper)
         u = _standardize(upper, cfg.chg)
         pending = ~settled & ~(q_function(-u) <= _NEGLIGIBLE_TAIL)
         lp1, lp2 = hop_losses(cfg)

@@ -12,6 +12,7 @@ path's columns are, and give each element the float its row gives alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -308,11 +309,9 @@ def capacity_prefactor(scenario: Scenario) -> float:
     return 0.5
 
 
-def capacity(pre: float, gamma, out=None):
-    """Capacity pre*log2(1 + gamma) in bps/Hz, as pre*log1p(gamma)/ln 2;
-    written into the float64 array `out` when given."""
-    c = np.log1p(gamma, out=out)
-    return np.multiply(c, pre / _LN2, out=out)
+def capacity(pre: float, gamma):
+    """Capacity pre*log2(1 + gamma) in bps/Hz, as pre*log1p(gamma)/ln 2."""
+    return np.multiply(np.log1p(gamma), pre / _LN2)
 
 
 def capacities(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
@@ -323,22 +322,62 @@ def capacities(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
     return c_r, capacity(pre, gamma_d)
 
 
+# For float64 values >= 0 the order of the bit patterns, read as int64, is the
+# order of the values. The first probes lie 0 to 15 and 2**4 to 2**62 patterns
+# either side of a start; a pattern that leaves int64 wraps negative.
+_INF_BITS = int(np.float64(math.inf).view(np.int64))
+_AROUND = np.array([-(1 << j) for j in range(62, 3, -1)] + list(range(-15, 16))
+                   + [1 << j for j in range(4, 63)], np.int64)
+_PROBES = 64
+
+
+@functools.lru_cache(maxsize=1024)
+def snr_cutoff(pre: float, cth: float) -> float:
+    """The least float64 gamma >= 0 with capacity(pre, gamma) >= cth, or inf
+    when no finite gamma reaches cth. capacity does not decrease in gamma, so
+    `gamma < snr_cutoff(pre, cth)` is `capacity(pre, gamma) < cth` bit for bit,
+    without a log1p; the search evaluates capacity itself on float64 arrays.
+    """
+    try:
+        start = math.expm1(cth * _LN2 / pre)  # a near guess; any start gives the same answer
+    except OverflowError:
+        start = math.inf
+    # (lo, hi]: the patterns of a gamma below the cutoff (-1: none) and of one at or above it
+    lo, hi = -1, _INF_BITS
+    probes = int(np.float64(start).view(np.int64)) + _AROUND
+    probes = probes[(probes > lo) & (probes < hi)]
+    while True:
+        reached = capacity(pre, probes.view(np.float64)) >= cth
+        first = int(reached.argmax())
+        if reached[first]:
+            hi = int(probes[first])
+        else:
+            first = reached.size
+        if first:
+            lo = int(probes[first - 1])
+        if hi - lo == 1:
+            return float(np.int64(hi).view(np.float64))
+        step = max((hi - lo) // (_PROBES + 1), 1)
+        probes = np.arange(lo + step, hi, step, dtype=np.int64)
+
+
 def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
                      scratch=None):
     """True where the end-to-end capacity is below cth (bool array for arrays).
 
-    Both hops share the capacity prefactor and log1p is increasing, so the
-    end-to-end capacity is that of the weaker hop's SNR. `scratch` is an
-    optional pair of float64 arrays of the fades' shape that takes the SNRs
-    and capacity (see snr_pair); without it fresh ones are used. The fade
-    arrays are never written.
+    Both hops share the capacity prefactor and capacity does not decrease in
+    the SNR, so the end-to-end capacity is that of the weaker hop's SNR, and
+    it is below cth exactly where that SNR is below snr_cutoff: one compare
+    per trial. `scratch` is an optional pair of float64 arrays of the fades'
+    shape that takes the SNRs (see snr_pair); without it fresh ones are
+    used. The fade arrays are never written.
     """
     if scratch is None:
         scratch = _empty_pair(fade)
     gamma_r, gamma_d = snr_pair(cfg, scenario, fade, out=scratch)
     if gamma_r is not None:
         np.minimum(gamma_r, gamma_d, out=gamma_d)
-    return capacity(capacity_prefactor(scenario), gamma_d, out=gamma_d) < cfg.cth
+    return gamma_d < snr_cutoff(capacity_prefactor(scenario), cfg.cth)
 
 
 def _snr_for_rate(expo: float) -> float:

@@ -4,10 +4,14 @@ Trials are partitioned into blocks of BLOCK_SIZE; each block draws its fades
 from a substream derived deterministically from (seed, block index), so
 the estimate depends only on the plan and not on how blocks are scheduled.
 Outage is decided from the instantaneous capacities, keeping this path
-algebraically independent of the analytic evaluators. A block draws into
-float64 arrays kept in a thread's store and reused across blocks and
-calls, converts them to squared gains in place and decides in place, so it
-allocates nothing larger than its boolean outage flags.
+algebraically independent of the analytic evaluators: a trial is in outage
+where its weaker hop's SNR is below model.snr_cutoff, the least float64 SNR
+whose capacity reaches cth, found by evaluating the capacity function
+itself. The capacity does not decrease in the SNR, so that one compare per
+trial decides exactly as comparing the capacity with cth does. A block
+draws into float64 arrays kept in a thread's store and reused across
+blocks and calls, converts them to squared gains in place and decides in
+place, so it allocates nothing larger than its boolean outage flags.
 
 The store keeps a memo of block gains (see _block_fade) that later calls
 reuse, so rows of a dataset share their fades.

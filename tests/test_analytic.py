@@ -210,10 +210,20 @@ def branch(cfg, scenario):
         return "cth = 0"
     if math.isinf(v):
         return "exponent >= 1024"
+    if scenario.label() == "fd-af-tsr" and math.isinf(eh_time_gain(cfg, scenario) * v):
+        return "fd-af cutoff 0"
     _, kind, pending, _ = _reduce(_Columns([cfg]), _Columns([scenario]))
     if kind is None:
         return "fd-df closed form"
     return f"{kind} integral" if pending[0] else f"{kind} no tail"
+
+
+# 2**(1.023/0.001) - 1 is finite, but k*v overflows, so the loop-back cutoff 1/(k*v) is 0
+FD_AF_CUTOFF_ZERO = (replace(CFG, cth=1.023), Scenario("fd", "af", "tsr", tau=0.999))
+
+
+def test_fd_af_zero_cutoff_is_certain_outage():
+    assert outages([FD_AF_CUTOFF_ZERO]) == [1.0]
 
 
 def mixed_batch():
@@ -227,6 +237,7 @@ def mixed_batch():
               (replace(CFG, cth=20.0), ALL_SCENARIOS[0]),
               (replace(CFG, cth=20.0), ALL_SCENARIOS[4]),
               (replace(CFG, cth=10.0), ALL_SCENARIOS[7]),
+              FD_AF_CUTOFF_ZERO,
               (CFG, Scenario("hd", "df", "psr", rho=0.3, pc_fraction=0.2)),
               (replace(CFG, ps_watts=10.0), Scenario("fd", "df", "tsr", tau=0.2, pc_fraction=0.1)),
               (CFG, Scenario("hd", "df", "irr", pc_fraction=0.05))]
@@ -237,8 +248,8 @@ def test_mixed_batch_equals_batches_of_one_bit_for_bit():
     pairs = mixed_batch()
     assert {s.label() for _, s in pairs} == {s.label() for s in ALL_SCENARIOS}
     assert {branch(c, s) for c, s in pairs} == {
-        "cth = 0", "exponent >= 1024", "fd-df closed form", "fd-af no tail", "fd-af integral",
-        "hd-df no tail", "hd-df integral", "hd-af no tail", "hd-af integral"}
+        "cth = 0", "exponent >= 1024", "fd-df closed form", "fd-af cutoff 0", "fd-af no tail",
+        "fd-af integral", "hd-df no tail", "hd-df integral", "hd-af no tail", "hd-af integral"}
     assert any(s.pc_fraction > 0 for _, s in pairs)
     batch = outages(pairs)
     assert list(map(float.hex, batch)) == [float.hex(outages([pair])[0]) for pair in pairs]

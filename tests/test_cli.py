@@ -82,6 +82,15 @@ class TestPoint:
         assert run(["point", "--scenario", "hd-df-irr", "--no-mc"]) == EXIT_OK
         assert "monte carlo" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mc", [["--no-mc"], ["--trials", "10000"]], ids=["no-mc", "mc"])
+    def test_fd_af_zero_loop_back_cutoff_is_outage(self, mc):
+        # k*v overflows, so the loop-back cutoff 1/(k*v) is 0 and outage is certain
+        proc = run_subprocess(["point", *mc, "--scenario", "fd-af-tsr", "--tau", "0.999",
+                               "--override", "system.cth=1.023"])
+        assert proc.returncode == EXIT_OK
+        assert "analytic outage    1\n" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
     def test_point_writes_csv(self, tmp_path):
         out = tmp_path / "point.csv"
         assert run(["point", "--scenario", "hd-df-irr", "--trials", "10000",

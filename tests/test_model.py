@@ -1,11 +1,13 @@
 """Link-model formulas: frozen hand-substituted values and invariants."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ehrelay import grids
 from ehrelay.lognormal import sample_sq_gain
 from ehrelay.model import (
     FadeSample,
@@ -14,9 +16,11 @@ from ehrelay.model import (
     SystemConfig,
     af_snr_coefficients,
     capacities,
+    capacity,
     capacity_prefactor,
     df_snr_coefficients,
     outage_indicator,
+    snr_cutoff,
     snr_pair,
     threshold_snr,
 )
@@ -204,6 +208,90 @@ def test_indicator_leaves_fades_unchanged():
         snr_pair(CFG, s, fades)
     for v, b in zip((fades.x, fades.y, fades.w), before):
         assert v.tobytes() == b.tobytes()
+
+
+def grid_cutoff_pairs():
+    """Every (prefactor, cth) of the selftest, boundary, figure and ps-sweep
+    grids, plus prefactors 1e-4 and 0.999 at cth up to 100."""
+    points = grids.selftest_points(CFG) + grids.boundary_points(CFG)
+    for preset in grids.FIGURE_PRESETS.values():
+        points += preset(CFG)[0]
+    for label in ("hd-df-tsr", "hd-af-tsr", "hd-df-psr", "hd-af-psr", "hd-df-irr", "hd-af-irr"):
+        points += grids.axis_points(CFG, Scenario.from_label(label, tau=0.3, rho=0.5), "ps",
+                                    [50.0, 5000.0])
+    pairs = {(capacity_prefactor(p.scenario), p.cfg.cth) for p in points}
+    pairs |= {(pre, cth) for pre in (1e-4, 0.999) for cth in (0.0, 0.05, 0.5, 2.0, 10.0, 100.0)}
+    return sorted(pairs)
+
+
+_INF_BITS = int(np.float64(math.inf).view(np.int64))
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
+class TestSnrCutoff:
+    def test_decides_as_capacity_does(self):
+        rng = np.random.default_rng(61)
+        sample = rng.integers(1, _INF_BITS, 1 << 16).view(np.float64)  # log-uniform, finite
+        edges = np.array([0.0, 5e-324, math.inf, math.nan])
+        pairs = grid_cutoff_pairs()
+        assert len(pairs) > 60 and any(math.isinf(snr_cutoff(*pair)) for pair in pairs)
+        for pre, cth in pairs:
+            cut = snr_cutoff(pre, cth)
+            at = int(np.float64(cut).view(np.int64))
+            window = np.arange(max(at - (1 << 16), 0), min(at + (1 << 16), _INF_BITS) + 1)
+            for gamma in (window.view(np.float64), sample, edges):
+                assert np.array_equal(gamma < cut, capacity(pre, gamma) < cth), (pre, cth)
+
+    def test_least_gamma_that_reaches_cth(self):
+        # capacity(0.5, 0.9999999999999999) already rounds to 0.5, so the
+        # cutoff lies one float below 2**1 - 1, which threshold_snr gives
+        assert threshold_snr(hd("df", "psr", rho=0.5), 0.5) == 1.0
+        assert snr_cutoff(0.5, 0.5) == 0.9999999999999999
+        assert snr_cutoff(0.5, 0.0) == 0.0
+        assert snr_cutoff(1e-4, 100.0) == math.inf  # 2**(1e6) leaves the float64 range
+
+    @pytest.mark.parametrize("start", [0.0, 5e-324, 1e-300, 1.0, 3.5e7, 1e300, math.inf])
+    def test_answer_does_not_depend_on_start(self, start, monkeypatch):
+        want = [snr_cutoff.__wrapped__(pre, cth) for pre, cth in grid_cutoff_pairs()]
+        monkeypatch.setattr(math, "expm1", lambda _: start)
+        assert [snr_cutoff.__wrapped__(pre, cth) for pre, cth in grid_cutoff_pairs()] == want
+
+    def test_cold_search_is_silent(self):
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            for pre, cth in [(1e-4, 100.0), (1e-3, 1.023), (0.999, 0.0), (0.5, 5e-324)]:
+                snr_cutoff.__wrapped__(pre, cth)
+
+
+def weakest_snr(cfg, s, fade):
+    gamma_r, gamma_d = snr_pair(cfg, s, fade)
+    return gamma_d if gamma_r is None else np.minimum(gamma_r, gamma_d)
+
+
+@pytest.mark.parametrize("s", ALL_SCENARIOS, ids=Scenario.label)
+def test_indicator_at_threshold_snr_matches_capacities(s):
+    # first-hop gains 2**12 floats either side of the one whose weaker-hop SNR first
+    # reaches threshold_snr at y = 1, each with the 8 second-hop gains from 1 up;
+    # a tiny loop-back keeps the FD relay hop out of the way
+    v = threshold_snr(s, CFG.cth)
+    y, w = 1.0, (1e-9 if s.duplex == "fd" else None)
+    lo, hi = 1, _INF_BITS - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        x = float(np.int64(mid).view(np.float64))
+        lo, hi = (lo, mid) if weakest_snr(CFG, s, FadeSample(x, y, w)) >= v else (mid, hi)
+    xs = np.arange(hi - (1 << 12), hi + (1 << 12)).view(np.float64)
+    ys = np.arange(_ONE_BITS, _ONE_BITS + 8).view(np.float64)
+    xs, ys = (a.ravel() for a in np.meshgrid(xs, ys))
+    fades = FadeSample(xs, ys, None if w is None else np.full(xs.size, w))
+    gamma = weakest_snr(CFG, s, fades)
+    # the window crosses v through both its float neighbours (v itself, a quotient
+    # for AF, need not be reachable)
+    assert np.isin([np.nextafter(v, 0.0), np.nextafter(v, math.inf)], gamma).all()
+    c_r, c_d = capacities(CFG, s, fades)
+    want = (c_d if c_r is None else np.minimum(c_r, c_d)) < CFG.cth
+    assert want.any() and not want.all()
+    assert np.array_equal(outage_indicator(CFG, s, fades), want)
 
 
 def sample_pair(rng, n):
