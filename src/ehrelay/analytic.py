@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .lognormal import (XI, _standardize, _standardize_product, elementwise, product_db_moments,
-                        q_array, q_function)
+                        q_function, q_vector)
 from .model import (OutageEstimate, Scenario, SystemConfig, af_snr_coefficients,
                     df_snr_coefficients, eh_time_gain, hop_losses, relay_noise_w, threshold_snr)
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
@@ -183,7 +183,7 @@ def outages(pairs, params=None) -> list[float]:
 
         def integrand(z, k):
             x = threshold(z, *(col[k] for col in coefs))
-            return q_array(-((XI * np.log(x) - m[k]) / s[k])) / unit[k]
+            return q_vector(-((XI * np.log(x) - m[k]) / s[k])) / unit[k]
 
         tail = integrate_lognormal_batch(integrand, mu_db, sigma_db, lower, upper)
         values[rows] = _clamp01(values[rows] + unit * tail)

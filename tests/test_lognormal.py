@@ -1,7 +1,7 @@
 """Distribution primitives against independent oracles.
 
-The Q-function is checked against an arbitrary-precision erfc series
-(mpmath); the CDF/CCDF formulas are checked against empirical frequencies
+The Q-function, libm's and numpy's, is checked against an arbitrary-precision
+erfc (mpmath); the CDF/CCDF formulas are checked against empirical frequencies
 from the seeded sampler, which shares no code with them beyond the
 ChannelSpec fields.
 """
@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from ehrelay.lognormal import (
+    _SQRT2,
     XI,
     ChannelSpec,
     product_ccdf,
     q_array,
     q_function,
+    q_vector,
     sample_sq_gain,
     sq_gain_cdf,
     sq_gain_pdf,
@@ -69,6 +71,70 @@ class TestQFunction:
         got = q_array(x)
         assert got.shape == x.shape and got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def q_at_argument(x: float) -> float:
+    """erfc(y)/2 at the float y = x/sqrt(2) that q_function passes to libm."""
+    with mpmath.workdps(50):
+        return float(mpmath.erfc(mpmath.mpf(x / _SQRT2)) / 2)
+
+
+class TestQVector:
+    # the integrand's arguments span -56..12.3 in a figure pass
+    GRID = np.linspace(-56.0, 38.0, 9401)
+
+    def test_within_1e_13_of_exact_q_at_its_argument(self):
+        ref = np.array([q_at_argument(x) for x in self.GRID])
+        got = q_vector(self.GRID)
+        normal = ref >= 1e-300
+        assert np.all(np.abs(got[normal] - ref[normal]) <= 1e-13 * ref[normal])
+        assert np.all(np.abs(got[~normal] - ref[~normal]) <= 1e-300)
+
+    def test_as_close_to_q_oracle_as_libm(self):
+        # q_oracle divides the exact x by sqrt(2). Rounding x/sqrt(2) alone
+        # moves Q by up to about 2*y^2*2^-53 relative, 1.5e-13 at x = 37, so
+        # q_function misses a plain 1e-13 bound there too; q_vector may add
+        # 1e-13 to libm's error
+        ref = np.array([q_oracle(x) for x in self.GRID])
+        libm = np.array([q_function(x) for x in self.GRID])
+        got = q_vector(self.GRID)
+        normal = ref >= 1e-300
+        bound = 1e-13 * ref[normal] + np.abs(libm[normal] - ref[normal])
+        assert np.all(np.abs(got[normal] - ref[normal]) <= bound)
+        assert np.all(np.abs(got[~normal] - ref[~normal]) <= 1e-300)
+
+    @pytest.mark.parametrize("x, expected", [(0.0, 0.5), (-0.0, 0.5), (math.inf, 0.0),
+                                             (-math.inf, 1.0), (1e308, 0.0), (-1e308, 1.0),
+                                             (5e-324, 0.5), (-5e-324, 0.5)])
+    def test_exact_values(self, x, expected):
+        with np.errstate(all="raise"):
+            got = q_vector(x)
+            assert got.shape == () and got == expected
+            assert q_vector(np.array([x, 1.0]))[0] == expected
+
+    def test_nan_gives_nan(self):
+        with np.errstate(all="raise"):
+            assert np.isnan(q_vector(math.nan))
+            assert np.isnan(q_vector(np.array([1.0, math.nan]))[1])
+
+    def test_each_element_is_computed_alone(self):
+        # a batch of integrals equals its batches of one bit for bit only if
+        # an element's Q does not depend on the array it sits in; 10,752 is
+        # the quadrature's largest integrand call (512 panels of 21 nodes)
+        rng = np.random.default_rng(17)
+        flat = np.concatenate((rng.uniform(-56.0, 38.0, 10_744),
+                               [0.0, -0.0, math.inf, -math.inf, math.nan, 37.9, -37.9, 1e-300]))
+        rng.shuffle(flat)
+        alone = np.array([q_vector(v) for v in flat])
+        grid = flat.reshape(21, 512)
+        for x, expected in ((flat, alone),
+                            (grid, alone.reshape(21, 512)),
+                            (grid.T, alone.reshape(21, 512).T),
+                            (flat[5::3], alone[5::3]),
+                            (grid[:, ::-7], alone.reshape(21, 512)[:, ::-7])):
+            got = q_vector(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSqGainCdf:
