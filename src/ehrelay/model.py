@@ -69,11 +69,15 @@ class SystemConfig:
             lp1, lp2 = hop_losses(self)
         except OverflowError:
             lp1 = lp2 = math.inf
-        derived = {
+        relay_noise = lp1 * (self.sigma_a2_w + self.sigma_c2_w)
+        destination_noise = lp1 * lp2 * self.sigma_d2_w
+        derived = {  # checked in order, so a noise that underflows to 0 is never divided by
             "path loss d1_m**path_loss_exp": lp1,
             "path loss d2_m**path_loss_exp": lp2,
-            "relay SNR scale": self.ps_watts / (lp1 * (self.sigma_a2_w + self.sigma_c2_w)),
-            "destination SNR scale": self.ps_watts / (lp1 * lp2 * self.sigma_d2_w),
+            "relay noise lp1 * (sigma_a2_w + sigma_c2_w)": relay_noise,
+            "destination noise lp1 * lp2 * sigma_d2_w": destination_noise,
+            "relay SNR scale": relay_noise and self.ps_watts / relay_noise,
+            "destination SNR scale": destination_noise and self.ps_watts / destination_noise,
         }
         for name, value in derived.items():
             if not (math.isfinite(value) and value > 0):
@@ -323,12 +327,8 @@ def capacities(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
 
 
 # For float64 values >= 0 the order of the bit patterns, read as int64, is the
-# order of the values. The first probes lie 0 to 15 and 2**4 to 2**62 patterns
-# either side of a start; a pattern that leaves int64 wraps negative.
+# order of the values.
 _INF_BITS = int(np.float64(math.inf).view(np.int64))
-_AROUND = np.array([-(1 << j) for j in range(62, 3, -1)] + list(range(-15, 16))
-                   + [1 << j for j in range(4, 63)], np.int64)
-_PROBES = 64
 
 
 @functools.lru_cache(maxsize=1024)
@@ -336,29 +336,18 @@ def snr_cutoff(pre: float, cth: float) -> float:
     """The least float64 gamma >= 0 with capacity(pre, gamma) >= cth, or inf
     when no finite gamma reaches cth. capacity does not decrease in gamma, so
     `gamma < snr_cutoff(pre, cth)` is `capacity(pre, gamma) < cth` bit for bit,
-    without a log1p; the search evaluates capacity itself on float64 arrays.
+    without a log1p; the search bisects the bit patterns, evaluating capacity
+    itself, on a float64 array, at each midpoint.
     """
-    try:
-        start = math.expm1(cth * _LN2 / pre)  # a near guess; any start gives the same answer
-    except OverflowError:
-        start = math.inf
     # (lo, hi]: the patterns of a gamma below the cutoff (-1: none) and of one at or above it
     lo, hi = -1, _INF_BITS
-    probes = int(np.float64(start).view(np.int64)) + _AROUND
-    probes = probes[(probes > lo) & (probes < hi)]
-    while True:
-        reached = capacity(pre, probes.view(np.float64)) >= cth
-        first = int(reached.argmax())
-        if reached[first]:
-            hi = int(probes[first])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if capacity(pre, np.array([mid], np.int64).view(np.float64))[0] >= cth:
+            hi = mid
         else:
-            first = reached.size
-        if first:
-            lo = int(probes[first - 1])
-        if hi - lo == 1:
-            return float(np.int64(hi).view(np.float64))
-        step = max((hi - lo) // (_PROBES + 1), 1)
-        probes = np.arange(lo + step, hi, step, dtype=np.int64)
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,

@@ -8,20 +8,17 @@ algebraically independent of the analytic evaluators: a trial is in outage
 where its weaker hop's SNR is below model.snr_cutoff, the least float64 SNR
 whose capacity reaches cth, found by evaluating the capacity function
 itself. The capacity does not decrease in the SNR, so that one compare per
-trial decides exactly as comparing the capacity with cth does. A block
-draws into float64 arrays kept in a thread's store and reused across
-blocks and calls, converts them to squared gains in place and decides in
-place, so it allocates nothing larger than its boolean outage flags.
+trial decides exactly as comparing the capacity with cth does.
 
-The store keeps a memo of block gains (see _block_fade) that later calls
-reuse, so rows of a dataset share their fades.
+Rows of a dataset share their fades through one read-only memo of block
+gains (see _block_fade); a block decides in arrays its thread reuses.
 """
 
 from __future__ import annotations
 
 import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +52,12 @@ class McPlan:
 _local = threading.local()
 
 
-def _thread_array(key, size: int, store: dict | None = None) -> np.ndarray:
-    """The float64 array kept under `key` in `store`, by default the calling
-    thread's, cut to `size`. Threads that share a store use distinct keys, so
-    results do not depend on scheduling. An array is replaced only when it is
-    too short, so a run frees no block-sized array."""
-    if store is None:
-        store = vars(_local)
-    arr = store.get(key)
+def _thread_array(key, size: int) -> np.ndarray:
+    """The calling thread's float64 array under `key`, cut to `size`. It is
+    replaced only when too short, so a run frees no block-sized array."""
+    arr = vars(_local).get(key)
     if arr is None or arr.size < size:
-        arr = store[key] = np.empty(size)
+        arr = vars(_local)[key] = np.empty(size)
     return arr[:size]
 
 
@@ -74,47 +67,67 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=threads)
 
 
-def _block_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-# Bytes of gains a plan may keep in a store, 8 per trial and slot: HD plans of up
-# to 2**20 trials and FD plans of up to 699,050 keep them; a larger plan keeps none.
+# Bytes of gains the memo holds, 8 per trial and slot; only a plan whose gains fit on
+# their own adds to it (HD plans of up to 2**20 trials, FD ones of up to 699,050).
 _KEPT_BYTES = 16 << 20
+# (seed, index, size, slot) -> (generator state after the slot, {ChannelSpec: gains}),
+# (seed, index, size, channels) -> their checked FadeSample; entries are replaced, not written.
+_memo: dict = {}
+_lock = threading.Lock()
 
 
-def _block_fade(seed: int, index: int, size: int, channels, store: dict | None) -> FadeSample:
-    """The squared gains of block `index` for the slots of `channels`, from
-    memo entry `index` of `store`, or from entry 0 of the running thread's
-    store when `store` is None. A slot's normals depend only on (seed, index,
-    size), so gains tagged (seed, index, size, spec) are what a fresh draw
-    gives, whichever call asks. A slot whose tag differs is redrawn in place,
-    from the state saved after the slot before it. A checked FadeSample is
-    kept until a slot it uses is redrawn."""
-    entry, store = (index, store) if store is not None else (0, vars(_local))
-    kept = store.setdefault(("kept", entry), {})  # slot -> (tag, state after it, gains)
-    samples = store.setdefault(("samples", entry), {})  # slot count -> FadeSample
+def _keep(key, state, ch, gains) -> tuple:
+    """Add read-only gains of spec `ch` to slot `key` and return its entry. Past
+    _KEPT_BYTES, evict the slot's other specs and its block's FadeSamples, then all."""
+    gains.flags.writeable = False
+    with _lock:
+        specs = _memo.get(key, (None, {}))[1]
+        over = gains.nbytes - _KEPT_BYTES + sum(
+            g.nbytes for k, entry in _memo.items() if type(k[3]) is int for g in entry[1].values())
+        if over > 0:
+            for stale in [k for k in _memo if k[:3] == key[:3] and type(k[3]) is tuple]:
+                del _memo[stale]
+            if sum(g.nbytes for g in specs.values()) < over:
+                _memo.clear()
+            specs = {}
+        entry = _memo[key] = (state, {**specs, ch: gains})
+    return entry
+
+
+def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> FadeSample:
+    """The squared gains of block `index` for the slots of `channels`. Slot
+    k's normals depend only on (seed, index, size, k), so a spec the memo
+    lacks is drawn from the state saved after slot k - 1, and kept gains are
+    what a fresh draw gives, whichever call or thread asks. With `keep`, new
+    gains and the checked FadeSample go into the memo; without, new gains go
+    into the running thread's arrays. An interrupted draw keeps nothing."""
+    block = (seed, index, size)
+    fade = _memo.get((*block, channels))
+    if fade is not None:
+        return fade
+    entries = []
     for slot, ch in enumerate(channels):
-        tag = (seed, index, size, ch)
-        if kept.get(slot, (None,))[0] == tag:
-            continue
-        # untag before drawing in place: an interrupted draw leaves no stale tag
-        kept.pop(slot, None)
-        for slots in range(slot + 1, 4):
-            samples.pop(slots, None)
-        rng = _block_rng(seed, index)
-        if slot:
-            rng.bit_generator.state = kept[slot - 1][1]
-        gains = sample_sq_gain(ch, rng, out=_thread_array(("gains", entry, slot), size, store))
-        kept[slot] = (tag, rng.bit_generator.state, gains)
-    if len(channels) not in samples:
-        samples[len(channels)] = FadeSample(*(kept[slot][2] for slot in range(len(channels))))
-    return samples[len(channels)]
+        entry = _memo.get((*block, slot))
+        if entry is None or ch not in entry[1]:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+            if slot:
+                rng.bit_generator.state = entries[-1][0]
+            gains = sample_sq_gain(ch, rng, size, out=None if keep else _thread_array(slot, size))
+            entry = (rng.bit_generator.state, {ch: gains})
+            if keep:
+                entry = _keep((*block, slot), entry[0], ch, gains)
+        entries.append(entry)
+    fade = FadeSample(*(entry[1][ch] for entry, ch in zip(entries, channels)))
+    if keep:
+        with _lock:  # unless another thread has since replaced one of its slots
+            if all(_memo.get((*block, slot)) is entry for slot, entry in enumerate(entries)):
+                _memo[(*block, channels)] = fade
+    return fade
 
 
-def _block_outages(cfg: SystemConfig, scenario: Scenario, channels, seed: int, index: int,
-                   size: int, store: dict | None) -> int:
-    fade = _block_fade(seed, index, size, channels, store)
+def _block_outages(cfg: SystemConfig, scenario: Scenario, channels, keep: bool, seed: int,
+                   index: int, size: int) -> int:
+    fade = _block_fade(seed, index, size, channels, keep)
     scratch = [_thread_array(key, size) for key in ("scratch0", "scratch1")]
     return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=scratch)))
 
@@ -128,24 +141,10 @@ def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
     """
     blocks = plan.blocks()
     channels = (cfg.ch1, cfg.ch2, cfg.chg) if scenario.duplex == "fd" else (cfg.ch1, cfg.ch2)
-    # a plan that keeps its gains puts each block in its own entry of the caller's
-    # store, which pool workers share; a larger plan draws into entry 0 of each thread's
-    store = vars(_local) if 8 * plan.trials * len(channels) <= _KEPT_BYTES else None
-    if threads > 1 and len(blocks) > 1:
-        pool = _pool(threads)
-        futures = [pool.submit(_block_outages, cfg, scenario, channels, plan.seed, index,
-                               size, store)
-                   for index, size in blocks]
-        try:
-            counts = [f.result() for f in futures]
-        finally:  # even when interrupted, no block outlives the call to write the store
-            for f in futures:
-                f.cancel()
-            wait(futures)
-    else:
-        counts = [_block_outages(cfg, scenario, channels, plan.seed, index, size, store)
-                  for index, size in blocks]
-    failures = sum(counts)
-    p_hat = failures / plan.trials
+    keep = 8 * plan.trials * len(channels) <= _KEPT_BYTES
+    block = functools.partial(_block_outages, cfg, scenario, channels, keep, plan.seed)
+    # the pool's map cancels the blocks still queued if the caller is interrupted
+    apply = _pool(threads).map if threads > 1 and len(blocks) > 1 else map
+    p_hat = sum(apply(block, *zip(*blocks))) / plan.trials
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / plan.trials)
     return OutageEstimate(p_hat, "monte_carlo", float(stderr), plan.trials)

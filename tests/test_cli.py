@@ -71,7 +71,8 @@ class TestPoint:
 
     @pytest.mark.parametrize("label,override", [
         ("hd-df-tsr", "system.d1_m=1e200"),  # path loss overflows
-        ("fd-df-tsr", "system.path_loss_exp=400"),  # SNR scale underflows
+        ("hd-df-tsr", "system.d1_m=1e-300"),  # path loss underflows to 0
+        ("fd-df-tsr", "system.path_loss_exp=400"),  # lp1 * lp2 * sigma_d2_w overflows
     ])
     def test_degenerate_link_rejected(self, label, override, capsys):
         assert run(["point", "--scenario", label, "--tau", "0.5", "--no-mc",

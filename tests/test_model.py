@@ -250,12 +250,6 @@ class TestSnrCutoff:
         assert snr_cutoff(0.5, 0.0) == 0.0
         assert snr_cutoff(1e-4, 100.0) == math.inf  # 2**(1e6) leaves the float64 range
 
-    @pytest.mark.parametrize("start", [0.0, 5e-324, 1e-300, 1.0, 3.5e7, 1e300, math.inf])
-    def test_answer_does_not_depend_on_start(self, start, monkeypatch):
-        want = [snr_cutoff.__wrapped__(pre, cth) for pre, cth in grid_cutoff_pairs()]
-        monkeypatch.setattr(math, "expm1", lambda _: start)
-        assert [snr_cutoff.__wrapped__(pre, cth) for pre, cth in grid_cutoff_pairs()] == want
-
     def test_cold_search_is_silent(self):
         with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")
@@ -346,7 +340,10 @@ class TestValidation:
             {"sigma_d2_w": 0.0},
             {"cth": -0.1},
             {"d1_m": 1e200},  # path loss overflows
-            {"path_loss_exp": 400.0},  # destination SNR scale underflows to 0
+            {"path_loss_exp": 400.0},  # lp1 * lp2 * sigma_d2_w overflows
+            {"d1_m": 1e-200},  # path loss underflows to 0
+            {"d1_m": 1e-100, "d2_m": 1e-100, "sigma_d2_w": 1e-200},  # lp1 * lp2 * sigma_d2_w == 0
+            {"d1_m": 1e-100, "sigma_a2_w": 1e-200, "sigma_c2_w": 1e-200},  # relay noise == 0
         ],
     )
     def test_system_config_rejects(self, kwargs):

@@ -13,11 +13,21 @@ import pytest
 import ehrelay.montecarlo as mc
 from ehrelay import cli
 from ehrelay.lognormal import ChannelSpec, sample_sq_gain
-from ehrelay.model import FadeRangeError, FadeSample, Scenario, SystemConfig, outage_indicator
+from ehrelay.model import (FadeRangeError, FadeSample, OutageEstimate, Scenario, SystemConfig,
+                           outage_indicator)
 from ehrelay.montecarlo import McPlan, estimate_outage
 
 CFG = SystemConfig()
 TSR = Scenario("hd", "df", "tsr", tau=0.5)
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    # the memo is shared by the whole process: every test starts and ends with
+    # it empty, so no draw count depends on gains another test kept
+    mc._memo.clear()
+    yield
+    mc._memo.clear()
 
 
 def test_zero_threshold_gives_degenerate_zero():
@@ -157,7 +167,7 @@ class TestPlanValidation:
 
 
 # ---------------------------------------------------------------------------
-# the memo of block gains: each block drawn once per thread, estimates unchanged
+# the memo of block gains: each block drawn once per process, estimates unchanged
 
 def _selftest_batch():
     """Every variant at one grid value each, in selftest order: per relay HD
@@ -175,14 +185,8 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(mc, "BLOCK_SIZE", 2**13)
 
 
-@pytest.fixture
-def empty_stores(monkeypatch):
-    # every thread's store starts empty, whatever earlier tests kept
-    monkeypatch.setattr(mc, "_local", threading.local())
-
-
 def _in_fresh_thread(fn):
-    """fn() run in a new thread, whose store starts empty, so every block is drawn afresh."""
+    """fn() run in a new thread."""
     result = []
     t = threading.Thread(target=lambda: result.append(fn()))
     t.start()
@@ -191,8 +195,26 @@ def _in_fresh_thread(fn):
     return result[0]
 
 
+def _channels(point):
+    cfg = point.cfg
+    return (cfg.ch1, cfg.ch2, cfg.chg) if point.scenario.duplex == "fd" else (cfg.ch1, cfg.ch2)
+
+
 def _fresh(points, plan):
-    return _in_fresh_thread(lambda: [estimate_outage(p.cfg, p.scenario, plan) for p in points])
+    """Each point's estimate from blocks drawn afresh, without the memo: block
+    i draws its channels in order from the substream (plan.seed, i)."""
+    estimates = []
+    for p in points:
+        failures = 0
+        for index, size in plan.blocks():
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed,
+                                                               spawn_key=(index,)))
+            fade = FadeSample(*(sample_sq_gain(ch, rng, size) for ch in _channels(p)))
+            failures += int(np.count_nonzero(outage_indicator(p.cfg, p.scenario, fade)))
+        p_hat = failures / plan.trials
+        stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / plan.trials))
+        estimates.append(OutageEstimate(p_hat, "monte_carlo", stderr, plan.trials))
+    return estimates
 
 
 def _mc_columns(rows):
@@ -203,10 +225,36 @@ def _expected_columns(estimates, plan):
     return [(e.value, e.stderr, e.trials, plan.seed) for e in estimates]
 
 
-def _tags(store):
-    """(entry, slot) -> tag of every kept slot in `store`."""
-    return {(key[1], slot): kept[0] for key, value in store.items() if key[0] == "kept"
-            for slot, kept in value.items()}
+def _kept_blocks():
+    """(seed, index, size) of every block whose FadeSample the memo keeps."""
+    return {key[:3] for key in mc._memo if isinstance(key[3], tuple)}
+
+
+def _kept_slots():
+    """(seed, index, size, slot) -> the specs the memo keeps at that slot."""
+    return {key: set(entry[1]) for key, entry in mc._memo.items() if isinstance(key[3], int)}
+
+
+def _held_bytes():
+    """Bytes of the distinct gain arrays the memo refers to, FadeSamples included."""
+    arrays = {}
+    for value in mc._memo.values():
+        gains = value[1].values() if isinstance(value, tuple) else (value.x, value.y, value.w)
+        arrays.update((id(a), a.nbytes) for a in gains if a is not None)
+    return sum(arrays.values())
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The spec of every draw the estimator makes, in order."""
+    specs = []
+
+    def counted(ch, *args, **kwargs):
+        specs.append(ch)
+        return sample_sq_gain(ch, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "sample_sq_gain", counted)
+    return specs
 
 
 @pytest.fixture
@@ -220,50 +268,59 @@ def short_switches():
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.usefixtures("small_blocks", "empty_stores", "short_switches")
+@pytest.mark.usefixtures("small_blocks", "short_switches")
 @pytest.mark.parametrize("threads", [1, 2, 4])
-def test_run_points_equals_per_call_estimates(threads):
+def test_run_points_equals_per_call_estimates(threads, draws):
+    """A plan that fits the memo keeps every block's fades, even on the pool,
+    with both loop-back spreads side by side, so a second run draws no slot,
+    not even the loop-back one that the two FD spreads share."""
     points = _selftest_batch()
     assert len({p.scenario.label() for p in points}) == 8
     rows, _ = cli.run_points(points, SHORT_LAST, threads)
     assert _mc_columns(rows) == _expected_columns(_fresh(points, SHORT_LAST), SHORT_LAST)
-    # a plan that fits the memo keeps its gains in the caller's store, even on the pool
-    assert {index for index, _ in _tags(vars(mc._local))} == {0, 1, 2}
+    assert _kept_blocks() == {(SHORT_LAST.seed, *block) for block in SHORT_LAST.blocks()}
+    assert len(draws) == 3 * (2 + 2)  # per block: slots 0 and 1, then slot 2 per spread
+    loop_backs = {p.cfg.chg for p in points if p.scenario.duplex == "fd"}
+    assert len(loop_backs) == 2
+    assert [specs for key, specs in _kept_slots().items() if key[3] == 2] == [loop_backs] * 3
+    draws.clear()
+    again, _ = cli.run_points(points, SHORT_LAST, threads)
+    assert draws == [] and again == rows
 
 
-@pytest.mark.usefixtures("small_blocks", "empty_stores", "short_switches")
-def test_plan_over_budget_draws_per_call_and_matches(monkeypatch):
-    """A plan whose gains exceed the budget keeps none: every thread draws each
-    of its blocks into entry 0 of its own store, and every estimate still
-    matches. A budget between the HD and FD sizes keeps only HD gains."""
+@pytest.mark.usefixtures("small_blocks", "short_switches")
+def test_plan_over_budget_draws_per_call_and_matches(monkeypatch, draws):
+    """A plan whose gains exceed the budget keeps none: every call draws each
+    of its blocks into its thread's arrays, and every estimate still matches.
+    A budget between the HD and FD sizes keeps only HD gains."""
     points = _selftest_batch()
     expected = _expected_columns(_fresh(points, SHORT_LAST), SHORT_LAST)
-    draws, stores = [], []
-    fade = mc._block_fade
-
-    def counted(*args, **kwargs):
-        draws.append(None)
-        return sample_sq_gain(*args, **kwargs)
-
-    def recorded(*args):
-        stores.append(vars(mc._local) if args[-1] is None else args[-1])
-        return fade(*args)
-
-    monkeypatch.setattr(mc, "sample_sq_gain", counted)
-    monkeypatch.setattr(mc, "_block_fade", recorded)
+    slots = sum(len(_channels(p)) for p in points)
     hd_bytes = 8 * SHORT_LAST.trials * 2
     for budget, threads in itertools.product((0, hd_bytes), (1, 2, 4)):
         monkeypatch.setattr(mc, "_KEPT_BYTES", budget)
         draws.clear()
         rows, _ = cli.run_points(points, SHORT_LAST, threads)
         assert _mc_columns(rows) == expected
-        if budget == 0:  # no store keeps more than one entry
-            assert {index for store in stores for index, _ in _tags(store)} == {0}
-        if budget == 0 and threads == 1:  # each block finds the last block's gains
-            slots = {"hd": 2, "fd": 3}
-            assert len(draws) == 3 * sum(slots[p.scenario.duplex] for p in points)
-    # at the last budget the caller's store keeps HD gains in entries 0-2, FD ones in entry 0
-    assert set(_tags(vars(mc._local))) == {(i, s) for i in range(3) for s in range(2)} | {(0, 2)}
+        if budget == 0:  # nothing is kept, so every call draws every slot of every block
+            assert not mc._memo and len(draws) == 3 * slots
+    # at the last budget the memo keeps the HD gains and the HD blocks' fades only
+    blocks = {(SHORT_LAST.seed, *block) for block in SHORT_LAST.blocks()}
+    assert _kept_slots() == {(*block, slot): {CFG.ch1} for block in blocks for slot in (0, 1)}
+    assert _kept_blocks() == blocks
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_over_budget_fd_plan_draws_only_its_loop_back_slot(monkeypatch, draws):
+    monkeypatch.setattr(mc, "_KEPT_BYTES", 8 * SHORT_LAST.trials * 2)
+    hd, fd = _selftest_batch()[0], _selftest_batch()[-1]
+    assert (hd.scenario.duplex, fd.scenario.duplex) == ("hd", "fd")
+    estimate_outage(hd.cfg, hd.scenario, SHORT_LAST)
+    draws.clear()
+    got = [estimate_outage(fd.cfg, fd.scenario, SHORT_LAST, threads=threads)
+           for threads in (1, 2)]
+    assert draws == [fd.cfg.chg] * 2 * len(SHORT_LAST.blocks())
+    assert got == _fresh([fd], SHORT_LAST) * 2
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -276,18 +333,50 @@ def test_scopes_share_nothing():
     assert got == [list(pair) for pair in zip(_fresh(points, plan_a), _fresh(points, plan_b))]
 
 
-@pytest.mark.usefixtures("small_blocks", "empty_stores")
-def test_scope_keeps_nothing_for_another_thread():
-    """Another thread's estimate draws into its own store and leaves the
-    calling thread's tags as they were."""
+@pytest.mark.usefixtures("small_blocks", "short_switches")
+def test_other_threads_reuse_kept_gains(draws):
+    """Gains one thread keeps serve an estimate in another thread and on the
+    pool at 2 and 4 threads, without a draw."""
     point = _selftest_batch()[-1]
     mine = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
-    tags = _tags(vars(mc._local))
-    assert len(tags) == 3 * 3
-    other = replace(SHORT_LAST, seed=5)
-    theirs = _in_fresh_thread(lambda: estimate_outage(point.cfg, point.scenario, other))
-    assert _tags(vars(mc._local)) == tags
-    assert [theirs] == _fresh([point], other) and [mine] == _fresh([point], SHORT_LAST)
+    assert len(draws) == 3 * 3
+    draws.clear()
+    theirs = _in_fresh_thread(lambda: estimate_outage(point.cfg, point.scenario, SHORT_LAST))
+    pooled = [estimate_outage(point.cfg, point.scenario, SHORT_LAST, threads=threads)
+              for threads in (2, 4)]
+    assert draws == []
+    assert [mine, theirs, *pooled] == _fresh([point], SHORT_LAST) * 4
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_kept_arrays_are_read_only():
+    point = _selftest_batch()[-1]
+    estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+    kept = [gains for key, entry in mc._memo.items() if isinstance(key[3], int)
+            for gains in entry[1].values()]
+    kept += [value.w for value in mc._memo.values() if isinstance(value, FadeSample)]
+    assert len(kept) == 3 * 3 + 3
+    for gains in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            gains[0] = 1.0
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_fades_are_kept_only_with_their_gains(monkeypatch):
+    """When another thread empties the memo while a block checks its fades,
+    the block keeps no FadeSample, which would hold gains the memo no longer
+    counts against its budget."""
+    point = _selftest_batch()[-1]
+    checked = mc.FadeSample
+
+    def emptied_meanwhile(*gains):
+        mc._memo.clear()
+        return checked(*gains)
+
+    monkeypatch.setattr(mc, "FadeSample", emptied_meanwhile)
+    assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
+        _fresh([point], SHORT_LAST)
+    assert _kept_blocks() == set()
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -304,66 +393,91 @@ def test_redrawn_slot_is_checked_again():
 
 
 @pytest.mark.usefixtures("small_blocks")
-def test_interrupted_draw_leaves_no_stale_tag(monkeypatch):
-    """A draw that writes its array and then raises must not leave the
-    array's old tag behind: asking for that tag again draws afresh."""
+@pytest.mark.parametrize("budget", [mc._KEPT_BYTES, 0], ids=["kept", "over-budget"])
+def test_interrupted_draw_keeps_nothing(monkeypatch, budget):
+    """A draw that writes its array and then raises, midway through a block,
+    keeps nothing: the memo holds what it held plus the slot drawn before,
+    and the next call equals a fresh draw."""
+    monkeypatch.setattr(mc, "_KEPT_BYTES", budget)
     point = _selftest_batch()[-1]
     estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+    before = dict(mc._memo)
+    calls = []
 
     def interrupted(ch, rng, size=None, out=None):
-        out.fill(1.0)
-        raise KeyboardInterrupt
+        calls.append(ch)
+        if len(calls) == 2:  # slot 1 of block 0
+            (np.empty(size) if out is None else out).fill(1.0)
+            raise KeyboardInterrupt
+        return sample_sq_gain(ch, rng, size, out=out)
 
+    other = replace(SHORT_LAST, seed=6)
     with monkeypatch.context() as patched, pytest.raises(KeyboardInterrupt):
         patched.setattr(mc, "sample_sq_gain", interrupted)
-        estimate_outage(point.cfg, point.scenario, replace(SHORT_LAST, seed=6))
-    assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
-        _fresh([point], SHORT_LAST)
+        estimate_outage(point.cfg, point.scenario, other)
+    added = {key for key in mc._memo if key not in before}
+    assert added == ({(other.seed, 0, 2**13, 0)} if budget else set())
+    assert all(mc._memo[key] is entry for key, entry in before.items())
+    for plan in (other, SHORT_LAST):
+        assert [estimate_outage(point.cfg, point.scenario, plan)] == _fresh([point], plan)
 
 
-@pytest.mark.usefixtures("small_blocks", "empty_stores")
-def test_interrupted_call_lets_no_block_outlive_it(monkeypatch):
-    """A caller interrupted while its blocks run on the pool raises only once
-    none of them can still write its store."""
+@pytest.mark.usefixtures("small_blocks")
+def test_interrupted_pooled_call_cancels_queued_blocks(monkeypatch):
+    """A caller interrupted while its blocks run on the pool cancels those
+    still queued, and what the blocks that ran keep is what a fresh draw gives."""
     point = _selftest_batch()[-1]
-    finished = []
+    plan = replace(SHORT_LAST, trials=20 * 2**13)
+    started, release = [], threading.Event()
     block = mc._block_outages
 
     def interrupting(*args):
-        if args[4] == 0:  # interrupts the caller waiting for the results, then draws
+        started.append(args[5])
+        if args[5] == 0:  # interrupts the caller waiting for the results
             time.sleep(0.05)
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            time.sleep(0.2)
-        count = block(*args)
-        finished.append(args[4])
-        return count
+        else:
+            release.wait(10)
+        return block(*args)
 
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         with monkeypatch.context() as patched, pytest.raises(KeyboardInterrupt):
             patched.setattr(mc, "_block_outages", interrupting)
-            estimate_outage(point.cfg, point.scenario, SHORT_LAST, threads=2)
-        assert 0 in finished
+            estimate_outage(point.cfg, point.scenario, plan, threads=2)
     finally:
+        release.set()
         signal.signal(signal.SIGINT, handler)
-    assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST, threads=2)] == \
-        _fresh([point], SHORT_LAST)
+    mc._pool(2).submit(lambda: None).result()  # both workers are free again
+    mc._pool(2).submit(lambda: None).result()
+    assert 0 in started and len(started) < len(plan.blocks())
+    assert [estimate_outage(point.cfg, point.scenario, plan, threads=2)] == \
+        _fresh([point], plan)
 
 
-def _arrays():
-    # the calling thread's store, arrays only
-    return {key: id(arr) for key, arr in vars(mc._local).items() if isinstance(arr, np.ndarray)}
+@pytest.mark.usefixtures("small_blocks")
+def test_memo_stays_within_budget(monkeypatch, draws):
+    """Across seeds and loop-back specs the memo never holds more than its
+    budget. A budget of one FD plan keeps the HD slots throughout: a new
+    loop-back spec evicts the other one at its slot, not the whole memo."""
+    budget = 8 * SHORT_LAST.trials * 3
+    monkeypatch.setattr(mc, "_KEPT_BYTES", budget)
+    held = []
+    keep = mc._keep
 
+    def checked(*args):
+        entry = keep(*args)
+        held.append(_held_bytes())
+        return entry
 
-@pytest.mark.usefixtures("small_blocks", "empty_stores")
-def test_next_scope_reuses_the_arrays_of_the_last():
-    """A second run, at another seed, redraws every block in place and
-    allocates no array."""
+    monkeypatch.setattr(mc, "_keep", checked)
     points = _selftest_batch()
-    cli.run_points(points, SHORT_LAST, 1)
-    arrays = _arrays()
-    assert {key for key in arrays if key[0] == "gains"} == {
-        ("gains", index, slot) for index, _ in SHORT_LAST.blocks() for slot in range(3)}
-    cli.run_points(points, replace(SHORT_LAST, seed=9), 1)
-    assert _arrays() == arrays
-    assert {tag[0] for tag in _tags(vars(mc._local)).values()} == {9}
+    for _ in range(2):
+        rows, _ = cli.run_points(points, SHORT_LAST, 1)
+        assert _mc_columns(rows) == _expected_columns(_fresh(points, SHORT_LAST), SHORT_LAST)
+    assert len([ch for ch in draws if ch == CFG.ch1]) == 3 * 2  # slots 0 and 1, drawn once
+    for seed in (4, 5, 6):
+        plan = replace(SHORT_LAST, seed=seed)
+        rows, _ = cli.run_points(points, plan, 1)
+        assert _mc_columns(rows) == _expected_columns(_fresh(points, plan), plan)
+    assert held and max(held) <= budget and _held_bytes() <= budget
