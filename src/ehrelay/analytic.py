@@ -49,17 +49,13 @@ _KINDS = {
 
 class _Columns:
     """The fields of same-typed dataclass instances (rows) as attributes:
-    numbers as float64 arrays, a nested instance's numbers as a nested
-    _Columns, and a str or None (the same on every row of one variant) as
-    itself. Rows that are one object, as the optimizer's repeated pairs are,
-    are read once."""
+    numbers as float64 arrays that hold each row's value `repeat` times in
+    succession, a nested instance's numbers as a nested _Columns, and a str
+    or None (the same on every row of one variant) as itself."""
 
-    def __init__(self, rows=()):
+    def __init__(self, rows=(), repeat=1):
         if not rows:
             return  # a nested _Columns, filled by its parent
-        slots: dict[int, int] = {}
-        where = [slots.setdefault(id(row), len(slots)) for row in rows]
-        rows = list({id(row): row for row in rows}.values())
         numbers, nested = [], []
         for name, value in vars(rows[0]).items():
             if value is None or isinstance(value, str):
@@ -72,7 +68,7 @@ class _Columns:
                           + [getattr(getattr(row, name), inner)
                              for name, inners in nested for inner in inners]
                           for row in rows], float)
-        columns = iter(table[where].T)
+        columns = iter(np.repeat(table, repeat, axis=0).T)
         vars(self).update(zip(numbers, columns))
         for name, inners in nested:
             setattr(self, name, _Columns())
@@ -140,35 +136,37 @@ def _reduce(cfg, scenario):
              2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, 1.0, *coefs))
 
 
-def outages(pairs, params=None) -> list[float]:
-    """Analytic outage of every (cfg, scenario) pair; with `params`, pair i
-    has its tau (TSR) or rho (PSR) replaced by params[i], which must lie in
-    (0, 1) (an IRR pair raises ValueError). The pairs of each variant are
-    reduced together as columns, and the integrals of each kind form one
-    quadrature batch; every value equals that of the pair's batch of one."""
-    if not pairs:
-        return []
-    groups: dict[str, list[int]] = {}
-    for i, (_, scenario) in enumerate(pairs):
-        groups.setdefault(scenario.label(), []).append(i)
+def outages(pairs, params=None) -> np.ndarray:
+    """Analytic outage of every (cfg, scenario) pair as a float64 array. With
+    `params` of shape (len(pairs), m), the result has that shape and entry
+    [i, j] is pair i with its tau (TSR) or rho (PSR) set to params[i, j],
+    which must lie in (0, 1) (an IRR pair raises ValueError). The pairs of
+    each variant are reduced together as columns, and the integrals of each
+    kind form one quadrature batch; every value equals that of the pair's
+    batch of one."""
+    width = 1
     if params is not None:
         params = np.asarray(params, float)
-        if params.shape != (len(pairs),):
-            raise ValueError(f"need one harvesting parameter per pair, got {params.shape}")
+        if params.ndim != 2 or params.shape[0] != len(pairs):
+            raise ValueError(f"need a row of harvesting parameters per pair, got {params.shape}")
         if not ((params > 0.0) & (params < 1.0)).all():
             raise ValueError("harvesting parameters must lie in (0, 1)")
-    values = np.empty(len(pairs))
+        width = params.shape[1]
+    groups: dict[tuple, list[int]] = {}
+    for i, (_, scenario) in enumerate(pairs):
+        groups.setdefault((scenario.duplex, scenario.relay, scenario.eh), []).append(i)
+    values = np.empty(len(pairs) * width)
     tails: dict[str, list] = {kind: [] for kind in _KINDS}
     with np.errstate(all="ignore"):  # like Python floats, columns overflow without a warning
         for rows in groups.values():
             first = pairs[rows[0]][1]
-            cfg = _Columns([pairs[i][0] for i in rows])
-            scenario = _Columns([pairs[i][1] for i in rows])
-            rows = np.array(rows)
+            cfg = _Columns([pairs[i][0] for i in rows], width)
+            scenario = _Columns([pairs[i][1] for i in rows], width)
             if params is not None:
                 if first.eh_param_name is None:
                     raise ValueError(f"{first.eh} has no harvesting parameter")
-                setattr(scenario, first.eh_param_name, params[rows])
+                setattr(scenario, first.eh_param_name, params[rows].ravel())
+            rows = (np.array(rows)[:, None] * width + np.arange(width)).ravel()
             values[rows], kind, pending, tail = _reduce(cfg, scenario)
             if kind is not None:
                 tails[kind].append([pending, rows, *(np.full(rows.size, c) if isinstance(c, float)
@@ -187,9 +185,9 @@ def outages(pairs, params=None) -> list[float]:
 
         tail = integrate_lognormal_batch(integrand, mu_db, sigma_db, lower, upper)
         values[rows] = _clamp01(values[rows] + unit * tail)
-    return values.tolist()
+    return values if params is None else values.reshape(params.shape)
 
 
 def outage(cfg: SystemConfig, scenario: Scenario) -> OutageEstimate:
     """Analytic outage of one scenario, any variant."""
-    return OutageEstimate(outages([(cfg, scenario)])[0], "analytic")
+    return OutageEstimate(float(outages([(cfg, scenario)])[0]), "analytic")

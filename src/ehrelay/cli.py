@@ -104,7 +104,7 @@ def load_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
                 key, _, value = line.partition("=")
                 entries[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return entries
 
@@ -167,7 +167,7 @@ def run_points(points, plan, threads) -> tuple[list[Row], list[str]]:
     `plan`, each row makes one `estimate_outage` call at `plan` as it is (at its optimum for an
     optimize point), so rows share their fades through the process's read-only memo of block
     gains (see montecarlo._block_fade)."""
-    plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]))
+    plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]).tolist())
     optima = iter(minimize_many([(p.cfg, p.scenario) for p in points if p.optimize]))
     rows, fallbacks = [], []
     for p in points:
@@ -205,9 +205,13 @@ def dataset_text(settings: dict, rows: list[Row], fmt: str, notes: list[str]) ->
 def emit(settings: dict, rows: list[Row], notes: list[str]) -> None:
     """Write the dataset in output.format to output.path, or to stdout."""
     text = dataset_text(settings, rows, settings["output.format"], notes)
-    if settings["output.path"]:
-        with open(settings["output.path"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    path = settings["output.path"]
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"output.path: cannot write {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -52,8 +52,6 @@ def q_function(x):
     return 0.5 * elementwise(math.erfc, x / _SQRT2)
 
 
-q_array = q_function  # libm's erfc on each element; integrands use q_vector instead
-
 # N/D approximates erfcx(y)*(1 + y)/2 in t = y/(y + 2) for y in [0, 28], within
 # 5.4e-15 relative in float64: the fit printed by tools/fit_q.py (lowest degree first)
 _Q_NUM = (0.5, -1.4335652329713349, 1.8091037246153174, -0.7227067448013383,

@@ -60,8 +60,8 @@ class SystemConfig:
         for name in ("sigma_a2_w", "sigma_c2_w", "sigma_d2_w"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.cth >= 0:
-            raise ValueError(f"cth must be >= 0, got {self.cth}")
+        if not (math.isfinite(self.cth) and self.cth >= 0):
+            raise ValueError(f"cth must be finite and >= 0, got {self.cth}")
         # Every SNR coefficient is one of these scales times protocol
         # factors; an overflowed or underflowed scale would make the SNRs
         # infinite or zero for every fade.

@@ -45,10 +45,11 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
 
     Per pair: a coarse scan over 0.02..0.98 in steps of 0.02, then
     golden-section refinement of the best cell until the bracket is
-    narrower than tol. The pairs advance in lock-step, one `outages` call
-    per stage over the pairs still active with the trial values as its
-    params, and each result equals that of the pair's batch of one. A tol
-    outside [1e-12, 1) raises ValueError.
+    narrower than tol. The pairs advance in lock-step: each stage is one
+    `outages` call with a row of params per pair still in it (49 trial
+    values for the scan, 999 for the dense fallback, 2 first probes, then 1
+    per golden-section step), and each result equals that of the pair's
+    batch of one. A tol outside [1e-12, 1) raises ValueError.
     """
     if not 1e-12 <= tol < 1:
         raise ValueError(f"tol must be in [1e-12, 1), got {tol}")
@@ -57,10 +58,10 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
         return []
 
     def objective(index, params) -> np.ndarray:
-        return np.array(outages([pairs[i] for i in index.tolist()], params))
+        return outages([pairs[i] for i in index.tolist()], params)
 
     n, grid, dense = len(pairs), np.linspace(0.02, 0.98, 49), np.arange(1, 1000) / 1000.0
-    values = objective(np.repeat(np.arange(n), grid.size), np.tile(grid, n)).reshape(n, grid.size)
+    values = objective(np.arange(n), np.broadcast_to(grid, (n, grid.size)))
     inner = values[:, 1:-1]
     multi = np.count_nonzero((inner < values[:, :-2] - _NOISE_FLOOR)
                              & (inner < values[:, 2:] - _NOISE_FLOOR), axis=1) > 1
@@ -69,8 +70,7 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
     evaluations = np.where(multi, grid.size + dense.size, grid.size + 2)
 
     m = np.flatnonzero(multi)
-    dense_vals = objective(np.repeat(m, dense.size),
-                           np.tile(dense, m.size)).reshape(m.size, dense.size)
+    dense_vals = objective(m, np.broadcast_to(dense, (m.size, dense.size)))
     j = np.argmin(dense_vals, axis=1)
     take = dense_vals[np.arange(m.size), j] < best_val[m]
     best_arg[m[take]], best_val[m[take]] = dense[j[take]], dense_vals[take, j[take]]
@@ -80,7 +80,7 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
     lo, hi = edges[best_i], edges[best_i + 2]
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     fc, fd = np.full(n, np.nan), np.full(n, np.nan)
-    fc[uni], fd[uni] = np.split(objective(np.tile(uni, 2), np.concatenate([c[uni], d[uni]])), 2)
+    fc[uni], fd[uni] = objective(uni, np.stack([c[uni], d[uni]], axis=1)).T
     active = uni[hi[uni] - lo[uni] > tol]
     while active.size:
         left = fc[active] < fd[active]
@@ -89,8 +89,8 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
         lo[r], c[r], fc[r] = c[r], d[r], fd[r]
         c[l] = hi[l] - _INV_PHI * (hi[l] - lo[l])
         d[r] = lo[r] + _INV_PHI * (hi[r] - lo[r])
-        fc[l], fd[r] = np.split(objective(np.concatenate([l, r]),
-                                          np.concatenate([c[l], d[r]])), [l.size])
+        step = objective(active, np.where(left, c[active], d[active])[:, None])[:, 0]
+        fc[l], fd[r] = step[left], step[~left]
         evaluations[active] += 1
         c_wins = fc < fd
         inner_arg, inner_val = np.where(c_wins, c, d), np.where(c_wins, fc, fd)

@@ -257,17 +257,28 @@ def test_mixed_batch_equals_batches_of_one_bit_for_bit():
 
 def test_params_column_equals_scenarios_with_that_parameter():
     pairs = [(c, s) for c, s in mixed_batch() if s.eh != "irr"]
-    params = np.linspace(0.03, 0.97, len(pairs))
-    moved = outages([(c, s.with_eh_param(p)) for (c, s), p in zip(pairs, params)])
-    assert list(map(float.hex, outages(pairs, params))) == list(map(float.hex, moved))
+    params = np.linspace(0.03, 0.97, len(pairs))[:, None]
+    moved = outages([(c, s.with_eh_param(p)) for (c, s), (p,) in zip(pairs, params)])
+    assert list(map(float.hex, outages(pairs, params)[:, 0])) == list(map(float.hex, moved))
     with pytest.raises(ValueError, match="no harvesting parameter"):
-        outages([(CFG, ALL_SCENARIOS[2])], [0.5])
+        outages([(CFG, ALL_SCENARIOS[2])], [[0.5]])
     for bad in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            outages(pairs[:2], [0.5, bad])
-    with pytest.raises(ValueError, match="one harvesting parameter per pair"):
-        outages(pairs[:2], [0.5])
+            outages(pairs[:2], [[0.5], [bad]])
+    for shape in ((1, 1), (2,), (2, 1, 1)):  # one row per pair and nothing else
+        with pytest.raises(ValueError, match="a row of harvesting parameters per pair"):
+            outages(pairs[:2], np.full(shape, 0.5))
+
+
+def test_params_row_entries_equal_batches_of_one_bit_for_bit():
+    pairs = [(c, s) for c, s in mixed_batch() if s.eh != "irr"]
+    params = np.random.default_rng(5).uniform(0.01, 0.99, (len(pairs), 3))
+    got = outages(pairs, params)
+    alone = [[outages([(c, s.with_eh_param(p))])[0] for p in row]
+             for (c, s), row in zip(pairs, params)]
+    assert got.shape == params.shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), np.array(alone).view(np.uint64))
 
 
 def test_empty_batch():
-    assert outages([]) == [] and outages([], []) == []
+    assert outages([]).tolist() == [] and outages([], np.empty((0, 3))).shape == (0, 3)

@@ -155,6 +155,12 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("config error: output.format: ")
         assert not out.exists()
 
+    def test_undecodable_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert run(["point", "--config", str(cfg), "--no-mc"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {cfg}: ")
+
 
 class TestSweep:
     def test_tau_sweep_rows(self, tmp_path):
@@ -202,6 +208,14 @@ class TestSweep:
         assert len(doc["rows"]) == 2
         assert doc["settings"]["system.cth"] == 2.0
         assert doc["rows"][0]["axis_value"] == 0.3
+
+    def test_infinite_cth_rejected(self, tmp_path, capsys):
+        # JSON has no Infinity, and every other axis rejects non-finite values too
+        out = tmp_path / "cth.json"
+        assert run(["sweep", "--scenario", "hd-df-tsr", "--axis", "cth", "--values", "1e308,inf",
+                    "--format", "json", "--trials", "10000", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: sweep: cth = inf: ")
+        assert not out.exists()
 
     def test_missing_values_rejected(self, capsys):
         assert run(["sweep", "--scenario", "hd-df-tsr", "--axis", "tau",
@@ -300,6 +314,22 @@ FIGURE_CSV_SHA256 = {
 }
 
 
+@pytest.mark.parametrize("command", [
+    ["point", "--no-mc"],
+    ["sweep", "--scenario", "hd-df-irr", "--axis", "cth", "--values", "1", "--no-mc"],
+    ["optimize", "--scenario", "hd-df-tsr"],
+    ["figure", "fig4", "--no-mc"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_path_is_a_config_error(command, where, tmp_path):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+    done = run_subprocess([*command, "--out", str(out)])
+    assert done.returncode == EXIT_CONFIG
+    assert done.stderr.startswith(f"config error: output.path: cannot write {out}: ")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "missing").exists()
+
+
 class TestFigures:
     @pytest.mark.parametrize("which", sorted(FIGURE_CSV_SHA256))
     def test_analytic_csv_is_byte_identical(self, which, tmp_path):
@@ -343,8 +373,11 @@ class TestFigures:
                 - 0.4 * np.exp(-((p - 0.7) ** 2) / 0.002)
 
         def walled(pairs, params):
-            return [two_wells(p) if s.eh == "psr" and c.ps_watts == 5.0 else v
-                    for (c, s), p, v in zip(pairs, params, real(pairs, params))]
+            values = real(pairs, params)
+            for i, (c, s) in enumerate(pairs):
+                if s.eh == "psr" and c.ps_watts == 5.0:
+                    values[i] = two_wells(params[i])
+            return values
 
         plain = tmp_path / "plain.csv"
         assert run(["figure", "fig5", "--no-mc", "--out", str(plain)]) == EXIT_OK

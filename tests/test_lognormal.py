@@ -17,7 +17,6 @@ from ehrelay.lognormal import (
     XI,
     ChannelSpec,
     product_ccdf,
-    q_array,
     q_function,
     q_vector,
     sample_sq_gain,
@@ -64,11 +63,11 @@ class TestQFunction:
         assert all(a > b for a, b in zip(qs, qs[1:]))
 
 
-    def test_q_array_equals_q_function_bit_for_bit(self):
+    def test_q_function_of_an_array_equals_its_elements_bit_for_bit(self):
         x = np.array([[0.0, -0.0, 40.0, -40.0, np.inf],
                       [-np.inf, np.nan, 1.96, -7.5, 1e-300]])
         expected = np.array([[q_function(float(v)) for v in row] for row in x])
-        got = q_array(x)
+        got = q_function(x)
         assert got.shape == x.shape and got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 

@@ -344,6 +344,7 @@ class TestValidation:
             {"d1_m": 1e-200},  # path loss underflows to 0
             {"d1_m": 1e-100, "d2_m": 1e-100, "sigma_d2_w": 1e-200},  # lp1 * lp2 * sigma_d2_w == 0
             {"d1_m": 1e-100, "sigma_a2_w": 1e-200, "sigma_c2_w": 1e-200},  # relay noise == 0
+            {"cth": math.inf},  # not finite: a JSON dataset has no Infinity
         ],
     )
     def test_system_config_rejects(self, kwargs):

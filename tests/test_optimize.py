@@ -85,8 +85,9 @@ def test_multimodal_objective_falls_back_to_dense_grid(monkeypatch):
                             - 0.4 * np.exp(-((p - 0.7) ** 2) / 0.002))
 
     monkeypatch.setattr(opt, "outage", fake_outage)
-    monkeypatch.setattr(opt, "outages", lambda pairs, params: [
-        fake_outage(c, s.with_eh_param(p)).value for (c, s), p in zip(pairs, params)])
+    monkeypatch.setattr(opt, "outages", lambda pairs, params: np.array(
+        [[fake_outage(c, s.with_eh_param(p)).value for p in row]
+         for (c, s), row in zip(pairs, params)]).reshape(params.shape))
     result = minimize_over_eh_param(CFG, TSR)
     assert result.non_unimodal
     assert result.arg_opt == pytest.approx(0.7, abs=2e-3)
@@ -181,9 +182,12 @@ def test_mixed_batch_equals_batches_of_one(monkeypatch, tol, evaluations):
 
     def mixed_outages(pairs, params):
         kept = [i for i, (c, _) in enumerate(pairs) if id(c) not in fakes]
-        real = iter(outages([pairs[i] for i in kept], params[kept]))
-        return [fakes[id(c)](p) if id(c) in fakes else next(real)
-                for (c, _), p in zip(pairs, params)]
+        values = np.empty(params.shape)
+        values[kept] = outages([pairs[i] for i in kept], params[kept])
+        for i, (c, _) in enumerate(pairs):
+            if id(c) in fakes:
+                values[i] = fakes[id(c)](params[i])
+        return values
 
     monkeypatch.setattr(opt, "outages", mixed_outages)
     pairs = [(CFG, TSR), (walled, TSR), (CFG, PSR), (replace(CFG, ps_watts=5.0), TSR),
@@ -194,6 +198,32 @@ def test_mixed_batch_equals_batches_of_one(monkeypatch, tol, evaluations):
     assert [r.evaluations for r in results] == evaluations
     assert results[1].arg_opt == pytest.approx(0.7, abs=2e-3)
     assert results[4].arg_opt < 0.02
+
+
+def test_each_stage_passes_each_pair_once(monkeypatch):
+    # a mixed TSR/PSR/FD batch with one two-well pair, so every stage runs
+    walled = replace(CFG, cth=1.25)
+    calls = []
+
+    def recorded(pairs, params):
+        calls.append((len({id(pair) for pair in pairs}), len(pairs), np.shape(params)))
+        values = outages(pairs, params)
+        for i, (c, _) in enumerate(pairs):
+            if c is walled:
+                values[i] = two_wells(params[i])
+        return values
+
+    monkeypatch.setattr(opt, "outages", recorded)
+    pairs = [(CFG, TSR), (walled, PSR), (CFG, PSR), (replace(CFG, ps_watts=5.0), TSR),
+             (CFG, Scenario("fd", "df", "tsr", tau=0.5)),
+             (CFG, Scenario("fd", "af", "tsr", tau=0.5))]
+    results = minimize_many(pairs)
+    assert [r.non_unimodal for r in results] == [False, True, False, False, False, False]
+    for distinct, n, shape in calls:
+        assert distinct == n and shape[0] == n and len(shape) == 2
+    widths = [shape[1] for _, _, shape in calls]
+    assert widths[:3] == [49, 999, 2] and set(widths[3:]) == {1}
+    assert [n for _, n, _ in calls[:3]] == [6, 1, 5]
 
 
 def test_empty_batch():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ehrelay import quadrature
-from ehrelay.lognormal import XI, ChannelSpec, q_array, q_function
+from ehrelay.lognormal import XI, ChannelSpec, q_function
 from ehrelay.model import SystemConfig
 from ehrelay.quadrature import (
     REL_TOL,
@@ -51,7 +51,7 @@ def test_ccdf_shaped_integrand_against_trapezoid():
     other = ChannelSpec(1.0, 1.5)
 
     def f(z):
-        return q_array((XI * np.log(z) - 2 * other.mu_db) / (2 * other.sigma_db))
+        return q_function((XI * np.log(z) - 2 * other.mu_db) / (2 * other.sigma_db))
 
     got = integrate_lognormal_weighted(f, CH)
     ref = trapezoid_oracle(f, CH, 0.0, math.inf)
