@@ -2,11 +2,12 @@
 
 Each scenario reduces to a threshold SNR v and then either to a closed
 value or to a head term plus one integral over a fading distribution: the
-six half-duplex variants share two integrands (one DF, one AF), the
-full-duplex DF case is closed form and the full-duplex AF case is a single
-finite-interval integral. `outages` evaluates many (cfg, scenario) pairs:
-it reduces the pairs of each variant as columns of float64 arrays and then
-runs one batched quadrature per integrand kind; `outage` is a batch of one.
+six half-duplex variants share one integrand (DF is AF with a noiseless
+relay), the full-duplex DF case is closed form and the full-duplex AF case
+is a single finite-interval integral. `outages` evaluates many (cfg,
+scenario) pairs: it reduces the pairs of each variant as columns of float64
+arrays and then runs one batched quadrature per integrand kind (HD, FD-AF);
+`outage` is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .lognormal import (XI, _standardize, _standardize_product, elementwise, pro
 from .model import (OutageEstimate, Scenario, SystemConfig, af_snr_coefficients,
                     df_snr_coefficients, eh_time_gain, hop_losses, relay_noise_w, threshold_snr)
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
-from .quadrature import integrate_lognormal_batch, integrate_lognormal_weighted  # noqa: F401
+from .quadrature import (REL_TOL, integrate_lognormal_batch,  # noqa: F401
+                         integrate_lognormal_weighted)
 
 
 def _clamp01(p):
@@ -28,21 +30,18 @@ def _clamp01(p):
     return np.minimum(1.0, np.maximum(0.0, p))
 
 
-# Tail terms whose provable bound (integrand <= 1 times remaining weight
-# mass) falls below this are dropped instead of integrated: the adaptive
-# rule cannot resolve a super-exponential ramp spanning 30 decades, and
-# every tolerance downstream is at least four orders of magnitude larger.
-_NEGLIGIBLE_TAIL = 1e-9
-
 # Per integrand kind, the threshold x(z, *coefs) that a squared gain must
 # clear given the integration variable z (a zero denominator is where it
 # diverges). The outage adds the integral of the lower tail Q(-u) to a head
 # term, with u the dB value of x standardized by (m, s): HD integrates the
-# second hop Y over the first hop X, FD-AF the product X*Y over the
-# loop-back W.
+# second hop Y over the first hop X, with gamma_d = A*X*Y/(B*Y + C) (DF's
+# k2*X*Y is B = 0, C = 1), and FD-AF the product X*Y over the loop-back W.
+# A tail whose provable bound (integrand <= 1 times the weight mass of its
+# window) is at most REL_TOL times the head is dropped instead of integrated:
+# the adaptive rule cannot resolve a super-exponential ramp spanning 30
+# decades, and the tail is below the accuracy every integral converges to.
 _KINDS = {
-    "hd-df": lambda z, v, k2: v / (k2 * z),
-    "hd-af": lambda z, a, b, c, v: v * c / np.maximum(a * z - v * b, 0.0),
+    "hd": lambda z, a, b, c, v: v * c / np.maximum(a * z - v * b, 0.0),
     "fd-af": lambda w, k, v, scale: scale * (1.0 / k + w) / np.maximum(1.0 - k * v * w, 0.0),
 }
 
@@ -109,29 +108,29 @@ def _reduce(cfg, scenario):
         settled |= upper == 0.0
         upper = np.where(settled, 1.0, upper)
         u = _standardize(upper, cfg.chg)
-        pending = ~settled & ~(q_function(-u) <= _NEGLIGIBLE_TAIL)
+        head = q_function(u)
+        pending = ~settled & ~(q_function(-u) <= REL_TOL * head)
         lp1, lp2 = hop_losses(cfg)
         scale = lp1 * lp2 * v * relay_noise_w(cfg, scenario) / cfg.ps_watts
         # The integrand is at least its value at W = 0, Pr{Z < scale/k}.
         # Integrated in units of that floor, the fixed absolute tolerance
         # acts as a relative one where the outage is tiny.
         unit = np.maximum(q_function(-_standardize_product(scale / k, cfg.ch1, cfg.ch2)), 1e-300)
-        return (np.where(pending, q_function(u), value), "fd-af", pending,
+        return (np.where(pending, head, value), "fd-af", pending,
                 (cfg.chg.mu_db, cfg.chg.sigma_db, 0.0, upper,
                  *product_db_moments(cfg.ch1, cfg.ch2), unit, k, v, scale))
     # HD: outage is certain when the first hop X misses `lower` (DF: k1*X < v;
-    # AF, with gamma_d = A*X*Y/(B*Y + C): X <= v*B/A), otherwise the second
-    # hop Y must miss the threshold given X. A tail whose bound is negligible
-    # leaves the head alone.
+    # AF: X <= v*B/A), otherwise the second hop Y must miss the threshold given X.
     if scenario.relay == "df":
         k1, k2 = df_snr_coefficients(cfg, scenario)
-        lower, coefs = v / k1, (v, k2)
+        lower, coefs = v / k1, (k2, 0.0, 1.0, v)
     else:
         a, b, c = af_snr_coefficients(cfg, scenario)
         lower, coefs = v * b / a, (a, b, c, v)
     u = _standardize(lower, cfg.ch1)
-    pending = ~settled & ~(q_function(u) <= _NEGLIGIBLE_TAIL)
-    return (np.where(settled, value, q_function(-u)), f"hd-{scenario.relay}", pending,
+    head = q_function(-u)
+    pending = ~settled & ~(q_function(u) <= REL_TOL * head)
+    return (np.where(settled, value, head), "hd", pending,
             (cfg.ch1.mu_db, cfg.ch1.sigma_db, lower, math.inf,
              2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, 1.0, *coefs))
 

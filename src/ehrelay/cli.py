@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -202,6 +203,10 @@ def dataset_text(settings: dict, rows: list[Row], fmt: str, notes: list[str]) ->
     return "\n".join(lines) + "\n"
 
 
+def _output_error(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"output.path: cannot write {path}: {exc.strerror or exc}")
+
+
 def emit(settings: dict, rows: list[Row], notes: list[str]) -> None:
     """Write the dataset in output.format to output.path, or to stdout."""
     text = dataset_text(settings, rows, settings["output.format"], notes)
@@ -211,7 +216,7 @@ def emit(settings: dict, rows: list[Row], notes: list[str]) -> None:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"output.path: cannot write {path}: {exc.strerror or exc}") from exc
+            raise _output_error(path, exc) from exc
     else:
         sys.stdout.write(text)
 
@@ -246,6 +251,16 @@ def _settings_from_args(args) -> dict:
     if settings["output.format"] not in OUTPUT_FORMATS:
         raise ConfigError(f"output.format: must be one of {OUTPUT_FORMATS}, "
                           f"got {settings['output.format']!r}")
+    path = settings["output.path"]
+    if path and hasattr(args, "out"):  # a command that writes a dataset (not selftest)
+        # fail before evaluating anything, and leave what is at the path as it was
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise _output_error(path, exc) from exc
+        if not existed:
+            os.remove(path)
     return settings
 
 

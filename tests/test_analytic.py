@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ehrelay import quadrature
+from ehrelay import analytic, quadrature
 from ehrelay.analytic import _Columns, _reduce, outage, outages
 from ehrelay.lognormal import ChannelSpec, product_ccdf
 from ehrelay.model import (Scenario, SystemConfig, df_snr_coefficients, eh_time_gain,
@@ -112,13 +112,16 @@ def test_fuzz_values_stay_probabilities():
         )
         tau = float(rng.uniform(0.02, 0.98))
         rho = float(rng.uniform(0.02, 0.98))
-        for s in [
+        scenarios = [
             Scenario("hd", "df", "tsr", tau=tau), Scenario("hd", "df", "psr", rho=rho),
             Scenario("hd", "df", "irr"), Scenario("hd", "af", "tsr", tau=tau),
             Scenario("hd", "af", "psr", rho=rho), Scenario("hd", "af", "irr"),
             Scenario("fd", "df", "tsr", tau=tau), Scenario("fd", "af", "tsr", tau=tau),
-        ]:
-            assert 0.0 <= outage(cfg, s).value <= 1.0
+        ]
+        alone = [outage(cfg, s).value for s in scenarios]
+        assert all(0.0 <= value <= 1.0 for value in alone)
+        together = outages([(cfg, s) for s in scenarios])
+        assert list(map(float.hex, together)) == list(map(float.hex, alone))
 
 
 def test_fd_df_saturates_as_tau_approaches_one():
@@ -215,7 +218,8 @@ def branch(cfg, scenario):
     _, kind, pending, _ = _reduce(_Columns([cfg]), _Columns([scenario]))
     if kind is None:
         return "fd-df closed form"
-    return f"{kind} integral" if pending[0] else f"{kind} no tail"
+    variant = f"{scenario.duplex}-{scenario.relay}"  # the "hd" integrand serves DF and AF
+    return f"{variant} integral" if pending[0] else f"{variant} no tail"
 
 
 # 2**(1.023/0.001) - 1 is finite, but k*v overflows, so the loop-back cutoff 1/(k*v) is 0
@@ -241,6 +245,12 @@ def mixed_batch():
               (CFG, Scenario("hd", "df", "psr", rho=0.3, pc_fraction=0.2)),
               (replace(CFG, ps_watts=10.0), Scenario("fd", "df", "tsr", tau=0.2, pc_fraction=0.1)),
               (CFG, Scenario("hd", "df", "irr", pc_fraction=0.05))]
+    # HD hops far outside any physical range: quadrature nodes overflow to inf or 0
+    for hd in (ALL_SCENARIOS[0], ALL_SCENARIOS[5]):
+        for hop in ("ch1", "ch2"):
+            for spec in (ChannelSpec(1e300, 2.0), ChannelSpec(-1e300, 2.0),
+                         ChannelSpec(3.0, 1e300)):
+                pairs.append((replace(CFG, **{hop: spec}), hd))
     return pairs
 
 
@@ -253,6 +263,26 @@ def test_mixed_batch_equals_batches_of_one_bit_for_bit():
     assert any(s.pc_fraction > 0 for _, s in pairs)
     batch = outages(pairs)
     assert list(map(float.hex, batch)) == [float.hex(outages([pair])[0]) for pair in pairs]
+
+
+def test_one_quadrature_call_per_integrand_kind(monkeypatch):
+    calls = []
+
+    def counting(integrand, *window):
+        calls.append(len(window[0]))
+        return quadrature.integrate_lognormal_batch(integrand, *window)
+
+    monkeypatch.setattr(analytic, "integrate_lognormal_batch", counting)
+    hd = [(c, s) for c, s in mixed_batch()
+          if s.duplex == "hd" and branch(c, s).endswith("integral")]
+    assert {s.label()[:5] for _, s in hd} == {"hd-df", "hd-af"}
+    outages(hd)
+    assert calls == [len(hd)]  # DF and AF tails share the HD integrand
+    fd_af = (CFG, ALL_SCENARIOS[7])
+    assert branch(*fd_af) == "fd-af integral"
+    calls.clear()
+    outages([*hd, fd_af])
+    assert calls == [len(hd), 1]
 
 
 def test_params_column_equals_scenarios_with_that_parameter():

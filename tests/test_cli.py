@@ -314,20 +314,65 @@ FIGURE_CSV_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("command", [
+# every command that writes a dataset to output.path
+WRITING_COMMANDS = pytest.mark.parametrize("command", [
     ["point", "--no-mc"],
     ["sweep", "--scenario", "hd-df-irr", "--axis", "cth", "--values", "1", "--no-mc"],
     ["optimize", "--scenario", "hd-df-tsr"],
     ["figure", "fig4", "--no-mc"],
 ], ids=lambda command: command[0])
-@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+UNWRITABLE = pytest.mark.parametrize("where", ["directory", "missing-parent"])
+
+
+def unwritable(where, tmp_path):
+    return tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+
+
+@WRITING_COMMANDS
+@UNWRITABLE
 def test_unwritable_output_path_is_a_config_error(command, where, tmp_path):
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+    out = unwritable(where, tmp_path)
     done = run_subprocess([*command, "--out", str(out)])
     assert done.returncode == EXIT_CONFIG
     assert done.stderr.startswith(f"config error: output.path: cannot write {out}: ")
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "missing").exists()
+
+
+@WRITING_COMMANDS
+@UNWRITABLE
+def test_unwritable_output_path_fails_before_any_evaluation(command, where, tmp_path,
+                                                             monkeypatch, capsys):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluated before output.path was checked")
+
+    monkeypatch.setattr(cli, "run_points", evaluated)
+    monkeypatch.setattr(cli, "minimize_over_eh_param", evaluated)
+    assert run([*command, "--out", str(unwritable(where, tmp_path))]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: output.path: ")
+
+
+def test_run_that_fails_leaves_an_existing_output_file_alone(tmp_path, capsys):
+    out = tmp_path / "kept.csv"
+    out.write_text("earlier dataset\n")
+    code = run(["point", "--no-mc", "--tau", "2", "--out", str(out)])
+    assert code == EXIT_CONFIG and "tau" in capsys.readouterr().err
+    assert out.read_text() == "earlier dataset\n"
+
+
+def test_selftest_never_checks_output_path(tmp_path, monkeypatch):
+    # selftest writes no dataset, so an unwritable output.path is not its error
+    class Evaluated(Exception):
+        pass
+
+    def evaluated(*args, **kwargs):
+        raise Evaluated
+
+    monkeypatch.setattr(cli, "run_points", evaluated)
+    with pytest.raises(Evaluated):
+        run(["selftest", "--override", f"output.path={tmp_path}"])
 
 
 class TestFigures:

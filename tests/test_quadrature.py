@@ -144,17 +144,21 @@ def test_one_nonconverging_integral_fails_the_batch():
                                   [math.inf] * 3)
 
 
+# the variants whose outage has an integral tail: HD-DF and HD-AF share one integrand
+TAILED_VARIANTS = {"hd-df", "hd-af", "fd-af"}
+
+
 def assert_tails_match_scipy_quad(points, rel=0.0):
     """Every integral that the pairs of `points` need, each integrated alone
     by QUADPACK on the same t window, added to its head term, equals the
-    pair's outage to max(1e-10, rel * integral); returns the integrand kinds
-    seen."""
+    pair's outage to max(1e-10, rel * integral); returns the duplex-relay
+    prefixes of the variants whose tails it saw."""
     integrate = pytest.importorskip("scipy.integrate")
     from ehrelay.analytic import _KINDS, _Columns, _reduce, outages
 
     pairs = [(p.cfg, p.scenario) for p in points]
     got = outages(pairs)
-    kinds = set()
+    variants = set()
     for (cfg, scenario), value in zip(pairs, got):
         head, kind, pending, tail = _reduce(_Columns([cfg]), _Columns([scenario]))
         if kind is None or not pending[0]:
@@ -162,7 +166,7 @@ def assert_tails_match_scipy_quad(points, rel=0.0):
         mu_db, sigma_db, lower, upper, m, s, _, *coefs = (float(np.broadcast_to(c, 1)[0])
                                                           for c in tail)
         threshold = _KINDS[kind]
-        kinds.add(kind)
+        variants.add(f"{scenario.duplex}-{scenario.relay}")
         mean, std = 2 * mu_db, 2 * sigma_db
         t_lo = max(mean - 10 * std, XI * math.log(lower) if lower > 0 else -math.inf)
         t_hi = min(mean + 10 * std, XI * math.log(upper) if math.isfinite(upper) else math.inf)
@@ -176,27 +180,25 @@ def assert_tails_match_scipy_quad(points, rel=0.0):
 
         tail = integrate.quad(integrand, t_lo, t_hi, epsabs=1e-12, epsrel=1e-9, limit=2000)[0]
         assert abs(value - (head[0] + tail)) <= max(1e-10, rel * tail), (scenario.label(), cfg)
-    return kinds
+    return variants
 
 
 def test_tails_match_scipy_quad_on_the_selftest_grid():
     # the HD-DF, HD-AF and FD-AF tails of the selftest grid
-    from ehrelay.analytic import _KINDS
     from ehrelay.grids import selftest_points
 
-    assert assert_tails_match_scipy_quad(selftest_points(SystemConfig())) == set(_KINDS)
+    assert assert_tails_match_scipy_quad(selftest_points(SystemConfig())) == TAILED_VARIANTS
 
 
 def test_tails_match_scipy_quad_on_fig6_and_fig7():
     # pc_fraction > 0 (fig6), FD at ps = 10 W and the C_th sweep (fig7). Both
     # rules converge to REL_TOL of the integral, so they may differ by twice that:
     # FD-AF at ps = 10 W, sg2 = 5, cth = 2 integrates to 0.92 and differs by 4.2e-10.
-    from ehrelay.analytic import _KINDS
     from ehrelay.grids import preset_fig6, preset_fig7
 
     points = preset_fig6(SystemConfig())[0] + preset_fig7(SystemConfig())[0]
     assert {p.scenario.pc_fraction for p in points} == {0.0, 0.01, 0.02}
-    assert assert_tails_match_scipy_quad(points, 2 * REL_TOL) == set(_KINDS)
+    assert assert_tails_match_scipy_quad(points, 2 * REL_TOL) == TAILED_VARIANTS
 
 
 def test_cli_import_leaves_scipy_unloaded():
