@@ -111,14 +111,14 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(key: str, raw: str, template) -> object:
+    if not isinstance(template, (int, float)):
+        return raw
+    kind = int if isinstance(template, int) else float
     try:
-        if isinstance(template, int):
-            return int(raw)
-        if isinstance(template, float):
-            return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    return raw
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {what}, got {raw!r}") from exc
 
 
 def apply_entries(settings: dict, entries: dict[str, str], source: str) -> None:

@@ -1,0 +1,18 @@
+"""Helpers shared by the test modules."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(args, env=None, timeout=60):
+    """Run `python *args` in a fresh interpreter that imports ehrelay from
+    this checkout's src, with output captured as text. `env` replaces
+    os.environ as the base environment; src is put first on its PYTHONPATH."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)

@@ -2,11 +2,7 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from dataclasses import asdict, fields, is_dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +10,7 @@ import pytest
 import ehrelay.cli as cli
 import ehrelay.montecarlo as mc
 import ehrelay.optimize as opt
+from conftest import run_python
 from ehrelay.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -34,11 +31,7 @@ def run(args):
 
 
 def run_subprocess(args, timeout=60):
-    src = str(Path(mc.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "ehrelay.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=timeout)
+    return run_python(["-m", "ehrelay.cli", *args], timeout=timeout)
 
 
 class TestPoint:
@@ -146,6 +139,20 @@ class TestConfigFile:
         assert run(["point", "--no-mc", "--override",
                     "system.d1_m=ten"]) == EXIT_CONFIG
         assert "system.d1_m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,raw,expected", [
+        ("mc.trials", "1e5", "an integer"),
+        ("mc.seed", "1.5", "an integer"),
+        ("system.d1_m", "ten", "a number"),
+    ])
+    @pytest.mark.parametrize("source", ["override", "config"])
+    def test_bad_value_names_the_expected_type(self, key, raw, expected, source, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        extra = ["--override", f"{key}={raw}"] if source == "override" else ["--config", str(cfg)]
+        assert run(["point", "--no-mc", *extra]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key}: expected {expected}, got {raw!r}\n"
 
     def test_unknown_output_format_rejected(self, tmp_path, capsys):
         out = tmp_path / "sweep.out"

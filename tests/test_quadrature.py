@@ -1,14 +1,14 @@
 """Adaptive log-normal-weighted integration against a brute-force oracle."""
 
+import ast
 import math
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_python
 from ehrelay import quadrature
 from ehrelay.lognormal import XI, ChannelSpec, q_function
 from ehrelay.model import SystemConfig
@@ -202,14 +202,48 @@ def test_tails_match_scipy_quad_on_fig6_and_fig7():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    import ehrelay
-
-    src = str(Path(ehrelay.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, ehrelay.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    done = run_python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="counts the threads in /proc/self/task of a multi-core machine")
+@pytest.mark.parametrize("caller,threads", [(None, 1), ("2", 2)], ids=["unset", "caller-set"])
+def test_cli_import_starts_no_blas_pool_unless_the_caller_asks(caller, threads):
+    # numpy's bundled OpenBLAS starts one worker per extra core unless the
+    # variable is set when numpy loads; ehrelay sets it for that load only
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    code = ("import os, ehrelay.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    done = run_python(["-c", code], env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(threads), str(caller)]
+
+
+BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "outer", "vdot", "linalg"}
+
+
+def test_package_makes_no_blas_call():
+    # an attribute such as np.dot, an imported name such as `from numpy import
+    # dot`, or the @ operator; a local variable may still be called `inner`
+    found = []
+    for path in sorted(Path(quadrature.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.MatMult):
+                found.append(f"{path.name}: the @ operator")
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, (ast.alias, ast.ImportFrom)):
+                dotted = node.name if isinstance(node, ast.alias) else node.module or ""
+                if BLAS_NAMES & set(dotted.split(".")):
+                    found.append(f"{path.name}:{node.lineno}: imports {dotted}")
+    assert not found, (f"possible BLAS calls {found}: ehrelay/__init__.py loads numpy with "
+                       "OPENBLAS_NUM_THREADS=1 because the package makes none; a BLAS call "
+                       "must revisit that setting")
 
 
 def test_nan_integrand_is_reported_not_converged():
