@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from .lognormal import (XI, _standardize, _standardize_product, elementwise, product_db_moments,
-                        q_function, q_vector)
-from .model import (OutageEstimate, Scenario, SystemConfig, af_snr_coefficients,
-                    df_snr_coefficients, eh_time_gain, hop_losses, relay_noise_w, threshold_snr)
+from .lognormal import (XI, _log, _standardize, _standardize_product, elementwise,
+                        product_db_moments, q_function, q_vector)
+from .model import (OutageEstimate, Scenario, SystemConfig, hop_losses, relay_budget,
+                    snr_coefficients, threshold_snr)
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
 from .quadrature import (REL_TOL, integrate_lognormal_batch,  # noqa: F401
                          integrate_lognormal_weighted)
@@ -91,8 +91,8 @@ def _reduce(cfg, scenario):
         # Z < v/k2 (p_z), independently. Both are tails Q(-u) on standardized
         # dB coordinates, and p_w + p_z - p_w*p_z keeps their relative
         # precision where 1 - (1 - p_w)(1 - p_z) would round to 0.
-        k1, k2 = df_snr_coefficients(cfg, scenario)
-        p_w = q_function(-(XI * elementwise(math.log, v / k1) + 2.0 * cfg.chg.mu_db)
+        k1, k2, _, _ = snr_coefficients(cfg, scenario)
+        p_w = q_function(-(XI * elementwise(_log, v / k1) + 2.0 * cfg.chg.mu_db)
                          / (2.0 * cfg.chg.sigma_db))
         p_z = q_function(-_standardize_product(v / k2, cfg.ch1, cfg.ch2))
         return np.where(settled, value, _clamp01(p_w + p_z - p_w * p_z)), None, None, ()
@@ -102,7 +102,7 @@ def _reduce(cfg, scenario):
         # threshold. Summing both failure events, not subtracting success from
         # 1, keeps the relative precision of a tiny outage. Where essentially
         # no loop-back realization survives the cutoff the outage is 1.
-        k = eh_time_gain(cfg, scenario)
+        _, k, noise = relay_budget(cfg, scenario)
         upper = 1.0 / (k * v)
         # where k*v overflows the cutoff is 0: no loop-back realization survives it
         settled |= upper == 0.0
@@ -111,7 +111,7 @@ def _reduce(cfg, scenario):
         head = q_function(u)
         pending = ~settled & ~(q_function(-u) <= REL_TOL * head)
         lp1, lp2 = hop_losses(cfg)
-        scale = lp1 * lp2 * v * relay_noise_w(cfg, scenario) / cfg.ps_watts
+        scale = lp1 * lp2 * v * noise / cfg.ps_watts
         # The integrand is at least its value at W = 0, Pr{Z < scale/k}.
         # Integrated in units of that floor, the fixed absolute tolerance
         # acts as a relative one where the outage is tiny.
@@ -120,19 +120,17 @@ def _reduce(cfg, scenario):
                 (cfg.chg.mu_db, cfg.chg.sigma_db, 0.0, upper,
                  *product_db_moments(cfg.ch1, cfg.ch2), unit, k, v, scale))
     # HD: outage is certain when the first hop X misses `lower` (DF: k1*X < v;
-    # AF: X <= v*B/A), otherwise the second hop Y must miss the threshold given X.
-    if scenario.relay == "df":
-        k1, k2 = df_snr_coefficients(cfg, scenario)
-        lower, coefs = v / k1, (k2, 0.0, 1.0, v)
-    else:
-        a, b, c = af_snr_coefficients(cfg, scenario)
-        lower, coefs = v * b / a, (a, b, c, v)
+    # AF: X <= v*B/A), otherwise the second hop Y must miss the threshold given
+    # X. Where A is 0 the relay sends nothing and the outage is settled.
+    k1, a, b, c = snr_coefficients(cfg, scenario)
+    lower = v * b / a if k1 is None else v / k1
+    settled |= a == 0.0
     u = _standardize(lower, cfg.ch1)
     head = q_function(-u)
     pending = ~settled & ~(q_function(u) <= REL_TOL * head)
     return (np.where(settled, value, head), "hd", pending,
             (cfg.ch1.mu_db, cfg.ch1.sigma_db, lower, math.inf,
-             2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, 1.0, *coefs))
+             2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, 1.0, a, b, c, v))
 
 
 def outages(pairs, params=None) -> np.ndarray:

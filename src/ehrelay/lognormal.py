@@ -118,9 +118,14 @@ def q_vector(x):
         return np.abs(q, out=q).reshape(shape)
 
 
+def _log(x: float) -> float:
+    # math.log, and its limit -inf at 0 (a threshold that underflows), where math.log raises
+    return -math.inf if x == 0.0 else math.log(x)
+
+
 def _standardize(x, ch: ChannelSpec):
     # dB coordinate of x relative to the squared-gain Gaussian
-    return (XI * elementwise(math.log, x) - 2.0 * ch.mu_db) / (2.0 * ch.sigma_db)
+    return (XI * elementwise(_log, x) - 2.0 * ch.mu_db) / (2.0 * ch.sigma_db)
 
 
 def sq_gain_cdf(x: float, ch: ChannelSpec) -> float:
@@ -160,7 +165,7 @@ def product_db_moments(ch1: ChannelSpec, ch2: ChannelSpec):
 def _standardize_product(x, ch1: ChannelSpec, ch2: ChannelSpec):
     # dB coordinate of x relative to the product's Gaussian
     mean, std = product_db_moments(ch1, ch2)
-    return (XI * elementwise(math.log, x) - mean) / std
+    return (XI * elementwise(_log, x) - mean) / std
 
 
 def sample_sq_gain(ch: ChannelSpec, rng: np.random.Generator, size=None, out=None):

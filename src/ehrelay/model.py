@@ -1,13 +1,15 @@
 """Physical link model shared by the analytic and Monte Carlo paths.
 
-Covers the harvested relay power, the per-scenario SNRs, instantaneous
+Covers the relay's harvesting budget, the per-scenario SNRs, instantaneous
 capacities and the outage indicator for a dual-hop link whose relay is
-powered entirely by the source signal. The SNR/capacity functions accept
-scalar fades or numpy arrays of fades and broadcast elementwise. The
-coefficient helpers (hop_losses, relay_noise_w, eh_time_gain, the two
-*_snr_coefficients, capacity_prefactor and threshold_snr) also accept a
-cfg and scenario whose numeric fields are float64 arrays, as the analytic
-path's columns are, and give each element the float its row gives alone.
+powered entirely by the source signal. relay_budget is the one place a
+harvesting protocol enters: every variant's SNR coefficients follow from
+its (share, power, noise). The SNR/capacity functions accept scalar fades
+or numpy arrays of fades and broadcast elementwise. The coefficient helpers
+(hop_losses, relay_budget, snr_coefficients, capacity_prefactor and
+threshold_snr) also accept a cfg and scenario whose numeric fields are
+float64 arrays, as the analytic path's columns are, and give each element
+the float its row gives alone.
 """
 
 from __future__ import annotations
@@ -181,70 +183,56 @@ def hop_losses(cfg: SystemConfig) -> tuple[float, float]:
             elementwise(pow, cfg.d2_m, cfg.path_loss_exp))
 
 
-def relay_noise_w(cfg: SystemConfig, scenario: Scenario) -> float:
-    """Noise variance at the relay's information receiver.
+def relay_budget(cfg: SystemConfig, scenario: Scenario) -> tuple[float, float, float]:
+    """(share, power, noise): how the relay splits the received signal between
+    harvesting and decoding. share is the fraction of the signal power its
+    decoder gets, power the power it transmits per unit of signal power it
+    receives, and noise the noise variance at its decoder.
 
-    PSR routes only the (1-rho) share of the antenna signal to the decoder,
-    so the antenna noise contribution scales with (1-rho)."""
+    TSR splits in time: it harvests for tau of the frame and decodes all of
+    the signal, then transmits over half the rest (HD) or all of it (FD), at
+    2k or k with k = eta*tau/(1-tau). PSR splits in power: rho goes to the
+    harvester and (1-rho) of the signal and antenna noise to the decoder.
+    IRR harvests all of it while it decodes."""
     if scenario.eh == "psr":
-        return (1.0 - scenario.rho) * cfg.sigma_a2_w + cfg.sigma_c2_w
-    return cfg.sigma_a2_w + cfg.sigma_c2_w
-
-
-def eh_time_gain(cfg: SystemConfig, scenario: Scenario) -> float:
-    """k = eta*tau/(1-tau), the harvested-power scale of the TSR protocols."""
-    return cfg.eta * scenario.tau / (1.0 - scenario.tau)
-
-
-def df_snr_coefficients(cfg: SystemConfig, scenario: Scenario) -> tuple[float, float]:
-    """SNR coefficients (k1, k2) for DF relaying.
-
-    HD: gamma_r = k1*x and gamma_d = k2*x*y.
-    FD: gamma_r = k1/w (loop-back limited) and gamma_d = k2*x*y.
-    k2*d2**m*sigma_d2 is the relay transmit power per unit first-hop gain:
-    HD-TSR retransmits over half the remaining frame and FD-TSR over all of
-    it, which halves the FD power, and pc_fraction of it goes to processing.
-    """
-    if scenario.relay != "df":
-        raise ValueError("df_snr_coefficients requires a df scenario")
-    lp1, lp2 = hop_losses(cfg)
-    sr2 = relay_noise_w(cfg, scenario)
-    cost = 1.0 - scenario.pc_fraction
-    if scenario.duplex == "fd":
-        k = eh_time_gain(cfg, scenario)
-        return 1.0 / k, cost * k * cfg.ps_watts / (lp1 * lp2 * cfg.sigma_d2_w)
-    if scenario.eh == "tsr":
-        k1 = cfg.ps_watts / (lp1 * sr2)
-        k2 = 2.0 * eh_time_gain(cfg, scenario) * cfg.ps_watts / (lp1 * lp2 * cfg.sigma_d2_w)
-    elif scenario.eh == "psr":
-        k1 = (1.0 - scenario.rho) * cfg.ps_watts / (lp1 * sr2)
-        k2 = cfg.eta * scenario.rho * cfg.ps_watts / (lp1 * lp2 * cfg.sigma_d2_w)
-    else:
-        k1 = cfg.ps_watts / (lp1 * sr2)
-        k2 = cfg.eta * cfg.ps_watts / (lp1 * lp2 * cfg.sigma_d2_w)
-    return k1, cost * k2
-
-
-def af_snr_coefficients(cfg: SystemConfig, scenario: Scenario) -> tuple[float, float, float]:
-    """Coefficients (A, B, C) of the HD-AF destination SNR A*x*y/(B*y + C)."""
-    if scenario.duplex != "hd" or scenario.relay != "af":
-        raise ValueError("af_snr_coefficients requires an hd-af scenario")
-    lp1, lp2 = hop_losses(cfg)
-    if scenario.eh == "tsr":
-        twok = 2.0 * eh_time_gain(cfg, scenario)
-        a = twok * cfg.ps_watts
-        b = twok * lp1 * relay_noise_w(cfg, scenario)
-        c = (1.0 - scenario.tau) * lp1 * lp2 * cfg.sigma_d2_w
-    elif scenario.eh == "psr":
         rho = scenario.rho
-        a = cfg.eta * rho * (1.0 - rho) * cfg.ps_watts
-        b = cfg.eta * rho * lp1 * (cfg.sigma_c2_w + (1.0 - rho) * cfg.sigma_a2_w)
-        c = (1.0 - rho) * lp1 * lp2 * cfg.sigma_d2_w
-    else:
-        a = cfg.eta * cfg.ps_watts
-        b = cfg.eta * lp1 * relay_noise_w(cfg, scenario)
-        c = lp1 * lp2 * cfg.sigma_d2_w
-    return a, b, c
+        return 1.0 - rho, cfg.eta * rho, (1.0 - rho) * cfg.sigma_a2_w + cfg.sigma_c2_w
+    power = cfg.eta
+    if scenario.eh == "tsr":
+        k = cfg.eta * scenario.tau / (1.0 - scenario.tau)
+        power = k if scenario.duplex == "fd" else 2.0 * k
+    return 1.0, power, cfg.sigma_a2_w + cfg.sigma_c2_w
+
+
+def snr_coefficients(cfg: SystemConfig,
+                     scenario: Scenario) -> tuple[float | None, float, float, float]:
+    """SNR coefficients (k1, a, b, c) of every variant but FD-AF (see snr_pair).
+
+    The destination SNR is gamma_d = a*x*y/(b*y + c). A DF relay decodes
+    at gamma_r = k1*x (HD) or k1/w (FD, limited by its loop-back gain) and
+    regenerates the signal, so b = 0 and c = 1, and pc_fraction of its power
+    goes to processing. k1 is None for AF, whose relay does not decode.
+    """
+    if scenario.duplex == "fd" and scenario.relay == "af":
+        raise ValueError("snr_coefficients has no fd-af form; snr_pair derives its SNR")
+    lp1, lp2 = hop_losses(cfg)
+    share, power, noise = relay_budget(cfg, scenario)
+    if scenario.relay == "af":
+        # The one exception to the budget: TSR's c has (1 - tau) where its share
+        # is 1, so its noiseless-relay limit a/c is DF's a/(1 - tau), not DF's
+        # a. Nasir et al.'s AF-TSR derivation has no such factor; whether the
+        # paper's model means it is an open question (ROADMAP item 2).
+        c_share = 1.0 - scenario.tau if scenario.eh == "tsr" else share
+        return (None, power * share * cfg.ps_watts, power * lp1 * noise,
+                c_share * lp1 * lp2 * cfg.sigma_d2_w)
+    cost = 1.0 - scenario.pc_fraction
+    den = lp1 * lp2 * cfg.sigma_d2_w
+    # each product keeps the association the pinned datasets were computed with
+    if scenario.duplex == "fd":
+        with np.errstate(divide="ignore", over="ignore"):  # a power that underflows: k1 = inf
+            k1 = np.divide(1.0, power)
+        return k1, cost * power * cfg.ps_watts / den, 0.0, 1.0
+    return share * cfg.ps_watts / (lp1 * noise), cost * (power * cfg.ps_watts / den), 0.0, 1.0
 
 
 def _empty_pair(fade: FadeSample):
@@ -266,31 +254,27 @@ def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample, out=None):
     if scenario.duplex == "fd" and w is None:
         raise ValueError("fd scenarios need the loop-back gain w in the fade sample")
     r, d = _empty_pair(fade) if out is None else out
-    if scenario.relay == "df":
-        k1, k2 = df_snr_coefficients(cfg, scenario)
-        if scenario.duplex == "fd":
+    if scenario.duplex == "hd" or scenario.relay == "df":
+        k1, a, b, c = snr_coefficients(cfg, scenario)
+        np.multiply(a, x, out=d)
+        np.multiply(d, y, out=d)
+        if k1 is None:  # a*x*y / (b*y + c)
+            np.multiply(b, y, out=r)
+            np.add(r, c, out=r)
+            np.divide(d, r, out=d)
+            r = None
+        elif scenario.duplex == "fd":
             np.divide(k1, w, out=r)
         else:
             np.multiply(k1, x, out=r)
-        np.multiply(k2, x, out=d)
-        np.multiply(d, y, out=d)
-    elif scenario.duplex == "hd":
-        # a*x*y / (b*y + c)
-        a, b, c = af_snr_coefficients(cfg, scenario)
-        np.multiply(b, y, out=r)
-        np.add(r, c, out=r)
-        np.multiply(a, x, out=d)
-        np.multiply(d, y, out=d)
-        np.divide(d, r, out=d)
-        r = None
     else:
         # fd-af: amplified loop-back interference enters both signal path and
-        # gain, ps*x*y / (lp1*lp2*sr2*(1/k + w) + ps*k*w*x*y)
+        # gain, ps*x*y / (lp1*lp2*noise*(1/k + w) + ps*k*w*x*y) with k = power
         lp1, lp2 = hop_losses(cfg)
-        k = eh_time_gain(cfg, scenario)
-        sr2 = relay_noise_w(cfg, scenario)
-        np.add(1.0 / k, w, out=r)
-        np.multiply(lp1 * lp2 * sr2, r, out=r)
+        _, k, noise = relay_budget(cfg, scenario)
+        with np.errstate(divide="ignore", over="ignore"):  # a power that underflows: SNR 0
+            np.add(np.divide(1.0, k), w, out=r)
+        np.multiply(lp1 * lp2 * noise, r, out=r)
         np.multiply(cfg.ps_watts * k, w, out=d)
         np.multiply(d, x, out=d)
         np.multiply(d, y, out=d)

@@ -10,8 +10,8 @@ import pytest
 from ehrelay import analytic, quadrature
 from ehrelay.analytic import _Columns, _reduce, outage, outages
 from ehrelay.lognormal import ChannelSpec, product_ccdf
-from ehrelay.model import (Scenario, SystemConfig, df_snr_coefficients, eh_time_gain,
-                           hop_losses, relay_noise_w, threshold_snr)
+from ehrelay.model import (Scenario, SystemConfig, hop_losses, relay_budget, snr_coefficients,
+                           threshold_snr)
 from ehrelay.montecarlo import McPlan, estimate_outage
 
 CFG = SystemConfig()
@@ -34,10 +34,22 @@ def test_zero_threshold_means_zero_outage(scenario):
     assert outage(cfg0, scenario).value == 0.0
 
 
-@pytest.mark.parametrize("label", ["hd-df-tsr", "hd-af-tsr", "fd-df-tsr", "fd-af-tsr"])
-def test_vanishing_harvest_time_saturates(label):
-    s = Scenario.from_label(label, tau=1e-6)
-    assert outage(CFG, s).value > 0.999
+# the relay's power or its share of the signal vanishes: by a short harvest time, or
+# down to a power or share that underflows to 0, where the formulas meet log(0), 0/0
+# and 1/0; the outage is then its limit, 1 (0 at cth = 0)
+@pytest.mark.parametrize("label,param,eta", [
+    *(pytest.param(label, 1e-6, 1.0, id=label)
+      for label in ("hd-df-tsr", "hd-af-tsr", "fd-df-tsr", "fd-af-tsr")),
+    *(pytest.param(label, param, 1.0, id=f"{label}-{name}-{param!r}")
+      for label, name, param in (("hd-af-tsr", "tau", 5e-324), ("hd-af-psr", "rho", 5e-324),
+                                 ("fd-df-tsr", "tau", 5e-324), ("fd-df-tsr", "tau", 1e-310))),
+    *(pytest.param(s.label(), 0.5, 5e-324, id=f"{s.label()}-eta-5e-324") for s in ALL_SCENARIOS),
+])
+def test_vanishing_harvest_time_saturates(label, param, eta):
+    cfg = replace(CFG, eta=eta)
+    s = Scenario.from_label(label, tau=param, rho=param)
+    assert outage(cfg, s).value > 0.999
+    assert outage(replace(cfg, cth=0.0), s).value == 0.0
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.label())
@@ -135,7 +147,7 @@ def test_fd_af_degenerate_loop_back_reduces_to_product_threshold():
     cfg = replace(CFG, chg=ChannelSpec(-40.0, 0.01))
     s = Scenario("fd", "af", "tsr", tau=0.5)
     got = outage(cfg, s).value
-    k = eh_time_gain(cfg, s)
+    _, k, _ = relay_budget(cfg, s)
     v = threshold_snr(s, cfg.cth)
     w0 = 10 ** (2 * cfg.chg.mu_db / 10)
     gamma = 25 * 25 * v * 0.005 * (1 / k + w0) / (cfg.ps_watts * (1 - k * v * w0))
@@ -156,7 +168,7 @@ def test_fd_df_low_outage_keeps_relative_precision():
     # both failure events are rare here, so 1 - (1 - p_w)(1 - p_z) rounds to 0
     cfg = replace(CFG, cth=0.05, ps_watts=1000.0, chg=ChannelSpec(-15.0, math.sqrt(5.0)))
     s = Scenario("fd", "df", "tsr", tau=0.5)
-    k1, k2 = df_snr_coefficients(cfg, s)
+    k1, k2, _, _ = snr_coefficients(cfg, s)
     v = threshold_snr(s, cfg.cth)
     with mpmath.workdps(50):
         xi = 10 / mpmath.log(10)
@@ -182,9 +194,9 @@ def test_fd_af_low_outage_keeps_relative_precision(ps, hop):
     got = outage(cfg, s).value
     assert got > 0.0
     assert got >= outage(cfg, replace(s, relay="df")).value
-    k, v = eh_time_gain(cfg, s), threshold_snr(s, cfg.cth)
+    (_, k, noise), v = relay_budget(cfg, s), threshold_snr(s, cfg.cth)
     lp1, lp2 = hop_losses(cfg)
-    scale = lp1 * lp2 * v * relay_noise_w(cfg, s) / cfg.ps_watts
+    scale = lp1 * lp2 * v * noise / cfg.ps_watts
     with mpmath.workdps(30):
         xi = 10 / mpmath.log(10)
         mean_z = 2 * (mpmath.mpf(cfg.ch1.mu_db) + cfg.ch2.mu_db)
@@ -213,7 +225,7 @@ def branch(cfg, scenario):
         return "cth = 0"
     if math.isinf(v):
         return "exponent >= 1024"
-    if scenario.label() == "fd-af-tsr" and math.isinf(eh_time_gain(cfg, scenario) * v):
+    if scenario.label() == "fd-af-tsr" and math.isinf(relay_budget(cfg, scenario)[1] * v):
         return "fd-af cutoff 0"
     _, kind, pending, _ = _reduce(_Columns([cfg]), _Columns([scenario]))
     if kind is None:

@@ -34,6 +34,19 @@ def run_subprocess(args, timeout=60):
     return run_python(["-m", "ehrelay.cli", *args], timeout=timeout)
 
 
+# point flags whose outage is certain: FD-AF's loop-back cutoff 1/(k*v) is 0 because
+# k*v overflows, and relays whose harvested power or share of the signal underflows to 0
+CERTAIN_OUTAGE = {
+    "": ["fd-af-tsr", "--tau", "0.999", "--override", "system.cth=1.023"],
+    "fd-df-tsr-tau-1e-310": ["fd-df-tsr", "--tau", "1e-310"],
+    "hd-af-psr-rho-5e-324": ["hd-af-psr", "--rho", "5e-324"],
+    "hd-af-tsr-tau-5e-324": ["hd-af-tsr", "--tau", "5e-324"],
+    "hd-af-irr-eta-5e-324": ["hd-af-irr", "--override", "system.eta=5e-324"],
+    "hd-af-tsr-eta-5e-324": ["hd-af-tsr", "--tau", "0.5", "--override", "system.eta=5e-324"],
+    "fd-af-tsr-eta-5e-324": ["fd-af-tsr", "--tau", "0.5", "--override", "system.eta=5e-324"],
+}
+
+
 class TestPoint:
     def test_analytic_and_mc_agree(self, capsys):
         assert run(["point", "--scenario", "hd-df-tsr", "--tau", "0.5",
@@ -76,13 +89,15 @@ class TestPoint:
         assert run(["point", "--scenario", "hd-df-irr", "--no-mc"]) == EXIT_OK
         assert "monte carlo" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("mc", [["--no-mc"], ["--trials", "10000"]], ids=["no-mc", "mc"])
-    def test_fd_af_zero_loop_back_cutoff_is_outage(self, mc):
-        # k*v overflows, so the loop-back cutoff 1/(k*v) is 0 and outage is certain
-        proc = run_subprocess(["point", *mc, "--scenario", "fd-af-tsr", "--tau", "0.999",
-                               "--override", "system.cth=1.023"])
+    @pytest.mark.parametrize("mc,case", [
+        pytest.param(mc, case, id="-".join(filter(None, (path, case))))
+        for case in CERTAIN_OUTAGE
+        for path, mc in (("no-mc", ["--no-mc"]), ("mc", ["--trials", "10000"]))])
+    def test_fd_af_zero_loop_back_cutoff_is_outage(self, mc, case):
+        proc = run_subprocess(["point", *mc, "--scenario", *CERTAIN_OUTAGE[case]])
         assert proc.returncode == EXIT_OK
         assert "analytic outage    1\n" in proc.stdout
+        assert "--no-mc" in mc or "monte carlo        1\n" in proc.stdout
         assert "Traceback" not in proc.stderr
 
     def test_point_writes_csv(self, tmp_path):

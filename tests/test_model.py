@@ -14,12 +14,12 @@ from ehrelay.model import (
     OutageEstimate,
     Scenario,
     SystemConfig,
-    af_snr_coefficients,
     capacities,
     capacity,
     capacity_prefactor,
-    df_snr_coefficients,
     outage_indicator,
+    relay_budget,
+    snr_coefficients,
     snr_cutoff,
     snr_pair,
     threshold_snr,
@@ -34,7 +34,7 @@ def hd(relay, eh, **kw):
 
 def relay_power(scenario):
     """Relay transmit power per unit first-hop gain, k2*d2^m*sigma_d2."""
-    _, k2 = df_snr_coefficients(CFG, scenario)
+    _, k2, _, _ = snr_coefficients(CFG, scenario)
     return k2 * CFG.d2_m**CFG.path_loss_exp * CFG.sigma_d2_w
 
 
@@ -60,7 +60,7 @@ class TestRelayPower:
     def test_zero_cost_is_bit_identical(self):
         s0 = hd("df", "irr")
         s1 = hd("df", "irr", pc_fraction=0.0)
-        assert df_snr_coefficients(CFG, s0) == df_snr_coefficients(CFG, s1)
+        assert snr_coefficients(CFG, s0) == snr_coefficients(CFG, s1)
 
 
 class TestSnrPair:
@@ -86,7 +86,7 @@ class TestSnrPair:
 
     def test_af_snr_below_single_hop_bounds(self):
         s = hd("af", "tsr", tau=0.4)
-        a, b, c = af_snr_coefficients(CFG, s)
+        _, a, b, c = snr_coefficients(CFG, s)
         rng = np.random.default_rng(17)
         for _ in range(200):
             x, y = rng.uniform(0.01, 100, 2)
@@ -96,8 +96,21 @@ class TestSnrPair:
 
     def test_af_tsr_ceiling_matches_relay_snr_scale(self):
         s = hd("af", "tsr", tau=0.4)
-        a, b, c = af_snr_coefficients(CFG, s)
+        _, a, b, c = snr_coefficients(CFG, s)
         assert a / b == pytest.approx(CFG.ps_watts / (25 * 0.005))
+
+    @pytest.mark.parametrize("eh", [
+        pytest.param("tsr", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 2: AF-TSR's c has a (1 - tau) where its share is 1, "
+                                "so its a/c is DF's k2/(1 - tau)")),
+        "psr", "irr"])
+    def test_noiseless_af_relay_reaches_df(self, eh):
+        # as the relay noise (b) goes to 0, AF's a*x*y/(b*y + c) tends to (a/c)*x*y,
+        # which must be DF's k2*x*y: an AF relay without noise forwards what DF decodes
+        s = Scenario.from_label(f"hd-af-{eh}", tau=0.3, rho=0.3)
+        _, a, _, c = snr_coefficients(CFG, s)
+        _, k2, _, _ = snr_coefficients(CFG, replace(s, relay="df"))
+        assert a / c == pytest.approx(k2, rel=1e-15)
 
     def test_destination_snr_monotone_in_fades(self):
         rng = np.random.default_rng(23)
@@ -117,6 +130,11 @@ class TestSnrPair:
     def test_fd_requires_loop_back_gain(self):
         with pytest.raises(ValueError):
             snr_pair(CFG, Scenario("fd", "df", "tsr", tau=0.5), FadeSample(1.0, 1.0))
+
+    def test_fd_af_has_no_snr_coefficients(self):
+        # its loop-back interference is amplified too, so its SNR has no a*x*y/(b*y + c) form
+        with pytest.raises(ValueError):
+            snr_coefficients(CFG, Scenario("fd", "af", "tsr", tau=0.5))
 
     def test_positive_snrs_for_positive_fades(self):
         rng = np.random.default_rng(31)
@@ -385,8 +403,17 @@ class TestValidation:
         OutageEstimate(1.0, "monte_carlo", 0.0, 10000)
 
 
-@pytest.mark.parametrize("label", ["hd-df-tsr", "hd-df-psr", "hd-af-tsr", "hd-af-irr",
-                                   "fd-df-tsr"])
+def coefficients(cfg, s):
+    """threshold_snr, relay_budget and the snr_coefficients that exist (none for
+    FD-AF, no k1 for AF): the numbers the analytic path reads off columns."""
+    values = [threshold_snr(s, cfg.cth), *relay_budget(cfg, s)]
+    if s.duplex == "hd" or s.relay == "df":
+        values += [v for v in snr_coefficients(cfg, s) if v is not None]
+    return values
+
+
+@pytest.mark.parametrize("label", ["hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr",
+                                   "hd-af-irr", "fd-df-tsr", "fd-af-tsr"])
 def test_coefficient_helpers_take_columns_bit_for_bit(label):
     # the analytic path calls these helpers with float64 columns in place of the
     # fields; each element must be the float its row gives alone (numpy's SIMD power
@@ -397,17 +424,18 @@ def test_coefficient_helpers_take_columns_bit_for_bit(label):
     n = 2000
     p, cth = rng.uniform(0.01, 0.99, n), rng.uniform(0.0, 9.0, n)
     d1, exp = rng.uniform(1.0, 30.0, n), rng.uniform(1.0, 4.0, n)
-    rows = [(replace(CFG, cth=c, d1_m=d, path_loss_exp=e), Scenario.from_label(label, q, q))
-            for c, d, e, q in zip(cth, d1, exp, p)]
+    pc = rng.uniform(0.0, 0.5, n) if "-df-" in label else np.zeros(n)
+    rows = [(replace(CFG, cth=c, d1_m=d, path_loss_exp=e),
+             Scenario.from_label(label, q, q, pc_fraction=f))
+            for c, d, e, q, f in zip(cth, d1, exp, p, pc)]
     cfg = SimpleNamespace(**{k: np.full(n, float(v)) for k, v in vars(CFG).items()
                              if isinstance(v, float)})
     cfg.cth, cfg.d1_m, cfg.path_loss_exp = cth, d1, exp
     s = rows[0][1]
-    scenario = SimpleNamespace(duplex=s.duplex, relay=s.relay, eh=s.eh, pc_fraction=np.zeros(n),
+    scenario = SimpleNamespace(duplex=s.duplex, relay=s.relay, eh=s.eh, pc_fraction=pc,
                                tau=p if s.tau is not None else None,
                                rho=p if s.rho is not None else None)
-    coefficients = df_snr_coefficients if s.relay == "df" else af_snr_coefficients
-    columns = (threshold_snr(scenario, cfg.cth), *coefficients(cfg, scenario))
-    for got, want in zip(columns, zip(*((threshold_snr(s, c.cth), *coefficients(c, s))
-                                        for c, s in rows))):
-        assert np.array_equal(np.asarray(got).view(np.uint64), np.array(want).view(np.uint64))
+    columns = coefficients(cfg, scenario)
+    for got, want in zip(columns, zip(*(coefficients(c, s) for c, s in rows)), strict=True):
+        got = np.broadcast_to(np.asarray(got, float), n)  # share = 1, DF's b = 0 and c = 1
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))

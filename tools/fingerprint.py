@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Print SHA-256 fingerprints of ehrelay's numerical results.
+
+    PYTHONPATH=<checkout>/src python3 tools/fingerprint.py > fingerprint.txt
+
+Each line is a name and the SHA-256 of that result's bytes:
+
+- fig4..fig7: the `figure <name> --no-mc` CSV;
+- selftest: the `selftest --trials 20000` stdout;
+- outages: the float.hex of `analytic.outages` over a fixed seeded batch
+  of pairs of all eight variants, then of each pair as a batch of one;
+- minimize_many: every field of `optimize.minimize_many` on the batch's
+  TSR and PSR pairs;
+- estimate_outage: eight MC estimates (one per variant) at 2^17 trials;
+- snr_pair: `model.snr_pair` per variant on 4,096 seeded fades and on
+  one scalar fade.
+
+A refactor that must not move any number is checked by running the script
+against the parent and the changed checkout and comparing the two outputs
+with `cmp`. The package never imports this file; it takes a few
+seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+
+from ehrelay import cli
+from ehrelay.analytic import outages
+from ehrelay.lognormal import ChannelSpec, sample_sq_gain
+from ehrelay.model import FadeSample, Scenario, SystemConfig, snr_pair
+from ehrelay.montecarlo import McPlan, estimate_outage
+from ehrelay.optimize import minimize_many
+
+LABELS = ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr", "hd-af-irr",
+          "fd-df-tsr", "fd-af-tsr")
+PAIRS_PER_LABEL = 100
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def hexes(values) -> str:
+    return " ".join(float(v).hex() for v in np.ravel(values))
+
+
+def cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    return out.getvalue()
+
+
+def random_pairs(rng: np.random.Generator):
+    """PAIRS_PER_LABEL seeded (cfg, scenario) pairs per variant, spread over
+    links from nearly certain to nearly impossible outage."""
+    pairs = []
+    for label in LABELS:
+        for _ in range(PAIRS_PER_LABEL):
+            cfg = SystemConfig(
+                ps_watts=10 ** rng.uniform(0.0, 4.0), eta=rng.uniform(0.1, 1.0),
+                path_loss_exp=rng.uniform(1.5, 3.0),
+                d1_m=rng.uniform(1.0, 10.0), d2_m=rng.uniform(1.0, 10.0),
+                sigma_a2_w=10 ** rng.uniform(-4.0, -1.0), sigma_c2_w=10 ** rng.uniform(-4.0, -1.0),
+                sigma_d2_w=10 ** rng.uniform(-4.0, -1.0), cth=rng.uniform(0.0, 2.0),
+                ch1=ChannelSpec(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 4.0)),
+                ch2=ChannelSpec(rng.uniform(-5.0, 5.0), rng.uniform(0.5, 4.0)),
+                chg=ChannelSpec(rng.uniform(-20.0, 3.0), rng.uniform(0.5, 4.0)))
+            param = rng.uniform(0.01, 0.99)
+            pc = rng.uniform(0.0, 0.3) if "-df-" in label else 0.0
+            pairs.append((cfg, Scenario.from_label(label, tau=param, rho=param, pc_fraction=pc)))
+    return pairs
+
+
+def snr_lines(pairs, rng: np.random.Generator) -> str:
+    lines = []
+    for cfg, scenario in pairs[::PAIRS_PER_LABEL]:
+        gains = [sample_sq_gain(ch, rng, 4096) for ch in (cfg.ch1, cfg.ch2, cfg.chg)]
+        if scenario.duplex == "hd":
+            gains[2] = None
+        scalars = (None if g is None else float(g[0]) for g in gains)
+        for fade in (FadeSample(*gains), FadeSample(*scalars)):
+            lines += [hexes(v) for v in snr_pair(cfg, scenario, fade) if v is not None]
+    return "\n".join(lines)
+
+
+def main() -> None:
+    for name in ("fig4", "fig5", "fig6", "fig7"):
+        print(name, digest(cli_stdout(["figure", name, "--no-mc"])))
+    print("selftest", digest(cli_stdout(["selftest", "--trials", "20000"])))
+    rng = np.random.default_rng(20181)
+    pairs = random_pairs(rng)
+    alone = [outages([pair])[0] for pair in pairs]
+    print("outages", digest(hexes(outages(pairs)) + "\n" + hexes(alone)))
+    tunable = [(cfg, s) for cfg, s in pairs if s.eh_param_name is not None]
+    print("minimize_many", digest("\n".join(
+        f"{r.arg_opt.hex()} {r.value_opt.hex()} {r.evaluations} {r.bracket.hex()} "
+        f"{r.non_unimodal}" for r in minimize_many(tunable))))
+    plan = McPlan(trials=1 << 17, seed=314159)
+    print("estimate_outage", digest("\n".join(
+        f"{e.value.hex()} {float(e.stderr).hex()}"
+        for e in (estimate_outage(cfg, s, plan) for cfg, s in pairs[::PAIRS_PER_LABEL]))))
+    print("snr_pair", digest(snr_lines(pairs, rng)))
+
+
+if __name__ == "__main__":
+    main()
