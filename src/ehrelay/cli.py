@@ -166,8 +166,8 @@ def run_points(points, plan, threads) -> tuple[list[Row], list[str]]:
     """Sweep-ordered rows (analytic values from one `outages` and one `minimize_many` call) and
     dataset notes: one names every optimize point that fell back to the dense grid. With a
     `plan`, each row makes one `estimate_outage` call at `plan` as it is (at its optimum for an
-    optimize point), so rows share their fades through the process's read-only memo of block
-    gains (see montecarlo._block_fade)."""
+    optimize point), so rows share their fades through the process's read-only memo of whole
+    block fades, one per (block, channels) (see montecarlo._block_fade)."""
     plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]).tolist())
     optima = iter(minimize_many([(p.cfg, p.scenario) for p in points if p.optimize]))
     rows, fallbacks = [], []

@@ -10,8 +10,9 @@ whose capacity reaches cth, found by evaluating the capacity function
 itself. The capacity does not decrease in the SNR, so that one compare per
 trial decides exactly as comparing the capacity with cth does.
 
-Rows of a dataset share their fades through one read-only memo of block
-gains (see _block_fade); a block decides in arrays its thread reuses.
+Rows of a dataset share their fades through one read-only memo of whole
+block fades, where an FD fade extends its block's HD fade (see _block_fade);
+a block decides in arrays its thread reuses.
 """
 
 from __future__ import annotations
@@ -70,64 +71,58 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 # Bytes of gains the memo holds, 8 per trial and slot; only a plan whose gains fit on
 # their own adds to it (HD plans of up to 2**20 trials, FD ones of up to 699,050).
 _KEPT_BYTES = 16 << 20
-# (seed, index, size, slot) -> (generator state after the slot, {ChannelSpec: gains}),
-# (seed, index, size, channels) -> their checked FadeSample; entries are replaced, not written.
+# (seed, index, size, channels) -> (generator state after the block's last slot, its checked
+# FadeSample). An FD fade's x and y are the arrays of the HD entry for channels[:2], which the
+# memo keeps while it keeps the FD one. Kept gains are read-only; no entry is replaced.
 _memo: dict = {}
 _lock = threading.Lock()
 
 
-def _keep(key, state, ch, gains) -> tuple:
-    """Add read-only gains of spec `ch` to slot `key` and return its entry. Past
-    _KEPT_BYTES, evict the slot's other specs and its block's FadeSamples, then all."""
-    gains.flags.writeable = False
-    with _lock:
-        specs = _memo.get(key, (None, {}))[1]
-        over = gains.nbytes - _KEPT_BYTES + sum(
-            g.nbytes for k, entry in _memo.items() if type(k[3]) is int for g in entry[1].values())
-        if over > 0:
-            for stale in [k for k in _memo if k[:3] == key[:3] and type(k[3]) is tuple]:
-                del _memo[stale]
-            if sum(g.nbytes for g in specs.values()) < over:
-                _memo.clear()
-            specs = {}
-        entry = _memo[key] = (state, {**specs, ch: gains})
-    return entry
+def _own_bytes(fade: FadeSample) -> int:
+    """Bytes of the gains a kept fade adds: an FD fade adds only its loop-back gains."""
+    return fade.x.nbytes + fade.y.nbytes if fade.w is None else fade.w.nbytes
 
 
-def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> FadeSample:
-    """The squared gains of block `index` for the slots of `channels`. Slot
-    k's normals depend only on (seed, index, size, k), so a spec the memo
-    lacks is drawn from the state saved after slot k - 1, and kept gains are
-    what a fresh draw gives, whichever call or thread asks. With `keep`, new
-    gains and the checked FadeSample go into the memo; without, new gains go
-    into the running thread's arrays. An interrupted draw keeps nothing."""
-    block = (seed, index, size)
-    fade = _memo.get((*block, channels))
-    if fade is not None:
-        return fade
-    entries = []
-    for slot, ch in enumerate(channels):
-        entry = _memo.get((*block, slot))
-        if entry is None or ch not in entry[1]:
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-            if slot:
-                rng.bit_generator.state = entries[-1][0]
-            gains = sample_sq_gain(ch, rng, size, out=None if keep else _thread_array(slot, size))
-            entry = (rng.bit_generator.state, {ch: gains})
-            if keep:
-                entry = _keep((*block, slot), entry[0], ch, gains)
-        entries.append(entry)
-    fade = FadeSample(*(entry[1][ch] for entry, ch in zip(entries, channels)))
-    if keep:
-        with _lock:  # unless another thread has since replaced one of its slots
-            if all(_memo.get((*block, slot)) is entry for slot, entry in enumerate(entries)):
-                _memo[(*block, channels)] = fade
-    return fade
+def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple:
+    """(Generator state after the last slot, checked FadeSample) of block `index` for
+    `channels`. An HD fade draws slots 0 and 1 from the substream (seed, index); an FD fade
+    extends the HD fade of channels[:2] by slot 2, drawn from the state that fade left. So
+    a kept fade is what a fresh draw gives, whichever call or thread asks. With `keep`, a
+    new fade goes into the memo once drawn and checked; without, its new gains go into the
+    running thread's arrays. An interrupted draw keeps nothing."""
+    key = (seed, index, size, channels)
+    entry = _memo.get(key)
+    if entry is not None:
+        return entry
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    hd = _block_fade(seed, index, size, channels[:2], keep) if len(channels) == 3 else None
+    if hd:
+        rng.bit_generator.state = hd[0]
+    old = (hd[1].x, hd[1].y) if hd else ()
+    new = [sample_sq_gain(ch, rng, size, out=None if keep else _thread_array(slot, size))
+           for slot, ch in enumerate(channels) if slot >= len(old)]
+    entry = (rng.bit_generator.state, FadeSample(*old, *new))
+    if not keep:
+        return entry
+    for gains in new:
+        gains.flags.writeable = False
+    hd_key = (seed, index, size, channels[:2])
+    with _lock:  # an FD fade only while the memo keeps the HD fade it extends
+        if hd and _memo.get(hd_key) is not hd:
+            return entry
+        over = _own_bytes(entry[1]) - _KEPT_BYTES + sum(_own_bytes(f) for _, f in _memo.values())
+        if key not in _memo and over > 0:  # drop the block's FD fades, then all but `hd`
+            stale = [k for k in _memo if k[:3] == key[:3] and len(k[3]) == 3]
+            if sum(_own_bytes(_memo[k][1]) for k in stale) < over:
+                stale = [k for k in _memo if k != hd_key]
+            for k in stale:
+                del _memo[k]
+        return _memo.setdefault(key, entry)
 
 
 def _block_outages(cfg: SystemConfig, scenario: Scenario, channels, keep: bool, seed: int,
                    index: int, size: int) -> int:
-    fade = _block_fade(seed, index, size, channels, keep)
+    fade = _block_fade(seed, index, size, channels, keep)[1]
     scratch = [_thread_array(key, size) for key in ("scratch0", "scratch1")]
     return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=scratch)))
 

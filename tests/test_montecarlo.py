@@ -225,23 +225,22 @@ def _expected_columns(estimates, plan):
     return [(e.value, e.stderr, e.trials, plan.seed) for e in estimates]
 
 
-def _kept_blocks():
-    """(seed, index, size) of every block whose FadeSample the memo keeps."""
-    return {key[:3] for key in mc._memo if isinstance(key[3], tuple)}
+def _kept_fades():
+    """(seed, index, size) -> the channels of every fade the memo keeps for that block."""
+    fades = {}
+    for key in mc._memo:
+        fades.setdefault(key[:3], set()).add(key[3])
+    return fades
 
 
-def _kept_slots():
-    """(seed, index, size, slot) -> the specs the memo keeps at that slot."""
-    return {key: set(entry[1]) for key, entry in mc._memo.items() if isinstance(key[3], int)}
+def _kept_arrays():
+    """The distinct gain arrays the memo refers to, by id."""
+    return {id(a): a for _, fade in mc._memo.values()
+            for a in (fade.x, fade.y, fade.w) if a is not None}
 
 
 def _held_bytes():
-    """Bytes of the distinct gain arrays the memo refers to, FadeSamples included."""
-    arrays = {}
-    for value in mc._memo.values():
-        gains = value[1].values() if isinstance(value, tuple) else (value.x, value.y, value.w)
-        arrays.update((id(a), a.nbytes) for a in gains if a is not None)
-    return sum(arrays.values())
+    return sum(a.nbytes for a in _kept_arrays().values())
 
 
 @pytest.fixture
@@ -271,18 +270,19 @@ def short_switches():
 @pytest.mark.usefixtures("small_blocks", "short_switches")
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_run_points_equals_per_call_estimates(threads, draws):
-    """A plan that fits the memo keeps every block's fades, even on the pool,
-    with both loop-back spreads side by side, so a second run draws no slot,
-    not even the loop-back one that the two FD spreads share."""
+    """A plan that fits the memo keeps every block's HD fade and both FD fades
+    (one per loop-back spread) side by side, even on the pool, so a second
+    run draws no slot, not even a loop-back one."""
     points = _selftest_batch()
     assert len({p.scenario.label() for p in points}) == 8
     rows, _ = cli.run_points(points, SHORT_LAST, threads)
     assert _mc_columns(rows) == _expected_columns(_fresh(points, SHORT_LAST), SHORT_LAST)
-    assert _kept_blocks() == {(SHORT_LAST.seed, *block) for block in SHORT_LAST.blocks()}
     assert len(draws) == 3 * (2 + 2)  # per block: slots 0 and 1, then slot 2 per spread
     loop_backs = {p.cfg.chg for p in points if p.scenario.duplex == "fd"}
     assert len(loop_backs) == 2
-    assert [specs for key, specs in _kept_slots().items() if key[3] == 2] == [loop_backs] * 3
+    hd = (CFG.ch1, CFG.ch2)
+    assert _kept_fades() == {(SHORT_LAST.seed, *block): {hd, *(hd + (g,) for g in loop_backs)}
+                             for block in SHORT_LAST.blocks()}
     draws.clear()
     again, _ = cli.run_points(points, SHORT_LAST, threads)
     assert draws == [] and again == rows
@@ -304,10 +304,9 @@ def test_plan_over_budget_draws_per_call_and_matches(monkeypatch, draws):
         assert _mc_columns(rows) == expected
         if budget == 0:  # nothing is kept, so every call draws every slot of every block
             assert not mc._memo and len(draws) == 3 * slots
-    # at the last budget the memo keeps the HD gains and the HD blocks' fades only
-    blocks = {(SHORT_LAST.seed, *block) for block in SHORT_LAST.blocks()}
-    assert _kept_slots() == {(*block, slot): {CFG.ch1} for block in blocks for slot in (0, 1)}
-    assert _kept_blocks() == blocks
+    # at the last budget the memo keeps the HD fades only
+    assert _kept_fades() == {(SHORT_LAST.seed, *block): {(CFG.ch1, CFG.ch2)}
+                             for block in SHORT_LAST.blocks()}
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -321,6 +320,59 @@ def test_over_budget_fd_plan_draws_only_its_loop_back_slot(monkeypatch, draws):
            for threads in (1, 2)]
     assert draws == [fd.cfg.chg] * 2 * len(SHORT_LAST.blocks())
     assert got == _fresh([fd], SHORT_LAST) * 2
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_fd_fade_extends_its_hd_fade(draws):
+    """An FD row estimated before any HD row keeps its blocks' HD fades too:
+    a later HD row draws nothing, and each FD fade's x and y are the arrays
+    of its block's HD fade."""
+    hd, fd = _selftest_batch()[0], _selftest_batch()[-1]
+    assert (hd.scenario.duplex, fd.scenario.duplex) == ("hd", "fd")
+    estimate_outage(fd.cfg, fd.scenario, SHORT_LAST)
+    draws.clear()
+    assert [estimate_outage(hd.cfg, hd.scenario, SHORT_LAST)] == _fresh([hd], SHORT_LAST)
+    assert draws == []
+    blocks = [(SHORT_LAST.seed, *block) for block in SHORT_LAST.blocks()]
+    for block in blocks:
+        fd_fade = mc._memo[(*block, (fd.cfg.ch1, fd.cfg.ch2, fd.cfg.chg))][1]
+        hd_fade = mc._memo[(*block, (hd.cfg.ch1, hd.cfg.ch2))][1]
+        assert fd_fade.x is hd_fade.x and fd_fade.y is hd_fade.y
+    assert len(mc._memo) == 2 * len(blocks)
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_fd_fade_over_budget_drops_only_its_blocks_fd_fades(monkeypatch, draws):
+    """Past the budget, a new FD fade drops the other FD fades of its own block,
+    not those of other blocks. The budget holds one FD plan and one block's
+    loop-back gains more, so spread b's block 0 still fits beside spread a's."""
+    monkeypatch.setattr(mc, "_KEPT_BYTES", 8 * (SHORT_LAST.trials * 3 + 2**13))
+    a, b = [p for p in _selftest_batch() if p.scenario.duplex == "fd"][:2]
+    assert a.cfg.chg != b.cfg.chg
+    for point in (a, b):
+        estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+    hd = (CFG.ch1, CFG.ch2)
+    blocks = [(SHORT_LAST.seed, *block) for block in SHORT_LAST.blocks()]
+    assert _kept_fades() == {blocks[0]: {hd, hd + (a.cfg.chg,), hd + (b.cfg.chg,)},
+                             blocks[1]: {hd, hd + (b.cfg.chg,)}, blocks[2]: {hd, hd + (b.cfg.chg,)}}
+    draws.clear()
+    assert [estimate_outage(a.cfg, a.scenario, SHORT_LAST)] == _fresh([a], SHORT_LAST)
+    assert draws == [a.cfg.chg] * 2 and _held_bytes() <= mc._KEPT_BYTES
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_fd_fade_that_empties_the_memo_keeps_its_hd_fade(monkeypatch, draws):
+    """An FD fade that must empty the memo keeps the HD fade it extends: a later
+    HD row draws nothing, and the memo stays within its budget."""
+    monkeypatch.setattr(mc, "_KEPT_BYTES", 8 * SHORT_LAST.trials * 3)
+    hd, fd = _selftest_batch()[0], _selftest_batch()[-1]
+    other = replace(SHORT_LAST, seed=4)
+    estimate_outage(hd.cfg, hd.scenario, other)  # two thirds of the budget
+    estimate_outage(fd.cfg, fd.scenario, SHORT_LAST)  # block 0's HD fade fits, its FD one not
+    assert {key[0] for key in mc._memo} == {SHORT_LAST.seed}
+    draws.clear()
+    assert [estimate_outage(hd.cfg, hd.scenario, SHORT_LAST)] == _fresh([hd], SHORT_LAST)
+    assert draws == [] and _held_bytes() <= mc._KEPT_BYTES
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -349,13 +401,32 @@ def test_other_threads_reuse_kept_gains(draws):
 
 
 @pytest.mark.usefixtures("small_blocks")
+def test_kept_fade_is_never_replaced(monkeypatch):
+    """A fade that another thread keeps while this one draws the same block
+    stays in the memo: this call's own draw of that block is not kept."""
+    point = _selftest_batch()[0]
+    kept = {}
+
+    def racing(ch, *args, **kwargs):
+        if not kept and threading.current_thread() is threading.main_thread():
+            # at this call's first draw, another thread keeps the whole plan
+            _in_fresh_thread(lambda: estimate_outage(point.cfg, point.scenario, SHORT_LAST))
+            kept.update(mc._memo)
+        return sample_sq_gain(ch, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "sample_sq_gain", racing)
+    assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
+        _fresh([point], SHORT_LAST)
+    assert mc._memo.keys() == kept.keys() and len(kept) == len(SHORT_LAST.blocks())
+    assert all(mc._memo[key] is entry for key, entry in kept.items())
+
+
+@pytest.mark.usefixtures("small_blocks")
 def test_kept_arrays_are_read_only():
     point = _selftest_batch()[-1]
     estimate_outage(point.cfg, point.scenario, SHORT_LAST)
-    kept = [gains for key, entry in mc._memo.items() if isinstance(key[3], int)
-            for gains in entry[1].values()]
-    kept += [value.w for value in mc._memo.values() if isinstance(value, FadeSample)]
-    assert len(kept) == 3 * 3 + 3
+    kept = _kept_arrays().values()
+    assert len(kept) == 3 * 3
     for gains in kept:
         with pytest.raises(ValueError, match="read-only"):
             gains[0] = 1.0
@@ -363,9 +434,9 @@ def test_kept_arrays_are_read_only():
 
 @pytest.mark.usefixtures("small_blocks")
 def test_fades_are_kept_only_with_their_gains(monkeypatch):
-    """When another thread empties the memo while a block checks its fades,
-    the block keeps no FadeSample, which would hold gains the memo no longer
-    counts against its budget."""
+    """When another thread empties the memo while a block checks its FD fade,
+    the block keeps no FD fade, whose x and y would be gains the memo no
+    longer counts against its budget."""
     point = _selftest_batch()[-1]
     checked = mc.FadeSample
 
@@ -376,7 +447,7 @@ def test_fades_are_kept_only_with_their_gains(monkeypatch):
     monkeypatch.setattr(mc, "FadeSample", emptied_meanwhile)
     assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
         _fresh([point], SHORT_LAST)
-    assert _kept_blocks() == set()
+    assert _kept_fades() == {}
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -385,7 +456,7 @@ def test_redrawn_slot_is_checked_again():
     point = _selftest_batch()[-1]
     dead = replace(point.cfg, chg=ChannelSpec(-3500.0, 1.0))
     estimate_outage(point.cfg, point.scenario, SHORT_LAST)
-    for _ in range(2):  # redrawn, then kept but still checked
+    for _ in range(2):  # a fade that fails its check is never kept, so drawn again
         with pytest.raises(FadeRangeError, match="w must be strictly positive"):
             estimate_outage(dead, point.scenario, SHORT_LAST)
     assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
@@ -396,8 +467,8 @@ def test_redrawn_slot_is_checked_again():
 @pytest.mark.parametrize("budget", [mc._KEPT_BYTES, 0], ids=["kept", "over-budget"])
 def test_interrupted_draw_keeps_nothing(monkeypatch, budget):
     """A draw that writes its array and then raises, midway through a block,
-    keeps nothing: the memo holds what it held plus the slot drawn before,
-    and the next call equals a fresh draw."""
+    keeps nothing: the memo holds what it held, not even the slot drawn
+    before, and the next call equals a fresh draw."""
     monkeypatch.setattr(mc, "_KEPT_BYTES", budget)
     point = _selftest_batch()[-1]
     estimate_outage(point.cfg, point.scenario, SHORT_LAST)
@@ -415,8 +486,7 @@ def test_interrupted_draw_keeps_nothing(monkeypatch, budget):
     with monkeypatch.context() as patched, pytest.raises(KeyboardInterrupt):
         patched.setattr(mc, "sample_sq_gain", interrupted)
         estimate_outage(point.cfg, point.scenario, other)
-    added = {key for key in mc._memo if key not in before}
-    assert added == ({(other.seed, 0, 2**13, 0)} if budget else set())
+    assert mc._memo.keys() == before.keys()
     assert all(mc._memo[key] is entry for key, entry in before.items())
     for plan in (other, SHORT_LAST):
         assert [estimate_outage(point.cfg, point.scenario, plan)] == _fresh([point], plan)
@@ -457,20 +527,21 @@ def test_interrupted_pooled_call_cancels_queued_blocks(monkeypatch):
 
 @pytest.mark.usefixtures("small_blocks")
 def test_memo_stays_within_budget(monkeypatch, draws):
-    """Across seeds and loop-back specs the memo never holds more than its
-    budget. A budget of one FD plan keeps the HD slots throughout: a new
-    loop-back spec evicts the other one at its slot, not the whole memo."""
+    """Across seeds and loop-back specs, after every estimate, the distinct
+    arrays the memo refers to total at most its budget. A budget of one FD
+    plan keeps the HD fades throughout: a new loop-back spec drops its
+    block's other FD fade, not the whole memo."""
     budget = 8 * SHORT_LAST.trials * 3
     monkeypatch.setattr(mc, "_KEPT_BYTES", budget)
     held = []
-    keep = mc._keep
+    estimate = cli.estimate_outage
 
-    def checked(*args):
-        entry = keep(*args)
+    def checked(*args, **kwargs):
+        result = estimate(*args, **kwargs)
         held.append(_held_bytes())
-        return entry
+        return result
 
-    monkeypatch.setattr(mc, "_keep", checked)
+    monkeypatch.setattr(cli, "estimate_outage", checked)
     points = _selftest_batch()
     for _ in range(2):
         rows, _ = cli.run_points(points, SHORT_LAST, 1)
@@ -480,4 +551,4 @@ def test_memo_stays_within_budget(monkeypatch, draws):
         plan = replace(SHORT_LAST, seed=seed)
         rows, _ = cli.run_points(points, plan, 1)
         assert _mc_columns(rows) == _expected_columns(_fresh(points, plan), plan)
-    assert held and max(held) <= budget and _held_bytes() <= budget
+    assert len(held) == 5 * len(points) and max(held) <= budget

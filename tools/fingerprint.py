@@ -13,12 +13,15 @@ Each line is a name and the SHA-256 of that result's bytes:
   TSR and PSR pairs;
 - estimate_outage: eight MC estimates (one per variant) at 2^17 trials;
 - snr_pair: `model.snr_pair` per variant on 4,096 seeded fades and on
-  one scalar fade.
+  one scalar fade;
+- mc_memo: the stdout of MEMO_RUNS, one after the other in this process,
+  which read and fill its memo of block fades: a kept plan cold and then
+  warm on the pool, a plan whose FD fades evict each other, an FD plan over
+  the memo's budget and an MC figure.
 
 A refactor that must not move any number is checked by running the script
 against the parent and the changed checkout and comparing the two outputs
-with `cmp`. The package never imports this file; it takes a few
-seconds.
+with `cmp`. The package never imports this file.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ from ehrelay.optimize import minimize_many
 LABELS = ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr", "hd-af-irr",
           "fd-df-tsr", "fd-af-tsr")
 PAIRS_PER_LABEL = 100
+MEMO_RUNS = ("selftest --trials 131072 --seed 7 --threads 1",
+             "selftest --trials 131072 --seed 7 --threads 2",
+             "selftest --trials 600000 --seed 3",
+             "point --scenario fd-af-tsr --trials 1000000 --seed 11",
+             "figure fig7 --trials 100000 --seed 99")
 
 
 def digest(text: str) -> str:
@@ -106,6 +114,7 @@ def main() -> None:
         f"{e.value.hex()} {float(e.stderr).hex()}"
         for e in (estimate_outage(cfg, s, plan) for cfg, s in pairs[::PAIRS_PER_LABEL]))))
     print("snr_pair", digest(snr_lines(pairs, rng)))
+    print("mc_memo", digest("".join(cli_stdout(run.split()) for run in MEMO_RUNS)))
 
 
 if __name__ == "__main__":
