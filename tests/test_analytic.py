@@ -9,6 +9,8 @@ import pytest
 
 from ehrelay import analytic, quadrature
 from ehrelay.analytic import _Columns, _reduce, outage, outages
+from ehrelay.cli import run_points
+from ehrelay.grids import FIGURE_PRESETS
 from ehrelay.lognormal import ChannelSpec, product_ccdf
 from ehrelay.model import (Scenario, SystemConfig, hop_losses, relay_budget, snr_coefficients,
                            threshold_snr)
@@ -218,6 +220,47 @@ def test_fd_af_low_outage_keeps_relative_precision(ps, hop):
     assert abs(got - want) <= 1e-6 * want
 
 
+def hd_reference(cfg, scenario):
+    """30-digit HD outage from model's coefficients: with t the first hop's
+    standardized dB value and t0 that of the gain `lower` it must clear, the
+    outage is Phi(t0) plus the integral from t0 up of phi(t) times Phi(the
+    standardized dB value of the threshold the second hop must clear)."""
+    k1, a, b, c = snr_coefficients(cfg, scenario)
+    with mpmath.workdps(30):
+        xi = 10 / mpmath.log(10)
+        a, b, c, v = map(mpmath.mpf, (a, b, c, threshold_snr(scenario, cfg.cth)))
+        lower = v * b / a if k1 is None else v / k1
+        m1, s1 = 2 * mpmath.mpf(cfg.ch1.mu_db), 2 * mpmath.mpf(cfg.ch1.sigma_db)
+        m2, s2 = 2 * mpmath.mpf(cfg.ch2.mu_db), 2 * mpmath.mpf(cfg.ch2.sigma_db)
+        t0 = (xi * mpmath.log(lower) - m1) / s1
+
+        def integrand(t):
+            x = mpmath.exp((m1 + s1 * t) / xi)
+            if a * x <= v * b:  # rounding just above t0: the second hop cannot clear
+                return mpmath.npdf(t)
+            y = v * c / (a * x - v * b)
+            return mpmath.npdf(t) * mpmath.ncdf((xi * mpmath.log(y) - m2) / s2)
+
+        return float(mpmath.ncdf(t0) + mpmath.quad(integrand, [t0, mpmath.inf]))
+
+
+# 42 HD points, 7 per variant (tau or rho 0.5, 0.8 or 0.2), with outage from 5.8e-9 to 1
+HD_REFERENCE_GRID = [
+    (label, ps, cth, param)
+    for label in ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr", "hd-af-irr")
+    for (ps, cth), param in zip(((1.0, 0.5), (5.0, 1.0), (20.0, 2.0), (100.0, 4.0), (500.0, 1.0),
+                                 (2000.0, 2.0), (5000.0, 2.0)), (0.5, 0.8, 0.2) * 3)]
+
+
+@pytest.mark.parametrize("label,ps,cth,param", HD_REFERENCE_GRID)
+def test_hd_outage_within_rel_tol_of_mpmath(label, ps, cth, param):
+    cfg = replace(CFG, ps_watts=ps, cth=cth)
+    s = Scenario.from_label(label, tau=param, rho=param)
+    want = hd_reference(cfg, s)
+    assert 1e-9 < want <= 1.0  # below about 1e-9 the 10-sigma cut of the tail decides
+    assert abs(outage(cfg, s).value - want) <= quadrature.REL_TOL * want
+
+
 def branch(cfg, scenario):
     """Which rule of analytic._reduce settles the pair's outage."""
     v = threshold_snr(scenario, cfg.cth)
@@ -295,6 +338,23 @@ def test_one_quadrature_call_per_integrand_kind(monkeypatch):
     calls.clear()
     outages([*hd, fd_af])
     assert calls == [len(hd), 1]
+
+
+def test_figure_pass_integrand_nodes(monkeypatch):
+    # the nodes that fig4-fig7 without MC evaluate: 482,580 from 8 starting
+    # panels per integral, 378,672 from 6
+    nodes = []
+
+    def counting(integrand, *window):
+        def counted(z, k):
+            nodes.append(z.size)
+            return integrand(z, k)
+        return quadrature.integrate_lognormal_batch(counted, *window)
+
+    monkeypatch.setattr(analytic, "integrate_lognormal_batch", counting)
+    for preset in FIGURE_PRESETS.values():
+        run_points(preset(CFG)[0], None, 1)
+    assert sum(nodes) < 400_000
 
 
 def test_params_column_equals_scenarios_with_that_parameter():

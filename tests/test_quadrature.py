@@ -66,7 +66,7 @@ def test_finite_window_against_trapezoid():
 
 
 def test_narrow_peak_needs_bisection():
-    # a 0.05 dB wide peak: the 8 initial panels are 10 dB wide, so only
+    # a 0.05 dB wide peak: the 6 initial panels are about 13 dB wide, so only
     # bisection driven by the error estimate resolves it
     f = lambda z: 1.0 / (1.0 + ((XI * np.log(z) - 7.0) / 0.05) ** 2)
     got = integrate_lognormal_weighted(f, CH)

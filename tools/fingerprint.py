@@ -19,9 +19,12 @@ Each line is a name and the SHA-256 of that result's bytes:
   warm on the pool, a plan whose FD fades evict each other, an FD plan over
   the memo's budget and an MC figure.
 
-A refactor that must not move any number is checked by running the script
-against the parent and the changed checkout and comparing the two outputs
-with `cmp`. The package never imports this file.
+tools/fingerprint.txt holds the output of the current code, and
+tests/test_tools.py compares each line with it, so a change that moves any
+bit of these results fails that test. A change that moves numbers on purpose
+regenerates the file with the command above and says which lines moved. Like
+the figure pins, the digests depend on numpy's generator and the platform's
+libm. The package never imports this file.
 """
 
 from __future__ import annotations
