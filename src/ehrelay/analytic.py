@@ -16,10 +16,9 @@ import math
 
 import numpy as np
 
-from .lognormal import (XI, _log, _standardize, _standardize_product, elementwise,
-                        product_db_moments, q_function, q_vector)
-from .model import (OutageEstimate, Scenario, SystemConfig, hop_losses, relay_budget,
-                    snr_coefficients, threshold_snr)
+from .lognormal import (XI, _standardize, _standardize_product, product_db_moments, q_function,
+                        q_vector)
+from .model import OutageEstimate, Scenario, SystemConfig, snr_coefficients, threshold_snr
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
 from .quadrature import (REL_TOL, integrate_lognormal_batch,  # noqa: F401
                          integrate_lognormal_weighted)
@@ -42,7 +41,7 @@ def _clamp01(p):
 # decades, and the tail is below the accuracy every integral converges to.
 _KINDS = {
     "hd": lambda z, a, b, c, v: v * c / np.maximum(a * z - v * b, 0.0),
-    "fd-af": lambda w, k, v, scale: scale * (1.0 / k + w) / np.maximum(1.0 - k * v * w, 0.0),
+    "fd-af": lambda w, k1, vb_a, scale: scale * (k1 + w) / np.maximum(1.0 - vb_a * w, 0.0),
 }
 
 
@@ -85,44 +84,36 @@ def _reduce(cfg, scenario):
     settled = (v == 0.0) | np.isinf(v)
     value = np.where(v == 0.0, 0.0, 1.0)  # the outage of a settled row or one past a cutoff
     v = np.where(settled, 1.0, v)  # a stand-in keeps the formulas below finite on those rows
-    if scenario.duplex == "fd" and scenario.relay == "df":
-        # The relay link is loop-back limited (gamma_r = k1/W) and the
-        # destination sees Z = X*Y, so the link fails when W > k1/v (p_w) or
-        # Z < v/k2 (p_z), independently. Both are tails Q(-u) on standardized
-        # dB coordinates, and p_w + p_z - p_w*p_z keeps their relative
-        # precision where 1 - (1 - p_w)(1 - p_z) would round to 0.
-        k1, k2, _, _ = snr_coefficients(cfg, scenario)
-        p_w = q_function(-(XI * elementwise(_log, v / k1) + 2.0 * cfg.chg.mu_db)
-                         / (2.0 * cfg.chg.sigma_db))
-        p_z = q_function(-_standardize_product(v / k2, cfg.ch1, cfg.ch2))
-        return np.where(settled, value, _clamp01(p_w + p_z - p_w * p_z)), None, None, ()
+    k1, a, b, c = snr_coefficients(cfg, scenario)
     if scenario.duplex == "fd":
-        # Beyond W = 1/(k*v) the amplified interference makes outage certain
-        # (the head Pr{W > upper}); below it Z = X*Y must clear a W-dependent
-        # threshold. Summing both failure events, not subtracting success from
-        # 1, keeps the relative precision of a tiny outage. Where essentially
-        # no loop-back realization survives the cutoff the outage is 1.
-        _, k, noise = relay_budget(cfg, scenario)
-        upper = 1.0 / (k * v)
-        # where k*v overflows the cutoff is 0: no loop-back realization survives it
+        # Past the loop-back cutoff W = k1/v the relay fails (the head Pr{W >
+        # k1/v}): DF's relay SNR k1/W misses v, and AF's amplified interference
+        # swamps the signal. Where k1/v underflows no loop-back gain survives it.
+        upper = k1 / v
         settled |= upper == 0.0
         upper = np.where(settled, 1.0, upper)
         u = _standardize(upper, cfg.chg)
         head = q_function(u)
+        if scenario.relay == "df":
+            # the destination fails where Z = X*Y < v/a (p_z), independently of W;
+            # summing the failures, not subtracting success from 1, keeps the
+            # relative precision of a tiny outage
+            p_z = q_function(-_standardize_product(v / a, cfg.ch1, cfg.ch2))
+            return np.where(settled, value, _clamp01(head + p_z - head * p_z)), None, None, ()
+        # AF: below the cutoff Z must clear a W-dependent threshold. Where
+        # essentially no loop-back gain survives the cutoff the outage is 1.
         pending = ~settled & ~(q_function(-u) <= REL_TOL * head)
-        lp1, lp2 = hop_losses(cfg)
-        scale = lp1 * lp2 * v * noise / cfg.ps_watts
-        # The integrand is at least its value at W = 0, Pr{Z < scale/k}.
+        scale = v * c / a
+        # The integrand is at least its value at W = 0, Pr{Z < scale*k1}.
         # Integrated in units of that floor, the fixed absolute tolerance
         # acts as a relative one where the outage is tiny.
-        unit = np.maximum(q_function(-_standardize_product(scale / k, cfg.ch1, cfg.ch2)), 1e-300)
+        unit = np.maximum(q_function(-_standardize_product(scale * k1, cfg.ch1, cfg.ch2)), 1e-300)
         return (np.where(pending, head, value), "fd-af", pending,
                 (cfg.chg.mu_db, cfg.chg.sigma_db, 0.0, upper,
-                 *product_db_moments(cfg.ch1, cfg.ch2), unit, k, v, scale))
+                 *product_db_moments(cfg.ch1, cfg.ch2), unit, k1, v * b / a, scale))
     # HD: outage is certain when the first hop X misses `lower` (DF: k1*X < v;
     # AF: X <= v*B/A), otherwise the second hop Y must miss the threshold given
     # X. Where A is 0 the relay sends nothing and the outage is settled.
-    k1, a, b, c = snr_coefficients(cfg, scenario)
     lower = v * b / a if k1 is None else v / k1
     settled |= a == 0.0
     u = _standardize(lower, cfg.ch1)

@@ -206,18 +206,24 @@ def relay_budget(cfg: SystemConfig, scenario: Scenario) -> tuple[float, float, f
 
 def snr_coefficients(cfg: SystemConfig,
                      scenario: Scenario) -> tuple[float | None, float, float, float]:
-    """SNR coefficients (k1, a, b, c) of every variant but FD-AF (see snr_pair).
+    """SNR coefficients (k1, a, b, c) of a variant.
 
-    The destination SNR is gamma_d = a*x*y/(b*y + c). A DF relay decodes
-    at gamma_r = k1*x (HD) or k1/w (FD, limited by its loop-back gain) and
-    regenerates the signal, so b = 0 and c = 1, and pc_fraction of its power
-    goes to processing. k1 is None for AF, whose relay does not decode.
+    The destination SNR is gamma_d = a*x*y/(b*y + c), or, for FD-AF, whose
+    amplified loop-back interference enters both signal path and gain,
+    a*x*y/(c*(k1 + w) + b*w*x*y). A DF relay decodes at gamma_r = k1*x (HD)
+    or k1/w (FD, limited by its loop-back gain) and regenerates the signal,
+    so b = 0 and c = 1, and pc_fraction of its power goes to processing. k1
+    is None for HD-AF, whose relay does not decode; both FD variants have
+    k1 = 1/power.
     """
-    if scenario.duplex == "fd" and scenario.relay == "af":
-        raise ValueError("snr_coefficients has no fd-af form; snr_pair derives its SNR")
     lp1, lp2 = hop_losses(cfg)
     share, power, noise = relay_budget(cfg, scenario)
-    if scenario.relay == "af":
+    if scenario.duplex == "fd":
+        with np.errstate(divide="ignore", over="ignore"):  # a power that underflows: k1 = inf
+            k1 = np.divide(1.0, power)
+        if scenario.relay == "af":
+            return k1, cfg.ps_watts, cfg.ps_watts * power, lp1 * lp2 * noise
+    elif scenario.relay == "af":
         # The one exception to the budget: TSR's c has (1 - tau) where its share
         # is 1, so its noiseless-relay limit a/c is DF's a/(1 - tau), not DF's
         # a. Nasir et al.'s AF-TSR derivation has no such factor; whether the
@@ -229,8 +235,6 @@ def snr_coefficients(cfg: SystemConfig,
     den = lp1 * lp2 * cfg.sigma_d2_w
     # each product keeps the association the pinned datasets were computed with
     if scenario.duplex == "fd":
-        with np.errstate(divide="ignore", over="ignore"):  # a power that underflows: k1 = inf
-            k1 = np.divide(1.0, power)
         return k1, cost * power * cfg.ps_watts / den, 0.0, 1.0
     return share * cfg.ps_watts / (lp1 * noise), cost * (power * cfg.ps_watts / den), 0.0, 1.0
 
@@ -254,35 +258,27 @@ def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample, out=None):
     if scenario.duplex == "fd" and w is None:
         raise ValueError("fd scenarios need the loop-back gain w in the fade sample")
     r, d = _empty_pair(fade) if out is None else out
-    if scenario.duplex == "hd" or scenario.relay == "df":
-        k1, a, b, c = snr_coefficients(cfg, scenario)
-        np.multiply(a, x, out=d)
-        np.multiply(d, y, out=d)
-        if k1 is None:  # a*x*y / (b*y + c)
+    k1, a, b, c = snr_coefficients(cfg, scenario)
+    if scenario.relay == "af":  # the denominator of a*x*y into r
+        if scenario.duplex == "fd":  # c*(k1 + w) + b*w*x*y
+            np.add(k1, w, out=r)
+            np.multiply(c, r, out=r)
+            np.multiply(b, w, out=d)
+            np.multiply(d, x, out=d)
+            np.multiply(d, y, out=d)
+            np.add(r, d, out=r)
+        else:  # b*y + c
             np.multiply(b, y, out=r)
             np.add(r, c, out=r)
-            np.divide(d, r, out=d)
-            r = None
-        elif scenario.duplex == "fd":
-            np.divide(k1, w, out=r)
-        else:
-            np.multiply(k1, x, out=r)
-    else:
-        # fd-af: amplified loop-back interference enters both signal path and
-        # gain, ps*x*y / (lp1*lp2*noise*(1/k + w) + ps*k*w*x*y) with k = power
-        lp1, lp2 = hop_losses(cfg)
-        _, k, noise = relay_budget(cfg, scenario)
-        with np.errstate(divide="ignore", over="ignore"):  # a power that underflows: SNR 0
-            np.add(np.divide(1.0, k), w, out=r)
-        np.multiply(lp1 * lp2 * noise, r, out=r)
-        np.multiply(cfg.ps_watts * k, w, out=d)
-        np.multiply(d, x, out=d)
-        np.multiply(d, y, out=d)
-        np.add(r, d, out=r)
-        np.multiply(cfg.ps_watts, x, out=d)
-        np.multiply(d, y, out=d)
+    np.multiply(a, x, out=d)
+    np.multiply(d, y, out=d)
+    if scenario.relay == "af":
         np.divide(d, r, out=d)
         r = None
+    elif scenario.duplex == "fd":
+        np.divide(k1, w, out=r)
+    else:
+        np.multiply(k1, x, out=r)
     if out is None:
         return (None if r is None else r[()]), d[()]
     return r, d

@@ -244,12 +244,14 @@ def hd_reference(cfg, scenario):
         return float(mpmath.ncdf(t0) + mpmath.quad(integrand, [t0, mpmath.inf]))
 
 
-# 42 HD points, 7 per variant (tau or rho 0.5, 0.8 or 0.2), with outage from 5.8e-9 to 1
+# 42 HD points, 7 per variant (tau or rho 0.5, 0.8 or 0.2), with outage from 5.8e-9 to 1,
+# and two AF-TSR points whose small tails converge only to the absolute tolerance
 HD_REFERENCE_GRID = [
     (label, ps, cth, param)
     for label in ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr", "hd-af-irr")
     for (ps, cth), param in zip(((1.0, 0.5), (5.0, 1.0), (20.0, 2.0), (100.0, 4.0), (500.0, 1.0),
                                  (2000.0, 2.0), (5000.0, 2.0)), (0.5, 0.8, 0.2) * 3)]
+HD_REFERENCE_GRID += [("hd-af-tsr", 100.0, 0.5, 0.8), ("hd-af-tsr", 5000.0, 1.0, 0.8)]
 
 
 @pytest.mark.parametrize("label,ps,cth,param", HD_REFERENCE_GRID)
@@ -268,21 +270,46 @@ def branch(cfg, scenario):
         return "cth = 0"
     if math.isinf(v):
         return "exponent >= 1024"
-    if scenario.label() == "fd-af-tsr" and math.isinf(relay_budget(cfg, scenario)[1] * v):
-        return "fd-af cutoff 0"
-    _, kind, pending, _ = _reduce(_Columns([cfg]), _Columns([scenario]))
+    variant = f"{scenario.duplex}-{scenario.relay}"  # the "hd" integrand serves DF and AF
+    if scenario.duplex == "fd" and snr_coefficients(cfg, scenario)[0] / v == 0.0:
+        return f"{variant} cutoff 0"
+    with np.errstate(all="ignore"):  # as in outages
+        _, kind, pending, _ = _reduce(_Columns([cfg]), _Columns([scenario]))
     if kind is None:
         return "fd-df closed form"
-    variant = f"{scenario.duplex}-{scenario.relay}"  # the "hd" integrand serves DF and AF
     return f"{variant} integral" if pending[0] else f"{variant} no tail"
 
 
-# 2**(1.023/0.001) - 1 is finite, but k*v overflows, so the loop-back cutoff 1/(k*v) is 0
-FD_AF_CUTOFF_ZERO = (replace(CFG, cth=1.023), Scenario("fd", "af", "tsr", tau=0.999))
+# tau one ulp below 1 and a threshold exponent cth/(1 - tau) of 1023.5: v = 2**1023.5 - 1
+# is finite, but the loop-back cutoff k1/v = (1 - tau)/(tau*v) underflows to 0
+FD_CUTOFF_ZERO = [(replace(CFG, cth=1023.5 * 2.0**-53),
+                   Scenario("fd", relay, "tsr", tau=1 - 2.0**-53)) for relay in ("df", "af")]
+# tau 0.999 and an exponent of 1023: the cutoff k1/v is about 1.1e-311, a subnormal above 0
+FD_AF_CUTOFF_SUBNORMAL = (replace(CFG, cth=1.023), Scenario("fd", "af", "tsr", tau=0.999))
 
 
 def test_fd_af_zero_cutoff_is_certain_outage():
-    assert outages([FD_AF_CUTOFF_ZERO]) == [1.0]
+    assert [branch(*pair) for pair in FD_CUTOFF_ZERO] == ["fd-df cutoff 0", "fd-af cutoff 0"]
+    assert branch(*FD_AF_CUTOFF_SUBNORMAL) == "fd-af no tail"
+    assert list(outages([*FD_CUTOFF_ZERO, FD_AF_CUTOFF_SUBNORMAL])) == [1.0, 1.0, 1.0]
+
+
+def test_fd_variants_share_the_loop_back_cutoff():
+    # at 1e8 W the destination hop cannot fail, so FD-DF and FD-AF both fail just
+    # where the loop-back gain W passes k1/v, k1 = 1/power
+    cfg = replace(CFG, ps_watts=1e8, chg=ChannelSpec(-15.0, math.sqrt(5.0)))
+    got = []
+    for relay in ("df", "af"):
+        s = Scenario("fd", relay, "tsr", tau=0.5)
+        k1, v = snr_coefficients(cfg, s)[0], threshold_snr(s, cfg.cth)
+        assert k1 == 1.0 / relay_budget(cfg, s)[1]
+        with mpmath.workdps(30):
+            xi = 10 / mpmath.log(10)
+            t = xi * mpmath.log(mpmath.mpf(k1) / v)  # dB of W = k1/v
+            want = float(mpmath.ncdf(-(t - 2 * cfg.chg.mu_db) / (2 * mpmath.mpf(cfg.chg.sigma_db))))
+        got.append(outage(cfg, s).value)
+        assert got[-1] == pytest.approx(want, rel=1e-6)
+    assert 1e-5 < got[0] <= got[1]
 
 
 def mixed_batch():
@@ -296,7 +323,7 @@ def mixed_batch():
               (replace(CFG, cth=20.0), ALL_SCENARIOS[0]),
               (replace(CFG, cth=20.0), ALL_SCENARIOS[4]),
               (replace(CFG, cth=10.0), ALL_SCENARIOS[7]),
-              FD_AF_CUTOFF_ZERO,
+              *FD_CUTOFF_ZERO, FD_AF_CUTOFF_SUBNORMAL,
               (CFG, Scenario("hd", "df", "psr", rho=0.3, pc_fraction=0.2)),
               (replace(CFG, ps_watts=10.0), Scenario("fd", "df", "tsr", tau=0.2, pc_fraction=0.1)),
               (CFG, Scenario("hd", "df", "irr", pc_fraction=0.05))]
@@ -313,8 +340,9 @@ def test_mixed_batch_equals_batches_of_one_bit_for_bit():
     pairs = mixed_batch()
     assert {s.label() for _, s in pairs} == {s.label() for s in ALL_SCENARIOS}
     assert {branch(c, s) for c, s in pairs} == {
-        "cth = 0", "exponent >= 1024", "fd-df closed form", "fd-af cutoff 0", "fd-af no tail",
-        "fd-af integral", "hd-df no tail", "hd-df integral", "hd-af no tail", "hd-af integral"}
+        "cth = 0", "exponent >= 1024", "fd-df cutoff 0", "fd-df closed form", "fd-af cutoff 0",
+        "fd-af no tail", "fd-af integral", "hd-df no tail", "hd-df integral", "hd-af no tail",
+        "hd-af integral"}
     assert any(s.pc_fraction > 0 for _, s in pairs)
     batch = outages(pairs)
     assert list(map(float.hex, batch)) == [float.hex(outages([pair])[0]) for pair in pairs]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +35,14 @@ def run_subprocess(args, timeout=60):
     return run_python(["-m", "ehrelay.cli", *args], timeout=timeout)
 
 
-# point flags whose outage is certain: FD-AF's loop-back cutoff 1/(k*v) is 0 because
-# k*v overflows, and relays whose harvested power or share of the signal underflows to 0
+# point flags whose outage is certain: an FD loop-back cutoff k1/v that is a subnormal
+# (about 1.1e-311) or underflows to 0 (tau one ulp below 1, threshold exponent 1023.5),
+# and relays whose harvested power or share of the signal underflows to 0
 CERTAIN_OUTAGE = {
     "": ["fd-af-tsr", "--tau", "0.999", "--override", "system.cth=1.023"],
+    **{f"{label}-cutoff-0": [label, "--tau", repr(1 - 2.0**-53),
+                             "--override", f"system.cth={1023.5 * 2.0**-53!r}"]
+       for label in ("fd-df-tsr", "fd-af-tsr")},
     "fd-df-tsr-tau-1e-310": ["fd-df-tsr", "--tau", "1e-310"],
     "hd-af-psr-rho-5e-324": ["hd-af-psr", "--rho", "5e-324"],
     "hd-af-tsr-tau-5e-324": ["hd-af-tsr", "--tau", "5e-324"],
@@ -340,18 +345,11 @@ def test_flag_the_subcommand_never_reads_is_rejected(command, flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
-# SHA-256 of `figure figN --no-mc` CSV as the row-at-a-time analytic path wrote it,
-# captured again for fig4, fig5 and fig7 (20 rows moved in the 12th digit) when
-# the quadrature started from 6 panels instead of 8.
-# Like FIG5_OPTIMA, the digits are those of the platform they were captured on
-# (x86-64 with AVX-512, glibc 2.36, numpy 2.4): another libm or numpy build may
-# round a last bit differently.
-FIGURE_CSV_SHA256 = {
-    "fig4": "03593a8c0e2c534150748efd24ece236bd792ca91620da3a2c3e13110c55b3bf",
-    "fig5": "84e024d37e375bb9624c1299006c7650b989b274dcd5d0257cd2cf5500d8618e",
-    "fig6": "019196873bf5c984575ee6eb22adee6ce8128440ea1b63245bd2700cd2bb55d3",
-    "fig7": "6228f0bb6562c2d1433e5ff7de128a621a8930d706691578ab340ba3a07be55e",
-}
+# tools/fingerprint.txt holds the SHA-256 of each `figure figN --no-mc` CSV on its
+# figN line. Like FIG5_OPTIMA, the digits are those of the platform they were
+# captured on (x86-64 with AVX-512, glibc 2.36, numpy 2.4): another libm or numpy
+# build may round a last bit differently.
+FINGERPRINTS = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.txt"
 
 
 # every command that writes a dataset to output.path
@@ -416,11 +414,12 @@ def test_selftest_never_checks_output_path(tmp_path, monkeypatch):
 
 
 class TestFigures:
-    @pytest.mark.parametrize("which", sorted(FIGURE_CSV_SHA256))
+    @pytest.mark.parametrize("which", ["fig4", "fig5", "fig6", "fig7"])
     def test_analytic_csv_is_byte_identical(self, which, tmp_path):
+        digests = dict(line.split() for line in FINGERPRINTS.read_text().splitlines())
         out = tmp_path / f"{which}.csv"
         assert run(["figure", which, "--no-mc", "--out", str(out)]) == EXIT_OK
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_CSV_SHA256[which]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[which]
 
     def test_fig4_deterministic_across_runs_and_threads(self, tmp_path):
         paths = [tmp_path / f"fig4-{i}.csv" for i in range(3)]

@@ -17,6 +17,7 @@ from ehrelay.model import (
     capacities,
     capacity,
     capacity_prefactor,
+    hop_losses,
     outage_indicator,
     relay_budget,
     snr_coefficients,
@@ -131,10 +132,34 @@ class TestSnrPair:
         with pytest.raises(ValueError):
             snr_pair(CFG, Scenario("fd", "df", "tsr", tau=0.5), FadeSample(1.0, 1.0))
 
-    def test_fd_af_has_no_snr_coefficients(self):
-        # its loop-back interference is amplified too, so its SNR has no a*x*y/(b*y + c) form
-        with pytest.raises(ValueError):
-            snr_coefficients(CFG, Scenario("fd", "af", "tsr", tau=0.5))
+    @pytest.mark.parametrize("eta,taus", [(1.0, (0.01, 0.99)), (5e-324, (0.01, 0.3))],
+                             ids=["random-links", "power-underflows"])
+    def test_fd_af_snr_bit_for_bit(self, eta, taus):
+        # the amplified loop-back interference enters both signal path and gain:
+        # ps*x*y / (lp1*lp2*noise*(1/power + w) + ps*power*w*x*y), which is
+        # a*x*y / (c*(k1 + w) + b*w*x*y); a power that underflows to 0 gives SNR 0
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            cfg = replace(CFG, eta=eta, ps_watts=10 ** rng.uniform(0.0, 4.0),
+                          path_loss_exp=rng.uniform(1.5, 3.0), d1_m=rng.uniform(1.0, 10.0),
+                          d2_m=rng.uniform(1.0, 10.0), sigma_a2_w=10 ** rng.uniform(-4.0, -1.0),
+                          sigma_c2_w=10 ** rng.uniform(-4.0, -1.0))
+            s = Scenario("fd", "af", "tsr", tau=rng.uniform(*taus))
+            lp1, lp2 = hop_losses(cfg)
+            _, power, noise = relay_budget(cfg, s)
+            assert (power == 0.0) == (eta < 1.0)
+            with np.errstate(divide="ignore"):
+                inv = np.divide(1.0, power)
+            coefs = (inv, cfg.ps_watts, cfg.ps_watts * power, lp1 * lp2 * noise)
+            assert list(map(float.hex, snr_coefficients(cfg, s))) == list(map(float.hex, coefs))
+            x, y, w = (sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg))
+            want = cfg.ps_watts * x * y / (lp1 * lp2 * noise * (inv + w)
+                                           + cfg.ps_watts * power * w * x * y)
+            assert (want == 0.0).all() == (power == 0.0)
+            gr, gd = snr_pair(cfg, s, FadeSample(x, y, w))
+            assert gr is None and np.array_equal(gd.view(np.uint64), want.view(np.uint64))
+            _, gd = snr_pair(cfg, s, FadeSample(float(x[0]), float(y[0]), float(w[0])))
+            assert float(gd).hex() == float(want[0]).hex()
 
     def test_positive_snrs_for_positive_fades(self):
         rng = np.random.default_rng(31)
@@ -404,12 +429,10 @@ class TestValidation:
 
 
 def coefficients(cfg, s):
-    """threshold_snr, relay_budget and the snr_coefficients that exist (none for
-    FD-AF, no k1 for AF): the numbers the analytic path reads off columns."""
-    values = [threshold_snr(s, cfg.cth), *relay_budget(cfg, s)]
-    if s.duplex == "hd" or s.relay == "df":
-        values += [v for v in snr_coefficients(cfg, s) if v is not None]
-    return values
+    """threshold_snr, relay_budget and snr_coefficients (no k1 for HD-AF): the
+    numbers the analytic path reads off columns."""
+    return [threshold_snr(s, cfg.cth), *relay_budget(cfg, s),
+            *(v for v in snr_coefficients(cfg, s) if v is not None)]
 
 
 @pytest.mark.parametrize("label", ["hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr",
