@@ -12,15 +12,13 @@ arrays and then runs one batched quadrature per integrand kind (HD, FD-AF);
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .lognormal import (XI, _standardize, _standardize_product, product_db_moments, q_function,
-                        q_vector)
+from .lognormal import (XI, _exp, _log, _standardize, _standardize_product, elementwise,
+                        product_db_moments, q_function, q_vector)
 from .model import OutageEstimate, Scenario, SystemConfig, snr_coefficients, threshold_snr
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
-from .quadrature import (REL_TOL, integrate_lognormal_batch,  # noqa: F401
+from .quadrature import (ABS_TOL, REL_TOL, TAIL_SIGMAS, integrate_lognormal_batch,  # noqa: F401
                          integrate_lognormal_weighted)
 
 
@@ -79,7 +77,10 @@ def _reduce(cfg, scenario):
     (the head term) plus unit * the integral of kind (see _KINDS) described by
     row i of tail = (mu_db, sigma_db, lower, upper, m, s, unit, *coefs): the
     weight's channel, the gain window, the threshold's dB moments and the
-    integrand's unit and coefficients. kind is None for the closed form."""
+    integrand's unit and coefficients. kind is None for the closed form. An
+    HD window ends where the weight mass above it is at most ABS_TOL/2 times
+    the head, and at most TAIL_SIGMAS standard deviations above the mean; an
+    FD-AF window at the loop-back cutoff."""
     v = threshold_snr(scenario, cfg.cth)
     settled = (v == 0.0) | np.isinf(v)
     value = np.where(v == 0.0, 0.0, 1.0)  # the outage of a settled row or one past a cutoff
@@ -119,8 +120,15 @@ def _reduce(cfg, scenario):
     u = _standardize(lower, cfg.ch1)
     head = q_function(-u)
     pending = ~settled & ~(q_function(u) <= REL_TOL * head)
+    # The integral stops `sigmas` standard deviations above X's mean, where the
+    # weight mass above, Q(sigmas) <= exp(-sigmas**2/2)/2 <= ABS_TOL*head/2,
+    # bounds the part dropped (the integrand is at most 1), or at the
+    # quadrature's own TAIL_SIGMAS cut if that comes first. A pending row's
+    # Q(u) > REL_TOL*head exceeds Q(sigmas), so u < sigmas: the window is not empty.
+    sigmas = np.minimum(TAIL_SIGMAS, np.sqrt(-2.0 * elementwise(_log, ABS_TOL * head)))
+    upper = elementwise(_exp, (2.0 * cfg.ch1.mu_db + sigmas * 2.0 * cfg.ch1.sigma_db) / XI)
     return (np.where(settled, value, head), "hd", pending,
-            (cfg.ch1.mu_db, cfg.ch1.sigma_db, lower, math.inf,
+            (cfg.ch1.mu_db, cfg.ch1.sigma_db, lower, upper,
              2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, 1.0, a, b, c, v))
 
 

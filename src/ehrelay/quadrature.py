@@ -45,9 +45,11 @@ _WG[1::2] = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
 _NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
 _WEIGHTS = np.array([np.concatenate((w, w[-2::-1])) for w in (_WGK, _WG)])  # Kronrod, Gauss
 
-_PANELS = 6  # equal panels every integral starts from
-# panels evaluated per integrand call: node arrays stay below glibc's
-# 128 KiB mmap threshold, so they come from the heap and never move it
+_PANELS = 6  # equal panels an uncut window starts from
+# panels evaluated per integrand call. A chunk's (512, 21) node arrays, 86,016
+# bytes, stay below glibc's initial 128 KiB mmap threshold; _panel_rule's
+# (512, 2, 21) weighted values, 172,032 bytes, do not, so the first such array
+# is mmapped and freeing it raises the threshold to its size
 _CHUNK = 512
 
 
@@ -77,24 +79,34 @@ def integrate_lognormal_batch(f, mu_db, sigma_db, lower, upper) -> np.ndarray:
 
     f(z, k) gives integrand k at gain z, elementwise over arrays that
     broadcast together (k is a column of integral indexes). Each
-    integral starts as 6 equal panels in t; each round calls f once on the
-    21 nodes of all new panels, then bisects the panels whose error exceeds
-    their width's share of their integral's tolerance. An empty window gives
-    0.0, a rule that is still above tolerance at MAX_SUBDIVISIONS panels
-    raises QuadratureError (never a silently low-accuracy value).
+    integral starts as ceil(6*w/W) equal panels in t, at least 1, where w is
+    its window's width and W that of its weight's uncut +-TAIL_SIGMAS window:
+    no starting panel is wider than 3.33 standard deviations, and a window
+    cut to a few sigmas starts from fewer panels. Each round calls f once on
+    the 21 nodes of all new panels, then bisects the panels whose error
+    exceeds their width's share of their integral's tolerance. An integral's
+    value depends on its own row only, never on the rest of the batch. An
+    empty window gives 0.0, a rule that is still above tolerance at
+    MAX_SUBDIVISIONS panels raises QuadratureError (never a silently
+    low-accuracy value).
     """
     lower, upper = np.asarray(lower, float), np.asarray(upper, float)
     if not ((lower >= 0).all() and (upper > lower).all()):
         raise ValueError(f"bounds must satisfy 0 <= lower < upper, got {lower} and {upper}")
     mean, std = 2.0 * np.asarray(mu_db, float), 2.0 * np.asarray(sigma_db, float)
-    t_lo = np.maximum(mean - TAIL_SIGMAS * std, XI * np.log(lower))
-    t_hi = np.minimum(mean + TAIL_SIGMAS * std, XI * np.log(upper))
+    cut_lo, cut_hi = mean - TAIL_SIGMAS * std, mean + TAIL_SIGMAS * std
+    t_lo = np.maximum(cut_lo, XI * np.log(lower))
+    t_hi = np.minimum(cut_hi, XI * np.log(upper))
+    width = t_hi - t_lo
     total, active = np.zeros(mean.size), t_hi > t_lo
-    panels = np.where(active, _PANELS, 0)
-    live = np.flatnonzero(active)
-    edges = t_lo[live, None] + (t_hi - t_lo)[live, None] * np.arange(_PANELS + 1) / _PANELS
-    edges[:, -1] = t_hi[live]
-    a, b, k = edges[:, :-1].ravel(), edges[:, 1:].ravel(), np.repeat(live, _PANELS)
+    # an uncut window's share of its uncut width is exactly 1.0 (6 panels); a
+    # non-finite window's share is NaN (1 panel, whose NaN error raises below)
+    share = width / (cut_hi - cut_lo)
+    panels = np.where(active, np.fmax(np.ceil(_PANELS * share), 1.0), 0.0).astype(int)
+    k = np.repeat(np.arange(mean.size), panels)
+    j = np.arange(k.size) - np.repeat(np.cumsum(panels) - panels, panels)  # panel j of integral k
+    a = t_lo[k] + width[k] * j / panels[k]
+    b = np.where(j + 1 < panels[k], t_lo[k] + width[k] * (j + 1) / panels[k], t_hi[k])
     kept = (a[:0], b[:0], k[:0], a[:0], a[:0])  # panels that stay: a, b, k, value, error
     while a.size:
         fresh = ((a,), (b,), (k,), *zip(*(
@@ -103,7 +115,7 @@ def integrate_lognormal_batch(f, mu_db, sigma_db, lower, upper) -> np.ndarray:
         a, b, k, val, err = (np.concatenate((old, *new)) for old, new in zip(kept, fresh))
         est = np.bincount(k, val, total.size)
         tol = np.maximum(ABS_TOL, REL_TOL * np.abs(est))
-        bad = ~(err <= tol[k] * (b - a) / (t_hi - t_lo)[k])  # a NaN error is never good
+        bad = ~(err <= tol[k] * (b - a) / width[k])  # a NaN error is never good
         n_bad = np.bincount(k[bad], minlength=total.size)
         done = active & ((np.bincount(k, err, total.size) <= tol) | (n_bad == 0))
         total[done] = est[done]

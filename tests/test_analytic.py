@@ -10,8 +10,8 @@ import pytest
 from ehrelay import analytic, quadrature
 from ehrelay.analytic import _Columns, _reduce, outage, outages
 from ehrelay.cli import run_points
-from ehrelay.grids import FIGURE_PRESETS
-from ehrelay.lognormal import ChannelSpec, product_ccdf
+from ehrelay.grids import FIGURE_PRESETS, boundary_points, selftest_points
+from ehrelay.lognormal import XI, ChannelSpec, product_ccdf
 from ehrelay.model import (Scenario, SystemConfig, hop_losses, relay_budget, snr_coefficients,
                            threshold_snr)
 from ehrelay.montecarlo import McPlan, estimate_outage
@@ -245,13 +245,15 @@ def hd_reference(cfg, scenario):
 
 
 # 42 HD points, 7 per variant (tau or rho 0.5, 0.8 or 0.2), with outage from 5.8e-9 to 1,
-# and two AF-TSR points whose small tails converge only to the absolute tolerance
+# two AF-TSR points whose small tails converge only to the absolute tolerance, and an
+# AF-PSR point whose head, 0.9915, puts the upper cut at its deepest: 7.4 sigmas up
 HD_REFERENCE_GRID = [
     (label, ps, cth, param)
     for label in ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr", "hd-af-irr")
     for (ps, cth), param in zip(((1.0, 0.5), (5.0, 1.0), (20.0, 2.0), (100.0, 4.0), (500.0, 1.0),
                                  (2000.0, 2.0), (5000.0, 2.0)), (0.5, 0.8, 0.2) * 3)]
-HD_REFERENCE_GRID += [("hd-af-tsr", 100.0, 0.5, 0.8), ("hd-af-tsr", 5000.0, 1.0, 0.8)]
+HD_REFERENCE_GRID += [("hd-af-tsr", 100.0, 0.5, 0.8), ("hd-af-tsr", 5000.0, 1.0, 0.8),
+                      ("hd-af-psr", 1.0, 4.0, 0.2)]
 
 
 @pytest.mark.parametrize("label,ps,cth,param", HD_REFERENCE_GRID)
@@ -312,9 +314,39 @@ def test_fd_variants_share_the_loop_back_cutoff():
     assert 1e-5 < got[0] <= got[1]
 
 
+def hd_pair_at(u, label):
+    """`label` on the default link with the first hop's mean moved so that the
+    gain the first hop must clear lies u of its standard deviations above that
+    mean: the head is Q(-u)."""
+    s = Scenario.from_label(label, tau=0.5, rho=0.5)
+    k1, a, b, _ = snr_coefficients(CFG, s)
+    v = threshold_snr(s, CFG.cth)
+    lower = v * b / a if k1 is None else v / k1
+    sigma = CFG.ch1.sigma_db
+    return replace(CFG, ch1=ChannelSpec((XI * math.log(lower) - 2 * u * sigma) / 2, sigma)), s
+
+
+# (u, head, cut) at heads near 1, 1e-3 and 1e-20: the HD upper cut lies 7.43, 8.31
+# and (capped at TAIL_SIGMAS) 10 standard deviations above the first hop's mean
+CUT_DEPTHS = [(3.0, 0.99865, 7.43), (-3.09, 1.0e-3, 8.31), (-9.26, 1.0e-20, 10.0)]
+
+
+def test_hd_upper_cut_follows_the_head():
+    # mixed_batch() holds these pairs too: each row equals its batch of one there
+    for u, head, cut in CUT_DEPTHS:
+        for label in ("hd-df-irr", "hd-af-tsr"):
+            cfg, s = hd_pair_at(u, label)
+            assert branch(cfg, s) == f"{label[:5]} integral"
+            with np.errstate(all="ignore"):  # as in outages
+                value, _, _, tail = _reduce(_Columns([cfg]), _Columns([s]))
+            assert value[0] == pytest.approx(head, rel=0.05)
+            mean, std = 2 * cfg.ch1.mu_db, 2 * cfg.ch1.sigma_db
+            assert (XI * math.log(tail[3][0]) - mean) / std == pytest.approx(cut, abs=0.01)
+
+
 def mixed_batch():
-    """All eight variants, each at three settings, and pairs that reach every
-    early exit of the reduction."""
+    """All eight variants, each at three settings, HD pairs at every depth of
+    the upper cut, and pairs that reach every early exit of the reduction."""
     pairs = [(c, s) for s in ALL_SCENARIOS
              for c in (CFG, replace(CFG, ps_watts=10.0), replace(CFG, cth=0.75, d1_m=2.0))]
     pairs += [(replace(CFG, cth=0.0), ALL_SCENARIOS[3]), (replace(CFG, cth=0.0), ALL_SCENARIOS[7]),
@@ -324,6 +356,8 @@ def mixed_batch():
               (replace(CFG, cth=20.0), ALL_SCENARIOS[4]),
               (replace(CFG, cth=10.0), ALL_SCENARIOS[7]),
               *FD_CUTOFF_ZERO, FD_AF_CUTOFF_SUBNORMAL,
+              *(hd_pair_at(u, label) for u, _, _ in CUT_DEPTHS
+                for label in ("hd-df-irr", "hd-af-tsr")),
               (CFG, Scenario("hd", "df", "psr", rho=0.3, pc_fraction=0.2)),
               (replace(CFG, ps_watts=10.0), Scenario("fd", "df", "tsr", tau=0.2, pc_fraction=0.1)),
               (CFG, Scenario("hd", "df", "irr", pc_fraction=0.05))]
@@ -368,9 +402,9 @@ def test_one_quadrature_call_per_integrand_kind(monkeypatch):
     assert calls == [len(hd), 1]
 
 
-def test_figure_pass_integrand_nodes(monkeypatch):
-    # the nodes that fig4-fig7 without MC evaluate: 482,580 from 8 starting
-    # panels per integral, 378,672 from 6
+def integrand_load(monkeypatch, point_lists):
+    """The integrand nodes and calls that `run_points` makes without MC on
+    each list of points in turn."""
     nodes = []
 
     def counting(integrand, *window):
@@ -380,9 +414,26 @@ def test_figure_pass_integrand_nodes(monkeypatch):
         return quadrature.integrate_lognormal_batch(counted, *window)
 
     monkeypatch.setattr(analytic, "integrate_lognormal_batch", counting)
-    for preset in FIGURE_PRESETS.values():
-        run_points(preset(CFG)[0], None, 1)
-    assert sum(nodes) < 400_000
+    for points in point_lists:
+        run_points(points, None, 1)
+    return sum(nodes), len(nodes)
+
+
+def test_figure_pass_integrand_nodes(monkeypatch):
+    # the nodes that fig4-fig7 without MC evaluate: 482,580 from 8 starting
+    # panels per integral, 378,672 from 6, and 235,767 (72 calls instead of 79)
+    # from panels in proportion to each window and the HD upper cut
+    figures = [preset(CFG)[0] for preset in FIGURE_PRESETS.values()]
+    nodes, calls = integrand_load(monkeypatch, figures)
+    assert nodes < 250_000 and calls == 72
+
+
+def test_selftest_integrand_nodes(monkeypatch):
+    # the selftest and boundary grids without MC: 6,762 nodes in 8 calls from 6
+    # starting panels per integral; 4,473 in 10 with the windowed start and the
+    # HD upper cut, which leave the HD batches two more small rounds
+    nodes, calls = integrand_load(monkeypatch, [selftest_points(CFG), boundary_points(CFG)])
+    assert nodes < 5_000 and calls == 10
 
 
 def test_params_column_equals_scenarios_with_that_parameter():

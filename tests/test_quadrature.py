@@ -14,6 +14,7 @@ from ehrelay.lognormal import XI, ChannelSpec, q_function
 from ehrelay.model import SystemConfig
 from ehrelay.quadrature import (
     REL_TOL,
+    TAIL_SIGMAS,
     QuadratureError,
     integrate_lognormal_batch,
     integrate_lognormal_weighted,
@@ -117,6 +118,44 @@ def test_bound_validation():
         integrate_lognormal_weighted(lambda z: 1.0, CH, lower=-1.0)
     with pytest.raises(ValueError):
         integrate_lognormal_weighted(lambda z: 1.0, CH, lower=5.0, upper=5.0)
+
+
+def first_round_panels(weight, windows):
+    """The values of f = 1/(1 + z) against `weight` over each (lower, upper)
+    window of one batch, and the panels each integral starts from: the rows
+    of the first integrand call, counted per integral."""
+    rows = []
+
+    def f(z, k):
+        rows.append(k[:, 0].copy())
+        return 1.0 / (1.0 + z)
+
+    n = len(windows)
+    values = integrate_lognormal_batch(f, [weight.mu_db] * n, [weight.sigma_db] * n,
+                                       *zip(*windows))
+    return np.bincount(rows[0], minlength=n).tolist(), values
+
+
+# shares r of the uncut +-TAIL_SIGMAS window that a window keeps: ceil(6r) is 1 to 6
+CUT_SHARES = (0.05, 0.3, 0.45, 0.6, 0.75, 0.95)
+
+
+def test_starting_panels_scale_with_the_window():
+    # an uncut window starts from 6 panels, one cut to r of it (from below, from
+    # above or from both sides) from ceil(6r); a batch gives each window's
+    # integral alone bit for bit
+    t_min, width = 2 * (CH.mu_db - TAIL_SIGMAS * CH.sigma_db), 4 * TAIL_SIGMAS * CH.sigma_db
+
+    def gain(share):  # the gain at `share` of the uncut window in t
+        return math.exp((t_min + share * width) / XI)
+
+    windows = [(0.0, math.inf)]
+    for r in CUT_SHARES:
+        windows += [(gain(1 - r), math.inf), (0.0, gain(r)), (gain(0.02), gain(0.02 + r))]
+    panels, batch = first_round_panels(CH, windows)
+    assert panels == [6] + [math.ceil(6 * r) for r in CUT_SHARES for _ in range(3)]
+    alone = [first_round_panels(CH, [window])[1][0] for window in windows]
+    assert list(map(float.hex, batch)) == list(map(float.hex, alone))
 
 
 def test_batch_matches_each_integral_alone():

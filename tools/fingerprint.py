@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Print SHA-256 fingerprints of ehrelay's numerical results.
+"""Print SHA-256 fingerprints of ehrelay's numerical results. From the
+repository root:
 
-    PYTHONPATH=<checkout>/src python3 tools/fingerprint.py > fingerprint.txt
+    PYTHONPATH=src python3 tools/fingerprint.py > tools/fingerprint.txt
 
 Each line is a name and the SHA-256 of that result's bytes:
 
