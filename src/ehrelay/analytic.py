@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lognormal import (XI, _exp, _log, _standardize, _standardize_product, elementwise,
+from .lognormal import (XI, _log, _standardize, _standardize_product, elementwise,
                         product_db_moments, q_function, q_vector)
 from .model import OutageEstimate, Scenario, SystemConfig, snr_coefficients, threshold_snr
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
-from .quadrature import (ABS_TOL, REL_TOL, TAIL_SIGMAS, integrate_lognormal_batch,  # noqa: F401
-                         integrate_lognormal_weighted)
+from .quadrature import (ABS_TOL, REL_TOL, integrate_lognormal_weighted,  # noqa: F401
+                         integrate_normal_batch)
 
 
 def _clamp01(p):
@@ -75,12 +75,12 @@ def _reduce(cfg, scenario):
     """The outages of one variant's rows, given as _Columns: (value, kind,
     pending, tail). Row i's outage is value[i], or, where pending[i], value[i]
     (the head term) plus unit * the integral of kind (see _KINDS) described by
-    row i of tail = (mu_db, sigma_db, lower, upper, m, s, unit, *coefs): the
-    weight's channel, the gain window, the threshold's dB moments and the
-    integrand's unit and coefficients. kind is None for the closed form. An
-    HD window ends where the weight mass above it is at most ABS_TOL/2 times
-    the head, and at most TAIL_SIGMAS standard deviations above the mean; an
-    FD-AF window at the loop-back cutoff."""
+    row i of tail = (mean, std, lo, hi, m, s, unit, *coefs): the dB moments
+    of the weight's squared gain, the window in their standardized
+    coordinate, the threshold's dB moments and the integrand's unit and
+    coefficients. kind is None for the closed form. An HD window ends where
+    the weight mass above it is at most ABS_TOL/2 times the head; an FD-AF
+    window at the loop-back cutoff."""
     v = threshold_snr(scenario, cfg.cth)
     settled = (v == 0.0) | np.isinf(v)
     value = np.where(v == 0.0, 0.0, 1.0)  # the outage of a settled row or one past a cutoff
@@ -110,7 +110,7 @@ def _reduce(cfg, scenario):
         # acts as a relative one where the outage is tiny.
         unit = np.maximum(q_function(-_standardize_product(scale * k1, cfg.ch1, cfg.ch2)), 1e-300)
         return (np.where(pending, head, value), "fd-af", pending,
-                (cfg.chg.mu_db, cfg.chg.sigma_db, 0.0, upper,
+                (2.0 * cfg.chg.mu_db, 2.0 * cfg.chg.sigma_db, -np.inf, u,
                  *product_db_moments(cfg.ch1, cfg.ch2), unit, k1, v * b / a, scale))
     # HD: outage is certain when the first hop X misses `lower` (DF: k1*X < v;
     # AF: X <= v*B/A), otherwise the second hop Y must miss the threshold given
@@ -122,13 +122,11 @@ def _reduce(cfg, scenario):
     pending = ~settled & ~(q_function(u) <= REL_TOL * head)
     # The integral stops `sigmas` standard deviations above X's mean, where the
     # weight mass above, Q(sigmas) <= exp(-sigmas**2/2)/2 <= ABS_TOL*head/2,
-    # bounds the part dropped (the integrand is at most 1), or at the
-    # quadrature's own TAIL_SIGMAS cut if that comes first. A pending row's
+    # bounds the part dropped (the integrand is at most 1). A pending row's
     # Q(u) > REL_TOL*head exceeds Q(sigmas), so u < sigmas: the window is not empty.
-    sigmas = np.minimum(TAIL_SIGMAS, np.sqrt(-2.0 * elementwise(_log, ABS_TOL * head)))
-    upper = elementwise(_exp, (2.0 * cfg.ch1.mu_db + sigmas * 2.0 * cfg.ch1.sigma_db) / XI)
+    sigmas = np.sqrt(-2.0 * elementwise(_log, ABS_TOL * head))
     return (np.where(settled, value, head), "hd", pending,
-            (cfg.ch1.mu_db, cfg.ch1.sigma_db, lower, upper,
+            (2.0 * cfg.ch1.mu_db, 2.0 * cfg.ch1.sigma_db, u, sigmas,
              2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, 1.0, a, b, c, v))
 
 
@@ -173,13 +171,13 @@ def outages(pairs, params=None) -> np.ndarray:
         pending, *columns = map(np.concatenate, zip(*tails[kind]))
         if not pending.any():
             continue
-        rows, mu_db, sigma_db, lower, upper, m, s, unit, *coefs = (c[pending] for c in columns)
+        rows, mean, std, lo, hi, m, s, unit, *coefs = (c[pending] for c in columns)
 
-        def integrand(z, k):
-            x = threshold(z, *(col[k] for col in coefs))
+        def integrand(u, k):
+            x = threshold(np.exp((mean[k] + std[k] * u) / XI), *(col[k] for col in coefs))
             return q_vector(-((XI * np.log(x) - m[k]) / s[k])) / unit[k]
 
-        tail = integrate_lognormal_batch(integrand, mu_db, sigma_db, lower, upper)
+        tail = integrate_normal_batch(integrand, lo, hi)
         values[rows] = _clamp01(values[rows] + unit * tail)
     return values if params is None else values.reshape(params.shape)
 

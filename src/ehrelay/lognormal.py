@@ -123,14 +123,6 @@ def _log(x: float) -> float:
     return -math.inf if x == 0.0 else math.log(x)
 
 
-def _exp(x: float) -> float:
-    # math.exp, and its limit inf past the float range, where math.exp raises
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _standardize(x, ch: ChannelSpec):
     # dB coordinate of x relative to the squared-gain Gaussian
     return (XI * elementwise(_log, x) - 2.0 * ch.mu_db) / (2.0 * ch.sigma_db)

@@ -1,13 +1,13 @@
-"""Adaptive integration of log-normal-weighted integrands, many at once.
+"""Adaptive integration of Gaussian-weighted integrands, many at once.
 
-Evaluates integrals of the form  int f(z) * w(z) dz  over (lower, upper),
-where w is the squared-gain density of a ChannelSpec. Substituting
-t = XI*ln(z) turns w into a plain Gaussian density in t, so integrands
-that span many decades in z become smooth and effectively compact in t.
-The Gaussian tail is cut at TAIL_SIGMAS standard deviations (mass below
-1e-23 at 10) and the finite interval is handled by adaptive
-Gauss-Kronrod 10/21 bisection (Piessens et al., QUADPACK, 1983), written
-in numpy so that a whole batch of integrals shares each integrand call.
+Evaluates integrals of the form  int f(s) * phi(s) ds  over (lo, hi), with
+phi the standard normal density: a squared gain's log-normal density, in
+the standardized coordinate s of its dB value, so integrands that span many
+decades of gain are smooth and effectively compact in s, whatever the
+spread. The tail is cut at TAIL_SIGMAS (mass below 1e-23 at 10) and the
+finite interval is handled by adaptive Gauss-Kronrod 10/21 bisection
+(Piessens et al., QUADPACK, 1983), written in numpy so that a whole batch
+of integrals shares each integrand call.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lognormal import XI, ChannelSpec
+from .lognormal import XI, ChannelSpec, _standardize
 
 # every integral is converged to max(ABS_TOL, REL_TOL * |value|), in at most
 # MAX_SUBDIVISIONS panels, over TAIL_SIGMAS standard deviations of its weight
@@ -53,12 +53,11 @@ _PANELS = 6  # equal panels an uncut window starts from
 _CHUNK = 512
 
 
-def _panel_rule(f, a, b, k, mean, std):
+def _panel_rule(f, a, b, k):
     """Kronrod value and QUADPACK error estimate of panels (a, b) of integrals k."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    t, k = c[:, None] + h[:, None] * _NODES, k[:, None]
-    u = (t - mean[k]) / std[k]
-    g = f(np.exp(t / XI), k) * (1.0 / (std[k] * math.sqrt(2.0 * math.pi))) * np.exp(-0.5 * u * u)
+    s, k = c[:, None] + h[:, None] * _NODES, k[:, None]
+    g = f(s, k) * (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * s * s)
     # row sums, not BLAS products: a panel's numbers must not depend on its batch
     resk, resg = (g[:, None] * _WEIGHTS).sum(axis=2).T
     err = np.abs((resk - resg) * h)
@@ -69,48 +68,39 @@ def _panel_rule(f, a, b, k, mean, std):
     return resk * h, np.maximum(50 * np.finfo(float).eps * resabs, err)
 
 
-# a weight, gain or integrand out of float range shows as a NaN error estimate
+# a node or integrand out of float range shows as a NaN error estimate
 # (QuadratureError) or a saturated value, never as a numpy warning
 @np.errstate(all="ignore")
-def integrate_lognormal_batch(f, mu_db, sigma_db, lower, upper) -> np.ndarray:
-    """Integral k of f( . , k) against the squared-gain density of
-    ChannelSpec(mu_db[k], sigma_db[k]) over gains (lower[k], upper[k]), for
-    every k.
+def integrate_normal_batch(f, lo, hi) -> np.ndarray:
+    """Integral k of f( . , k) against the standard normal density over
+    (lo[k], hi[k]) cut to +-TAIL_SIGMAS, for every k.
 
-    f(z, k) gives integrand k at gain z, elementwise over arrays that
-    broadcast together (k is a column of integral indexes). Each
-    integral starts as ceil(6*w/W) equal panels in t, at least 1, where w is
-    its window's width and W that of its weight's uncut +-TAIL_SIGMAS window:
-    no starting panel is wider than 3.33 standard deviations, and a window
-    cut to a few sigmas starts from fewer panels. Each round calls f once on
-    the 21 nodes of all new panels, then bisects the panels whose error
-    exceeds their width's share of their integral's tolerance. An integral's
-    value depends on its own row only, never on the rest of the batch. An
-    empty window gives 0.0, a rule that is still above tolerance at
-    MAX_SUBDIVISIONS panels raises QuadratureError (never a silently
-    low-accuracy value).
+    f(s, k) gives integrand k at s, elementwise over arrays that broadcast
+    together (k is a column of integral indexes). Each integral starts as
+    ceil(6*w/(2*TAIL_SIGMAS)) equal panels, at least 1, w being the width of
+    its cut window, so no starting panel is wider than 3.33. Each round
+    calls f once on the 21 nodes of all new panels, then bisects the panels
+    whose error exceeds their width's share of their integral's tolerance.
+    An integral's value depends on its own row only, never on the rest of
+    the batch. An empty window gives 0.0; a NaN bound, or a rule that is
+    still above tolerance at MAX_SUBDIVISIONS panels, raises QuadratureError
+    (never a silently low-accuracy value).
     """
-    lower, upper = np.asarray(lower, float), np.asarray(upper, float)
-    if not ((lower >= 0).all() and (upper > lower).all()):
-        raise ValueError(f"bounds must satisfy 0 <= lower < upper, got {lower} and {upper}")
-    mean, std = 2.0 * np.asarray(mu_db, float), 2.0 * np.asarray(sigma_db, float)
-    cut_lo, cut_hi = mean - TAIL_SIGMAS * std, mean + TAIL_SIGMAS * std
-    t_lo = np.maximum(cut_lo, XI * np.log(lower))
-    t_hi = np.minimum(cut_hi, XI * np.log(upper))
-    width = t_hi - t_lo
-    total, active = np.zeros(mean.size), t_hi > t_lo
-    # an uncut window's share of its uncut width is exactly 1.0 (6 panels); a
-    # non-finite window's share is NaN (1 panel, whose NaN error raises below)
-    share = width / (cut_hi - cut_lo)
+    s_lo = np.maximum(-TAIL_SIGMAS, np.asarray(lo, float))
+    s_hi = np.minimum(TAIL_SIGMAS, np.asarray(hi, float))
+    width = s_hi - s_lo
+    # a NaN bound makes an active 1-panel integral, whose NaN error raises below
+    total, active = np.zeros(width.size), ~(s_hi <= s_lo)
+    share = width / (2.0 * TAIL_SIGMAS)  # exactly 1.0 (6 panels) for an uncut window
     panels = np.where(active, np.fmax(np.ceil(_PANELS * share), 1.0), 0.0).astype(int)
-    k = np.repeat(np.arange(mean.size), panels)
+    k = np.repeat(np.arange(width.size), panels)
     j = np.arange(k.size) - np.repeat(np.cumsum(panels) - panels, panels)  # panel j of integral k
-    a = t_lo[k] + width[k] * j / panels[k]
-    b = np.where(j + 1 < panels[k], t_lo[k] + width[k] * (j + 1) / panels[k], t_hi[k])
+    a = s_lo[k] + width[k] * j / panels[k]
+    b = np.where(j + 1 < panels[k], s_lo[k] + width[k] * (j + 1) / panels[k], s_hi[k])
     kept = (a[:0], b[:0], k[:0], a[:0], a[:0])  # panels that stay: a, b, k, value, error
     while a.size:
         fresh = ((a,), (b,), (k,), *zip(*(
-            _panel_rule(f, a[i:i + _CHUNK], b[i:i + _CHUNK], k[i:i + _CHUNK], mean, std)
+            _panel_rule(f, a[i:i + _CHUNK], b[i:i + _CHUNK], k[i:i + _CHUNK])
             for i in range(0, a.size, _CHUNK))))
         a, b, k, val, err = (np.concatenate((old, *new)) for old, new in zip(kept, fresh))
         est = np.bincount(k, val, total.size)
@@ -126,7 +116,7 @@ def integrate_lognormal_batch(f, mu_db, sigma_db, lower, upper) -> np.ndarray:
         if stuck.size:
             i = stuck[0]
             raise QuadratureError(
-                f"integral over t in [{t_lo[i]:.6g}, {t_hi[i]:.6g}] did not converge: "
+                f"integral over s in [{s_lo[i]:.6g}, {s_hi[i]:.6g}] did not converge: "
                 f"error above tolerance {tol[i]:.3g} at the cap of {MAX_SUBDIVISIONS} subdivisions")
         panels += n_bad
         kept = tuple(x[active[k] & ~bad] for x in (a, b, k, val, err))
@@ -139,8 +129,11 @@ def integrate_lognormal_batch(f, mu_db, sigma_db, lower, upper) -> np.ndarray:
 def integrate_lognormal_weighted(f: Callable, weight: ChannelSpec, lower: float = 0.0,
                                  upper: float = math.inf) -> float:
     """Integrate f(z), vectorized in z, against the squared-gain density of
-    `weight` over gains 0 <= lower < upper <= inf: integrate_lognormal_batch
-    with a batch of one."""
-    batch = integrate_lognormal_batch(lambda z, k: f(z), [weight.mu_db], [weight.sigma_db],
-                                      [lower], [upper])
+    `weight` over gains 0 <= lower < upper <= inf: integrate_normal_batch
+    with a batch of one, in the standardized dB coordinate of `weight`."""
+    if not 0.0 <= lower < upper:
+        raise ValueError(f"bounds must satisfy 0 <= lower < upper, got {lower} and {upper}")
+    mean, std = 2.0 * weight.mu_db, 2.0 * weight.sigma_db
+    batch = integrate_normal_batch(lambda s, k: f(np.exp((mean + std * s) / XI)),
+                                   [_standardize(lower, weight)], [_standardize(upper, weight)])
     return float(batch[0])

@@ -11,7 +11,7 @@ from ehrelay import analytic, quadrature
 from ehrelay.analytic import _Columns, _reduce, outage, outages
 from ehrelay.cli import run_points
 from ehrelay.grids import FIGURE_PRESETS, boundary_points, selftest_points
-from ehrelay.lognormal import XI, ChannelSpec, product_ccdf
+from ehrelay.lognormal import XI, ChannelSpec, product_ccdf, sq_gain_cdf
 from ehrelay.model import (Scenario, SystemConfig, hop_losses, relay_budget, snr_coefficients,
                            threshold_snr)
 from ehrelay.montecarlo import McPlan, estimate_outage
@@ -265,6 +265,29 @@ def test_hd_outage_within_rel_tol_of_mpmath(label, ps, cth, param):
     assert abs(outage(cfg, s).value - want) <= quadrature.REL_TOL * want
 
 
+@pytest.mark.parametrize("sigma_db", [1e-12, 1e-16, 1e-300, 5e-324])
+@pytest.mark.parametrize("ps", [1.0, 50.0])
+def test_vanishing_first_hop_spread_fixes_the_first_hop(ps, sigma_db):
+    # the first hop's squared gain X is its median; the window in X's
+    # standardized coordinate keeps its width however small the spread
+    for s in ALL_SCENARIOS[:6]:
+        cfg = replace(CFG, ps_watts=ps, ch1=ChannelSpec(CFG.ch1.mu_db, sigma_db))
+        k1, a, b, c = snr_coefficients(cfg, s)
+        v, x = threshold_snr(s, cfg.cth), 10 ** (2 * cfg.ch1.mu_db / 10)
+        if s.relay == "df":
+            want = 1.0 if k1 * x < v else sq_gain_cdf(v / (a * x), cfg.ch2)
+        else:
+            want = 1.0 if a * x <= v * b else sq_gain_cdf(v * c / (a * x - v * b), cfg.ch2)
+        assert outage(cfg, s).value == pytest.approx(want, rel=quadrature.REL_TOL), s.label()
+
+
+def test_fd_af_loop_back_mean_below_the_float_range():
+    # at -1e308 dB the loop-back gain is 0 as at -300 dB; 2 * mu_db overflows to -inf
+    got = [outage(replace(CFG, chg=ChannelSpec(mu, CFG.chg.sigma_db)), ALL_SCENARIOS[7]).value
+           for mu in (-1e308, -300.0)]
+    assert got[0] == got[1] == pytest.approx(0.797440683, abs=5e-10)
+
+
 def branch(cfg, scenario):
     """Which rule of analytic._reduce settles the pair's outage."""
     v = threshold_snr(scenario, cfg.cth)
@@ -340,8 +363,7 @@ def test_hd_upper_cut_follows_the_head():
             with np.errstate(all="ignore"):  # as in outages
                 value, _, _, tail = _reduce(_Columns([cfg]), _Columns([s]))
             assert value[0] == pytest.approx(head, rel=0.05)
-            mean, std = 2 * cfg.ch1.mu_db, 2 * cfg.ch1.sigma_db
-            assert (XI * math.log(tail[3][0]) - mean) / std == pytest.approx(cut, abs=0.01)
+            assert min(quadrature.TAIL_SIGMAS, tail[3][0]) == pytest.approx(cut, abs=0.01)
 
 
 def mixed_batch():
@@ -387,9 +409,9 @@ def test_one_quadrature_call_per_integrand_kind(monkeypatch):
 
     def counting(integrand, *window):
         calls.append(len(window[0]))
-        return quadrature.integrate_lognormal_batch(integrand, *window)
+        return quadrature.integrate_normal_batch(integrand, *window)
 
-    monkeypatch.setattr(analytic, "integrate_lognormal_batch", counting)
+    monkeypatch.setattr(analytic, "integrate_normal_batch", counting)
     hd = [(c, s) for c, s in mixed_batch()
           if s.duplex == "hd" and branch(c, s).endswith("integral")]
     assert {s.label()[:5] for _, s in hd} == {"hd-df", "hd-af"}
@@ -411,9 +433,9 @@ def integrand_load(monkeypatch, point_lists):
         def counted(z, k):
             nodes.append(z.size)
             return integrand(z, k)
-        return quadrature.integrate_lognormal_batch(counted, *window)
+        return quadrature.integrate_normal_batch(counted, *window)
 
-    monkeypatch.setattr(analytic, "integrate_lognormal_batch", counting)
+    monkeypatch.setattr(analytic, "integrate_normal_batch", counting)
     for points in point_lists:
         run_points(points, None, 1)
     return sum(nodes), len(nodes)

@@ -286,21 +286,20 @@ class TestOptimize:
         assert (proc.returncode, proc.stdout) == (code, stdout)
         assert "Warning" not in proc.stderr
 
-    @pytest.mark.parametrize("scenario,key,code", [
-        ("hd-df-tsr", "ch1.mu_db", EXIT_OK), ("hd-af-psr", "ch1.mu_db", EXIT_OK),
-        ("hd-df-tsr", "ch1.sigma_db", EXIT_NUMERICAL), ("hd-af-psr", "ch1.sigma_db", EXIT_NUMERICAL),
-        ("fd-af-tsr", "chg.sigma_db", EXIT_NUMERICAL)])
-    def test_weight_out_of_float_range_prints_no_numpy_warning(self, scenario, key, code, capsys):
-        # 2 * 1e308 overflows the quadrature's weight moments and window edges
-        # (in-process: pytest turns a RuntimeWarning into an error)
-        assert run(["point", "--no-mc", "--scenario", scenario,
-                    "--override", f"system.{key}=1e308"]) == code
-        out, err = capsys.readouterr()
-        if code == EXIT_OK:
-            assert out == f"scenario           {scenario}\nanalytic outage    0\n"
-        else:
-            assert err.startswith("numerical error: integral over t in ")
-        assert "Warning" not in err
+    @pytest.mark.parametrize("scenario,key,value", [
+        ("hd-df-tsr", "ch1.mu_db", "0"), ("hd-af-psr", "ch1.mu_db", "0"),
+        ("hd-df-tsr", "ch1.sigma_db", "0.5"), ("hd-af-psr", "ch1.sigma_db", "0.5"),
+        ("fd-af-tsr", "chg.sigma_db", "0.898720341")])
+    def test_weight_out_of_float_range_prints_no_numpy_warning(self, scenario, key, value, capsys):
+        # 2 * 1e308 overflows the weight's dB moments and the integrand's gains,
+        # but not the window in the weight's standardized coordinate: the outage
+        # is that at 1e300 (in-process: pytest turns a RuntimeWarning into an error)
+        for db in ("1e308", "1e300"):
+            assert run(["point", "--no-mc", "--scenario", scenario,
+                        "--override", f"system.{key}={db}"]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert out == f"scenario           {scenario}\nanalytic outage    {value}\n"
+            assert "Warning" not in err
 
     def test_infinite_mc_gains_exit_numerical(self):
         # a 1e300 dB mean makes every h1^2 draw overflow to inf

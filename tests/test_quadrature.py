@@ -10,14 +10,14 @@ import pytest
 
 from conftest import run_python
 from ehrelay import quadrature
-from ehrelay.lognormal import XI, ChannelSpec, q_function
+from ehrelay.lognormal import XI, ChannelSpec, _standardize, q_function
 from ehrelay.model import SystemConfig
 from ehrelay.quadrature import (
     REL_TOL,
     TAIL_SIGMAS,
     QuadratureError,
-    integrate_lognormal_batch,
     integrate_lognormal_weighted,
+    integrate_normal_batch,
 )
 
 CH = ChannelSpec(mu_db=3.0, sigma_db=2.0)
@@ -120,20 +120,18 @@ def test_bound_validation():
         integrate_lognormal_weighted(lambda z: 1.0, CH, lower=5.0, upper=5.0)
 
 
-def first_round_panels(weight, windows):
-    """The values of f = 1/(1 + z) against `weight` over each (lower, upper)
-    window of one batch, and the panels each integral starts from: the rows
-    of the first integrand call, counted per integral."""
+def first_round_panels(windows):
+    """The values of f = 1/(1 + e^s) against the standard normal density over
+    each (lo, hi) window of one batch, and the panels each integral starts
+    from: the rows of the first integrand call, counted per integral."""
     rows = []
 
-    def f(z, k):
+    def f(s, k):
         rows.append(k[:, 0].copy())
-        return 1.0 / (1.0 + z)
+        return 1.0 / (1.0 + np.exp(s))
 
-    n = len(windows)
-    values = integrate_lognormal_batch(f, [weight.mu_db] * n, [weight.sigma_db] * n,
-                                       *zip(*windows))
-    return np.bincount(rows[0], minlength=n).tolist(), values
+    values = integrate_normal_batch(f, *zip(*windows))
+    return np.bincount(rows[0], minlength=len(windows)).tolist(), values
 
 
 # shares r of the uncut +-TAIL_SIGMAS window that a window keeps: ceil(6r) is 1 to 6
@@ -144,17 +142,15 @@ def test_starting_panels_scale_with_the_window():
     # an uncut window starts from 6 panels, one cut to r of it (from below, from
     # above or from both sides) from ceil(6r); a batch gives each window's
     # integral alone bit for bit
-    t_min, width = 2 * (CH.mu_db - TAIL_SIGMAS * CH.sigma_db), 4 * TAIL_SIGMAS * CH.sigma_db
+    def at(share):  # the point at `share` of the uncut window
+        return -TAIL_SIGMAS + share * 2 * TAIL_SIGMAS
 
-    def gain(share):  # the gain at `share` of the uncut window in t
-        return math.exp((t_min + share * width) / XI)
-
-    windows = [(0.0, math.inf)]
+    windows = [(-math.inf, math.inf)]
     for r in CUT_SHARES:
-        windows += [(gain(1 - r), math.inf), (0.0, gain(r)), (gain(0.02), gain(0.02 + r))]
-    panels, batch = first_round_panels(CH, windows)
+        windows += [(at(1 - r), math.inf), (-math.inf, at(r)), (at(0.02), at(0.02 + r))]
+    panels, batch = first_round_panels(windows)
     assert panels == [6] + [math.ceil(6 * r) for r in CUT_SHARES for _ in range(3)]
-    alone = [first_round_panels(CH, [window])[1][0] for window in windows]
+    alone = [first_round_panels([window])[1][0] for window in windows]
     assert list(map(float.hex, batch)) == list(map(float.hex, alone))
 
 
@@ -166,9 +162,15 @@ def test_batch_matches_each_integral_alone():
     lower = [0.0, 2.0, 0.0, far, 0.3]
     upper = [math.inf, 40.0, 5.0, math.inf, math.inf]
     shift = np.array([1.0, 2.0, 25.0, 1.0, 0.5])
-    batch = integrate_lognormal_batch(lambda z, k: z / (shift[k] + z),
-                                      [w.mu_db for w in weights],
-                                      [w.sigma_db for w in weights], lower, upper)
+    mean = np.array([2 * w.mu_db for w in weights])
+    std = np.array([2 * w.sigma_db for w in weights])
+
+    def f(s, k):
+        z = np.exp((mean[k] + std[k] * s) / XI)
+        return z / (shift[k] + z)
+
+    batch = integrate_normal_batch(f, [_standardize(x, w) for x, w in zip(lower, weights)],
+                                   [_standardize(x, w) for x, w in zip(upper, weights)])
     for k in range(len(weights)):
         alone = integrate_lognormal_weighted(lambda z: z / (shift[k] + z),
                                              weights[k], lower[k], upper[k])
@@ -177,10 +179,16 @@ def test_batch_matches_each_integral_alone():
 
 
 def test_one_nonconverging_integral_fails_the_batch():
-    mixed = lambda z, k: np.where(k == 1, np.sin(1e6 * np.log(z)), 1.0 / (1.0 + z))
+    mixed = lambda s, k: np.where(k == 1, np.sin(1e6 * s), 1.0 / (1.0 + np.exp(s)))
     with pytest.raises(QuadratureError):
-        integrate_lognormal_batch(mixed, [CH.mu_db] * 3, [CH.sigma_db] * 3, [0.0] * 3,
-                                  [math.inf] * 3)
+        integrate_normal_batch(mixed, [-math.inf] * 3, [math.inf] * 3)
+
+
+@pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (-1.0, math.nan), (math.nan, math.nan)])
+def test_nan_bound_is_reported_not_zero(lo, hi):
+    # a window that a weight out of float range makes (inf - inf) is not empty
+    with pytest.raises(QuadratureError, match=r"over s in \[.*nan"):
+        integrate_normal_batch(lambda s, k: 1.0 / (1.0 + np.exp(s)), [0.0, lo], [1.0, hi])
 
 
 # the variants whose outage has an integral tail: HD-DF and HD-AF share one integrand
@@ -202,22 +210,18 @@ def assert_tails_match_scipy_quad(points, rel=0.0):
         head, kind, pending, tail = _reduce(_Columns([cfg]), _Columns([scenario]))
         if kind is None or not pending[0]:
             continue
-        mu_db, sigma_db, lower, upper, m, s, _, *coefs = (float(np.broadcast_to(c, 1)[0])
-                                                          for c in tail)
+        mean, std, lo, hi, m, s, _, *coefs = (float(np.broadcast_to(c, 1)[0]) for c in tail)
         threshold = _KINDS[kind]
         variants.add(f"{scenario.duplex}-{scenario.relay}")
-        mean, std = 2 * mu_db, 2 * sigma_db
-        t_lo = max(mean - 10 * std, XI * math.log(lower) if lower > 0 else -math.inf)
-        t_hi = min(mean + 10 * std, XI * math.log(upper) if math.isfinite(upper) else math.inf)
 
-        def integrand(t):
+        def integrand(u):
             with np.errstate(divide="ignore"):
-                x = float(threshold(math.exp(t / XI), *coefs))
-            u = (t - mean) / std
+                x = float(threshold(math.exp((mean + std * u) / XI), *coefs))
             return (q_function(-(XI * math.log(x) - m) / s)
-                    * math.exp(-0.5 * u * u) / (std * math.sqrt(2 * math.pi)))
+                    * math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi))
 
-        tail = integrate.quad(integrand, t_lo, t_hi, epsabs=1e-12, epsrel=1e-9, limit=2000)[0]
+        tail = integrate.quad(integrand, max(-10.0, lo), min(10.0, hi), epsabs=1e-12,
+                              epsrel=1e-9, limit=2000)[0]
         assert abs(value - (head[0] + tail)) <= max(1e-10, rel * tail), (scenario.label(), cfg)
     return variants
 
