@@ -36,7 +36,7 @@ def _clamp01(p):
 # A tail whose provable bound (integrand <= 1 times the weight mass of its
 # window) is at most REL_TOL times the head is dropped instead of integrated:
 # the adaptive rule cannot resolve a super-exponential ramp spanning 30
-# decades, and the tail is below the accuracy every integral converges to.
+# decades, and dropping the tail moves the outage by at most REL_TOL relative.
 _KINDS = {
     "hd": lambda z, a, b, c, v: v * c / np.maximum(a * z - v * b, 0.0),
     "fd-af": lambda w, k1, vb_a, scale: scale * (k1 + w) / np.maximum(1.0 - vb_a * w, 0.0),
@@ -74,13 +74,13 @@ class _Columns:
 def _reduce(cfg, scenario):
     """The outages of one variant's rows, given as _Columns: (value, kind,
     pending, tail). Row i's outage is value[i], or, where pending[i], value[i]
-    (the head term) plus unit * the integral of kind (see _KINDS) described by
-    row i of tail = (mean, std, lo, hi, m, s, unit, *coefs): the dB moments
-    of the weight's squared gain, the window in their standardized
-    coordinate, the threshold's dB moments and the integrand's unit and
-    coefficients. kind is None for the closed form. An HD window ends where
-    the weight mass above it is at most ABS_TOL/2 times the head; an FD-AF
-    window at the loop-back cutoff."""
+    (the head term) plus the integral of kind (see _KINDS) described by row i
+    of tail = (mean, std, lo, hi, m, s, atol, *coefs): the dB moments of the
+    weight's squared gain, the window in their standardized coordinate, the
+    threshold's dB moments, the absolute tolerance (ABS_TOL times HD's head or
+    FD-AF's floor) and the integrand's coefficients. kind is None for the
+    closed form. An HD window ends where the weight mass above it is at most
+    atol/2; an FD-AF window at the loop-back cutoff."""
     v = threshold_snr(scenario, cfg.cth)
     settled = (v == 0.0) | np.isinf(v)
     value = np.where(v == 0.0, 0.0, 1.0)  # the outage of a settled row or one past a cutoff
@@ -105,13 +105,12 @@ def _reduce(cfg, scenario):
         # essentially no loop-back gain survives the cutoff the outage is 1.
         pending = ~settled & ~(q_function(-u) <= REL_TOL * head)
         scale = v * c / a
-        # The integrand is at least its value at W = 0, Pr{Z < scale*k1}.
-        # Integrated in units of that floor, the fixed absolute tolerance
-        # acts as a relative one where the outage is tiny.
-        unit = np.maximum(q_function(-_standardize_product(scale * k1, cfg.ch1, cfg.ch2)), 1e-300)
+        # The integrand is at least its value at W = 0, Pr{Z < scale*k1}: a tolerance
+        # in proportion to that floor is a relative one where the outage is tiny.
+        floor = q_function(-_standardize_product(scale * k1, cfg.ch1, cfg.ch2))
         return (np.where(pending, head, value), "fd-af", pending,
                 (2.0 * cfg.chg.mu_db, 2.0 * cfg.chg.sigma_db, -np.inf, u,
-                 *product_db_moments(cfg.ch1, cfg.ch2), unit, k1, v * b / a, scale))
+                 *product_db_moments(cfg.ch1, cfg.ch2), ABS_TOL * floor, k1, v * b / a, scale))
     # HD: outage is certain when the first hop X misses `lower` (DF: k1*X < v;
     # AF: X <= v*B/A), otherwise the second hop Y must miss the threshold given
     # X. Where A is 0 the relay sends nothing and the outage is settled.
@@ -120,14 +119,15 @@ def _reduce(cfg, scenario):
     u = _standardize(lower, cfg.ch1)
     head = q_function(-u)
     pending = ~settled & ~(q_function(u) <= REL_TOL * head)
-    # The integral stops `sigmas` standard deviations above X's mean, where the
-    # weight mass above, Q(sigmas) <= exp(-sigmas**2/2)/2 <= ABS_TOL*head/2,
-    # bounds the part dropped (the integrand is at most 1). A pending row's
+    # The tail is converged within atol = ABS_TOL*head and stops `sigmas` standard deviations
+    # above X's mean, where the weight mass above, Q(sigmas) <= exp(-sigmas**2/2)/2 <=
+    # atol/2, bounds the part dropped (the integrand is at most 1). A pending row's
     # Q(u) > REL_TOL*head exceeds Q(sigmas), so u < sigmas: the window is not empty.
-    sigmas = np.sqrt(-2.0 * elementwise(_log, ABS_TOL * head))
+    atol = ABS_TOL * head
+    sigmas = np.sqrt(-2.0 * elementwise(_log, atol))
     return (np.where(settled, value, head), "hd", pending,
             (2.0 * cfg.ch1.mu_db, 2.0 * cfg.ch1.sigma_db, u, sigmas,
-             2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, 1.0, a, b, c, v))
+             2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, atol, a, b, c, v))
 
 
 def outages(pairs, params=None) -> np.ndarray:
@@ -171,14 +171,13 @@ def outages(pairs, params=None) -> np.ndarray:
         pending, *columns = map(np.concatenate, zip(*tails[kind]))
         if not pending.any():
             continue
-        rows, mean, std, lo, hi, m, s, unit, *coefs = (c[pending] for c in columns)
+        rows, mean, std, lo, hi, m, s, atol, *coefs = (c[pending] for c in columns)
 
         def integrand(u, k):
             x = threshold(np.exp((mean[k] + std[k] * u) / XI), *(col[k] for col in coefs))
-            return q_vector(-((XI * np.log(x) - m[k]) / s[k])) / unit[k]
+            return q_vector(-((XI * np.log(x) - m[k]) / s[k]))
 
-        tail = integrate_normal_batch(integrand, lo, hi)
-        values[rows] = _clamp01(values[rows] + unit * tail)
+        values[rows] = _clamp01(values[rows] + integrate_normal_batch(integrand, lo, hi, atol))
     return values if params is None else values.reshape(params.shape)
 
 

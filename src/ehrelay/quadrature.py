@@ -19,8 +19,8 @@ import numpy as np
 
 from .lognormal import XI, ChannelSpec, _standardize
 
-# every integral is converged to max(ABS_TOL, REL_TOL * |value|), in at most
-# MAX_SUBDIVISIONS panels, over TAIL_SIGMAS standard deviations of its weight
+# integral k is converged to max(atol[k], REL_TOL * |value|), atol ABS_TOL by default,
+# in at most MAX_SUBDIVISIONS panels, over TAIL_SIGMAS standard deviations of its weight
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 2000
@@ -71,9 +71,10 @@ def _panel_rule(f, a, b, k):
 # a node or integrand out of float range shows as a NaN error estimate
 # (QuadratureError) or a saturated value, never as a numpy warning
 @np.errstate(all="ignore")
-def integrate_normal_batch(f, lo, hi) -> np.ndarray:
+def integrate_normal_batch(f, lo, hi, atol=ABS_TOL) -> np.ndarray:
     """Integral k of f( . , k) against the standard normal density over
-    (lo[k], hi[k]) cut to +-TAIL_SIGMAS, for every k.
+    (lo[k], hi[k]) cut to +-TAIL_SIGMAS, within max(atol[k], REL_TOL * |value|),
+    for every k; atol is one tolerance or one per integral.
 
     f(s, k) gives integrand k at s, elementwise over arrays that broadcast
     together (k is a column of integral indexes). Each integral starts as
@@ -104,7 +105,7 @@ def integrate_normal_batch(f, lo, hi) -> np.ndarray:
             for i in range(0, a.size, _CHUNK))))
         a, b, k, val, err = (np.concatenate((old, *new)) for old, new in zip(kept, fresh))
         est = np.bincount(k, val, total.size)
-        tol = np.maximum(ABS_TOL, REL_TOL * np.abs(est))
+        tol = np.maximum(atol, REL_TOL * np.abs(est))
         bad = ~(err <= tol[k] * (b - a) / width[k])  # a NaN error is never good
         n_bad = np.bincount(k[bad], minlength=total.size)
         done = active & ((np.bincount(k, err, total.size) <= tol) | (n_bad == 0))

@@ -155,13 +155,14 @@ def test_starting_panels_scale_with_the_window():
 
 
 def test_batch_matches_each_integral_alone():
-    # mixed weights and windows; the fourth window misses its weight's
-    # truncated support
+    # mixed weights, windows and absolute tolerances; the fourth window misses
+    # its weight's truncated support
     far = math.exp((2 * CH.mu_db + 11 * 2 * CH.sigma_db) / XI)
     weights = [CH, ChannelSpec(1.0, 1.5), ChannelSpec(-2.0, 3.0), CH, ChannelSpec(0.0, 0.5)]
     lower = [0.0, 2.0, 0.0, far, 0.3]
     upper = [math.inf, 40.0, 5.0, math.inf, math.inf]
     shift = np.array([1.0, 2.0, 25.0, 1.0, 0.5])
+    atol = np.array([1e-12, 1e-20, 1e-6, 1e-12, 0.0])
     mean = np.array([2 * w.mu_db for w in weights])
     std = np.array([2 * w.sigma_db for w in weights])
 
@@ -169,13 +170,24 @@ def test_batch_matches_each_integral_alone():
         z = np.exp((mean[k] + std[k] * s) / XI)
         return z / (shift[k] + z)
 
-    batch = integrate_normal_batch(f, [_standardize(x, w) for x, w in zip(lower, weights)],
-                                   [_standardize(x, w) for x, w in zip(upper, weights)])
+    lo = [_standardize(x, w) for x, w in zip(lower, weights)]
+    hi = [_standardize(x, w) for x, w in zip(upper, weights)]
+    batch = integrate_normal_batch(f, lo, hi, atol)
     for k in range(len(weights)):
-        alone = integrate_lognormal_weighted(lambda z: z / (shift[k] + z),
-                                             weights[k], lower[k], upper[k])
-        assert abs(batch[k] - alone) <= 1e-13
+        alone = integrate_normal_batch(lambda s, _: f(s, k), lo[k:k + 1], hi[k:k + 1], atol[k])
+        assert batch[k].hex() == alone[0].hex()
+        if atol[k] == quadrature.ABS_TOL:  # the scalar wrapper's tolerance
+            wrapped = integrate_lognormal_weighted(lambda z: z / (shift[k] + z),
+                                                   weights[k], lower[k], upper[k])
+            assert abs(batch[k] - wrapped) <= 1e-13
     assert batch[3] == 0.0
+    # an integral of 1.13e-6 with a kink: ABS_TOL = 1e-12 leaves it 4e-9 off
+    # (relative), a tight tolerance meets REL_TOL
+    c = 4.4
+    want = math.exp(-c * c / 2) / math.sqrt(2 * math.pi) - c * q_function(c)
+    kink = integrate_normal_batch(lambda s, k: np.maximum(s - c, 0.0), [-math.inf], [math.inf],
+                                  [1e-20])
+    assert kink[0] == pytest.approx(want, rel=REL_TOL, abs=0.0)
 
 
 def test_one_nonconverging_integral_fails_the_batch():
