@@ -30,13 +30,30 @@ _PARAM_HI = 1.0 - 1e-4
 
 @dataclass(frozen=True)
 class OptResult:
-    """Minimizer, minimum, work spent and final bracket width."""
+    """Minimizer, minimum, work spent and final bracket width.
+
+    evaluations counts the objective values the search used: a candidate
+    probe evaluated ahead of a comparison that picked the other is not
+    counted."""
 
     arg_opt: float
     value_opt: float
     evaluations: int
     bracket: float
     non_unimodal: bool = False
+
+
+def _golden_step(state, index, left) -> np.ndarray:
+    """Advance the brackets (lo, hi, c, d, fc, fd) of pairs index by one golden-
+    section step in place, keeping [lo, d] where left and [c, hi] elsewhere;
+    return the new probe of each pair (its value is left to the caller)."""
+    lo, hi, c, d, fc, fd = state
+    l, r = index[left], index[~left]
+    hi[l], d[l], fd[l] = d[l], c[l], fc[l]
+    lo[r], c[r], fc[r] = c[r], d[r], fd[r]
+    c[l] = hi[l] - _INV_PHI * (hi[l] - lo[l])
+    d[r] = lo[r] + _INV_PHI * (hi[r] - lo[r])
+    return np.where(left, c[index], d[index])
 
 
 def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
@@ -47,9 +64,11 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
     golden-section refinement of the best cell until the bracket is
     narrower than tol. The pairs advance in lock-step: each stage is one
     `outages` call with a row of params per pair still in it (49 trial
-    values for the scan, 999 for the dense fallback, 2 first probes, then 1
-    per golden-section step), and each result equals that of the pair's
-    batch of one. A tol outside [1e-12, 1) raises ValueError.
+    values for the scan, 999 for the dense fallback, 2 first probes, then 3
+    per round of two golden-section steps: the first step's probe and the
+    two the second could need), a stage with no pairs makes no call, and
+    each result equals that of the pair's batch of one. A tol outside
+    [1e-12, 1) raises ValueError.
     """
     if not 1e-12 <= tol < 1:
         raise ValueError(f"tol must be in [1e-12, 1), got {tol}")
@@ -58,6 +77,8 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
         return []
 
     def objective(index, params) -> np.ndarray:
+        if not index.size:
+            return np.empty(params.shape)
         return outages([pairs[i] for i in index.tolist()], params)
 
     n, grid, dense = len(pairs), np.linspace(0.02, 0.98, 49), np.arange(1, 1000) / 1000.0
@@ -81,22 +102,34 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     fc, fd = np.full(n, np.nan), np.full(n, np.nan)
     fc[uni], fd[uni] = objective(uni, np.stack([c[uni], d[uni]], axis=1)).T
+    state = lo, hi, c, d, fc, fd
+
+    def advance(index, left, value):
+        """Step pairs index with their new probes' values; True where still wider than tol."""
+        _golden_step(state, index, left)
+        fc[index[left]], fd[index[~left]] = value[left], value[~left]
+        evaluations[index] += 1
+        c_wins = fc < fd
+        inner_arg, inner_val = np.where(c_wins, c, d), np.where(c_wins, fc, fd)
+        better = index[inner_val[index] < best_val[index]]
+        best_arg[better], best_val[better] = inner_arg[better], inner_val[better]
+        return hi[index] - lo[index] > tol
+
+    # rounds of two steps: the first step's comparison is known, so one call evaluates
+    # its probe and both probes the second step could need (after a c win and after a
+    # d win); the second comparison picks one of them and the other is discarded
     active = uni[hi[uni] - lo[uni] > tol]
     while active.size:
         left = fc[active] < fd[active]
-        l, r = active[left], active[~left]
-        hi[l], d[l], fd[l] = d[l], c[l], fc[l]
-        lo[r], c[r], fc[r] = c[r], d[r], fd[r]
-        c[l] = hi[l] - _INV_PHI * (hi[l] - lo[l])
-        d[r] = lo[r] + _INV_PHI * (hi[r] - lo[r])
-        step = objective(active, np.where(left, c[active], d[active])[:, None])[:, 0]
-        fc[l], fd[r] = step[left], step[~left]
-        evaluations[active] += 1
-        c_wins = fc < fd
-        inner_arg, inner_val = np.where(c_wins, c, d), np.where(c_wins, fc, fd)
-        better = active[inner_val[active] < best_val[active]]
-        best_arg[better], best_val[better] = inner_arg[better], inner_val[better]
-        active = active[hi[active] - lo[active] > tol]
+        ahead = [a.copy() for a in state]
+        probes = [_golden_step(ahead, active, left)]
+        probes += [_golden_step([a.copy() for a in ahead], active, np.full(active.size, side))
+                   for side in (True, False)]
+        values = objective(active, np.stack(probes, axis=1))
+        going = advance(active, left, values[:, 0])
+        active, values = active[going], values[going]
+        left = fc[active] < fd[active]
+        active = active[advance(active, left, np.where(left, values[:, 1], values[:, 2]))]
 
     return [OptResult(float(a), float(v), int(e), float(b), bool(f)) for a, v, e, b, f
             in zip(best_arg, best_val, evaluations, np.where(multi, 1e-3, hi - lo), multi)]

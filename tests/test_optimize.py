@@ -205,6 +205,99 @@ def test_mixed_batch_equals_batches_of_one(monkeypatch, tol, evaluations):
     assert results[4].arg_opt < 0.02
 
 
+def reference_minimum(f, tol):
+    """The golden-section optimizer for one objective, one value at a time: the
+    scan, the multi-minimum check, the dense fallback and one probe per step, with
+    the lock-step optimizer's comparisons and bracket arithmetic; returns the
+    fields of its OptResult."""
+    grid, dense = np.linspace(0.02, 0.98, 49), np.arange(1, 1000) / 1000.0
+    values = f(grid)
+    inner = values[1:-1]
+    multi = np.count_nonzero((inner < values[:-2] - opt._NOISE_FLOOR)
+                             & (inner < values[2:] - opt._NOISE_FLOOR)) > 1
+    i = int(np.argmin(values))
+    best_arg, best_val = grid[i], values[i]
+    if multi:
+        dense_vals = f(dense)
+        j = int(np.argmin(dense_vals))
+        if dense_vals[j] < best_val:
+            best_arg, best_val = dense[j], dense_vals[j]
+        return best_arg, best_val, grid.size + dense.size, 1e-3, True
+
+    def probe(p):
+        return f(np.array([p]))[0]
+
+    edges = [opt._PARAM_LO, *grid, opt._PARAM_HI]
+    lo, hi = edges[i], edges[i + 2]
+    c, d = hi - opt._INV_PHI * (hi - lo), lo + opt._INV_PHI * (hi - lo)
+    fc, fd, evaluations = probe(c), probe(d), grid.size + 2
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - opt._INV_PHI * (hi - lo)
+            fc = probe(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + opt._INV_PHI * (hi - lo)
+            fd = probe(d)
+        evaluations += 1
+        arg, val = (c, fc) if fc < fd else (d, fd)
+        if val < best_val:
+            best_arg, best_val = arg, val
+    return best_arg, best_val, evaluations, hi - lo, False
+
+
+REFERENCE_OBJECTIVES = [
+    lambda p: np.full(p.shape, 0.25),        # constant: fc == fd at every step
+    lambda p: np.where(p < 0.3775, 0.9, 0.1),  # a step between the first two probes
+    lambda p: (p - 0.4137) ** 2,             # minimum inside an interior grid cell
+    lambda p: (p - 0.011) ** 2,              # ... in the first cell, (1e-4, 0.04)
+    lambda p: (p - 0.9893) ** 2,             # ... in the last cell, (0.96, 1 - 1e-4)
+    two_wells,                               # the dense fallback
+    lambda p: p,                             # the line: minimum at the lower end
+]
+
+
+# 1e-12 takes 51 steps (an odd count); at 8.5e-4 an interior cell takes 9 steps and
+# an edge cell 8, so pairs leave in mid-round; at 0.5 no step runs
+@pytest.mark.parametrize("tol", [1e-12, 8.5e-4, 1e-3, 0.5])
+def test_rounds_equal_one_probe_per_step(monkeypatch, tol):
+    cfgs = [replace(CFG, cth=1.0 + k / 16) for k in range(len(REFERENCE_OBJECTIVES))]
+    fakes = {id(c): f for c, f in zip(cfgs, REFERENCE_OBJECTIVES)}
+
+    def fake_outages(pairs, params):
+        return np.array([fakes[id(c)](row) for (c, _), row in zip(pairs, params)]
+                        ).reshape(params.shape)
+
+    monkeypatch.setattr(opt, "outages", fake_outages)
+    results = minimize_many([(c, TSR) for c in cfgs], tol)
+    for result, f in zip(results, REFERENCE_OBJECTIVES):
+        arg, val, evaluations, bracket, flag = reference_minimum(f, tol)
+        assert [float.hex(result.arg_opt), float.hex(result.value_opt),
+                float.hex(result.bracket)] == [float.hex(float(x)) for x in (arg, val, bracket)]
+        assert (result.evaluations, result.non_unimodal) == (evaluations, flag)
+
+
+def test_stage_without_pairs_makes_no_call(monkeypatch):
+    # fig5's optimizer: the scan, the first probes and four rounds of two steps, with
+    # no dense call since no pair falls back; a lone optimization makes the same calls
+    walled, widths = replace(CFG, cth=1.25), []
+
+    def recorded(pairs, params):
+        widths.append(np.shape(params)[1])
+        return two_wells(params) if pairs and pairs[0][0] is walled else outages(pairs, params)
+
+    monkeypatch.setattr(opt, "outages", recorded)
+    minimize_many([(p.cfg, p.scenario) for p in fig5_pairs()])
+    assert widths == [49, 2, 3, 3, 3, 3]
+    widths.clear()
+    minimize_over_eh_param(CFG, TSR)
+    assert widths == [49, 2, 3, 3, 3, 3]
+    widths.clear()  # a batch whose every pair falls back makes no probe call
+    assert minimize_over_eh_param(walled, TSR).non_unimodal
+    assert widths == [49, 999]
+
+
 def test_each_stage_passes_each_pair_once(monkeypatch):
     # a mixed TSR/PSR/FD batch with one two-well pair, so every stage runs
     walled = replace(CFG, cth=1.25)
@@ -227,7 +320,7 @@ def test_each_stage_passes_each_pair_once(monkeypatch):
     for distinct, n, shape in calls:
         assert distinct == n and shape[0] == n and len(shape) == 2
     widths = [shape[1] for _, _, shape in calls]
-    assert widths[:3] == [49, 999, 2] and set(widths[3:]) == {1}
+    assert widths[:3] == [49, 999, 2] and set(widths[3:]) == {3}
     assert [n for _, n, _ in calls[:3]] == [6, 1, 5]
 
 
