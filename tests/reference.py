@@ -1,0 +1,88 @@
+"""High-precision references for the analytic outages, imported as conftest is:
+`outage`, a pair's whole outage in mpmath from `model` alone, and `tail`, one
+tail of `analytic._reduce` on its window by `mpmath.fp.quad` (tanh-sinh in
+float64, where the library's rule is Gauss-Kronrod)."""
+
+import functools
+
+import mpmath
+import numpy as np
+
+from ehrelay.analytic import _Columns, _reduce
+from ehrelay.model import snr_coefficients, threshold_snr
+from ehrelay.quadrature import TAIL_SIGMAS
+
+# The gain the outer squared gain must clear given the integrated one, coefficients in
+# _reduce's order: HD's second hop Y given the first hop X (DF: b = 0, c = 1), FD-AF's
+# product X*Y given the loop-back gain W. Past a map's pole no outer gain clears it.
+MAPS = {
+    "hd": lambda z, a, b, c, v: v * c / (a * z - v * b),
+    "fd-af": lambda w, k1, vb_a, scale: scale * (k1 + w) / (1 - vb_a * w),
+}
+# where `outage` splits its integral, in standard deviations past the window's finite
+# edge, where the integrand can step; it splits at t = 0 too, where phi's mass lies
+# however far the edge is: one interval can miss either and read decades low
+STEPS = (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1, 2, 4, 8)
+
+
+def _integrand(ctx, kind, coefs, mean, std, m, s):
+    """t -> phi(t) * Pr{an outer gain of dB moments (m, s) misses MAPS[kind] at the
+    integrated gain of dB value mean + std*t}, in ctx (mpmath.mp or mpmath.fp)."""
+    def f(t):
+        try:
+            x = MAPS[kind](10 ** ((mean + std * t) / 10), *coefs)
+        except ZeroDivisionError:  # at the pole
+            x = -1
+        return ctx.npdf(t) * (ctx.ncdf((10 * ctx.log10(x) - m) / s) if x > 0 else 1)
+    return f
+
+
+def _moments(*hops):  # dB mean and deviation of the product of the hops' squared gains
+    return (2 * mpmath.fsum(h.mu_db for h in hops),
+            2 * mpmath.sqrt(mpmath.fsum(mpmath.mpf(h.sigma_db) ** 2 for h in hops)))
+
+
+@functools.cache
+def outage_at(cfg, scenario, dps):
+    """The outage as an mpf at dps digits: the chance that the integrated gain misses
+    its edge (HD: X below what the relay needs; FD: W above the loop-back cutoff
+    k1/v), plus the integral of MAPS over the rest (FD-DF's is closed)."""
+    with mpmath.workdps(dps):
+        k1, a, b, c = (x if x is None else mpmath.mpf(x) for x in snr_coefficients(cfg, scenario))
+        v = mpmath.mpf(threshold_snr(scenario, cfg.cth))
+        if scenario.duplex == "hd":
+            sign, kind, coefs = 1, "hd", (a, b, c, v)
+            edge, inner, outer = (v * b / a if k1 is None else v / k1), [cfg.ch1], [cfg.ch2]
+        else:
+            sign, kind, coefs = -1, f"fd-{scenario.relay}", (k1, v * b / a, v * c / a)
+            edge, inner, outer = k1 / v, [cfg.chg], [cfg.ch1, cfg.ch2]
+        (mean, std), (m, s) = _moments(*inner), _moments(*outer)
+        e = (10 * mpmath.log10(edge) - mean) / std
+        head = mpmath.ncdf(sign * e)
+        if kind == "fd-df":  # the destination fails where X*Y < v/a, whatever W is
+            p = mpmath.ncdf((10 * mpmath.log10(v / a) - m) / s)
+            return head + p - head * p
+        cuts = [e, *(e + sign * d for d in STEPS), sign * mpmath.inf] + [0] * (sign * e < 0)
+        return head + mpmath.quad(_integrand(mpmath.mp, kind, coefs, mean, std, m, s),
+                                  sorted(cuts))
+
+
+def digits(cfg, scenario):
+    """`outage`'s digits: 15 more than the decades below 1 of the 30-digit outage, or 30."""
+    return max(30, 15 + int(mpmath.ceil(-mpmath.log10(outage_at(cfg, scenario, 30)))))
+
+
+def outage(cfg, scenario):
+    return float(outage_at(cfg, scenario, digits(cfg, scenario)))
+
+
+def tail(cfg, scenario):
+    """(head, integral) as analytic._reduce splits the outage, the integral over
+    _reduce's window cut to +-TAIL_SIGMAS; None where _reduce leaves none."""
+    with np.errstate(all="ignore"):  # as in analytic.outages
+        head, kind, pending, columns = _reduce(_Columns([cfg]), _Columns([scenario]))
+    if kind is None or not pending[0]:
+        return None
+    mean, std, lo, hi, m, s, _, *coefs = (float(np.broadcast_to(c, 1)[0]) for c in columns)
+    f = _integrand(mpmath.fp, kind, coefs, mean, std, m, s)
+    return float(head[0]), mpmath.fp.quad(f, [max(-TAIL_SIGMAS, lo), min(TAIL_SIGMAS, hi)])

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from conftest import run_python
 from ehrelay import quadrature
+from ehrelay.analytic import outages
+from ehrelay.grids import preset_fig6, preset_fig7, selftest_points
 from ehrelay.lognormal import XI, ChannelSpec, _standardize, q_function
 from ehrelay.model import SystemConfig
 from ehrelay.quadrature import (
@@ -207,53 +210,31 @@ def test_nan_bound_is_reported_not_zero(lo, hi):
 TAILED_VARIANTS = {"hd-df", "hd-af", "fd-af"}
 
 
-def assert_tails_match_scipy_quad(points, rel=0.0):
-    """Every integral that the pairs of `points` need, each integrated alone
-    by QUADPACK on the same t window, added to its head term, equals the
-    pair's outage to max(1e-10, rel * integral); returns the duplex-relay
-    prefixes of the variants whose tails it saw."""
-    integrate = pytest.importorskip("scipy.integrate")
-    from ehrelay.analytic import _KINDS, _Columns, _reduce, outages
-
+def check_tails(points, rel=0.0):
+    """Every integral that the pairs of `points` need, by reference.tail, added
+    to its head term, equals the pair's outage to max(1e-10, rel * integral);
+    returns the duplex-relay prefixes of the variants whose tails it saw."""
     pairs = [(p.cfg, p.scenario) for p in points]
-    got = outages(pairs)
     variants = set()
-    for (cfg, scenario), value in zip(pairs, got):
-        head, kind, pending, tail = _reduce(_Columns([cfg]), _Columns([scenario]))
-        if kind is None or not pending[0]:
-            continue
-        mean, std, lo, hi, m, s, _, *coefs = (float(np.broadcast_to(c, 1)[0]) for c in tail)
-        threshold = _KINDS[kind]
-        variants.add(f"{scenario.duplex}-{scenario.relay}")
-
-        def integrand(u):
-            with np.errstate(divide="ignore"):
-                x = float(threshold(math.exp((mean + std * u) / XI), *coefs))
-            return (q_function(-(XI * math.log(x) - m) / s)
-                    * math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi))
-
-        tail = integrate.quad(integrand, max(-10.0, lo), min(10.0, hi), epsabs=1e-12,
-                              epsrel=1e-9, limit=2000)[0]
-        assert abs(value - (head[0] + tail)) <= max(1e-10, rel * tail), (scenario.label(), cfg)
+    for (cfg, scenario), value in zip(pairs, outages(pairs)):
+        if (split := reference.tail(cfg, scenario)) is not None:
+            head, tail = split
+            variants.add(scenario.label()[:5])
+            assert abs(value - (head + tail)) <= max(1e-10, rel * tail), (scenario.label(), cfg)
     return variants
 
 
-def test_tails_match_scipy_quad_on_the_selftest_grid():
+def test_tails_match_mpmath_on_the_selftest_grid():
     # the HD-DF, HD-AF and FD-AF tails of the selftest grid
-    from ehrelay.grids import selftest_points
-
-    assert assert_tails_match_scipy_quad(selftest_points(SystemConfig())) == TAILED_VARIANTS
+    assert check_tails(selftest_points(SystemConfig())) == TAILED_VARIANTS
 
 
-def test_tails_match_scipy_quad_on_fig6_and_fig7():
+def test_tails_match_mpmath_on_fig6_and_fig7():
     # pc_fraction > 0 (fig6), FD at ps = 10 W and the C_th sweep (fig7). Both
-    # rules converge to REL_TOL of the integral, so they may differ by twice that:
-    # FD-AF at ps = 10 W, sg2 = 5, cth = 2 integrates to 0.92 and differs by 4.2e-10.
-    from ehrelay.grids import preset_fig6, preset_fig7
-
+    # rules converge to REL_TOL of the integral, so they may differ by twice that.
     points = preset_fig6(SystemConfig())[0] + preset_fig7(SystemConfig())[0]
     assert {p.scenario.pc_fraction for p in points} == {0.0, 0.01, 0.02}
-    assert assert_tails_match_scipy_quad(points, 2 * REL_TOL) == TAILED_VARIANTS
+    assert check_tails(points, 2 * REL_TOL) == TAILED_VARIANTS
 
 
 def test_cli_import_leaves_scipy_unloaded():
