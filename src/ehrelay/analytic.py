@@ -2,11 +2,11 @@
 
 Each scenario reduces to a threshold SNR v and then either to a closed
 value or to a head term plus one integral over a fading distribution: the
-six half-duplex variants share one integrand (DF is AF with a noiseless
-relay), the full-duplex DF case is closed form and the full-duplex AF case
-is a single finite-interval integral. `outages` evaluates many (cfg,
-scenario) pairs: it reduces the pairs of each variant as columns of float64
-arrays and then runs one batched quadrature per integrand kind (HD, FD-AF);
+full-duplex DF case is closed form, and the six half-duplex variants and
+full-duplex AF share one integrand (DF is AF with a noiseless relay, and
+FD-AF integrates over the inverse loop-back gain). `outages` evaluates many
+(cfg, scenario) pairs: it reduces the pairs of each variant as columns of
+float64 arrays and then integrates every tail in one batched quadrature;
 `outage` is a batch of one.
 """
 
@@ -27,20 +27,19 @@ def _clamp01(p):
     return np.minimum(1.0, np.maximum(0.0, p))
 
 
-# Per integrand kind, the threshold x(z, *coefs) that a squared gain must
-# clear given the integration variable z (a zero denominator is where it
-# diverges). The outage adds the integral of the lower tail Q(-u) to a head
-# term, with u the dB value of x standardized by (m, s): HD integrates the
-# second hop Y over the first hop X, with gamma_d = A*X*Y/(B*Y + C) (DF's
-# k2*X*Y is B = 0, C = 1), and FD-AF the product X*Y over the loop-back W.
-# A tail whose provable bound (integrand <= 1 times the weight mass of its
-# window) is at most REL_TOL times the head is dropped instead of integrated:
-# the adaptive rule cannot resolve a super-exponential ramp spanning 30
-# decades, and dropping the tail moves the outage by at most REL_TOL relative.
-_KINDS = {
-    "hd": lambda z, a, b, c, v: v * c / np.maximum(a * z - v * b, 0.0),
-    "fd-af": lambda w, k1, vb_a, scale: scale * (k1 + w) / np.maximum(1.0 - vb_a * w, 0.0),
-}
+# The threshold that a squared gain must clear given the integration variable z (a
+# zero denominator is where it diverges). The outage adds the integral of the lower
+# tail Q(-u) to a head term, with u the dB value of the threshold standardized by
+# (m, s). HD integrates the second hop Y over the first hop X, with gamma_d =
+# A*X*Y/(B*Y + C) (DF's k2*X*Y is B = 0, C = 1) and d = 0. FD-AF integrates Z = X*Y
+# over the inverse loop-back gain R = 1/W: Z must clear v*c*(k1 + W)/(a - v*b*W),
+# which is d + v*c*(1 + v)/(a*R - v*b) with d = v*c*k1/a, as b/a = 1/k1. A tail
+# whose provable bound (integrand <= 1 times the weight mass of its window) is at
+# most REL_TOL times the head is dropped instead of integrated: the adaptive rule
+# cannot resolve a super-exponential ramp spanning 30 decades, and dropping the
+# tail moves the outage by at most REL_TOL relative.
+def _threshold(z, a, b, c, v, d):
+    return d + v * c / np.maximum(a * z - v * b, 0.0)
 
 
 class _Columns:
@@ -72,15 +71,13 @@ class _Columns:
 
 
 def _reduce(cfg, scenario):
-    """The outages of one variant's rows, given as _Columns: (value, kind,
-    pending, tail). Row i's outage is value[i], or, where pending[i], value[i]
-    (the head term) plus the integral of kind (see _KINDS) described by row i
-    of tail = (mean, std, lo, hi, m, s, atol, *coefs): the dB moments of the
-    weight's squared gain, the window in their standardized coordinate, the
-    threshold's dB moments, the absolute tolerance (ABS_TOL times HD's head or
-    FD-AF's floor) and the integrand's coefficients. kind is None for the
-    closed form. An HD window ends where the weight mass above it is at most
-    atol/2; an FD-AF window at the loop-back cutoff."""
+    """The outages of one variant's rows, given as _Columns: (value, pending,
+    tail). Row i's outage is value[i], or, where pending[i], value[i] (the head
+    term) plus the integral of _threshold described by row i of tail = (mean,
+    std, lo, hi, m, s, atol, a, b, c, v, d): the dB moments of the weight's
+    squared gain, the window in their standardized coordinate, the threshold's
+    dB moments, the absolute tolerance and _threshold's coefficients. tail is ()
+    for the closed form."""
     v = threshold_snr(scenario, cfg.cth)
     settled = (v == 0.0) | np.isinf(v)
     value = np.where(v == 0.0, 0.0, 1.0)  # the outage of a settled row or one past a cutoff
@@ -93,41 +90,42 @@ def _reduce(cfg, scenario):
         upper = k1 / v
         settled |= upper == 0.0
         upper = np.where(settled, 1.0, upper)
-        u = _standardize(upper, cfg.chg)
-        head = q_function(u)
         if scenario.relay == "df":
             # the destination fails where Z = X*Y < v/a (p_z), independently of W;
             # summing the failures, not subtracting success from 1, keeps the
             # relative precision of a tiny outage
+            head = q_function(_standardize(upper, cfg.chg))
             p_z = q_function(-_standardize_product(v / a, cfg.ch1, cfg.ch2))
-            return np.where(settled, value, _clamp01(head + p_z - head * p_z)), None, None, ()
-        # AF: below the cutoff Z must clear a W-dependent threshold. Where
-        # essentially no loop-back gain survives the cutoff the outage is 1.
-        pending = ~settled & ~(q_function(-u) <= REL_TOL * head)
-        scale = v * c / a
-        # The integrand is at least its value at W = 0, Pr{Z < scale*k1}: a tolerance
-        # in proportion to that floor is a relative one where the outage is tiny.
-        floor = q_function(-_standardize_product(scale * k1, cfg.ch1, cfg.ch2))
-        return (np.where(pending, head, value), "fd-af", pending,
-                (2.0 * cfg.chg.mu_db, 2.0 * cfg.chg.sigma_db, -np.inf, u,
-                 *product_db_moments(cfg.ch1, cfg.ch2), ABS_TOL * floor, k1, v * b / a, scale))
-    # HD: outage is certain when the first hop X misses `lower` (DF: k1*X < v;
-    # AF: X <= v*B/A), otherwise the second hop Y must miss the threshold given
-    # X. Where A is 0 the relay sends nothing and the outage is settled.
-    lower = v * b / a if k1 is None else v / k1
-    settled |= a == 0.0
-    u = _standardize(lower, cfg.ch1)
+            return np.where(settled, value, _clamp01(head + p_z - head * p_z)), None, ()
+        # AF: below the cutoff, where R = 1/W exceeds v/k1, Z must clear the threshold
+        weight = (-2.0 * cfg.chg.mu_db, 2.0 * cfg.chg.sigma_db)
+        hop = product_db_moments(cfg.ch1, cfg.ch2)
+        u = -_standardize(upper, cfg.chg)
+        d, c = v * c / a * k1, c * (1.0 + v)
+        # The integrand is at least its limit as R grows, Pr{Z < d}: a tolerance in
+        # proportion to that floor is a relative one where the outage is tiny. The
+        # window [u, inf) is W's [0, k1/v], which the quadrature cuts to TAIL_SIGMAS.
+        atol = ABS_TOL * q_function(-_standardize_product(d, cfg.ch1, cfg.ch2))
+        top = np.inf
+    else:
+        # HD: outage is certain when the first hop X misses `lower` (DF: k1*X < v;
+        # AF: X <= v*B/A), otherwise the second hop Y must miss the threshold given
+        # X. Where A is 0 the relay sends nothing and the outage is settled.
+        lower = v * b / a if k1 is None else v / k1
+        settled |= a == 0.0
+        weight, hop = ((2.0 * ch.mu_db, 2.0 * ch.sigma_db) for ch in (cfg.ch1, cfg.ch2))
+        u = _standardize(lower, cfg.ch1)
+        d = 0.0
     head = q_function(-u)
     pending = ~settled & ~(q_function(u) <= REL_TOL * head)
-    # The tail is converged within atol = ABS_TOL*head and stops `sigmas` standard deviations
-    # above X's mean, where the weight mass above, Q(sigmas) <= exp(-sigmas**2/2)/2 <=
-    # atol/2, bounds the part dropped (the integrand is at most 1). A pending row's
-    # Q(u) > REL_TOL*head exceeds Q(sigmas), so u < sigmas: the window is not empty.
-    atol = ABS_TOL * head
-    sigmas = np.sqrt(-2.0 * elementwise(_log, atol))
-    return (np.where(settled, value, head), "hd", pending,
-            (2.0 * cfg.ch1.mu_db, 2.0 * cfg.ch1.sigma_db, u, sigmas,
-             2.0 * cfg.ch2.mu_db, 2.0 * cfg.ch2.sigma_db, atol, a, b, c, v))
+    if scenario.duplex == "hd":
+        # The tail is converged within atol = ABS_TOL*head and stops `top` standard
+        # deviations above X's mean, where the weight mass above, Q(top) <= exp(-top**2/2)/2
+        # <= atol/2, bounds the part dropped (the integrand is at most 1). A pending row's
+        # Q(u) > REL_TOL*head exceeds Q(top), so u < top: the window is not empty.
+        atol = ABS_TOL * head
+        top = np.sqrt(-2.0 * elementwise(_log, atol))
+    return np.where(settled, value, head), pending, (*weight, u, top, *hop, atol, a, b, c, v, d)
 
 
 def outages(pairs, params=None) -> np.ndarray:
@@ -135,9 +133,9 @@ def outages(pairs, params=None) -> np.ndarray:
     `params` of shape (len(pairs), m), the result has that shape and entry
     [i, j] is pair i with its tau (TSR) or rho (PSR) set to params[i, j],
     which must lie in (0, 1) (an IRR pair raises ValueError). The pairs of
-    each variant are reduced together as columns, and the integrals of each
-    kind form one quadrature batch; every value equals that of the pair's
-    batch of one."""
+    each variant are reduced together as columns, and all their integrals
+    form one quadrature batch; every value equals that of the pair's batch of
+    one."""
     width = 1
     if params is not None:
         params = np.asarray(params, float)
@@ -150,7 +148,7 @@ def outages(pairs, params=None) -> np.ndarray:
     for i, (_, scenario) in enumerate(pairs):
         groups.setdefault((scenario.duplex, scenario.relay, scenario.eh), []).append(i)
     values = np.empty(len(pairs) * width)
-    tails: dict[str, list] = {kind: [] for kind in _KINDS}
+    tails = []  # per group with a tail: pending, the rows, then the tail's columns
     with np.errstate(all="ignore"):  # like Python floats, columns overflow without a warning
         for rows in groups.values():
             first = pairs[rows[0]][1]
@@ -161,23 +159,20 @@ def outages(pairs, params=None) -> np.ndarray:
                     raise ValueError(f"{first.eh} has no harvesting parameter")
                 setattr(scenario, first.eh_param_name, params[rows].ravel())
             rows = (np.array(rows)[:, None] * width + np.arange(width)).ravel()
-            values[rows], kind, pending, tail = _reduce(cfg, scenario)
-            if kind is not None:
-                tails[kind].append([pending, rows, *(np.full(rows.size, c) if isinstance(c, float)
-                                                     else c for c in tail)])
-    for kind, threshold in _KINDS.items():
-        if not tails[kind]:
-            continue
-        pending, *columns = map(np.concatenate, zip(*tails[kind]))
-        if not pending.any():
-            continue
-        rows, mean, std, lo, hi, m, s, atol, *coefs = (c[pending] for c in columns)
+            values[rows], pending, tail = _reduce(cfg, scenario)
+            if tail:
+                tails.append([pending, rows, *(np.full(rows.size, c) if isinstance(c, float)
+                                               else c for c in tail)])
+    if tails:
+        pending, *columns = map(np.concatenate, zip(*tails))
+        if pending.any():
+            rows, mean, std, lo, hi, m, s, atol, *coefs = (c[pending] for c in columns)
 
-        def integrand(u, k):
-            x = threshold(np.exp((mean[k] + std[k] * u) / XI), *(col[k] for col in coefs))
-            return q_vector(-((XI * np.log(x) - m[k]) / s[k]))
+            def integrand(u, k):
+                x = _threshold(np.exp((mean[k] + std[k] * u) / XI), *(col[k] for col in coefs))
+                return q_vector(-((XI * np.log(x) - m[k]) / s[k]))
 
-        values[rows] = _clamp01(values[rows] + integrate_normal_batch(integrand, lo, hi, atol))
+            values[rows] = _clamp01(values[rows] + integrate_normal_batch(integrand, lo, hi, atol))
     return values if params is None else values.reshape(params.shape)
 
 

@@ -12,12 +12,14 @@ from ehrelay.analytic import _Columns, _reduce
 from ehrelay.model import snr_coefficients, threshold_snr
 from ehrelay.quadrature import TAIL_SIGMAS
 
-# The gain the outer squared gain must clear given the integrated one, coefficients in
-# _reduce's order: HD's second hop Y given the first hop X (DF: b = 0, c = 1), FD-AF's
-# product X*Y given the loop-back gain W. Past a map's pole no outer gain clears it.
+# The gain the outer squared gain must clear given the integrated one: HD's second hop
+# Y given the first hop X (DF: b = 0, c = 1), FD-AF's product X*Y given the loop-back
+# gain W, and the same given R = 1/W, as _reduce integrates it (scale = v*c/a). Past a
+# map's pole no outer gain clears it.
 MAPS = {
     "hd": lambda z, a, b, c, v: v * c / (a * z - v * b),
     "fd-af": lambda w, k1, vb_a, scale: scale * (k1 + w) / (1 - vb_a * w),
+    "fd-af-r": lambda r, k1, vb_a, scale: scale * (k1 * r + 1) / (r - vb_a),
 }
 # where `outage` splits its integral, in standard deviations past the window's finite
 # edge, where the integrand can step; it splits at t = 0 too, where phi's mass lies
@@ -78,11 +80,16 @@ def outage(cfg, scenario):
 
 def tail(cfg, scenario):
     """(head, integral) as analytic._reduce splits the outage, the integral over
-    _reduce's window cut to +-TAIL_SIGMAS; None where _reduce leaves none."""
+    _reduce's window cut to +-TAIL_SIGMAS; None where _reduce leaves none. FD-AF's
+    map comes from the model's coefficients, not from _reduce's."""
     with np.errstate(all="ignore"):  # as in analytic.outages
-        head, kind, pending, columns = _reduce(_Columns([cfg]), _Columns([scenario]))
-    if kind is None or not pending[0]:
+        head, pending, columns = _reduce(_Columns([cfg]), _Columns([scenario]))
+    if not columns or not pending[0]:
         return None
-    mean, std, lo, hi, m, s, _, *coefs = (float(np.broadcast_to(c, 1)[0]) for c in columns)
+    mean, std, lo, hi, m, s, _, *coefs, _ = (float(np.broadcast_to(c, 1)[0]) for c in columns)
+    kind = "hd"
+    if scenario.duplex == "fd":
+        (k1, a, b, c), v = snr_coefficients(cfg, scenario), threshold_snr(scenario, cfg.cth)
+        kind, coefs = "fd-af-r", (k1, v * b / a, v * c / a)
     f = _integrand(mpmath.fp, kind, coefs, mean, std, m, s)
     return float(head[0]), mpmath.fp.quad(f, [max(-TAIL_SIGMAS, lo), min(TAIL_SIGMAS, hi)])
