@@ -1,21 +1,22 @@
 """Ergodic-outage evaluators for the eight duplex/relay/harvesting variants.
 
-Each scenario reduces to a threshold SNR v and then either to a closed
-value or to a head term plus one integral over a fading distribution: the
-full-duplex DF case is closed form, and the six half-duplex variants and
-full-duplex AF share one integrand (DF is AF with a noiseless relay, and
-FD-AF integrates over the inverse loop-back gain). `outages` evaluates many
-(cfg, scenario) pairs: it reduces the pairs of each variant as columns of
-float64 arrays and then integrates every tail in one batched quadrature;
-`outage` is a batch of one.
+Each scenario reduces to a threshold SNR v and a weight gain whose values
+below an edge make outage certain: the half-duplex first hop X, or the
+full-duplex inverse loop-back gain R = 1/W. The outage is that head term
+plus the chance that the other gains fail above the edge: closed form for
+full-duplex DF, and one integral of one integrand for the six half-duplex
+variants and full-duplex AF (DF is AF with a noiseless relay). `outages`
+evaluates many (cfg, scenario) pairs: it reduces the pairs of each variant
+as columns of float64 arrays and then integrates every tail in one batched
+quadrature; `outage` is a batch of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lognormal import (XI, _log, _standardize, _standardize_product, elementwise,
-                        product_db_moments, q_function, q_vector)
+from .lognormal import (XI, _log, _standardize, elementwise, product_db_moments, q_function,
+                        q_vector)
 from .model import OutageEstimate, Scenario, SystemConfig, snr_coefficients, threshold_snr
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
 from .quadrature import (ABS_TOL, REL_TOL, integrate_lognormal_weighted,  # noqa: F401
@@ -77,54 +78,47 @@ def _reduce(cfg, scenario):
     std, lo, hi, m, s, atol, a, b, c, v, d): the dB moments of the weight's
     squared gain, the window in their standardized coordinate, the threshold's
     dB moments, the absolute tolerance and _threshold's coefficients. tail is ()
-    for the closed form."""
+    for the closed form.
+
+    The head Pr{weight < lower} is where outage is certain: HD's first hop X
+    misses `lower` (DF: k1*X < v; AF: X <= v*B/A), or FD's R = 1/W is below v/k1,
+    past the loop-back cutoff W = k1/v (DF's relay SNR k1/W misses v, AF's relay
+    swamps the signal with amplified interference). Above it FD-DF fails where Z
+    = X*Y < v/a, independently of W, and the others integrate _threshold."""
     v = threshold_snr(scenario, cfg.cth)
     settled = (v == 0.0) | np.isinf(v)
-    value = np.where(v == 0.0, 0.0, 1.0)  # the outage of a settled row or one past a cutoff
+    value = np.where(v == 0.0, 0.0, 1.0)  # the outage of a settled row
     v = np.where(settled, 1.0, v)  # a stand-in keeps the formulas below finite on those rows
     k1, a, b, c = snr_coefficients(cfg, scenario)
+    lower = v * b / a if k1 is None else v / k1
+    # where A is 0 the relay sends nothing, and where `lower` overflows no weight clears it
+    settled |= (a == 0.0) | np.isinf(lower)
+    lower = np.where(settled, 1.0, lower)
     if scenario.duplex == "fd":
-        # Past the loop-back cutoff W = k1/v the relay fails (the head Pr{W >
-        # k1/v}): DF's relay SNR k1/W misses v, and AF's amplified interference
-        # swamps the signal. Where k1/v underflows no loop-back gain survives it.
-        upper = k1 / v
-        settled |= upper == 0.0
-        upper = np.where(settled, 1.0, upper)
-        if scenario.relay == "df":
-            # the destination fails where Z = X*Y < v/a (p_z), independently of W;
-            # summing the failures, not subtracting success from 1, keeps the
-            # relative precision of a tiny outage
-            head = q_function(_standardize(upper, cfg.chg))
-            p_z = q_function(-_standardize_product(v / a, cfg.ch1, cfg.ch2))
-            return np.where(settled, value, _clamp01(head + p_z - head * p_z)), None, ()
-        # AF: below the cutoff, where R = 1/W exceeds v/k1, Z must clear the threshold
         weight = (-2.0 * cfg.chg.mu_db, 2.0 * cfg.chg.sigma_db)
         hop = product_db_moments(cfg.ch1, cfg.ch2)
-        u = -_standardize(upper, cfg.chg)
-        d, c = v * c / a * k1, c * (1.0 + v)
-        # The integrand is at least its limit as R grows, Pr{Z < d}: a tolerance in
-        # proportion to that floor is a relative one where the outage is tiny. The
-        # window [u, inf) is W's [0, k1/v], which the quadrature cuts to TAIL_SIGMAS.
-        atol = ABS_TOL * q_function(-_standardize_product(d, cfg.ch1, cfg.ch2))
-        top = np.inf
     else:
-        # HD: outage is certain when the first hop X misses `lower` (DF: k1*X < v;
-        # AF: X <= v*B/A), otherwise the second hop Y must miss the threshold given
-        # X. Where A is 0 the relay sends nothing and the outage is settled.
-        lower = v * b / a if k1 is None else v / k1
-        settled |= a == 0.0
         weight, hop = ((2.0 * ch.mu_db, 2.0 * ch.sigma_db) for ch in (cfg.ch1, cfg.ch2))
-        u = _standardize(lower, cfg.ch1)
-        d = 0.0
+    u = _standardize(lower, *weight)
     head = q_function(-u)
+    if scenario.duplex == "fd" and scenario.relay == "df":
+        # summing the failures, not subtracting success from 1, keeps the
+        # relative precision of a tiny outage
+        p_z = q_function(-_standardize(v / a, *hop))
+        return np.where(settled, value, _clamp01(head + p_z - head * p_z)), None, ()
     pending = ~settled & ~(q_function(u) <= REL_TOL * head)
-    if scenario.duplex == "hd":
-        # The tail is converged within atol = ABS_TOL*head and stops `top` standard
-        # deviations above X's mean, where the weight mass above, Q(top) <= exp(-top**2/2)/2
-        # <= atol/2, bounds the part dropped (the integrand is at most 1). A pending row's
-        # Q(u) > REL_TOL*head exceeds Q(top), so u < top: the window is not empty.
-        atol = ABS_TOL * head
-        top = np.sqrt(-2.0 * elementwise(_log, atol))
+    # Every tail stops `top` standard deviations above the weight's mean, where the weight
+    # mass above, Q(top) <= exp(-top**2/2)/2 <= ABS_TOL*head/2, bounds the part dropped (the
+    # integrand is at most 1). A pending row's Q(u) > REL_TOL*head exceeds Q(top), so u <
+    # top: the window is not empty. HD's tail is converged within ABS_TOL*head.
+    atol = ABS_TOL * head
+    top = np.sqrt(-2.0 * elementwise(_log, atol))
+    d = 0.0
+    if scenario.duplex == "fd":
+        d, c = v * c / a * k1, c * (1.0 + v)
+        # FD-AF's integrand is at least its limit as R grows, Pr{Z < d}: a tolerance
+        # in proportion to that floor is a relative one where the outage is tiny
+        atol = ABS_TOL * q_function(-_standardize(d, *hop))
     return np.where(settled, value, head), pending, (*weight, u, top, *hop, atol, a, b, c, v, d)
 
 

@@ -123,9 +123,9 @@ def _log(x: float) -> float:
     return -math.inf if x == 0.0 else math.log(x)
 
 
-def _standardize(x, ch: ChannelSpec):
-    # dB coordinate of x relative to the squared-gain Gaussian
-    return (XI * elementwise(_log, x) - 2.0 * ch.mu_db) / (2.0 * ch.sigma_db)
+def _standardize(x, mean, std):
+    # the dB value of x in standard deviations from `mean`, for a Gaussian dB value (mean, std)
+    return (XI * elementwise(_log, x) - mean) / std
 
 
 def sq_gain_cdf(x: float, ch: ChannelSpec) -> float:
@@ -133,7 +133,7 @@ def sq_gain_cdf(x: float, ch: ChannelSpec) -> float:
     the median, where 1 - Q(u) would round to 0."""
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
-    return q_function(-_standardize(x, ch))
+    return q_function(-_standardize(x, 2.0 * ch.mu_db, 2.0 * ch.sigma_db))
 
 
 def sq_gain_pdf(x: float, ch: ChannelSpec) -> float:
@@ -153,19 +153,13 @@ def product_ccdf(x: float, ch1: ChannelSpec, ch2: ChannelSpec) -> float:
     """
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
-    return q_function(_standardize_product(x, ch1, ch2))
+    return q_function(_standardize(x, *product_db_moments(ch1, ch2)))
 
 
 def product_db_moments(ch1: ChannelSpec, ch2: ChannelSpec):
     """Mean and standard deviation of the dB value of the product of two
     independent squared gains."""
     return 2.0 * (ch1.mu_db + ch2.mu_db), 2.0 * elementwise(math.hypot, ch1.sigma_db, ch2.sigma_db)
-
-
-def _standardize_product(x, ch1: ChannelSpec, ch2: ChannelSpec):
-    # dB coordinate of x relative to the product's Gaussian
-    mean, std = product_db_moments(ch1, ch2)
-    return (XI * elementwise(_log, x) - mean) / std
 
 
 def sample_sq_gain(ch: ChannelSpec, rng: np.random.Generator, size=None, out=None):

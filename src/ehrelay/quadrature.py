@@ -135,6 +135,6 @@ def integrate_lognormal_weighted(f: Callable, weight: ChannelSpec, lower: float 
     if not 0.0 <= lower < upper:
         raise ValueError(f"bounds must satisfy 0 <= lower < upper, got {lower} and {upper}")
     mean, std = 2.0 * weight.mu_db, 2.0 * weight.sigma_db
-    batch = integrate_normal_batch(lambda s, k: f(np.exp((mean + std * s) / XI)),
-                                   [_standardize(lower, weight)], [_standardize(upper, weight)])
+    lo, hi = (_standardize(x, mean, std) for x in (lower, upper))
+    batch = integrate_normal_batch(lambda s, k: f(np.exp((mean + std * s) / XI)), [lo], [hi])
     return float(batch[0])

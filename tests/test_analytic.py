@@ -199,6 +199,22 @@ def test_fd_af_random_links_within_rel_tol_of_mpmath():
     assert off == []
 
 
+def test_fd_af_link_263_within_rel_tol_of_mpmath():
+    # link 263 of a 3,000-link FD-AF fuzz, outage 0.901: with its window cut at
+    # +TAIL_SIGMAS instead of the head's upper cut, the rule reported this tail
+    # converged while it was 4.5e-9 relative off
+    cfg = SystemConfig(
+        ps_watts=77.7848675368681, eta=0.9105063379972944, path_loss_exp=2.8963855885762024,
+        d1_m=4.525135380468812, d2_m=18.77856650571638, sigma_a2_w=0.0014444401901761203,
+        sigma_c2_w=0.002433151330685237, sigma_d2_w=0.0001354915996528839,
+        cth=0.6646506419633454, ch1=ChannelSpec(6.577484798872277, 4.737971094404721),
+        ch2=ChannelSpec(-6.730557633694245, 4.334547840041658),
+        chg=ChannelSpec(-9.98845398813193, 5.419981630316156))
+    s = Scenario("fd", "af", "tsr", tau=0.3937677132483417)
+    want = reference.outage(cfg, s)
+    assert abs(outage(cfg, s).value - want) <= quadrature.REL_TOL * want
+
+
 # FD-AF on the default link at 1e9 and 1e12 W, outage 0.999964283371 and
 # 0.999964283370: the tail's tolerance, ABS_TOL times its floor Pr{Z < d} of
 # about 1e-9 and 1e-12, is not met within MAX_SUBDIVISIONS panels
@@ -348,6 +364,15 @@ def test_fd_af_zero_cutoff_is_certain_outage():
     assert list(outages([*FD_CUTOFF_ZERO, FD_AF_CUTOFF_SUBNORMAL])) == [1.0, 1.0, 1.0]
 
 
+def test_fd_edge_past_the_float_range_with_a_vanishing_loop_back():
+    # a loop-back mean below the float range gives R a dB mean of +inf; where the
+    # edge v/k1 overflows as well, its standardized value would be inf - inf = NaN
+    # (at a subnormal cutoff k1/v this raised QuadratureError) unless the row settles
+    pairs = [(replace(cfg, chg=ChannelSpec(-1e308, cfg.chg.sigma_db)), s)
+             for cfg, s in (*FD_CUTOFF_ZERO, FD_AF_CUTOFF_SUBNORMAL)]
+    assert list(outages(pairs)) == [1.0, 1.0, 1.0]
+
+
 def test_fd_variants_share_the_loop_back_cutoff():
     # at 1e8 W the destination hop cannot fail, so FD-DF and FD-AF both fail just
     # where the loop-back gain W passes k1/v, k1 = 1/power
@@ -472,19 +497,20 @@ def test_figure_pass_integrand_nodes(monkeypatch):
     # from panels in proportion to each window and the HD upper cut; 251,643 in
     # 57 calls with two golden-section steps per optimizer call, whose 15,876
     # nodes of discarded candidates buy 15 fewer calls; 56 once FD-AF's tails
-    # join the HD batch of their outages call
+    # join the HD batch of their outages call; 250,887 once FD-AF's windows stop
+    # at HD's upper cut instead of TAIL_SIGMAS
     figures = [preset(CFG)[0] for preset in FIGURE_PRESETS.values()]
     nodes, calls = integrand_load(monkeypatch, figures)
-    assert nodes == 251_643 and calls == 56
+    assert nodes == 250_887 and calls == 56
 
 
 def test_selftest_integrand_nodes(monkeypatch):
     # the selftest and boundary grids without MC: 6,762 nodes in 8 calls from 6
     # starting panels per integral; 4,473 in 10 with the windowed start and the
     # HD upper cut, which leave the HD batches two more small rounds; 4,473 in 5
-    # with FD-AF's tails in the HD batch
+    # with FD-AF's tails in the HD batch; 4,179 with FD-AF's windows at that cut
     nodes, calls = integrand_load(monkeypatch, [selftest_points(CFG), boundary_points(CFG)])
-    assert nodes == 4_473 and calls == 5
+    assert nodes == 4_179 and calls == 5
 
 
 def test_low_outage_sweep_integrand_nodes(monkeypatch):

@@ -290,19 +290,19 @@ def test_standardized_coordinates_take_columns_bit_for_bit():
     # per million, its hypot on about 0.6 %)
     from types import SimpleNamespace
 
-    from ehrelay.lognormal import _standardize, _standardize_product
+    from ehrelay.lognormal import _standardize, product_db_moments
 
     rng = np.random.default_rng(23)
     n = 300_000
     x = np.exp(rng.uniform(-40.0, 40.0, n))
     mu, s1, s2 = rng.uniform(-10.0, 10.0, n), rng.uniform(0.1, 9.0, n), rng.uniform(0.1, 9.0, n)
-    got = (_standardize(x, SimpleNamespace(mu_db=mu, sigma_db=s1)),
-           _standardize_product(x, SimpleNamespace(mu_db=mu, sigma_db=s1),
-                                SimpleNamespace(mu_db=-mu, sigma_db=s2)))
+    got = (_standardize(x, 2.0 * mu, 2.0 * s1),
+           _standardize(x, *product_db_moments(SimpleNamespace(mu_db=mu, sigma_db=s1),
+                                               SimpleNamespace(mu_db=-mu, sigma_db=s2))))
     ch1, ch2, want = SimpleNamespace(), SimpleNamespace(), ([], [])
     for v, m, a, b in zip(x.tolist(), mu.tolist(), s1.tolist(), s2.tolist()):
         ch1.mu_db, ch1.sigma_db, ch2.mu_db, ch2.sigma_db = m, a, -m, b
-        want[0].append(_standardize(v, ch1))
-        want[1].append(_standardize_product(v, ch1, ch2))
+        want[0].append(_standardize(v, 2.0 * m, 2.0 * a))
+        want[1].append(_standardize(v, *product_db_moments(ch1, ch2)))
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.uint64), np.array(w).view(np.uint64))

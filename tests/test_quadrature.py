@@ -173,8 +173,8 @@ def test_batch_matches_each_integral_alone():
         z = np.exp((mean[k] + std[k] * s) / XI)
         return z / (shift[k] + z)
 
-    lo = [_standardize(x, w) for x, w in zip(lower, weights)]
-    hi = [_standardize(x, w) for x, w in zip(upper, weights)]
+    lo = [_standardize(x, 2 * w.mu_db, 2 * w.sigma_db) for x, w in zip(lower, weights)]
+    hi = [_standardize(x, 2 * w.mu_db, 2 * w.sigma_db) for x, w in zip(upper, weights)]
     batch = integrate_normal_batch(f, lo, hi, atol)
     for k in range(len(weights)):
         alone = integrate_normal_batch(lambda s, _: f(s, k), lo[k:k + 1], hi[k:k + 1], atol[k])
