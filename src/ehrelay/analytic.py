@@ -13,6 +13,8 @@ quadrature; `outage` is a batch of one.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 from .lognormal import (XI, _log, _standardize, elementwise, product_db_moments, q_function,
@@ -60,10 +62,10 @@ class _Columns:
                 numbers.append(name)
             else:
                 nested.append((name, list(vars(value))))
-        table = np.array([[getattr(row, name) for name in numbers]
-                          + [getattr(getattr(row, name), inner)
-                             for name, inners in nested for inner in inners]
-                          for row in rows], float)
+        row_values = attrgetter(*numbers, *(f"{name}.{inner}"
+                                           for name, inners in nested for inner in inners))
+        # one field gives a value per row, not a tuple: reshape makes it a column
+        table = np.array([row_values(row) for row in rows], float).reshape(len(rows), -1)
         columns = iter(np.repeat(table, repeat, axis=0).T)
         vars(self).update(zip(numbers, columns))
         for name, inners in nested:

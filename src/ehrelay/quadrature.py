@@ -32,37 +32,48 @@ class QuadratureError(RuntimeError):
 
 
 # QUADPACK's qk21: Kronrod nodes on [0, 1], their weights, and the weights
-# of the 10-point Gauss rule on every second node
+# of the 10-point Gauss rule on every second node (1, 3, .., 9)
 _XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
                  0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
                  0.2943928627014602, 0.14887433898163122, 0.0])
 _WGK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
                  0.07503967481091996, 0.0931254545836976, 0.10938715880229764, 0.12349197626206584,
                  0.13470921731147334, 0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
-_WG = np.zeros(11)
-_WG[1::2] = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
-             0.26926671930999635, 0.29552422471475287)
-_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
-_WEIGHTS = np.array([np.concatenate((w, w[-2::-1])) for w in (_WGK, _WG)])  # Kronrod, Gauss
+_WG = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                0.26926671930999635, 0.29552422471475287])
+# the rule as columns over its 21 nodes on [-1, 1]: a chunk holds node j of
+# panel i at [j, i], and the Gauss nodes are rows 1, 3, .., 19
+_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))[:, None]
+_KRONROD = np.concatenate((_WGK, _WGK[-2::-1]))[:, None]
+_GAUSS = np.concatenate((_WG, _WG[::-1]))[:, None]
 
 _PANELS = 6  # equal panels an uncut window starts from
-# panels evaluated per integrand call. A chunk's (512, 21) node arrays, 86,016
-# bytes, stay below glibc's initial 128 KiB mmap threshold; _panel_rule's
-# (512, 2, 21) weighted values, 172,032 bytes, do not, so the first such array
-# is mmapped and freeing it raises the threshold to its size
+# panels evaluated per integrand call. A chunk's (21, 512) node arrays, 86,016
+# bytes, are the rule's largest temporaries: they stay below glibc's initial
+# 128 KiB mmap threshold, whose first crossing would raise it
 _CHUNK = 512
 
 
 def _panel_rule(f, a, b, k):
     """Kronrod value and QUADPACK error estimate of panels (a, b) of integrals k."""
+    if a.size == 1:  # numpy sums a lone (21, 1) column pairwise, not in node order
+        return tuple(x[:1] for x in _panel_rule(f, *(np.repeat(x, 2) for x in (a, b, k))))
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    s, k = c[:, None] + h[:, None] * _NODES, k[:, None]
-    g = f(s, k) * (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * s * s)
-    # row sums, not BLAS products: a panel's numbers must not depend on its batch
-    resk, resg = (g[:, None] * _WEIGHTS).sum(axis=2).T
+    s = _NODES * h
+    s += c
+    g = f(s, k) * (1.0 / math.sqrt(2.0 * math.pi))
+    s *= s
+    s *= -0.5  # -0.5 * s * s, as halving is exact
+    g = np.multiply(g, np.exp(s, out=s), out=s)
+    # sums down the node axis, not BLAS products: a panel's numbers must not
+    # depend on its batch, and numpy adds the rows of a (21, n >= 2) array in order
+    work = g * _KRONROD
+    resk = work.sum(axis=0)
+    resg = np.multiply(g[1::2], _GAUSS, out=work[:10]).sum(axis=0)
     err = np.abs((resk - resg) * h)
-    resabs = (np.abs(g) * _WEIGHTS[0]).sum(axis=1) * h
-    resasc = (np.abs(g - 0.5 * resk[:, None]) * _WEIGHTS[0]).sum(axis=1) * h
+    resabs = np.multiply(np.abs(g, out=work), _KRONROD, out=work).sum(axis=0) * h
+    work = np.abs(np.subtract(g, 0.5 * resk, out=work), out=work)
+    resasc = np.multiply(work, _KRONROD, out=work).sum(axis=0) * h
     scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
     err = np.where(resasc > 0, scaled, err)
     return resk * h, np.maximum(50 * np.finfo(float).eps * resabs, err)
@@ -76,12 +87,14 @@ def integrate_normal_batch(f, lo, hi, atol=ABS_TOL) -> np.ndarray:
     (lo[k], hi[k]) cut to +-TAIL_SIGMAS, within max(atol[k], REL_TOL * |value|),
     for every k; atol is one tolerance or one per integral.
 
-    f(s, k) gives integrand k at s, elementwise over arrays that broadcast
-    together (k is a column of integral indexes). Each integral starts as
-    ceil(6*w/(2*TAIL_SIGMAS)) equal panels, at least 1, w being the width of
-    its cut window, so no starting panel is wider than 3.33. Each round
-    calls f once on the 21 nodes of all new panels, then bisects the panels
-    whose error exceeds their width's share of their integral's tolerance.
+    f(s, k) gives integrand k at s, elementwise, without writing to s: s is
+    a (21, n) array whose column i holds the nodes of a panel of integral
+    k[i], k a row of n integral indexes, so k's gathered columns broadcast
+    along s's rows. Each integral starts as ceil(6*w/(2*TAIL_SIGMAS)) equal
+    panels, at least 1, w being the width of its cut window, so no starting
+    panel is wider than 3.33. Each round calls f on the 21 nodes of all new
+    panels, up to _CHUNK panels a call, then bisects the panels whose error
+    exceeds their width's share of their integral's tolerance.
     An integral's value depends on its own row only, never on the rest of
     the batch. An empty window gives 0.0; a NaN bound, or a rule that is
     still above tolerance at MAX_SUBDIVISIONS panels, raises QuadratureError

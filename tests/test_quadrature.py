@@ -126,11 +126,12 @@ def test_bound_validation():
 def first_round_panels(windows):
     """The values of f = 1/(1 + e^s) against the standard normal density over
     each (lo, hi) window of one batch, and the panels each integral starts
-    from: the rows of the first integrand call, counted per integral."""
+    from: the panels (columns) of the first integrand call, counted per
+    integral."""
     rows = []
 
     def f(s, k):
-        rows.append(k[:, 0].copy())
+        rows.append(k.copy())
         return 1.0 / (1.0 + np.exp(s))
 
     values = integrate_normal_batch(f, *zip(*windows))
@@ -155,6 +156,18 @@ def test_starting_panels_scale_with_the_window():
     assert panels == [6] + [math.ceil(6 * r) for r in CUT_SHARES for _ in range(3)]
     alone = [first_round_panels([window])[1][0] for window in windows]
     assert list(map(float.hex, batch)) == list(map(float.hex, alone))
+
+
+def test_a_lone_panel_in_the_last_chunk_keeps_its_integral_alone():
+    # 85 windows of 6 starting panels and one of 3 make _CHUNK + 1 panels, so the
+    # first round's last chunk holds one panel: numpy would sum its lone column
+    # pairwise, not in node order as in the 3-panel chunk of that integral alone
+    windows = [(-TAIL_SIGMAS + 0.01 * i, math.inf) for i in range(85)] + [(-math.inf, -1.0)]
+    alone = [first_round_panels([window]) for window in windows]
+    assert [panels for (panels,), _ in alone] == [6] * 85 + [3]
+    assert 6 * 85 + 3 == quadrature._CHUNK + 1
+    batch = first_round_panels(windows)[1]
+    assert list(map(float.hex, batch)) == [value.hex() for _, (value,) in alone]
 
 
 def test_batch_matches_each_integral_alone():
