@@ -264,11 +264,8 @@ def _settings_from_args(args) -> dict:
     return settings
 
 
-def cmd_point(args) -> int:
-    settings = _settings_from_args(args)
-    cfg = build_system(settings)
+def cmd_point(args, settings, cfg, plan) -> int:
     scenario = build_scenario(settings)
-    plan = None if args.no_mc else build_plan(settings)
     (row,), _ = run_points([SweepPoint(scenario.label(), "none", 0.0, cfg, scenario)], plan,
                            args.threads)
     print(f"scenario           {scenario.label()}")
@@ -282,14 +279,9 @@ def cmd_point(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    settings = _settings_from_args(args)
-    axis = settings["sweep.axis"]
-    raw_values = str(settings["sweep.values"])
-    try:
-        values = [float(tok) for tok in raw_values.replace(";", ",").split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"sweep.values: {exc}") from exc
+def cmd_sweep(args, settings, cfg, plan) -> int:
+    tokens = settings["sweep.values"].replace(";", ",").split(",")
+    values = [_coerce("sweep.values", tok.strip(), 0.0) for tok in tokens if tok.strip()]
     if not values:
         raise ConfigError("sweep.values: no values given")
     total = None
@@ -297,17 +289,13 @@ def cmd_sweep(args) -> int:
         total = _coerce("sweep.total_distance", settings["sweep.total_distance"], 0.0)
         if not 0 < total < math.inf:
             raise ConfigError(f"sweep.total_distance: must be empty or finite and > 0, got {total}")
-    cfg = build_system(settings)
-    scenario = build_scenario(settings)
-    points = _construct("sweep", axis_points, cfg, scenario, axis, values, total=total)
-    plan = None if args.no_mc else build_plan(settings)
+    points = _construct("sweep", axis_points, cfg, build_scenario(settings),
+                        settings["sweep.axis"], values, total=total)
     emit(settings, *run_points(points, plan, args.threads))
     return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    settings = _settings_from_args(args)
-    cfg = build_system(settings)
+def cmd_optimize(args, settings, cfg, plan) -> int:
     scenario = build_scenario(settings)
     param = scenario.eh_param_name
     if param is None:
@@ -325,20 +313,14 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def cmd_figure(args) -> int:
-    settings = _settings_from_args(args)
-    cfg = build_system(settings)
+def cmd_figure(args, settings, cfg, plan) -> int:
     points, notes = _construct(f"figure {args.which}", FIGURE_PRESETS[args.which], cfg)
-    plan = None if args.no_mc else build_plan(settings)
     rows, fallbacks = run_points(points, plan, args.threads)
     emit(settings, rows, [f"figure = {args.which}", *notes, *fallbacks])
     return EXIT_OK
 
 
-def cmd_selftest(args) -> int:
-    settings = _settings_from_args(args)
-    cfg = build_system(settings)
-    plan = build_plan(settings)
+def cmd_selftest(args, settings, cfg, plan) -> int:
     rows, _ = run_points(selftest_points(cfg), plan, args.threads)
     # every row replays alone with `point --seed S --trials N`
     print(f"selftest: seed {plan.seed}, {plan.trials} trials per point")
@@ -374,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, scenario_flags=True, mc=True, output=True):
-        p.set_defaults(parser=p)  # main reports a flag p does not take with p's usage
+        # main reports a flag p does not take with p's usage, and builds a plan unless no_mc
+        p.set_defaults(parser=p, no_mc=not mc)
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="set any config key; repeatable")
@@ -428,7 +411,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
-        return args.func(args)
+        settings = _settings_from_args(args)
+        cfg = build_system(settings)
+        plan = None if args.no_mc else build_plan(settings)
+        return args.func(args, settings, cfg, plan)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,6 +18,7 @@ a block decides in arrays its thread reuses.
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,6 +40,11 @@ class McPlan:
     seed: int
 
     def __post_init__(self):
+        for name, value in (("trials", self.trials), ("seed", self.seed)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 10_000:
             raise ValueError(f"trials must be >= 10000, got {self.trials}")
         if not 0 <= self.seed < 2**64:

@@ -10,13 +10,13 @@ from dataclasses import replace
 
 import pytest
 
-from ehrelay.analytic import outage
+from ehrelay.analytic import outage, outages
 from ehrelay.cli import boundary_points, selftest_points
 from ehrelay.cli import main as cli_main
 from ehrelay.lognormal import ChannelSpec
 from ehrelay.model import Scenario, SystemConfig
 from ehrelay.montecarlo import McPlan, estimate_outage
-from ehrelay.optimize import minimize_over_eh_param
+from ehrelay.optimize import minimize_many, minimize_over_eh_param
 
 CFG = SystemConfig()
 GRID = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -292,5 +292,58 @@ def test_criterion_9_dataset_determinism(tmp_path):
         "criterion 9 (figure dataset byte-identical across runs and thread counts)",
         blobs[0] == blobs[1] == blobs[2],
         f"{len(blobs[0])} bytes, repeat run and 8-thread run identical",
+    )
+    assert ok
+
+
+def test_criterion_10_variance_degradation_at_low_outage():
+    """Criterion 5's claim where it holds: at Ps in {20, 50} W every tuned
+    HD outage is below one half, and each of the 12 curves strictly rises
+    with the spread of both hops."""
+    sigmas = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    bad = []
+    for ps in (20.0, 50.0):
+        cfgs = [replace(CFG, ps_watts=ps, ch1=ChannelSpec(3.0, s), ch2=ChannelSpec(3.0, s))
+                for s in sigmas]
+        for relay in ("df", "af"):
+            tuned = minimize_many([(cfg, tsr("hd", relay, 0.5)) for cfg in cfgs]
+                                  + [(cfg, psr(relay, 0.5)) for cfg in cfgs])
+            irr = outages([(cfg, Scenario("hd", relay, "irr")) for cfg in cfgs]).tolist()
+            for eh, curve in (("tsr", [r.value_opt for r in tuned[:len(sigmas)]]),
+                              ("psr", [r.value_opt for r in tuned[len(sigmas):]]),
+                              ("irr", irr)):
+                name = f"hd-{relay}-{eh} Ps={ps:g}"
+                print(f"  {name}: " + " ".join(f"{v:.3e}" for v in curve))
+                if not all(a < b for a, b in zip(curve, curve[1:])):
+                    bad.append(name)
+    ok = report(
+        "criterion 10 (minimum outage increasing in channel spread at Ps in {20, 50} W)",
+        not bad,
+        "all 12 curves strictly increase" if not bad else "not increasing: " + ", ".join(bad),
+    )
+    assert ok
+
+
+def test_criterion_11_processing_cost_crossover_at_midpoint():
+    """With the relay midway (d1 = d2 = 15 m), cost-free HD-IRR DF beats AF,
+    and DF falls behind AF once its processing cost passes a point that
+    shrinks as Ps grows: between the two pc values given per power."""
+    bad = []
+    for ps, below, above in ((20.0, 0.05, 0.1), (200.0, 0.02, 0.05), (2000.0, 0.0, 0.01)):
+        cfg = replace(CFG, ps_watts=ps, d1_m=15.0, d2_m=15.0)
+        af, *df = outages([(cfg, Scenario("hd", "af", "irr"))]
+                          + [(cfg, Scenario("hd", "df", "irr", pc_fraction=pc))
+                             for pc in (0.0, below, above)]).tolist()
+        print(f"  Ps={ps:g}: af {af:.6g}, df at pc 0/{below:g}/{above:g}: "
+              + " ".join(f"{v:.6g}" for v in df))
+        if not df[0] < af:
+            bad.append(f"Ps={ps:g}: cost-free df {df[0]:.6g} >= af {af:.6g}")
+        if not df[1] < af < df[2]:
+            bad.append(f"Ps={ps:g}: af {af:.6g} not between df at pc {below:g} and {above:g}")
+    ok = report(
+        "criterion 11 (costed DF falls behind AF at d1 = d2 = 15 m)",
+        not bad,
+        "crossover within the stated pc interval at 20 W, 200 W and 2 kW" if not bad
+        else "; ".join(bad),
     )
     assert ok

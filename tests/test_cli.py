@@ -344,6 +344,39 @@ def test_flag_the_subcommand_never_reads_is_rejected(command, flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
+# every subcommand, at its cheapest, through main's one front end
+@pytest.mark.parametrize("command", [
+    ["point"], ["sweep", "--axis", "ps", "--values", "1"], ["optimize"], ["figure", "fig4"],
+    ["selftest"],
+], ids=lambda command: command[0])
+def test_every_command_checks_the_link(command, capsys):
+    assert run([*command, "--override", "system.eta=2"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: system: eta must be in (0, 1], got 2.0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["figure", "fig4", "--no-mc", "--override", "scenario.tau=2"],
+    ["optimize", "--override", "mc.trials=5"],
+], ids=lambda command: command[0])
+def test_command_reads_only_the_sections_it_uses(command, capsys):
+    assert run(command) == EXIT_OK
+
+
+@pytest.mark.parametrize("command,section", [
+    (["selftest", "--override", "mc.trials=5"], "mc"),
+    # with two bad sections the plan is checked before the command's own keys
+    (["point", "--trials", "5", "--tau", "2"], "mc"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_config_error_names_the_first_bad_section(command, section, capsys):
+    assert run(command) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {section}: ")
+
+
+def test_sweep_value_names_the_expected_type(capsys):
+    assert run(["sweep", "--axis", "ps", "--values", "1,x", "--no-mc"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: sweep.values: expected a number, got 'x'\n"
+
+
 # tools/fingerprint.txt holds the SHA-256 of each `figure figN --no-mc` CSV on its
 # figN line. Like FIG5_OPTIMA, the digits are those of the platform they were
 # captured on (x86-64 with AVX-512, glibc 2.36, numpy 2.4): another libm or numpy

@@ -157,6 +157,21 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             McPlan(trials=10**4, seed=2**64)
 
+    @pytest.mark.parametrize("field,trials,seed", [
+        ("trials", 20000.0, 1),
+        ("seed", 20000, 1.5),
+        ("seed", 20000, 1.0),
+        ("seed", 20000, "1"),
+    ])
+    def test_non_integral_field_rejected(self, field, trials, seed):
+        # a float would pass the range checks and fail later, inside the estimate
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            McPlan(trials=trials, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        plan = McPlan(trials=np.int64(20000), seed=np.uint64(2**63))
+        assert plan.blocks() == [(0, 20000)]
+
     def test_block_partition_covers_trials(self, monkeypatch):
         monkeypatch.setattr(mc, "BLOCK_SIZE", 2**12)
         plan = McPlan(trials=10**5 + 3, seed=0)
