@@ -14,12 +14,14 @@ quadrature; `outage` is a batch of one.
 from __future__ import annotations
 
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
 from .lognormal import (XI, _log, _standardize, elementwise, product_db_moments, q_function,
                         q_vector)
-from .model import OutageEstimate, Scenario, SystemConfig, snr_coefficients, threshold_snr
+from .model import (OutageEstimate, Scenario, SystemConfig, flat_fields, snr_coefficients,
+                    threshold_snr)
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
 from .quadrature import (ABS_TOL, REL_TOL, integrate_lognormal_weighted,  # noqa: F401
                          integrate_normal_batch)
@@ -48,29 +50,21 @@ def _threshold(z, a, b, c, v, d):
 class _Columns:
     """The fields of same-typed dataclass instances (rows) as attributes:
     numbers as float64 arrays that hold each row's value `repeat` times in
-    succession, a nested instance's numbers as a nested _Columns, and a str
-    or None (the same on every row of one variant) as itself."""
+    succession, a str or None (the same on every row of one variant) as
+    itself, and a nested instance's columns on a SimpleNamespace."""
 
-    def __init__(self, rows=(), repeat=1):
-        if not rows:
-            return  # a nested _Columns, filled by its parent
-        numbers, nested = [], []
-        for name, value in vars(rows[0]).items():
-            if value is None or isinstance(value, str):
-                setattr(self, name, value)
-            elif isinstance(value, (int, float)):
-                numbers.append(name)
-            else:
-                nested.append((name, list(vars(value))))
-        row_values = attrgetter(*numbers, *(f"{name}.{inner}"
-                                           for name, inners in nested for inner in inners))
+    def __init__(self, rows, repeat=1):
+        fields = flat_fields(rows[0])
+        numbers = [name for name, value in fields.items() if isinstance(value, (int, float))]
         # one field gives a value per row, not a tuple: reshape makes it a column
-        table = np.array([row_values(row) for row in rows], float).reshape(len(rows), -1)
-        columns = iter(np.repeat(table, repeat, axis=0).T)
-        vars(self).update(zip(numbers, columns))
-        for name, inners in nested:
-            setattr(self, name, _Columns())
-            vars(getattr(self, name)).update(zip(inners, columns))
+        table = np.array([*map(attrgetter(*numbers), rows)], float).reshape(len(rows), -1)
+        fields.update(zip(numbers, np.repeat(table, repeat, axis=0).T))
+        for name, value in fields.items():
+            *outer, leaf = name.split(".")
+            owner = self
+            for part in outer:
+                owner = vars(owner).setdefault(part, SimpleNamespace())
+            setattr(owner, leaf, value)
 
 
 def _reduce(cfg, scenario):

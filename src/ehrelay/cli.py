@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from .analytic import outage, outages  # noqa: F401
 from .grids import (FIGURE_PRESETS, SWEEP_AXES, SweepPoint, axis_points, boundary_points,
                     fmt_value, selftest_points)
-from .model import FadeRangeError, Scenario, SystemConfig
+from .model import FadeRangeError, Scenario, SystemConfig, flat_fields
 from .montecarlo import McPlan, estimate_outage
 # minimize_over_eh_param stays importable here: bench/spans.py hooks this name
 from .optimize import minimize_many, minimize_over_eh_param
@@ -43,20 +43,8 @@ class ConfigError(Exception):
     """User-facing configuration problem; message names the offending key."""
 
 
-def _flatten(obj, prefix: str) -> dict:
-    """Dotted keys and values of a dataclass; a nested one adds a key level."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            out.update(_flatten(value, f"{prefix}{f.name}."))
-        else:
-            out[prefix + f.name] = value
-    return out
-
-
 def _from_settings(cls, settings: dict, prefix: str):
-    """The inverse of _flatten: construct cls from its dotted keys."""
+    """The inverse of model.flat_fields: construct cls from its dotted keys."""
     kwargs = {}
     for f in fields(cls):
         if is_dataclass(f.default):
@@ -76,7 +64,7 @@ def _construct(section: str, build, *args, **kwargs):
 
 def default_settings() -> dict:
     return {
-        **_flatten(SystemConfig(), "system."),
+        **flat_fields(SystemConfig(), "system."),
         "scenario.duplex": "hd",
         "scenario.relay": "df",
         "scenario.eh": "tsr",
@@ -86,8 +74,7 @@ def default_settings() -> dict:
         "sweep.axis": "",
         "sweep.values": "",
         "sweep.total_distance": "",
-        "mc.trials": 100_000,
-        "mc.seed": 12345,
+        **flat_fields(McPlan(trials=100_000, seed=12345), "mc."),
         "output.path": "",
         "output.format": "csv",
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -84,6 +84,18 @@ class SystemConfig:
         for name, value in derived.items():
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def flat_fields(obj, prefix: str = "") -> dict:
+    """The fields of a dataclass instance by dotted name (prefix + name); a
+    nested instance adds a name level: system.ch1.mu_db, ch1.mu_db."""
+    out = {}
+    for name, value in vars(obj).items():
+        if is_dataclass(value):
+            out.update(flat_fields(value, f"{prefix}{name}."))
+        else:
+            out[prefix + name] = value
+    return out
 
 
 @dataclass(frozen=True)
