@@ -87,8 +87,8 @@ class SystemConfig:
 
 
 def flat_fields(obj, prefix: str = "") -> dict:
-    """The fields of a dataclass instance by dotted name (prefix + name); a
-    nested instance adds a name level: system.ch1.mu_db, ch1.mu_db."""
+    """The fields of a dataclass instance by dotted name, prefix + name; a
+    nested instance adds a name level (ch1.mu_db)."""
     out = {}
     for name, value in vars(obj).items():
         if is_dataclass(value):
@@ -362,7 +362,10 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
 
 
 def _snr_for_rate(expo: float) -> float:
-    # 2**expo - 1, infinite where 2**expo leaves the float64 range
+    # 2**expo - 1, infinite where 2**expo leaves the float64 range; below 0.5 the
+    # subtraction would cancel (to 0 under about 2.2e-16), so expm1 gives it instead
+    if expo < 0.5:
+        return math.expm1(expo * _LN2)
     return math.inf if expo >= 1024.0 else 2.0**expo - 1.0
 
 

@@ -78,6 +78,14 @@ def test_fd_closed_form_and_quadrature_at_small_tau():
         assert abs(outage(cfg, s).value - mc.value) <= 3 * mc.stderr
 
 
+def test_threshold_far_below_one_ulp_matches_monte_carlo():
+    # cth/pre = 2e-17, where 2**(cth/pre) - 1 rounds to 0 and would settle the link as no outage
+    cfg = replace(CFG, cth=1e-17, ch1=ChannelSpec(3.0, 30.0), ch2=ChannelSpec(3.0, 30.0))
+    s = Scenario("hd", "df", "irr")
+    mc = estimate_outage(cfg, s, McPlan(trials=200_000, seed=5))
+    assert abs(outage(cfg, s).value - mc.value) <= 5.7 * mc.stderr
+
+
 def test_af_outage_decreases_with_power():
     vals = [
         outage(replace(CFG, ps_watts=ps), Scenario("hd", "af", "irr")).value

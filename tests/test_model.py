@@ -4,6 +4,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -349,6 +350,17 @@ class TestThresholdSnr:
 
     def test_zero_threshold(self):
         assert threshold_snr(hd("df", "irr"), 0.0) == 0.0
+
+    @pytest.mark.parametrize("s", [hd("df", "irr"), hd("af", "tsr", tau=0.3),
+                                   Scenario("fd", "df", "tsr", tau=0.01)], ids=Scenario.label)
+    def test_small_threshold_keeps_its_relative_precision(self, s):
+        # 2**(cth/pre) - 1 cancels where cth/pre is small, and is 0 below about 2.2e-16
+        pre = capacity_prefactor(s)
+        expos = np.concatenate([10.0 ** np.linspace(-300.0, 0.0, 601), np.linspace(0.4, 1.0, 61)])
+        with mpmath.workdps(40):
+            for cth in (expos * pre).tolist():
+                want = mpmath.expm1(mpmath.mpf(cth) / mpmath.mpf(pre) * mpmath.log(2))
+                assert abs(threshold_snr(s, cth) - want) <= 1e-15 * want, cth
 
 
 class TestValidation:
