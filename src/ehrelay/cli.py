@@ -235,12 +235,13 @@ def _settings_from_args(args) -> dict:
         if len(parts) != 3:
             raise ConfigError(f"--scenario {args.scenario!r}: expected duplex-relay-eh")
         settings["scenario.duplex"], settings["scenario.relay"], settings["scenario.eh"] = parts
+    if not hasattr(args, "out"):  # a command that writes no dataset (selftest)
+        return settings
     if settings["output.format"] not in OUTPUT_FORMATS:
         raise ConfigError(f"output.format: must be one of {OUTPUT_FORMATS}, "
                           f"got {settings['output.format']!r}")
     path = settings["output.path"]
-    if path and hasattr(args, "out"):  # a command that writes a dataset (not selftest)
-        # fail before evaluating anything, and leave what is at the path as it was
+    if path:  # fail before evaluating anything, and leave what is at the path as it was
         existed = os.path.lexists(path)
         try:
             open(path, "a", encoding="utf-8").close()

@@ -432,17 +432,26 @@ def test_run_that_fails_leaves_an_existing_output_file_alone(tmp_path, capsys):
     assert out.read_text() == "earlier dataset\n"
 
 
+class Evaluated(Exception):
+    """Raised in place of run_points: the command got past its settings."""
+
+
+def evaluated(*args, **kwargs):
+    raise Evaluated
+
+
 def test_selftest_never_checks_output_path(tmp_path, monkeypatch):
     # selftest writes no dataset, so an unwritable output.path is not its error
-    class Evaluated(Exception):
-        pass
-
-    def evaluated(*args, **kwargs):
-        raise Evaluated
-
     monkeypatch.setattr(cli, "run_points", evaluated)
     with pytest.raises(Evaluated):
         run(["selftest", "--override", f"output.path={tmp_path}"])
+
+
+def test_selftest_never_checks_output_format(monkeypatch):
+    # nor is an output.format it never writes in
+    monkeypatch.setattr(cli, "run_points", evaluated)
+    with pytest.raises(Evaluated):
+        run(["selftest", "--override", "output.format=xml"])
 
 
 class TestFigures:
