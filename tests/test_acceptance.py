@@ -347,3 +347,32 @@ def test_criterion_11_processing_cost_crossover_at_midpoint():
         else "; ".join(bad),
     )
     assert ok
+
+
+def test_criterion_12_full_duplex_beats_half_duplex_at_small_loop_back():
+    """At the optimized tau of each mode, FD-TSR is strictly below HD-TSR
+    while the loop-back mean is at most -5 dB, and strictly above it from
+    3 dB up, for DF and AF at Ps in {1, 10, 100} W."""
+    below, above = (-30.0, -20.0, -10.0, -5.0), (3.0, 5.0, 10.0)
+    links = [(ps, relay) for ps in (1.0, 10.0, 100.0) for relay in ("df", "af")]
+    pairs = []
+    for ps, relay in links:
+        cfg = replace(CFG, ps_watts=ps)
+        pairs.append((cfg, tsr("hd", relay, 0.5)))
+        pairs += [(replace(cfg, chg=ChannelSpec(mu, CFG.chg.sigma_db)), tsr("fd", relay, 0.5))
+                  for mu in below + above]
+    tuned = iter(r.value_opt for r in minimize_many(pairs))
+    bad = []
+    for ps, relay in links:
+        hd, *fd = (next(tuned) for _ in range(1 + len(below + above)))
+        print(f"  {relay} Ps={ps:g}: hd {hd:.4g}, fd at chg.mu_db "
+              + " ".join(f"{mu:g}: {v:.4g}" for mu, v in zip(below + above, fd)))
+        bad += [f"{relay} Ps={ps:g} mu={mu:g}: fd {v:.4g} vs hd {hd:.4g}"
+                for mu, v in zip(below + above, fd) if not (v < hd if mu in below else v > hd)]
+    ok = report(
+        "criterion 12 (tuned FD beats tuned HD only while the loop-back gain is small)",
+        not bad,
+        "FD below HD up to -5 dB and above it from 3 dB at 1, 10 and 100 W" if not bad
+        else "; ".join(bad),
+    )
+    assert ok

@@ -62,6 +62,19 @@ def test_bench_import_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
+def _bench_workloads():
+    return _load("bench_workloads", BENCH / "workloads.py").WORKLOADS
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+@pytest.mark.parametrize("name", sorted(_bench_workloads()))
+def test_bench_command_lines_parse(name, tiny):
+    # a renamed or dropped flag would otherwise show only as a failed benchmark run
+    for argv in _bench_workloads()[name].commands(1, tiny):
+        args, unknown = cli.build_parser().parse_known_args(argv)
+        assert not unknown and callable(args.func), argv
+
+
 def test_bench_plan_arguments_bind():
     # bench/layers.py builds its plans by keyword
     assert McPlan(trials=10_000, seed=1) == McPlan(10_000, 1)
