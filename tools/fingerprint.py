@@ -13,6 +13,8 @@ Each line is a name and the SHA-256 of that result's bytes:
 - minimize_many: every field of `optimize.minimize_many` on the batch's
   TSR and PSR pairs;
 - estimate_outage: eight MC estimates (one per variant) at 2^17 trials;
+- estimate_outage_pairs: the MC estimate of every pair of the batch at
+  10^4 trials, one block each;
 - snr_pair: `model.snr_pair` per variant on 4,096 seeded fades and on
   one scalar fade;
 - mc_memo: the stdout of MEMO_RUNS, one after the other in this process,
@@ -117,6 +119,10 @@ def main() -> None:
     print("estimate_outage", digest("\n".join(
         f"{e.value.hex()} {float(e.stderr).hex()}"
         for e in (estimate_outage(cfg, s, plan) for cfg, s in pairs[::PAIRS_PER_LABEL]))))
+    plan = McPlan(trials=10_000, seed=314159)
+    print("estimate_outage_pairs", digest("\n".join(
+        f"{e.value.hex()} {float(e.stderr).hex()}"
+        for e in (estimate_outage(cfg, s, plan) for cfg, s in pairs))))
     print("snr_pair", digest(snr_lines(pairs, rng)))
     print("mc_memo", digest("".join(cli_stdout(run.split()) for run in MEMO_RUNS)))
 
