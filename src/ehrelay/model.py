@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+import sys
 from dataclasses import dataclass, field, is_dataclass, replace
 
 import numpy as np
@@ -174,20 +176,27 @@ class FadeRangeError(ValueError):
 @dataclass(frozen=True)
 class FadeSample:
     """One joint realization of squared gains (arrays allowed): x = h1^2,
-    y = h2^2 and, for full-duplex, the loop-back gain w = g^2."""
+    y = h2^2 and, for full-duplex, the loop-back gain w = g^2. `extremes`
+    maps each gain's name to its (min, max), as the checks found them."""
 
     x: object
     y: object
     w: object = None
+    extremes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # two reductions per channel and no temporary; a NaN minimum fails too
+        extremes = {}
         for name in ("x", "y") if self.w is None else ("x", "y", "w"):
             gains = np.asarray(getattr(self, name))
-            if not gains.min(initial=np.inf) > 0:
+            low = float(gains.min(initial=np.inf))
+            if not low > 0:
                 raise FadeRangeError(f"{name} must be strictly positive")
-            if not gains.max(initial=0.0) < np.inf:
+            high = float(gains.max(initial=0.0))
+            if not high < np.inf:
                 raise FadeRangeError(f"{name} must be finite")
+            extremes[name] = low, high
+        object.__setattr__(self, "extremes", extremes)
 
 
 def hop_losses(cfg: SystemConfig) -> tuple[float, float]:
@@ -251,10 +260,19 @@ def snr_coefficients(cfg: SystemConfig,
     return share * cfg.ps_watts / (lp1 * noise), cost * (power * cfg.ps_watts / den), 0.0, 1.0
 
 
+def _check_fade(scenario: Scenario, fade: FadeSample) -> None:
+    if scenario.duplex == "fd" and fade.w is None:
+        raise ValueError("fd scenarios need the loop-back gain w in the fade sample")
+
+
+def _fade_shape(fade: FadeSample) -> tuple:
+    """The fades' broadcast shape (() for scalars)."""
+    return np.broadcast_shapes(*(np.shape(v) for v in (fade.x, fade.y, fade.w) if v is not None))
+
+
 def _empty_pair(fade: FadeSample):
     """Two float64 arrays of the fades' broadcast shape (0-d for scalars)."""
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (fade.x, fade.y, fade.w)
-                                  if v is not None))
+    shape = _fade_shape(fade)
     return np.empty(shape), np.empty(shape)
 
 
@@ -266,11 +284,18 @@ def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample, out=None):
     as scratch). Without it the SNRs are fresh arrays, or numpy scalars for
     scalar fades. The fade arrays are never written.
     """
+    _check_fade(scenario, fade)
+    r, d = _snrs(snr_coefficients(cfg, scenario), scenario, fade,
+                 *(_empty_pair(fade) if out is None else out))
+    if out is None:
+        return (None if r is None else r[()]), d[()]
+    return r, d
+
+
+def _snrs(coefficients, scenario: Scenario, fade: FadeSample, r, d):
+    """snr_pair's SNRs into r and d, from the variant's snr_coefficients."""
     x, y, w = fade.x, fade.y, fade.w
-    if scenario.duplex == "fd" and w is None:
-        raise ValueError("fd scenarios need the loop-back gain w in the fade sample")
-    r, d = _empty_pair(fade) if out is None else out
-    k1, a, b, c = snr_coefficients(cfg, scenario)
+    k1, a, b, c = coefficients
     if scenario.relay == "af":  # the denominator of a*x*y into r
         if scenario.duplex == "fd":  # c*(k1 + w) + b*w*x*y
             np.add(k1, w, out=r)
@@ -291,8 +316,6 @@ def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample, out=None):
         np.divide(k1, w, out=r)
     else:
         np.multiply(k1, x, out=r)
-    if out is None:
-        return (None if r is None else r[()]), d[()]
     return r, d
 
 
@@ -320,7 +343,30 @@ def capacities(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
 
 # For float64 values >= 0 the order of the bit patterns, read as int64, is the
 # order of the values.
-_INF_BITS = int(np.float64(math.inf).view(np.int64))
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+_INF_BITS = _I64.unpack(_F64.pack(math.inf))[0]
+
+
+def _least_float(holds, guess: float) -> float:
+    """The least float64 v >= 0 with holds(v), or inf when no finite v has it.
+    holds must not turn false again as v grows; it is never asked about inf.
+    The search asks at `guess` (none when NaN), then at 1, 3, 7, 15, ... ulps
+    from it towards the answer until it steps past, then bisects the bit
+    patterns between; a guess k ulps off costs about 2*log2(k) + 2 asks.
+    Without a guess it bisects from the start, about 63 asks."""
+    # (lo, hi]: the patterns of a v without the property (-1: none yet) and of one with it
+    lo, hi = -1, _INF_BITS
+    mid = _I64.unpack(_F64.pack(min(guess, sys.float_info.max)))[0] if guess >= 0 else -1
+    step = 1
+    while hi - lo > 1:
+        if not lo < mid < hi:  # no guess yet, or stepped past: bisect
+            mid = (lo + hi) // 2
+        if holds(_F64.unpack(_I64.pack(mid))[0]):
+            hi, mid = mid, mid - step
+        else:
+            lo, mid = mid, mid + step
+        step *= 2
+    return _F64.unpack(_I64.pack(hi))[0]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -328,18 +374,82 @@ def snr_cutoff(pre: float, cth: float) -> float:
     """The least float64 gamma >= 0 with capacity(pre, gamma) >= cth, or inf
     when no finite gamma reaches cth. capacity does not decrease in gamma, so
     `gamma < snr_cutoff(pre, cth)` is `capacity(pre, gamma) < cth` bit for bit,
-    without a log1p; the search bisects the bit patterns, evaluating capacity
-    itself, on a float64 array, at each midpoint.
+    without a log1p. The search starts at 2**(cth/pre) - 1 and evaluates
+    capacity itself, on a float64 array, at each float it tries.
     """
-    # (lo, hi]: the patterns of a gamma below the cutoff (-1: none) and of one at or above it
-    lo, hi = -1, _INF_BITS
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if capacity(pre, np.array([mid], np.int64).view(np.float64))[0] >= cth:
-            hi = mid
-        else:
-            lo = mid
-    return float(np.int64(hi).view(np.float64))
+    expo = cth / pre * _LN2  # expm1 overflows from about 709.78
+    return _least_float(lambda gamma: capacity(pre, np.array([gamma]))[0] >= cth,
+                        math.expm1(expo) if expo < 709.78 else math.inf)
+
+
+def _relay_edge(duplex: str, k1: float, cut: float) -> float:
+    """The DF relay's certain-outage edge: an HD trial is in outage at its relay
+    exactly when x < edge, an FD one exactly when w >= edge. Exact on every
+    float, since the relay SNR k1*x (k1/w), in snr_pair's float64 operations,
+    does not decrease (increase) in the gain; k1/0 is inf, never below cut."""
+    k1 = float(k1)
+    if duplex == "fd":
+        return _least_float(lambda w: w > 0 and k1 / w < cut, k1 / cut if cut else math.inf)
+    return _least_float(lambda x: not k1 * x < cut, cut / k1 if k1 else math.inf)
+
+
+def _normal(*values) -> bool:
+    """Whether every value is a normal float64 > 0 (not NaN, inf or subnormal)."""
+    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
+
+
+# the edge no gain lies past: no x is below 0, no finite w is at or above inf
+_NO_EDGE = {"hd": 0.0, "fd": math.inf}
+
+
+def _past_edge(duplex: str, fade: FadeSample, edge: float) -> bool:
+    """Whether every trial of `fade` lies past the certain-outage edge: an HD x
+    below it, an FD w at or above it. Reads only the block's extremes."""
+    return fade.extremes["x"][1] < edge if duplex == "hd" else fade.extremes["w"][0] >= edge
+
+
+def _af_edge(duplex: str, coefficients, cut: float, fade: FadeSample) -> float:
+    """An AF certain-outage edge that all of `fade` lies past, or, where that is
+    not proven, the edge no gain passes: 0 (HD) or inf (FD). It comes from the
+    bound gamma_d < a*x/b (HD) or a/(b*w) (FD), since c*(...) >= 0, and is
+    used only where every intermediate of every trial is a normal float.
+
+    Proof, with u = 2**-53 and fl(v) = v*(1 + e), |e| <= u, for an operation
+    whose result is normal (Higham 2002, sections 2.2-3.1). Rounding is
+    monotone, so each intermediate of each trial lies between its values at
+    the block's extreme gains, and checking those checks all of them.
+    HD: gamma_d = fl(N/D), N = fl(fl(a*x)*y) <= a*x*y*(1+u)**2 and D =
+    fl(fl(b*y) + c) >= fl(b*y) >= b*y*(1-u), so gamma_d <= (a*x/b)*(1+u)**3/(1-u);
+    x < edge = fl(fl(fl(cut*b)/a)*(1 - 2**-30)) <= cut*b/a*(1 - 2**-30)*(1+u)**3
+    then gives gamma_d < cut*(1 - 2**-30)*(1+u)**6/(1-u) < cut. FD: D =
+    fl(fl(c*fl(k1 + w)) + Q) >= Q = fl(fl(fl(b*w)*x)*y) >= b*w*x*y*(1-u)**3, so
+    gamma_d <= a/(b*w)*(1+u)**3/(1-u)**3; w >= edge = fl(fl(a/fl(b*cut))*(1 +
+    2**-30)) >= a/(b*cut)*(1 + 2**-30)*(1-u)**2/(1+u) then gives gamma_d <
+    cut*(1+u)**4/((1-u)**5*(1 + 2**-30)) < cut. The products below keep
+    snr_pair's association; a NaN or an overflow fails the checks.
+    """
+    k1, a, b, c = coefficients
+    (x0, x1), (y0, y1) = fade.extremes["x"], fade.extremes["y"]
+    if duplex == "hd":
+        cb = cut * b
+        cba = cb / a if a > 0 else math.nan
+        edge = cba * (1.0 - 2.0**-30)
+        if not _past_edge(duplex, fade, edge):
+            return _NO_EDGE[duplex]
+        num0, den1 = a * x0 * y0, b * y1 + c
+        checked = cut, cb, cba, edge, a * x0, num0, a * x1 * y1, b * y0, den1
+    else:
+        w0, w1 = fade.extremes["w"]
+        bc = b * cut
+        abc = a / bc if bc > 0 else math.nan
+        edge = abc * (1.0 + 2.0**-30)
+        if not _past_edge(duplex, fade, edge):
+            return _NO_EDGE[duplex]
+        num0, den1 = a * x0 * y0, c * (float(k1) + w1) + b * w1 * x1 * y1
+        checked = (cut, bc, abc, edge, a * x0, num0, a * x1 * y1, b * w0, b * w0 * x0,
+                   b * w0 * x0 * y0, den1)
+    # den1, the largest denominator, is checked before it divides
+    return edge if _normal(*checked) and _normal(num0 / den1) else _NO_EDGE[duplex]
 
 
 def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
@@ -348,17 +458,36 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
 
     Both hops share the capacity prefactor and capacity does not decrease in
     the SNR, so the end-to-end capacity is that of the weaker hop's SNR, and
-    it is below cth exactly where that SNR is below snr_cutoff: one compare
-    per trial. `scratch` is an optional pair of float64 arrays of the fades'
-    shape that takes the SNRs (see snr_pair); without it fresh ones are
-    used. The fade arrays are never written.
+    it is below cth exactly where that SNR is below snr_cutoff. A block of
+    fades that lies wholly past the certain-outage edge (see _past_edge) is
+    all True without a look at its arrays. A DF relay's edge is exact (see
+    _relay_edge), so a DF trial is in outage where its destination SNR is
+    below snr_cutoff or its gain is past the edge: one compare on each. An
+    AF edge is a proven bound (see _af_edge), and an AF trial is in outage
+    where its destination SNR is below snr_cutoff. Either way the flags are
+    those of the weaker hop's SNR, one per trial. `scratch` is an optional
+    pair of float64 arrays of the fades' shape for the SNRs (see snr_pair);
+    without it fresh ones are used. The fade arrays are never written.
     """
+    _check_fade(scenario, fade)
+    coefficients = snr_coefficients(cfg, scenario)
+    cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+    if scenario.relay == "df":
+        edge = _relay_edge(scenario.duplex, coefficients[0], cut)
+    else:
+        edge = _af_edge(scenario.duplex, coefficients, cut, fade)
+    if _past_edge(scenario.duplex, fade, edge):
+        return np.ones(_fade_shape(fade), bool)[()]
     if scratch is None:
         scratch = _empty_pair(fade)
-    gamma_r, gamma_d = snr_pair(cfg, scenario, fade, out=scratch)
-    if gamma_r is not None:
-        np.minimum(gamma_r, gamma_d, out=gamma_d)
-    return gamma_d < snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+    if scenario.relay == "af":
+        return _snrs(coefficients, scenario, fade, *scratch)[1] < cut
+    gamma_d = scratch[1]  # a*x*y, as snr_pair gives it
+    np.multiply(coefficients[1], fade.x, out=gamma_d)
+    np.multiply(gamma_d, fade.y, out=gamma_d)
+    flags = gamma_d < cut
+    flags |= fade.x < edge if scenario.duplex == "hd" else fade.w >= edge
+    return flags
 
 
 def _snr_for_rate(expo: float) -> float:

@@ -7,8 +7,11 @@ Outage is decided from the instantaneous capacities, keeping this path
 algebraically independent of the analytic evaluators: a trial is in outage
 where its weaker hop's SNR is below model.snr_cutoff, the least float64 SNR
 whose capacity reaches cth, found by evaluating the capacity function
-itself. The capacity does not decrease in the SNR, so that one compare per
-trial decides exactly as comparing the capacity with cth does.
+itself. The capacity does not decrease in the SNR, so comparing the SNR
+decides exactly as comparing the capacity with cth does. A block whose
+gains all lie past the certain-outage edge (see model.outage_indicator) is
+decided from its gains' extremes alone, and a DF relay hop by one compare
+on its gain.
 
 Rows of a dataset share their fades through one read-only memo of whole
 block fades, where an FD fade extends its block's HD fade (see _block_fade);

@@ -101,7 +101,9 @@ def test_every_mc_row_is_one_estimate_call_deciding_its_trials(monkeypatch, thre
     monkeypatch.setattr(mc, "outage_indicator", counted_indicator)
     monkeypatch.setattr(mc, "BLOCK_SIZE", 2**13)
     plan = McPlan(trials=2 * 2**13 + 123, seed=11)
-    points = [p for p in cli.selftest_points(SystemConfig()) if p.axis_value in (0.0, 0.3)]
+    # at tau 0.9 whole blocks lie past the certain-outage edge and are decided
+    # without their arrays; they still count their trials
+    points = [p for p in cli.selftest_points(SystemConfig()) if p.axis_value in (0.0, 0.3, 0.9)]
     for _ in range(2):  # the second run finds every block's gains kept
         decided.clear()
         cli.run_points(points, plan, threads)

@@ -294,6 +294,28 @@ class TestSnrCutoff:
         assert snr_cutoff(0.5, 0.0) == 0.0
         assert snr_cutoff(1e-4, 100.0) == math.inf  # 2**(1e6) leaves the float64 range
 
+    def test_search_from_a_guess_finds_what_plain_bisection_finds(self):
+        # the search starts at 2**(cth/pre) - 1 and steps ulps before it bisects;
+        # a plain bisection of the bit patterns asks only about midpoints
+        def bisection(pre, cth):
+            lo, hi = -1, _INF_BITS
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if capacity(pre, np.array([mid], np.int64).view(np.float64))[0] >= cth:
+                    hi = mid
+                else:
+                    lo = mid
+            return float(np.int64(hi).view(np.float64))
+
+        rng = np.random.default_rng(67)
+        pres = [*np.geomspace(1e-4, 0.9999, 24), *rng.uniform(1e-3, 1.0, 24)]
+        cths = [0.0, 5e-324, 1e-300, 1e-100, 1e-17, 1e-9, 1e-3, 0.5, 1.0, 2.0, 46.0, 1e3, 1e6,
+                *10.0 ** rng.uniform(-20.0, 3.0, 48)]
+        pairs = [(pre, cth) for pre in pres for cth in cths] + grid_cutoff_pairs()
+        assert len(pairs) > 3000
+        for pre, cth in pairs:
+            assert snr_cutoff.__wrapped__(pre, cth) == bisection(pre, cth), (pre, cth)
+
     def test_cold_search_is_silent(self):
         with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")

@@ -567,3 +567,25 @@ def test_memo_stays_within_budget(monkeypatch, draws):
         rows, _ = cli.run_points(points, plan, 1)
         assert _mc_columns(rows) == _expected_columns(_fresh(points, plan), plan)
     assert len(held) == 5 * len(points) and max(held) <= budget
+
+
+def test_selftest_decides_its_saturated_blocks_at_the_edge(monkeypatch, capsys):
+    """`selftest --trials 131072 --seed 1` decides 148 blocks of 65,536 trials,
+    and 54 of them lie wholly past the certain-outage edge: those come back all
+    in outage without a write to their scratch arrays. The count is a function
+    of the seed alone."""
+    untouched = []
+    indicator = mc.outage_indicator
+
+    def watched(cfg, scenario, fade, scratch):
+        for arr in scratch:
+            arr.fill(np.nan)
+        out = indicator(cfg, scenario, fade, scratch=scratch)
+        untouched.append(all(np.isnan(arr).all() for arr in scratch))
+        assert out.all() or not untouched[-1]
+        return out
+
+    monkeypatch.setattr(mc, "outage_indicator", watched)
+    assert cli.main(["selftest", "--trials", "131072", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(untouched) == 148 and sum(untouched) == 54
