@@ -8,6 +8,8 @@ Each line is a name and the SHA-256 of that result's bytes:
 
 - fig4..fig7: the `figure <name> --no-mc` CSV;
 - selftest: the `selftest --trials 20000` stdout;
+- selftest_bench: the stdout of the benchmark's selftest-mc command,
+  `selftest --trials 131072 --seed 1 --threads 1`;
 - outages: the float.hex of `analytic.outages` over a fixed seeded batch
   of pairs of all eight variants, then of each pair as a batch of one;
 - minimize_many: every field of `optimize.minimize_many` on the batch's
@@ -48,6 +50,7 @@ from ehrelay.optimize import minimize_many
 LABELS = ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr", "hd-af-irr",
           "fd-df-tsr", "fd-af-tsr")
 PAIRS_PER_LABEL = 100
+BENCH_SELFTEST = "selftest --trials 131072 --seed 1 --threads 1"
 MEMO_RUNS = ("selftest --trials 131072 --seed 7 --threads 1",
              "selftest --trials 131072 --seed 7 --threads 2",
              "selftest --trials 600000 --seed 3",
@@ -107,6 +110,7 @@ def main() -> None:
     for name in ("fig4", "fig5", "fig6", "fig7"):
         print(name, digest(cli_stdout(["figure", name, "--no-mc"])))
     print("selftest", digest(cli_stdout(["selftest", "--trials", "20000"])))
+    print("selftest_bench", digest(cli_stdout(BENCH_SELFTEST.split())))
     rng = np.random.default_rng(20181)
     pairs = random_pairs(rng)
     alone = [outages([pair])[0] for pair in pairs]
