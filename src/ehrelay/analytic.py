@@ -44,7 +44,12 @@ def _clamp01(p):
 # cannot resolve a super-exponential ramp spanning 30 decades, and dropping the
 # tail moves the outage by at most REL_TOL relative.
 def _threshold(z, a, b, c, v, d):
-    return d + v * c / np.maximum(a * z - v * b, 0.0)
+    # d + v*c/max(a*z - v*b, 0), in place in the float64 array z
+    np.multiply(a, z, out=z)
+    np.subtract(z, v * b, out=z)
+    np.maximum(z, 0.0, out=z)
+    np.divide(v * c, z, out=z)
+    return np.add(d, z, out=z)
 
 
 class _Columns:
@@ -159,8 +164,17 @@ def outages(pairs, params=None) -> np.ndarray:
             rows, mean, std, lo, hi, m, s, atol, *coefs = (c[pending] for c in columns)
 
             def integrand(u, k):
-                x = _threshold(np.exp((mean[k] + std[k] * u) / XI), *(col[k] for col in coefs))
-                return q_vector(-((XI * np.log(x) - m[k]) / s[k]))
+                # -((XI*log(x) - m)/s) at x = _threshold(exp((mean + std*u)/XI)), in one
+                # node-sized buffer
+                x = np.multiply(std[k], u)
+                np.add(mean[k], x, out=x)
+                np.divide(x, XI, out=x)
+                x = _threshold(np.exp(x, out=x), *(col[k] for col in coefs))
+                np.log(x, out=x)
+                np.multiply(XI, x, out=x)
+                np.subtract(x, m[k], out=x)
+                np.divide(x, s[k], out=x)
+                return q_vector(np.negative(x, out=x))
 
             values[rows] = _clamp01(values[rows] + integrate_normal_batch(integrand, lo, hi, atol))
     return values if params is None else values.reshape(params.shape)

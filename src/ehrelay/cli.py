@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -149,16 +148,17 @@ class Row:
 CSV_HEADER = ",".join(f.name for f in fields(Row))
 
 
-def run_points(points, plan, threads) -> tuple[list[Row], list[str]]:
+def run_points(points, plan, threads, mc_rows=None) -> tuple[list[Row], list[str]]:
     """Sweep-ordered rows (analytic values from one `outages` and one `minimize_many` call) and
     dataset notes: one names every optimize point that fell back to the dense grid. With a
-    `plan`, each row makes one `estimate_outage` call at `plan` as it is (at its optimum for an
-    optimize point), so rows share their fades through the process's read-only memo of whole
-    block fades, one per (block, channels) (see montecarlo._block_fade)."""
+    `plan`, each of the first `mc_rows` rows (all by default) makes one `estimate_outage` call
+    at `plan` as it is (at its optimum for an optimize point), so rows share their fades
+    through the process's read-only memo of whole block fades, one per (block, channels) (see
+    montecarlo._block_fade)."""
     plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]).tolist())
     optima = iter(minimize_many([(p.cfg, p.scenario) for p in points if p.optimize]))
     rows, fallbacks = [], []
-    for p in points:
+    for i, p in enumerate(points):
         scenario = p.scenario
         if p.optimize:
             result = next(optima)
@@ -168,7 +168,7 @@ def run_points(points, plan, threads) -> tuple[list[Row], list[str]]:
         else:
             value = next(plain)
         mc = ()
-        if plan is not None:
+        if plan is not None and (mc_rows is None or i < mc_rows):
             est = estimate_outage(p.cfg, scenario, plan, threads=threads)
             mc = (est.value, est.stderr, est.trials, plan.seed)
         rows.append(Row(p.curve, p.axis, p.axis_value, value, *mc))
@@ -181,6 +181,8 @@ def dataset_text(settings: dict, rows: list[Row], fmt: str, notes: list[str]) ->
     # otherwise-identical datasets differ byte-wise
     echoed = {key: settings[key] for key in sorted(settings) if key != "output.path"}
     if fmt == "json":
+        import json  # only JSON output needs it, so `import ehrelay.cli` does without
+
         payload = {"settings": echoed, "notes": notes, "rows": [vars(r) for r in rows]}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = [f"# {key} = {fmt_value(value)}" for key, value in echoed.items()]
@@ -309,19 +311,20 @@ def cmd_figure(args, settings, cfg, plan) -> int:
 
 
 def cmd_selftest(args, settings, cfg, plan) -> int:
-    rows, _ = run_points(selftest_points(cfg), plan, args.threads)
-    # every row replays alone with `point --seed S --trials N`
+    grid = selftest_points(cfg)
+    # one analytic batch for the grid and the boundary probes; only the grid runs MC
+    rows, _ = run_points(grid + boundary_points(cfg), plan, args.threads, mc_rows=len(grid))
+    # every grid row replays alone with `point --seed S --trials N`
     print(f"selftest: seed {plan.seed}, {plan.trials} trials per point")
     failures = 0
-    for row in rows:
+    for row in rows[:len(grid)]:
         tol = max(3.0 * row.mc_stderr, 1e-3)
         ok = abs(row.analytic - row.mc) <= tol
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} {row.scenario} {row.axis}={fmt_value(row.axis_value)}: "
               f"analytic={row.analytic:.6f} mc={row.mc:.6f} "
               f"|diff|={abs(row.analytic - row.mc):.2e} tol={tol:.2e}")
-    probes, _ = run_points(boundary_points(cfg), None, args.threads)
-    for row in probes:
+    for row in rows[len(grid):]:
         val = row.analytic
         if row.axis == "cth":
             ok, check = val <= 1e-12, f"{val:.3e} <= 1e-12"

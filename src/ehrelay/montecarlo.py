@@ -10,8 +10,9 @@ whose capacity reaches cth, found by evaluating the capacity function
 itself. The capacity does not decrease in the SNR, so comparing the SNR
 decides exactly as comparing the capacity with cth does. A block whose
 gains all lie past the certain-outage edge (see model.outage_indicator) is
-decided from its gains' extremes alone, and a DF relay hop by one compare
-on its gain.
+decided from its gains' extremes alone, a DF relay hop by one compare on
+its gain, and an FD-AF block that straddles the edge by the SNRs of only
+its trials short of it, when they are few.
 
 Rows of a dataset share their fades through one read-only memo of whole
 block fades, where an FD fade extends its block's HD fade (see _block_fade);
@@ -23,7 +24,6 @@ from __future__ import annotations
 import functools
 import operator
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +72,10 @@ def _thread_array(key, size: int) -> np.ndarray:
 
 
 @functools.cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """The one pool of `threads` workers, so calls reuse its threads' arrays."""
+def _pool(threads: int):
+    """The one ThreadPoolExecutor of `threads` workers, so calls reuse its threads' arrays."""
+    from concurrent.futures import ThreadPoolExecutor  # only a run on threads > 1 loads it
+
     return ThreadPoolExecutor(max_workers=threads)
 
 

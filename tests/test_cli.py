@@ -623,6 +623,21 @@ def test_selftest_passes_at_reduced_budget(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_selftest_is_one_analytic_batch_and_one_estimate_per_grid_row(monkeypatch, capsys):
+    # the 74 grid rows and the 20 boundary probes share one `outages` batch, in that
+    # order, and only the grid rows run MC: the benchmark counts 74 estimates a pass
+    batches, estimates = [], []
+    outages, estimate = cli.outages, cli.estimate_outage
+    monkeypatch.setattr(cli, "outages", lambda pairs: batches.append(pairs) or outages(pairs))
+    monkeypatch.setattr(cli, "estimate_outage", lambda cfg, scenario, plan, threads=1: (
+        estimates.append((cfg, scenario)) or estimate(cfg, scenario, plan, threads=threads)))
+    assert main(["selftest", "--trials", "10000"]) in (EXIT_OK, 4)
+    grid, probes = selftest_points(SystemConfig()), boundary_points(SystemConfig())
+    assert batches == [[(p.cfg, p.scenario) for p in grid + probes]]
+    assert estimates == [(p.cfg, p.scenario) for p in grid]
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 74 + 20 + 1
+
+
 # three MC blocks per point (see multi_block), the last one short
 MULTI_BLOCK = ["--trials", "10000"]
 

@@ -1,11 +1,13 @@
 """The certain-outage edge of the Monte Carlo decision: a DF relay's edge
 (model._relay_edge) decides its hop exactly, an AF edge (model._af_edge) only
 where every trial past it is in outage by the SNR decision, and
-outage_indicator, which uses both, flags what the weaker hop's SNR flags."""
+outage_indicator, which uses both, flags what the weaker hop's SNR flags,
+also where it computes the SNRs of only a block's trials short of the edge."""
 
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -79,25 +81,27 @@ def magnitude(low: int, high: int):
        spreads=st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
        offset=st.sampled_from([*range(-3, 4), 64, 2**20, 2**23, 2**30, 2**40, -(2**22),
                                -(2**23), -(2**24), -(2**30)]),
-       seed=st.integers(0, 2**32 - 1))
+       short=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
 # a*x*y subnormal, with 2**-14 of relative precision, while b*y is normal
 @example(duplex="hd", a=1.0, b=2.0**100, c=2.0**-74, k1=1.0, cut=2.0**-100, other=2.0**-60,
-         scale=-1000, spreads=(0.0, 1.0), offset=1, seed=1)
+         scale=-1000, spreads=(0.0, 1.0), offset=1, short=0, seed=1)
 # c negligible and the extreme gain short of the edge, at cut*b/a*(1 + 2**-42) (HD) or at
 # a/(b*cut)*(1 - 2**-43) and 1 (FD): an edge that takes those trials fails
 @example(duplex="hd", a=1.0, b=1.0, c=2.0**-300, k1=1.0, cut=1.0, other=1.0, scale=0,
-         spreads=(0.0, 1.0), offset=-(2**23 + 2**10), seed=1)
+         spreads=(0.0, 1.0), offset=-(2**23 + 2**10), short=0, seed=1)
 @example(duplex="fd", a=1.0, b=1.0, c=2.0**-300, k1=1.0, cut=1.0, other=1.0, scale=0,
-         spreads=(0.0, 1.0), offset=-(2**22 + 2**10), seed=1)
+         spreads=(0.0, 1.0), offset=-(2**22 + 2**10), short=0, seed=1)
 @example(duplex="fd", a=1.0, b=1.0, c=2.0**-300, k1=1.0, cut=1.0, other=1.0, scale=0,
-         spreads=(0.0, 1.0), offset=-(2**22), seed=1)
+         spreads=(0.0, 1.0), offset=-(2**22), short=0, seed=1)
 def test_af_edge_flags_only_trials_the_snr_decision_flags(duplex, a, b, c, k1, cut, other,
-                                                          scale, spreads, offset, seed):
-    """Whenever _af_edge puts a block past its edge, every trial's destination
-    SNR, computed as snr_pair computes it, is below cut. The block's extreme
-    gain is set `offset` floats past the edge, cut*b/a*(1 - 2**-30) for an HD
-    x or a/(b*cut)*(1 + 2**-30) for an FD w (a negative offset: short of it),
-    and its other gains spread from there or around `other`.
+                                                          scale, spreads, offset, short, seed):
+    """Every trial past the edge that _af_edge gives has its destination SNR,
+    computed as snr_pair computes it, below cut. The block's extreme gain is
+    set `offset` floats past the edge, cut*b/a*(1 - 2**-30) for an HD x or
+    a/(b*cut)*(1 + 2**-30) for an FD w (a negative offset: short of it), and
+    its other gains spread from there or around `other`; `short` of its 16
+    trials spread the other way, so 0-30 % of an FD block can lie short of an
+    edge that it straddles, as on outage_indicator's subset path.
     Scaling a, b and c by 2**scale leaves every SNR as it is in exact
     arithmetic, and drives the floats to the ends of the normal range and past
     them, where the range guard decides."""
@@ -116,6 +120,7 @@ def test_af_edge_flags_only_trials_the_snr_decision_flags(duplex, a, b, c, k1, c
     # HD x at or below its pinned max, FD w at or above its pinned min
     with np.errstate(over="ignore", under="ignore"):
         edge_gain = pinned * 2.0 ** (sign * spreads[0] * rng.random(16))
+        edge_gain[1:1 + short] = pinned * 2.0 ** (-sign * spreads[0] * rng.random(short))
         free_gain = other * 2.0 ** (spreads[1] * (rng.random(16) - 0.5))
     edge_gain[0] = pinned
     gains = {"x": edge_gain, "y": free_gain}
@@ -126,23 +131,27 @@ def test_af_edge_flags_only_trials_the_snr_decision_flags(duplex, a, b, c, k1, c
     fade = FadeSample(**gains)
     scenario = Scenario(duplex, "af", "tsr", tau=0.5)
     coefficients = (None if duplex == "hd" else k1), a, b, c
-    if model._past_edge(duplex, fade, model._af_edge(duplex, coefficients, cut, fade)):
+    edge = model._af_edge(duplex, coefficients, cut, fade)
+    past = fade.x < edge if duplex == "hd" else fade.w >= edge
+    if past.any():
         with np.errstate(all="ignore"):
-            _, gamma_d = model._snrs(coefficients, scenario, fade, np.empty(16), np.empty(16))
-        assert np.all(gamma_d < cut), (edge, gamma_d.max())
+            _, gamma_d = model._snrs(coefficients, scenario, fade.x, fade.y, fade.w, np.empty(16),
+                                     np.empty(16))
+        assert np.all(gamma_d[past] < cut), (edge, gamma_d[past].max())
 
 
 def test_af_edge_leaves_a_nan_snr_to_the_snr_decision():
     """An HD-AF trial whose a*x*y and b*y both overflow has a NaN SNR, which
-    the SNR decision counts as no outage. Its x is far below the bound
-    cut*b/a, but the range guard keeps the block off the edge."""
+    outage_indicator decides by its limit a*x/b (see the test below). Its x
+    is far below the bound cut*b/a, but the range guard keeps the block off
+    the edge."""
     coefficients = None, 1e300, 1e300, 1.0
     fade = FadeSample(np.array([1e4]), np.array([1e10]))
     cut = 1e5  # cut*b/a is 1e5 > x
     assert model._af_edge("hd", coefficients, cut, fade) == 0.0
     with np.errstate(all="ignore"):
-        _, gamma_d = model._snrs(coefficients, Scenario("hd", "af", "irr"), fade,
-                                 np.empty(1), np.empty(1))
+        _, gamma_d = model._snrs(coefficients, Scenario("hd", "af", "irr"), fade.x, fade.y,
+                                 None, np.empty(1), np.empty(1))
     assert np.isnan(gamma_d[0])
     assert model._af_edge("hd", coefficients, cut, FadeSample(np.array([1e-9]), np.array([1e-10])))
 
@@ -166,25 +175,123 @@ def random_link(rng, label):
     return cfg, Scenario.from_label(label, tau=param, rho=param, pc_fraction=pc)
 
 
+def straddling_fade(rng, cfg, scenario, gains):
+    """An FD-AF block of `gains` whose loop-back gains straddle the AF edge
+    a/(b*cut)*(1 + 2**-30), with 0-30 % of them short of it, the first trial
+    short and the second past; None where that edge is not a positive float."""
+    _, a, b, _ = model.snr_coefficients(cfg, scenario)
+    bc = b * snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+    if not 2.0**-900 < bc / a < 2.0**900:  # cth = 0 has no edge
+        return None
+    edge = a / bc * (1.0 + 2.0**-30)
+    short = rng.random(64) < rng.uniform(0.0, 0.3)
+    short[:2] = True, False
+    return FadeSample(gains[0], gains[1],
+                      edge * 2.0 ** (np.where(short, -1.0, 1.0) * rng.uniform(1e-3, 4.0, 64)))
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_indicator_flags_the_weaker_snr_below_the_cutoff(monkeypatch, label):
     """outage_indicator is min(snr_pair) < snr_cutoff trial by trial, over
-    random links, on blocks of 64 fades and on scalar fades, and some of the
-    blocks lie wholly past the edge."""
-    past = []
-    past_edge = model._past_edge
+    random links, on blocks of 64 fades and on scalar fades. Some of the
+    blocks lie wholly past the edge, and some DF blocks have no trial past it
+    and skip the compare on the gain. Each FD-AF link adds a block that
+    straddles its edge with 0-30 % of its trials short of it: when at most
+    _SUBSET_SHARE are, the SNRs of only those trials are computed."""
+    past, some, sizes = [], [], []
+    past_edge, any_past, snrs = model._past_edge, model._any_past, model._snrs
     monkeypatch.setattr(model, "_past_edge", lambda *args: past.append(past_edge(*args)) or past[-1])
+    monkeypatch.setattr(model, "_any_past", lambda *args: some.append(any_past(*args)) or some[-1])
+    monkeypatch.setattr(model, "_snrs",
+                        lambda co, sc, x, *rest: sizes.append(np.size(x)) or snrs(co, sc, x, *rest))
     rng = np.random.default_rng(73)
+    computed = set()  # whether a straddling FD-AF block computed only its short trials' SNRs
     for _ in range(150):
         cfg, scenario = random_link(rng, label)
         gains = [sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg)]
         if scenario.duplex == "hd":
             gains[2] = None
         scalars = [None if g is None else float(g[0]) for g in gains]
-        for fade in (FadeSample(*gains), FadeSample(*scalars)):
+        fades = [FadeSample(*gains), FadeSample(*scalars)]
+        if label == "fd-af-tsr":
+            fades.append(straddling_fade(rng, cfg, scenario, gains))
+        cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+        for fade in filter(None, fades):
             gamma_r, gamma_d = snr_pair(cfg, scenario, fade)
             weaker = gamma_d if gamma_r is None else np.minimum(gamma_r, gamma_d)
-            want = weaker < snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+            want = weaker < cut
+            sizes.clear()
             got = outage_indicator(cfg, scenario, fade)
             assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+            if fade is fades[-1] and len(fades) == 3:
+                n = np.count_nonzero(fade.w < model._af_edge("fd", model.snr_coefficients(
+                    cfg, scenario), cut, fade))
+                subset = 0 < n <= model._SUBSET_SHARE * 64
+                assert sizes == [n if subset else 64]
+                computed.add(subset)
     assert any(past)
+    if "-df-" in label:
+        assert not all(some)
+    if label == "fd-af-tsr":
+        assert computed == {True, False}
+
+
+@pytest.mark.parametrize("duplex", ["hd", "fd"])
+def test_indicator_decides_an_overflowed_af_snr_by_its_limit(duplex):
+    """Where a*x*y and its denominator both overflow, snr_pair's AF SNR is NaN,
+    and outage_indicator decides the trial by the SNR's limit as x*y grows,
+    a*x/b (HD) or a/(b*w) (FD): the decision of the exact SNR, which mpmath
+    gives. The other trials keep the SNR decision. The HD link is one that
+    SystemConfig accepts and whose 300 dB second hop draws such gains."""
+    if duplex == "hd":
+        cfg = SystemConfig(d1_m=1e50, ps_watts=5e97, ch2=ChannelSpec(3.0, 300.0))
+        scenario = Scenario("hd", "af", "irr")
+        fade = FadeSample(np.tile(np.geomspace(0.1, 100.0, 40), 2), np.repeat([1e5, 1e250], 40))
+    else:
+        cfg = SystemConfig(ps_watts=1e300)
+        scenario = Scenario("fd", "af", "tsr", tau=0.5)
+        fade = FadeSample(np.full(80, 1e6), np.repeat([1e-5, 1e5], 40),
+                          np.tile(np.geomspace(1e-2, 1.0, 40), 2))
+    k1, a, b, c = (mpmath.mpf(float(v)) if v is not None else None
+                   for v in model.snr_coefficients(cfg, scenario))
+    cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+    with np.errstate(all="ignore"):
+        _, gamma_d = snr_pair(cfg, scenario, fade)
+        got = outage_indicator(cfg, scenario, fade)
+    nan = np.isnan(gamma_d)
+    assert np.array_equal(nan, np.arange(80) >= 40)
+    assert np.array_equal(got[~nan], gamma_d[~nan] < cut)
+    with mpmath.workprec(200):
+        x, y = map(mpmath.mpf, (fade.x[40], fade.y[40]))
+        exact = [a * x * y / (b * y + c) if duplex == "hd" else
+                 a * x * y / (c * (k1 + mpmath.mpf(w)) + b * mpmath.mpf(w) * x * y)
+                 for x, w in zip(map(mpmath.mpf, fade.x[40:]),
+                                 fade.x[40:] if fade.w is None else fade.w[40:])]
+        assert np.array_equal(got[nan], [v < cut for v in exact])
+    assert 0 < np.count_nonzero(got[nan]) < 40  # NaN counted as no outage before
+
+
+def test_indicator_keeps_blocks_off_the_edge_where_the_range_guard_fails(monkeypatch):
+    """A straddling FD-AF block whose intermediates leave the normal range at
+    its extreme gains gets no edge, so the SNRs of all its trials are
+    computed: a subnormal a*x (x = 1e-310), or an a*x*y that overflows (the
+    last trial, whose SNR is then NaN and decided by its limit). With normal
+    intermediates the same block computes its three short trials' SNRs only."""
+    sizes = []
+    snrs = model._snrs
+    monkeypatch.setattr(model, "_snrs",
+                        lambda co, sc, x, *rest: sizes.append(np.size(x)) or snrs(co, sc, x, *rest))
+    scenario = Scenario("fd", "af", "tsr", tau=0.5)
+    w = np.geomspace(0.03, 10.0, 20)  # a = b, so the edge is 1/(cut = 15): w[:3] are short
+    x = np.full(20, 100.0)
+    for cfg, x, computed in ((SystemConfig(), x, 3), (SystemConfig(), np.r_[1e-310, x[1:]], 20),
+                             (SystemConfig(ps_watts=1e300), np.r_[x[:-1], 1e10], 20)):
+        fade = FadeSample(x, np.ones(20), w)
+        with np.errstate(all="ignore"):
+            _, gamma_d = snr_pair(cfg, scenario, fade)
+            sizes.clear()
+            got = outage_indicator(cfg, scenario, fade)
+        assert sizes == [computed]
+        # where the SNR is NaN (the overflow), its limit 1/w = 0.1 is below the cutoff
+        assert np.array_equal(got, (gamma_d < 15.0) | np.isnan(gamma_d))
+        assert not got[0] or x[0] < 1.0  # a short trial not in outage

@@ -12,12 +12,13 @@ import importlib
 import importlib.util
 import math
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import ehrelay.montecarlo as mc
-from ehrelay import ChannelSpec, SystemConfig, cli, grids
+from ehrelay import ChannelSpec, SystemConfig, cli, grids, model
 from ehrelay.montecarlo import McPlan
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -84,21 +85,33 @@ def test_bench_plan_arguments_bind():
 def test_every_mc_row_is_one_estimate_call_deciding_its_trials(monkeypatch, threads):
     """The benchmark counts each row's trials from the outage-indicator calls
     below its `cli.estimate_outage` call, so a dataset run makes one call per
-    MC row with the benchmark's signature, and each decides plan.trials trials."""
+    MC row with the benchmark's signature, and each decides plan.trials trials,
+    also where an FD-AF block computes the SNRs of only its trials short of
+    the certain-outage edge."""
     decided = []  # per estimate_outage call, the size of each outage decision
-    estimate, indicator = cli.estimate_outage, mc.outage_indicator
+    subsets = []  # per estimate_outage call, the blocks that computed fewer SNRs than trials
+    block = threading.local()  # the size of the block the thread decides
+    estimate, indicator, snrs = cli.estimate_outage, mc.outage_indicator, model._snrs
 
     def fake_estimate(cfg, scenario, plan, threads=1):
         decided.append([])
+        subsets.append([])
         return estimate(cfg, scenario, plan, threads=threads)
 
-    def counted_indicator(*args, **kwargs):
-        out = indicator(*args, **kwargs)
+    def counted_indicator(cfg, scenario, fade, **kwargs):
+        block.size = fade.x.size
+        out = indicator(cfg, scenario, fade, **kwargs)
         decided[-1].append(out.size)
         return out
 
+    def counted_snrs(coefficients, scenario, x, *args):
+        if x.size < block.size:
+            subsets[-1].append(block.size)
+        return snrs(coefficients, scenario, x, *args)
+
     monkeypatch.setattr(cli, "estimate_outage", fake_estimate)
     monkeypatch.setattr(mc, "outage_indicator", counted_indicator)
+    monkeypatch.setattr(model, "_snrs", counted_snrs)
     monkeypatch.setattr(mc, "BLOCK_SIZE", 2**13)
     plan = McPlan(trials=2 * 2**13 + 123, seed=11)
     # at tau 0.9 whole blocks lie past the certain-outage edge and are decided
@@ -106,10 +119,13 @@ def test_every_mc_row_is_one_estimate_call_deciding_its_trials(monkeypatch, thre
     points = [p for p in cli.selftest_points(SystemConfig()) if p.axis_value in (0.0, 0.3, 0.9)]
     for _ in range(2):  # the second run finds every block's gains kept
         decided.clear()
+        subsets.clear()
         cli.run_points(points, plan, threads)
         assert len(decided) == len(points)
         assert [sum(sizes) for sizes in decided] == [plan.trials] * len(points)
         assert all(len(sizes) == len(plan.blocks()) for sizes in decided)
+        labels = {p.scenario.label() for p, blocks in zip(points, subsets) if blocks}
+        assert labels == {"fd-af-tsr"}
 
 
 def test_bench_acceptance_grid_matches_selftest_points():

@@ -257,6 +257,15 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_json_and_the_thread_pool_unloaded():
+    # JSON output imports json, and a run on more than one thread concurrent.futures
+    code = ("import sys, ehrelay.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] in ('json', 'concurrent')])")
+    done = run_python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
                     reason="counts the threads in /proc/self/task of a multi-core machine")
 @pytest.mark.parametrize("caller,threads", [(None, 1), ("2", 2)], ids=["unset", "caller-set"])
