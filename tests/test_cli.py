@@ -244,6 +244,43 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("config error: sweep: cth = inf: ")
         assert not out.exists()
 
+    # one bad value on each axis, after a good one, and the one line it exits with
+    BAD_AXIS_VALUES = {
+        "tau": (["--scenario", "hd-df-tsr", "--axis", "tau", "--values", "0.5,1.5"],
+                "sweep: tau = 1.5: tau must be in (0, 1) for tsr, got 1.5"),
+        "rho": (["--scenario", "hd-df-psr", "--axis", "rho", "--values", "0.5,0"],
+                "sweep: rho = 0.0: rho must be in (0, 1) for psr, got 0.0"),
+        "cth": (["--axis", "cth", "--values", "1,-1"],
+                "sweep: cth = -1.0: cth must be finite and >= 0, got -1.0"),
+        "d1": (["--axis", "d1", "--values", "5,0"], "sweep: d1 = 0.0: d1_m must be > 0, got 0.0"),
+        "d1-total": (["--axis", "d1", "--values", "5,30", "--override",
+                      "sweep.total_distance=30"], "sweep: d1 = 30.0 leaves no room under total 30.0"),
+        "sigma_db": (["--axis", "sigma_db", "--values", "2,-1"],
+                     "sweep: sigma_db = -1.0: sigma_db must be > 0, got -1.0"),
+        "ps": (["--axis", "ps", "--values", "1,1e308"],
+               "sweep: ps = 1e+308: relay SNR scale must be finite and > 0, got inf"),
+        "sigma_g_db": (["--axis", "sigma_g_db", "--values", "1,nan"],
+                       "sweep: sigma_g_db = nan: sigma_db must be > 0, got nan"),
+        "mismatch": (["--scenario", "hd-df-irr", "--axis", "tau", "--values", "0.5"],
+                     "sweep: tau sweeps need a tsr scenario"),
+        "unknown": (["--override", "sweep.axis=foo", "--values", "1"],
+                    "sweep: axis must be one of ('tau', 'rho', 'cth', 'd1', 'sigma_db', 'ps', "
+                    "'sigma_g_db'), got 'foo'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_AXIS_VALUES))
+    def test_bad_axis_value_exit_line(self, case, capsys):
+        args, line = self.BAD_AXIS_VALUES[case]
+        assert run(["sweep", "--no-mc", *args]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+    def test_bad_preset_value_exit_line(self, capsys):
+        # fig6's first row, d1 = 3 m and d2 = 27 m, takes the path loss out of range
+        assert run(["figure", "fig6", "--no-mc", "--override",
+                    "system.path_loss_exp=200"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: figure fig6: d1 = 3.0: destination noise "
+                                           "lp1 * lp2 * sigma_d2_w must be finite and > 0, got inf\n")
+
     def test_missing_values_rejected(self, capsys):
         assert run(["sweep", "--scenario", "hd-df-tsr", "--axis", "tau",
                     "--no-mc"]) == EXIT_CONFIG

@@ -10,6 +10,9 @@ Each line is a name and the SHA-256 of that result's bytes:
 - selftest: the `selftest --trials 20000` stdout;
 - selftest_bench: the stdout of the benchmark's selftest-mc command,
   `selftest --trials 131072 --seed 1 --threads 1`;
+- sweep_bench: the stdout of the benchmark's six sweep-lowoutage commands,
+  a `sweep --axis ps` over 25 powers from 50 to 5000 W per HD variant at
+  10^4 trials, seed 1 and `--threads 1`, one after the other;
 - outages: the float.hex of `analytic.outages` over a fixed seeded batch
   of pairs of all eight variants, then of each pair as a batch of one;
 - minimize_many: every field of `optimize.minimize_many` on the batch's
@@ -51,6 +54,12 @@ LABELS = ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr", "hd-a
           "fd-df-tsr", "fd-af-tsr")
 PAIRS_PER_LABEL = 100
 BENCH_SELFTEST = "selftest --trials 131072 --seed 1 --threads 1"
+BENCH_SWEEP_PS = ",".join(f"{50.0 * 100.0 ** (i / 24):.10g}" for i in range(25))
+BENCH_SWEEPS = tuple(f"sweep --axis ps --values {BENCH_SWEEP_PS} --scenario {variant} "
+                     "--trials 10000 --seed 1 --threads 1"
+                     for variant in ("hd-df-tsr --tau 0.3", "hd-af-tsr --tau 0.3",
+                                     "hd-df-psr --rho 0.5", "hd-af-psr --rho 0.5", "hd-df-irr",
+                                     "hd-af-irr"))
 MEMO_RUNS = ("selftest --trials 131072 --seed 7 --threads 1",
              "selftest --trials 131072 --seed 7 --threads 2",
              "selftest --trials 600000 --seed 3",
@@ -111,6 +120,7 @@ def main() -> None:
         print(name, digest(cli_stdout(["figure", name, "--no-mc"])))
     print("selftest", digest(cli_stdout(["selftest", "--trials", "20000"])))
     print("selftest_bench", digest(cli_stdout(BENCH_SELFTEST.split())))
+    print("sweep_bench", digest("".join(cli_stdout(run.split()) for run in BENCH_SWEEPS)))
     rng = np.random.default_rng(20181)
     pairs = random_pairs(rng)
     alone = [outages([pair])[0] for pair in pairs]
