@@ -483,12 +483,14 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
     bound (see _af_edge), and an AF trial is in outage where its destination
     SNR is below snr_cutoff; a straddling FD-AF block with few trials short
     of the edge (_SUBSET_SHARE) computes the SNRs of those trials only, and
-    flags the rest. Where a*x*y can overflow, an AF SNR that is NaN (both a*x*y
+    flags the rest. Where the block's extreme gains let an SNR operation leave
+    the float range (see _snrs_in_range), the block is decided under
+    np.errstate; where a*x*y can overflow, an AF SNR that is NaN (both a*x*y
     and its denominator overflowed) is replaced by its limit as x*y grows,
-    a*x/b (HD) or a/(b*w) (FD). Either way the flags are those of the weaker
-    hop's SNR, one per trial. `scratch` is an optional pair of float64 arrays
-    of the fades' shape for the SNRs (see snr_pair); without it fresh ones
-    are used. The fade arrays are never written.
+    a*x/b (HD) or a/(b*w) (FD). Either way the flags are those of the weaker hop's SNR, one per
+    trial. `scratch` is an optional pair of float64 arrays of the fades'
+    shape for the SNRs (see snr_pair); without it fresh ones are used. The
+    fade arrays are never written.
     """
     _check_fade(scenario, fade)
     duplex = scenario.duplex
@@ -502,6 +504,36 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
         return np.ones(_fade_shape(fade), bool)[()]
     if scratch is None:
         scratch = _empty_pair(fade)
+    # the errstate is entered here, not by the caller: pool threads do not inherit it
+    if _snrs_in_range(coefficients, scenario, fade):
+        return _decide(coefficients, scenario, fade, cut, edge, scratch)
+    with np.errstate(all="ignore"):
+        return _decide(coefficients, scenario, fade, cut, edge, scratch)
+
+
+def _snrs_in_range(coefficients, scenario: Scenario, fade: FadeSample) -> bool:
+    """Whether outage_indicator's SNR operations on `fade` stay finite, with
+    denominators > 0, so that none raises a floating-point warning: the
+    destination SNR's numerator a*x*y and, for AF, its denominator and their
+    quotient. Each is monotone in every gain, so the block's extreme gains
+    bound all of its trials."""
+    k1, a, b, c = coefficients
+    (x0, x1), (y0, y1) = fade.extremes["x"], fade.extremes["y"]
+    num1 = a * x1 * y1
+    if scenario.relay == "df":
+        return num1 < math.inf
+    if scenario.duplex == "hd":
+        den0, den1 = b * y0 + c, b * y1 + c
+    else:
+        (w0, w1), k1 = fade.extremes["w"], float(k1)
+        den0, den1 = c * (k1 + w0) + b * w0 * x0 * y0, c * (k1 + w1) + b * w1 * x1 * y1
+    return num1 < math.inf and den1 < math.inf and den0 > 0 and num1 / den0 < math.inf
+
+
+def _decide(coefficients, scenario: Scenario, fade: FadeSample, cut: float, edge: float,
+            scratch):
+    """outage_indicator's flags of a block not wholly past the edge."""
+    duplex = scenario.duplex
     x, y, w = fade.x, fade.y, fade.w
     if scenario.relay == "df":
         gamma_d = scratch[1]  # a*x*y, as snr_pair gives it

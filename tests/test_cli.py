@@ -338,6 +338,20 @@ class TestOptimize:
             assert out == f"scenario           {scenario}\nanalytic outage    {value}\n"
             assert "Warning" not in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_snr_out_of_float_range_prints_no_numpy_warning(self, threads, capsys):
+        # the MC twin of the test above: a 300 dB second hop makes a*x*y and its
+        # denominator overflow on some trials, each decided by the SNR's limit (in
+        # process: pytest turns a RuntimeWarning, also one in a pool thread, into an error)
+        assert run(["point", "--scenario", "hd-af-irr", "--trials", "100000", "--seed", "3",
+                    "--threads", threads, "--override", "system.d1_m=1e50",
+                    "--override", "system.ps_watts=5e97",
+                    "--override", "system.ch2.sigma_db=300"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:3] == ["analytic outage    0.96319981",
+                                         "monte carlo        0.96458"]
+        assert err == ""
+
     def test_infinite_mc_gains_exit_numerical(self):
         # a 1e300 dB mean makes every h1^2 draw overflow to inf
         proc = run_subprocess(["point", "--trials", "10000",
