@@ -6,22 +6,18 @@ full-duplex inverse loop-back gain R = 1/W. The outage is that head term
 plus the chance that the other gains fail above the edge: closed form for
 full-duplex DF, and one integral of one integrand for the six half-duplex
 variants and full-duplex AF (DF is AF with a noiseless relay). `outages`
-evaluates many (cfg, scenario) pairs: it reduces the pairs of each variant
-as columns of float64 arrays and then integrates every tail in one batched
-quadrature; `outage` is a batch of one.
+evaluates column sets (model.Columns: a curve, or one pair a set): it
+reduces the rows of each variant together and then integrates every tail in
+one batched quadrature; `outage` is a batch of one.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from types import SimpleNamespace
-
 import numpy as np
 
-from .lognormal import (XI, _log, _standardize, elementwise, product_db_moments, q_function,
-                        q_vector)
-from .model import (OutageEstimate, Scenario, SystemConfig, flat_fields, snr_coefficients,
-                    threshold_snr)
+from .lognormal import XI, _log, _standardize, product_db_moments, q_function, q_vector
+from .model import (EH_PARAMS, Columns, OutageEstimate, Scenario, SystemConfig, by_variant,
+                    snr_coefficients, threshold_snr)
 # integrate_lognormal_weighted stays importable here: bench/spans.py hooks this name
 from .quadrature import (ABS_TOL, REL_TOL, integrate_lognormal_weighted,  # noqa: F401
                          integrate_normal_batch)
@@ -52,40 +48,25 @@ def _threshold(z, a, b, c, v, d):
     return np.add(d, z, out=z)
 
 
-class _Columns:
-    """The fields of same-typed dataclass instances (rows) as attributes:
-    numbers as float64 arrays that hold each row's value `repeat` times in
-    succession, a str or None (the same on every row of one variant) as
-    itself, and a nested instance's columns on a SimpleNamespace."""
-
-    def __init__(self, rows, repeat=1):
-        fields = flat_fields(rows[0])
-        numbers = [name for name, value in fields.items() if isinstance(value, (int, float))]
-        # one field gives a value per row, not a tuple: reshape makes it a column
-        table = np.array([*map(attrgetter(*numbers), rows)], float).reshape(len(rows), -1)
-        fields.update(zip(numbers, np.repeat(table, repeat, axis=0).T))
-        for name, value in fields.items():
-            *outer, leaf = name.split(".")
-            owner = self
-            for part in outer:
-                owner = vars(owner).setdefault(part, SimpleNamespace())
-            setattr(owner, leaf, value)
-
-
-def _reduce(cfg, scenario):
-    """The outages of one variant's rows, given as _Columns: (value, pending,
-    tail). Row i's outage is value[i], or, where pending[i], value[i] (the head
-    term) plus the integral of _threshold described by row i of tail = (mean,
-    std, lo, hi, m, s, atol, a, b, c, v, d): the dB moments of the weight's
-    squared gain, the window in their standardized coordinate, the threshold's
-    dB moments, the absolute tolerance and _threshold's coefficients. tail is ()
-    for the closed form.
+def _reduce(columns: Columns):
+    """The outages of the rows of one variant's Columns: (value, pending, tail),
+    each an array of a value per row. Row i's outage is value[i], or, where
+    pending[i], value[i] (the head term) plus the integral of _threshold
+    described by row i of tail = (mean, std, lo, hi, m, s, atol, a, b, c, v,
+    d): the dB moments of the weight's squared gain, the window in their
+    standardized coordinate, the threshold's dB moments, the absolute
+    tolerance and _threshold's coefficients. tail is () for the closed form.
 
     The head Pr{weight < lower} is where outage is certain: HD's first hop X
     misses `lower` (DF: k1*X < v; AF: X <= v*B/A), or FD's R = 1/W is below v/k1,
     past the loop-back cutoff W = k1/v (DF's relay SNR k1/W misses v, AF's relay
     swamps the signal with amplified interference). Above it FD-DF fails where Z
     = X*Y < v/a, independently of W, and the others integrate _threshold."""
+    cfg, scenario = columns.pair()
+
+    def rows(*values):  # a shared value broadcast to a column
+        return [np.full(columns.size, x) if np.ndim(x) == 0 else x for x in values]
+
     v = threshold_snr(scenario, cfg.cth)
     settled = (v == 0.0) | np.isinf(v)
     value = np.where(v == 0.0, 0.0, 1.0)  # the outage of a settled row
@@ -106,58 +87,56 @@ def _reduce(cfg, scenario):
         # summing the failures, not subtracting success from 1, keeps the
         # relative precision of a tiny outage
         p_z = q_function(-_standardize(v / a, *hop))
-        return np.where(settled, value, _clamp01(head + p_z - head * p_z)), None, ()
-    pending = ~settled & ~(q_function(u) <= REL_TOL * head)
+        return rows(np.where(settled, value, _clamp01(head + p_z - head * p_z)))[0], None, ()
+    pending = ~(settled | (q_function(u) <= REL_TOL * head))
     # Every tail stops `top` standard deviations above the weight's mean, where the weight
     # mass above, Q(top) <= exp(-top**2/2)/2 <= ABS_TOL*head/2, bounds the part dropped (the
     # integrand is at most 1). A pending row's Q(u) > REL_TOL*head exceeds Q(top), so u <
     # top: the window is not empty. HD's tail is converged within ABS_TOL*head.
     atol = ABS_TOL * head
-    top = np.sqrt(-2.0 * elementwise(_log, atol))
+    top = np.sqrt(-2.0 * _log(atol))
     d = 0.0
     if scenario.duplex == "fd":
         d, c = v * c / a * k1, c * (1.0 + v)
         # FD-AF's integrand is at least its limit as R grows, Pr{Z < d}: a tolerance
         # in proportion to that floor is a relative one where the outage is tiny
         atol = ABS_TOL * q_function(-_standardize(d, *hop))
-    return np.where(settled, value, head), pending, (*weight, u, top, *hop, atol, a, b, c, v, d)
+    value, pending, *tail = rows(np.where(settled, value, head), pending, *weight, u, top, *hop,
+                                 atol, a, b, c, v, d)
+    return value, pending, tail
 
 
-def outages(pairs, params=None) -> np.ndarray:
-    """Analytic outage of every (cfg, scenario) pair as a float64 array. With
-    `params` of shape (len(pairs), m), the result has that shape and entry
-    [i, j] is pair i with its tau (TSR) or rho (PSR) set to params[i, j],
-    which must lie in (0, 1) (an IRR pair raises ValueError). The pairs of
-    each variant are reduced together as columns, and all their integrals
-    form one quadrature batch; every value equals that of the pair's batch of
-    one."""
+def outages(sets, params=None) -> np.ndarray:
+    """Analytic outage of every row of the Columns `sets`, in order, as a
+    float64 array. With `params` of shape (rows, m), the result has that
+    shape and entry [i, j] is row i with its tau (TSR) or rho (PSR) set to
+    params[i, j], which must lie in (0, 1) (an IRR row raises ValueError).
+    The sets of each variant are joined and reduced together, and all their
+    integrals form one quadrature batch; every value equals that of its
+    row's batch of one."""
+    n = sum(s.size for s in sets)
     width = 1
     if params is not None:
         params = np.asarray(params, float)
-        if params.ndim != 2 or params.shape[0] != len(pairs):
-            raise ValueError(f"need a row of harvesting parameters per pair, got {params.shape}")
+        if params.ndim != 2 or params.shape[0] != n:
+            raise ValueError(f"need a row of harvesting parameters per row, got {params.shape}")
         if not ((params > 0.0) & (params < 1.0)).all():
             raise ValueError("harvesting parameters must lie in (0, 1)")
         width = params.shape[1]
-    groups: dict[tuple, list[int]] = {}
-    for i, (_, scenario) in enumerate(pairs):
-        groups.setdefault((scenario.duplex, scenario.relay, scenario.eh), []).append(i)
-    values = np.empty(len(pairs) * width)
+    values = np.empty(n * width)
     tails = []  # per group with a tail: pending, the rows, then the tail's columns
     with np.errstate(all="ignore"):  # like Python floats, columns overflow without a warning
-        for rows in groups.values():
-            first = pairs[rows[0]][1]
-            cfg = _Columns([pairs[i][0] for i in rows], width)
-            scenario = _Columns([pairs[i][1] for i in rows], width)
+        for columns, rows in by_variant(sets):
             if params is not None:
-                if first.eh_param_name is None:
-                    raise ValueError(f"{first.eh} has no harvesting parameter")
-                setattr(scenario, first.eh_param_name, params[rows].ravel())
-            rows = (np.array(rows)[:, None] * width + np.arange(width)).ravel()
-            values[rows], pending, tail = _reduce(cfg, scenario)
+                name = EH_PARAMS.get(columns.variant[2])
+                if name is None:
+                    raise ValueError(f"{columns.variant[2]} has no harvesting parameter")
+                columns = columns.take(np.arange(columns.size).repeat(width))
+                columns.changes[f"scenario.{name}"] = params[rows].ravel()
+            rows = (rows[:, None] * width + np.arange(width)).ravel()
+            values[rows], pending, tail = _reduce(columns)
             if tail:
-                tails.append([pending, rows, *(np.full(rows.size, c) if isinstance(c, float)
-                                               else c for c in tail)])
+                tails.append([pending, rows, *tail])
     if tails:
         pending, *columns = map(np.concatenate, zip(*tails))
         if pending.any():
@@ -182,4 +161,4 @@ def outages(pairs, params=None) -> np.ndarray:
 
 def outage(cfg: SystemConfig, scenario: Scenario) -> OutageEstimate:
     """Analytic outage of one scenario, any variant."""
-    return OutageEstimate(float(outages([(cfg, scenario)])[0]), "analytic")
+    return OutageEstimate(float(outages([Columns(cfg, scenario)])[0]), "analytic")

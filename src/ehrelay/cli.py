@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields, is_dataclass
 
 # outage stays importable here: bench/spans.py hooks this name
 from .analytic import outage, outages  # noqa: F401
-from .grids import (FIGURE_PRESETS, SWEEP_AXES, SweepPoint, axis_points, boundary_points,
-                    fmt_value, selftest_points)
+from .grids import (FIGURE_PRESETS, SWEEP_AXES, Curve, axis_curve, boundary_points, fmt_value,
+                    selftest_points)
 from .model import FadeRangeError, Scenario, SystemConfig, flat_fields
 from .montecarlo import McPlan, estimate_outage
 # minimize_over_eh_param stays importable here: bench/spans.py hooks this name
@@ -148,30 +148,34 @@ class Row:
 CSV_HEADER = ",".join(f.name for f in fields(Row))
 
 
-def run_points(points, plan, threads, mc_rows=None) -> tuple[list[Row], list[str]]:
-    """Sweep-ordered rows (analytic values from one `outages` and one `minimize_many` call) and
-    dataset notes: one names every optimize point that fell back to the dense grid. With a
-    `plan`, each of the first `mc_rows` rows (all by default) makes one `estimate_outage` call
-    at `plan` as it is (at its optimum for an optimize point), so rows share their fades
-    through the process's read-only memo of whole block fades, one per (block, channels) (see
+def run_points(curves, plan, threads, mc_rows=None) -> tuple[list[Row], list[str]]:
+    """The curves' rows in order (analytic values from one `outages` and one `minimize_many`
+    call over the curves' columns) and dataset notes: one names every optimize row that fell
+    back to the dense grid. With a `plan`, each of the first `mc_rows` rows (all by default)
+    is built as a (cfg, scenario) pair and makes one `estimate_outage` call at `plan` as it is
+    (at its optimum for an optimize row), so rows share their fades through the process's
+    read-only memo of whole block fades, one per (block, channels) (see
     montecarlo._block_fade)."""
-    plain = iter(outages([(p.cfg, p.scenario) for p in points if not p.optimize]).tolist())
-    optima = iter(minimize_many([(p.cfg, p.scenario) for p in points if p.optimize]))
+    plain = iter(outages([c.columns() for c in curves if not c.optimize]).tolist())
+    optima = iter(minimize_many([c.columns() for c in curves if c.optimize]))
     rows, fallbacks = [], []
-    for i, p in enumerate(points):
-        scenario = p.scenario
-        if p.optimize:
-            result = next(optima)
-            scenario, value = scenario.with_eh_param(result.arg_opt), result.value_opt
-            if result.non_unimodal:
-                fallbacks.append(f"{p.curve} {p.axis}={fmt_value(p.axis_value)}")
-        else:
-            value = next(plain)
-        mc = ()
-        if plan is not None and (mc_rows is None or i < mc_rows):
-            est = estimate_outage(p.cfg, scenario, plan, threads=threads)
-            mc = (est.value, est.stderr, est.trials, plan.seed)
-        rows.append(Row(p.curve, p.axis, p.axis_value, value, *mc))
+    for curve in curves:
+        for i, axis_value in enumerate(curve.values):
+            if curve.optimize:
+                result = next(optima)
+                value = result.value_opt
+                if result.non_unimodal:
+                    fallbacks.append(f"{curve.name} {curve.axis}={fmt_value(axis_value)}")
+            else:
+                value = next(plain)
+            mc = ()
+            if plan is not None and (mc_rows is None or len(rows) < mc_rows):
+                cfg, scenario = curve.row(i)
+                if curve.optimize:
+                    scenario = scenario.with_eh_param(result.arg_opt)
+                est = estimate_outage(cfg, scenario, plan, threads=threads)
+                mc = (est.value, est.stderr, est.trials, plan.seed)
+            rows.append(Row(curve.name, curve.axis, axis_value, value, *mc))
     notes = [f"dense-grid fallback (several local minima): {'; '.join(fallbacks)}"]
     return rows, (notes if fallbacks else [])
 
@@ -256,7 +260,7 @@ def _settings_from_args(args) -> dict:
 
 def cmd_point(args, settings, cfg, plan) -> int:
     scenario = build_scenario(settings)
-    (row,), _ = run_points([SweepPoint(scenario.label(), "none", 0.0, cfg, scenario)], plan,
+    (row,), _ = run_points([Curve(scenario.label(), "none", (0.0,), cfg, scenario)], plan,
                            args.threads)
     print(f"scenario           {scenario.label()}")
     print(f"analytic outage    {row.analytic:.9g}")
@@ -279,9 +283,9 @@ def cmd_sweep(args, settings, cfg, plan) -> int:
         total = _coerce("sweep.total_distance", settings["sweep.total_distance"], 0.0)
         if not 0 < total < math.inf:
             raise ConfigError(f"sweep.total_distance: must be empty or finite and > 0, got {total}")
-    points = _construct("sweep", axis_points, cfg, build_scenario(settings),
-                        settings["sweep.axis"], values, total=total)
-    emit(settings, *run_points(points, plan, args.threads))
+    curve = _construct("sweep", axis_curve, cfg, build_scenario(settings),
+                       settings["sweep.axis"], values, total=total)
+    emit(settings, *run_points([curve], plan, args.threads))
     return EXIT_OK
 
 
@@ -304,27 +308,28 @@ def cmd_optimize(args, settings, cfg, plan) -> int:
 
 
 def cmd_figure(args, settings, cfg, plan) -> int:
-    points, notes = _construct(f"figure {args.which}", FIGURE_PRESETS[args.which], cfg)
-    rows, fallbacks = run_points(points, plan, args.threads)
+    curves, notes = _construct(f"figure {args.which}", FIGURE_PRESETS[args.which], cfg)
+    rows, fallbacks = run_points(curves, plan, args.threads)
     emit(settings, rows, [f"figure = {args.which}", *notes, *fallbacks])
     return EXIT_OK
 
 
 def cmd_selftest(args, settings, cfg, plan) -> int:
     grid = selftest_points(cfg)
+    n = sum(len(curve.values) for curve in grid)
     # one analytic batch for the grid and the boundary probes; only the grid runs MC
-    rows, _ = run_points(grid + boundary_points(cfg), plan, args.threads, mc_rows=len(grid))
+    rows, _ = run_points(grid + boundary_points(cfg), plan, args.threads, mc_rows=n)
     # every grid row replays alone with `point --seed S --trials N`
     print(f"selftest: seed {plan.seed}, {plan.trials} trials per point")
     failures = 0
-    for row in rows[:len(grid)]:
+    for row in rows[:n]:
         tol = max(3.0 * row.mc_stderr, 1e-3)
         ok = abs(row.analytic - row.mc) <= tol
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'} {row.scenario} {row.axis}={fmt_value(row.axis_value)}: "
               f"analytic={row.analytic:.6f} mc={row.mc:.6f} "
               f"|diff|={abs(row.analytic - row.mc):.2e} tol={tol:.2e}")
-    for row in rows[len(grid):]:
+    for row in rows[n:]:
         val = row.analytic
         if row.axis == "cth":
             ok, check = val <= 1e-12, f"{val:.3e} <= 1e-12"

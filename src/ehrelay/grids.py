@@ -1,16 +1,24 @@
-"""The points the experiments evaluate: sweep axes, figure presets and the
-selftest grids. `cli.run_points` turns points into dataset rows. A bad
-value is a ValueError naming its axis; callers add where it came from."""
+"""The curves the experiments evaluate: sweep axes, figure presets and the
+selftest grids. A curve is one (cfg, scenario) pair with one axis set to
+each of its values in turn; `cli.run_points` turns curves into dataset rows,
+reading each curve as columns (see model.Columns). A bad value is a
+ValueError naming its axis; callers add where it came from."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .lognormal import ChannelSpec
-from .model import Scenario, SystemConfig
+import numpy as np
+
+from .model import Columns, Scenario, SystemConfig, replaced
 
 SWEEP_AXES = ("tau", "rho", "cth", "d1", "sigma_db", "ps", "sigma_g_db")
+# the fields each axis sets, by dotted name (see model.flat_fields); a d1 curve
+# with a total distance also sets d2; "none" is a curve of one unchanged row
+AXIS_FIELDS = {"tau": ("scenario.tau",), "rho": ("scenario.rho",), "cth": ("system.cth",),
+               "d1": ("system.d1_m",), "sigma_db": ("system.ch1.sigma_db", "system.ch2.sigma_db"),
+               "ps": ("system.ps_watts",), "sigma_g_db": ("system.chg.sigma_db",), "none": ()}
 
 
 def fmt_value(value) -> str:
@@ -23,55 +31,63 @@ def fmt_value(value) -> str:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One dataset row waiting to be evaluated."""
+class Curve:
+    """Dataset rows named `name`: (cfg, scenario) with `axis` set to each of
+    `values` in turn. A d1 curve with a `total` distance other than None
+    keeps d1 + d2 equal to it. With `optimize`, each row is minimized over
+    its tau or rho."""
 
-    curve: str
+    name: str
     axis: str
-    axis_value: float
+    values: tuple
     cfg: SystemConfig
     scenario: Scenario
+    total: float | None = None
     optimize: bool = False
 
+    def fields(self, value) -> dict:
+        """The fields, by dotted name, that set the axis to `value`: a float or an array."""
+        fields = dict.fromkeys(AXIS_FIELDS[self.axis], value)
+        if self.axis == "d1" and self.total is not None:
+            fields["system.d2_m"] = self.total - value
+        return fields
 
-def apply_axis(cfg: SystemConfig, scenario: Scenario, total: float | None,
-               axis: str, value: float) -> tuple[SystemConfig, Scenario]:
-    """(cfg, scenario) with `axis` set to `value`. A d1 sweep with a
-    `total` distance other than None keeps d1 + d2 equal to it."""
+    def columns(self) -> Columns:
+        """The curve's rows as columns: its base fields, with the axis values in place."""
+        values = np.array(self.values, float)
+        return Columns(self.cfg, self.scenario, self.fields(values), values.size)
+
+    def row(self, i: int) -> tuple[SystemConfig, Scenario]:
+        """Row i as a (cfg, scenario) pair, each checked by its class."""
+        value, axis = self.values[i], self.axis
+        if axis in ("tau", "rho") and self.scenario.eh_param_name != axis:
+            raise ValueError(f"{axis} sweeps need a {'tsr' if axis == 'tau' else 'psr'} scenario")
+        if axis == "d1" and self.total is not None and not self.total - value > 0:
+            raise ValueError(f"d1 = {value} leaves no room under total {self.total}")
+        try:
+            if axis in ("tau", "rho"):  # the one scenario field an axis sets
+                return self.cfg, replaced(self.scenario, **{axis: value})
+            changes = {}
+            for name, field_value in self.fields(value).items():
+                _, field, *leaf = name.split(".")
+                changes[field] = (replaced(getattr(self.cfg, field), **{leaf[0]: field_value})
+                                  if leaf else field_value)  # a nested ChannelSpec's field
+            return (replaced(self.cfg, **changes) if changes else self.cfg), self.scenario
+        except ValueError as exc:
+            raise ValueError(f"{axis} = {value}: {exc}") from exc
+
+
+def axis_curve(cfg: SystemConfig, base: Scenario, axis: str, values, name: str = "",
+               total: float | None = None, optimize: bool = False) -> Curve:
+    """The curve of `base` on `cfg` with `axis` set to each value in turn,
+    named `name` or else after the scenario; every row is checked (see
+    Curve.row)."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if axis in ("tau", "rho") and scenario.eh_param_name != axis:
-        raise ValueError(f"{axis} sweeps need a {'tsr' if axis == 'tau' else 'psr'} scenario")
-    if axis == "d1" and total is not None and not total - value > 0:
-        raise ValueError(f"d1 = {value} leaves no room under total {total}")
-    try:
-        if axis in ("tau", "rho"):
-            return cfg, scenario.with_eh_param(value)
-        if axis == "cth":
-            return replace(cfg, cth=value), scenario
-        if axis == "d1":
-            d2 = cfg.d2_m if total is None else total - value
-            return replace(cfg, d1_m=value, d2_m=d2), scenario
-        if axis == "sigma_db":
-            return replace(cfg,
-                           ch1=ChannelSpec(cfg.ch1.mu_db, value),
-                           ch2=ChannelSpec(cfg.ch2.mu_db, value)), scenario
-        if axis == "ps":
-            return replace(cfg, ps_watts=value), scenario
-        return replace(cfg, chg=ChannelSpec(cfg.chg.mu_db, value)), scenario
-    except ValueError as exc:
-        raise ValueError(f"{axis} = {value}: {exc}") from exc
-
-
-def axis_points(cfg: SystemConfig, base: Scenario, axis: str, values, curve: str = "",
-                total: float | None = None, optimize: bool = False) -> list[SweepPoint]:
-    """One curve: `base` on `cfg` with `axis` set to each value in turn (see
-    apply_axis), named `curve` or else after the scenario."""
-    points = []
-    for value in values:
-        c, s = apply_axis(cfg, base, total, axis, value)
-        points.append(SweepPoint(curve or s.label(), axis, value, c, s, optimize))
-    return points
+    curve = Curve(name or base.label(), axis, tuple(values), cfg, base, total, optimize)
+    for i in range(len(values)):
+        curve.row(i)
+    return curve
 
 
 def base_scenario(label: str) -> Scenario:
@@ -79,14 +95,19 @@ def base_scenario(label: str) -> Scenario:
     return Scenario.from_label(label, tau=0.5, rho=0.5)
 
 
-def hd_param_curves(cfg: SystemConfig, relay: str, grid) -> list[SweepPoint]:
+def apply_axis(cfg: SystemConfig, scenario: Scenario, axis: str, value: float):
+    """(cfg, scenario) with `axis` set to `value` (see Curve.row)."""
+    return Curve("", axis, (value,), cfg, scenario).row(0)
+
+
+def hd_param_curves(cfg: SystemConfig, relay: str, grid) -> list[Curve]:
     """The HD TSR curve over tau, then the HD PSR curve over rho, of one relay."""
-    return (axis_points(cfg, base_scenario(f"hd-{relay}-tsr"), "tau", grid)
-            + axis_points(cfg, base_scenario(f"hd-{relay}-psr"), "rho", grid))
+    return [axis_curve(cfg, base_scenario(f"hd-{relay}-tsr"), "tau", grid),
+            axis_curve(cfg, base_scenario(f"hd-{relay}-psr"), "rho", grid)]
 
 
 # ---------------------------------------------------------------------------
-# figure presets: each returns (points, dataset notes)
+# figure presets: each returns (curves, dataset notes)
 
 def preset_fig4(cfg: SystemConfig):
     """Outage versus tau/rho for the four parameterized HD systems."""
@@ -97,43 +118,41 @@ def preset_fig4(cfg: SystemConfig):
 def preset_fig5(cfg: SystemConfig):
     """Minimum achievable outage versus channel spread for the six HD systems."""
     sigmas = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    points = []
+    curves = []
     for ps in (1.0, 5.0):
         for relay in ("df", "af"):
             for eh in ("tsr", "psr", "irr"):
                 base = base_scenario(f"hd-{relay}-{eh}")
-                cfg_ps, _ = apply_axis(cfg, base, None, "ps", ps)
-                points += axis_points(cfg_ps, base, "sigma_db", sigmas,
-                                      f"{base.label()} ps={fmt_value(ps)}", optimize=eh != "irr")
-    return points, ["sigma_db sweep values are implementation-chosen"]
+                cfg_ps, _ = apply_axis(cfg, base, "ps", ps)
+                curves.append(axis_curve(cfg_ps, base, "sigma_db", sigmas,
+                                         f"{base.label()} ps={fmt_value(ps)}", optimize=eh != "irr"))
+    return curves, ["sigma_db sweep values are implementation-chosen"]
 
 
 def preset_fig6(cfg: SystemConfig):
     """Outage versus relay position under a fixed 30 m end-to-end distance."""
     d1_values = [float(d) for d in range(3, 28, 2)]
-    points = []
-    for pc in (0.0, 0.01, 0.02):
-        points += axis_points(cfg, Scenario("hd", "df", "irr", pc_fraction=pc), "d1",
-                              d1_values, f"hd-df-irr pc={fmt_value(pc)}", total=30.0)
-    points += axis_points(cfg, Scenario("hd", "af", "irr"), "d1", d1_values, total=30.0)
-    return points, ["d1 + d2 fixed at 30 m"]
+    curves = [axis_curve(cfg, Scenario("hd", "df", "irr", pc_fraction=pc), "d1", d1_values,
+                         f"hd-df-irr pc={fmt_value(pc)}", total=30.0) for pc in (0.0, 0.01, 0.02)]
+    curves.append(axis_curve(cfg, Scenario("hd", "af", "irr"), "d1", d1_values, total=30.0))
+    return curves, ["d1 + d2 fixed at 30 m"]
 
 
 def preset_fig7(cfg: SystemConfig):
     """Outage versus threshold rate for FD and HD TSR systems at tau = 0.01."""
     cth_values = [round(0.5 + 0.25 * i, 2) for i in range(15)]
-    points = []
+    curves = []
     for ps in (1.0, 10.0):
         for relay in ("df", "af"):
             fd = Scenario("fd", relay, "tsr", tau=0.01)
-            cfg_ps, _ = apply_axis(cfg, fd, None, "ps", ps)
+            cfg_ps, _ = apply_axis(cfg, fd, "ps", ps)
             for sg2 in (2.0, 5.0):
-                c, _ = apply_axis(cfg_ps, fd, None, "sigma_g_db", math.sqrt(sg2))
-                points += axis_points(c, fd, "cth", cth_values,
-                                      f"fd-{relay}-tsr ps={fmt_value(ps)} sg2={fmt_value(sg2)}")
-            points += axis_points(cfg_ps, Scenario("hd", relay, "tsr", tau=0.01), "cth",
-                                  cth_values, f"hd-{relay}-tsr ps={fmt_value(ps)}")
-    return points, ["tau fixed at 0.01; loop-back spread per-curve via sg2"]
+                c, _ = apply_axis(cfg_ps, fd, "sigma_g_db", math.sqrt(sg2))
+                curves.append(axis_curve(c, fd, "cth", cth_values,
+                                         f"fd-{relay}-tsr ps={fmt_value(ps)} sg2={fmt_value(sg2)}"))
+            curves.append(axis_curve(cfg_ps, Scenario("hd", relay, "tsr", tau=0.01), "cth",
+                                     cth_values, f"hd-{relay}-tsr ps={fmt_value(ps)}"))
+    return curves, ["tau fixed at 0.01; loop-back spread per-curve via sg2"]
 
 
 FIGURE_PRESETS = {
@@ -147,32 +166,31 @@ FIGURE_PRESETS = {
 # ---------------------------------------------------------------------------
 # selftest: the grids of acceptance criteria 1 and 2
 
-def selftest_points(cfg: SystemConfig) -> list[SweepPoint]:
-    """The 74 analytic-vs-MC points: per relay, HD TSR over tau, HD PSR over
-    rho, HD IRR, then FD TSR over tau at loop-back spreads sg2 = 2 and 5."""
+def selftest_points(cfg: SystemConfig) -> list[Curve]:
+    """The curves of the 74 analytic-vs-MC points: per relay, HD TSR over tau,
+    HD PSR over rho, HD IRR, then FD TSR over tau at loop-back spreads sg2 =
+    2 and 5."""
     grid = [round(0.1 * i, 1) for i in range(1, 10)]
-    points = []
+    curves = []
     for relay in ("df", "af"):
-        points += hd_param_curves(cfg, relay, grid)
-        points.append(SweepPoint(f"hd-{relay}-irr", "none", 0.0, cfg,
-                                 Scenario("hd", relay, "irr")))
+        curves += hd_param_curves(cfg, relay, grid)
+        curves.append(Curve(f"hd-{relay}-irr", "none", (0.0,), cfg, Scenario("hd", relay, "irr")))
         fd = base_scenario(f"fd-{relay}-tsr")
         for sg2 in (2.0, 5.0):
-            c, _ = apply_axis(cfg, fd, None, "sigma_g_db", math.sqrt(sg2))
-            points += axis_points(c, fd, "tau", grid, f"fd-{relay}-tsr sg2={fmt_value(sg2)}")
-    return points
+            c, _ = apply_axis(cfg, fd, "sigma_g_db", math.sqrt(sg2))
+            curves.append(axis_curve(c, fd, "tau", grid, f"fd-{relay}-tsr sg2={fmt_value(sg2)}"))
+    return curves
 
 
-def boundary_points(cfg: SystemConfig) -> list[SweepPoint]:
-    """The 20 boundary probes: outage saturates (>= 0.999) at tau or rho of
-    1e-4 and 1 - 1e-4, and vanishes (<= 1e-12) on the cth axis, at cth = 0."""
+def boundary_points(cfg: SystemConfig) -> list[Curve]:
+    """The curves of the 20 boundary probes: outage saturates (>= 0.999) at tau
+    or rho of 1e-4 and 1 - 1e-4, and vanishes (<= 1e-12) on the cth axis, at cth = 0."""
     edges = (1e-4, 1.0 - 1e-4)
-    points = []
-    for label in ("hd-df-tsr", "hd-af-tsr", "fd-df-tsr", "fd-af-tsr"):
-        points += axis_points(cfg, base_scenario(label), "tau", edges)
-    for label in ("hd-df-psr", "hd-af-psr"):
-        points += axis_points(cfg, base_scenario(label), "rho", edges)
-    for label in ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr",
-                  "hd-af-irr", "fd-df-tsr", "fd-af-tsr"):
-        points += axis_points(cfg, base_scenario(label), "cth", [0.0])
-    return points
+    curves = [axis_curve(cfg, base_scenario(label), "tau", edges)
+              for label in ("hd-df-tsr", "hd-af-tsr", "fd-df-tsr", "fd-af-tsr")]
+    curves += [axis_curve(cfg, base_scenario(label), "rho", edges)
+               for label in ("hd-df-psr", "hd-af-psr")]
+    curves += [axis_curve(cfg, base_scenario(label), "cth", [0.0])
+               for label in ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr",
+                             "hd-af-irr", "fd-df-tsr", "fd-af-tsr")]
+    return curves

@@ -8,6 +8,7 @@ squared gain h^2, whose dB value 10*log10(h^2) is Gaussian with mean
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,16 +35,18 @@ class ChannelSpec:
 
 
 def elementwise(fn, *args):
-    """fn(*args) for scalar args; for numpy arrays of one shape, a float64
-    array of fn on their elements. Every math-library call that may meet an
-    array (log, hypot, erfc, non-integer powers) goes through here, so that
-    an array gives bit for bit the floats its elements give alone: numpy's
-    SIMD log, power and hypot differ from libm in the last bit on some
-    inputs."""
-    if not isinstance(args[0], np.ndarray):
+    """fn(*args) for scalar args; where some are numpy arrays (of one shape),
+    a float64 array of fn on their elements, a scalar arg standing for every
+    element. Every math-library call that may meet an array (log, hypot,
+    erfc, non-integer powers) goes through here, so that an array gives bit
+    for bit the floats its elements give alone: numpy's SIMD log, power and
+    hypot differ from libm in the last bit on some inputs."""
+    array = args[0] if isinstance(args[0], np.ndarray) else args[-1]  # callers pass 1 or 2 args
+    if not isinstance(array, np.ndarray):
         return fn(*args)
-    flat = [a.ravel().tolist() for a in args]
-    return np.fromiter(map(fn, *flat), np.float64, args[0].size).reshape(args[0].shape)
+    flat = [a.ravel().tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
+            for a in args]
+    return np.fromiter(map(fn, *flat), np.float64, array.size).reshape(array.shape)
 
 
 def q_function(x):
@@ -118,14 +121,20 @@ def q_vector(x):
         return np.abs(q, out=q).reshape(shape)
 
 
-def _log(x: float) -> float:
-    # math.log, and its limit -inf at 0 (a threshold that underflows), where math.log raises
-    return -math.inf if x == 0.0 else math.log(x)
+def _log(x):
+    # math.log (an array's through elementwise), and its limit -inf at 0 (a threshold
+    # that underflows), where math.log raises
+    if not isinstance(x, np.ndarray):
+        return -math.inf if x == 0.0 else math.log(x)
+    zero = x == 0.0
+    logs = elementwise(math.log, np.where(zero, 1.0, x))
+    logs[zero] = -math.inf
+    return logs
 
 
 def _standardize(x, mean, std):
     # the dB value of x in standard deviations from `mean`, for a Gaussian dB value (mean, std)
-    return (XI * elementwise(_log, x) - mean) / std
+    return (XI * _log(x) - mean) / std
 
 
 def sq_gain_cdf(x: float, ch: ChannelSpec) -> float:

@@ -8,8 +8,8 @@ its (share, power, noise). The SNR/capacity functions accept scalar fades
 or numpy arrays of fades and broadcast elementwise. The coefficient helpers
 (hop_losses, relay_budget, snr_coefficients, capacity_prefactor and
 threshold_snr) also accept a cfg and scenario whose numeric fields are
-float64 arrays, as the analytic path's columns are, and give each element
-the float its row gives alone.
+float64 arrays, as the analytic path's columns (Columns) are, or a mix of
+arrays and floats, and give each element the float its row gives alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import functools
 import math
 import struct
 import sys
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,6 +30,8 @@ _LN2 = math.log(2.0)
 DUPLEX_MODES = ("hd", "fd")
 RELAY_PROTOCOLS = ("df", "af")
 EH_PROTOCOLS = ("tsr", "psr", "irr")
+# the free harvesting parameter of each protocol that has one
+EH_PARAMS = {"tsr": "tau", "psr": "rho"}
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,113 @@ def flat_fields(obj, prefix: str = "") -> dict:
     return out
 
 
+class Columns:
+    """Rows of (cfg, scenario) pairs of one variant as columns, as the
+    analytic path reads them: every row has the fields of the base pair but
+    those that `changes` names (dotted, as flat_fields names them:
+    system.ch1.sigma_db, scenario.tau), each set to a float that every row
+    shares, which numpy broadcasts, or to a float64 array of one value per
+    row. A curve's columns are its base pair with the axis values as changes;
+    arbitrary pairs are one-row sets."""
+
+    def __init__(self, cfg: SystemConfig, scenario: "Scenario", changes=None, size: int = 1):
+        self.cfg, self.scenario, self.size = cfg, scenario, size
+        self.changes = changes or {}
+        self.variant = (scenario.duplex, scenario.relay, scenario.eh)
+
+    def value(self, name: str):
+        """Field `name` (dotted) of these columns, a number of the base pair as a float."""
+        if name in self.changes:
+            return self.changes[name]
+        owner, *path = name.split(".")
+        value = self.cfg if owner == "system" else self.scenario
+        for part in path:
+            value = getattr(value, part)
+        return float(value) if isinstance(value, (int, float)) else value
+
+    @classmethod
+    def concat(cls, sets) -> "Columns":
+        """The rows of `sets`, all of one variant, in order, on the first set's
+        base pair: a field stays one float where every set has that float, bit
+        for bit."""
+        if len(sets) == 1:
+            return sets[0]
+        first = sets[0]
+        names = set().union(*(s.changes for s in sets))
+        for s in sets[1:]:
+            names |= _differing(first.cfg, s.cfg, "system.")
+            names |= _differing(first.scenario, s.scenario, "scenario.")
+        changes = {}
+        for name in names:
+            values = [s.value(name) for s in sets]
+            if not isinstance(values[0], (float, np.ndarray)):
+                continue  # the variant's str or None
+            if all(type(v) is float for v in values) and len({v.hex() for v in values}) == 1:
+                changes[name] = values[0]
+            else:
+                changes[name] = np.concatenate([np.full(s.size, v) if type(v) is float else v
+                                                for v, s in zip(values, sets)])
+        return cls(first.cfg, first.scenario, changes, sum(s.size for s in sets))
+
+    def take(self, rows) -> "Columns":
+        """The rows of index array `rows`, in its order."""
+        return Columns(self.cfg, self.scenario, {
+            name: v[rows] if isinstance(v, np.ndarray) else v for name, v in self.changes.items()},
+            rows.size)
+
+    def pair(self):
+        """(cfg, scenario) as namespaces of the columns, nested like
+        SystemConfig and Scenario, as the coefficient helpers read them."""
+        spaces = {owner: SimpleNamespace(**{
+            name: float(v) if isinstance(v, (int, float)) else v for name, v in vars(obj).items()})
+            for owner, obj in (("system", self.cfg), ("scenario", self.scenario))}
+        for name, value in self.changes.items():
+            owner, *outer, leaf = name.split(".")
+            obj = spaces[owner]
+            for part in outer:  # a nested instance is copied before its field is set
+                nested = getattr(obj, part)
+                if not isinstance(nested, SimpleNamespace):
+                    nested = SimpleNamespace(**vars(nested))
+                    setattr(obj, part, nested)
+                obj = nested
+            setattr(obj, leaf, value)
+        return spaces["system"], spaces["scenario"]
+
+
+def _differing(a, b, prefix: str) -> set:
+    """The dotted names of the fields in which dataclass instances a and b may
+    differ: those whose values are not one object."""
+    names = set()
+    for name, value in ([] if a is b else vars(a).items()):
+        other = vars(b)[name]
+        if value is not other:
+            names |= (_differing(value, other, f"{prefix}{name}.") if is_dataclass(value)
+                      else {prefix + name})
+    return names
+
+
+def by_variant(sets) -> list[tuple[Columns, np.ndarray]]:
+    """The rows of the Columns `sets` joined per variant, variants in order of
+    first appearance: (columns, each row's position among all rows)."""
+    groups: dict[tuple, list] = {}
+    start = 0
+    for s in sets:
+        groups.setdefault(s.variant, []).append((s, np.arange(start, start + s.size)))
+        start += s.size
+    return [(Columns.concat([s for s, _ in g]), np.concatenate([r for _, r in g]))
+            for g in groups.values()]
+
+
+def replaced(obj, **changes):
+    """dataclasses.replace(obj, **changes) for a dataclass here: a new
+    instance, checked by the same __post_init__, without replace's generic
+    field-by-field __init__ (about half of its cost on a SystemConfig)."""
+    new = object.__new__(type(obj))
+    vars(new).update(vars(obj), **changes)
+    new.__post_init__()
+    return new
+
+
 @dataclass(frozen=True)
 class Scenario:
     """System variant: duplex mode x relay protocol x harvesting protocol.
@@ -144,13 +254,13 @@ class Scenario:
     @property
     def eh_param_name(self) -> str | None:
         """Name of the free harvesting parameter (tau, rho; None for irr)."""
-        return {"tsr": "tau", "psr": "rho"}.get(self.eh)
+        return EH_PARAMS.get(self.eh)
 
     def with_eh_param(self, value: float) -> "Scenario":
         """This scenario with its free harvesting parameter set to value."""
         if self.eh_param_name is None:
             raise ValueError(f"{self.eh} has no harvesting parameter")
-        return replace(self, **{self.eh_param_name: value})
+        return replaced(self, **{self.eh_param_name: value})
 
     def label(self) -> str:
         return f"{self.duplex}-{self.relay}-{self.eh}"
@@ -487,10 +597,10 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
     the float range (see _snrs_in_range), the block is decided under
     np.errstate; where a*x*y can overflow, an AF SNR that is NaN (both a*x*y
     and its denominator overflowed) is replaced by its limit as x*y grows,
-    a*x/b (HD) or a/(b*w) (FD). Either way the flags are those of the weaker hop's SNR, one per
-    trial. `scratch` is an optional pair of float64 arrays of the fades'
-    shape for the SNRs (see snr_pair); without it fresh ones are used. The
-    fade arrays are never written.
+    a*x/b (HD) or a/(b*w) (FD). Either way the flags are those of the weaker
+    hop's SNR, one per trial. `scratch` is an optional pair of float64 arrays
+    of the fades' shape for the SNRs (see snr_pair); without it fresh ones
+    are used. The fade arrays are never written.
     """
     _check_fade(scenario, fade)
     duplex = scenario.duplex

@@ -16,7 +16,7 @@ import numpy as np
 
 # outage stays importable here: bench/spans.py hooks this name
 from .analytic import outage, outages  # noqa: F401
-from .model import Scenario, SystemConfig
+from .model import Columns, Scenario, SystemConfig, by_variant
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -56,32 +56,38 @@ def _golden_step(state, index, left) -> np.ndarray:
     return np.where(left, c[index], d[index])
 
 
-def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
-    """Minimize the analytic outage of each (cfg, scenario) pair over tau
-    (TSR) or rho (PSR); an IRR pair raises ValueError.
+def minimize_many(sets, tol: float = 1e-3) -> list[OptResult]:
+    """Minimize the analytic outage of each row of the Columns `sets` over
+    tau (TSR) or rho (PSR); an IRR row raises ValueError.
 
-    Per pair: a coarse scan over 0.02..0.98 in steps of 0.02, then
+    Per row: a coarse scan over 0.02..0.98 in steps of 0.02, then
     golden-section refinement of the best cell until the bracket is
-    narrower than tol. The pairs advance in lock-step: each stage is one
-    `outages` call with a row of params per pair still in it (49 trial
+    narrower than tol. The rows advance in lock-step: each stage is one
+    `outages` call with a row of params per row still in it (49 trial
     values for the scan, 999 for the dense fallback, 2 first probes, then 3
     per round of two golden-section steps: the first step's probe and the
-    two the second could need), a stage with no pairs makes no call, and
-    each result equals that of the pair's batch of one. A tol outside
-    [1e-12, 1) raises ValueError.
+    two the second could need), a stage with no rows makes no call, and
+    each result equals that of the row's batch of one. The sets of each
+    variant are joined once, and each stage takes its rows from those
+    columns. A tol outside [1e-12, 1) raises ValueError.
     """
     if not 1e-12 <= tol < 1:
         raise ValueError(f"tol must be in [1e-12, 1), got {tol}")
-    pairs = list(pairs)
-    if not pairs:
+    groups = by_variant(sets)  # every stage takes its rows from these columns
+    if not sum(columns.size for columns, _ in groups):
         return []
+    order = np.concatenate([rows for _, rows in groups])  # the rows in variant order
+    bounds = np.cumsum([0] + [columns.size for columns, _ in groups])
 
     def objective(index, params) -> np.ndarray:
+        # index: ascending positions in variant order
         if not index.size:
             return np.empty(params.shape)
-        return outages([pairs[i] for i in index.tolist()], params)
+        cuts = np.searchsorted(index, bounds)
+        return outages([columns.take(index[lo:hi] - first) for (columns, _), first, lo, hi
+                        in zip(groups, bounds, cuts, cuts[1:]) if hi > lo], params)
 
-    n, grid, dense = len(pairs), np.linspace(0.02, 0.98, 49), np.arange(1, 1000) / 1000.0
+    n, grid, dense = order.size, np.linspace(0.02, 0.98, 49), np.arange(1, 1000) / 1000.0
     values = objective(np.arange(n), np.broadcast_to(grid, (n, grid.size)))
     inner = values[:, 1:-1]
     multi = np.count_nonzero((inner < values[:, :-2] - _NOISE_FLOOR)
@@ -131,11 +137,12 @@ def minimize_many(pairs, tol: float = 1e-3) -> list[OptResult]:
         left = fc[active] < fd[active]
         active = active[advance(active, left, np.where(left, values[:, 1], values[:, 2]))]
 
-    return [OptResult(float(a), float(v), int(e), float(b), bool(f)) for a, v, e, b, f
-            in zip(best_arg, best_val, evaluations, np.where(multi, 1e-3, hi - lo), multi)]
+    results = [OptResult(float(a), float(v), int(e), float(b), bool(f)) for a, v, e, b, f
+               in zip(best_arg, best_val, evaluations, np.where(multi, 1e-3, hi - lo), multi)]
+    return [results[i] for i in np.argsort(order)]
 
 
 def minimize_over_eh_param(cfg: SystemConfig, scenario: Scenario,
                            tol: float = 1e-3) -> OptResult:
     """minimize_many of the one pair (cfg, scenario)."""
-    return minimize_many([(cfg, scenario)], tol)[0]
+    return minimize_many([Columns(cfg, scenario)], tol)[0]

@@ -8,7 +8,8 @@ import functools
 import mpmath
 import numpy as np
 
-from ehrelay.analytic import _Columns, _reduce
+from ehrelay.analytic import _reduce
+from ehrelay.model import Columns
 from ehrelay.model import snr_coefficients, threshold_snr
 from ehrelay.quadrature import TAIL_SIGMAS
 
@@ -83,7 +84,7 @@ def tail(cfg, scenario):
     _reduce's window cut to +-TAIL_SIGMAS; None where _reduce leaves none. FD-AF's
     map comes from the model's coefficients, not from _reduce's."""
     with np.errstate(all="ignore"):  # as in analytic.outages
-        head, pending, columns = _reduce(_Columns([cfg]), _Columns([scenario]))
+        head, pending, columns = _reduce(Columns(cfg, scenario))
     if not columns or not pending[0]:
         return None
     mean, std, lo, hi, m, s, _, *coefs, _ = (float(np.broadcast_to(c, 1)[0]) for c in columns)

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import columns, curve_rows
 from ehrelay.analytic import outage, outages
 from ehrelay.cli import boundary_points, selftest_points
 from ehrelay.cli import main as cli_main
@@ -41,7 +42,7 @@ def test_criterion_1_analytic_matches_monte_carlo():
     worst = 0.0
     failures = []
     # the selftest's eight-scenario grid: every parameterized point to cross-check
-    for i, point in enumerate(selftest_points(CFG)):
+    for i, point in enumerate(curve_rows(selftest_points(CFG))):
         analytic = outage(point.cfg, point.scenario).value
         mc = estimate_outage(point.cfg, point.scenario, McPlan(trials=TRIALS, seed=SEED + i))
         diff = abs(analytic - mc.value)
@@ -61,7 +62,7 @@ def test_criterion_1_analytic_matches_monte_carlo():
 def test_criterion_2_boundary_limits():
     bad = []
     # the selftest's probes: saturation at extreme tau/rho, zero outage at cth=0
-    for point in boundary_points(CFG):
+    for point in curve_rows(boundary_points(CFG)):
         v = outage(point.cfg, point.scenario).value
         ok = v <= 1e-12 if point.axis == "cth" else v >= 0.999
         if not ok:
@@ -306,9 +307,9 @@ def test_criterion_10_variance_degradation_at_low_outage():
         cfgs = [replace(CFG, ps_watts=ps, ch1=ChannelSpec(3.0, s), ch2=ChannelSpec(3.0, s))
                 for s in sigmas]
         for relay in ("df", "af"):
-            tuned = minimize_many([(cfg, tsr("hd", relay, 0.5)) for cfg in cfgs]
-                                  + [(cfg, psr(relay, 0.5)) for cfg in cfgs])
-            irr = outages([(cfg, Scenario("hd", relay, "irr")) for cfg in cfgs]).tolist()
+            tuned = minimize_many(columns([(cfg, tsr("hd", relay, 0.5)) for cfg in cfgs]
+                                          + [(cfg, psr(relay, 0.5)) for cfg in cfgs]))
+            irr = outages(columns([(cfg, Scenario("hd", relay, "irr")) for cfg in cfgs])).tolist()
             for eh, curve in (("tsr", [r.value_opt for r in tuned[:len(sigmas)]]),
                               ("psr", [r.value_opt for r in tuned[len(sigmas):]]),
                               ("irr", irr)):
@@ -331,9 +332,9 @@ def test_criterion_11_processing_cost_crossover_at_midpoint():
     bad = []
     for ps, below, above in ((20.0, 0.05, 0.1), (200.0, 0.02, 0.05), (2000.0, 0.0, 0.01)):
         cfg = replace(CFG, ps_watts=ps, d1_m=15.0, d2_m=15.0)
-        af, *df = outages([(cfg, Scenario("hd", "af", "irr"))]
-                          + [(cfg, Scenario("hd", "df", "irr", pc_fraction=pc))
-                             for pc in (0.0, below, above)]).tolist()
+        af, *df = outages(columns([(cfg, Scenario("hd", "af", "irr"))]
+                                  + [(cfg, Scenario("hd", "df", "irr", pc_fraction=pc))
+                                     for pc in (0.0, below, above)])).tolist()
         print(f"  Ps={ps:g}: af {af:.6g}, df at pc 0/{below:g}/{above:g}: "
               + " ".join(f"{v:.6g}" for v in df))
         if not df[0] < af:
@@ -361,7 +362,7 @@ def test_criterion_12_full_duplex_beats_half_duplex_at_small_loop_back():
         pairs.append((cfg, tsr("hd", relay, 0.5)))
         pairs += [(replace(cfg, chg=ChannelSpec(mu, CFG.chg.sigma_db)), tsr("fd", relay, 0.5))
                   for mu in below + above]
-    tuned = iter(r.value_opt for r in minimize_many(pairs))
+    tuned = iter(r.value_opt for r in minimize_many(columns(pairs)))
     bad = []
     for ps, relay in links:
         hd, *fd = (next(tuned) for _ in range(1 + len(below + above)))

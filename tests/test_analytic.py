@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import load_tool
+from conftest import columns, load_tool
 from ehrelay import analytic, quadrature
-from ehrelay.analytic import _Columns, _reduce, outage, outages
+from ehrelay.analytic import _reduce, outage, outages
 from ehrelay.cli import run_points
-from ehrelay.grids import FIGURE_PRESETS, axis_points, boundary_points, selftest_points
+from ehrelay.grids import FIGURE_PRESETS, axis_curve, boundary_points, selftest_points
 from ehrelay.lognormal import XI, ChannelSpec, product_ccdf, sq_gain_cdf
-from ehrelay.model import Scenario, SystemConfig, relay_budget, snr_coefficients, threshold_snr
+from ehrelay.model import (Columns, Scenario, SystemConfig, flat_fields, relay_budget,
+                           snr_coefficients, threshold_snr)
 from ehrelay.montecarlo import McPlan, estimate_outage
 
 CFG = SystemConfig()
@@ -142,7 +143,7 @@ def test_fuzz_values_stay_probabilities():
         ]
         alone = [outage(cfg, s).value for s in scenarios]
         assert all(0.0 <= value <= 1.0 for value in alone)
-        together = outages([(cfg, s) for s in scenarios])
+        together = outages(columns([(cfg, s) for s in scenarios]))
         assert list(map(float.hex, together)) == list(map(float.hex, alone))
 
 
@@ -202,7 +203,7 @@ def test_fd_af_random_links_within_rel_tol_of_mpmath():
     # every fourth FD-AF pair of tools/fingerprint.py, outages from 9.8e-15 to 1
     links = load_tool("fingerprint").random_pairs(np.random.default_rng(20181))[703::4]
     assert len(links) == 25 and {s.label() for _, s in links} == {"fd-af-tsr"}
-    off = [(i, got, want) for i, ((cfg, s), got) in enumerate(zip(links, outages(links)))
+    off = [(i, got, want) for i, ((cfg, s), got) in enumerate(zip(links, outages(columns(links))))
            if not abs(got - (want := reference.outage(cfg, s))) <= quadrature.REL_TOL * want]
     assert off == []
 
@@ -352,7 +353,7 @@ def branch(cfg, scenario):
     if scenario.duplex == "fd" and snr_coefficients(cfg, scenario)[0] / v == 0.0:
         return f"{variant} cutoff 0"
     with np.errstate(all="ignore"):  # as in outages
-        _, pending, tail = _reduce(_Columns([cfg]), _Columns([scenario]))
+        _, pending, tail = _reduce(Columns(cfg, scenario))
     if not tail:
         return "fd-df closed form"
     return f"{variant} integral" if pending[0] else f"{variant} no tail"
@@ -369,7 +370,7 @@ FD_AF_CUTOFF_SUBNORMAL = (replace(CFG, cth=1.023), Scenario("fd", "af", "tsr", t
 def test_fd_af_zero_cutoff_is_certain_outage():
     assert [branch(*pair) for pair in FD_CUTOFF_ZERO] == ["fd-df cutoff 0", "fd-af cutoff 0"]
     assert branch(*FD_AF_CUTOFF_SUBNORMAL) == "fd-af no tail"
-    assert list(outages([*FD_CUTOFF_ZERO, FD_AF_CUTOFF_SUBNORMAL])) == [1.0, 1.0, 1.0]
+    assert list(outages(columns([*FD_CUTOFF_ZERO, FD_AF_CUTOFF_SUBNORMAL]))) == [1.0, 1.0, 1.0]
 
 
 def test_fd_edge_past_the_float_range_with_a_vanishing_loop_back():
@@ -378,7 +379,7 @@ def test_fd_edge_past_the_float_range_with_a_vanishing_loop_back():
     # (at a subnormal cutoff k1/v this raised QuadratureError) unless the row settles
     pairs = [(replace(cfg, chg=ChannelSpec(-1e308, cfg.chg.sigma_db)), s)
              for cfg, s in (*FD_CUTOFF_ZERO, FD_AF_CUTOFF_SUBNORMAL)]
-    assert list(outages(pairs)) == [1.0, 1.0, 1.0]
+    assert list(outages(columns(pairs))) == [1.0, 1.0, 1.0]
 
 
 def test_fd_variants_share_the_loop_back_cutoff():
@@ -419,7 +420,7 @@ def test_hd_upper_cut_follows_the_head():
             cfg, s = hd_pair_at(u, label)
             assert branch(cfg, s) == f"{label[:5]} integral"
             with np.errstate(all="ignore"):  # as in outages
-                value, _, tail = _reduce(_Columns([cfg]), _Columns([s]))
+                value, _, tail = _reduce(Columns(cfg, s))
             assert value[0] == pytest.approx(head, rel=0.05)
             assert min(quadrature.TAIL_SIGMAS, tail[3][0]) == pytest.approx(cut, abs=0.01)
 
@@ -458,8 +459,9 @@ def test_mixed_batch_equals_batches_of_one_bit_for_bit():
         "fd-af no tail", "fd-af integral", "hd-df no tail", "hd-df integral", "hd-af no tail",
         "hd-af integral"}
     assert any(s.pc_fraction > 0 for _, s in pairs)
-    batch = outages(pairs)
-    assert list(map(float.hex, batch)) == [float.hex(outages([pair])[0]) for pair in pairs]
+    batch = outages(columns(pairs))
+    assert list(map(float.hex, batch)) == [float.hex(outages(columns([pair]))[0])
+                                           for pair in pairs]
 
 
 def test_one_quadrature_call_per_outages_call(monkeypatch):
@@ -473,12 +475,12 @@ def test_one_quadrature_call_per_outages_call(monkeypatch):
     hd = [(c, s) for c, s in mixed_batch()
           if s.duplex == "hd" and branch(c, s).endswith("integral")]
     assert {s.label()[:5] for _, s in hd} == {"hd-df", "hd-af"}
-    outages(hd)
+    outages(columns(hd))
     assert calls == [len(hd)]  # DF and AF tails share the HD integrand
     fd_af = (CFG, ALL_SCENARIOS[7])
     assert branch(*fd_af) == "fd-af integral"
     calls.clear()
-    outages([*hd, fd_af])
+    outages(columns([*hd, fd_af]))
     assert calls == [len(hd) + 1]  # and FD-AF's tail, over the inverse loop-back gain
 
 
@@ -526,7 +528,7 @@ def test_low_outage_sweep_integrand_nodes(monkeypatch):
     # HD variants, one run each, over 25 powers from 50 to 5000 W; 18,900 nodes
     # from 6 starting panels per integral, 17,346 with the windowed start
     powers = [float(f"{50.0 * 100.0 ** (i / 24):.10g}") for i in range(25)]
-    runs = [axis_points(CFG, Scenario.from_label(label, tau=0.3, rho=0.5), "ps", powers)
+    runs = [[axis_curve(CFG, Scenario.from_label(label, tau=0.3, rho=0.5), "ps", powers)]
             for label in ("hd-df-tsr", "hd-af-tsr", "hd-df-psr", "hd-af-psr", "hd-df-irr",
                           "hd-af-irr")]
     nodes, calls = integrand_load(monkeypatch, runs)
@@ -536,23 +538,23 @@ def test_low_outage_sweep_integrand_nodes(monkeypatch):
 def test_params_column_equals_scenarios_with_that_parameter():
     pairs = [(c, s) for c, s in mixed_batch() if s.eh != "irr"]
     params = np.linspace(0.03, 0.97, len(pairs))[:, None]
-    moved = outages([(c, s.with_eh_param(p)) for (c, s), (p,) in zip(pairs, params)])
-    assert list(map(float.hex, outages(pairs, params)[:, 0])) == list(map(float.hex, moved))
+    moved = outages(columns([(c, s.with_eh_param(p)) for (c, s), (p,) in zip(pairs, params)]))
+    assert list(map(float.hex, outages(columns(pairs), params)[:, 0])) == list(map(float.hex, moved))
     with pytest.raises(ValueError, match="no harvesting parameter"):
-        outages([(CFG, ALL_SCENARIOS[2])], [[0.5]])
+        outages(columns([(CFG, ALL_SCENARIOS[2])]), [[0.5]])
     for bad in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            outages(pairs[:2], [[0.5], [bad]])
+            outages(columns(pairs[:2]), [[0.5], [bad]])
     for shape in ((1, 1), (2,), (2, 1, 1)):  # one row per pair and nothing else
-        with pytest.raises(ValueError, match="a row of harvesting parameters per pair"):
-            outages(pairs[:2], np.full(shape, 0.5))
+        with pytest.raises(ValueError, match="a row of harvesting parameters per row"):
+            outages(columns(pairs[:2]), np.full(shape, 0.5))
 
 
 def test_params_row_entries_equal_batches_of_one_bit_for_bit():
     pairs = [(c, s) for c, s in mixed_batch() if s.eh != "irr"]
     params = np.random.default_rng(5).uniform(0.01, 0.99, (len(pairs), 3))
-    got = outages(pairs, params)
-    alone = [[outages([(c, s.with_eh_param(p))])[0] for p in row]
+    got = outages(columns(pairs), params)
+    alone = [[outages(columns([(c, s.with_eh_param(p))]))[0] for p in row]
              for (c, s), row in zip(pairs, params)]
     assert got.shape == params.shape and got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), np.array(alone).view(np.uint64))
@@ -560,3 +562,62 @@ def test_params_row_entries_equal_batches_of_one_bit_for_bit():
 
 def test_empty_batch():
     assert outages([]).tolist() == [] and outages([], np.empty((0, 3))).shape == (0, 3)
+
+
+def column_bits(sets):
+    """Every field of the Columns `sets`, joined, with each number as the bits
+    of one float64 per row."""
+    joined = Columns.concat(sets)
+    names = {**flat_fields(joined.cfg, "system."), **flat_fields(joined.scenario, "scenario.")}
+    values = {name: joined.value(name) for name in names}
+    return {name: value if value is None or isinstance(value, str)
+            else np.broadcast_to(np.asarray(value, float), joined.size).view(np.uint64).tolist()
+            for name, value in values.items()}
+
+
+def row_columns(curve, repeat=1):
+    """The one-row columns of each row of `curve`, from its checked pair, each
+    `repeat` times in succession."""
+    return [Columns(*curve.row(i)) for i in range(len(curve.values)) for _ in range(repeat)]
+
+
+# per axis: the base scenario, values, total distance and each row's pair, built
+# with dataclasses.replace
+AXIS_CURVES = {
+    "tau": ("hd-af-tsr", [0.05, 0.37, 0.9], None, lambda c, s, v: (c, replace(s, tau=v))),
+    "rho": ("hd-df-psr", [0.1, 0.55, 0.95], None, lambda c, s, v: (c, replace(s, rho=v))),
+    "cth": ("fd-df-tsr", [0.0, 0.3, 2.75], None, lambda c, s, v: (replace(c, cth=v), s)),
+    "d1": ("hd-df-irr", [0.5, 7.3, 29.0], None, lambda c, s, v: (replace(c, d1_m=v), s)),
+    "d1-total": ("hd-af-irr", [3.0, 15.1, 29.9], 30.0,
+                 lambda c, s, v: (replace(c, d1_m=v, d2_m=30.0 - v), s)),
+    "sigma_db": ("hd-af-psr", [0.5, 1.7, 3.0], None,
+                 lambda c, s, v: (replace(c, ch1=ChannelSpec(c.ch1.mu_db, v),
+                                          ch2=ChannelSpec(c.ch2.mu_db, v)), s)),
+    "ps": ("hd-df-tsr", [0.01, 50.0, 5000.0], None, lambda c, s, v: (replace(c, ps_watts=v), s)),
+    "sigma_g_db": ("fd-af-tsr", [0.1, 2.2, 4.0], None,
+                   lambda c, s, v: (replace(c, chg=ChannelSpec(c.chg.mu_db, v)), s)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AXIS_CURVES))
+def test_curve_columns_equal_its_rows_bit_for_bit(case):
+    label, values, total, pair = AXIS_CURVES[case]
+    base = Scenario.from_label(label, tau=0.5, rho=0.5)
+    curve = axis_curve(CFG, base, case.split("-")[0], values, total=total)
+    assert [curve.row(i) for i in range(len(values))] == [pair(CFG, base, v) for v in values]
+    assert column_bits([curve.columns()]) == column_bits(row_columns(curve))
+    # as the optimizer's stages take them, each row once per trial value
+    repeated = curve.columns().take(np.repeat(np.arange(len(values)), 3))
+    assert column_bits([repeated]) == column_bits(row_columns(curve, 3))
+
+
+def test_fig5_curves_join_as_their_rows_bit_for_bit():
+    # per variant, the ps = 1 and ps = 5 curves over sigma_db, as minimize_many
+    # and outages join them
+    by_variant = {}
+    for curve in FIGURE_PRESETS["fig5"](CFG)[0]:
+        by_variant.setdefault(curve.scenario.label(), []).append(curve)
+    assert len(by_variant) == 6 and {len(c) for c in by_variant.values()} == {2}
+    for curves in by_variant.values():
+        assert column_bits([c.columns() for c in curves]) == column_bits(
+            [row for c in curves for row in row_columns(c)])

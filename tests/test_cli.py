@@ -11,7 +11,7 @@ import pytest
 import ehrelay.cli as cli
 import ehrelay.montecarlo as mc
 import ehrelay.optimize as opt
-from conftest import run_python
+from conftest import columns, curve_rows, field_rows, run_python
 from ehrelay.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -548,10 +548,11 @@ class TestFigures:
             return 0.5 - 0.3 * np.exp(-((p - 0.2) ** 2) / 0.002) \
                 - 0.4 * np.exp(-((p - 0.7) ** 2) / 0.002)
 
-        def walled(pairs, params):
-            values = real(pairs, params)
-            for i, (c, s) in enumerate(pairs):
-                if s.eh == "psr" and c.ps_watts == 5.0:
+        def walled(sets, params):
+            values = real(sets, params)
+            rows = [(s.variant[2], ps) for s in sets for ps in field_rows([s], "system.ps_watts")]
+            for i, (eh, ps) in enumerate(rows):
+                if eh == "psr" and ps == 5.0:
                     values[i] = two_wells(params[i])
             return values
 
@@ -649,7 +650,7 @@ def test_csv_header_matches_json_row_keys():
 
 
 def test_selftest_grid_covers_eight_scenarios():
-    points = selftest_points(SystemConfig())
+    points = curve_rows(selftest_points(SystemConfig()))
     labels = [p.scenario.label() for p in points]
     assert len(points) == 74
     assert labels.count("hd-df-tsr") + labels.count("hd-af-tsr") == 18
@@ -659,7 +660,7 @@ def test_selftest_grid_covers_eight_scenarios():
 
 
 def test_boundary_probe_table():
-    probes = boundary_points(SystemConfig())
+    probes = curve_rows(boundary_points(SystemConfig()))
     assert len(probes) == 20
     # 12 saturation probes (tau/rho at 1e-4 and 1 - 1e-4), 8 zero-threshold ones
     assert sum(p.axis in ("tau", "rho") for p in probes) == 12
@@ -679,12 +680,16 @@ def test_selftest_is_one_analytic_batch_and_one_estimate_per_grid_row(monkeypatc
     # order, and only the grid rows run MC: the benchmark counts 74 estimates a pass
     batches, estimates = [], []
     outages, estimate = cli.outages, cli.estimate_outage
-    monkeypatch.setattr(cli, "outages", lambda pairs: batches.append(pairs) or outages(pairs))
+    monkeypatch.setattr(cli, "outages", lambda sets: batches.append(sets) or outages(sets))
     monkeypatch.setattr(cli, "estimate_outage", lambda cfg, scenario, plan, threads=1: (
         estimates.append((cfg, scenario)) or estimate(cfg, scenario, plan, threads=threads)))
     assert main(["selftest", "--trials", "10000"]) in (EXIT_OK, 4)
-    grid, probes = selftest_points(SystemConfig()), boundary_points(SystemConfig())
-    assert batches == [[(p.cfg, p.scenario) for p in grid + probes]]
+    grid = curve_rows(selftest_points(SystemConfig()))
+    probes = curve_rows(boundary_points(SystemConfig()))
+    # the batch's rows are the grid's and the probes', in order, bit for bit
+    (batch,) = batches
+    alone = outages(columns((p.cfg, p.scenario) for p in grid + probes))
+    assert np.array_equal(outages(batch).view(np.uint64), alone.view(np.uint64))
     assert estimates == [(p.cfg, p.scenario) for p in grid]
     assert len(capsys.readouterr().out.splitlines()) == 1 + 74 + 20 + 1
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import ehrelay.montecarlo as mc
+from conftest import curve_rows, subset
 from ehrelay import ChannelSpec, SystemConfig, cli, grids, model
 from ehrelay.montecarlo import McPlan
 
@@ -81,15 +82,18 @@ def test_bench_plan_arguments_bind():
     assert McPlan(trials=10_000, seed=1) == McPlan(10_000, 1)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_every_mc_row_is_one_estimate_call_deciding_its_trials(monkeypatch, threads):
-    """The benchmark counts each row's trials from the outage-indicator calls
-    below its `cli.estimate_outage` call, so a dataset run makes one call per
-    MC row with the benchmark's signature, and each decides plan.trials trials,
-    also where an FD-AF block computes the SNRs of only its trials short of
-    the certain-outage edge."""
-    decided = []  # per estimate_outage call, the size of each outage decision
-    subsets = []  # per estimate_outage call, the blocks that computed fewer SNRs than trials
+# three MC blocks per row at a block size of 2**13, the last one short
+MC_PLAN = McPlan(trials=2 * 2**13 + 123, seed=11)
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """Per `cli.estimate_outage` call, in order: the size of each outage decision
+    and the size of each block that computed fewer SNRs than it has trials. The
+    benchmark counts each row's trials from the outage-indicator calls below its
+    `cli.estimate_outage` call, so a dataset run must make one call per MC row
+    with the benchmark's signature, each deciding plan.trials trials."""
+    decided, subsets = [], []
     block = threading.local()  # the size of the block the thread decides
     estimate, indicator, snrs = cli.estimate_outage, mc.outage_indicator, model._snrs
 
@@ -113,19 +117,46 @@ def test_every_mc_row_is_one_estimate_call_deciding_its_trials(monkeypatch, thre
     monkeypatch.setattr(mc, "outage_indicator", counted_indicator)
     monkeypatch.setattr(model, "_snrs", counted_snrs)
     monkeypatch.setattr(mc, "BLOCK_SIZE", 2**13)
-    plan = McPlan(trials=2 * 2**13 + 123, seed=11)
+    return decided, subsets
+
+
+def assert_one_call_per_row(decided, rows):
+    assert len(decided) == rows
+    assert [sum(sizes) for sizes in decided] == [MC_PLAN.trials] * rows
+    assert all(len(sizes) == len(MC_PLAN.blocks()) for sizes in decided)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_every_mc_row_is_one_estimate_call_deciding_its_trials(decisions, threads):
+    """Also where an FD-AF block computes the SNRs of only its trials short of
+    the certain-outage edge."""
+    decided, subsets = decisions
     # at tau 0.9 whole blocks lie past the certain-outage edge and are decided
     # without their arrays; they still count their trials
-    points = [p for p in cli.selftest_points(SystemConfig()) if p.axis_value in (0.0, 0.3, 0.9)]
+    curves = subset(cli.selftest_points(SystemConfig()), (0.0, 0.3, 0.9))
     for _ in range(2):  # the second run finds every block's gains kept
         decided.clear()
         subsets.clear()
-        cli.run_points(points, plan, threads)
-        assert len(decided) == len(points)
-        assert [sum(sizes) for sizes in decided] == [plan.trials] * len(points)
-        assert all(len(sizes) == len(plan.blocks()) for sizes in decided)
-        labels = {p.scenario.label() for p, blocks in zip(points, subsets) if blocks}
+        cli.run_points(curves, MC_PLAN, threads)
+        assert_one_call_per_row(decided, len(curve_rows(curves)))
+        labels = {p.scenario.label() for p, blocks in zip(curve_rows(curves), subsets) if blocks}
         assert labels == {"fd-af-tsr"}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--scenario", "fd-af-tsr", "--axis", "tau", "--values", "0.1,0.3,0.9"],
+    ["figure", "fig5"]], ids=["sweep", "figure"])
+def test_every_cli_mc_row_is_one_estimate_call_deciding_its_trials(decisions, command, threads,
+                                                                    tmp_path):
+    """The same for the dataset commands: fig5's rows are tuned over tau or rho,
+    except the IRR curves', and each runs MC at its optimum."""
+    out = tmp_path / "rows.csv"
+    assert cli.main([*command, "--trials", str(MC_PLAN.trials), "--seed", str(MC_PLAN.seed),
+                     "--threads", threads, "--out", str(out)]) == cli.EXIT_OK
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == (3 if command[0] == "sweep" else 72)
+    assert_one_call_per_row(decisions[0], len(rows))
 
 
 def test_bench_acceptance_grid_matches_selftest_points():
@@ -138,7 +169,7 @@ def test_bench_acceptance_grid_matches_selftest_points():
         return curve, axis, value, label, tau, rho, cfg
 
     grid = _load("bench_workloads", BENCH / "workloads.py").acceptance_grid()
-    points = grids.selftest_points(SystemConfig())
+    points = curve_rows(grids.selftest_points(SystemConfig()))
     assert len(points) == 74
     assert [bench_point(*point) for point in grid] == [
         (p.curve, p.axis, p.axis_value, p.scenario.label(), p.scenario.tau, p.scenario.rho, p.cfg)

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import curve_rows
 from ehrelay import grids
 from ehrelay.lognormal import sample_sq_gain
 from ehrelay.model import (
@@ -257,13 +258,13 @@ def test_indicator_leaves_fades_unchanged():
 def grid_cutoff_pairs():
     """Every (prefactor, cth) of the selftest, boundary, figure and ps-sweep
     grids, plus prefactors 1e-4 and 0.999 at cth up to 100."""
-    points = grids.selftest_points(CFG) + grids.boundary_points(CFG)
+    curves = grids.selftest_points(CFG) + grids.boundary_points(CFG)
     for preset in grids.FIGURE_PRESETS.values():
-        points += preset(CFG)[0]
+        curves += preset(CFG)[0]
     for label in ("hd-df-tsr", "hd-af-tsr", "hd-df-psr", "hd-af-psr", "hd-df-irr", "hd-af-irr"):
-        points += grids.axis_points(CFG, Scenario.from_label(label, tau=0.3, rho=0.5), "ps",
-                                    [50.0, 5000.0])
-    pairs = {(capacity_prefactor(p.scenario), p.cfg.cth) for p in points}
+        curves.append(grids.axis_curve(CFG, Scenario.from_label(label, tau=0.3, rho=0.5), "ps",
+                                       [50.0, 5000.0]))
+    pairs = {(capacity_prefactor(p.scenario), p.cfg.cth) for p in curve_rows(curves)}
     pairs |= {(pre, cth) for pre in (1e-4, 0.999) for cth in (0.0, 0.05, 0.5, 2.0, 10.0, 100.0)}
     return sorted(pairs)
 

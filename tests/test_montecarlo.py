@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ehrelay.montecarlo as mc
+from conftest import curve_rows, subset
 from ehrelay import cli
 from ehrelay.lognormal import ChannelSpec, sample_sq_gain
 from ehrelay.model import (FadeRangeError, FadeSample, OutageEstimate, Scenario, SystemConfig,
@@ -184,11 +185,16 @@ class TestPlanValidation:
 # ---------------------------------------------------------------------------
 # the memo of block gains: each block drawn once per process, estimates unchanged
 
-def _selftest_batch():
+def _selftest_curves():
     """Every variant at one grid value each, in selftest order: per relay HD
     TSR, PSR, IRR, then FD at loop-back spreads sg2 = 2 and 5, so the
     loop-back channel alternates and HD rows sit between FD ones."""
-    return [p for p in cli.selftest_points(CFG) if p.axis_value in (0.0, 0.3)]
+    return subset(cli.selftest_points(CFG), (0.0, 0.3))
+
+
+def _selftest_batch():
+    """The rows of _selftest_curves."""
+    return curve_rows(_selftest_curves())
 
 
 # three blocks of 2**13 trials (see small_blocks), the last one short
@@ -290,7 +296,7 @@ def test_run_points_equals_per_call_estimates(threads, draws):
     run draws no slot, not even a loop-back one."""
     points = _selftest_batch()
     assert len({p.scenario.label() for p in points}) == 8
-    rows, _ = cli.run_points(points, SHORT_LAST, threads)
+    rows, _ = cli.run_points(_selftest_curves(), SHORT_LAST, threads)
     assert _mc_columns(rows) == _expected_columns(_fresh(points, SHORT_LAST), SHORT_LAST)
     assert len(draws) == 3 * (2 + 2)  # per block: slots 0 and 1, then slot 2 per spread
     loop_backs = {p.cfg.chg for p in points if p.scenario.duplex == "fd"}
@@ -299,7 +305,7 @@ def test_run_points_equals_per_call_estimates(threads, draws):
     assert _kept_fades() == {(SHORT_LAST.seed, *block): {hd, *(hd + (g,) for g in loop_backs)}
                              for block in SHORT_LAST.blocks()}
     draws.clear()
-    again, _ = cli.run_points(points, SHORT_LAST, threads)
+    again, _ = cli.run_points(_selftest_curves(), SHORT_LAST, threads)
     assert draws == [] and again == rows
 
 
@@ -315,7 +321,7 @@ def test_plan_over_budget_draws_per_call_and_matches(monkeypatch, draws):
     for budget, threads in itertools.product((0, hd_bytes), (1, 2, 4)):
         monkeypatch.setattr(mc, "_KEPT_BYTES", budget)
         draws.clear()
-        rows, _ = cli.run_points(points, SHORT_LAST, threads)
+        rows, _ = cli.run_points(_selftest_curves(), SHORT_LAST, threads)
         assert _mc_columns(rows) == expected
         if budget == 0:  # nothing is kept, so every call draws every slot of every block
             assert not mc._memo and len(draws) == 3 * slots
@@ -559,12 +565,12 @@ def test_memo_stays_within_budget(monkeypatch, draws):
     monkeypatch.setattr(cli, "estimate_outage", checked)
     points = _selftest_batch()
     for _ in range(2):
-        rows, _ = cli.run_points(points, SHORT_LAST, 1)
+        rows, _ = cli.run_points(_selftest_curves(), SHORT_LAST, 1)
         assert _mc_columns(rows) == _expected_columns(_fresh(points, SHORT_LAST), SHORT_LAST)
     assert len([ch for ch in draws if ch == CFG.ch1]) == 3 * 2  # slots 0 and 1, drawn once
     for seed in (4, 5, 6):
         plan = replace(SHORT_LAST, seed=seed)
-        rows, _ = cli.run_points(points, plan, 1)
+        rows, _ = cli.run_points(_selftest_curves(), plan, 1)
         assert _mc_columns(rows) == _expected_columns(_fresh(points, plan), plan)
     assert len(held) == 5 * len(points) and max(held) <= budget
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ehrelay.optimize as opt
+from conftest import columns, curve_rows, field_rows
 from ehrelay.analytic import outage, outages
 from ehrelay.grids import preset_fig5
 from ehrelay.model import Scenario, SystemConfig
@@ -47,7 +48,7 @@ def test_bracket_meets_tolerance():
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1.0])
 def test_tolerance_outside_range_is_rejected(tol):
     with pytest.raises(ValueError, match="tol must be in"):
-        minimize_many([(CFG, TSR)], tol)
+        minimize_many(columns([(CFG, TSR)]), tol)
 
 
 def test_tighter_tolerance_is_stable():
@@ -85,9 +86,9 @@ def test_multimodal_objective_falls_back_to_dense_grid(monkeypatch):
                             - 0.4 * np.exp(-((p - 0.7) ** 2) / 0.002))
 
     monkeypatch.setattr(opt, "outage", fake_outage)
-    monkeypatch.setattr(opt, "outages", lambda pairs, params: np.array(
-        [[fake_outage(c, s.with_eh_param(p)).value for p in row]
-         for (c, s), row in zip(pairs, params)]).reshape(params.shape))
+    monkeypatch.setattr(opt, "outages", lambda sets, params: np.array(
+        [[fake_outage(CFG, TSR.with_eh_param(p)).value for p in row]
+         for row in params]).reshape(params.shape))
     result = minimize_over_eh_param(CFG, TSR)
     assert result.non_unimodal
     assert result.arg_opt == pytest.approx(0.7, abs=2e-3)
@@ -158,16 +159,16 @@ FIG5_OPTIMA = [
 ]
 
 
-def fig5_pairs():
-    points, _ = preset_fig5(CFG)
-    return [p for p in points if p.optimize]
+def fig5_curves():
+    curves, _ = preset_fig5(CFG)
+    return [c for c in curves if c.optimize]
 
 
 def test_minimize_many_reproduces_fig5_optima_bit_for_bit():
-    points = fig5_pairs()
-    results = minimize_many([(p.cfg, p.scenario) for p in points])
-    assert len(results) == len(points) == len(FIG5_OPTIMA)
-    for p, result, expected in zip(points, results, FIG5_OPTIMA):
+    curves = fig5_curves()
+    results = minimize_many([c.columns() for c in curves])
+    assert len(results) == len(curve_rows(curves)) == len(FIG5_OPTIMA)
+    for p, result, expected in zip(curve_rows(curves), results, FIG5_OPTIMA):
         assert (p.curve, p.axis_value) == expected[:2]
         assert result == OptResult(*expected[2:])
         assert minimize_over_eh_param(p.cfg, p.scenario) == result
@@ -185,22 +186,20 @@ def two_wells(p):
 def test_mixed_batch_equals_batches_of_one(monkeypatch, tol, evaluations):
     # one pair sees the two-well objective and one an increasing line; the others the real one
     walled, sloped = replace(CFG, cth=1.25), replace(CFG, cth=1.5)
-    fakes = {id(walled): two_wells, id(sloped): lambda p: p}
+    fakes = {walled.cth: two_wells, sloped.cth: lambda p: p}  # rows known by their cth
 
-    def mixed_outages(pairs, params):
-        kept = [i for i, (c, _) in enumerate(pairs) if id(c) not in fakes]
-        values = np.empty(params.shape)
-        values[kept] = outages([pairs[i] for i in kept], params[kept])
-        for i, (c, _) in enumerate(pairs):
-            if id(c) in fakes:
-                values[i] = fakes[id(c)](params[i])
+    def mixed_outages(sets, params):
+        values = outages(sets, params)
+        for i, cth in enumerate(field_rows(sets, "system.cth")):
+            if cth in fakes:
+                values[i] = fakes[cth](params[i])
         return values
 
     monkeypatch.setattr(opt, "outages", mixed_outages)
     pairs = [(CFG, TSR), (walled, TSR), (CFG, PSR), (replace(CFG, ps_watts=5.0), TSR),
              (sloped, PSR)]
-    results = minimize_many(pairs, tol)
-    assert results == [minimize_many([pair], tol)[0] for pair in pairs]
+    results = minimize_many(columns(pairs), tol)
+    assert results == [minimize_many(columns([pair]), tol)[0] for pair in pairs]
     assert [r.non_unimodal for r in results] == [False, True, False, False, False]
     assert [r.evaluations for r in results] == evaluations
     assert results[1].arg_opt == pytest.approx(0.7, abs=2e-3)
@@ -265,14 +264,14 @@ REFERENCE_OBJECTIVES = [
 @pytest.mark.parametrize("tol", [1e-12, 8.5e-4, 1e-3, 0.5])
 def test_rounds_equal_one_probe_per_step(monkeypatch, tol):
     cfgs = [replace(CFG, cth=1.0 + k / 16) for k in range(len(REFERENCE_OBJECTIVES))]
-    fakes = {id(c): f for c, f in zip(cfgs, REFERENCE_OBJECTIVES)}
+    fakes = {c.cth: f for c, f in zip(cfgs, REFERENCE_OBJECTIVES)}  # rows known by their cth
 
-    def fake_outages(pairs, params):
-        return np.array([fakes[id(c)](row) for (c, _), row in zip(pairs, params)]
+    def fake_outages(sets, params):
+        return np.array([fakes[cth](row) for cth, row in zip(field_rows(sets, "system.cth"), params)]
                         ).reshape(params.shape)
 
     monkeypatch.setattr(opt, "outages", fake_outages)
-    results = minimize_many([(c, TSR) for c in cfgs], tol)
+    results = minimize_many(columns([(c, TSR) for c in cfgs]), tol)
     for result, f in zip(results, REFERENCE_OBJECTIVES):
         arg, val, evaluations, bracket, flag = reference_minimum(f, tol)
         assert [float.hex(result.arg_opt), float.hex(result.value_opt),
@@ -285,12 +284,13 @@ def test_stage_without_pairs_makes_no_call(monkeypatch):
     # no dense call since no pair falls back; a lone optimization makes the same calls
     walled, widths = replace(CFG, cth=1.25), []
 
-    def recorded(pairs, params):
+    def recorded(sets, params):
         widths.append(np.shape(params)[1])
-        return two_wells(params) if pairs and pairs[0][0] is walled else outages(pairs, params)
+        walls = sets and field_rows(sets, "system.cth")[0] == walled.cth
+        return two_wells(params) if walls else outages(sets, params)
 
     monkeypatch.setattr(opt, "outages", recorded)
-    minimize_many([(p.cfg, p.scenario) for p in fig5_pairs()])
+    minimize_many([c.columns() for c in fig5_curves()])
     assert widths == [49, 2, 3, 3, 3, 3]
     widths.clear()
     minimize_over_eh_param(CFG, TSR)
@@ -305,11 +305,14 @@ def test_each_stage_passes_each_pair_once(monkeypatch):
     walled = replace(CFG, cth=1.25)
     calls = []
 
-    def recorded(pairs, params):
-        calls.append((len({id(pair) for pair in pairs}), len(pairs), np.shape(params)))
-        values = outages(pairs, params)
-        for i, (c, _) in enumerate(pairs):
-            if c is walled:
+    def recorded(sets, params):
+        # a pair is known by its variant, source power and cth
+        rows = [(s.variant, ps, cth) for s in sets for ps, cth in
+                zip(field_rows([s], "system.ps_watts"), field_rows([s], "system.cth"))]
+        calls.append((len(set(rows)), len(rows), np.shape(params)))
+        values = outages(sets, params)
+        for i, (_, _, cth) in enumerate(rows):
+            if cth == walled.cth:
                 values[i] = two_wells(params[i])
         return values
 
@@ -317,7 +320,7 @@ def test_each_stage_passes_each_pair_once(monkeypatch):
     pairs = [(CFG, TSR), (walled, PSR), (CFG, PSR), (replace(CFG, ps_watts=5.0), TSR),
              (CFG, Scenario("fd", "df", "tsr", tau=0.5)),
              (CFG, Scenario("fd", "af", "tsr", tau=0.5))]
-    results = minimize_many(pairs)
+    results = minimize_many(columns(pairs))
     assert [r.non_unimodal for r in results] == [False, True, False, False, False, False]
     for distinct, n, shape in calls:
         assert distinct == n and shape[0] == n and len(shape) == 2
@@ -335,4 +338,4 @@ def test_irr_anywhere_in_batch_is_rejected(where):
     pairs = [(CFG, TSR), (CFG, PSR)]
     pairs.insert(where, (CFG, Scenario("hd", "af", "irr")))
     with pytest.raises(ValueError):
-        minimize_many(pairs)
+        minimize_many(columns(pairs))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import run_python
+from conftest import curve_rows, run_python
 from ehrelay import quadrature
 from ehrelay.analytic import outages
 from ehrelay.grids import preset_fig6, preset_fig7, selftest_points
@@ -223,13 +223,13 @@ def test_nan_bound_is_reported_not_zero(lo, hi):
 TAILED_VARIANTS = {"hd-df", "hd-af", "fd-af"}
 
 
-def check_tails(points, rel=0.0):
-    """Every integral that the pairs of `points` need, by reference.tail, added
-    to its head term, equals the pair's outage to max(1e-10, rel * integral);
+def check_tails(curves, rel=0.0):
+    """Every integral that the rows of `curves` need, by reference.tail, added
+    to its head term, equals the row's outage to max(1e-10, rel * integral);
     returns the duplex-relay prefixes of the variants whose tails it saw."""
-    pairs = [(p.cfg, p.scenario) for p in points]
+    pairs = [(p.cfg, p.scenario) for p in curve_rows(curves)]
     variants = set()
-    for (cfg, scenario), value in zip(pairs, outages(pairs)):
+    for (cfg, scenario), value in zip(pairs, outages([c.columns() for c in curves])):
         if (split := reference.tail(cfg, scenario)) is not None:
             head, tail = split
             variants.add(scenario.label()[:5])
@@ -245,9 +245,9 @@ def test_tails_match_mpmath_on_the_selftest_grid():
 def test_tails_match_mpmath_on_fig6_and_fig7():
     # pc_fraction > 0 (fig6), FD at ps = 10 W and the C_th sweep (fig7). Both
     # rules converge to REL_TOL of the integral, so they may differ by twice that.
-    points = preset_fig6(SystemConfig())[0] + preset_fig7(SystemConfig())[0]
-    assert {p.scenario.pc_fraction for p in points} == {0.0, 0.01, 0.02}
-    assert check_tails(points, 2 * REL_TOL) == TAILED_VARIANTS
+    curves = preset_fig6(SystemConfig())[0] + preset_fig7(SystemConfig())[0]
+    assert {c.scenario.pc_fraction for c in curves} == {0.0, 0.01, 0.02}
+    assert check_tails(curves, 2 * REL_TOL) == TAILED_VARIANTS
 
 
 def test_cli_import_leaves_scipy_unloaded():

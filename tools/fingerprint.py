@@ -14,7 +14,8 @@ Each line is a name and the SHA-256 of that result's bytes:
   a `sweep --axis ps` over 25 powers from 50 to 5000 W per HD variant at
   10^4 trials, seed 1 and `--threads 1`, one after the other;
 - outages: the float.hex of `analytic.outages` over a fixed seeded batch
-  of pairs of all eight variants, then of each pair as a batch of one;
+  of pairs of all eight variants, each pair one row of columns, then of
+  each pair as a batch of one;
 - minimize_many: every field of `optimize.minimize_many` on the batch's
   TSR and PSR pairs;
 - estimate_outage: eight MC estimates (one per variant) at 2^17 trials;
@@ -46,7 +47,7 @@ import numpy as np
 from ehrelay import cli
 from ehrelay.analytic import outages
 from ehrelay.lognormal import ChannelSpec, sample_sq_gain
-from ehrelay.model import FadeSample, Scenario, SystemConfig, snr_pair
+from ehrelay.model import Columns, FadeSample, Scenario, SystemConfig, snr_pair
 from ehrelay.montecarlo import McPlan, estimate_outage
 from ehrelay.optimize import minimize_many
 
@@ -123,9 +124,10 @@ def main() -> None:
     print("sweep_bench", digest("".join(cli_stdout(run.split()) for run in BENCH_SWEEPS)))
     rng = np.random.default_rng(20181)
     pairs = random_pairs(rng)
-    alone = [outages([pair])[0] for pair in pairs]
-    print("outages", digest(hexes(outages(pairs)) + "\n" + hexes(alone)))
-    tunable = [(cfg, s) for cfg, s in pairs if s.eh_param_name is not None]
+    rows = [Columns(*pair) for pair in pairs]
+    alone = [outages([row])[0] for row in rows]
+    print("outages", digest(hexes(outages(rows)) + "\n" + hexes(alone)))
+    tunable = [row for row, (_, s) in zip(rows, pairs) if s.eh_param_name is not None]
     print("minimize_many", digest("\n".join(
         f"{r.arg_opt.hex()} {r.value_opt.hex()} {r.evaluations} {r.bracket.hex()} "
         f"{r.non_unimodal}" for r in minimize_many(tunable))))
