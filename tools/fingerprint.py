@@ -26,7 +26,10 @@ Each line is a name and the SHA-256 of that result's bytes:
 - mc_memo: the stdout of MEMO_RUNS, one after the other in this process,
   which read and fill its memo of block fades: a kept plan cold and then
   warm on the pool, a plan whose FD fades evict each other, an FD plan over
-  the memo's budget and an MC figure.
+  the memo's budget and an MC figure;
+- figures_mc: the stdout of `figure fig4`..`fig7` at 10^5 trials and seed
+  99, first at `--threads 1`, then at `--threads 2`: fig5's MC rows at their
+  optima and the pool path.
 
 tools/fingerprint.txt holds the output of the current code, and
 tests/test_tools.py compares each line with it, so a change that moves any
@@ -66,6 +69,8 @@ MEMO_RUNS = ("selftest --trials 131072 --seed 7 --threads 1",
              "selftest --trials 600000 --seed 3",
              "point --scenario fd-af-tsr --trials 1000000 --seed 11",
              "figure fig7 --trials 100000 --seed 99")
+FIGURES_MC = tuple(f"figure {name} --trials 100000 --seed 99 --threads {threads}"
+                   for threads in (1, 2) for name in ("fig4", "fig5", "fig6", "fig7"))
 
 
 def digest(text: str) -> str:
@@ -141,6 +146,7 @@ def main() -> None:
         for e in (estimate_outage(cfg, s, plan) for cfg, s in pairs))))
     print("snr_pair", digest(snr_lines(pairs, rng)))
     print("mc_memo", digest("".join(cli_stdout(run.split()) for run in MEMO_RUNS)))
+    print("figures_mc", digest("".join(cli_stdout(run.split()) for run in FIGURES_MC)))
 
 
 if __name__ == "__main__":
