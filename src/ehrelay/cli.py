@@ -152,10 +152,9 @@ def run_points(curves, plan, threads, mc_rows=None) -> tuple[list[Row], list[str
     """The curves' rows in order (analytic values from one `outages` and one `minimize_many`
     call over the curves' columns) and dataset notes: one names every optimize row that fell
     back to the dense grid. With a `plan`, each of the first `mc_rows` rows (all by default)
-    is built as a (cfg, scenario) pair and makes one `estimate_outage` call at `plan` as it is
-    (at its optimum for an optimize row), so rows share their fades through the process's
-    read-only memo of whole block fades, one per (block, channels) (see
-    montecarlo._block_fade)."""
+    makes one `estimate_outage` call at `plan` on its curve's kept pair (at its optimum for an
+    optimize row), so rows share their fades through the process's read-only memo of whole
+    block fades, one per (block, channels) (see montecarlo._block_fade)."""
     plain = iter(outages([c.columns() for c in curves if not c.optimize]).tolist())
     optima = iter(minimize_many([c.columns() for c in curves if c.optimize]))
     rows, fallbacks = [], []
@@ -170,7 +169,7 @@ def run_points(curves, plan, threads, mc_rows=None) -> tuple[list[Row], list[str
                 value = next(plain)
             mc = ()
             if plan is not None and (mc_rows is None or len(rows) < mc_rows):
-                cfg, scenario = curve.row(i)
+                cfg, scenario = curve.pairs[i]
                 if curve.optimize:
                     scenario = scenario.with_eh_param(result.arg_opt)
                 est = estimate_outage(cfg, scenario, plan, threads=threads)

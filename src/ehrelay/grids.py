@@ -6,6 +6,7 @@ ValueError naming its axis; callers add where it came from."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +58,11 @@ class Curve:
         values = np.array(self.values, float)
         return Columns(self.cfg, self.scenario, self.fields(values), values.size)
 
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        """Every row as its checked (cfg, scenario) pair (see row), built once."""
+        return tuple(self.row(i) for i in range(len(self.values)))
+
     def row(self, i: int) -> tuple[SystemConfig, Scenario]:
         """Row i as a (cfg, scenario) pair, each checked by its class."""
         value, axis = self.values[i], self.axis
@@ -80,13 +86,12 @@ class Curve:
 def axis_curve(cfg: SystemConfig, base: Scenario, axis: str, values, name: str = "",
                total: float | None = None, optimize: bool = False) -> Curve:
     """The curve of `base` on `cfg` with `axis` set to each value in turn,
-    named `name` or else after the scenario; every row is checked (see
-    Curve.row)."""
+    named `name` or else after the scenario; every row is checked, and its
+    pair kept (see Curve.pairs)."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     curve = Curve(name or base.label(), axis, tuple(values), cfg, base, total, optimize)
-    for i in range(len(values)):
-        curve.row(i)
+    curve.pairs  # builds and checks every row
     return curve
 
 

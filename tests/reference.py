@@ -1,7 +1,8 @@
 """High-precision references for the analytic outages, imported as conftest is:
 `outage`, a pair's whole outage in mpmath from `model` alone, and `tail`, one
 tail of `analytic._reduce` on its window by `mpmath.fp.quad` (tanh-sinh in
-float64, where the library's rule is Gauss-Kronrod)."""
+float64, where the library's rule is Gauss-Kronrod); and `binomial_tail`, the
+exact two-sided tail of a Monte Carlo outage count under an outage value."""
 
 import functools
 
@@ -94,3 +95,37 @@ def tail(cfg, scenario):
         kind, coefs = "fd-af-r", (k1, v * b / a, v * c / a)
     f = _integrand(mpmath.fp, kind, coefs, mean, std, m, s)
     return float(head[0]), mpmath.fp.quad(f, [max(-TAIL_SIGMAS, lo), min(TAIL_SIGMAS, hi)])
+
+
+def _beta_reg(a: int, b: int, x: float, y: float) -> float:
+    """The regularized incomplete beta I_x(a, b) for a, b >= 1 and 0 < x = 1 - y < 1,
+    from its series of positive terms x^a y^b / (a B(a, b)) * sum_j x^j (a+b)_j/(a+1)_j,
+    summed where they fall from the start: past x = (a+1)/(a+b+2) it is 1 - I_y(b, a).
+    The sum is in float64, the prefactor in mpmath at 30 digits, as log B(a, b) is a
+    difference of numbers near 10^6 at 10^5 trials. (mpmath.betainc sums a series of
+    alternating terms there, whose cancellation defeats it at mid-range p.)"""
+    if x > (a + 1) / (a + b + 2):
+        return 1.0 - _beta_reg(b, a, y, x)
+    term = total = 1.0
+    j = 0
+    while True:  # every later ratio is below this one, so the rest is below term*ratio/(1 - ratio)
+        ratio = x * (a + b + j) / (a + 1 + j)
+        term *= ratio
+        total += term
+        if term < total * 2.0**-53 * (1.0 - ratio):
+            break
+        j += 1
+    with mpmath.workdps(30):
+        log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        pre = mpmath.exp(a * mpmath.log(x) + b * mpmath.log(y) - mpmath.log(a) - log_beta)
+    return float(pre) * total
+
+
+def binomial_tail(k: int, n: int, p: float) -> float:
+    """The exact two-sided tail 2*min(F(k), 1 - F(k - 1)), capped at 1, of an outage
+    count k of n trials under Binomial(n, p), F being its CDF: F(k) = I_(1-p)(n-k, k+1)
+    and 1 - F(k - 1) = I_p(k, n-k+1)."""
+    q = 1.0 - p
+    low = 1.0 if k == n or p == 0 else _beta_reg(n - k, k + 1, q, p)
+    high = 1.0 if k == 0 or q == 0 else _beta_reg(k, n - k + 1, p, q)
+    return min(1.0, 2.0 * min(low, high))

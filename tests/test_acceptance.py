@@ -12,12 +12,14 @@ import pytest
 
 from conftest import columns, curve_rows
 from ehrelay.analytic import outage, outages
-from ehrelay.cli import boundary_points, selftest_points
+from ehrelay.cli import boundary_points, run_points, selftest_points
 from ehrelay.cli import main as cli_main
+from ehrelay.grids import FIGURE_PRESETS, fmt_value
 from ehrelay.lognormal import ChannelSpec
 from ehrelay.model import Scenario, SystemConfig
 from ehrelay.montecarlo import McPlan, estimate_outage
 from ehrelay.optimize import minimize_many, minimize_over_eh_param
+from reference import binomial_tail
 
 CFG = SystemConfig()
 GRID = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -375,5 +377,39 @@ def test_criterion_12_full_duplex_beats_half_duplex_at_small_loop_back():
         not bad,
         "FD below HD up to -5 dB and above it from 3 dB at 1, 10 and 100 W" if not bad
         else "; ".join(bad),
+    )
+    assert ok
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.03, 0.5, 0.97, 1.0 - 2.0**-40, 1.0])
+def test_binomial_tail_matches_exact_sums(p):
+    n = 60
+    pmf = [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
+    for k in range(n + 1):
+        want = min(1.0, 2.0 * min(math.fsum(pmf[:k + 1]), math.fsum(pmf[k:])))
+        assert binomial_tail(k, n, p) == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+def test_criterion_13_figure_rows_match_monte_carlo():
+    """Like the paper's figures, every fig4-fig7 row's Monte Carlo count at 10^5
+    trials is checked against its analytic value p: under p the count is
+    Binomial(N, p), and its exact two-sided tail must not fall below alpha/R over
+    the R rows (Bonferroni, alpha = 1e-3 for the whole gate). Unlike criterion 1's
+    max(3 sigma, 1e-3), the rule keeps its false-failure chance at any p, also on
+    saturated rows and those of stderr 0."""
+    plan = McPlan(trials=10**5, seed=99)
+    checked = []
+    for figure, preset in FIGURE_PRESETS.items():
+        rows, _ = run_points(preset(CFG)[0], plan, 1)
+        checked += [(binomial_tail(round(row.mc * plan.trials), plan.trials, row.analytic),
+                     f"{figure} {row.scenario} {row.axis}={fmt_value(row.axis_value)}")
+                    for row in rows]
+    worst, where = min(checked)
+    bound = 1e-3 / len(checked)
+    ok = report(
+        "criterion 13 (every figure row's Monte Carlo count within its binomial tail)",
+        worst >= bound and len(checked) == 380,
+        f"{len(checked)} rows at {plan.trials} trials, worst two-sided tail {worst:.3g} "
+        f"({where}) against alpha/R = {bound:.2g}",
     )
     assert ok

@@ -24,7 +24,7 @@ from ehrelay.cli import (
     main,
     selftest_points,
 )
-from ehrelay.model import SystemConfig
+from ehrelay.model import Scenario, SystemConfig
 
 
 def run(args):
@@ -289,6 +289,25 @@ class TestSweep:
                     "--values", ",;", "--no-mc"]) == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("scenario,axis,values", [
+        ("hd-df-tsr", "ps", "1,2,5,10"), ("fd-af-tsr", "tau", "0.2,0.5,0.8")])
+    def test_mc_rows_build_their_pairs_once(self, scenario, axis, values, monkeypatch, capsys):
+        # the curve checks and keeps each row's pair; the MC rows reuse it
+        built = []
+        for cls in (SystemConfig, Scenario):
+            def counted(self, post_init=cls.__post_init__):
+                built[-1] += 1
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for mc_flags in (["--no-mc"], ["--trials", "10000"]):
+            built.append(0)
+            assert run(["sweep", "--scenario", scenario, "--axis", axis, "--values", values,
+                        *mc_flags]) == EXIT_OK
+        capsys.readouterr()
+        assert built[0] == built[1] > len(values.split(","))
+
+
 class TestOptimize:
     def test_reports_optimum(self, capsys):
         assert run(["optimize", "--scenario", "hd-df-tsr"]) == EXIT_OK
@@ -311,7 +330,8 @@ class TestOptimize:
         proc = run_subprocess([command, "--trials", "10000",
                                "--override", "system.ch1.sigma_db=1e300"])
         assert proc.returncode == EXIT_NUMERICAL
-        assert "numerical error: x must be strictly positive" in proc.stderr
+        assert ("numerical error: system.ch1: gains left the float64 range "
+                "(a squared gain is not > 0)") in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("mc,code,stdout", [
@@ -358,7 +378,8 @@ class TestOptimize:
                                "--override", "system.ch1.mu_db=1e300"])
         assert proc.returncode == EXIT_NUMERICAL
         errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("numerical error:")]
-        assert errors == ["numerical error: x must be finite"]
+        assert errors == ["numerical error: system.ch1: gains left the float64 range "
+                          "(a squared gain is infinite)"]
         assert "Traceback" not in proc.stderr
 
     def test_other_value_error_is_not_numerical(self, monkeypatch):
