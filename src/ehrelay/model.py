@@ -280,7 +280,11 @@ class Scenario:
 
 class FadeRangeError(ValueError):
     """Squared gains that are not all finite and strictly positive, as when fades leave the
-    float64 range. The message names the settings key of the gains' channel."""
+    float64 range. `gain` names the first such gain and `problem` what it is not."""
+
+    def __init__(self, gain: str, problem: str, message: str = ""):
+        super().__init__(message or f"{gain} must be {problem}")
+        self.gain, self.problem = gain, problem
 
 
 @dataclass(frozen=True)
@@ -297,13 +301,14 @@ class FadeSample:
     def __post_init__(self):
         # two reductions per channel and no temporary; a NaN minimum fails too
         extremes = {}
-        for name, ch in zip("xy" if self.w is None else "xyw", ("ch1", "ch2", "chg")):
+        for name in ("x", "y") if self.w is None else ("x", "y", "w"):
             gains = np.asarray(getattr(self, name))
             low = float(gains.min(initial=np.inf))
-            high = float(gains.max(initial=0.0)) if low > 0 else math.nan
+            if not low > 0:
+                raise FadeRangeError(name, "strictly positive")
+            high = float(gains.max(initial=0.0))
             if not high < np.inf:
-                raise FadeRangeError(f"system.{ch}: gains left the float64 range (a squared "
-                                     f"gain is {'infinite' if low > 0 else 'not > 0'})")
+                raise FadeRangeError(name, "finite")
             extremes[name] = low, high
         object.__setattr__(self, "extremes", extremes)
 
@@ -577,18 +582,8 @@ def _af_edge(duplex: str, coefficients, cut: float, fade: FadeSample) -> float:
 _SUBSET_SHARE = 0.25
 
 
-def outage_rule(cfg: SystemConfig, scenario: Scenario) -> tuple:
-    """What outage_indicator decides every fade of (cfg, scenario) by:
-    (snr_coefficients, snr_cutoff, the DF relay edge or None for AF)."""
-    coefficients = snr_coefficients(cfg, scenario)
-    cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
-    if scenario.relay == "af":  # an AF edge reads each fade's extremes
-        return coefficients, cut, None
-    return coefficients, cut, _relay_edge(scenario.duplex, coefficients[0], cut)
-
-
 def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
-                     scratch=None, rule=None):
+                     scratch=None):
     """True where the end-to-end capacity is below cth (bool array for arrays).
 
     Both hops share the capacity prefactor and capacity does not decrease in
@@ -609,14 +604,15 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
     a*x/b (HD) or a/(b*w) (FD). Either way the flags are those of the weaker
     hop's SNR, one per trial. `scratch` is an optional pair of float64 arrays
     of the fades' shape for the SNRs (see snr_pair); without it fresh ones
-    are used. `rule` is outage_rule(cfg, scenario), which a caller deciding
-    many fades of one pair computes once; without it, it is computed here.
-    The fade arrays are never written.
+    are used. The fade arrays are never written.
     """
     _check_fade(scenario, fade)
     duplex = scenario.duplex
-    coefficients, cut, edge = rule or outage_rule(cfg, scenario)
-    if edge is None:
+    coefficients = snr_coefficients(cfg, scenario)
+    cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+    if scenario.relay == "df":
+        edge = _relay_edge(duplex, coefficients[0], cut)
+    else:
         edge = _af_edge(duplex, coefficients, cut, fade)
     if _past_edge(duplex, fade, edge):
         return np.ones(_fade_shape(fade), bool)[()]

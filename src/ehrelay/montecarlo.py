@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lognormal import sample_sq_gain
-from .model import (FadeSample, OutageEstimate, Scenario, SystemConfig, outage_indicator,
-                    outage_rule)
+from .model import (FadeRangeError, FadeSample, OutageEstimate, Scenario, SystemConfig,
+                    outage_indicator)
 
 
 BLOCK_SIZE = 1 << 16
@@ -133,12 +133,11 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
         return _memo.setdefault(key, entry)
 
 
-def _block_outages(cfg: SystemConfig, scenario: Scenario, rule, channels, keep: bool,
-                   seed: int, index: int, size: int) -> int:
+def _block_outages(cfg: SystemConfig, scenario: Scenario, channels, keep: bool, seed: int,
+                   index: int, size: int) -> int:
     fade = _block_fade(seed, index, size, channels, keep)[1]
-    scratch = _thread_array("scratch0", size), _thread_array("scratch1", size)
-    return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=scratch,
-                                                 rule=rule)))
+    scratch = [_thread_array(key, size) for key in ("scratch0", "scratch1")]
+    return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=scratch)))
 
 
 def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
@@ -146,19 +145,21 @@ def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
     """Average the outage indicator over plan.trials independent fades.
 
     Deterministic for a fixed plan regardless of `threads`: blocks hold
-    exact integer outage counts and summation is order-independent. What
-    decides every block of the pair (model.outage_rule) is computed once.
+    exact integer outage counts and summation is order-independent. Gains
+    out of the float64 range raise FadeRangeError naming their channel's
+    settings key.
     """
+    blocks = plan.blocks()
     channels = (cfg.ch1, cfg.ch2, cfg.chg) if scenario.duplex == "fd" else (cfg.ch1, cfg.ch2)
     keep = 8 * plan.trials * len(channels) <= _KEPT_BYTES
-    args = cfg, scenario, outage_rule(cfg, scenario), channels, keep, plan.seed
-    if plan.trials <= BLOCK_SIZE:
-        outages = _block_outages(*args, 0, plan.trials)
-    else:
-        block = functools.partial(_block_outages, *args)
-        # the pool's map cancels the blocks still queued if the caller is interrupted
-        apply = _pool(threads).map if threads > 1 else map
-        outages = sum(apply(block, *zip(*plan.blocks())))
-    p_hat = outages / plan.trials
-    return OutageEstimate(p_hat, "monte_carlo", math.sqrt(p_hat * (1.0 - p_hat) / plan.trials),
-                          plan.trials)
+    block = functools.partial(_block_outages, cfg, scenario, channels, keep, plan.seed)
+    # the pool's map cancels the blocks still queued if the caller is interrupted
+    apply = _pool(threads).map if threads > 1 and len(blocks) > 1 else map
+    try:
+        p_hat = sum(apply(block, *zip(*blocks))) / plan.trials
+    except FadeRangeError as exc:  # a fade's gains x, y, w are drawn from `channels` in turn
+        key = "system." + ("ch1", "ch2", "chg")["xyw".index(exc.gain)]
+        raise FadeRangeError(exc.gain, exc.problem, f"{key}: gains left the float64 range "
+                             f"(a squared gain is not {exc.problem})") from exc
+    stderr = math.sqrt(p_hat * (1.0 - p_hat) / plan.trials)
+    return OutageEstimate(p_hat, "monte_carlo", stderr, plan.trials)

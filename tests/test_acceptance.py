@@ -8,6 +8,7 @@ scale (around a minute).
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 
 from conftest import columns, curve_rows
@@ -388,6 +389,38 @@ def test_binomial_tail_matches_exact_sums(p):
     for k in range(n + 1):
         want = min(1.0, 2.0 * min(math.fsum(pmf[:k + 1]), math.fsum(pmf[k:])))
         assert binomial_tail(k, n, p) == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+
+def _summed_tail(k, n, p):
+    """binomial_tail's value from Binomial(n, p)'s pmf in mpmath at 40 digits: the tail on
+    k's side of the mode is summed from k outward until its terms, which fall from there
+    on, no longer count; the other is 1 minus it plus the pmf at k."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        q = 1 - p
+        first = term = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                                  - mpmath.loggamma(n - k + 1) + k * mpmath.log(p)
+                                  + (n - k) * mpmath.log(q))
+        down = k <= (n + 1) * p
+        total, j = 0, k
+        while 0 <= j <= n and term > total * mpmath.mpf(10) ** -35:
+            total += term
+            term *= j / (n - j + 1) * q / p if down else (n - j) / (j + 1) * p / q
+            j += -1 if down else 1
+        other = 1 - total + first
+        return float(min(1, 2 * min(total, other)))
+
+
+@pytest.mark.parametrize("p", [1e-4, 0.003, 0.2, 0.5, 0.9, 0.9999])
+def test_binomial_tail_matches_exact_sums_at_criterion_13_trials(p):
+    """At criterion 13's 10^5 trials, where binomial_tail's series runs to thousands of
+    terms, at counts from the far tails through the mode."""
+    n = 10**5
+    sigma = math.sqrt(n * p * (1 - p))
+    counts = {min(n, max(0, round(n * p + z * sigma))) for z in (-9, -5, -3, -1, 0, 1, 3, 5, 9)}
+    for k in sorted(counts):
+        assert binomial_tail(k, n, p) == pytest.approx(_summed_tail(k, n, p), rel=1e-10,
+                                                       abs=1e-300), k
 
 
 def test_criterion_13_figure_rows_match_monte_carlo():

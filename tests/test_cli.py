@@ -331,7 +331,7 @@ class TestOptimize:
                                "--override", "system.ch1.sigma_db=1e300"])
         assert proc.returncode == EXIT_NUMERICAL
         assert ("numerical error: system.ch1: gains left the float64 range "
-                "(a squared gain is not > 0)") in proc.stderr
+                "(a squared gain is not strictly positive)") in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("mc,code,stdout", [
@@ -379,7 +379,7 @@ class TestOptimize:
         assert proc.returncode == EXIT_NUMERICAL
         errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("numerical error:")]
         assert errors == ["numerical error: system.ch1: gains left the float64 range "
-                          "(a squared gain is infinite)"]
+                          "(a squared gain is not finite)"]
         assert "Traceback" not in proc.stderr
 
     def test_other_value_error_is_not_numerical(self, monkeypatch):

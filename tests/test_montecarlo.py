@@ -1,6 +1,5 @@
 """Monte Carlo estimator: determinism, block structure and cost handling."""
 
-import inspect
 import itertools
 import signal
 import sys
@@ -11,7 +10,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import ehrelay.model as model
 import ehrelay.montecarlo as mc
 from conftest import curve_rows, subset
 from ehrelay import cli
@@ -480,14 +478,28 @@ def test_redrawn_slot_is_checked_again():
     dead = replace(point.cfg, chg=ChannelSpec(-3500.0, 1.0))
     estimate_outage(point.cfg, point.scenario, SHORT_LAST)
     for _ in range(2):  # a fade that fails its check is never kept, so drawn again
-        with pytest.raises(FadeRangeError, match=r"^system.chg: gains left the float64 range \(a squared gain is not > 0\)$"):
+        with pytest.raises(FadeRangeError, match=r"^system\.chg: gains left the float64 range "
+                           r"\(a squared gain is not strictly positive\)$"):
             estimate_outage(dead, point.scenario, SHORT_LAST)
     assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
         _fresh([point], SHORT_LAST)
 
 
+@pytest.mark.parametrize("channel,problem", [
+    ("ch1", "strictly positive"), ("ch2", "finite"), ("chg", "strictly positive")])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gains_out_of_range_name_their_channel(channel, problem, threads):
+    # the fade names its gain (x, y or w); the estimate names the channel it was drawn from
+    point = _selftest_batch()[-1]
+    mu_db = -3500.0 if problem == "strictly positive" else 3500.0
+    cfg = replace(point.cfg, **{channel: ChannelSpec(mu_db, 1.0)})
+    with pytest.raises(FadeRangeError, match=rf"^system\.{channel}: gains left the float64 "
+                       rf"range \(a squared gain is not {problem}\)$"):
+        estimate_outage(cfg, point.scenario, McPlan(2 * mc.BLOCK_SIZE, 5), threads=threads)
+
+
 @pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("budget", [mc._KEPT_BYTES, 0], ids=["kept", "over-budget"])
+@pytest.mark.parametrize("budget",[mc._KEPT_BYTES, 0], ids=["kept", "over-budget"])
 def test_interrupted_draw_keeps_nothing(monkeypatch, budget):
     """A draw that writes its array and then raises, midway through a block,
     keeps nothing: the memo holds what it held, not even the slot drawn
@@ -516,28 +528,6 @@ def test_interrupted_draw_keeps_nothing(monkeypatch, budget):
 
 
 @pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("threads", [1, 2])
-def test_estimate_computes_its_decision_rule_once(monkeypatch, threads):
-    """A DF estimate of three blocks computes its pair's SNR coefficients and
-    relay edge once (see model.outage_rule), not once a block, and counts
-    what deciding each block on its own counts."""
-    points = [p for p in _selftest_batch() if p.scenario.relay == "df"]
-    want = _fresh(points, SHORT_LAST)
-    calls = []
-    for name in ("snr_coefficients", "_relay_edge"):
-        def counted(*args, name=name, fn=getattr(model, name)):
-            calls.append(name)
-            return fn(*args)
-
-        monkeypatch.setattr(model, name, counted)
-    assert len(SHORT_LAST.blocks()) == 3
-    for point, estimate in zip(points, want):
-        calls.clear()
-        assert estimate_outage(point.cfg, point.scenario, SHORT_LAST, threads=threads) == estimate
-        assert sorted(calls) == ["_relay_edge", "snr_coefficients"]
-
-
-@pytest.mark.usefixtures("small_blocks")
 def test_interrupted_pooled_call_cancels_queued_blocks(monkeypatch):
     """A caller interrupted while its blocks run on the pool cancels those
     still queued, and what the blocks that ran keep is what a fresh draw gives."""
@@ -546,15 +536,14 @@ def test_interrupted_pooled_call_cancels_queued_blocks(monkeypatch):
     started, release = [], threading.Event()
     block = mc._block_outages
 
-    def interrupting(*args, **kwargs):
-        index = inspect.signature(block).bind(*args, **kwargs).arguments["index"]
-        started.append(index)
-        if index == 0:  # interrupts the caller waiting for the results
+    def interrupting(*args):
+        started.append(args[5])
+        if args[5] == 0:  # interrupts the caller waiting for the results
             time.sleep(0.05)
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
         else:
             release.wait(10)
-        return block(*args, **kwargs)
+        return block(*args)
 
     handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
@@ -608,10 +597,10 @@ def test_selftest_decides_its_saturated_blocks_at_the_edge(monkeypatch, capsys):
     untouched = []
     indicator = mc.outage_indicator
 
-    def watched(cfg, scenario, fade, scratch, rule):
+    def watched(cfg, scenario, fade, scratch):
         for arr in scratch:
             arr.fill(np.nan)
-        out = indicator(cfg, scenario, fade, scratch=scratch, rule=rule)
+        out = indicator(cfg, scenario, fade, scratch=scratch)
         untouched.append(all(np.isnan(arr).all() for arr in scratch))
         assert out.all() or not untouched[-1]
         return out
