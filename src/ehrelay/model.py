@@ -290,12 +290,14 @@ class FadeRangeError(ValueError):
 @dataclass(frozen=True)
 class FadeSample:
     """One joint realization of squared gains (arrays allowed): x = h1^2,
-    y = h2^2 and, for full-duplex, the loop-back gain w = g^2. `extremes`
-    maps each gain's name to its (min, max), as the checks found them."""
+    y = h2^2 and, for full-duplex, the loop-back gain w = g^2. z is the
+    product x*y, computed once here when not given. `extremes` maps each
+    gain's name to its (min, max), as the checks found them."""
 
     x: object
     y: object
     w: object = None
+    z: object = field(default=None, repr=False, compare=False)
     extremes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -311,6 +313,9 @@ class FadeSample:
                 raise FadeRangeError(name, "finite")
             extremes[name] = low, high
         object.__setattr__(self, "extremes", extremes)
+        if self.z is None:
+            with np.errstate(over="ignore"):  # an x*y that overflows: see _products
+                object.__setattr__(self, "z", np.multiply(self.x, self.y))
 
 
 def hop_losses(cfg: SystemConfig) -> tuple[float, float]:
@@ -343,9 +348,9 @@ def snr_coefficients(cfg: SystemConfig,
                      scenario: Scenario) -> tuple[float | None, float, float, float]:
     """SNR coefficients (k1, a, b, c) of a variant.
 
-    The destination SNR is gamma_d = a*x*y/(b*y + c), or, for FD-AF, whose
-    amplified loop-back interference enters both signal path and gain,
-    a*x*y/(c*(k1 + w) + b*w*x*y). A DF relay decodes at gamma_r = k1*x (HD)
+    The destination SNR is gamma_d = a*z/(b*y + c) with z = x*y, or, for
+    FD-AF, whose amplified loop-back interference enters both signal path and
+    gain, a*z/(c*(k1 + w) + b*w*z). A DF relay decodes at gamma_r = k1*x (HD)
     or k1/w (FD, limited by its loop-back gain) and regenerates the signal,
     so b = 0 and c = 1, and pc_fraction of its power goes to processing. k1
     is None for HD-AF, whose relay does not decode; both FD variants have
@@ -390,47 +395,50 @@ def _empty_pair(fade: FadeSample):
     return np.empty(shape), np.empty(shape)
 
 
-def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample, out=None):
+def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
     """Relay and destination SNRs (gamma_r, gamma_d); gamma_r is None for AF.
-
-    `out` is an optional pair of float64 arrays of the fades' shape that
-    receive gamma_r and gamma_d in place and are returned (AF uses the first
-    as scratch). Without it the SNRs are fresh arrays, or numpy scalars for
-    scalar fades. The fade arrays are never written.
-    """
+    They are fresh arrays, or numpy scalars for scalar fades; the fade arrays
+    are never written."""
     _check_fade(scenario, fade)
-    r, d = _snrs(snr_coefficients(cfg, scenario), scenario, fade.x, fade.y, fade.w,
-                 *(_empty_pair(fade) if out is None else out))
-    if out is None:
-        return (None if r is None else r[()]), d[()]
-    return r, d
+    coefficients = snr_coefficients(cfg, scenario)
+    r, d = _empty_pair(fade)
+    z, *after = _products(fade)
+    d = _snrs(coefficients, scenario, z, fade.y, fade.w, r, d, *after)[()]
+    if scenario.relay == "af":
+        return None, d
+    if scenario.duplex == "fd":
+        return np.divide(coefficients[0], fade.w, out=r)[()], d
+    return np.multiply(coefficients[0], fade.x, out=r)[()], d
 
 
-def _snrs(coefficients, scenario: Scenario, x, y, w, r, d):
-    """snr_pair's SNRs of the gains x, y and w (None for HD) into r and d,
-    from the variant's snr_coefficients."""
+def _products(fade: FadeSample) -> tuple:
+    """The factors of the fade's products x*y in its SNRs: z, or x and then y
+    where some x*y overflows, so that a finite (a*x)*y stays finite."""
+    (_, x1), (_, y1) = fade.extremes["x"], fade.extremes["y"]
+    return (fade.z,) if x1 * y1 < math.inf else (fade.x, fade.y)
+
+
+def _snrs(coefficients, scenario: Scenario, z, y, w, r, d, *after):
+    """snr_pair's destination SNR into d (r is scratch) from snr_coefficients
+    and the products z = x*y, each times `after` in turn (see _products)."""
     k1, a, b, c = coefficients
-    if scenario.relay == "af":  # the denominator of a*x*y into r
-        if scenario.duplex == "fd":  # c*(k1 + w) + b*w*x*y
+    if scenario.relay == "af":  # the denominator of a*z into r
+        if scenario.duplex == "fd":  # c*(k1 + w) + (b*w)*z
             np.add(k1, w, out=r)
             np.multiply(c, r, out=r)
             np.multiply(b, w, out=d)
-            np.multiply(d, x, out=d)
-            np.multiply(d, y, out=d)
+            for factor in (z, *after):
+                np.multiply(d, factor, out=d)
             np.add(r, d, out=r)
         else:  # b*y + c
             np.multiply(b, y, out=r)
             np.add(r, c, out=r)
-    np.multiply(a, x, out=d)
-    np.multiply(d, y, out=d)
+    np.multiply(a, z, out=d)
+    for factor in after:
+        np.multiply(d, factor, out=d)
     if scenario.relay == "af":
         np.divide(d, r, out=d)
-        r = None
-    elif scenario.duplex == "fd":
-        np.divide(k1, w, out=r)
-    else:
-        np.multiply(k1, x, out=r)
-    return r, d
+    return d
 
 
 def capacity_prefactor(scenario: Scenario) -> float:
@@ -496,11 +504,13 @@ def snr_cutoff(pre: float, cth: float) -> float:
                         math.expm1(expo) if expo < 709.78 else math.inf)
 
 
+@functools.lru_cache(maxsize=1024)
 def _relay_edge(duplex: str, k1: float, cut: float) -> float:
     """The DF relay's certain-outage edge: an HD trial is in outage at its relay
     exactly when x < edge, an FD one exactly when w >= edge. Exact on every
     float, since the relay SNR k1*x (k1/w), in snr_pair's float64 operations,
-    does not decrease (increase) in the gain; k1/0 is inf, never below cut."""
+    does not decrease (increase) in the gain; k1/0 is inf, never below cut.
+    With DF's a for k1 the HD edge is the product's: a*z < cut iff z < edge."""
     k1 = float(k1)
     if duplex == "fd":
         return _least_float(lambda w: w > 0 and k1 / w < cut, k1 / cut if cut else math.inf)
@@ -539,28 +549,30 @@ def _af_edge(duplex: str, coefficients, cut: float, fade: FadeSample) -> float:
     whose result is normal (Higham 2002, sections 2.2-3.1). Rounding is
     monotone, so each intermediate of each trial lies between its values at
     the block's extreme gains, and checking those checks all of them.
-    HD: gamma_d = fl(N/D), N = fl(fl(a*x)*y) <= a*x*y*(1+u)**2 and D =
+    HD: gamma_d = fl(N/D), N = fl(a*fl(x*y)) <= a*x*y*(1+u)**2 and D =
     fl(fl(b*y) + c) >= fl(b*y) >= b*y*(1-u), so gamma_d <= (a*x/b)*(1+u)**3/(1-u);
     x < edge = fl(fl(fl(cut*b)/a)*(1 - 2**-30)) <= cut*b/a*(1 - 2**-30)*(1+u)**3
     then gives gamma_d < cut*(1 - 2**-30)*(1+u)**6/(1-u) < cut. FD: D =
-    fl(fl(c*fl(k1 + w)) + Q) >= Q = fl(fl(fl(b*w)*x)*y) >= b*w*x*y*(1-u)**3, so
+    fl(fl(c*fl(k1 + w)) + Q) >= Q = fl(fl(b*w)*fl(x*y)) >= b*w*x*y*(1-u)**3, so
     gamma_d <= a/(b*w)*(1+u)**3/(1-u)**3; w >= edge = fl(fl(a/fl(b*cut))*(1 +
     2**-30)) >= a/(b*cut)*(1 + 2**-30)*(1-u)**2/(1+u) then gives gamma_d <
     cut*(1+u)**4/((1-u)**5*(1 + 2**-30)) < cut. Each step is about one trial,
     so the bound holds for every trial past the edge, whatever the others'
-    gains. The products below keep snr_pair's association; a NaN or an
-    overflow fails the checks.
+    gains. The products below keep snr_pair's association, with z = x*y; a
+    NaN or an overflow fails the checks, so a fade whose x*y can overflow
+    (see _products) gets no edge.
     """
     k1, a, b, c = coefficients
     (x0, x1), (y0, y1) = fade.extremes["x"], fade.extremes["y"]
+    z0, z1 = x0 * y0, x1 * y1
     if duplex == "hd":
         cb = cut * b
         cba = cb / a if a > 0 else math.nan
         edge = cba * (1.0 - 2.0**-30)
         if not _past_edge(duplex, fade, edge):
             return _NO_EDGE[duplex]
-        num0, den1 = a * x0 * y0, b * y1 + c
-        checked = cut, cb, cba, edge, a * x0, num0, a * x1 * y1, b * y0, den1
+        num0, den1 = a * z0, b * y1 + c
+        checked = cut, cb, cba, edge, z0, num0, z1, a * z1, b * y0, den1
     else:
         w0, w1 = fade.extremes["w"]
         bc = b * cut
@@ -568,17 +580,16 @@ def _af_edge(duplex: str, coefficients, cut: float, fade: FadeSample) -> float:
         edge = abc * (1.0 + 2.0**-30)
         if not _any_past(duplex, fade, edge):
             return _NO_EDGE[duplex]
-        num0, den1 = a * x0 * y0, c * (float(k1) + w1) + b * w1 * x1 * y1
-        checked = (cut, bc, abc, edge, a * x0, num0, a * x1 * y1, b * w0, b * w0 * x0,
-                   b * w0 * x0 * y0, den1)
+        num0, den1 = a * z0, c * (float(k1) + w1) + b * w1 * z1
+        checked = cut, bc, abc, edge, z0, num0, z1, a * z1, b * w0, b * w0 * z0, den1
     # den1, the largest denominator, is checked before it divides
     return edge if _normal(*checked) and _normal(num0 / den1) else _NO_EDGE[duplex]
 
 
 # A straddling FD-AF block computes the SNRs of only its trials short of the edge when they
 # are at most this share of it. On one 65,536-trial block with its short trials scattered
-# (2-core x86-64 VM), that took 41, 109, 164, 180 and 197 us at 2, 10, 20, 25 and 30 %
-# short, against 196 us for counting them and then computing every trial's SNR.
+# (2-core x86-64 VM), that took 58, 130, 177, 190 and 224 us at 2, 10, 20, 25 and 30 %
+# short, against 213-229 us for counting them and then computing every trial's SNR.
 _SUBSET_SHARE = 0.25
 
 
@@ -590,21 +601,22 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
     the SNR, so the end-to-end capacity is that of the weaker hop's SNR, and
     it is below cth exactly where that SNR is below snr_cutoff. A block of
     fades that lies wholly past the certain-outage edge (see _past_edge) is
-    all True without a look at its arrays. A DF relay's edge is exact (see
-    _relay_edge), so a DF trial is in outage where its destination SNR is
-    below snr_cutoff or its gain is past the edge: one compare on each, and
-    none on the gain when no trial is past the edge. An AF edge is a proven
-    bound (see _af_edge), and an AF trial is in outage where its destination
-    SNR is below snr_cutoff; a straddling FD-AF block with few trials short
-    of the edge (_SUBSET_SHARE) computes the SNRs of those trials only, and
-    flags the rest. Where the block's extreme gains let an SNR operation leave
-    the float range (see _snrs_in_range), the block is decided under
-    np.errstate; where a*x*y can overflow, an AF SNR that is NaN (both a*x*y
-    and its denominator overflowed) is replaced by its limit as x*y grows,
-    a*x/b (HD) or a/(b*w) (FD). Either way the flags are those of the weaker
-    hop's SNR, one per trial. `scratch` is an optional pair of float64 arrays
-    of the fades' shape for the SNRs (see snr_pair); without it fresh ones
-    are used. The fade arrays are never written.
+    all True without a look at its arrays. A DF trial is in outage exactly
+    where its relay gain or its product z = x*y is past its exact edge (see
+    _relay_edge): one compare on each, none on the gain when no trial is past
+    its edge, and no SNR computed. An AF edge is a proven bound (see
+    _af_edge), and an AF trial is in outage where its destination SNR is
+    below snr_cutoff; a straddling FD-AF block with few trials short of the
+    edge (_SUBSET_SHARE) computes the SNRs of those trials only, and flags
+    the rest. Where some x*y overflows, every variant computes its SNRs with
+    (a*x)*y for a*z (see _products). Where the block's extreme gains let an
+    SNR operation leave the float range (see _snrs_in_range), the block is
+    decided under np.errstate; where a*z can overflow, an AF SNR that is NaN
+    (a*z and its denominator overflowed) is replaced by its limit as x*y
+    grows, a*x/b (HD) or a/(b*w) (FD). Either way the flags are those of the
+    weaker hop's SNR, one per trial. `scratch` is an optional pair of float64
+    arrays of the fades' shape for the SNRs; without it fresh ones are used.
+    The fade arrays are never written.
     """
     _check_fade(scenario, fade)
     duplex = scenario.duplex
@@ -627,20 +639,22 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
 
 def _snrs_in_range(coefficients, scenario: Scenario, fade: FadeSample) -> bool:
     """Whether outage_indicator's SNR operations on `fade` stay finite, with
-    denominators > 0, so that none raises a floating-point warning: the
-    destination SNR's numerator a*x*y and, for AF, its denominator and their
-    quotient. Each is monotone in every gain, so the block's extreme gains
+    denominators > 0, so that none raises a floating-point warning: an AF
+    destination SNR's numerator a*z, its denominator and their quotient, and
+    none for DF, which compares z with an edge, while every x*y is finite (see
+    _products). Each is monotone in every gain, so the block's extreme gains
     bound all of its trials."""
     k1, a, b, c = coefficients
     (x0, x1), (y0, y1) = fade.extremes["x"], fade.extremes["y"]
-    num1 = a * x1 * y1
-    if scenario.relay == "df":
-        return num1 < math.inf
+    z0, z1 = x0 * y0, x1 * y1
+    if scenario.relay == "df" or not z1 < math.inf:
+        return z1 < math.inf
     if scenario.duplex == "hd":
         den0, den1 = b * y0 + c, b * y1 + c
     else:
         (w0, w1), k1 = fade.extremes["w"], float(k1)
-        den0, den1 = c * (k1 + w0) + b * w0 * x0 * y0, c * (k1 + w1) + b * w1 * x1 * y1
+        den0, den1 = c * (k1 + w0) + b * w0 * z0, c * (k1 + w1) + b * w1 * z1
+    num1 = a * z1
     return num1 < math.inf and den1 < math.inf and den0 > 0 and num1 / den0 < math.inf
 
 
@@ -649,29 +663,27 @@ def _decide(coefficients, scenario: Scenario, fade: FadeSample, cut: float, edge
     """outage_indicator's flags of a block not wholly past the edge."""
     duplex = scenario.duplex
     x, y, w = fade.x, fade.y, fade.w
+    z, *after = _products(fade)
     if scenario.relay == "df":
-        gamma_d = scratch[1]  # a*x*y, as snr_pair gives it
-        np.multiply(coefficients[1], x, out=gamma_d)
-        np.multiply(gamma_d, y, out=gamma_d)
-        flags = gamma_d < cut
+        flags = (_snrs(coefficients, scenario, z, y, w, *scratch, *after) < cut if after
+                 else z < _relay_edge("hd", coefficients[1], cut))
         if _any_past(duplex, fade, edge):
             flags |= x < edge if duplex == "hd" else w >= edge
         return flags
     # FD-AF's edge is finite here only where some trials are past it and some short
-    if (edge < math.inf and duplex == "fd"
-            and np.ndim(w) == 1 and np.shape(x) == np.shape(y) == np.shape(w)):
+    if edge < math.inf and duplex == "fd" and np.ndim(w) == 1 and np.shape(z) == np.shape(w):
         short = w < edge
         n = np.count_nonzero(short)  # 2 us; flatnonzero takes 36 us at 30 % short
         if n <= _SUBSET_SHARE * w.size:
             short = np.flatnonzero(short)
             flags = np.ones(w.size, bool)
-            flags[short] = _snrs(coefficients, scenario, x[short], y[short], w[short],
-                                 scratch[0][:n], scratch[1][:n])[1] < cut
+            flags[short] = _snrs(coefficients, scenario, z[short], None, w[short],
+                                 scratch[0][:n], scratch[1][:n]) < cut
             return flags
-    gamma_d = _snrs(coefficients, scenario, x, y, w, *scratch)[1]
+    gamma_d = _snrs(coefficients, scenario, z, y, w, *scratch, *after)
     flags = gamma_d < cut
     a, b = coefficients[1:3]
-    if not a * fade.extremes["x"][1] * fade.extremes["y"][1] < math.inf:
+    if not a * (fade.extremes["x"][1] * fade.extremes["y"][1]) < math.inf:
         limit = np.multiply(a, x) / b if duplex == "hd" else a / np.multiply(b, w)
         flags = np.where(np.isnan(gamma_d), limit < cut, flags)[()]
     return flags

@@ -10,13 +10,13 @@ whose capacity reaches cth, found by evaluating the capacity function
 itself. The capacity does not decrease in the SNR, so comparing the SNR
 decides exactly as comparing the capacity with cth does. A block whose
 gains all lie past the certain-outage edge (see model.outage_indicator) is
-decided from its gains' extremes alone, a DF relay hop by one compare on
-its gain, and an FD-AF block that straddles the edge by the SNRs of only
-its trials short of it, when they are few.
+decided from its gains' extremes alone, a DF trial by comparing its gain
+and its product x*y with exact edges, and an FD-AF block that straddles
+the edge by the SNRs of only its trials short of it, when they are few.
 
-Rows of a dataset share their fades through one read-only memo of whole
-block fades, where an FD fade extends its block's HD fade (see _block_fade);
-a block decides in arrays its thread reuses.
+Rows of a dataset share their fades, with their products x*y, through one
+read-only memo of whole block fades, where an FD fade extends its block's
+HD fade (see _block_fade); a block decides in arrays its thread reuses.
 """
 
 from __future__ import annotations
@@ -82,11 +82,12 @@ def _pool(threads: int):
 
 
 # Bytes of gains the memo holds, 8 per trial and slot; only a plan whose gains fit on
-# their own adds to it (HD plans of up to 2**20 trials, FD ones of up to 699,050).
+# their own adds to it (HD plans of up to 2**20 trials, FD ones of up to 699,050). Each HD
+# fade also holds its products x*y, uncounted, so the memo takes at most 24 MiB.
 _KEPT_BYTES = 16 << 20
 # (seed, index, size, channels) -> (generator state after the block's last slot, its checked
-# FadeSample). An FD fade's x and y are the arrays of the HD entry for channels[:2], which the
-# memo keeps while it keeps the FD one. Kept gains are read-only; no entry is replaced.
+# FadeSample). An FD fade's x, y and z are the arrays of the HD entry for channels[:2], which
+# the memo keeps while it keeps the FD one. Kept arrays are read-only; no entry is replaced.
 _memo: dict = {}
 _lock = threading.Lock()
 
@@ -101,8 +102,8 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
     `channels`. An HD fade draws slots 0 and 1 from the substream (seed, index); an FD fade
     extends the HD fade of channels[:2] by slot 2, drawn from the state that fade left. So
     a kept fade is what a fresh draw gives, whichever call or thread asks. With `keep`, a
-    new fade goes into the memo once drawn and checked; without, its new gains go into the
-    running thread's arrays. An interrupted draw keeps nothing."""
+    new fade goes into the memo once drawn and checked; without, its new gains and an HD
+    fade's products go into the running thread's arrays. An interrupted draw keeps nothing."""
     key = (seed, index, size, channels)
     entry = _memo.get(key)
     if entry is not None:
@@ -114,11 +115,13 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
     old = (hd[1].x, hd[1].y) if hd else ()
     new = [sample_sq_gain(ch, rng, size, out=None if keep else _thread_array(slot, size))
            for slot, ch in enumerate(channels) if slot >= len(old)]
-    entry = (rng.bit_generator.state, FadeSample(*old, *new))
+    with np.errstate(all="ignore"):  # silent, as in FadeSample, which checks the gains
+        z = hd[1].z if hd else np.multiply(*new, out=None if keep else _thread_array("z", size))
+    entry = (rng.bit_generator.state, FadeSample(*old, *new, z=z))
     if not keep:
         return entry
-    for gains in new:
-        gains.flags.writeable = False
+    for arr in (*new, z):
+        arr.flags.writeable = False
     hd_key = (seed, index, size, channels[:2])
     with _lock:  # an FD fade only while the memo keeps the HD fade it extends
         if hd and _memo.get(hd_key) is not hd:

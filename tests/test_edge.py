@@ -19,6 +19,7 @@ from ehrelay.model import (
     FadeSample,
     Scenario,
     SystemConfig,
+    capacity,
     capacity_prefactor,
     outage_indicator,
     snr_cutoff,
@@ -135,8 +136,8 @@ def test_af_edge_flags_only_trials_the_snr_decision_flags(duplex, a, b, c, k1, c
     past = fade.x < edge if duplex == "hd" else fade.w >= edge
     if past.any():
         with np.errstate(all="ignore"):
-            _, gamma_d = model._snrs(coefficients, scenario, fade.x, fade.y, fade.w, np.empty(16),
-                                     np.empty(16))
+            gamma_d = model._snrs(coefficients, scenario, fade.z, fade.y, fade.w, np.empty(16),
+                                  np.empty(16))
         assert np.all(gamma_d[past] < cut), (edge, gamma_d[past].max())
 
 
@@ -150,8 +151,8 @@ def test_af_edge_leaves_a_nan_snr_to_the_snr_decision():
     cut = 1e5  # cut*b/a is 1e5 > x
     assert model._af_edge("hd", coefficients, cut, fade) == 0.0
     with np.errstate(all="ignore"):
-        _, gamma_d = model._snrs(coefficients, Scenario("hd", "af", "irr"), fade.x, fade.y,
-                                 None, np.empty(1), np.empty(1))
+        gamma_d = model._snrs(coefficients, Scenario("hd", "af", "irr"), fade.z, fade.y, None,
+                              np.empty(1), np.empty(1))
     assert np.isnan(gamma_d[0])
     assert model._af_edge("hd", coefficients, cut, FadeSample(np.array([1e-9]), np.array([1e-10])))
 
@@ -295,3 +296,70 @@ def test_indicator_keeps_blocks_off_the_edge_where_the_range_guard_fails(monkeyp
         # where the SNR is NaN (the overflow), its limit 1/w = 0.1 is below the cutoff
         assert np.array_equal(got, (gamma_d < 15.0) | np.isnan(gamma_d))
         assert not got[0] or x[0] < 1.0  # a short trial not in outage
+
+
+def pinned_gains(duplex, relay_edge, product_edge):
+    """(x, y, w) of trials whose relay hop is short of its edge (HD x at a power of two at or
+    past it, FD w just short of it) and whose product x*y is, exactly, the product edge or
+    one of the two floats either side of it; None where no gain is short of the relay edge."""
+    if duplex == "hd":
+        power = math.frexp(relay_edge)[1] if relay_edge < math.inf else 1024
+        x, w = (2.0**power if power < 1024 else None), 1.0
+    else:
+        x, w = 1.0, (math.nextafter(relay_edge, 0.0) if relay_edge > 5e-324 else None)
+    if x is None or w is None or not 0 < product_edge < math.inf:
+        return None
+    at = int(np.float64(product_edge).view(np.int64))
+    y = np.arange(at - 2, at + 3).view(np.float64) / x
+    keep = (y > 0) & (y < math.inf) & (x * y == np.arange(at - 2, at + 3).view(np.float64))
+    return np.full(keep.sum(), x), y[keep], np.full(keep.sum(), w)
+
+
+@pytest.mark.parametrize("label", ["hd-df-tsr", "hd-df-psr", "hd-df-irr", "fd-df-tsr"])
+def test_df_edges_flag_the_weaker_snr_below_the_cutoff(label):
+    """A DF trial's flag from its two gain edges, its product z = x*y against
+    _relay_edge("hd", a, cut) and its relay gain against the relay edge, is
+    capacity(pre, min(snr_pair)) < cth bit for bit. Each random link's block
+    holds drawn trials, trials whose z is the product edge or a float either
+    side of it with the relay hop not in outage (an edge compared with <=
+    fails there), and a subnormal z; a second block adds a z that overflows,
+    so the whole block computes a*x*y as (a*x)*y. The last link has
+    a*DBL_MAX < cut: no finite z reaches the cutoff, and a trial whose z
+    overflows is in outage exactly where its exact a*x*y is below the cutoff."""
+    rng = np.random.default_rng(79)
+    links = [random_link(rng, label) for _ in range(100)]
+    links.append((SystemConfig(ps_watts=0.01, d2_m=2.6e153),
+                  Scenario.from_label(label, tau=0.5, rho=0.5)))
+    decisive = 0
+    for cfg, scenario in links:
+        k1, a, _, _ = model.snr_coefficients(cfg, scenario)
+        pre = capacity_prefactor(scenario)
+        cut = snr_cutoff(pre, cfg.cth)
+        relay_edge = model._relay_edge(scenario.duplex, k1, cut)
+        product_edge = model._relay_edge("hd", a, cut)
+        x, y, w = (sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg))
+        tiny = np.array([1e-160]), np.array([1e-155]), np.array([1.0])  # z = 1e-315
+        gains = [np.concatenate(g) for g in zip((x, y, w), tiny)]
+        pinned = pinned_gains(scenario.duplex, relay_edge, product_edge)
+        if pinned:
+            gains = [np.concatenate(g) for g in zip(gains, pinned)]
+        overflow = [np.append(g, v) for g, v in zip(gains, (1e200, 1e200, 1.0))]
+        if cfg is links[-1][0]:
+            assert a * HUGE < cut and product_edge == math.inf
+            t = np.geomspace(1.01, 2.0**19, 40)  # x*y = t*DBL_MAX: past the range
+            overflow = [np.append(g, v) for g, v in zip(gains, (np.full(40, 2.0**20),
+                                                                 t * (HUGE / 2.0**20),
+                                                                 np.full(40, 1e-9)))]
+        for x, y, w in (gains, overflow):
+            fade = FadeSample(x, y, w if scenario.duplex == "fd" else None)
+            with np.errstate(all="ignore"):
+                want = capacity(pre, np.minimum(*snr_pair(cfg, scenario, fade))) < cfg.cth
+            got = outage_indicator(cfg, scenario, fade)
+            assert np.array_equal(got, want), (cfg, scenario)
+            if pinned and x is gains[0]:
+                decisive += np.count_nonzero(~got[x * y == product_edge])
+        if cfg is links[-1][0]:
+            exact = [mpmath.mpf(a) * mpmath.mpf(xi) * mpmath.mpf(yi) < cut
+                     for xi, yi in zip(overflow[0][-40:], overflow[1][-40:])]
+            assert np.array_equal(got[-40:], exact) and 0 < sum(exact) < 40
+    assert decisive

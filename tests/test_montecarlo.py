@@ -5,6 +5,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import ehrelay.montecarlo as mc
 from conftest import curve_rows, subset
-from ehrelay import cli
+from ehrelay import cli, model
 from ehrelay.lognormal import ChannelSpec, sample_sq_gain
 from ehrelay.model import (FadeRangeError, FadeSample, OutageEstimate, Scenario, SystemConfig,
                            outage_indicator)
@@ -344,10 +345,34 @@ def test_over_budget_fd_plan_draws_only_its_loop_back_slot(monkeypatch, draws):
 
 
 @pytest.mark.usefixtures("small_blocks")
+def test_over_budget_plan_keeps_its_products_in_thread_arrays(monkeypatch):
+    """An over-budget FD plan computes each block's products z = x*y into the
+    thread's one array, shared by the FD fade, and allocates no block-sized
+    array per block once the thread's arrays exist."""
+    monkeypatch.setattr(mc, "_KEPT_BYTES", 0)
+    point = _selftest_batch()[-1]
+    entries, block_fade = [], mc._block_fade
+    monkeypatch.setattr(mc, "_block_fade",
+                        lambda *args: entries.append(block_fade(*args)) or entries[-1])
+    estimate_outage(point.cfg, point.scenario, SHORT_LAST)  # creates the thread's arrays
+    tracemalloc.start()
+    try:
+        got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [got] == _fresh([point], SHORT_LAST)
+    assert mc._memo == {} and len(entries) == 2 * 2 * len(SHORT_LAST.blocks())
+    for _, fade in entries:
+        assert np.shares_memory(fade.z, vars(mc._local)["z"]) and fade.z.flags.writeable
+    assert peak < 8 * mc.BLOCK_SIZE  # a float64 array of one block
+
+
+@pytest.mark.usefixtures("small_blocks")
 def test_fd_fade_extends_its_hd_fade(draws):
     """An FD row estimated before any HD row keeps its blocks' HD fades too:
-    a later HD row draws nothing, and each FD fade's x and y are the arrays
-    of its block's HD fade."""
+    a later HD row draws nothing, and each FD fade's x, y and products z are
+    the arrays of its block's HD fade."""
     hd, fd = _selftest_batch()[0], _selftest_batch()[-1]
     assert (hd.scenario.duplex, fd.scenario.duplex) == ("hd", "fd")
     estimate_outage(fd.cfg, fd.scenario, SHORT_LAST)
@@ -358,7 +383,8 @@ def test_fd_fade_extends_its_hd_fade(draws):
     for block in blocks:
         fd_fade = mc._memo[(*block, (fd.cfg.ch1, fd.cfg.ch2, fd.cfg.chg))][1]
         hd_fade = mc._memo[(*block, (hd.cfg.ch1, hd.cfg.ch2))][1]
-        assert fd_fade.x is hd_fade.x and fd_fade.y is hd_fade.y
+        assert fd_fade.x is hd_fade.x and fd_fade.y is hd_fade.y and fd_fade.z is hd_fade.z
+        assert np.array_equal(hd_fade.z, hd_fade.x * hd_fade.y)
     assert len(mc._memo) == 2 * len(blocks)
 
 
@@ -448,9 +474,11 @@ def test_kept_arrays_are_read_only():
     estimate_outage(point.cfg, point.scenario, SHORT_LAST)
     kept = _kept_arrays().values()
     assert len(kept) == 3 * 3
-    for gains in kept:
+    products = {id(fade.z): fade.z for _, fade in mc._memo.values()}.values()
+    assert len(products) == 3
+    for arr in (*kept, *products):
         with pytest.raises(ValueError, match="read-only"):
-            gains[0] = 1.0
+            arr[0] = 1.0
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -461,9 +489,9 @@ def test_fades_are_kept_only_with_their_gains(monkeypatch):
     point = _selftest_batch()[-1]
     checked = mc.FadeSample
 
-    def emptied_meanwhile(*gains):
+    def emptied_meanwhile(*gains, z):
         mc._memo.clear()
-        return checked(*gains)
+        return checked(*gains, z=z)
 
     monkeypatch.setattr(mc, "FadeSample", emptied_meanwhile)
     assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
@@ -592,20 +620,61 @@ def test_memo_stays_within_budget(monkeypatch, draws):
 def test_selftest_decides_its_saturated_blocks_at_the_edge(monkeypatch, capsys):
     """`selftest --trials 131072 --seed 1` decides 148 blocks of 65,536 trials,
     and 54 of them lie wholly past the certain-outage edge: those come back all
-    in outage without a write to their scratch arrays. The count is a function
-    of the seed alone."""
-    untouched = []
-    indicator = mc.outage_indicator
+    in outage without a look at their trials (model._decide). The count is a
+    function of the seed alone."""
+    at_edge = []
+    indicator, decide = mc.outage_indicator, model._decide
+
+    def watched(cfg, scenario, fade, scratch):
+        at_edge.append(True)
+        out = indicator(cfg, scenario, fade, scratch=scratch)
+        assert out.all() or not at_edge[-1]
+        return out
+
+    def deciding(*args):
+        at_edge[-1] = False
+        return decide(*args)
+
+    monkeypatch.setattr(mc, "outage_indicator", watched)
+    monkeypatch.setattr(model, "_decide", deciding)
+    assert cli.main(["selftest", "--trials", "131072", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(at_edge) == 148 and sum(at_edge) == 54
+
+
+def test_selftest_decision_paths_give_one_flag_per_trial(monkeypatch, capsys):
+    """Every block of `selftest --trials 131072 --seed 1` is decided on one
+    path: at the certain-outage edge; by a DF block's two gain edges, with no
+    SNR computed and its scratch arrays untouched; by the SNRs of all of an AF
+    block's trials; or by those of only an FD-AF block's trials short of the
+    edge. Each path gives one flag per trial, which is what the benchmark
+    counts as a row's trials. The counts are a function of the seed alone."""
+    paths, path = [], []
+    indicator, decide, snrs = mc.outage_indicator, model._decide, model._snrs
 
     def watched(cfg, scenario, fade, scratch):
         for arr in scratch:
             arr.fill(np.nan)
+        path[:] = ["edge"]
         out = indicator(cfg, scenario, fade, scratch=scratch)
-        untouched.append(all(np.isnan(arr).all() for arr in scratch))
-        assert out.all() or not untouched[-1]
+        assert out.dtype == bool and out.shape == fade.x.shape == (mc.BLOCK_SIZE,)
+        untouched = all(np.isnan(arr).all() for arr in scratch)
+        assert untouched == (path[0] in ("edge", "hd-df", "fd-df"))
+        paths.append(" ".join(path))
         return out
 
+    def deciding(coefficients, scenario, *args):
+        path[0] = f"{scenario.duplex}-{scenario.relay}"
+        return decide(coefficients, scenario, *args)
+
+    def computing(coefficients, scenario, z, *args):
+        path.append("all" if z.size == mc.BLOCK_SIZE else "subset")
+        return snrs(coefficients, scenario, z, *args)
+
     monkeypatch.setattr(mc, "outage_indicator", watched)
+    monkeypatch.setattr(model, "_decide", deciding)
+    monkeypatch.setattr(model, "_snrs", computing)
     assert cli.main(["selftest", "--trials", "131072", "--seed", "1"]) == 0
     capsys.readouterr()
-    assert len(untouched) == 148 and sum(untouched) == 54
+    assert {p: paths.count(p) for p in paths} == {
+        "edge": 54, "hd-df": 32, "fd-df": 15, "hd-af all": 32, "fd-af all": 2, "fd-af subset": 13}
