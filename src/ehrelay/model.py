@@ -290,9 +290,9 @@ class FadeRangeError(ValueError):
 @dataclass(frozen=True)
 class FadeSample:
     """One joint realization of squared gains (arrays allowed): x = h1^2,
-    y = h2^2 and, for full-duplex, the loop-back gain w = g^2. z is the
-    product x*y, computed once here when not given. `extremes` maps each
-    gain's name to its (min, max), as the checks found them."""
+    y = h2^2 and, for full-duplex, the loop-back gain w = g^2; z is x*y,
+    computed here when None (so a replace() of x or y passes z=None).
+    `extremes` maps each gain's name to its (min, max) from the checks."""
 
     x: object
     y: object
