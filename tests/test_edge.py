@@ -299,9 +299,9 @@ def test_indicator_keeps_blocks_off_the_edge_where_the_range_guard_fails(monkeyp
 
 
 def pinned_gains(duplex, relay_edge, product_edge):
-    """(x, y, w) of trials whose relay hop is short of its edge (HD x at a power of two at or
-    past it, FD w just short of it) and whose product x*y is, exactly, the product edge or
-    one of the two floats either side of it; None where no gain is short of the relay edge."""
+    """(x, y, w) of trials whose relay hop is not in outage (an HD x at the power of two at or
+    above the relay edge, an FD w just below it) and whose product x*y is, exactly, the
+    product edge or one of the two floats either side of it; None where no such trial is."""
     if duplex == "hd":
         power = math.frexp(relay_edge)[1] if relay_edge < math.inf else 1024
         x, w = (2.0**power if power < 1024 else None), 1.0
@@ -332,6 +332,7 @@ def test_df_edges_flag_the_weaker_snr_below_the_cutoff(label):
                   Scenario.from_label(label, tau=0.5, rho=0.5)))
     decisive = 0
     for cfg, scenario in links:
+        last = cfg is links[-1][0]
         k1, a, _, _ = model.snr_coefficients(cfg, scenario)
         pre = capacity_prefactor(scenario)
         cut = snr_cutoff(pre, cfg.cth)
@@ -344,7 +345,7 @@ def test_df_edges_flag_the_weaker_snr_below_the_cutoff(label):
         if pinned:
             gains = [np.concatenate(g) for g in zip(gains, pinned)]
         overflow = [np.append(g, v) for g, v in zip(gains, (1e200, 1e200, 1.0))]
-        if cfg is links[-1][0]:
+        if last:
             assert a * HUGE < cut and product_edge == math.inf
             t = np.geomspace(1.01, 2.0**19, 40)  # x*y = t*DBL_MAX: past the range
             overflow = [np.append(g, v) for g, v in zip(gains, (np.full(40, 2.0**20),
@@ -358,7 +359,7 @@ def test_df_edges_flag_the_weaker_snr_below_the_cutoff(label):
             assert np.array_equal(got, want), (cfg, scenario)
             if pinned and x is gains[0]:
                 decisive += np.count_nonzero(~got[x * y == product_edge])
-        if cfg is links[-1][0]:
+        if last:
             exact = [mpmath.mpf(a) * mpmath.mpf(xi) * mpmath.mpf(yi) < cut
                      for xi, yi in zip(overflow[0][-40:], overflow[1][-40:])]
             assert np.array_equal(got[-40:], exact) and 0 < sum(exact) < 40
