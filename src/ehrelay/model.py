@@ -10,6 +10,10 @@ or numpy arrays of fades and broadcast elementwise. The coefficient helpers
 threshold_snr) also accept a cfg and scenario whose numeric fields are
 float64 arrays, as the analytic path's columns (Columns) are, or a mix of
 arrays and floats, and give each element the float its row gives alone.
+An AF destination SNR is computed in its inverse form 1/(beta*iota), a
+sum of terms of the gains' reciprocals (see _inverse_form), and the
+outage indicator decides a trial by comparing one quantity of its gains
+with that quantity's exact edge, with no SNR computed.
 """
 
 from __future__ import annotations
@@ -291,13 +295,17 @@ class FadeRangeError(ValueError):
 class FadeSample:
     """One joint realization of squared gains (arrays allowed): x = h1^2,
     y = h2^2 and, for full-duplex, the loop-back gain w = g^2; z is x*y,
-    computed here when None (so a replace() of x or y passes z=None).
+    computed here when None. rx and rz are 1/x and 1/z, which an AF SNR
+    reads; when None they are not computed here but by the AF SNR that needs
+    them (so a replace() of x or y passes z, rx and rz as None).
     `extremes` maps each gain's name to its (min, max) from the checks."""
 
     x: object
     y: object
     w: object = None
     z: object = field(default=None, repr=False, compare=False)
+    rx: object = field(default=None, repr=False, compare=False)
+    rz: object = field(default=None, repr=False, compare=False)
     extremes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -314,7 +322,7 @@ class FadeSample:
             extremes[name] = low, high
         object.__setattr__(self, "extremes", extremes)
         if self.z is None:
-            with np.errstate(over="ignore"):  # an x*y that overflows: see _products
+            with np.errstate(over="ignore"):  # an x*y that overflows: see _product_snr
                 object.__setattr__(self, "z", np.multiply(self.x, self.y))
 
 
@@ -398,47 +406,116 @@ def _empty_pair(fade: FadeSample):
 def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
     """Relay and destination SNRs (gamma_r, gamma_d); gamma_r is None for AF.
     They are fresh arrays, or numpy scalars for scalar fades; the fade arrays
-    are never written."""
+    are never written. DF's destination SNR is a*z (see _product_snr); AF's
+    is 1/(beta*iota), its inverse form (see _inverse_form), which stays
+    finite where a*z and its denominator both overflow."""
     _check_fade(scenario, fade)
     coefficients = snr_coefficients(cfg, scenario)
     r, d = _empty_pair(fade)
-    z, *after = _products(fade)
-    d = _snrs(coefficients, scenario, z, fade.y, fade.w, r, d, *after)[()]
     if scenario.relay == "af":
-        return None, d
+        beta = _inverse_form(scenario.duplex, *coefficients)[0]
+        with np.errstate(all="ignore"):  # reciprocals, and 1/0 where beta*iota underflows
+            if 0 < beta < math.inf:
+                np.multiply(beta, _iota(scenario.duplex, coefficients, fade, (r, d)), out=d)
+                np.divide(1.0, d, out=d)
+            else:
+                d.fill(_constant_snr(beta))
+        return None, d[()]
+    d = _product_snr(coefficients[1], fade, d)[()]
     if scenario.duplex == "fd":
         return np.divide(coefficients[0], fade.w, out=r)[()], d
     return np.multiply(coefficients[0], fade.x, out=r)[()], d
 
 
-def _products(fade: FadeSample) -> tuple:
-    """The factors of the fade's products x*y in its SNRs: z, or x and then y
-    where some x*y overflows, so that a finite (a*x)*y stays finite."""
+def _product_snr(a, fade: FadeSample, out):
+    """DF's destination SNR a*z into out, or (a*x)*y where some x*y overflows,
+    so that a finite a*x*y stays finite."""
     (_, x1), (_, y1) = fade.extremes["x"], fade.extremes["y"]
-    return (fade.z,) if x1 * y1 < math.inf else (fade.x, fade.y)
+    if x1 * y1 < math.inf:
+        return np.multiply(a, fade.z, out=out)
+    np.multiply(a, fade.x, out=out)
+    return np.multiply(out, fade.y, out=out)
 
 
-def _snrs(coefficients, scenario: Scenario, z, y, w, r, d, *after):
-    """snr_pair's destination SNR into d (r is scratch) from snr_coefficients
-    and the products z = x*y, each times `after` in turn (see _products)."""
-    k1, a, b, c = coefficients
-    if scenario.relay == "af":  # the denominator of a*z into r
-        if scenario.duplex == "fd":  # c*(k1 + w) + (b*w)*z
-            np.add(k1, w, out=r)
-            np.multiply(c, r, out=r)
-            np.multiply(b, w, out=d)
-            for factor in (z, *after):
-                np.multiply(d, factor, out=d)
-            np.add(r, d, out=r)
-        else:  # b*y + c
-            np.multiply(b, y, out=r)
-            np.add(r, c, out=r)
-    np.multiply(a, z, out=d)
-    for factor in after:
-        np.multiply(d, factor, out=d)
-    if scenario.relay == "af":
-        np.divide(d, r, out=d)
-    return d
+@functools.lru_cache(maxsize=1024)
+def _inverse_form(duplex: str, k1, a, b, c) -> tuple:
+    """(beta, lam, first) of an AF destination SNR in its inverse (harmonic)
+    form 1/(beta*iota), where iota sums terms of one trial's gains (_iota):
+      HD: 1/gamma_d = (b/a)/x + (c/a)/z,           iota = rx + lam*rz,
+      FD: 1/gamma_d = (b/a)*w + (c/a)*(k1 + w)/z,  iota = w + lam*((k1 + w)*rz),
+    with rx = 1/x, rz = 1/z, beta = b/a and lam = c/b. Every term only
+    grows as the trial's gains make the SNR fall, and so do iota and
+    beta*iota.
+
+    A coefficient of 0 drops its term, which is the SNR's limit: lam = 0
+    drops the second; where b = 0, first is False and iota is the second
+    term's factor alone, rz (HD) or (k1 + w)*rz (FD), with beta = c/a. A
+    ratio out of the float range is held at its end, so that no product is
+    0*inf. Where a = 0, or FD's k1 = inf, every SNR is 0 (beta = inf);
+    where b = c = 0 it is inf (beta = 0; see _constant_snr)."""
+    k1, a, b, c = (None if v is None else float(v) for v in (k1, a, b, c))
+    if a == 0.0 or k1 == math.inf:
+        return math.inf, 0.0, True
+    if b == 0.0:
+        return (0.0, 0.0, True) if c == 0.0 else (_held(c / a), 1.0, False)
+    return _held(b / a), min(c / b, sys.float_info.max), True
+
+
+def _held(ratio: float) -> float:
+    """A positive ratio held within the positive floats, [5e-324, DBL_MAX]."""
+    return min(max(ratio, 5e-324), sys.float_info.max)
+
+
+def _constant_snr(beta: float) -> float:
+    """The one SNR of every trial where beta is inf (0) or 0 (inf)."""
+    return 0.0 if beta == math.inf else math.inf
+
+
+def _reciprocal(kept, gains, out):
+    """The kept reciprocals of `gains`, or 1/gains into out."""
+    return kept if kept is not None else np.divide(1.0, gains, out=out)
+
+
+def _iota(duplex: str, coefficients, fade: FadeSample, scratch):
+    """Every trial's iota (see _inverse_form): a fade array where iota is one
+    gain or reciprocal, else the first scratch array; the second takes the
+    reciprocals a fade does not keep. A sum k1 + w that overflows is held at
+    DBL_MAX, so that it times an rz of 0 (an x*y that overflowed) is 0."""
+    _, lam, first = _inverse_form(duplex, *coefficients)
+    s, t = scratch
+    if duplex == "hd":
+        if not first:
+            return _reciprocal(fade.rz, fade.z, s)
+        if not lam:
+            return _reciprocal(fade.rx, fade.x, s)
+        np.multiply(lam, _reciprocal(fade.rz, fade.z, s), out=s)
+        return np.add(s, _reciprocal(fade.rx, fade.x, t), out=s)
+    if first and not lam:
+        return fade.w
+    k1 = float(coefficients[0])
+    np.add(k1, fade.w, out=s)
+    if k1 + fade.extremes["w"][1] == math.inf:
+        np.minimum(s, sys.float_info.max, out=s)
+    np.multiply(s, _reciprocal(fade.rz, fade.z, t), out=s)
+    if not first:
+        return s
+    np.multiply(lam, s, out=s)
+    return np.add(s, fade.w, out=s)
+
+
+def _iota_at(form: tuple, k1, x: float, z: float, w) -> float:
+    """_iota of one trial with gains x, z = x*y and w (None for HD), in the
+    same float64 operations on Python floats."""
+    _, lam, first = form
+    rz = 1.0 / z if z else math.inf
+    if w is None:
+        if not first:
+            return rz
+        return lam * rz + 1.0 / x if lam else 1.0 / x
+    if first and not lam:
+        return w
+    term = min(k1 + w, sys.float_info.max) * rz
+    return lam * term + w if first else term
 
 
 def capacity_prefactor(scenario: Scenario) -> float:
@@ -517,80 +594,29 @@ def _relay_edge(duplex: str, k1: float, cut: float) -> float:
     return _least_float(lambda x: not k1 * x < cut, cut / k1 if k1 else math.inf)
 
 
-def _normal(*values) -> bool:
-    """Whether every value is a normal float64 > 0 (not NaN, inf or subnormal)."""
-    return all(sys.float_info.min <= v <= sys.float_info.max for v in values)
-
-
-# the edge no gain lies past: no x is below 0, no finite w is at or above inf
-_NO_EDGE = {"hd": 0.0, "fd": math.inf}
-
-
 def _past_edge(duplex: str, fade: FadeSample, edge: float) -> bool:
-    """Whether every trial of `fade` lies past the certain-outage edge: an HD x
-    below it, an FD w at or above it. Reads only the block's extremes."""
+    """Whether every trial of `fade` lies past the DF relay's certain-outage
+    edge: an HD x below it, an FD w at or above it. Reads only the block's
+    extremes."""
     return fade.extremes["x"][1] < edge if duplex == "hd" else fade.extremes["w"][0] >= edge
 
 
 def _any_past(duplex: str, fade: FadeSample, edge: float) -> bool:
-    """Whether some trial of `fade` lies past the certain-outage edge (see _past_edge)."""
+    """Whether some trial of `fade` lies past the DF relay's edge (see _past_edge)."""
     return fade.extremes["x"][0] < edge if duplex == "hd" else fade.extremes["w"][1] >= edge
 
 
-def _af_edge(duplex: str, coefficients, cut: float, fade: FadeSample) -> float:
-    """An AF certain-outage edge: every trial of `fade` past it is in outage.
-    It comes from the bound gamma_d < a*x/b (HD) or a/(b*w) (FD), since
-    c*(...) >= 0, and is given only where it decides something, HD's when all
-    of the block lies past it and FD's when some of it does, and where every
-    intermediate of every trial is a normal float. Otherwise it is the edge
-    no gain passes: 0 (HD) or inf (FD).
-
-    Proof, with u = 2**-53 and fl(v) = v*(1 + e), |e| <= u, for an operation
-    whose result is normal (Higham 2002, sections 2.2-3.1). Rounding is
-    monotone, so each intermediate of each trial lies between its values at
-    the block's extreme gains, and checking those checks all of them.
-    HD: gamma_d = fl(N/D), N = fl(a*fl(x*y)) <= a*x*y*(1+u)**2 and D =
-    fl(fl(b*y) + c) >= fl(b*y) >= b*y*(1-u), so gamma_d <= (a*x/b)*(1+u)**3/(1-u);
-    x < edge = fl(fl(fl(cut*b)/a)*(1 - 2**-30)) <= cut*b/a*(1 - 2**-30)*(1+u)**3
-    then gives gamma_d < cut*(1 - 2**-30)*(1+u)**6/(1-u) < cut. FD: D =
-    fl(fl(c*fl(k1 + w)) + Q) >= Q = fl(fl(b*w)*fl(x*y)) >= b*w*x*y*(1-u)**3, so
-    gamma_d <= a/(b*w)*(1+u)**3/(1-u)**3; w >= edge = fl(fl(a/fl(b*cut))*(1 +
-    2**-30)) >= a/(b*cut)*(1 + 2**-30)*(1-u)**2/(1+u) then gives gamma_d <
-    cut*(1+u)**4/((1-u)**5*(1 + 2**-30)) < cut. Each step is about one trial,
-    so the bound holds for every trial past the edge, whatever the others'
-    gains. The products below keep snr_pair's association, with z = x*y; a
-    NaN or an overflow fails the checks, so a fade whose x*y can overflow
-    (see _products) gets no edge.
-    """
-    k1, a, b, c = coefficients
-    (x0, x1), (y0, y1) = fade.extremes["x"], fade.extremes["y"]
-    z0, z1 = x0 * y0, x1 * y1
-    if duplex == "hd":
-        cb = cut * b
-        cba = cb / a if a > 0 else math.nan
-        edge = cba * (1.0 - 2.0**-30)
-        if not _past_edge(duplex, fade, edge):
-            return _NO_EDGE[duplex]
-        num0, den1 = a * z0, b * y1 + c
-        checked = cut, cb, cba, edge, z0, num0, z1, a * z1, b * y0, den1
-    else:
-        w0, w1 = fade.extremes["w"]
-        bc = b * cut
-        abc = a / bc if bc > 0 else math.nan
-        edge = abc * (1.0 + 2.0**-30)
-        if not _any_past(duplex, fade, edge):
-            return _NO_EDGE[duplex]
-        num0, den1 = a * z0, c * (float(k1) + w1) + b * w1 * z1
-        checked = cut, bc, abc, edge, z0, num0, z1, a * z1, b * w0, b * w0 * z0, den1
-    # den1, the largest denominator, is checked before it divides
-    return edge if _normal(*checked) and _normal(num0 / den1) else _NO_EDGE[duplex]
-
-
-# A straddling FD-AF block computes the SNRs of only its trials short of the edge when they
-# are at most this share of it. On one 65,536-trial block with its short trials scattered
-# (2-core x86-64 VM), that took 58, 130, 177, 190 and 224 us at 2, 10, 20, 25 and 30 %
-# short, against 213-229 us for counting them and then computing every trial's SNR.
-_SUBSET_SHARE = 0.25
+@functools.lru_cache(maxsize=1024)
+def _inverse_edge(beta: float, cut: float) -> float:
+    """The AF certain-outage edge, for cut > 0 and beta in (0, inf): the
+    least float64 iota whose SNR fl(1/fl(beta*iota)) is below cut (inf where
+    only iota = inf, SNR 0, is). That SNR does not increase in iota and is
+    inf at beta*iota = 0, so iota >= edge is exactly the SNR below cut on
+    every float, 0 and inf included."""
+    beta, cut = float(beta), float(cut)
+    guess = beta * cut
+    return _least_float(lambda iota: 0 < beta * iota and 1.0 / (beta * iota) < cut,
+                        1.0 / guess if guess else math.inf)
 
 
 def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
@@ -599,94 +625,61 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
 
     Both hops share the capacity prefactor and capacity does not decrease in
     the SNR, so the end-to-end capacity is that of the weaker hop's SNR, and
-    it is below cth exactly where that SNR is below snr_cutoff. A block of
-    fades that lies wholly past the certain-outage edge (see _past_edge) is
-    all True without a look at its arrays. A DF trial is in outage exactly
-    where its relay gain or its product z = x*y is past its exact edge (see
-    _relay_edge): one compare on each, none on the gain when no trial is past
-    its edge, and no SNR computed. An AF edge is a proven bound (see
-    _af_edge), and an AF trial is in outage where its destination SNR is
-    below snr_cutoff; a straddling FD-AF block with few trials short of the
-    edge (_SUBSET_SHARE) computes the SNRs of those trials only, and flags
-    the rest. Where some x*y overflows, every variant computes its SNRs with
-    (a*x)*y for a*z (see _products). Where the block's extreme gains let an
-    SNR operation leave the float range (see _snrs_in_range), the block is
-    decided under np.errstate; where a*z can overflow, an AF SNR that is NaN
-    (a*z and its denominator overflowed) is replaced by its limit as x*y
-    grows, a*x/b (HD) or a/(b*w) (FD). Either way the flags are those of the
-    weaker hop's SNR, one per trial. `scratch` is an optional pair of float64
-    arrays of the fades' shape for the SNRs; without it fresh ones are used.
-    The fade arrays are never written.
+    it is below cth exactly where that SNR is below snr_cutoff. Each hop's
+    SNR is monotone in one quantity of the trial's gains, which is compared
+    with its exact edge instead: a DF trial is in outage where its relay
+    gain or its product z = x*y is past its edge (see _relay_edge; where
+    some x*y overflows, its SNR a*x*y is computed, see _product_snr), an AF
+    trial where its iota (see _inverse_form) is at or above _inverse_edge. A
+    block whose extreme gains put every trial past the edge (an HD-DF
+    block's largest x, an FD-DF block's smallest w, AF's iota at the gains
+    that make it least, a lower bound of every trial's since each operation
+    is monotone) is all True without a look at its arrays. Where its
+    extreme gains let an operation leave the float range, a block is
+    decided under np.errstate. `scratch` is an optional pair of float64
+    arrays of the fades' shape; without it fresh ones are used. The fade
+    arrays are never written.
     """
     _check_fade(scenario, fade)
     duplex = scenario.duplex
     coefficients = snr_coefficients(cfg, scenario)
     cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
-    if scenario.relay == "df":
-        edge = _relay_edge(duplex, coefficients[0], cut)
-    else:
-        edge = _af_edge(duplex, coefficients, cut, fade)
+    if scenario.relay == "af":
+        return _inverse_flags(duplex, coefficients, cut, fade, scratch)
+    edge = _relay_edge(duplex, coefficients[0], cut)
     if _past_edge(duplex, fade, edge):
+        return np.ones(_fade_shape(fade), bool)[()]
+    (_, x1), (_, y1) = fade.extremes["x"], fade.extremes["y"]
+    if x1 * y1 < math.inf:
+        flags = fade.z < _relay_edge("hd", coefficients[1], cut)
+    else:  # the errstate is entered here, not by the caller: pool threads do not inherit it
+        with np.errstate(all="ignore"):
+            out = _empty_pair(fade)[0] if scratch is None else scratch[0]
+            flags = _product_snr(coefficients[1], fade, out) < cut
+    if _any_past(duplex, fade, edge):
+        flags |= fade.x < edge if duplex == "hd" else fade.w >= edge
+    return flags
+
+
+def _inverse_flags(duplex: str, coefficients, cut: float, fade: FadeSample, scratch):
+    """outage_indicator's AF flags."""
+    form = _inverse_form(duplex, *coefficients)
+    beta = form[0]
+    if not (cut > 0 and 0 < beta < math.inf):  # one SNR for all, or no SNR below cut = 0
+        return np.full(_fade_shape(fade), _constant_snr(beta) < cut)[()]
+    edge = _inverse_edge(beta, cut)
+    k1 = None if coefficients[0] is None else float(coefficients[0])
+    (x0, x1), (y0, y1) = fade.extremes["x"], fade.extremes["y"]
+    w0, w1 = fade.extremes["w"] if duplex == "fd" else (None, None)
+    if _iota_at(form, k1, x1, x1 * y1, w0) >= edge:
         return np.ones(_fade_shape(fade), bool)[()]
     if scratch is None:
         scratch = _empty_pair(fade)
-    # the errstate is entered here, not by the caller: pool threads do not inherit it
-    if _snrs_in_range(coefficients, scenario, fade):
-        return _decide(coefficients, scenario, fade, cut, edge, scratch)
+    # every operation stays in range where the largest iota and FD's k1 + w do
+    if _iota_at(form, k1, x0, x0 * y0, w1) < math.inf and (k1 is None or k1 + w1 < math.inf):
+        return _iota(duplex, coefficients, fade, scratch) >= edge
     with np.errstate(all="ignore"):
-        return _decide(coefficients, scenario, fade, cut, edge, scratch)
-
-
-def _snrs_in_range(coefficients, scenario: Scenario, fade: FadeSample) -> bool:
-    """Whether outage_indicator's SNR operations on `fade` stay finite, with
-    denominators > 0, so that none raises a floating-point warning: an AF
-    destination SNR's numerator a*z, its denominator and their quotient, and
-    none for DF, which compares z with an edge, while every x*y is finite (see
-    _products). Each is monotone in every gain, so the block's extreme gains
-    bound all of its trials."""
-    k1, a, b, c = coefficients
-    (x0, x1), (y0, y1) = fade.extremes["x"], fade.extremes["y"]
-    z0, z1 = x0 * y0, x1 * y1
-    if scenario.relay == "df" or not z1 < math.inf:
-        return z1 < math.inf
-    if scenario.duplex == "hd":
-        den0, den1 = b * y0 + c, b * y1 + c
-    else:
-        (w0, w1), k1 = fade.extremes["w"], float(k1)
-        den0, den1 = c * (k1 + w0) + b * w0 * z0, c * (k1 + w1) + b * w1 * z1
-    num1 = a * z1
-    return num1 < math.inf and den1 < math.inf and den0 > 0 and num1 / den0 < math.inf
-
-
-def _decide(coefficients, scenario: Scenario, fade: FadeSample, cut: float, edge: float,
-            scratch):
-    """outage_indicator's flags of a block not wholly past the edge."""
-    duplex = scenario.duplex
-    x, y, w = fade.x, fade.y, fade.w
-    z, *after = _products(fade)
-    if scenario.relay == "df":
-        flags = (_snrs(coefficients, scenario, z, y, w, *scratch, *after) < cut if after
-                 else z < _relay_edge("hd", coefficients[1], cut))
-        if _any_past(duplex, fade, edge):
-            flags |= x < edge if duplex == "hd" else w >= edge
-        return flags
-    # FD-AF's edge is finite here only where some trials are past it and some short
-    if edge < math.inf and duplex == "fd" and np.ndim(w) == 1 and np.shape(z) == np.shape(w):
-        short = w < edge
-        n = np.count_nonzero(short)  # 2 us; flatnonzero takes 36 us at 30 % short
-        if n <= _SUBSET_SHARE * w.size:
-            short = np.flatnonzero(short)
-            flags = np.ones(w.size, bool)
-            flags[short] = _snrs(coefficients, scenario, z[short], None, w[short],
-                                 scratch[0][:n], scratch[1][:n]) < cut
-            return flags
-    gamma_d = _snrs(coefficients, scenario, z, y, w, *scratch, *after)
-    flags = gamma_d < cut
-    a, b = coefficients[1:3]
-    if not a * (fade.extremes["x"][1] * fade.extremes["y"][1]) < math.inf:
-        limit = np.multiply(a, x) / b if duplex == "hd" else a / np.multiply(b, w)
-        flags = np.where(np.isnan(gamma_d), limit < cut, flags)[()]
-    return flags
+        return _iota(duplex, coefficients, fade, scratch) >= edge
 
 
 def _snr_for_rate(expo: float) -> float:

@@ -11,12 +11,13 @@ itself. The capacity does not decrease in the SNR, so comparing the SNR
 decides exactly as comparing the capacity with cth does. A block whose
 gains all lie past the certain-outage edge (see model.outage_indicator) is
 decided from its gains' extremes alone, a DF trial by comparing its gain
-and its product x*y with exact edges, and an FD-AF block that straddles
-the edge by the SNRs of only its trials short of it, when they are few.
+and its product x*y with exact edges, and an AF trial by comparing the sum
+iota of its inverse SNR 1/(beta*iota) with an exact edge.
 
-Rows of a dataset share their fades, with their products x*y, through one
-read-only memo of whole block fades, where an FD fade extends its block's
-HD fade (see _block_fade); a block decides in arrays its thread reuses.
+Rows of a dataset share their fades, with their products x*y and the
+reciprocals 1/x and 1/(x*y), through one read-only memo of whole block
+fades, where an FD fade extends its block's HD fade (see _block_fade); a
+block decides in arrays its thread reuses.
 """
 
 from __future__ import annotations
@@ -83,11 +84,12 @@ def _pool(threads: int):
 
 # Bytes of gains the memo holds, 8 per trial and slot; only a plan whose gains fit on
 # their own adds to it (HD plans of up to 2**20 trials, FD ones of up to 699,050). Each HD
-# fade also holds its products x*y, uncounted, so the memo takes at most 24 MiB.
+# fade also holds its products x*y and the reciprocals 1/x and 1/(x*y), uncounted, so the
+# memo takes at most 40 MiB.
 _KEPT_BYTES = 16 << 20
 # (seed, index, size, channels) -> (generator state after the block's last slot, its checked
-# FadeSample). An FD fade's x, y and z are the arrays of the HD entry for channels[:2], which
-# the memo keeps while it keeps the FD one. Kept arrays are read-only; no entry is replaced.
+# FadeSample). An FD fade's x, y, z, rx and rz are the arrays of the HD entry for
+# channels[:2], which the memo keeps while it keeps the FD one. Kept arrays are read-only; no entry is replaced.
 _memo: dict = {}
 _lock = threading.Lock()
 
@@ -102,8 +104,11 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
     `channels`. An HD fade draws slots 0 and 1 from the substream (seed, index); an FD fade
     extends the HD fade of channels[:2] by slot 2, drawn from the state that fade left. So
     a kept fade is what a fresh draw gives, whichever call or thread asks. With `keep`, a
-    new fade goes into the memo once drawn and checked; without, its new gains and an HD
-    fade's products go into the running thread's arrays. An interrupted draw keeps nothing."""
+    new fade goes into the memo once drawn and checked, an HD fade with its products z and
+    the reciprocals 1/x and 1/z that AF rows read; without, its new gains and an HD fade's
+    products go into the running thread's arrays, and an AF row computes the reciprocals
+    into its own (see model._iota). An FD fade shares its HD fade's x, y, z and
+    reciprocals. An interrupted draw keeps nothing."""
     key = (seed, index, size, channels)
     entry = _memo.get(key)
     if entry is not None:
@@ -117,10 +122,12 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
            for slot, ch in enumerate(channels) if slot >= len(old)]
     with np.errstate(all="ignore"):  # silent, as in FadeSample, which checks the gains
         z = hd[1].z if hd else np.multiply(*new, out=None if keep else _thread_array("z", size))
-    entry = (rng.bit_generator.state, FadeSample(*old, *new, z=z))
+        rx, rz = ((hd[1].rx, hd[1].rz) if hd else
+                  (np.divide(1.0, new[0]), np.divide(1.0, z)) if keep else (None, None))
+    entry = (rng.bit_generator.state, FadeSample(*old, *new, z=z, rx=rx, rz=rz))
     if not keep:
         return entry
-    for arr in (*new, z):
+    for arr in (*new, z, rx, rz):
         arr.flags.writeable = False
     hd_key = (seed, index, size, channels[:2])
     with _lock:  # an FD fade only while the memo keeps the HD fade it extends

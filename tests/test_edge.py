@@ -1,11 +1,15 @@
-"""The certain-outage edge of the Monte Carlo decision: a DF relay's edge
-(model._relay_edge) decides its hop exactly, an AF edge (model._af_edge) only
-where every trial past it is in outage by the SNR decision, and
-outage_indicator, which uses both, flags what the weaker hop's SNR flags,
-also where it computes the SNRs of only a block's trials short of the edge."""
+"""The certain-outage edges of the Monte Carlo decision: a DF relay's edge
+(model._relay_edge) and its product edge decide each DF hop exactly, and an AF
+trial is in outage exactly where iota, the sum of its inverse SNR
+1/(beta*iota) (model._inverse_form), is at or above model._inverse_edge.
+outage_indicator, which uses them, flags what the weaker hop's SNR flags, also
+on blocks that it decides from their extreme gains alone, on gains and
+coefficients at the ends of the float range, and where a coefficient is 0."""
 
+import contextlib
 import math
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -28,6 +32,7 @@ from ehrelay.model import (
 
 _INF_BITS = int(np.float64(math.inf).view(np.int64))
 TINY, HUGE = sys.float_info.min, sys.float_info.max
+CFG = SystemConfig()
 
 K1S = [*10.0 ** np.arange(-300.0, 301.0, 20.0), 0.37, 1.0, math.pi * 1e5, 1e-310, 5e-324,
        math.inf]
@@ -69,6 +74,101 @@ def test_relay_edge_at_the_ends_of_the_range():
     assert model._relay_edge("fd", 0.0, 1.0) == 5e-324  # 0/w always is
 
 
+AF_LABELS = ("hd-af-tsr", "hd-af-psr", "hd-af-irr", "fd-af-tsr")
+BETAS = [*10.0 ** np.arange(-300.0, 301.0, 20.0), 0.37, 1.0, math.pi * 1e5, 1e-310, 5e-324, HUGE]
+
+
+def test_inverse_edge_is_exact():
+    """iota >= edge is snr_pair's SNR fl(1/fl(beta*iota)) below cut, on every
+    iota tried: the edge, its neighbours, random floats, 0 and inf, so an edge
+    one float off fails."""
+    rng = np.random.default_rng(83)
+    for beta in BETAS:
+        for cut in CUTS[1:]:  # cut = 0 puts no trial in outage (see outage_indicator)
+            edge = model._inverse_edge(beta, cut)
+            iota = np.concatenate([gains_around(edge, rng), [0.0, math.inf]])
+            with np.errstate(all="ignore"):
+                gamma = 1.0 / (beta * iota)
+            assert np.array_equal(iota >= edge, gamma < cut), (beta, cut, edge)
+
+
+def patched(coefficients, cut=None):
+    """A context in which snr_pair and outage_indicator read `coefficients` and,
+    unless None, the cutoff `cut`."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(model, "snr_coefficients", return_value=coefficients))
+    if cut is not None:
+        stack.enter_context(mock.patch.object(model, "snr_cutoff", return_value=cut))
+    return stack
+
+
+def iotas(scenario, coefficients, fade):
+    with np.errstate(all="ignore"):
+        return model._iota(scenario.duplex, coefficients, fade, model._empty_pair(fade))
+
+
+def edge_window(scenario, coefficients, edge, rng):
+    """(x, y, w) of trials whose iota runs through the edge: 64 floats either
+    side of the HD x (FD w) at which the trial's iota, at a drawn y (x and y),
+    is about the edge; and the same with an x*y that overflows, so that iota
+    is rx (HD) or w (FD). None where that gain is not a positive float."""
+    _, lam, _ = model._inverse_form(scenario.duplex, *coefficients)
+    out = []
+    for x, y in ((10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2)), (1e200, 1e200)):
+        rz = 1.0 / (x * y)
+        if scenario.duplex == "hd":
+            at, w = (1.0 + lam * rz * x) / edge, 1.0
+        else:
+            at, w = x, (edge - lam * float(coefficients[0]) * rz) / (1.0 + lam * rz)
+        if not 0 < at < math.inf or not 0 < w < math.inf:
+            continue
+        bits = int(np.float64(at if scenario.duplex == "hd" else w).view(np.int64))
+        window = np.arange(max(bits - 64, 1), min(bits + 65, _INF_BITS)).view(np.float64)
+        n = window.size
+        out.append((window, np.full(n, y), np.full(n, w)) if scenario.duplex == "hd"
+                   else (np.full(n, x), np.full(n, y), window))
+    return out
+
+
+@pytest.mark.parametrize("label", AF_LABELS)
+def test_af_flags_are_the_snr_decision_at_the_edge(label):
+    """An AF trial's flag is capacity(pre, snr_pair) < cth bit for bit, on random
+    links at their own cutoff and at every cut in CUTS (0 and inf among them,
+    where the flag is snr_pair < cut, as snr_cutoff makes it): on drawn trials,
+    a subnormal x (1/x overflows), an x*y that overflows or underflows, and
+    trials whose iota runs through the edge and 16 floats and more either side
+    of it, among them trials whose iota is the edge itself (a compare with >
+    fails there)."""
+    rng = np.random.default_rng(89)
+    at_edge = 0
+    for _ in range(25):
+        cfg, scenario = random_link(rng, label)
+        coefficients = model.snr_coefficients(cfg, scenario)
+        beta = model._inverse_form(scenario.duplex, *coefficients)[0]
+        pre = capacity_prefactor(scenario)
+        drawn = [sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg)]
+        extreme = [np.array([1e-310, 1e200, 1e-170]), np.array([1.0, 1e200, 1e-170]),
+                   np.array([1.0, 1e300, 1e-300])]
+        base = [np.concatenate(g) for g in zip(drawn, extreme)]
+        for cut in [None, *CUTS]:
+            gains = base
+            edge = model._inverse_edge(beta, cut) if cut else math.nan
+            if cut and edge < math.inf:
+                for window in edge_window(scenario, coefficients, edge, rng):
+                    gains = [np.concatenate(g) for g in zip(gains, window)]
+            fade = FadeSample(*gains[:2], gains[2] if scenario.duplex == "fd" else None)
+            _, gamma = snr_pair(cfg, scenario, fade)
+            with patched(coefficients, cut):
+                got = outage_indicator(cfg, scenario, fade)
+            want = capacity(pre, gamma) < cfg.cth if cut is None else gamma < cut
+            assert np.array_equal(got, want), (cfg, scenario, cut)
+            if cut:
+                iota = iotas(scenario, coefficients, fade)
+                at_edge += np.count_nonzero(iota == edge)
+                assert np.array_equal(got, iota >= edge)
+    assert at_edge
+
+
 def magnitude(low: int, high: int):
     """A float64 m * 2**e, e in [low, high], m in [1, 2)."""
     return st.builds(lambda e, m: m * 2.0**e, st.integers(low, high),
@@ -80,81 +180,63 @@ def magnitude(low: int, high: int):
        c=magnitude(-300, 40), k1=magnitude(-40, 40), cut=magnitude(-120, 40),
        other=magnitude(-40, 40), scale=st.integers(-1100, 1100),
        spreads=st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
-       offset=st.sampled_from([*range(-3, 4), 64, 2**20, 2**23, 2**30, 2**40, -(2**22),
-                               -(2**23), -(2**24), -(2**30)]),
+       offset=st.sampled_from([*range(-3, 4), 64, 2**20, -(2**20), 2**40, -(2**40)]),
        short=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
-# a*x*y subnormal, with 2**-14 of relative precision, while b*y is normal
-@example(duplex="hd", a=1.0, b=2.0**100, c=2.0**-74, k1=1.0, cut=2.0**-100, other=2.0**-60,
-         scale=-1000, spreads=(0.0, 1.0), offset=1, short=0, seed=1)
-# c negligible and the extreme gain short of the edge, at cut*b/a*(1 + 2**-42) (HD) or at
-# a/(b*cut)*(1 - 2**-43) and 1 (FD): an edge that takes those trials fails
+# the extreme trial at the edge or a float short of it, the others past it
 @example(duplex="hd", a=1.0, b=1.0, c=2.0**-300, k1=1.0, cut=1.0, other=1.0, scale=0,
-         spreads=(0.0, 1.0), offset=-(2**23 + 2**10), short=0, seed=1)
-@example(duplex="fd", a=1.0, b=1.0, c=2.0**-300, k1=1.0, cut=1.0, other=1.0, scale=0,
-         spreads=(0.0, 1.0), offset=-(2**22 + 2**10), short=0, seed=1)
-@example(duplex="fd", a=1.0, b=1.0, c=2.0**-300, k1=1.0, cut=1.0, other=1.0, scale=0,
-         spreads=(0.0, 1.0), offset=-(2**22), short=0, seed=1)
-def test_af_edge_flags_only_trials_the_snr_decision_flags(duplex, a, b, c, k1, cut, other,
-                                                          scale, spreads, offset, short, seed):
-    """Every trial past the edge that _af_edge gives has its destination SNR,
-    computed as snr_pair computes it, below cut. The block's extreme gain is
-    set `offset` floats past the edge, cut*b/a*(1 - 2**-30) for an HD x or
-    a/(b*cut)*(1 + 2**-30) for an FD w (a negative offset: short of it), and
-    its other gains spread from there or around `other`; `short` of its 16
-    trials spread the other way, so 0-30 % of an FD block can lie short of an
-    edge that it straddles, as on outage_indicator's subset path.
+         spreads=(0.0, 1.0), offset=0, short=0, seed=1)
+@example(duplex="hd", a=1.0, b=1.0, c=2.0**-300, k1=1.0, cut=1.0, other=1.0, scale=0,
+         spreads=(0.0, 1.0), offset=-1, short=0, seed=1)
+@example(duplex="fd", a=1.0, b=1.0, c=1.0, k1=1.0, cut=1.0, other=1.0, scale=0,
+         spreads=(0.0, 1.0), offset=-1, short=0, seed=1)
+def test_af_bound_flags_only_trials_the_snr_decision_flags(duplex, a, b, c, k1, cut, other,
+                                                           scale, spreads, offset, short, seed):
+    """Every block whose iota at its extreme gains (the largest x and x*y, and
+    for FD the smallest w) reaches the edge, so that outage_indicator flags it
+    whole, has every trial's SNR, as snr_pair computes it, below cut. The
+    block's extreme trial is set `offset` floats past the gain at which its
+    iota is about the edge (a negative offset: short of it), and the other
+    trials spread from there to larger iota, `short` of the 16 the other way.
     Scaling a, b and c by 2**scale leaves every SNR as it is in exact
-    arithmetic, and drives the floats to the ends of the normal range and past
-    them, where the range guard decides."""
+    arithmetic, and drives the floats to the ends of the range and past them."""
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         a, b, c = (float(np.ldexp(v, scale)) for v in (a, b, c))
-        if duplex == "hd":
-            sign, edge = -1, np.float64(cut) * b / a * (1.0 - 2.0**-30)
-        else:
-            sign, edge = 1, a / (np.float64(b) * cut) * (1.0 + 2.0**-30)
-    if not 0 < edge < math.inf:
-        edge = other
-    pinned = float(np.int64(np.float64(edge).view(np.int64) + sign * offset).view(np.float64))
+    coefficients = (None if duplex == "hd" else k1), a, b, c
+    beta, lam, _ = model._inverse_form(duplex, *coefficients)
+    if not 0 < beta < math.inf:
+        return
+    edge = model._inverse_edge(beta, cut)
+    y1 = other
+    x1 = (1.0 + lam / y1) / edge if duplex == "hd" else other
+    w0 = 1.0 if duplex == "hd" else (edge - lam * k1 / (x1 * y1)) / (1.0 + lam / (x1 * y1))
+    # HD: iota falls with x, so past the edge is a smaller x; FD: it grows with w
+    sign, at = (-1, x1) if duplex == "hd" else (1, w0)
+    if not 0 < at < math.inf:
+        return
+    pinned = float(np.int64(np.float64(at).view(np.int64) + sign * offset).view(np.float64))
     if not 0 < pinned < math.inf:
         return
-    # HD x at or below its pinned max, FD w at or above its pinned min
     with np.errstate(over="ignore", under="ignore"):
         edge_gain = pinned * 2.0 ** (sign * spreads[0] * rng.random(16))
         edge_gain[1:1 + short] = pinned * 2.0 ** (-sign * spreads[0] * rng.random(short))
-        free_gain = other * 2.0 ** (spreads[1] * (rng.random(16) - 0.5))
-    edge_gain[0] = pinned
+        free_gain = y1 * 2.0 ** (-spreads[1] * rng.random(16))
+    edge_gain[0], free_gain[0] = pinned, y1
     gains = {"x": edge_gain, "y": free_gain}
     if duplex == "fd":
-        gains = {"x": free_gain, "y": free_gain[::-1].copy(), "w": edge_gain}
+        gains = {"x": np.full(16, x1), "y": free_gain, "w": edge_gain}
     if not all(np.all((v > 0) & (v < math.inf)) for v in gains.values()):
         return
     fade = FadeSample(**gains)
     scenario = Scenario(duplex, "af", "tsr", tau=0.5)
-    coefficients = (None if duplex == "hd" else k1), a, b, c
-    edge = model._af_edge(duplex, coefficients, cut, fade)
-    past = fade.x < edge if duplex == "hd" else fade.w >= edge
-    if past.any():
-        with np.errstate(all="ignore"):
-            gamma_d = model._snrs(coefficients, scenario, fade.z, fade.y, fade.w, np.empty(16),
-                                  np.empty(16))
-        assert np.all(gamma_d[past] < cut), (edge, gamma_d[past].max())
-
-
-def test_af_edge_leaves_a_nan_snr_to_the_snr_decision():
-    """An HD-AF trial whose a*x*y and b*y both overflow has a NaN SNR, which
-    outage_indicator decides by its limit a*x/b (see the test below). Its x
-    is far below the bound cut*b/a, but the range guard keeps the block off
-    the edge."""
-    coefficients = None, 1e300, 1e300, 1.0
-    fade = FadeSample(np.array([1e4]), np.array([1e10]))
-    cut = 1e5  # cut*b/a is 1e5 > x
-    assert model._af_edge("hd", coefficients, cut, fade) == 0.0
-    with np.errstate(all="ignore"):
-        gamma_d = model._snrs(coefficients, Scenario("hd", "af", "irr"), fade.z, fade.y, None,
-                              np.empty(1), np.empty(1))
-    assert np.isnan(gamma_d[0])
-    assert model._af_edge("hd", coefficients, cut, FadeSample(np.array([1e-9]), np.array([1e-10])))
+    with patched(coefficients, cut):
+        _, gamma = snr_pair(CFG, scenario, fade)
+        got = outage_indicator(CFG, scenario, fade)
+    assert np.array_equal(got, gamma < cut)
+    (_, x_max), (_, y_max) = fade.extremes["x"], fade.extremes["y"]
+    w_min = fade.extremes["w"][0] if duplex == "fd" else None
+    if model._iota_at((beta, lam, True), k1, x_max, x_max * y_max, w_min) >= edge:
+        assert np.all(gamma < cut), (edge, gamma.max())
 
 
 LABELS = ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr", "hd-af-irr",
@@ -176,74 +258,50 @@ def random_link(rng, label):
     return cfg, Scenario.from_label(label, tau=param, rho=param, pc_fraction=pc)
 
 
-def straddling_fade(rng, cfg, scenario, gains):
-    """An FD-AF block of `gains` whose loop-back gains straddle the AF edge
-    a/(b*cut)*(1 + 2**-30), with 0-30 % of them short of it, the first trial
-    short and the second past; None where that edge is not a positive float."""
-    _, a, b, _ = model.snr_coefficients(cfg, scenario)
-    bc = b * snr_cutoff(capacity_prefactor(scenario), cfg.cth)
-    if not 2.0**-900 < bc / a < 2.0**900:  # cth = 0 has no edge
-        return None
-    edge = a / bc * (1.0 + 2.0**-30)
-    short = rng.random(64) < rng.uniform(0.0, 0.3)
-    short[:2] = True, False
-    return FadeSample(gains[0], gains[1],
-                      edge * 2.0 ** (np.where(short, -1.0, 1.0) * rng.uniform(1e-3, 4.0, 64)))
-
-
 @pytest.mark.parametrize("label", LABELS)
 def test_indicator_flags_the_weaker_snr_below_the_cutoff(monkeypatch, label):
     """outage_indicator is min(snr_pair) < snr_cutoff trial by trial, over
-    random links, on blocks of 64 fades and on scalar fades. Some of the
-    blocks lie wholly past the edge, and some DF blocks have no trial past it
-    and skip the compare on the gain. Each FD-AF link adds a block that
-    straddles its edge with 0-30 % of its trials short of it: when at most
-    _SUBSET_SHARE are, the SNRs of only those trials are computed."""
-    past, some, sizes = [], [], []
-    past_edge, any_past, snrs = model._past_edge, model._any_past, model._snrs
+    random links, on blocks of 64 fades and on scalar fades. Some blocks lie
+    wholly past the edge and are decided from their extreme gains, some DF
+    blocks have no trial past the relay edge and skip the compare on the gain,
+    and the other AF blocks compare every trial's iota with the edge."""
+    past, some, computed, whole = [], [], [], set()
+    past_edge, any_past, iota = model._past_edge, model._any_past, model._iota
     monkeypatch.setattr(model, "_past_edge", lambda *args: past.append(past_edge(*args)) or past[-1])
     monkeypatch.setattr(model, "_any_past", lambda *args: some.append(any_past(*args)) or some[-1])
-    monkeypatch.setattr(model, "_snrs",
-                        lambda co, sc, x, *rest: sizes.append(np.size(x)) or snrs(co, sc, x, *rest))
+    monkeypatch.setattr(model, "_iota", lambda *args: computed.append(True) or iota(*args))
     rng = np.random.default_rng(73)
-    computed = set()  # whether a straddling FD-AF block computed only its short trials' SNRs
     for _ in range(150):
         cfg, scenario = random_link(rng, label)
         gains = [sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg)]
         if scenario.duplex == "hd":
             gains[2] = None
         scalars = [None if g is None else float(g[0]) for g in gains]
-        fades = [FadeSample(*gains), FadeSample(*scalars)]
-        if label == "fd-af-tsr":
-            fades.append(straddling_fade(rng, cfg, scenario, gains))
         cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
-        for fade in filter(None, fades):
+        for fade in (FadeSample(*gains), FadeSample(*scalars)):
             gamma_r, gamma_d = snr_pair(cfg, scenario, fade)
             weaker = gamma_d if gamma_r is None else np.minimum(gamma_r, gamma_d)
             want = weaker < cut
-            sizes.clear()
+            computed.clear()
             got = outage_indicator(cfg, scenario, fade)
             assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
-            if fade is fades[-1] and len(fades) == 3:
-                n = np.count_nonzero(fade.w < model._af_edge("fd", model.snr_coefficients(
-                    cfg, scenario), cut, fade))
-                subset = 0 < n <= model._SUBSET_SHARE * 64
-                assert sizes == [n if subset else 64]
-                computed.add(subset)
-    assert any(past)
+            if "-af-" in label and cut > 0 and np.ndim(got):
+                whole.add(not computed)
+                assert computed or got.all()
     if "-df-" in label:
-        assert not all(some)
-    if label == "fd-af-tsr":
-        assert computed == {True, False}
+        assert any(past) and not all(some)
+    else:
+        assert whole == {True, False}
 
 
 @pytest.mark.parametrize("duplex", ["hd", "fd"])
 def test_indicator_decides_an_overflowed_af_snr_by_its_limit(duplex):
-    """Where a*x*y and its denominator both overflow, snr_pair's AF SNR is NaN,
-    and outage_indicator decides the trial by the SNR's limit as x*y grows,
-    a*x/b (HD) or a/(b*w) (FD): the decision of the exact SNR, which mpmath
-    gives. The other trials keep the SNR decision. The HD link is one that
-    SystemConfig accepts and whose 300 dB second hop draws such gains."""
+    """Where a*x*y and its denominator both overflow, their quotient is NaN,
+    but snr_pair's inverse form 1/(beta*iota) is finite and the SNR's limit as
+    x*y grows, a*x/b (HD) or a/(b*w) (FD): its term of 1/z is negligible or
+    0. outage_indicator decides every trial as the exact SNR, which mpmath
+    gives, does. The HD link is one that SystemConfig accepts and whose 300 dB
+    second hop draws such gains."""
     if duplex == "hd":
         cfg = SystemConfig(d1_m=1e50, ps_watts=5e97, ch2=ChannelSpec(3.0, 300.0))
         scenario = Scenario("hd", "af", "irr")
@@ -253,49 +311,120 @@ def test_indicator_decides_an_overflowed_af_snr_by_its_limit(duplex):
         scenario = Scenario("fd", "af", "tsr", tau=0.5)
         fade = FadeSample(np.full(80, 1e6), np.repeat([1e-5, 1e5], 40),
                           np.tile(np.geomspace(1e-2, 1.0, 40), 2))
-    k1, a, b, c = (mpmath.mpf(float(v)) if v is not None else None
-                   for v in model.snr_coefficients(cfg, scenario))
+    k1, a, b, c = model.snr_coefficients(cfg, scenario)
     cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+    x, y, z, w = fade.x, fade.y, fade.z, fade.w
     with np.errstate(all="ignore"):
-        _, gamma_d = snr_pair(cfg, scenario, fade)
-        got = outage_indicator(cfg, scenario, fade)
-    nan = np.isnan(gamma_d)
-    assert np.array_equal(nan, np.arange(80) >= 40)
-    assert np.array_equal(got[~nan], gamma_d[~nan] < cut)
+        quotient = a * z / (b * y + c) if duplex == "hd" else a * z / (c * (k1 + w) + b * w * z)
+    over = np.arange(80) >= 40
+    assert np.array_equal(np.isnan(quotient), over)
+    _, gamma_d = snr_pair(cfg, scenario, fade)
+    got = outage_indicator(cfg, scenario, fade)
+    limit = a * x / b if duplex == "hd" else a / (b * w)
+    assert np.isfinite(gamma_d).all()
+    assert np.allclose(gamma_d[over], limit[over], rtol=4 * 2.0**-52, atol=0.0)
+    assert np.array_equal(got, gamma_d < cut)
     with mpmath.workprec(200):
-        x, y = map(mpmath.mpf, (fade.x[40], fade.y[40]))
-        exact = [a * x * y / (b * y + c) if duplex == "hd" else
-                 a * x * y / (c * (k1 + mpmath.mpf(w)) + b * mpmath.mpf(w) * x * y)
-                 for x, w in zip(map(mpmath.mpf, fade.x[40:]),
-                                 fade.x[40:] if fade.w is None else fade.w[40:])]
-        assert np.array_equal(got[nan], [v < cut for v in exact])
-    assert 0 < np.count_nonzero(got[nan]) < 40  # NaN counted as no outage before
+        k1, a, b, c = (None if v is None else mpmath.mpf(float(v)) for v in (k1, a, b, c))
+        exact = [a * xi * yi / (b * yi + c) if duplex == "hd" else
+                 a * xi * yi / (c * (k1 + wi) + b * wi * xi * yi)
+                 for xi, yi, wi in zip(*(map(mpmath.mpf, g) for g in (x, y, w if w is not None
+                                                                         else y)))]
+        assert np.array_equal(got, [v < cut for v in exact])
+    assert 0 < np.count_nonzero(got[over]) < 40  # a NaN SNR would count as no outage
 
 
-def test_indicator_keeps_blocks_off_the_edge_where_the_range_guard_fails(monkeypatch):
-    """A straddling FD-AF block whose intermediates leave the normal range at
-    its extreme gains gets no edge, so the SNRs of all its trials are
-    computed: a subnormal a*x (x = 1e-310), or an a*x*y that overflows (the
-    last trial, whose SNR is then NaN and decided by its limit). With normal
-    intermediates the same block computes its three short trials' SNRs only."""
-    sizes = []
-    snrs = model._snrs
-    monkeypatch.setattr(model, "_snrs",
-                        lambda co, sc, x, *rest: sizes.append(np.size(x)) or snrs(co, sc, x, *rest))
-    scenario = Scenario("fd", "af", "tsr", tau=0.5)
-    w = np.geomspace(0.03, 10.0, 20)  # a = b, so the edge is 1/(cut = 15): w[:3] are short
-    x = np.full(20, 100.0)
-    for cfg, x, computed in ((SystemConfig(), x, 3), (SystemConfig(), np.r_[1e-310, x[1:]], 20),
-                             (SystemConfig(ps_watts=1e300), np.r_[x[:-1], 1e10], 20)):
-        fade = FadeSample(x, np.ones(20), w)
-        with np.errstate(all="ignore"):
-            _, gamma_d = snr_pair(cfg, scenario, fade)
-            sizes.clear()
-            got = outage_indicator(cfg, scenario, fade)
-        assert sizes == [computed]
-        # where the SNR is NaN (the overflow), its limit 1/w = 0.1 is below the cutoff
-        assert np.array_equal(got, (gamma_d < 15.0) | np.isnan(gamma_d))
-        assert not got[0] or x[0] < 1.0  # a short trial not in outage
+def test_indicator_decides_out_of_range_af_blocks_silently(monkeypatch):
+    """A block whose extreme gains let an AF operation leave the float range (a
+    subnormal x, whose 1/x overflows; an x*y that underflows to 0; FD's k1 + w
+    that overflows) is decided under np.errstate, without a warning (pytest
+    turns one into an error), and with the flags of the SNR decision; the same
+    block with its gains in range, or with an x*y that overflows, whose
+    reciprocal is 0, is decided outside np.errstate."""
+    states = []
+    iota = model._iota
+    monkeypatch.setattr(model, "_iota",
+                        lambda *args: states.append(np.geterr()["over"]) or iota(*args))
+    outside = np.geterr()["over"]
+    x = np.geomspace(0.02, 50.0, 20)
+    ones, big = np.ones(20), np.full(20, 1e154)  # big*big = 1e308 takes k1 = 1e308 to 1
+    cases = [  # duplex, k1, x, y, w, cut, the errstate _iota runs in
+        ("hd", None, x, ones, None, 1.0, outside),
+        ("hd", None, np.r_[1e-310, x[1:]], ones, None, 1.0, "ignore"),
+        ("hd", None, np.r_[x[:-1], 1e200], np.r_[ones[:-1], 1e200], None, 1.0, outside),
+        ("hd", None, np.r_[1e-170, x[1:]], np.r_[1e-170, ones[1:]], None, 1.0, "ignore"),
+        ("fd", 1e308, big, big, x, 0.5, outside),
+        ("fd", 1e308, big, big, np.r_[x[:-1], 1e308], 0.5, "ignore"),
+        ("fd", 1.0, np.r_[x[:-1], 1e200], np.r_[ones[:-1], 1e200], x, 0.05, outside),
+        ("fd", 1.0, np.r_[1e-170, x[1:]], np.r_[1e-170, ones[1:]], x, 0.05, "ignore")]
+    for duplex, k1, x, y, w, cut, state in cases:
+        scenario = Scenario(duplex, "af", "tsr", tau=0.5)
+        fade = FadeSample(x, y, w)
+        with patched((k1, 1.0, 1.0, 1.0), cut):
+            _, gamma = snr_pair(CFG, scenario, fade)
+            states.clear()
+            got = outage_indicator(CFG, scenario, fade)
+        assert states == [state], (duplex, k1, x, y, w)
+        assert np.array_equal(got, gamma < cut) and got.any() and not got.all()
+
+
+def exact_snr(duplex, coefficients, x, y, w):
+    """An AF destination SNR in mpmath, a coefficient of 0 dropping its term and
+    FD's k1 = inf making the SNR 0."""
+    k1, a, b, c = (None if v is None else mpmath.mpf(float(v)) for v in coefficients)
+    x, y = mpmath.mpf(x), mpmath.mpf(y)
+    if a == 0 or k1 == mpmath.inf:
+        return mpmath.mpf(0)
+    if duplex == "hd":
+        den = b * y + c
+    else:
+        w = mpmath.mpf(w)
+        den = c * (k1 + w) + b * w * x * y
+    return a * x * y / den if den else mpmath.inf
+
+
+@pytest.mark.parametrize("duplex,coefficients,limit", [
+    ("hd", (None, 0.0, 0.0, 0.5), "0"), ("hd", (None, 0.0, 1e-3, 0.5), "0"),
+    ("hd", (None, 2.0, 0.0, 0.5), "a*z/c"), ("hd", (None, 2.0, 1e-3, 0.0), "a*x/b"),
+    ("hd", (None, 2.0, 0.0, 0.0), "inf"), ("fd", (math.inf, 2.0, 0.0, 0.5), "0"),
+    ("fd", (4.0, 2.0, 0.0, 0.5), "a*z/(c*(k1 + w))"), ("fd", (4.0, 2.0, 1e-3, 0.0), "a/(b*w)"),
+    ("hd", "tau=5e-324", "0"), ("fd", "tau=5e-324", "0")])
+def test_degenerate_af_coefficients_take_the_snr_limit(duplex, coefficients, limit):
+    """Where a, b or c is 0 (a relay power that underflows, as at tau = 5e-324
+    with eta < 1, makes HD's a and b 0, and FD's b 0 and k1 inf), snr_pair and
+    outage_indicator give no NaN and no warning, snr_pair is within 8 ulps of
+    mpmath's SNR with that coefficient 0 (exactly 0 or inf where that is), and
+    the flags are the SNR decision, on drawn gains and at the ends of the range."""
+    cfg, scenario = SystemConfig(eta=0.3), Scenario(duplex, "af", "tsr", tau=0.5)
+    if coefficients == "tau=5e-324":
+        scenario = Scenario(duplex, "af", "tsr", tau=5e-324)
+        coefficients = model.snr_coefficients(cfg, scenario)
+        assert coefficients[1:3] == (0.0, 0.0) if duplex == "hd" else (
+            coefficients[0] == math.inf and coefficients[2] == 0.0)
+    rng = np.random.default_rng(97)
+    drawn = [sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg)]
+    fade = FadeSample(*drawn[:2], drawn[2] if duplex == "fd" else None)
+    extreme = FadeSample(np.array([1e-310, 1e200, 1e-170, 1.0]),
+                         np.array([1.0, 1e200, 1e-170, 1.0]),
+                         np.array([1.0, 1.0, 1.0, 1e308]) if duplex == "fd" else None)
+    for cut in CUTS:
+        with patched(coefficients, cut):
+            for f in (fade, extreme):
+                _, gamma = snr_pair(cfg, scenario, f)
+                got = outage_indicator(cfg, scenario, f)
+                assert not np.isnan(gamma).any()
+                assert np.array_equal(got, gamma < cut)
+    with patched(coefficients):
+        _, gamma = snr_pair(cfg, scenario, fade)
+    with mpmath.workprec(200):
+        exact = [exact_snr(duplex, coefficients, *g) for g in zip(
+            fade.x, fade.y, fade.w if duplex == "fd" else fade.y)]
+    for got, want in zip(gamma, exact):
+        if want in (0, mpmath.inf):
+            assert got == want
+        else:
+            assert abs(got - want) <= 8 * 2.0**-52 * want, (got, want)
+    assert limit != "0" or not gamma.any()
 
 
 def pinned_gains(duplex, relay_edge, product_edge):

@@ -12,14 +12,13 @@ import importlib
 import importlib.util
 import math
 import sys
-import threading
 from pathlib import Path
 
 import pytest
 
 import ehrelay.montecarlo as mc
 from conftest import curve_rows, subset
-from ehrelay import ChannelSpec, SystemConfig, cli, grids, model
+from ehrelay import ChannelSpec, SystemConfig, cli, grids
 from ehrelay.montecarlo import McPlan
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -88,36 +87,26 @@ MC_PLAN = McPlan(trials=2 * 2**13 + 123, seed=11)
 
 @pytest.fixture
 def decisions(monkeypatch):
-    """Per `cli.estimate_outage` call, in order: the size of each outage decision
-    and the size of each block that computed fewer SNRs than it has trials. The
-    benchmark counts each row's trials from the outage-indicator calls below its
-    `cli.estimate_outage` call, so a dataset run must make one call per MC row
+    """Per `cli.estimate_outage` call, in order: the size of each outage decision.
+    The benchmark counts each row's trials from the outage-indicator calls below
+    its `cli.estimate_outage` call, so a dataset run must make one call per MC row
     with the benchmark's signature, each deciding plan.trials trials."""
-    decided, subsets = [], []
-    block = threading.local()  # the size of the block the thread decides
-    estimate, indicator, snrs = cli.estimate_outage, mc.outage_indicator, model._snrs
+    decided = []
+    estimate, indicator = cli.estimate_outage, mc.outage_indicator
 
     def fake_estimate(cfg, scenario, plan, threads=1):
         decided.append([])
-        subsets.append([])
         return estimate(cfg, scenario, plan, threads=threads)
 
     def counted_indicator(cfg, scenario, fade, **kwargs):
-        block.size = fade.x.size
         out = indicator(cfg, scenario, fade, **kwargs)
         decided[-1].append(out.size)
         return out
 
-    def counted_snrs(coefficients, scenario, x, *args):
-        if x.size < block.size:
-            subsets[-1].append(block.size)
-        return snrs(coefficients, scenario, x, *args)
-
     monkeypatch.setattr(cli, "estimate_outage", fake_estimate)
     monkeypatch.setattr(mc, "outage_indicator", counted_indicator)
-    monkeypatch.setattr(model, "_snrs", counted_snrs)
     monkeypatch.setattr(mc, "BLOCK_SIZE", 2**13)
-    return decided, subsets
+    return decided
 
 
 def assert_one_call_per_row(decided, rows):
@@ -128,19 +117,14 @@ def assert_one_call_per_row(decided, rows):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_every_mc_row_is_one_estimate_call_deciding_its_trials(decisions, threads):
-    """Also where an FD-AF block computes the SNRs of only its trials short of
-    the certain-outage edge."""
-    decided, subsets = decisions
+    decided = decisions
     # at tau 0.9 whole blocks lie past the certain-outage edge and are decided
     # without their arrays; they still count their trials
     curves = subset(cli.selftest_points(SystemConfig()), (0.0, 0.3, 0.9))
     for _ in range(2):  # the second run finds every block's gains kept
         decided.clear()
-        subsets.clear()
         cli.run_points(curves, MC_PLAN, threads)
         assert_one_call_per_row(decided, len(curve_rows(curves)))
-        labels = {p.scenario.label() for p, blocks in zip(curve_rows(curves), subsets) if blocks}
-        assert labels == {"fd-af-tsr"}
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -156,7 +140,7 @@ def test_every_cli_mc_row_is_one_estimate_call_deciding_its_trials(decisions, co
                      "--threads", threads, "--out", str(out)]) == cli.EXIT_OK
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
     assert len(rows) == (3 if command[0] == "sweep" else 72)
-    assert_one_call_per_row(decisions[0], len(rows))
+    assert_one_call_per_row(decisions, len(rows))
 
 
 def test_bench_acceptance_grid_matches_selftest_points():

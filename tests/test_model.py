@@ -139,8 +139,9 @@ class TestSnrPair:
     def test_fd_af_snr_bit_for_bit(self, eta, taus):
         # the amplified loop-back interference enters both signal path and gain:
         # ps*x*y / (lp1*lp2*noise*(1/power + w) + ps*power*w*x*y), which is
-        # a*z / (c*(k1 + w) + (b*w)*z) with z = x*y; a power that underflows to 0
-        # gives SNR 0
+        # a*z / (c*(k1 + w) + (b*w)*z) with z = x*y, computed in its inverse form
+        # 1/(beta*(w + lam*((k1 + w)*(1/z)))) with beta = b/a and lam = c/b, within
+        # a few ulps of the quotient; a power that underflows to 0 gives SNR 0
         rng = np.random.default_rng(53)
         for _ in range(40):
             cfg = replace(CFG, eta=eta, ps_watts=10 ** rng.uniform(0.0, 4.0),
@@ -156,9 +157,14 @@ class TestSnrPair:
             coefs = (inv, cfg.ps_watts, cfg.ps_watts * power, lp1 * lp2 * noise)
             assert list(map(float.hex, snr_coefficients(cfg, s))) == list(map(float.hex, coefs))
             x, y, w = (sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg))
-            want = cfg.ps_watts * (x * y) / (lp1 * lp2 * noise * (inv + w)
-                                             + cfg.ps_watts * power * w * (x * y))
-            assert (want == 0.0).all() == (power == 0.0)
+            quotient = cfg.ps_watts * (x * y) / (lp1 * lp2 * noise * (inv + w)
+                                                 + cfg.ps_watts * power * w * (x * y))
+            assert (quotient == 0.0).all() == (power == 0.0)
+            a, b, c = coefs[1:]
+            want = np.zeros(x.size)
+            if power:
+                want = 1.0 / (b / a * (w + c / b * ((inv + w) * (1.0 / (x * y)))))
+            assert np.allclose(want, quotient, rtol=8 * 2.0**-52, atol=0.0)
             gr, gd = snr_pair(cfg, s, FadeSample(x, y, w))
             assert gr is None and np.array_equal(gd.view(np.uint64), want.view(np.uint64))
             _, gd = snr_pair(cfg, s, FadeSample(float(x[0]), float(y[0]), float(w[0])))
@@ -347,15 +353,21 @@ def test_indicator_at_threshold_snr_matches_capacities(s):
     xs, ys = (a.ravel() for a in np.meshgrid(xs, ys))
     fades = FadeSample(xs, ys, None if w is None else np.full(xs.size, w))
     gamma = weakest_snr(CFG, s, fades)
-    # the window crosses v through both its float neighbours (v itself, a quotient
-    # for AF, need not be reachable); where no DF product a*(x*y) is v's upper
-    # neighbour (hd-df-psr's a = 0x1.89374bc6a7efap-3), it holds the float above that
+    # the window crosses v through both its float neighbours (v itself need not be
+    # reachable); where no DF product a*(x*y) is v's upper neighbour (hd-df-psr's
+    # a = 0x1.89374bc6a7efap-3), it holds the float above that. An AF SNR
+    # 1/(beta*iota) is a reciprocal, which skips up to every other float, so its
+    # window holds an SNR at or past each neighbour and at most one float past it
     lower, upper = np.nextafter(v, 0.0), np.nextafter(v, math.inf)
-    a = snr_coefficients(CFG, s)[1]
-    q = int(np.float64(upper / a).view(np.int64))
-    if s.relay == "df" and upper not in a * np.arange(q - 2, q + 3).view(np.float64):
-        upper = np.nextafter(upper, math.inf)
-    assert np.isin([lower, upper], gamma).all()
+    if s.relay == "af":
+        assert gamma[gamma <= lower].max() >= np.nextafter(lower, 0.0)
+        assert gamma[gamma >= upper].min() <= np.nextafter(upper, math.inf)
+    else:
+        a = snr_coefficients(CFG, s)[1]
+        q = int(np.float64(upper / a).view(np.int64))
+        if upper not in a * np.arange(q - 2, q + 3).view(np.float64):
+            upper = np.nextafter(upper, math.inf)
+        assert np.isin([lower, upper], gamma).all()
     c_r, c_d = capacities(CFG, s, fades)
     want = (c_d if c_r is None else np.minimum(c_r, c_d)) < CFG.cth
     assert want.any() and not want.all()

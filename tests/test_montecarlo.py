@@ -346,9 +346,10 @@ def test_over_budget_fd_plan_draws_only_its_loop_back_slot(monkeypatch, draws):
 
 @pytest.mark.usefixtures("small_blocks")
 def test_over_budget_plan_keeps_its_products_in_thread_arrays(monkeypatch):
-    """An over-budget FD plan computes each block's products z = x*y into the
-    thread's one array, shared by the FD fade, and allocates no block-sized
-    array per block once the thread's arrays exist."""
+    """An over-budget FD-AF plan computes each block's products z = x*y into the
+    thread's one array, shared by the FD fade, keeps no reciprocals (the AF
+    decision computes them into the thread's scratch arrays) and allocates no
+    block-sized array per block once the thread's arrays exist."""
     monkeypatch.setattr(mc, "_KEPT_BYTES", 0)
     point = _selftest_batch()[-1]
     entries, block_fade = [], mc._block_fade
@@ -365,7 +366,45 @@ def test_over_budget_plan_keeps_its_products_in_thread_arrays(monkeypatch):
     assert mc._memo == {} and len(entries) == 2 * 2 * len(SHORT_LAST.blocks())
     for _, fade in entries:
         assert np.shares_memory(fade.z, vars(mc._local)["z"]) and fade.z.flags.writeable
-    assert peak < 8 * mc.BLOCK_SIZE  # a float64 array of one block
+        assert fade.rx is None and fade.rz is None
+    assert point.scenario.relay == "af" and peak < 8 * mc.BLOCK_SIZE  # one block's float64s
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("budget", ["none", "hd"])
+def test_over_budget_plan_computes_reciprocals_for_af_rows_only(monkeypatch, budget):
+    """Over budget, an AF row computes the reciprocals 1/x and 1/z that its
+    fades do not keep into the thread's scratch arrays, and a DF row computes
+    none. Where the memo keeps only HD fades, an FD fade over budget shares
+    its HD fade's kept reciprocals, and no row computes any."""
+    monkeypatch.setattr(mc, "_KEPT_BYTES", 0 if budget == "none" else 8 * SHORT_LAST.trials * 2)
+    computed, reciprocal = [], model._reciprocal
+
+    def counted(kept, gains, out):
+        if kept is None:
+            computed.append(out)
+        return reciprocal(kept, gains, out)
+
+    monkeypatch.setattr(model, "_reciprocal", counted)
+    entries, block_fade = [], mc._block_fade
+    monkeypatch.setattr(mc, "_block_fade",
+                        lambda *args: entries.append(block_fade(*args)) or entries[-1])
+    for point in _selftest_batch():
+        computed.clear()
+        entries.clear()
+        got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+        scratch = [vars(mc._local)[key] for key in ("scratch0", "scratch1")]
+        if point.scenario.relay == "df" or budget == "hd":
+            assert not computed
+        else:
+            assert computed and all(any(np.shares_memory(out, arr) for arr in scratch)
+                                    for out in computed)
+        kept = {id(fade.x): fade for _, fade in mc._memo.values()}
+        for _, fade in entries:
+            assert (fade.rx, fade.rz) == (None, None) if budget == "none" else (
+                fade.rx is kept[id(fade.x)].rx and fade.rz is kept[id(fade.x)].rz)
+        assert [got] == _fresh([point], SHORT_LAST)
+    assert len(mc._memo) == (0 if budget == "none" else len(SHORT_LAST.blocks()))
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -384,7 +423,10 @@ def test_fd_fade_extends_its_hd_fade(draws):
         fd_fade = mc._memo[(*block, (fd.cfg.ch1, fd.cfg.ch2, fd.cfg.chg))][1]
         hd_fade = mc._memo[(*block, (hd.cfg.ch1, hd.cfg.ch2))][1]
         assert fd_fade.x is hd_fade.x and fd_fade.y is hd_fade.y and fd_fade.z is hd_fade.z
+        assert fd_fade.rx is hd_fade.rx and fd_fade.rz is hd_fade.rz
         assert np.array_equal(hd_fade.z, hd_fade.x * hd_fade.y)
+        assert np.array_equal(hd_fade.rx, 1.0 / hd_fade.x)
+        assert np.array_equal(hd_fade.rz, 1.0 / hd_fade.z)
     assert len(mc._memo) == 2 * len(blocks)
 
 
@@ -474,8 +516,9 @@ def test_kept_arrays_are_read_only():
     estimate_outage(point.cfg, point.scenario, SHORT_LAST)
     kept = _kept_arrays().values()
     assert len(kept) == 3 * 3
-    products = {id(fade.z): fade.z for _, fade in mc._memo.values()}.values()
-    assert len(products) == 3
+    products = {id(a): a for _, fade in mc._memo.values()
+                for a in (fade.z, fade.rx, fade.rz)}.values()
+    assert len(products) == 3 * 3
     for arr in (*kept, *products):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
@@ -489,9 +532,9 @@ def test_fades_are_kept_only_with_their_gains(monkeypatch):
     point = _selftest_batch()[-1]
     checked = mc.FadeSample
 
-    def emptied_meanwhile(*gains, z):
+    def emptied_meanwhile(*gains, **products):
         mc._memo.clear()
-        return checked(*gains, z=z)
+        return checked(*gains, **products)
 
     monkeypatch.setattr(mc, "FadeSample", emptied_meanwhile)
     assert [estimate_outage(point.cfg, point.scenario, SHORT_LAST)] == \
@@ -617,13 +660,23 @@ def test_memo_stays_within_budget(monkeypatch, draws):
     assert len(held) == 5 * len(points) and max(held) <= budget
 
 
+def deciding_on(monkeypatch, mark):
+    """Patch the two steps that read a block's trials, DF's compare on the gains
+    (model._any_past) and AF's iota (model._iota), to call mark(scenario) first."""
+    any_past, iota = model._any_past, model._iota
+    monkeypatch.setattr(model, "_any_past",
+                        lambda duplex, *args: mark(f"{duplex}-df") or any_past(duplex, *args))
+    monkeypatch.setattr(model, "_iota",
+                        lambda duplex, *args: mark(f"{duplex}-af") or iota(duplex, *args))
+
+
 def test_selftest_decides_its_saturated_blocks_at_the_edge(monkeypatch, capsys):
     """`selftest --trials 131072 --seed 1` decides 148 blocks of 65,536 trials,
     and 54 of them lie wholly past the certain-outage edge: those come back all
-    in outage without a look at their trials (model._decide). The count is a
-    function of the seed alone."""
+    in outage without a look at their trials (neither model._any_past nor
+    model._iota runs). The count is a function of the seed alone."""
     at_edge = []
-    indicator, decide = mc.outage_indicator, model._decide
+    indicator = mc.outage_indicator
 
     def watched(cfg, scenario, fade, scratch):
         at_edge.append(True)
@@ -631,12 +684,8 @@ def test_selftest_decides_its_saturated_blocks_at_the_edge(monkeypatch, capsys):
         assert out.all() or not at_edge[-1]
         return out
 
-    def deciding(*args):
-        at_edge[-1] = False
-        return decide(*args)
-
     monkeypatch.setattr(mc, "outage_indicator", watched)
-    monkeypatch.setattr(model, "_decide", deciding)
+    deciding_on(monkeypatch, lambda path: at_edge.__setitem__(-1, False))
     assert cli.main(["selftest", "--trials", "131072", "--seed", "1"]) == 0
     capsys.readouterr()
     assert len(at_edge) == 148 and sum(at_edge) == 54
@@ -645,12 +694,12 @@ def test_selftest_decides_its_saturated_blocks_at_the_edge(monkeypatch, capsys):
 def test_selftest_decision_paths_give_one_flag_per_trial(monkeypatch, capsys):
     """Every block of `selftest --trials 131072 --seed 1` is decided on one
     path: at the certain-outage edge; by a DF block's two gain edges, with no
-    SNR computed and its scratch arrays untouched; by the SNRs of all of an AF
-    block's trials; or by those of only an FD-AF block's trials short of the
-    edge. Each path gives one flag per trial, which is what the benchmark
-    counts as a row's trials. The counts are a function of the seed alone."""
+    SNR computed and its scratch arrays untouched; or by an AF block's iota,
+    compared with its edge, which writes the scratch arrays. Each path gives
+    one flag per trial, which is what the benchmark counts as a row's trials.
+    The counts are a function of the seed alone."""
     paths, path = [], []
-    indicator, decide, snrs = mc.outage_indicator, model._decide, model._snrs
+    indicator = mc.outage_indicator
 
     def watched(cfg, scenario, fade, scratch):
         for arr in scratch:
@@ -660,21 +709,12 @@ def test_selftest_decision_paths_give_one_flag_per_trial(monkeypatch, capsys):
         assert out.dtype == bool and out.shape == fade.x.shape == (mc.BLOCK_SIZE,)
         untouched = all(np.isnan(arr).all() for arr in scratch)
         assert untouched == (path[0] in ("edge", "hd-df", "fd-df"))
-        paths.append(" ".join(path))
+        paths.append(path[0])
         return out
 
-    def deciding(coefficients, scenario, *args):
-        path[0] = f"{scenario.duplex}-{scenario.relay}"
-        return decide(coefficients, scenario, *args)
-
-    def computing(coefficients, scenario, z, *args):
-        path.append("all" if z.size == mc.BLOCK_SIZE else "subset")
-        return snrs(coefficients, scenario, z, *args)
-
     monkeypatch.setattr(mc, "outage_indicator", watched)
-    monkeypatch.setattr(model, "_decide", deciding)
-    monkeypatch.setattr(model, "_snrs", computing)
+    deciding_on(monkeypatch, lambda name: path.__setitem__(0, name))
     assert cli.main(["selftest", "--trials", "131072", "--seed", "1"]) == 0
     capsys.readouterr()
     assert {p: paths.count(p) for p in paths} == {
-        "edge": 54, "hd-df": 32, "fd-df": 15, "hd-af all": 32, "fd-af all": 2, "fd-af subset": 13}
+        "edge": 54, "hd-df": 32, "fd-df": 15, "hd-af": 32, "fd-af": 15}

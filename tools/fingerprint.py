@@ -22,8 +22,8 @@ Each line is a name and the SHA-256 of that result's bytes:
 - estimate_outage_pairs: the MC estimate of every pair of the batch at
   10^4 trials, one block each;
 - snr_pair: `model.snr_pair` per variant on 4,096 seeded fades and on
-  one scalar fade, whose destination SNR takes the product of the first two
-  gains as `a*(x*y)`;
+  one scalar fade: DF's destination SNR is `a*(x*y)`, AF's `1/(beta*iota)`
+  (see `model._inverse_form`);
 - mc_memo: the stdout of MEMO_RUNS, one after the other in this process,
   which read and fill its memo of block fades: a kept plan cold and then
   warm on the pool, a plan whose FD fades evict each other, an FD plan over
