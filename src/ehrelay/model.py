@@ -297,7 +297,8 @@ class FadeSample:
     y = h2^2 and, for full-duplex, the loop-back gain w = g^2; z is x*y,
     computed here when None. rx and rz are 1/x and 1/z, which an AF SNR
     reads; when None they are not computed here but by the AF SNR that needs
-    them (so a replace() of x or y passes z, rx and rz as None).
+    them (so a replace() of x or y passes z, rx and rz as None). The Monte
+    Carlo memo attaches them to a fade it keeps when an AF row first reads it.
     `extremes` maps each gain's name to its (min, max) from the checks."""
 
     x: object
@@ -393,8 +394,9 @@ def _check_fade(scenario: Scenario, fade: FadeSample) -> None:
 
 
 def _fade_shape(fade: FadeSample) -> tuple:
-    """The fades' broadcast shape (() for scalars)."""
-    return np.broadcast_shapes(*(np.shape(v) for v in (fade.x, fade.y, fade.w) if v is not None))
+    """The fades' broadcast shape (() for scalars): their one shape where they share it."""
+    shapes = {np.shape(v) for v in (fade.x, fade.y, fade.w) if v is not None}
+    return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
 
 
 def _empty_pair(fade: FadeSample):
@@ -413,10 +415,11 @@ def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
     coefficients = snr_coefficients(cfg, scenario)
     r, d = _empty_pair(fade)
     if scenario.relay == "af":
-        beta = _inverse_form(scenario.duplex, *coefficients)[0]
+        form = _inverse_form(scenario.duplex, *coefficients)
+        beta, k1 = form[0], coefficients[0]
         with np.errstate(all="ignore"):  # reciprocals, and 1/0 where beta*iota underflows
             if 0 < beta < math.inf:
-                np.multiply(beta, _iota(scenario.duplex, coefficients, fade, (r, d)), out=d)
+                np.multiply(beta, _iota(scenario.duplex, form, k1, fade, (r, d)), out=d)
                 np.divide(1.0, d, out=d)
             else:
                 d.fill(_constant_snr(beta))
@@ -476,12 +479,12 @@ def _reciprocal(kept, gains, out):
     return kept if kept is not None else np.divide(1.0, gains, out=out)
 
 
-def _iota(duplex: str, coefficients, fade: FadeSample, scratch):
-    """Every trial's iota (see _inverse_form): a fade array where iota is one
-    gain or reciprocal, else the first scratch array; the second takes the
-    reciprocals a fade does not keep. A sum k1 + w that overflows is held at
-    DBL_MAX, so that it times an rz of 0 (an x*y that overflowed) is 0."""
-    _, lam, first = _inverse_form(duplex, *coefficients)
+def _iota(duplex: str, form: tuple, k1, fade: FadeSample, scratch):
+    """Every trial's iota of `form`, _inverse_form's for k1: a fade array where
+    iota is one gain or reciprocal, else the first scratch array; the second
+    takes the reciprocals a fade does not keep. A sum k1 + w that overflows is
+    held at DBL_MAX, so that it times an rz of 0 (an x*y that overflowed) is 0."""
+    _, lam, first = form
     s, t = scratch
     if duplex == "hd":
         if not first:
@@ -492,7 +495,7 @@ def _iota(duplex: str, coefficients, fade: FadeSample, scratch):
         return np.add(s, _reciprocal(fade.rx, fade.x, t), out=s)
     if first and not lam:
         return fade.w
-    k1 = float(coefficients[0])
+    k1 = float(k1)
     np.add(k1, fade.w, out=s)
     if k1 + fade.extremes["w"][1] == math.inf:
         np.minimum(s, sys.float_info.max, out=s)
@@ -677,9 +680,9 @@ def _inverse_flags(duplex: str, coefficients, cut: float, fade: FadeSample, scra
         scratch = _empty_pair(fade)
     # every operation stays in range where the largest iota and FD's k1 + w do
     if _iota_at(form, k1, x0, x0 * y0, w1) < math.inf and (k1 is None or k1 + w1 < math.inf):
-        return _iota(duplex, coefficients, fade, scratch) >= edge
+        return _iota(duplex, form, k1, fade, scratch) >= edge
     with np.errstate(all="ignore"):
-        return _iota(duplex, coefficients, fade, scratch) >= edge
+        return _iota(duplex, form, k1, fade, scratch) >= edge
 
 
 def _snr_for_rate(expo: float) -> float:

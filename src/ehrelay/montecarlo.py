@@ -14,10 +14,10 @@ decided from its gains' extremes alone, a DF trial by comparing its gain
 and its product x*y with exact edges, and an AF trial by comparing the sum
 iota of its inverse SNR 1/(beta*iota) with an exact edge.
 
-Rows of a dataset share their fades, with their products x*y and the
-reciprocals 1/x and 1/(x*y), through one read-only memo of whole block
-fades, where an FD fade extends its block's HD fade (see _block_fade); a
-block decides in arrays its thread reuses.
+Rows of a dataset share their fades, with their products x*y and, once an
+AF row reads them, the reciprocals 1/x and 1/(x*y), through one read-only
+memo of whole block fades, where an FD fade extends its block's HD fade
+(see _block_fade); a block decides in arrays its thread reuses.
 """
 
 from __future__ import annotations
@@ -74,6 +74,14 @@ def _thread_array(key, size: int) -> np.ndarray:
     return arr[:size]
 
 
+def _scratch(size: int) -> tuple:
+    """The calling thread's two float64 decision arrays, cut to `size`, in one lookup."""
+    pair = vars(_local).get("scratch")
+    if pair is None or pair[0].size < size:
+        pair = vars(_local)["scratch"] = np.empty(size), np.empty(size)
+    return pair if pair[0].size == size else (pair[0][:size], pair[1][:size])
+
+
 @functools.cache
 def _pool(threads: int):
     """The one ThreadPoolExecutor of `threads` workers, so calls reuse its threads' arrays."""
@@ -84,8 +92,8 @@ def _pool(threads: int):
 
 # Bytes of gains the memo holds, 8 per trial and slot; only a plan whose gains fit on
 # their own adds to it (HD plans of up to 2**20 trials, FD ones of up to 699,050). Each HD
-# fade also holds its products x*y and the reciprocals 1/x and 1/(x*y), uncounted, so the
-# memo takes at most 40 MiB.
+# fade also holds its products x*y and, once an AF row reads it, the reciprocals 1/x and
+# 1/(x*y), uncounted, so the memo takes at most 40 MiB.
 _KEPT_BYTES = 16 << 20
 # (seed, index, size, channels) -> (generator state after the block's last slot, its checked
 # FadeSample). An FD fade's x, y, z, rx and rz are the arrays of the HD entry for
@@ -104,11 +112,10 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
     `channels`. An HD fade draws slots 0 and 1 from the substream (seed, index); an FD fade
     extends the HD fade of channels[:2] by slot 2, drawn from the state that fade left. So
     a kept fade is what a fresh draw gives, whichever call or thread asks. With `keep`, a
-    new fade goes into the memo once drawn and checked, an HD fade with its products z and
-    the reciprocals 1/x and 1/z that AF rows read; without, its new gains and an HD fade's
-    products go into the running thread's arrays, and an AF row computes the reciprocals
-    into its own (see model._iota). An FD fade shares its HD fade's x, y, z and
-    reciprocals. An interrupted draw keeps nothing."""
+    new fade goes into the memo once drawn and checked, an HD fade with its products z;
+    without, its new gains and an HD fade's products go into the running thread's arrays.
+    An FD fade shares its HD fade's x, y and z, and the reciprocals that an AF row
+    attaches to both (see _attach_reciprocals). An interrupted draw keeps nothing."""
     key = (seed, index, size, channels)
     entry = _memo.get(key)
     if entry is not None:
@@ -122,12 +129,10 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
            for slot, ch in enumerate(channels) if slot >= len(old)]
     with np.errstate(all="ignore"):  # silent, as in FadeSample, which checks the gains
         z = hd[1].z if hd else np.multiply(*new, out=None if keep else _thread_array("z", size))
-        rx, rz = ((hd[1].rx, hd[1].rz) if hd else
-                  (np.divide(1.0, new[0]), np.divide(1.0, z)) if keep else (None, None))
-    entry = (rng.bit_generator.state, FadeSample(*old, *new, z=z, rx=rx, rz=rz))
+    entry = (rng.bit_generator.state, FadeSample(*old, *new, z=z))
     if not keep:
         return entry
-    for arr in (*new, z, rx, rz):
+    for arr in (*new, z):
         arr.flags.writeable = False
     hd_key = (seed, index, size, channels[:2])
     with _lock:  # an FD fade only while the memo keeps the HD fade it extends
@@ -143,11 +148,32 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
         return _memo.setdefault(key, entry)
 
 
+def _attach_reciprocals(hd_key: tuple, fade: FadeSample) -> None:
+    """Give `fade` the read-only reciprocals 1/x and 1/z of the HD fade the memo keeps under
+    `hd_key`, if `fade` shares its x, computing them once, under the memo's lock, for the
+    first AF row that reads that HD fade or an FD fade extending it. Without a kept HD fade,
+    an AF row computes them into its thread's arrays (see model._iota)."""
+    with _lock:
+        entry = _memo.get(hd_key)
+        if entry is None or entry[1].x is not fade.x:
+            return
+        hd = entry[1]
+        if hd.rx is None:
+            with np.errstate(all="ignore"):  # 1/x and 1/z of gains FadeSample checked
+                rx, rz = np.divide(1.0, hd.x), np.divide(1.0, hd.z)
+            rx.flags.writeable = rz.flags.writeable = False
+            object.__setattr__(hd, "rz", rz)  # rz first: a fade with rx also has rz
+            object.__setattr__(hd, "rx", rx)
+        object.__setattr__(fade, "rz", hd.rz)
+        object.__setattr__(fade, "rx", hd.rx)
+
+
 def _block_outages(cfg: SystemConfig, scenario: Scenario, channels, keep: bool, seed: int,
                    index: int, size: int) -> int:
     fade = _block_fade(seed, index, size, channels, keep)[1]
-    scratch = [_thread_array(key, size) for key in ("scratch0", "scratch1")]
-    return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=scratch)))
+    if fade.rx is None and scenario.relay == "af":
+        _attach_reciprocals((seed, index, size, channels[:2]), fade)
+    return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=_scratch(size))))
 
 
 def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
@@ -155,21 +181,27 @@ def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
     """Average the outage indicator over plan.trials independent fades.
 
     Deterministic for a fixed plan regardless of `threads`: blocks hold
-    exact integer outage counts and summation is order-independent. Gains
-    out of the float64 range raise FadeRangeError naming their channel's
-    settings key.
+    exact integer outage counts, summed in any order, and one thread or a
+    one-block plan decides them in turn in a plain loop. Gains out of the
+    float64 range raise FadeRangeError naming their channel's settings key.
     """
-    blocks = plan.blocks()
+    trials, seed, size = plan.trials, plan.seed, BLOCK_SIZE
     channels = (cfg.ch1, cfg.ch2, cfg.chg) if scenario.duplex == "fd" else (cfg.ch1, cfg.ch2)
-    keep = 8 * plan.trials * len(channels) <= _KEPT_BYTES
-    block = functools.partial(_block_outages, cfg, scenario, channels, keep, plan.seed)
-    # the pool's map cancels the blocks still queued if the caller is interrupted
-    apply = _pool(threads).map if threads > 1 and len(blocks) > 1 else map
+    keep = 8 * trials * len(channels) <= _KEPT_BYTES
     try:
-        p_hat = sum(apply(block, *zip(*blocks))) / plan.trials
+        if threads > 1 and trials > size:
+            block = functools.partial(_block_outages, cfg, scenario, channels, keep, seed)
+            # the pool's map cancels the blocks still queued if the caller is interrupted
+            failures = sum(_pool(threads).map(block, *zip(*plan.blocks())))
+        else:
+            failures = 0
+            for start in range(0, trials, size):
+                failures += _block_outages(cfg, scenario, channels, keep, seed, start // size,
+                                           min(size, trials - start))
     except FadeRangeError as exc:  # a fade's gains x, y, w are drawn from `channels` in turn
         key = "system." + ("ch1", "ch2", "chg")["xyw".index(exc.gain)]
         raise FadeRangeError(exc.gain, exc.problem, f"{key}: gains left the float64 range "
                              f"(a squared gain is not {exc.problem})") from exc
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / plan.trials)
-    return OutageEstimate(p_hat, "monte_carlo", stderr, plan.trials)
+    p_hat = failures / trials
+    stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    return OutageEstimate(p_hat, "monte_carlo", stderr, trials)

@@ -104,7 +104,8 @@ def patched(coefficients, cut=None):
 
 def iotas(scenario, coefficients, fade):
     with np.errstate(all="ignore"):
-        return model._iota(scenario.duplex, coefficients, fade, model._empty_pair(fade))
+        form = model._inverse_form(scenario.duplex, *coefficients)
+        return model._iota(scenario.duplex, form, coefficients[0], fade, model._empty_pair(fade))
 
 
 def edge_window(scenario, coefficients, edge, rng):

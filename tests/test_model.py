@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import curve_rows
-from ehrelay import grids
+from ehrelay import grids, model
 from ehrelay.lognormal import sample_sq_gain
 from ehrelay.model import (
     FadeSample,
@@ -260,6 +260,32 @@ def test_indicator_leaves_fades_unchanged():
         snr_pair(CFG, s, fades)
     for v, b in zip((fades.x, fades.y, fades.w), before):
         assert v.tobytes() == b.tobytes()
+
+
+MIXED_FADES = [  # gains of differing shapes, and the shape they broadcast to
+    (FadeSample(2.0, np.full(3, 0.5)), (3,)),
+    (FadeSample(np.full((2, 3), 2.0), np.full((2, 3), 0.5), 0.1), (2, 3)),
+    (FadeSample(2.0, 0.5), ()),
+    (FadeSample(2.0, 0.5, 0.1), ()),
+]
+
+
+@pytest.mark.parametrize("fade,shape", MIXED_FADES, ids=["scalar-x", "scalar-w", "hd", "fd"])
+@pytest.mark.parametrize("cth", [1e6, 0.0], ids=["edge", "constant"])
+def test_indicator_decided_without_the_trials_keeps_the_broadcast_shape(monkeypatch, fade,
+                                                                         shape, cth):
+    """A block decided at the certain-outage edge, or AF's with one SNR for
+    every trial, is the fades' broadcast shape, a numpy bool for scalar fades."""
+    for step in ("_any_past", "_iota"):  # the steps that read the trials
+        monkeypatch.setattr(model, step, None)
+    duplex = "hd" if fade.w is None else "fd"
+    decided = [s for s in ALL_SCENARIOS  # DF at cth 0 reads its trials
+               if s.duplex == duplex and (cth > 0 or s.relay == "af")]
+    for s in decided:
+        got = outage_indicator(replace(CFG, cth=cth), s, fade)
+        assert np.shape(got) == shape and got.dtype == bool and np.all(got) == (cth > 0)
+        assert isinstance(got, np.ndarray if shape else np.bool_)
+    assert len(decided) == (2 if duplex == "fd" else 6) // (1 if cth > 0 else 2)
 
 
 def grid_cutoff_pairs():

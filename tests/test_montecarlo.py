@@ -83,6 +83,32 @@ def test_threaded_calls_reuse_one_pool(monkeypatch):
     assert first == second
 
 
+@pytest.mark.parametrize("threads,block_size,trials", [(1, 2**12, 5 * 2**12 + 123),
+                                                      (4, 2**14, 10**4)],
+                         ids=["one-thread", "one-block"])
+def test_serial_loop_decides_each_block_once(monkeypatch, threads, block_size, trials):
+    """On one thread, or for a one-block plan, each call decides every block
+    of the BLOCK_SIZE it reads at call time once, in order, the short last
+    block included, in the calling thread and without the pool."""
+    decided, block = [], mc._block_outages
+
+    def recorded(*args):
+        decided.append((threading.current_thread(), args[5:]))
+        return block(*args)
+
+    monkeypatch.setattr(mc, "_block_outages", recorded)
+    monkeypatch.setattr(mc, "_pool", lambda threads: pytest.fail("the pool was started"))
+    monkeypatch.setattr(mc, "BLOCK_SIZE", block_size)
+    plan = McPlan(trials=trials, seed=31)
+    assert plan.blocks()[-1][1] < block_size
+    point = _selftest_batch()[0]
+    for _ in range(2):  # the second call finds the blocks kept
+        decided.clear()
+        got = estimate_outage(point.cfg, point.scenario, plan, threads=threads)
+        assert decided == [(threading.main_thread(), b) for b in plan.blocks()]
+        assert [got] == _fresh([point], plan)
+
+
 def test_fd_scenario_draws_loop_back_gains():
     s = Scenario("fd", "af", "tsr", tau=0.3)
     est = estimate_outage(CFG, s, McPlan(trials=10**5, seed=8))
@@ -393,7 +419,7 @@ def test_over_budget_plan_computes_reciprocals_for_af_rows_only(monkeypatch, bud
         computed.clear()
         entries.clear()
         got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
-        scratch = [vars(mc._local)[key] for key in ("scratch0", "scratch1")]
+        scratch = vars(mc._local)["scratch"]
         if point.scenario.relay == "df" or budget == "hd":
             assert not computed
         else:
@@ -428,6 +454,60 @@ def test_fd_fade_extends_its_hd_fade(draws):
         assert np.array_equal(hd_fade.rx, 1.0 / hd_fade.x)
         assert np.array_equal(hd_fade.rz, 1.0 / hd_fade.z)
     assert len(mc._memo) == 2 * len(blocks)
+
+
+@pytest.mark.usefixtures("small_blocks")
+def test_kept_fades_get_reciprocals_from_their_first_af_row(monkeypatch):
+    """The DF rows, first in selftest order, leave every kept fade without its
+    reciprocals 1/x and 1/z; the first AF row to read a kept fade attaches
+    them, read-only, to its HD fade, which every FD fade extending it shares,
+    and no AF row computes them into its thread's arrays."""
+    computed, reciprocal = [], model._reciprocal
+    monkeypatch.setattr(model, "_reciprocal", lambda kept, gains, out: (
+        kept is None and computed.append(out)) or reciprocal(kept, gains, out))
+    points = _selftest_batch()
+    for point in points:
+        computed.clear()
+        got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+        assert not computed
+        if point.scenario.relay == "df":
+            assert all(fade.rx is fade.rz is None for _, fade in mc._memo.values())
+        assert [got] == _fresh([point], SHORT_LAST)
+    assert len(mc._memo) == 3 * 3
+    for key, (_, fade) in mc._memo.items():
+        hd = mc._memo[(*key[:3], key[3][:2])][1]
+        assert fade.rx is hd.rx and fade.rz is hd.rz
+        assert np.array_equal(fade.rx, 1.0 / fade.x) and np.array_equal(fade.rz, 1.0 / fade.z)
+        assert not (fade.rx.flags.writeable or fade.rz.flags.writeable)
+
+
+@pytest.mark.usefixtures("small_blocks", "short_switches")
+def test_concurrent_af_rows_attach_one_pair_of_reciprocals():
+    """AF rows of both duplex modes, estimated at once by more threads than
+    cores on the fades the DF rows kept, attach one pair of reciprocals per
+    HD fade, which every fade of its block shares."""
+    points = _selftest_batch()
+    af = [p for p in points if p.scenario.relay == "af"] * 4
+    for seed in range(3):
+        plan, got = replace(SHORT_LAST, seed=seed), [None] * len(af)
+        for point in points:
+            if point.scenario.relay == "df":
+                estimate_outage(point.cfg, point.scenario, plan)
+
+        def estimate(i):
+            got[i] = estimate_outage(af[i].cfg, af[i].scenario, plan, threads=2)
+
+        workers = [threading.Thread(target=estimate, args=(i,)) for i in range(len(af))]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in workers)
+        assert got == _fresh(af[:len(af) // 4], plan) * 4
+    for key, (_, fade) in mc._memo.items():
+        hd = mc._memo[(*key[:3], key[3][:2])][1]
+        assert fade.rx is hd.rx and fade.rz is hd.rz
+        assert np.array_equal(fade.rx, 1.0 / fade.x) and np.array_equal(fade.rz, 1.0 / fade.z)
 
 
 @pytest.mark.usefixtures("small_blocks")

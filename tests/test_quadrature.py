@@ -258,12 +258,21 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_json_and_the_thread_pool_unloaded():
-    # JSON output imports json, and a run on more than one thread concurrent.futures
-    code = ("import sys, ehrelay.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] in ('json', 'concurrent')])")
+    # JSON output imports json, and a run of plans of several blocks on more than one
+    # thread concurrent.futures; a run on one thread, or of one-block plans, loads neither
+    runs = [["selftest", "--trials", "10000", "--threads", "1"],
+            ["point", "--trials", "20000", "--threads", "4"]]
+    code = ("import contextlib, io, sys, ehrelay.cli\n"
+            "def loaded():\n"
+            "    print([m for m in sys.modules if m.split('.')[0] in ('json', 'concurrent')])\n"
+            "loaded()\n"
+            f"for args in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert ehrelay.cli.main(args) == 0\n"
+            "    loaded()\n")
     done = run_python(["-c", code])
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]"] * (1 + len(runs))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
