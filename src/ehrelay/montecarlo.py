@@ -180,10 +180,9 @@ def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,
                     threads: int = 1) -> OutageEstimate:
     """Average the outage indicator over plan.trials independent fades.
 
-    Deterministic for a fixed plan regardless of `threads`: blocks hold
-    exact integer outage counts, summed in any order, and one thread or a
-    one-block plan decides them in turn in a plain loop. Gains out of the
-    float64 range raise FadeRangeError naming their channel's settings key.
+    Deterministic for a fixed plan regardless of `threads`: blocks hold exact integer outage
+    counts, summed in any order, and one thread or a one-block plan decides them in turn in a
+    plain loop. Gains out of the float64 range raise FadeRangeError naming their channel's key.
     """
     trials, seed, size = plan.trials, plan.seed, BLOCK_SIZE
     channels = (cfg.ch1, cfg.ch2, cfg.chg) if scenario.duplex == "fd" else (cfg.ch1, cfg.ch2)
