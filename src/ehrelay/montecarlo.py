@@ -159,7 +159,7 @@ def _attach_reciprocals(hd_key: tuple, fade: FadeSample) -> None:
             return
         hd = entry[1]
         if hd.rx is None:
-            with np.errstate(all="ignore"):  # 1/x and 1/z of gains FadeSample checked
+            with np.errstate(all="ignore"):  # silent where 1/x or 1/z leaves the float range
                 rx, rz = np.divide(1.0, hd.x), np.divide(1.0, hd.z)
             rx.flags.writeable = rz.flags.writeable = False
             object.__setattr__(hd, "rz", rz)  # rz first: a fade with rx also has rz
