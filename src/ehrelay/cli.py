@@ -128,7 +128,7 @@ def build_plan(settings: dict) -> McPlan:
     return _construct("mc", _from_settings, McPlan, settings, "mc.")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Row:
     """One dataset row; the fields are the CSV columns and JSON row keys."""
 
@@ -152,8 +152,8 @@ def run_points(curves, plan, threads, mc_rows=None) -> tuple[list[Row], list[str
     """The curves' rows in order (analytic values from one `outages` and one `minimize_many`
     call over the curves' columns) and dataset notes: one names every optimize row that fell
     back to the dense grid. With a `plan`, each of the first `mc_rows` rows (all by default)
-    makes one `estimate_outage` call at `plan` on its curve's kept pair (at its optimum for an
-    optimize row), so rows share their fades through the process's read-only memo of whole
+    makes one `estimate_outage` call at `plan` on its pair (see Curve.pairs; at its optimum for
+    an optimize row), so rows share their fades through the process's read-only memo of whole
     block fades, one per (block, channels) (see montecarlo._block_fade)."""
     plain = iter(outages([c.columns() for c in curves if not c.optimize]).tolist())
     optima = iter(minimize_many([c.columns() for c in curves if c.optimize]))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Columns, Scenario, SystemConfig, replaced
+from .model import Columns, Scenario, SystemConfig, replaced, updated
 
 SWEEP_AXES = ("tau", "rho", "cth", "d1", "sigma_db", "ps", "sigma_g_db")
 # the fields each axis sets, by dotted name (see model.flat_fields); a d1 curve
@@ -58,10 +58,23 @@ class Curve:
         values = np.array(self.values, float)
         return Columns(self.cfg, self.scenario, self.fields(values), values.size)
 
+    def valid(self) -> bool:
+        """Whether every row passes the checks of row, evaluated once on the
+        curve's columns (see model.Columns.valid) and building no row."""
+        if self.axis in ("tau", "rho") and self.scenario.eh_param_name != self.axis:
+            return False
+        columns = self.columns()
+        if self.axis == "d1" and self.total is not None:  # d2 = total - d1
+            if not (columns.changes["system.d2_m"] > 0).all():
+                return False
+        return columns.valid()
+
     @functools.cached_property
     def pairs(self) -> tuple:
-        """Every row as its checked (cfg, scenario) pair (see row), built once."""
-        return tuple(self.row(i) for i in range(len(self.values)))
+        """Every row as its (cfg, scenario) pair, built once and not checked
+        again: axis_curve has checked the curve (a curve on axis none is its
+        base pair)."""
+        return tuple(self._pair(value, updated) for value in self.values)
 
     def row(self, i: int) -> tuple[SystemConfig, Scenario]:
         """Row i as a (cfg, scenario) pair, each checked by its class."""
@@ -71,27 +84,34 @@ class Curve:
         if axis == "d1" and self.total is not None and not self.total - value > 0:
             raise ValueError(f"d1 = {value} leaves no room under total {self.total}")
         try:
-            if axis in ("tau", "rho"):  # the one scenario field an axis sets
-                return self.cfg, replaced(self.scenario, **{axis: value})
-            changes = {}
-            for name, field_value in self.fields(value).items():
-                _, field, *leaf = name.split(".")
-                changes[field] = (replaced(getattr(self.cfg, field), **{leaf[0]: field_value})
-                                  if leaf else field_value)  # a nested ChannelSpec's field
-            return (replaced(self.cfg, **changes) if changes else self.cfg), self.scenario
+            return self._pair(value, replaced)
         except ValueError as exc:
             raise ValueError(f"{axis} = {value}: {exc}") from exc
+
+    def _pair(self, value, make) -> tuple[SystemConfig, Scenario]:
+        # the row at `value`, each object that the axis changes made by make(obj, **changes)
+        if self.axis in ("tau", "rho"):  # the one scenario field an axis sets
+            return self.cfg, make(self.scenario, **{self.axis: value})
+        changes = {}
+        for name, field_value in self.fields(value).items():
+            _, field, *leaf = name.split(".")
+            changes[field] = (make(getattr(self.cfg, field), **{leaf[0]: field_value})
+                              if leaf else field_value)  # a nested ChannelSpec's field
+        return (make(self.cfg, **changes) if changes else self.cfg), self.scenario
 
 
 def axis_curve(cfg: SystemConfig, base: Scenario, axis: str, values, name: str = "",
                total: float | None = None, optimize: bool = False) -> Curve:
     """The curve of `base` on `cfg` with `axis` set to each value in turn,
-    named `name` or else after the scenario; every row is checked, and its
-    pair kept (see Curve.pairs)."""
+    named `name` or else after the scenario. The curve is checked once on its
+    columns; if that fails, the first bad row raises its own error (see
+    Curve.row)."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     curve = Curve(name or base.label(), axis, tuple(values), cfg, base, total, optimize)
-    curve.pairs  # builds and checks every row
+    if not curve.valid():
+        for i in range(len(curve.values)):
+            curve.row(i)
     return curve
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,35 @@ XI = 10.0 / math.log(10.0)
 _SQRT2 = math.sqrt(2.0)
 
 
+class Rule(NamedTuple):
+    """One validity rule of a configuration class (its RULES, in the order its
+    __post_init__ checks them). `ok(obj)` tests an instance, giving a bool, or
+    a namespace of its fields some of which are float64 columns, giving a
+    bool per row; it reads only the fields `reads` names. `message(obj)` is
+    the ValueError text of an instance that fails."""
+
+    reads: frozenset
+    ok: Callable
+    message: Callable
+
+
+def enforce(obj, rules) -> None:
+    """Raise the ValueError of the first of `rules` that instance obj fails."""
+    for _, ok, message in rules:
+        if not ok(obj):
+            raise ValueError(message(obj))
+
+
+def holds(ok) -> bool:
+    """Whether `ok`, a bool or a bool array, is true everywhere."""
+    return ok if type(ok) is bool else ok.all()
+
+
+def finite_positive(x):
+    """x > 0 and finite, elementwise over an array (False for NaN)."""
+    return (x > 0) & (x < math.inf)
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Mean and standard deviation, in dB, of 10*log10(h) for one channel."""
@@ -27,11 +57,15 @@ class ChannelSpec:
     mu_db: float
     sigma_db: float
 
+    RULES = (
+        Rule(frozenset({"mu_db"}), lambda c: (-math.inf < c.mu_db) & (c.mu_db < math.inf),
+             "mu_db must be finite, got {0.mu_db}".format),
+        Rule(frozenset({"sigma_db"}), lambda c: finite_positive(c.sigma_db),
+             "sigma_db must be > 0, got {0.sigma_db}".format),
+    )
+
     def __post_init__(self):
-        if not math.isfinite(self.mu_db):
-            raise ValueError(f"mu_db must be finite, got {self.mu_db}")
-        if not (math.isfinite(self.sigma_db) and self.sigma_db > 0):
-            raise ValueError(f"sigma_db must be > 0, got {self.sigma_db}")
+        enforce(self, self.RULES)
 
 
 def elementwise(fn, *args):

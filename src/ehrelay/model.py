@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .lognormal import ChannelSpec, elementwise
+from .lognormal import ChannelSpec, Rule, elementwise, enforce, finite_positive, holds
 
 _LN2 = math.log(2.0)
 
@@ -36,6 +36,37 @@ RELAY_PROTOCOLS = ("df", "af")
 EH_PROTOCOLS = ("tsr", "psr", "irr")
 # the free harvesting parameter of each protocol that has one
 EH_PARAMS = {"tsr": "tau", "psr": "rho"}
+
+
+def _positive_rule(name: str) -> Rule:
+    """The rule that field `name` is > 0."""
+    return Rule(frozenset({name}), lambda c: getattr(c, name) > 0,
+                f"{name} must be > 0, got {{0.{name}}}".format)
+
+
+def _scales(cfg):
+    """(name, value) of each scale every SNR coefficient is one of, times
+    protocol factors, in the order they are checked; both path losses read
+    inf where a power overflows. An overflowed or underflowed scale would
+    make the SNRs infinite or zero for every fade. Lazy, so that a noise is
+    divided by only once it has passed its check."""
+    try:
+        lp1, lp2 = hop_losses(cfg)
+    except OverflowError:
+        lp1 = lp2 = math.inf
+    yield "path loss d1_m**path_loss_exp", lp1
+    yield "path loss d2_m**path_loss_exp", lp2
+    relay_noise = lp1 * (cfg.sigma_a2_w + cfg.sigma_c2_w)
+    yield "relay noise lp1 * (sigma_a2_w + sigma_c2_w)", relay_noise
+    destination_noise = lp1 * lp2 * cfg.sigma_d2_w
+    yield "destination noise lp1 * lp2 * sigma_d2_w", destination_noise
+    yield "relay SNR scale", cfg.ps_watts / relay_noise
+    yield "destination SNR scale", cfg.ps_watts / destination_noise
+
+
+def _first_bad_scale(cfg) -> str:
+    return next(f"{name} must be finite and > 0, got {value}"
+                for name, value in _scales(cfg) if not finite_positive(value))
 
 
 @dataclass(frozen=True)
@@ -58,41 +89,24 @@ class SystemConfig:
     ch2: ChannelSpec = field(default=ChannelSpec(3.0, 2.0))
     chg: ChannelSpec = field(default=ChannelSpec(3.0, math.sqrt(5.0)))
 
+    RULES = (
+        Rule(frozenset({"ps_watts"}), lambda c: c.ps_watts > 0,
+             "ps_watts must be > 0, got {0.ps_watts}".format),
+        Rule(frozenset({"eta"}), lambda c: (0 < c.eta) & (c.eta <= 1),
+             "eta must be in (0, 1], got {0.eta}".format),
+        Rule(frozenset({"path_loss_exp"}), lambda c: c.path_loss_exp >= 1,
+             "path_loss_exp must be >= 1, got {0.path_loss_exp}".format),
+        *map(_positive_rule, ("d1_m", "d2_m", "sigma_a2_w", "sigma_c2_w", "sigma_d2_w")),
+        Rule(frozenset({"cth"}), lambda c: (0 <= c.cth) & (c.cth < math.inf),
+             "cth must be finite and >= 0, got {0.cth}".format),
+        Rule(frozenset({"ps_watts", "path_loss_exp", "d1_m", "d2_m", "sigma_a2_w", "sigma_c2_w",
+                        "sigma_d2_w"}),
+             lambda c: all(holds(finite_positive(value)) for _, value in _scales(c)),
+             _first_bad_scale),
+    )
+
     def __post_init__(self):
-        if not self.ps_watts > 0:
-            raise ValueError(f"ps_watts must be > 0, got {self.ps_watts}")
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if not self.path_loss_exp >= 1:
-            raise ValueError(f"path_loss_exp must be >= 1, got {self.path_loss_exp}")
-        for name in ("d1_m", "d2_m"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("sigma_a2_w", "sigma_c2_w", "sigma_d2_w"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (math.isfinite(self.cth) and self.cth >= 0):
-            raise ValueError(f"cth must be finite and >= 0, got {self.cth}")
-        # Every SNR coefficient is one of these scales times protocol
-        # factors; an overflowed or underflowed scale would make the SNRs
-        # infinite or zero for every fade.
-        try:
-            lp1, lp2 = hop_losses(self)
-        except OverflowError:
-            lp1 = lp2 = math.inf
-        relay_noise = lp1 * (self.sigma_a2_w + self.sigma_c2_w)
-        destination_noise = lp1 * lp2 * self.sigma_d2_w
-        derived = {  # checked in order, so a noise that underflows to 0 is never divided by
-            "path loss d1_m**path_loss_exp": lp1,
-            "path loss d2_m**path_loss_exp": lp2,
-            "relay noise lp1 * (sigma_a2_w + sigma_c2_w)": relay_noise,
-            "destination noise lp1 * lp2 * sigma_d2_w": destination_noise,
-            "relay SNR scale": relay_noise and self.ps_watts / relay_noise,
-            "destination SNR scale": destination_noise and self.ps_watts / destination_noise,
-        }
-        for name, value in derived.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        enforce(self, self.RULES)
 
 
 def flat_fields(obj, prefix: str = "") -> dict:
@@ -179,6 +193,26 @@ class Columns:
             setattr(obj, leaf, value)
         return spaces["system"], spaces["scenario"]
 
+    def valid(self) -> bool:
+        """Whether every row passes the rules of its classes (their RULES).
+        The base pair passes them, so only a rule that reads a changed field
+        can fail; only those are evaluated, once on the columns."""
+        owners: dict[str, dict] = {}
+        for name, value in self.changes.items():
+            owner, leaf = name.rsplit(".", 1)
+            owners.setdefault(owner, {})[leaf] = value
+        with np.errstate(all="ignore"):  # a scale that overflows fails its rule
+            for owner, changed in owners.items():
+                root, *path = owner.split(".")
+                obj = self.cfg if root == "system" else self.scenario
+                for part in path:
+                    obj = getattr(obj, part)
+                view = SimpleNamespace(**{**vars(obj), **changed})
+                if not all(holds(rule.ok(view)) for rule in type(obj).RULES
+                           if not rule.reads.isdisjoint(changed)):
+                    return False
+        return True
+
 
 def _differing(a, b, prefix: str) -> set:
     """The dotted names of the fields in which dataclass instances a and b may
@@ -208,9 +242,16 @@ def replaced(obj, **changes):
     """dataclasses.replace(obj, **changes) for a dataclass here: a new
     instance, checked by the same __post_init__, without replace's generic
     field-by-field __init__ (about half of its cost on a SystemConfig)."""
+    new = updated(obj, **changes)
+    new.__post_init__()
+    return new
+
+
+def updated(obj, **changes):
+    """replaced(obj, **changes) without the check, for changes already
+    checked (see Columns.valid)."""
     new = object.__new__(type(obj))
     vars(new).update(vars(obj), **changes)
-    new.__post_init__()
     return new
 
 
@@ -231,29 +272,33 @@ class Scenario:
     rho: float | None = None
     pc_fraction: float = 0.0
 
+    RULES = (
+        Rule(frozenset({"duplex"}), lambda s: s.duplex in DUPLEX_MODES,
+             f"duplex must be one of {DUPLEX_MODES}, got {{0.duplex!r}}".format),
+        Rule(frozenset({"relay"}), lambda s: s.relay in RELAY_PROTOCOLS,
+             f"relay must be one of {RELAY_PROTOCOLS}, got {{0.relay!r}}".format),
+        Rule(frozenset({"eh"}), lambda s: s.eh in EH_PROTOCOLS,
+             f"eh must be one of {EH_PROTOCOLS}, got {{0.eh!r}}".format),
+        Rule(frozenset({"duplex", "eh"}), lambda s: s.duplex != "fd" or s.eh == "tsr",
+             "fd supports only the tsr harvesting protocol".format),
+        Rule(frozenset({"eh", "tau"}), lambda s: s.eh != "tsr" or (
+            s.tau is not None and (0 < s.tau) & (s.tau < 1)),
+             "tau must be in (0, 1) for tsr, got {0.tau}".format),
+        Rule(frozenset({"eh", "tau"}), lambda s: s.eh == "tsr" or s.tau is None,
+             "tau is only meaningful for tsr, got {0.tau}".format),
+        Rule(frozenset({"eh", "rho"}), lambda s: s.eh != "psr" or (
+            s.rho is not None and (0 < s.rho) & (s.rho < 1)),
+             "rho must be in (0, 1) for psr, got {0.rho}".format),
+        Rule(frozenset({"eh", "rho"}), lambda s: s.eh == "psr" or s.rho is None,
+             "rho is only meaningful for psr, got {0.rho}".format),
+        Rule(frozenset({"pc_fraction"}), lambda s: (0 <= s.pc_fraction) & (s.pc_fraction < 1),
+             "pc_fraction must be in [0, 1), got {0.pc_fraction}".format),
+        Rule(frozenset({"relay", "pc_fraction"}), lambda s: s.relay != "af" or s.pc_fraction <= 0,
+             "pc_fraction > 0 applies to df relaying only".format),
+    )
+
     def __post_init__(self):
-        if self.duplex not in DUPLEX_MODES:
-            raise ValueError(f"duplex must be one of {DUPLEX_MODES}, got {self.duplex!r}")
-        if self.relay not in RELAY_PROTOCOLS:
-            raise ValueError(f"relay must be one of {RELAY_PROTOCOLS}, got {self.relay!r}")
-        if self.eh not in EH_PROTOCOLS:
-            raise ValueError(f"eh must be one of {EH_PROTOCOLS}, got {self.eh!r}")
-        if self.duplex == "fd" and self.eh != "tsr":
-            raise ValueError("fd supports only the tsr harvesting protocol")
-        if self.eh == "tsr":
-            if self.tau is None or not 0 < self.tau < 1:
-                raise ValueError(f"tau must be in (0, 1) for tsr, got {self.tau}")
-        elif self.tau is not None:
-            raise ValueError(f"tau is only meaningful for tsr, got {self.tau}")
-        if self.eh == "psr":
-            if self.rho is None or not 0 < self.rho < 1:
-                raise ValueError(f"rho must be in (0, 1) for psr, got {self.rho}")
-        elif self.rho is not None:
-            raise ValueError(f"rho is only meaningful for psr, got {self.rho}")
-        if not 0 <= self.pc_fraction < 1:
-            raise ValueError(f"pc_fraction must be in [0, 1), got {self.pc_fraction}")
-        if self.relay == "af" and self.pc_fraction > 0:
-            raise ValueError("pc_fraction > 0 applies to df relaying only")
+        enforce(self, self.RULES)
 
     @property
     def eh_param_name(self) -> str | None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ehrelay.cli as cli
+import ehrelay.grids as grids
 import ehrelay.montecarlo as mc
 import ehrelay.optimize as opt
 from conftest import columns, curve_rows, field_rows, run_python
@@ -24,11 +25,24 @@ from ehrelay.cli import (
     main,
     selftest_points,
 )
-from ehrelay.model import Scenario, SystemConfig
+from ehrelay.model import Scenario, SystemConfig, updated
 
 
 def run(args):
     return main(args)
+
+
+def count_checks(monkeypatch):
+    """A list whose last item counts the SystemConfig and Scenario checks
+    (__post_init__ calls) from here on; append a 0 to start a new count."""
+    built = [0]
+    for cls in (SystemConfig, Scenario):
+        def counted(self, post_init=cls.__post_init__):
+            built[-1] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
 
 
 def run_subprocess(args, timeout=60):
@@ -261,6 +275,15 @@ class TestSweep:
                "sweep: ps = 1e+308: relay SNR scale must be finite and > 0, got inf"),
         "sigma_g_db": (["--axis", "sigma_g_db", "--values", "1,nan"],
                        "sweep: sigma_g_db = nan: sigma_db must be > 0, got nan"),
+        # 3 and 27 alone pass: only the interior row's losses overflow
+        "d1-interior": (["--axis", "d1", "--values", "3,15,27", "--override",
+                         "sweep.total_distance=30", "--override", "system.path_loss_exp=140"],
+                        "sweep: d1 = 15.0: destination noise lp1 * lp2 * sigma_d2_w must be finite "
+                        "and > 0, got inf"),
+        # the last row fails an earlier rule than the first
+        "d1-order": (["--axis", "d1", "--values", "1e-300,5,0"],
+                     "sweep: d1 = 1e-300: path loss d1_m**path_loss_exp must be finite and > 0, "
+                     "got 0.0"),
         "mismatch": (["--scenario", "hd-df-irr", "--axis", "tau", "--values", "0.5"],
                      "sweep: tau sweeps need a tsr scenario"),
         "unknown": (["--override", "sweep.axis=foo", "--values", "1"],
@@ -271,8 +294,9 @@ class TestSweep:
     @pytest.mark.parametrize("case", sorted(BAD_AXIS_VALUES))
     def test_bad_axis_value_exit_line(self, case, capsys):
         args, line = self.BAD_AXIS_VALUES[case]
-        assert run(["sweep", "--no-mc", *args]) == EXIT_CONFIG
-        assert capsys.readouterr() == ("", f"config error: {line}\n")
+        for mc_flags in (["--no-mc"], ["--trials", "10000"]):
+            assert run(["sweep", *mc_flags, *args]) == EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"config error: {line}\n")
 
     def test_bad_preset_value_exit_line(self, capsys):
         # fig6's first row, d1 = 3 m and d2 = 27 m, takes the path loss out of range
@@ -292,20 +316,19 @@ class TestSweep:
     @pytest.mark.parametrize("scenario,axis,values", [
         ("hd-df-tsr", "ps", "1,2,5,10"), ("fd-af-tsr", "tau", "0.2,0.5,0.8")])
     def test_mc_rows_build_their_pairs_once(self, scenario, axis, values, monkeypatch, capsys):
-        # the curve checks and keeps each row's pair; the MC rows reuse it
-        built = []
-        for cls in (SystemConfig, Scenario):
-            def counted(self, post_init=cls.__post_init__):
-                built[-1] += 1
-                post_init(self)
-
-            monkeypatch.setattr(cls, "__post_init__", counted)
-        for mc_flags in (["--no-mc"], ["--trials", "10000"]):
+        # the curve is checked on its columns, so the constructors run as often for one
+        # row as for all; each MC row's pair is built once from the checked base, unchecked
+        built, made = count_checks(monkeypatch), []
+        monkeypatch.setattr(grids, "updated", lambda obj, **changes: (
+            made.append(obj) or updated(obj, **changes)))
+        for flags, chosen in ((["--no-mc"], values), (["--trials", "10000"], values),
+                              (["--no-mc"], values.split(",")[0])):
             built.append(0)
-            assert run(["sweep", "--scenario", scenario, "--axis", axis, "--values", values,
-                        *mc_flags]) == EXIT_OK
+            assert run(["sweep", "--scenario", scenario, "--axis", axis, "--values", chosen,
+                        *flags]) == EXIT_OK
         capsys.readouterr()
-        assert built[0] == built[1] > len(values.split(","))
+        assert built[1] == built[2] == built[3]
+        assert len(made) == len(values.split(","))  # one object an axis sets, per MC row
 
 
 class TestOptimize:
@@ -696,6 +719,39 @@ def test_selftest_passes_at_reduced_budget(capsys):
     assert main(["selftest", "--trials", "20000"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", [
+    *(["figure", which, "--no-mc"] for which in ("fig4", "fig5", "fig6", "fig7")),
+    ["sweep", "--axis", "d1", "--values", "3,5,9,15", "--override", "sweep.total_distance=30",
+     "--no-mc"]], ids=["fig4", "fig5", "fig6", "fig7", "sweep-d1"])
+def test_no_mc_run_checks_no_row(command, monkeypatch, capsys):
+    # the constructors run for the curves' bases alone: checking a curve and computing
+    # its rows without MC build no row object
+    built, calls = count_checks(monkeypatch), []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            before = built[-1]
+            result = fn(*args, **kwargs)
+            calls.append(built[-1] - before)
+            return result
+        return call
+
+    monkeypatch.setattr(grids, "axis_curve", counted(grids.axis_curve))  # the presets' curves
+    monkeypatch.setattr(cli, "axis_curve", counted(cli.axis_curve))  # the sweep's
+    monkeypatch.setattr(cli, "run_points", counted(cli.run_points))
+    assert main(command) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) > 1 and set(calls) == {0}
+
+
+def test_boundary_rows_check_only_their_curve_bases(monkeypatch):
+    cfg = SystemConfig()
+    built = count_checks(monkeypatch)
+    curves = boundary_points(cfg)
+    assert sum(len(c.values) for c in curves) == 20
+    assert built == [len(curves)]  # one base scenario per curve
 
 
 def test_selftest_is_one_analytic_batch_and_one_estimate_per_grid_row(monkeypatch, capsys):

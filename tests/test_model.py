@@ -1,5 +1,6 @@
 """Link-model formulas: frozen hand-substituted values and invariants."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -506,6 +507,70 @@ class TestValidation:
         with pytest.raises(ValueError):
             OutageEstimate(1.0, "monte_carlo", -0.1, 10000)
         OutageEstimate(1.0, "monte_carlo", 0.0, 10000)
+
+
+class Reads:
+    """obj, recording the name of every attribute read from it."""
+
+    def __init__(self, obj):
+        self.obj, self.names = obj, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.obj, name)
+
+
+def test_every_rule_reads_only_the_fields_it_names():
+    # a curve evaluates only the rules that read a field its axis sets: a rule that read
+    # more than it names could fail on a row while its curve passes
+    instances = [CFG, model.updated(CFG, d1_m=1e200), CFG.ch1, *ALL_SCENARIOS,
+                 hd("df", "irr", pc_fraction=0.5)]
+    for obj in instances:
+        for rule in type(obj).RULES:
+            reads = Reads(obj)
+            rule.ok(reads)
+            assert reads.names <= rule.reads, rule.message(obj)
+
+
+NAN, INF = math.nan, math.inf
+# per case: the axis, base scenario, total distance, base-config changes, and values each
+# passing or failing a different rule, so that a row's first failing rule is not always
+# the curve's first
+CHECKED_AXES = {
+    "tau": ("tau", "fd-af-tsr", None, {}, [0.5, 5e-324, 1 - 2**-53, 0.0, 1.0, -1.0, NAN, INF]),
+    "rho": ("rho", "hd-df-psr", None, {}, [0.5, 1e-300, 0.0, 1.0, 2.0, NAN]),
+    "cth": ("cth", "hd-af-irr", None, {}, [2.0, 0.0, -0.0, 1e308, -1.0, NAN, INF]),
+    "d1": ("d1", "hd-df-irr", None, {}, [5.0, 1e-300, 1e-150, 1e150, 1e200, 0.0, -1.0, NAN, INF]),
+    "d1-total": ("d1", "hd-af-irr", 30.0, {"path_loss_exp": 140.0},
+                 [3.0, 15.0, 27.0, 30.0, 1e-300, 0.0, NAN]),
+    "sigma_db": ("sigma_db", "hd-af-psr", None, {}, [2.0, 1e-300, 1e300, 0.0, -1.0, NAN, INF]),
+    "ps": ("ps", "hd-df-tsr", None, {}, [1.0, 1e308, 1e-320, 5e-324, 0.0, -1.0, NAN, INF]),
+    "ps-far": ("ps", "hd-af-tsr", None, {"d1_m": 1e150}, [1.0, 1e250, 1e-100]),
+    "sigma_g_db": ("sigma_g_db", "fd-df-tsr", None, {}, [2.2, 1e-300, 0.0, NAN, INF]),
+    "mismatch": ("tau", "hd-df-irr", None, {}, [0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_AXES))
+def test_curve_check_agrees_with_its_rows(case):
+    axis, label, total, changes, values = CHECKED_AXES[case]
+    cfg, base = replace(CFG, **changes), Scenario.from_label(label, tau=0.5, rho=0.5)
+    for chosen in [(v,) for v in values] + list(itertools.product(values, repeat=2)):
+        curve = grids.Curve("", axis, chosen, cfg, base, total)
+        errors = []
+        for i in range(len(chosen)):
+            try:
+                curve.row(i)
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert curve.valid() == (not errors), chosen
+        if errors:  # the first bad row's own message
+            with pytest.raises(ValueError) as raised:
+                grids.axis_curve(cfg, base, axis, chosen, total=total)
+            assert str(raised.value) == errors[0]
+        else:  # built unchecked, each pair equals its checked row
+            pairs = grids.axis_curve(cfg, base, axis, chosen, total=total).pairs
+            assert pairs == tuple(curve.row(i) for i in range(len(chosen)))
 
 
 def coefficients(cfg, s):
