@@ -201,7 +201,7 @@ class Columns:
         for name, value in self.changes.items():
             owner, leaf = name.rsplit(".", 1)
             owners.setdefault(owner, {})[leaf] = value
-        with np.errstate(all="ignore"):  # a scale that overflows fails its rule
+        with np.errstate(all="ignore"):  # a scale that overflows fails its rule, silently
             for owner, changed in owners.items():
                 root, *path = owner.split(".")
                 obj = self.cfg if root == "system" else self.scenario
