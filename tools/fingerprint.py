@@ -30,7 +30,11 @@ Each line is a name and the SHA-256 of that result's bytes:
   the memo's budget and an MC figure;
 - figures_mc: the stdout of `figure fig4`..`fig7` at 10^5 trials and seed
   99, first at `--threads 1`, then at `--threads 2`: fig5's MC rows at their
-  optima and the pool path.
+  optima and the pool path;
+- checks: the exception type and message (or `ok`) of constructing
+  `ChannelSpec`, `SystemConfig` and `Scenario`, and of `grids.axis_curve`
+  on every axis, over edge and bad inputs (see `check_outcomes`); a
+  TypeError's text is the interpreter's.
 
 tools/fingerprint.txt holds the output of the current code, and
 tests/test_tools.py compares each line with it, so a change that moves any
@@ -45,11 +49,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 
 import numpy as np
 
 from ehrelay import cli
 from ehrelay.analytic import outages
+from ehrelay.grids import SWEEP_AXES, axis_curve, base_scenario
 from ehrelay.lognormal import ChannelSpec, sample_sq_gain
 from ehrelay.model import Columns, FadeSample, Scenario, SystemConfig, snr_pair
 from ehrelay.montecarlo import McPlan, estimate_outage
@@ -70,6 +76,12 @@ MEMO_RUNS = ("selftest --trials 131072 --seed 7 --threads 1",
              "selftest --trials 600000 --seed 3",
              "point --scenario fd-af-tsr --trials 1000000 --seed 11",
              "figure fig7 --trials 100000 --seed 99")
+# the inputs of the checks line: numbers at and past every bound a check compares
+# with, and values of the wrong type
+EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.0**-1030, 1e-300, 1e-150, 1e150,
+         1e200, 1e308, -1e308, -1.0, 0.5, 1.0, 2.0, "x", "2", None)
+NAMES = ("hd", "fd", "df", "af", "tsr", "psr", "irr", "HD", "x", "", None)
+CHECK_DRAWS = 3000
 FIGURES_MC = tuple(f"figure {name} --trials 100000 --seed 99 --threads {threads}"
                    for threads in (1, 2) for name in ("fig4", "fig5", "fig6", "fig7"))
 
@@ -122,6 +134,51 @@ def snr_lines(pairs, rng: np.random.Generator) -> str:
     return "\n".join(lines)
 
 
+def outcome(make) -> str:
+    """The type and message of the exception that make() raises, or ok."""
+    try:
+        make()
+    except Exception as exc:  # the type is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def check_outcomes(rng: np.random.Generator) -> str:
+    """The outcome of each constructor and of axis_curve on EDGES (and, for
+    Scenario's strings and the axis names, on NAMES): first each field set
+    alone to each input, then CHECK_DRAWS seeded draws per kind in which each
+    field takes an input with probability 1/4. Curve values are the numeric
+    EDGES and None."""
+    def draw(good, bad):
+        return bad[rng.integers(len(bad))] if rng.random() < 0.25 else good
+
+    makes = [lambda mu=mu, sigma=sigma: ChannelSpec(mu, sigma) for mu in EDGES for sigma in EDGES]
+    system = {name: value for name, value in vars(SystemConfig()).items() if type(value) is float}
+    makes += [lambda kw={name: v}: SystemConfig(**kw) for name in system for v in EDGES]
+    makes += [lambda kw={k: draw(v, EDGES) for k, v in system.items()}: SystemConfig(**kw)
+              for _ in range(CHECK_DRAWS)]
+    bases = [vars(base_scenario(label)) for label in LABELS]
+    bad = {name: NAMES if name in ("duplex", "relay", "eh") else EDGES for name in bases[0]}
+    makes += [lambda kw={**base, name: v}: Scenario(**kw)
+              for base in bases for name in bad for v in bad[name]]
+    makes += [lambda kw={k: draw(v, bad[k]) for k, v in bases[rng.integers(len(bases))].items()}:
+              Scenario(**kw) for _ in range(CHECK_DRAWS)]
+    values = [v for v in EDGES if not isinstance(v, str)]
+    cfgs = (SystemConfig(), SystemConfig(path_loss_exp=140.0), SystemConfig(d1_m=1e150))
+    makes += [lambda axis=axis: axis_curve(cfgs[0], base_scenario(LABELS[0]), axis, [0.5])
+              for axis in ("none", "TAU", "x", None)]
+    makes += [lambda a=(cfg, base_scenario(label), axis, [v], "", total): axis_curve(*a)
+              for cfg in cfgs for label in LABELS for axis in SWEEP_AXES for v in values
+              for total in ((None, 30.0) if axis == "d1" else (None,))]
+    for _ in range(CHECK_DRAWS):
+        cfg, label = cfgs[rng.integers(len(cfgs))], LABELS[rng.integers(len(LABELS))]
+        axis = SWEEP_AXES[rng.integers(len(SWEEP_AXES))]
+        chosen = [draw(float(rng.uniform(0.05, 0.95)), values) for _ in range(rng.integers(1, 4))]
+        total = 30.0 if rng.random() < 0.5 else None
+        makes.append(lambda a=(cfg, base_scenario(label), axis, chosen, "", total): axis_curve(*a))
+    return "\n".join(outcome(make) for make in makes)
+
+
 def main() -> None:
     for name in ("fig4", "fig5", "fig6", "fig7"):
         print(name, digest(cli_stdout(["figure", name, "--no-mc"])))
@@ -148,6 +205,7 @@ def main() -> None:
     print("snr_pair", digest(snr_lines(pairs, rng)))
     print("mc_memo", digest("".join(cli_stdout(run.split()) for run in MEMO_RUNS)))
     print("figures_mc", digest("".join(cli_stdout(run.split()) for run in FIGURES_MC)))
+    print("checks", digest(check_outcomes(np.random.default_rng(4207))))
 
 
 if __name__ == "__main__":
