@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lognormal import holds
 from .model import Columns, Scenario, SystemConfig, replaced, updated
 
 SWEEP_AXES = ("tau", "rho", "cth", "d1", "sigma_db", "ps", "sigma_g_db")
@@ -61,13 +62,12 @@ class Curve:
     def valid(self) -> bool:
         """Whether every row passes the checks of row, evaluated once on the
         curve's columns (see model.Columns.valid) and building no row."""
-        if self.axis in ("tau", "rho") and self.scenario.eh_param_name != self.axis:
+        values = np.array(self.values, float)
+        try:
+            self._check(values)
+        except ValueError:
             return False
-        columns = self.columns()
-        if self.axis == "d1" and self.total is not None:  # d2 = total - d1
-            if not (columns.changes["system.d2_m"] > 0).all():
-                return False
-        return columns.valid()
+        return Columns(self.cfg, self.scenario, self.fields(values), values.size).valid()
 
     @functools.cached_property
     def pairs(self) -> tuple:
@@ -78,15 +78,21 @@ class Curve:
 
     def row(self, i: int) -> tuple[SystemConfig, Scenario]:
         """Row i as a (cfg, scenario) pair, each checked by its class."""
-        value, axis = self.values[i], self.axis
-        if axis in ("tau", "rho") and self.scenario.eh_param_name != axis:
-            raise ValueError(f"{axis} sweeps need a {'tsr' if axis == 'tau' else 'psr'} scenario")
-        if axis == "d1" and self.total is not None and not self.total - value > 0:
-            raise ValueError(f"d1 = {value} leaves no room under total {self.total}")
+        value = self.values[i]
+        self._check(value)
         try:
             return self._pair(value, replaced)
         except ValueError as exc:
-            raise ValueError(f"{axis} = {value}: {exc}") from exc
+            raise ValueError(f"{self.axis} = {value}: {exc}") from exc
+
+    def _check(self, values) -> None:
+        # row's own checks, before its classes': of one axis value, or (valid) of
+        # every row at once, values then being a float64 array
+        axis = self.axis
+        if axis in ("tau", "rho") and self.scenario.eh_param_name != axis:
+            raise ValueError(f"{axis} sweeps need a {'tsr' if axis == 'tau' else 'psr'} scenario")
+        if axis == "d1" and self.total is not None and not holds(self.total - values > 0):
+            raise ValueError(f"d1 = {values} leaves no room under total {self.total}")
 
     def _pair(self, value, make) -> tuple[SystemConfig, Scenario]:
         # the row at `value`, each object that the axis changes made by make(obj, **changes)

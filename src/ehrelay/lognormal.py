@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,25 +18,6 @@ import numpy as np
 XI = 10.0 / math.log(10.0)
 
 _SQRT2 = math.sqrt(2.0)
-
-
-class Rule(NamedTuple):
-    """One validity rule of a configuration class (its RULES, in the order its
-    __post_init__ checks them). `ok(obj)` tests an instance, giving a bool, or
-    a namespace of its fields some of which are float64 columns, giving a
-    bool per row; it reads only the fields `reads` names. `message(obj)` is
-    the ValueError text of an instance that fails."""
-
-    reads: frozenset
-    ok: Callable
-    message: Callable
-
-
-def enforce(obj, rules) -> None:
-    """Raise the ValueError of the first of `rules` that instance obj fails."""
-    for _, ok, message in rules:
-        if not ok(obj):
-            raise ValueError(message(obj))
 
 
 def holds(ok) -> bool:
@@ -57,15 +37,18 @@ class ChannelSpec:
     mu_db: float
     sigma_db: float
 
-    RULES = (
-        Rule(frozenset({"mu_db"}), lambda c: (-math.inf < c.mu_db) & (c.mu_db < math.inf),
-             "mu_db must be finite, got {0.mu_db}".format),
-        Rule(frozenset({"sigma_db"}), lambda c: finite_positive(c.sigma_db),
-             "sigma_db must be > 0, got {0.sigma_db}".format),
-    )
-
     def __post_init__(self):
-        enforce(self, self.RULES)
+        self.check(self)
+
+    @staticmethod
+    def check(c) -> None:
+        """Raise the ValueError of the first check that c fails. c is an
+        instance or a namespace of its fields, some of them float64 columns,
+        which fails where any row does (see model.Columns.valid)."""
+        if not holds((-math.inf < c.mu_db) & (c.mu_db < math.inf)):
+            raise ValueError(f"mu_db must be finite, got {c.mu_db}")
+        if not holds(finite_positive(c.sigma_db)):
+            raise ValueError(f"sigma_db must be > 0, got {c.sigma_db}")
 
 
 def elementwise(fn, *args):

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .lognormal import ChannelSpec, Rule, elementwise, enforce, finite_positive, holds
+from .lognormal import ChannelSpec, elementwise, finite_positive, holds
 
 _LN2 = math.log(2.0)
 
@@ -36,12 +36,6 @@ RELAY_PROTOCOLS = ("df", "af")
 EH_PROTOCOLS = ("tsr", "psr", "irr")
 # the free harvesting parameter of each protocol that has one
 EH_PARAMS = {"tsr": "tau", "psr": "rho"}
-
-
-def _positive_rule(name: str) -> Rule:
-    """The rule that field `name` is > 0."""
-    return Rule(frozenset({name}), lambda c: getattr(c, name) > 0,
-                f"{name} must be > 0, got {{0.{name}}}".format)
 
 
 def _scales(cfg):
@@ -64,11 +58,6 @@ def _scales(cfg):
     yield "destination SNR scale", cfg.ps_watts / destination_noise
 
 
-def _first_bad_scale(cfg) -> str:
-    return next(f"{name} must be finite and > 0, got {value}"
-                for name, value in _scales(cfg) if not finite_positive(value))
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Link parameters. Defaults describe the baseline indoor link used by
@@ -89,24 +78,28 @@ class SystemConfig:
     ch2: ChannelSpec = field(default=ChannelSpec(3.0, 2.0))
     chg: ChannelSpec = field(default=ChannelSpec(3.0, math.sqrt(5.0)))
 
-    RULES = (
-        Rule(frozenset({"ps_watts"}), lambda c: c.ps_watts > 0,
-             "ps_watts must be > 0, got {0.ps_watts}".format),
-        Rule(frozenset({"eta"}), lambda c: (0 < c.eta) & (c.eta <= 1),
-             "eta must be in (0, 1], got {0.eta}".format),
-        Rule(frozenset({"path_loss_exp"}), lambda c: c.path_loss_exp >= 1,
-             "path_loss_exp must be >= 1, got {0.path_loss_exp}".format),
-        *map(_positive_rule, ("d1_m", "d2_m", "sigma_a2_w", "sigma_c2_w", "sigma_d2_w")),
-        Rule(frozenset({"cth"}), lambda c: (0 <= c.cth) & (c.cth < math.inf),
-             "cth must be finite and >= 0, got {0.cth}".format),
-        Rule(frozenset({"ps_watts", "path_loss_exp", "d1_m", "d2_m", "sigma_a2_w", "sigma_c2_w",
-                        "sigma_d2_w"}),
-             lambda c: all(holds(finite_positive(value)) for _, value in _scales(c)),
-             _first_bad_scale),
-    )
-
     def __post_init__(self):
-        enforce(self, self.RULES)
+        self.check(self)
+
+    @staticmethod
+    def check(c) -> None:
+        """Raise the ValueError of the first check that c fails. c is an
+        instance or a namespace of its fields, some of them float64 columns,
+        which fails where any row does (see Columns.valid)."""
+        if not holds(c.ps_watts > 0):
+            raise ValueError(f"ps_watts must be > 0, got {c.ps_watts}")
+        if not holds((0 < c.eta) & (c.eta <= 1)):
+            raise ValueError(f"eta must be in (0, 1], got {c.eta}")
+        if not holds(c.path_loss_exp >= 1):
+            raise ValueError(f"path_loss_exp must be >= 1, got {c.path_loss_exp}")
+        for name in ("d1_m", "d2_m", "sigma_a2_w", "sigma_c2_w", "sigma_d2_w"):
+            if not holds(getattr(c, name) > 0):
+                raise ValueError(f"{name} must be > 0, got {getattr(c, name)}")
+        if not holds((0 <= c.cth) & (c.cth < math.inf)):
+            raise ValueError(f"cth must be finite and >= 0, got {c.cth}")
+        for name, value in _scales(c):
+            if not holds(finite_positive(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def flat_fields(obj, prefix: str = "") -> dict:
@@ -194,22 +187,22 @@ class Columns:
         return spaces["system"], spaces["scenario"]
 
     def valid(self) -> bool:
-        """Whether every row passes the rules of its classes (their RULES).
-        The base pair passes them, so only a rule that reads a changed field
-        can fail; only those are evaluated, once on the columns."""
+        """Whether every row passes the checks of its classes: each object that
+        owns a changed field is checked once, as its fields with the changes
+        in place (see SystemConfig.check)."""
         owners: dict[str, dict] = {}
         for name, value in self.changes.items():
             owner, leaf = name.rsplit(".", 1)
             owners.setdefault(owner, {})[leaf] = value
-        with np.errstate(all="ignore"):  # a scale that overflows fails its rule, silently
+        with np.errstate(all="ignore"):  # a scale that overflows fails its check, silently
             for owner, changed in owners.items():
                 root, *path = owner.split(".")
                 obj = self.cfg if root == "system" else self.scenario
                 for part in path:
                     obj = getattr(obj, part)
-                view = SimpleNamespace(**{**vars(obj), **changed})
-                if not all(holds(rule.ok(view)) for rule in type(obj).RULES
-                           if not rule.reads.isdisjoint(changed)):
+                try:
+                    type(obj).check(SimpleNamespace(**{**vars(obj), **changed}))
+                except ValueError:
                     return False
         return True
 
@@ -272,33 +265,31 @@ class Scenario:
     rho: float | None = None
     pc_fraction: float = 0.0
 
-    RULES = (
-        Rule(frozenset({"duplex"}), lambda s: s.duplex in DUPLEX_MODES,
-             f"duplex must be one of {DUPLEX_MODES}, got {{0.duplex!r}}".format),
-        Rule(frozenset({"relay"}), lambda s: s.relay in RELAY_PROTOCOLS,
-             f"relay must be one of {RELAY_PROTOCOLS}, got {{0.relay!r}}".format),
-        Rule(frozenset({"eh"}), lambda s: s.eh in EH_PROTOCOLS,
-             f"eh must be one of {EH_PROTOCOLS}, got {{0.eh!r}}".format),
-        Rule(frozenset({"duplex", "eh"}), lambda s: s.duplex != "fd" or s.eh == "tsr",
-             "fd supports only the tsr harvesting protocol".format),
-        Rule(frozenset({"eh", "tau"}), lambda s: s.eh != "tsr" or (
-            s.tau is not None and (0 < s.tau) & (s.tau < 1)),
-             "tau must be in (0, 1) for tsr, got {0.tau}".format),
-        Rule(frozenset({"eh", "tau"}), lambda s: s.eh == "tsr" or s.tau is None,
-             "tau is only meaningful for tsr, got {0.tau}".format),
-        Rule(frozenset({"eh", "rho"}), lambda s: s.eh != "psr" or (
-            s.rho is not None and (0 < s.rho) & (s.rho < 1)),
-             "rho must be in (0, 1) for psr, got {0.rho}".format),
-        Rule(frozenset({"eh", "rho"}), lambda s: s.eh == "psr" or s.rho is None,
-             "rho is only meaningful for psr, got {0.rho}".format),
-        Rule(frozenset({"pc_fraction"}), lambda s: (0 <= s.pc_fraction) & (s.pc_fraction < 1),
-             "pc_fraction must be in [0, 1), got {0.pc_fraction}".format),
-        Rule(frozenset({"relay", "pc_fraction"}), lambda s: s.relay != "af" or s.pc_fraction <= 0,
-             "pc_fraction > 0 applies to df relaying only".format),
-    )
-
     def __post_init__(self):
-        enforce(self, self.RULES)
+        self.check(self)
+
+    @staticmethod
+    def check(s) -> None:
+        """Raise the ValueError of the first check that s fails (see SystemConfig.check)."""
+        if s.duplex not in DUPLEX_MODES:
+            raise ValueError(f"duplex must be one of {DUPLEX_MODES}, got {s.duplex!r}")
+        if s.relay not in RELAY_PROTOCOLS:
+            raise ValueError(f"relay must be one of {RELAY_PROTOCOLS}, got {s.relay!r}")
+        if s.eh not in EH_PROTOCOLS:
+            raise ValueError(f"eh must be one of {EH_PROTOCOLS}, got {s.eh!r}")
+        if s.duplex == "fd" and s.eh != "tsr":
+            raise ValueError("fd supports only the tsr harvesting protocol")
+        for eh, name in EH_PARAMS.items():
+            value = getattr(s, name)
+            if s.eh != eh:
+                if value is not None:
+                    raise ValueError(f"{name} is only meaningful for {eh}, got {value}")
+            elif value is None or not holds((0 < value) & (value < 1)):
+                raise ValueError(f"{name} must be in (0, 1) for {eh}, got {value}")
+        if not holds((0 <= s.pc_fraction) & (s.pc_fraction < 1)):
+            raise ValueError(f"pc_fraction must be in [0, 1), got {s.pc_fraction}")
+        if s.relay == "af" and not holds(s.pc_fraction <= 0):
+            raise ValueError("pc_fraction > 0 applies to df relaying only")
 
     @property
     def eh_param_name(self) -> str | None:

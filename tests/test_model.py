@@ -509,29 +509,6 @@ class TestValidation:
         OutageEstimate(1.0, "monte_carlo", 0.0, 10000)
 
 
-class Reads:
-    """obj, recording the name of every attribute read from it."""
-
-    def __init__(self, obj):
-        self.obj, self.names = obj, set()
-
-    def __getattr__(self, name):
-        self.names.add(name)
-        return getattr(self.obj, name)
-
-
-def test_every_rule_reads_only_the_fields_it_names():
-    # a curve evaluates only the rules that read a field its axis sets: a rule that read
-    # more than it names could fail on a row while its curve passes
-    instances = [CFG, model.updated(CFG, d1_m=1e200), CFG.ch1, *ALL_SCENARIOS,
-                 hd("df", "irr", pc_fraction=0.5)]
-    for obj in instances:
-        for rule in type(obj).RULES:
-            reads = Reads(obj)
-            rule.ok(reads)
-            assert reads.names <= rule.reads, rule.message(obj)
-
-
 NAN, INF = math.nan, math.inf
 # per case: the axis, base scenario, total distance, base-config changes, and values each
 # passing or failing a different rule, so that a row's first failing rule is not always
