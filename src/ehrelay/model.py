@@ -40,14 +40,11 @@ EH_PARAMS = {"tsr": "tau", "psr": "rho"}
 
 def _scales(cfg):
     """(name, value) of each scale every SNR coefficient is one of, times
-    protocol factors, in the order they are checked; both path losses read
-    inf where a power overflows. An overflowed or underflowed scale would
-    make the SNRs infinite or zero for every fade. Lazy, so that a noise is
-    divided by only once it has passed its check."""
-    try:
-        lp1, lp2 = hop_losses(cfg)
-    except OverflowError:
-        lp1 = lp2 = math.inf
+    protocol factors, in the order they are checked (see hop_losses for a
+    power that overflows). An overflowed or underflowed scale would make the
+    SNRs infinite or zero for every fade. Lazy, so that a noise is divided
+    by only once it has passed its check."""
+    lp1, lp2 = hop_losses(cfg)
     yield "path loss d1_m**path_loss_exp", lp1
     yield "path loss d2_m**path_loss_exp", lp2
     relay_noise = lp1 * (cfg.sigma_a2_w + cfg.sigma_c2_w)
@@ -364,8 +361,17 @@ class FadeSample:
 
 
 def hop_losses(cfg: SystemConfig) -> tuple[float, float]:
-    return (elementwise(pow, cfg.d1_m, cfg.path_loss_exp),
-            elementwise(pow, cfg.d2_m, cfg.path_loss_exp))
+    """The path losses (d1_m**path_loss_exp, d2_m**path_loss_exp), each
+    computed on its own: one whose power overflows is inf (a whole column
+    where some row's does), which SystemConfig's check rejects."""
+    return _path_loss(cfg.d1_m, cfg.path_loss_exp), _path_loss(cfg.d2_m, cfg.path_loss_exp)
+
+
+def _path_loss(d, exponent):
+    try:
+        return elementwise(pow, d, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def relay_budget(cfg: SystemConfig, scenario: Scenario) -> tuple[float, float, float]:

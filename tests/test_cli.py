@@ -451,6 +451,14 @@ def test_every_command_checks_the_link(command, capsys):
     assert capsys.readouterr().err == "config error: system: eta must be in (0, 1], got 2.0\n"
 
 
+@pytest.mark.parametrize("hop", ["d1", "d2"])
+def test_overflowing_path_loss_names_its_hop(hop, capsys):
+    # each hop's power is computed on its own, so an overflow names the hop it is on
+    assert run(["point", "--no-mc", "--override", f"system.{hop}_m=1e200"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: system: path loss {hop}_m**path_loss_exp must be finite and > 0, got inf\n")
+
+
 @pytest.mark.parametrize("command", [
     ["figure", "fig4", "--no-mc", "--override", "scenario.tau=2"],
     ["optimize", "--override", "mc.trials=5"],
