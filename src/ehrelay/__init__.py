@@ -33,12 +33,9 @@ from .model import (
     OutageEstimate,
     Scenario,
     SystemConfig,
-    capacities,
-    outage_indicator,
-    snr_pair,
     threshold_snr,
 )
-from .montecarlo import McPlan, estimate_outage
+from .montecarlo import McPlan, capacities, estimate_outage, outage_indicator, snr_pair
 from .optimize import OptResult, minimize_over_eh_param
 from .quadrature import QuadratureError, integrate_lognormal_weighted
 

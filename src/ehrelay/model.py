@@ -1,27 +1,21 @@
 """Physical link model shared by the analytic and Monte Carlo paths.
 
-Covers the relay's harvesting budget, the per-scenario SNRs, instantaneous
-capacities and the outage indicator for a dual-hop link whose relay is
-powered entirely by the source signal. relay_budget is the one place a
-harvesting protocol enters: every variant's SNR coefficients follow from
-its (share, power, noise). The SNR/capacity functions accept scalar fades
-or numpy arrays of fades and broadcast elementwise. The coefficient helpers
-(hop_losses, relay_budget, snr_coefficients, capacity_prefactor and
-threshold_snr) also accept a cfg and scenario whose numeric fields are
-float64 arrays, as the analytic path's columns (Columns) are, or a mix of
-arrays and floats, and give each element the float its row gives alone.
-An AF destination SNR is computed in its inverse form 1/(beta*iota), a
-sum of terms of the gains' reciprocals (see _inverse_form), and the
-outage indicator decides a trial by comparing one quantity of its gains
-with that quantity's exact edge, with no SNR computed.
+Holds the configuration types and their checks, the analytic path's
+columns (Columns), and the link model both paths read: the path losses,
+the relay's harvesting budget, the SNR coefficients, the capacity and the
+threshold SNR of a dual-hop link whose relay is powered entirely by the
+source signal. relay_budget is the one place a harvesting protocol enters:
+every variant's SNR coefficients follow from its (share, power, noise).
+The coefficient helpers (hop_losses, relay_budget, snr_coefficients,
+capacity_prefactor and threshold_snr) accept a cfg and scenario whose
+numeric fields are floats, float64 arrays, as Columns' are, or a mix, and
+give each element the float its row gives alone. The per-fade SNRs,
+capacities and outage decisions are the Monte Carlo path's (montecarlo).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import struct
-import sys
 from dataclasses import dataclass, field, is_dataclass
 from types import SimpleNamespace
 
@@ -356,7 +350,7 @@ class FadeSample:
             extremes[name] = low, high
         object.__setattr__(self, "extremes", extremes)
         if self.z is None:
-            with np.errstate(over="ignore"):  # an x*y that overflows: see _product_snr
+            with np.errstate(over="ignore"):  # an x*y that overflows: see montecarlo._product_snr
                 object.__setattr__(self, "z", np.multiply(self.x, self.y))
 
 
@@ -430,139 +424,6 @@ def snr_coefficients(cfg: SystemConfig,
     return share * cfg.ps_watts / (lp1 * noise), cost * (power * cfg.ps_watts / den), 0.0, 1.0
 
 
-def _check_fade(scenario: Scenario, fade: FadeSample) -> None:
-    if scenario.duplex == "fd" and fade.w is None:
-        raise ValueError("fd scenarios need the loop-back gain w in the fade sample")
-
-
-def _fade_shape(fade: FadeSample) -> tuple:
-    """The fades' broadcast shape (() for scalars): their one shape where they share it."""
-    shapes = {np.shape(v) for v in (fade.x, fade.y, fade.w) if v is not None}
-    return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-
-
-def _empty_pair(fade: FadeSample):
-    """Two float64 arrays of the fades' broadcast shape (0-d for scalars)."""
-    shape = _fade_shape(fade)
-    return np.empty(shape), np.empty(shape)
-
-
-def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
-    """Relay and destination SNRs (gamma_r, gamma_d); gamma_r is None for AF.
-    They are fresh arrays, or numpy scalars for scalar fades; the fade arrays
-    are never written. DF's destination SNR is a*z (see _product_snr); AF's
-    is 1/(beta*iota), its inverse form (see _inverse_form), which stays
-    finite where a*z and its denominator both overflow."""
-    _check_fade(scenario, fade)
-    coefficients = snr_coefficients(cfg, scenario)
-    r, d = _empty_pair(fade)
-    if scenario.relay == "af":
-        form = _inverse_form(scenario.duplex, *coefficients)
-        beta, k1 = form[0], coefficients[0]
-        with np.errstate(all="ignore"):  # reciprocals, and 1/0 where beta*iota underflows
-            if 0 < beta < math.inf:
-                np.multiply(beta, _iota(scenario.duplex, form, k1, fade, (r, d)), out=d)
-                np.divide(1.0, d, out=d)
-            else:
-                d.fill(_constant_snr(beta))
-        return None, d[()]
-    d = _product_snr(coefficients[1], fade, d)[()]
-    if scenario.duplex == "fd":
-        return np.divide(coefficients[0], fade.w, out=r)[()], d
-    return np.multiply(coefficients[0], fade.x, out=r)[()], d
-
-
-def _product_snr(a, fade: FadeSample, out):
-    """DF's destination SNR a*z into out, or (a*x)*y where some x*y overflows,
-    so that a finite a*x*y stays finite."""
-    (_, x1), (_, y1) = fade.extremes["x"], fade.extremes["y"]
-    if x1 * y1 < math.inf:
-        return np.multiply(a, fade.z, out=out)
-    np.multiply(a, fade.x, out=out)
-    return np.multiply(out, fade.y, out=out)
-
-
-@functools.lru_cache(maxsize=1024)
-def _inverse_form(duplex: str, k1, a, b, c) -> tuple:
-    """(beta, lam, first) of an AF destination SNR in its inverse (harmonic)
-    form 1/(beta*iota), where iota sums terms of one trial's gains (_iota):
-      HD: 1/gamma_d = (b/a)/x + (c/a)/z,           iota = rx + lam*rz,
-      FD: 1/gamma_d = (b/a)*w + (c/a)*(k1 + w)/z,  iota = w + lam*((k1 + w)*rz),
-    with rx = 1/x, rz = 1/z, beta = b/a and lam = c/b. Every term only
-    grows as the trial's gains make the SNR fall, and so do iota and
-    beta*iota.
-
-    A coefficient of 0 drops its term, which is the SNR's limit: lam = 0
-    drops the second; where b = 0, first is False and iota is the second
-    term's factor alone, rz (HD) or (k1 + w)*rz (FD), with beta = c/a. A
-    ratio out of the float range is held at its end, so that no product is
-    0*inf. Where a = 0, or FD's k1 = inf, every SNR is 0 (beta = inf);
-    where b = c = 0 it is inf (beta = 0; see _constant_snr)."""
-    k1, a, b, c = (None if v is None else float(v) for v in (k1, a, b, c))
-    if a == 0.0 or k1 == math.inf:
-        return math.inf, 0.0, True
-    if b == 0.0:
-        return (0.0, 0.0, True) if c == 0.0 else (_held(c / a), 1.0, False)
-    return _held(b / a), min(c / b, sys.float_info.max), True
-
-
-def _held(ratio: float) -> float:
-    """A positive ratio held within the positive floats, [5e-324, DBL_MAX]."""
-    return min(max(ratio, 5e-324), sys.float_info.max)
-
-
-def _constant_snr(beta: float) -> float:
-    """The one SNR of every trial where beta is inf (0) or 0 (inf)."""
-    return 0.0 if beta == math.inf else math.inf
-
-
-def _reciprocal(kept, gains, out):
-    """The kept reciprocals of `gains`, or 1/gains into out."""
-    return kept if kept is not None else np.divide(1.0, gains, out=out)
-
-
-def _iota(duplex: str, form: tuple, k1, fade: FadeSample, scratch):
-    """Every trial's iota of `form`, _inverse_form's for k1: a fade array where
-    iota is one gain or reciprocal, else the first scratch array; the second
-    takes the reciprocals a fade does not keep. A sum k1 + w that overflows is
-    held at DBL_MAX, so that it times an rz of 0 (an x*y that overflowed) is 0."""
-    _, lam, first = form
-    s, t = scratch
-    if duplex == "hd":
-        if not first:
-            return _reciprocal(fade.rz, fade.z, s)
-        if not lam:
-            return _reciprocal(fade.rx, fade.x, s)
-        np.multiply(lam, _reciprocal(fade.rz, fade.z, s), out=s)
-        return np.add(s, _reciprocal(fade.rx, fade.x, t), out=s)
-    if first and not lam:
-        return fade.w
-    k1 = float(k1)
-    np.add(k1, fade.w, out=s)
-    if k1 + fade.extremes["w"][1] == math.inf:
-        np.minimum(s, sys.float_info.max, out=s)
-    np.multiply(s, _reciprocal(fade.rz, fade.z, t), out=s)
-    if not first:
-        return s
-    np.multiply(lam, s, out=s)
-    return np.add(s, fade.w, out=s)
-
-
-def _iota_at(form: tuple, k1, x: float, z: float, w) -> float:
-    """_iota of one trial with gains x, z = x*y and w (None for HD), in the
-    same float64 operations on Python floats."""
-    _, lam, first = form
-    rz = 1.0 / z if z else math.inf
-    if w is None:
-        if not first:
-            return rz
-        return lam * rz + 1.0 / x if lam else 1.0 / x
-    if first and not lam:
-        return w
-    term = min(k1 + w, sys.float_info.max) * rz
-    return lam * term + w if first else term
-
-
 def capacity_prefactor(scenario: Scenario) -> float:
     """Fraction of the frame carrying one hop's data (the log2 multiplier)."""
     if scenario.duplex == "fd":
@@ -575,156 +436,6 @@ def capacity_prefactor(scenario: Scenario) -> float:
 def capacity(pre: float, gamma):
     """Capacity pre*log2(1 + gamma) in bps/Hz, as pre*log1p(gamma)/ln 2."""
     return np.multiply(np.log1p(gamma), pre / _LN2)
-
-
-def capacities(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
-    """Instantaneous capacities (c_r, c_d) in bps/Hz; c_r is None for AF."""
-    gamma_r, gamma_d = snr_pair(cfg, scenario, fade)
-    pre = capacity_prefactor(scenario)
-    c_r = None if gamma_r is None else capacity(pre, gamma_r)
-    return c_r, capacity(pre, gamma_d)
-
-
-# For float64 values >= 0 the order of the bit patterns, read as int64, is the
-# order of the values.
-_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
-_INF_BITS = _I64.unpack(_F64.pack(math.inf))[0]
-
-
-def _least_float(holds, guess: float) -> float:
-    """The least float64 v >= 0 with holds(v), or inf when no finite v has it.
-    holds must not turn false again as v grows; it is never asked about inf.
-    The search asks at `guess` (none when NaN), then at 1, 3, 7, 15, ... ulps
-    from it towards the answer until it steps past, then bisects the bit
-    patterns between; a guess k ulps off costs about 2*log2(k) + 2 asks.
-    Without a guess it bisects from the start, about 63 asks."""
-    # (lo, hi]: the patterns of a v without the property (-1: none yet) and of one with it
-    lo, hi = -1, _INF_BITS
-    mid = _I64.unpack(_F64.pack(min(guess, sys.float_info.max)))[0] if guess >= 0 else -1
-    step = 1
-    while hi - lo > 1:
-        if not lo < mid < hi:  # no guess yet, or stepped past: bisect
-            mid = (lo + hi) // 2
-        if holds(_F64.unpack(_I64.pack(mid))[0]):
-            hi, mid = mid, mid - step
-        else:
-            lo, mid = mid, mid + step
-        step *= 2
-    return _F64.unpack(_I64.pack(hi))[0]
-
-
-@functools.lru_cache(maxsize=1024)
-def snr_cutoff(pre: float, cth: float) -> float:
-    """The least float64 gamma >= 0 with capacity(pre, gamma) >= cth, or inf
-    when no finite gamma reaches cth. capacity does not decrease in gamma, so
-    `gamma < snr_cutoff(pre, cth)` is `capacity(pre, gamma) < cth` bit for bit,
-    without a log1p. The search starts at 2**(cth/pre) - 1 and evaluates
-    capacity itself, on a float64 array, at each float it tries.
-    """
-    expo = cth / pre * _LN2  # expm1 overflows from about 709.78
-    return _least_float(lambda gamma: capacity(pre, np.array([gamma]))[0] >= cth,
-                        math.expm1(expo) if expo < 709.78 else math.inf)
-
-
-@functools.lru_cache(maxsize=1024)
-def _relay_edge(duplex: str, k1: float, cut: float) -> float:
-    """The DF relay's certain-outage edge: an HD trial is in outage at its relay
-    exactly when x < edge, an FD one exactly when w >= edge. Exact on every
-    float, since the relay SNR k1*x (k1/w), in snr_pair's float64 operations,
-    does not decrease (increase) in the gain; k1/0 is inf, never below cut.
-    With DF's a for k1 the HD edge is the product's: a*z < cut iff z < edge."""
-    k1 = float(k1)
-    if duplex == "fd":
-        return _least_float(lambda w: w > 0 and k1 / w < cut, k1 / cut if cut else math.inf)
-    return _least_float(lambda x: not k1 * x < cut, cut / k1 if k1 else math.inf)
-
-
-def _past_edge(duplex: str, fade: FadeSample, edge: float) -> bool:
-    """Whether every trial of `fade` lies past the DF relay's certain-outage
-    edge: an HD x below it, an FD w at or above it. Reads only the block's
-    extremes."""
-    return fade.extremes["x"][1] < edge if duplex == "hd" else fade.extremes["w"][0] >= edge
-
-
-def _any_past(duplex: str, fade: FadeSample, edge: float) -> bool:
-    """Whether some trial of `fade` lies past the DF relay's edge (see _past_edge)."""
-    return fade.extremes["x"][0] < edge if duplex == "hd" else fade.extremes["w"][1] >= edge
-
-
-@functools.lru_cache(maxsize=1024)
-def _inverse_edge(beta: float, cut: float) -> float:
-    """The AF certain-outage edge, for cut > 0 and beta in (0, inf): the
-    least float64 iota whose SNR fl(1/fl(beta*iota)) is below cut (inf where
-    only iota = inf, SNR 0, is). That SNR does not increase in iota and is
-    inf at beta*iota = 0, so iota >= edge is exactly the SNR below cut on
-    every float, 0 and inf included."""
-    beta, cut = float(beta), float(cut)
-    guess = beta * cut
-    return _least_float(lambda iota: 0 < beta * iota and 1.0 / (beta * iota) < cut,
-                        1.0 / guess if guess else math.inf)
-
-
-def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
-                     scratch=None):
-    """True where the end-to-end capacity is below cth (bool array for arrays).
-
-    Both hops share the capacity prefactor and capacity does not decrease in
-    the SNR, so the end-to-end capacity is that of the weaker hop's SNR, and
-    it is below cth exactly where that SNR is below snr_cutoff. Each hop's
-    SNR is monotone in one quantity of the trial's gains, which is compared
-    with its exact edge instead: a DF trial is in outage where its relay
-    gain or its product z = x*y is past its edge (see _relay_edge; where
-    some x*y overflows, its SNR a*x*y is computed, see _product_snr), an AF
-    trial where its iota (see _inverse_form) is at or above _inverse_edge. A
-    block whose extreme gains put every trial past the edge (an HD-DF
-    block's largest x, an FD-DF block's smallest w, AF's iota at the gains
-    that make it least, a lower bound of every trial's since each operation
-    is monotone) is all True without a look at its arrays. Where its
-    extreme gains let an operation leave the float range, a block is
-    decided under np.errstate. `scratch` is an optional pair of float64
-    arrays of the fades' shape; without it fresh ones are used. The fade
-    arrays are never written.
-    """
-    _check_fade(scenario, fade)
-    duplex = scenario.duplex
-    coefficients = snr_coefficients(cfg, scenario)
-    cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
-    if scenario.relay == "af":
-        return _inverse_flags(duplex, coefficients, cut, fade, scratch)
-    edge = _relay_edge(duplex, coefficients[0], cut)
-    if _past_edge(duplex, fade, edge):
-        return np.ones(_fade_shape(fade), bool)[()]
-    (_, x1), (_, y1) = fade.extremes["x"], fade.extremes["y"]
-    if x1 * y1 < math.inf:
-        flags = fade.z < _relay_edge("hd", coefficients[1], cut)
-    else:  # the errstate is entered here, not by the caller: pool threads do not inherit it
-        with np.errstate(all="ignore"):
-            out = _empty_pair(fade)[0] if scratch is None else scratch[0]
-            flags = _product_snr(coefficients[1], fade, out) < cut
-    if _any_past(duplex, fade, edge):
-        flags |= fade.x < edge if duplex == "hd" else fade.w >= edge
-    return flags
-
-
-def _inverse_flags(duplex: str, coefficients, cut: float, fade: FadeSample, scratch):
-    """outage_indicator's AF flags."""
-    form = _inverse_form(duplex, *coefficients)
-    beta = form[0]
-    if not (cut > 0 and 0 < beta < math.inf):  # one SNR for all, or no SNR below cut = 0
-        return np.full(_fade_shape(fade), _constant_snr(beta) < cut)[()]
-    edge = _inverse_edge(beta, cut)
-    k1 = None if coefficients[0] is None else float(coefficients[0])
-    (x0, x1), (y0, y1) = fade.extremes["x"], fade.extremes["y"]
-    w0, w1 = fade.extremes["w"] if duplex == "fd" else (None, None)
-    if _iota_at(form, k1, x1, x1 * y1, w0) >= edge:
-        return np.ones(_fade_shape(fade), bool)[()]
-    if scratch is None:
-        scratch = _empty_pair(fade)
-    # every operation stays in range where the largest iota and FD's k1 + w do
-    if _iota_at(form, k1, x0, x0 * y0, w1) < math.inf and (k1 is None or k1 + w1 < math.inf):
-        return _iota(duplex, form, k1, fade, scratch) >= edge
-    with np.errstate(all="ignore"):
-        return _iota(duplex, form, k1, fade, scratch) >= edge
 
 
 def _snr_for_rate(expo: float) -> float:

@@ -1,7 +1,7 @@
 """The certain-outage edges of the Monte Carlo decision: a DF relay's edge
-(model._relay_edge) and its product edge decide each DF hop exactly, and an AF
+(mc._relay_edge) and its product edge decide each DF hop exactly, and an AF
 trial is in outage exactly where iota, the sum of its inverse SNR
-1/(beta*iota) (model._inverse_form), is at or above model._inverse_edge.
+1/(beta*iota) (mc._inverse_form), is at or above mc._inverse_edge.
 outage_indicator, which uses them, flags what the weaker hop's SNR flags, also
 on blocks that it decides from their extreme gains alone, on gains and
 coefficients at the ends of the float range, and where a coefficient is 0."""
@@ -17,18 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ehrelay.montecarlo as mc
 from ehrelay import model
 from ehrelay.lognormal import ChannelSpec, sample_sq_gain
-from ehrelay.model import (
-    FadeSample,
-    Scenario,
-    SystemConfig,
-    capacity,
-    capacity_prefactor,
-    outage_indicator,
-    snr_cutoff,
-    snr_pair,
-)
+from ehrelay.model import FadeSample, Scenario, SystemConfig, capacity, capacity_prefactor
+from ehrelay.montecarlo import outage_indicator, snr_cutoff, snr_pair
 
 _INF_BITS = int(np.float64(math.inf).view(np.int64))
 TINY, HUGE = sys.float_info.min, sys.float_info.max
@@ -57,7 +50,7 @@ def test_relay_edge_is_exact(duplex):
     rng = np.random.default_rng(71)
     for k1 in K1S:
         for cut in CUTS:
-            edge = model._relay_edge(duplex, np.float64(k1), cut)
+            edge = mc._relay_edge(duplex, np.float64(k1), cut)
             gains = gains_around(edge, rng)
             with np.errstate(over="ignore", under="ignore"):
                 snr = np.multiply(k1, gains) if duplex == "hd" else np.divide(k1, gains)
@@ -66,12 +59,12 @@ def test_relay_edge_is_exact(duplex):
 
 
 def test_relay_edge_at_the_ends_of_the_range():
-    assert model._relay_edge("hd", 1.0, 0.0) == 0.0  # no x is in outage
-    assert model._relay_edge("fd", 1.0, 0.0) == math.inf  # no w is
-    assert model._relay_edge("hd", 1.0, math.inf) == math.inf  # 1*x never reaches inf
-    assert model._relay_edge("fd", math.inf, 1.0) == math.inf  # inf/w is never below cut
-    assert model._relay_edge("hd", math.inf, 1.0) == 0.0  # inf*x is never below cut
-    assert model._relay_edge("fd", 0.0, 1.0) == 5e-324  # 0/w always is
+    assert mc._relay_edge("hd", 1.0, 0.0) == 0.0  # no x is in outage
+    assert mc._relay_edge("fd", 1.0, 0.0) == math.inf  # no w is
+    assert mc._relay_edge("hd", 1.0, math.inf) == math.inf  # 1*x never reaches inf
+    assert mc._relay_edge("fd", math.inf, 1.0) == math.inf  # inf/w is never below cut
+    assert mc._relay_edge("hd", math.inf, 1.0) == 0.0  # inf*x is never below cut
+    assert mc._relay_edge("fd", 0.0, 1.0) == 5e-324  # 0/w always is
 
 
 AF_LABELS = ("hd-af-tsr", "hd-af-psr", "hd-af-irr", "fd-af-tsr")
@@ -85,7 +78,7 @@ def test_inverse_edge_is_exact():
     rng = np.random.default_rng(83)
     for beta in BETAS:
         for cut in CUTS[1:]:  # cut = 0 puts no trial in outage (see outage_indicator)
-            edge = model._inverse_edge(beta, cut)
+            edge = mc._inverse_edge(beta, cut)
             iota = np.concatenate([gains_around(edge, rng), [0.0, math.inf]])
             with np.errstate(all="ignore"):
                 gamma = 1.0 / (beta * iota)
@@ -96,16 +89,16 @@ def patched(coefficients, cut=None):
     """A context in which snr_pair and outage_indicator read `coefficients` and,
     unless None, the cutoff `cut`."""
     stack = contextlib.ExitStack()
-    stack.enter_context(mock.patch.object(model, "snr_coefficients", return_value=coefficients))
+    stack.enter_context(mock.patch.object(mc, "snr_coefficients", return_value=coefficients))
     if cut is not None:
-        stack.enter_context(mock.patch.object(model, "snr_cutoff", return_value=cut))
+        stack.enter_context(mock.patch.object(mc, "snr_cutoff", return_value=cut))
     return stack
 
 
 def iotas(scenario, coefficients, fade):
     with np.errstate(all="ignore"):
-        form = model._inverse_form(scenario.duplex, *coefficients)
-        return model._iota(scenario.duplex, form, coefficients[0], fade, model._empty_pair(fade))
+        form = mc._inverse_form(scenario.duplex, *coefficients)
+        return mc._iota(scenario.duplex, form, coefficients[0], fade, mc._empty_pair(fade))
 
 
 def edge_window(scenario, coefficients, edge, rng):
@@ -113,7 +106,7 @@ def edge_window(scenario, coefficients, edge, rng):
     side of the HD x (FD w) at which the trial's iota, at a drawn y (x and y),
     is about the edge; and the same with an x*y that overflows, so that iota
     is rx (HD) or w (FD). None where that gain is not a positive float."""
-    _, lam, _ = model._inverse_form(scenario.duplex, *coefficients)
+    _, lam, _ = mc._inverse_form(scenario.duplex, *coefficients)
     out = []
     for x, y in ((10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2)), (1e200, 1e200)):
         rz = 1.0 / (x * y)
@@ -145,7 +138,7 @@ def test_af_flags_are_the_snr_decision_at_the_edge(label):
     for _ in range(25):
         cfg, scenario = random_link(rng, label)
         coefficients = model.snr_coefficients(cfg, scenario)
-        beta = model._inverse_form(scenario.duplex, *coefficients)[0]
+        beta = mc._inverse_form(scenario.duplex, *coefficients)[0]
         pre = capacity_prefactor(scenario)
         drawn = [sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg)]
         extreme = [np.array([1e-310, 1e200, 1e-170]), np.array([1.0, 1e200, 1e-170]),
@@ -153,7 +146,7 @@ def test_af_flags_are_the_snr_decision_at_the_edge(label):
         base = [np.concatenate(g) for g in zip(drawn, extreme)]
         for cut in [None, *CUTS]:
             gains = base
-            edge = model._inverse_edge(beta, cut) if cut else math.nan
+            edge = mc._inverse_edge(beta, cut) if cut else math.nan
             if cut and edge < math.inf:
                 for window in edge_window(scenario, coefficients, edge, rng):
                     gains = [np.concatenate(g) for g in zip(gains, window)]
@@ -204,10 +197,10 @@ def test_af_bound_flags_only_trials_the_snr_decision_flags(duplex, a, b, c, k1, 
     with np.errstate(all="ignore"):
         a, b, c = (float(np.ldexp(v, scale)) for v in (a, b, c))
     coefficients = (None if duplex == "hd" else k1), a, b, c
-    beta, lam, _ = model._inverse_form(duplex, *coefficients)
+    beta, lam, _ = mc._inverse_form(duplex, *coefficients)
     if not 0 < beta < math.inf:
         return
-    edge = model._inverse_edge(beta, cut)
+    edge = mc._inverse_edge(beta, cut)
     y1 = other
     x1 = (1.0 + lam / y1) / edge if duplex == "hd" else other
     w0 = 1.0 if duplex == "hd" else (edge - lam * k1 / (x1 * y1)) / (1.0 + lam / (x1 * y1))
@@ -236,7 +229,7 @@ def test_af_bound_flags_only_trials_the_snr_decision_flags(duplex, a, b, c, k1, 
     assert np.array_equal(got, gamma < cut)
     (_, x_max), (_, y_max) = fade.extremes["x"], fade.extremes["y"]
     w_min = fade.extremes["w"][0] if duplex == "fd" else None
-    if model._iota_at((beta, lam, True), k1, x_max, x_max * y_max, w_min) >= edge:
+    if mc._iota_at((beta, lam, True), k1, x_max, x_max * y_max, w_min) >= edge:
         assert np.all(gamma < cut), (edge, gamma.max())
 
 
@@ -267,10 +260,10 @@ def test_indicator_flags_the_weaker_snr_below_the_cutoff(monkeypatch, label):
     blocks have no trial past the relay edge and skip the compare on the gain,
     and the other AF blocks compare every trial's iota with the edge."""
     past, some, computed, whole = [], [], [], set()
-    past_edge, any_past, iota = model._past_edge, model._any_past, model._iota
-    monkeypatch.setattr(model, "_past_edge", lambda *args: past.append(past_edge(*args)) or past[-1])
-    monkeypatch.setattr(model, "_any_past", lambda *args: some.append(any_past(*args)) or some[-1])
-    monkeypatch.setattr(model, "_iota", lambda *args: computed.append(True) or iota(*args))
+    past_edge, any_past, iota = mc._past_edge, mc._any_past, mc._iota
+    monkeypatch.setattr(mc, "_past_edge", lambda *args: past.append(past_edge(*args)) or past[-1])
+    monkeypatch.setattr(mc, "_any_past", lambda *args: some.append(any_past(*args)) or some[-1])
+    monkeypatch.setattr(mc, "_iota", lambda *args: computed.append(True) or iota(*args))
     rng = np.random.default_rng(73)
     for _ in range(150):
         cfg, scenario = random_link(rng, label)
@@ -343,8 +336,8 @@ def test_indicator_decides_out_of_range_af_blocks_silently(monkeypatch):
     block with its gains in range, or with an x*y that overflows, whose
     reciprocal is 0, is decided outside np.errstate."""
     states = []
-    iota = model._iota
-    monkeypatch.setattr(model, "_iota",
+    iota = mc._iota
+    monkeypatch.setattr(mc, "_iota",
                         lambda *args: states.append(np.geterr()["over"]) or iota(*args))
     outside = np.geterr()["over"]
     x = np.geomspace(0.02, 50.0, 20)
@@ -466,8 +459,8 @@ def test_df_edges_flag_the_weaker_snr_below_the_cutoff(label):
         k1, a, _, _ = model.snr_coefficients(cfg, scenario)
         pre = capacity_prefactor(scenario)
         cut = snr_cutoff(pre, cfg.cth)
-        relay_edge = model._relay_edge(scenario.duplex, k1, cut)
-        product_edge = model._relay_edge("hd", a, cut)
+        relay_edge = mc._relay_edge(scenario.duplex, k1, cut)
+        product_edge = mc._relay_edge("hd", a, cut)
         x, y, w = (sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg))
         tiny = np.array([1e-160]), np.array([1e-155]), np.array([1.0])  # z = 1e-315
         gains = [np.concatenate(g) for g in zip((x, y, w), tiny)]

@@ -9,25 +9,23 @@ import mpmath
 import numpy as np
 import pytest
 
+import ehrelay.montecarlo as mc
 from conftest import curve_rows
-from ehrelay import grids, model
+from ehrelay import grids
 from ehrelay.lognormal import sample_sq_gain
 from ehrelay.model import (
     FadeSample,
     OutageEstimate,
     Scenario,
     SystemConfig,
-    capacities,
     capacity,
     capacity_prefactor,
     hop_losses,
-    outage_indicator,
     relay_budget,
     snr_coefficients,
-    snr_cutoff,
-    snr_pair,
     threshold_snr,
 )
+from ehrelay.montecarlo import capacities, outage_indicator, snr_cutoff, snr_pair
 
 CFG = SystemConfig()
 
@@ -278,7 +276,7 @@ def test_indicator_decided_without_the_trials_keeps_the_broadcast_shape(monkeypa
     """A block decided at the certain-outage edge, or AF's with one SNR for
     every trial, is the fades' broadcast shape, a numpy bool for scalar fades."""
     for step in ("_any_past", "_iota"):  # the steps that read the trials
-        monkeypatch.setattr(model, step, None)
+        monkeypatch.setattr(mc, step, None)
     duplex = "hd" if fade.w is None else "fd"
     decided = [s for s in ALL_SCENARIOS  # DF at cth 0 reads its trials
                if s.duplex == duplex and (cth > 0 or s.relay == "af")]

@@ -13,11 +13,10 @@ import pytest
 
 import ehrelay.montecarlo as mc
 from conftest import curve_rows, subset
-from ehrelay import cli, model
+from ehrelay import cli
 from ehrelay.lognormal import ChannelSpec, sample_sq_gain
-from ehrelay.model import (FadeRangeError, FadeSample, OutageEstimate, Scenario, SystemConfig,
-                           outage_indicator)
-from ehrelay.montecarlo import McPlan, estimate_outage
+from ehrelay.model import FadeRangeError, FadeSample, OutageEstimate, Scenario, SystemConfig
+from ehrelay.montecarlo import McPlan, estimate_outage, outage_indicator
 
 CFG = SystemConfig()
 TSR = Scenario("hd", "df", "tsr", tau=0.5)
@@ -404,14 +403,14 @@ def test_over_budget_plan_computes_reciprocals_for_af_rows_only(monkeypatch, bud
     none. Where the memo keeps only HD fades, an FD fade over budget shares
     its HD fade's kept reciprocals, and no row computes any."""
     monkeypatch.setattr(mc, "_KEPT_BYTES", 0 if budget == "none" else 8 * SHORT_LAST.trials * 2)
-    computed, reciprocal = [], model._reciprocal
+    computed, reciprocal = [], mc._reciprocal
 
     def counted(kept, gains, out):
         if kept is None:
             computed.append(out)
         return reciprocal(kept, gains, out)
 
-    monkeypatch.setattr(model, "_reciprocal", counted)
+    monkeypatch.setattr(mc, "_reciprocal", counted)
     entries, block_fade = [], mc._block_fade
     monkeypatch.setattr(mc, "_block_fade",
                         lambda *args: entries.append(block_fade(*args)) or entries[-1])
@@ -462,8 +461,8 @@ def test_kept_fades_get_reciprocals_from_their_first_af_row(monkeypatch):
     reciprocals 1/x and 1/z; the first AF row to read a kept fade attaches
     them, read-only, to its HD fade, which every FD fade extending it shares,
     and no AF row computes them into its thread's arrays."""
-    computed, reciprocal = [], model._reciprocal
-    monkeypatch.setattr(model, "_reciprocal", lambda kept, gains, out: (
+    computed, reciprocal = [], mc._reciprocal
+    monkeypatch.setattr(mc, "_reciprocal", lambda kept, gains, out: (
         kept is None and computed.append(out)) or reciprocal(kept, gains, out))
     points = _selftest_batch()
     for point in points:
@@ -742,19 +741,19 @@ def test_memo_stays_within_budget(monkeypatch, draws):
 
 def deciding_on(monkeypatch, mark):
     """Patch the two steps that read a block's trials, DF's compare on the gains
-    (model._any_past) and AF's iota (model._iota), to call mark(scenario) first."""
-    any_past, iota = model._any_past, model._iota
-    monkeypatch.setattr(model, "_any_past",
+    (mc._any_past) and AF's iota (mc._iota), to call mark(scenario) first."""
+    any_past, iota = mc._any_past, mc._iota
+    monkeypatch.setattr(mc, "_any_past",
                         lambda duplex, *args: mark(f"{duplex}-df") or any_past(duplex, *args))
-    monkeypatch.setattr(model, "_iota",
+    monkeypatch.setattr(mc, "_iota",
                         lambda duplex, *args: mark(f"{duplex}-af") or iota(duplex, *args))
 
 
 def test_selftest_decides_its_saturated_blocks_at_the_edge(monkeypatch, capsys):
     """`selftest --trials 131072 --seed 1` decides 148 blocks of 65,536 trials,
     and 54 of them lie wholly past the certain-outage edge: those come back all
-    in outage without a look at their trials (neither model._any_past nor
-    model._iota runs). The count is a function of the seed alone."""
+    in outage without a look at their trials (neither mc._any_past nor
+    mc._iota runs). The count is a function of the seed alone."""
     at_edge = []
     indicator = mc.outage_indicator
 

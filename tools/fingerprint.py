@@ -21,9 +21,9 @@ Each line is a name and the SHA-256 of that result's bytes:
 - estimate_outage: eight MC estimates (one per variant) at 2^17 trials;
 - estimate_outage_pairs: the MC estimate of every pair of the batch at
   10^4 trials, one block each;
-- snr_pair: `model.snr_pair` per variant on 4,096 seeded fades and on
+- snr_pair: `montecarlo.snr_pair` per variant on 4,096 seeded fades and on
   one scalar fade: DF's destination SNR is `a*(x*y)`, AF's `1/(beta*iota)`
-  (see `model._inverse_form`);
+  (see `montecarlo._inverse_form`);
 - mc_memo: the stdout of MEMO_RUNS, one after the other in this process,
   which read and fill its memo of block fades: a kept plan cold and then
   warm on the pool, a plan whose FD fades evict each other, an FD plan over
@@ -57,8 +57,8 @@ from ehrelay import cli
 from ehrelay.analytic import outages
 from ehrelay.grids import SWEEP_AXES, axis_curve, base_scenario
 from ehrelay.lognormal import ChannelSpec, sample_sq_gain
-from ehrelay.model import Columns, FadeSample, Scenario, SystemConfig, snr_pair
-from ehrelay.montecarlo import McPlan, estimate_outage
+from ehrelay.model import Columns, FadeSample, Scenario, SystemConfig
+from ehrelay.montecarlo import McPlan, estimate_outage, snr_pair
 from ehrelay.optimize import minimize_many
 
 LABELS = ("hd-df-tsr", "hd-df-psr", "hd-df-irr", "hd-af-tsr", "hd-af-psr", "hd-af-irr",
