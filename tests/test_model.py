@@ -1,9 +1,11 @@
 """Link-model formulas: frozen hand-substituted values and invariants."""
 
+import ast
 import itertools
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 import ehrelay.montecarlo as mc
 from conftest import curve_rows
-from ehrelay import grids
+from ehrelay import grids, model
 from ehrelay.lognormal import sample_sq_gain
 from ehrelay.model import (
     FadeSample,
@@ -582,3 +584,20 @@ def test_coefficient_helpers_take_columns_bit_for_bit(label):
     for got, want in zip(columns, zip(*(coefficients(c, s) for c, s in rows)), strict=True):
         got = np.broadcast_to(np.asarray(got, float), n)  # share = 1, DF's b = 0 and c = 1
         assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_link_model_imports_no_ehrelay_module_but_lognormal():
+    # the shared link model stays a leaf of the package, so that it can be tested and
+    # mutated on its own: it reads the channel model and nothing that builds on it
+    imported = set()
+    for node in ast.walk(ast.parse(Path(model.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = "ehrelay." * bool(node.level) + (node.module or "")
+            names = ([f"ehrelay.{a.name}" for a in node.names] if module.rstrip(".") == "ehrelay"
+                     else [module])
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        imported |= {n.split(".")[1] for n in names if n.startswith("ehrelay.")}
+    assert imported == {"lognormal"}
