@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,11 @@ def axis_curve(cfg: SystemConfig, base: Scenario, axis: str, values, name: str =
     Curve.row)."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    curve = Curve(name or base.label(), axis, tuple(values), cfg, base, total, optimize)
+    values = tuple(values)
+    for value in values:  # numpy would read "2" as 2.0 and build an unchecked row
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{axis} values must be real numbers, got {value!r}")
+    curve = Curve(name or base.label(), axis, values, cfg, base, total, optimize)
     if not curve.valid():
         for i in range(len(curve.values)):
             curve.row(i)

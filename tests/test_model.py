@@ -550,6 +550,14 @@ def test_curve_check_agrees_with_its_rows(case):
             assert pairs == tuple(curve.row(i) for i in range(len(chosen)))
 
 
+@pytest.mark.parametrize("value", ["2", "x", None])
+def test_axis_curve_rejects_a_value_that_is_not_a_number(value):
+    for axis in grids.SWEEP_AXES:
+        with pytest.raises(ValueError) as raised:
+            grids.axis_curve(CFG, hd("df", "tsr", tau=0.5), axis, [0.5, value])
+        assert str(raised.value) == f"{axis} values must be real numbers, got {value!r}"
+
+
 def coefficients(cfg, s):
     """threshold_snr, relay_budget and snr_coefficients (no k1 for HD-AF): the
     numbers the analytic path reads off columns."""
