@@ -252,36 +252,83 @@ def random_link(rng, label):
     return cfg, Scenario.from_label(label, tau=param, rho=param, pc_fraction=pc)
 
 
+def edge_trials(cfg, scenario, rng):
+    """(x, y, w) of trials pinned at the link's certain-outage edges and the
+    floats either side: a DF relay gain at its edge and one float either side,
+    with the other gains at 1e154 (x*y stays finite), and a product x*y at the
+    product edge and two floats either side (pinned_gains); AF trials whose
+    iota runs through its edge (edge_window)."""
+    coefficients = model.snr_coefficients(cfg, scenario)
+    cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+    if scenario.relay == "af":
+        beta = mc._inverse_form(scenario.duplex, *coefficients)[0]
+        edge = mc._inverse_edge(beta, cut) if cut > 0 and 0 < beta < math.inf else math.inf
+        return edge_window(scenario, coefficients, edge, rng) if edge < math.inf else []
+    relay_edge = mc._relay_edge(scenario.duplex, coefficients[0], cut)
+    pinned = pinned_gains(scenario.duplex, relay_edge, mc._relay_edge("hd", coefficients[1], cut))
+    at = int(np.float64(relay_edge).view(np.int64))
+    gain = np.arange(at - 1, at + 2).view(np.float64)
+    gain = gain[(gain > 0) & (gain < math.inf)]
+    other = np.full(gain.size, 1e154)
+    relay = (gain, other, other) if scenario.duplex == "hd" else (other, other, gain)
+    return [relay] if pinned is None else [relay, pinned]
+
+
+POSITIVE = st.floats(5e-324, HUGE)
+SUBNORMAL = st.floats(5e-324, TINY, exclude_max=True)
+EXTREME_TRIALS = st.lists(st.one_of(  # (x, y, w) at the ends of the float range
+    st.tuples(SUBNORMAL, POSITIVE, POSITIVE), st.tuples(POSITIVE, SUBNORMAL, POSITIVE),
+    st.tuples(POSITIVE, POSITIVE, SUBNORMAL),
+    st.tuples(st.floats(2.0**512, HUGE), st.floats(2.0**512, HUGE), POSITIVE),  # x*y overflows
+    st.tuples(st.floats(5e-324, 2.0**-538), st.floats(5e-324, 2.0**-538), POSITIVE),  # x*y is 0
+    st.tuples(POSITIVE, POSITIVE, st.floats(2.0**1023, HUGE))), min_size=1, max_size=6)
+
+
 @pytest.mark.parametrize("label", LABELS)
-def test_indicator_flags_the_weaker_snr_below_the_cutoff(monkeypatch, label):
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(extremes=EXTREME_TRIALS)
+@example(extremes=[(5e-324, 1.0, 1.0), (1.0, 1e-310, 1e-310), (1e200, 1e200, 1.0),
+                   (1e-200, 1e-200, 1.0), (1.0, 1.0, HUGE)])
+def test_indicator_flags_the_weaker_snr_below_the_cutoff(label, extremes):
     """outage_indicator is min(snr_pair) < snr_cutoff trial by trial, over
     random links, on blocks of 64 fades and on scalar fades. Some blocks lie
     wholly past the edge and are decided from their extreme gains, some DF
     blocks have no trial past the relay edge and skip the compare on the gain,
-    and the other AF blocks compare every trial's iota with the edge."""
+    and the other AF blocks compare every trial's iota with the edge. Two more
+    blocks per link add to its drawn fades trials pinned at its edges
+    (edge_trials), and the drawn `extremes`: subnormal gains, an x*y that
+    overflows or underflows, and a w for which the last link's FD k1 + w
+    overflows (tau = 2**-1023, so k1 = 2**1023)."""
     past, some, computed, whole = [], [], [], set()
     past_edge, any_past, iota = mc._past_edge, mc._any_past, mc._iota
-    monkeypatch.setattr(mc, "_past_edge", lambda *args: past.append(past_edge(*args)) or past[-1])
-    monkeypatch.setattr(mc, "_any_past", lambda *args: some.append(any_past(*args)) or some[-1])
-    monkeypatch.setattr(mc, "_iota", lambda *args: computed.append(True) or iota(*args))
-    rng = np.random.default_rng(73)
-    for _ in range(150):
-        cfg, scenario = random_link(rng, label)
-        gains = [sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg)]
-        if scenario.duplex == "hd":
-            gains[2] = None
-        scalars = [None if g is None else float(g[0]) for g in gains]
-        cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
-        for fade in (FadeSample(*gains), FadeSample(*scalars)):
-            gamma_r, gamma_d = snr_pair(cfg, scenario, fade)
-            weaker = gamma_d if gamma_r is None else np.minimum(gamma_r, gamma_d)
-            want = weaker < cut
-            computed.clear()
-            got = outage_indicator(cfg, scenario, fade)
-            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
-            if "-af-" in label and cut > 0 and np.ndim(got):
-                whole.add(not computed)
-                assert computed or got.all()
+    rng, pin_rng = np.random.default_rng(73), np.random.default_rng(74)
+    with mock.patch.multiple(mc, _past_edge=lambda *args: past.append(past_edge(*args)) or past[-1],
+                             _any_past=lambda *args: some.append(any_past(*args)) or some[-1],
+                             _iota=lambda *args: computed.append(True) or iota(*args)):
+        for n in range(151):
+            cfg, scenario = random_link(rng, label)
+            if n == 150:
+                cfg, scenario = CFG, Scenario.from_label(label, tau=2.0**-1023, rho=2.0**-1023)
+            fd = scenario.duplex == "fd"
+            x, y, w = (sample_sq_gain(ch, rng, 64) for ch in (cfg.ch1, cfg.ch2, cfg.chg))
+            fades = [FadeSample(x, y, w if fd else None),
+                     FadeSample(float(x[0]), float(y[0]), float(w[0]) if fd else None)]
+            for trials in (edge_trials(cfg, scenario, pin_rng), [np.transpose(extremes)]):
+                gains = [np.concatenate(g) for g in zip((x, y, w), *trials)]
+                fades.append(FadeSample(gains[0], gains[1], gains[2] if fd else None))
+            cut = snr_cutoff(capacity_prefactor(scenario), cfg.cth)
+            for i, fade in enumerate(fades):
+                # the reference SNRs of the added trials, and k1/w at k1 = 2**1023, may overflow
+                with np.errstate(all="ignore" if i >= 2 or n == 150 else None):
+                    gamma_r, gamma_d = snr_pair(cfg, scenario, fade)
+                weaker = gamma_d if gamma_r is None else np.minimum(gamma_r, gamma_d)
+                want = weaker < cut
+                computed.clear()
+                got = outage_indicator(cfg, scenario, fade)
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (cfg, scenario)
+                if "-af-" in label and cut > 0 and np.ndim(got):
+                    whole.add(not computed)
+                    assert computed or got.all()
     if "-df-" in label:
         assert any(past) and not all(some)
     else:
