@@ -13,8 +13,7 @@ gains all lie past the certain-outage edge (see outage_indicator) is
 decided from its gains' extremes alone, a DF trial by comparing its gain
 and its product x*y with exact edges, and an AF trial by comparing the sum
 iota of its inverse SNR 1/(beta*iota) (see _inverse_form) with an exact
-edge; no SNR is computed. snr_pair and capacities give a fade's SNRs and
-capacities from the link model's coefficients (model.snr_coefficients).
+edge; snr_pair, which computes the SNRs, is the reference.
 
 Rows of a dataset share their fades, with their products x*y and, once an
 AF row reads them, the reciprocals 1/x and 1/(x*y), through one read-only
