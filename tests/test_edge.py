@@ -325,7 +325,8 @@ def test_indicator_flags_the_weaker_snr_below_the_cutoff(label, extremes):
                 want = weaker < cut
                 computed.clear()
                 got = outage_indicator(cfg, scenario, fade)
-                assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (cfg, scenario)
+                assert np.shape(got) == np.shape(want), (cfg, scenario)
+                assert np.array_equal(got, want), (cfg, scenario)
                 if "-af-" in label and cut > 0 and np.ndim(got):
                     whole.add(not computed)
                     assert computed or got.all()
