@@ -152,7 +152,7 @@ def run_points(curves, plan, threads, mc_rows=None) -> tuple[list[Row], list[str
     """The curves' rows in order (analytic values from one `outages` and one `minimize_many`
     call over the curves' columns) and dataset notes: one names every optimize row that fell
     back to the dense grid. With a `plan`, each of the first `mc_rows` rows (all by default)
-    makes one `estimate_outage` call at `plan` on its pair (see Curve.pairs; at its optimum for
+    makes one `estimate_outage` call at `plan` on its pair (see Curve.pair; at its optimum for
     an optimize row), so rows share their fades through the process's read-only memo of whole
     block fades, one per (block, channels) (see montecarlo._block_fade)."""
     plain = iter(outages([c.columns() for c in curves if not c.optimize]).tolist())
@@ -169,7 +169,7 @@ def run_points(curves, plan, threads, mc_rows=None) -> tuple[list[Row], list[str
                 value = next(plain)
             mc = ()
             if plan is not None and (mc_rows is None or len(rows) < mc_rows):
-                cfg, scenario = curve.pairs[i]
+                cfg, scenario = curve.pair(i)
                 if curve.optimize:
                     scenario = scenario.with_eh_param(result.arg_opt)
                 est = estimate_outage(cfg, scenario, plan, threads=threads)

@@ -6,7 +6,6 @@ ValueError naming its axis; callers add where it came from."""
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -70,12 +69,10 @@ class Curve:
             return False
         return Columns(self.cfg, self.scenario, self.fields(values), values.size).valid()
 
-    @functools.cached_property
-    def pairs(self) -> tuple:
-        """Every row as its (cfg, scenario) pair, built once and not checked
-        again: axis_curve has checked the curve (a curve on axis none is its
-        base pair)."""
-        return tuple(self._pair(value, updated) for value in self.values)
+    def pair(self, i: int) -> tuple[SystemConfig, Scenario]:
+        """Row i as its (cfg, scenario) pair, not checked again: axis_curve has
+        checked the curve (a curve on axis none is its base pair)."""
+        return self._pair(self.values[i], updated)
 
     def row(self, i: int) -> tuple[SystemConfig, Scenario]:
         """Row i as a (cfg, scenario) pair, each checked by its class."""

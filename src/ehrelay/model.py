@@ -16,7 +16,7 @@ capacities and outage decisions are the Monte Carlo path's (montecarlo).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import InitVar, dataclass, field, is_dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,8 +132,8 @@ class Columns:
     @classmethod
     def concat(cls, sets) -> "Columns":
         """The rows of `sets`, all of one variant, in order, on the first set's
-        base pair: a field stays one float where every set has that float, bit
-        for bit."""
+        base pair: a field stays one float only where no set changes it and
+        the base pairs share it; else it is a float64 column."""
         if len(sets) == 1:
             return sets[0]
         first = sets[0]
@@ -146,11 +146,8 @@ class Columns:
             values = [s.value(name) for s in sets]
             if not isinstance(values[0], (float, np.ndarray)):
                 continue  # the variant's str or None
-            if all(type(v) is float for v in values) and len({v.hex() for v in values}) == 1:
-                changes[name] = values[0]
-            else:
-                changes[name] = np.concatenate([np.full(s.size, v) if type(v) is float else v
-                                                for v, s in zip(values, sets)])
+            changes[name] = np.concatenate([np.full(s.size, v) if type(v) is float else v
+                                            for v, s in zip(values, sets)])
         return cls(first.cfg, first.scenario, changes, sum(s.size for s in sets))
 
     def take(self, rows) -> "Columns":
@@ -321,22 +318,23 @@ class FadeRangeError(ValueError):
 @dataclass(frozen=True)
 class FadeSample:
     """One joint realization of squared gains (arrays allowed): x = h1^2,
-    y = h2^2 and, for full-duplex, the loop-back gain w = g^2; z is x*y,
-    computed here when None. rx and rz are 1/x and 1/z, which an AF SNR
-    reads; when None they are not computed here but by the AF SNR that needs
-    them (so a replace() of x or y passes z, rx and rz as None). The Monte
-    Carlo memo attaches them to a fade it keeps when an AF row first reads it.
-    `extremes` maps each gain's name to its (min, max) from the checks."""
+    y = h2^2 and, for full-duplex, the loop-back gain w = g^2. z is x*y,
+    computed from the gains unless the Monte Carlo draw passes the product it
+    holds as _product, so a replace() of x or y gets its own. rx and rz, 1/x
+    and 1/z for an AF SNR, are None but where the Monte Carlo memo has set
+    them on a fade it keeps. `extremes` maps each gain's name to its (min,
+    max) from the checks."""
 
     x: object
     y: object
     w: object = None
-    z: object = field(default=None, repr=False, compare=False)
-    rx: object = field(default=None, repr=False, compare=False)
-    rz: object = field(default=None, repr=False, compare=False)
+    _product: InitVar[object] = None
+    z: object = field(init=False, repr=False, compare=False)
+    rx: object = field(default=None, init=False, repr=False, compare=False)
+    rz: object = field(default=None, init=False, repr=False, compare=False)
     extremes: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _product):
         # two reductions per channel and no temporary; a NaN minimum fails too
         extremes = {}
         for name in ("x", "y") if self.w is None else ("x", "y", "w"):
@@ -349,9 +347,10 @@ class FadeSample:
                 raise FadeRangeError(name, "finite")
             extremes[name] = low, high
         object.__setattr__(self, "extremes", extremes)
-        if self.z is None:
+        if _product is None:
             with np.errstate(over="ignore"):  # an x*y that overflows: see montecarlo._product_snr
-                object.__setattr__(self, "z", np.multiply(self.x, self.y))
+                _product = np.multiply(self.x, self.y)
+        object.__setattr__(self, "z", _product)
 
 
 def hop_losses(cfg: SystemConfig) -> tuple[float, float]:

@@ -415,7 +415,7 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
            for slot, ch in enumerate(channels) if slot >= len(old)]
     with np.errstate(all="ignore"):  # silent, as in FadeSample, which checks the gains
         z = hd[1].z if hd else np.multiply(*new, out=None if keep else _thread_array("z", size))
-    entry = (rng.bit_generator.state, FadeSample(*old, *new, z=z))
+    entry = (rng.bit_generator.state, FadeSample(*old, *new, _product=z))
     if not keep:
         return entry
     for arr in (*new, z):

@@ -13,7 +13,7 @@ from ehrelay.analytic import _reduce, outage, outages
 from ehrelay.cli import run_points
 from ehrelay.grids import FIGURE_PRESETS, axis_curve, boundary_points, selftest_points
 from ehrelay.lognormal import XI, ChannelSpec, product_ccdf, sq_gain_cdf
-from ehrelay.model import (Columns, Scenario, SystemConfig, flat_fields, relay_budget,
+from ehrelay.model import (Columns, Scenario, SystemConfig, flat_fields, relay_budget, replaced,
                            snr_coefficients, threshold_snr)
 from ehrelay.montecarlo import McPlan, estimate_outage
 
@@ -573,6 +573,22 @@ def column_bits(sets):
     return {name: value if value is None or isinstance(value, str)
             else np.broadcast_to(np.asarray(value, float), joined.size).view(np.uint64).tolist()
             for name, value in values.items()}
+
+
+def test_join_of_equal_but_distinct_floats_keeps_each_sets_outages():
+    # the two base pairs hold ps_watts as equal floats that are not one object:
+    # the join makes it a column of that value, and each row keeps its bits
+    cfg = replaced(CFG, ps_watts=float("2.5"))
+    twin = replaced(cfg, ps_watts=float("2.5"))
+    assert twin.ps_watts == cfg.ps_watts and twin.ps_watts is not cfg.ps_watts
+    base = Scenario.from_label("hd-af-tsr", tau=0.5)
+    sets = [axis_curve(c, base, "tau", values).columns()
+            for c, values in ((cfg, [0.1, 0.4]), (twin, [0.3, 0.8, 0.95]))]
+    joined = Columns.concat(sets)
+    assert isinstance(joined.value("system.ps_watts"), np.ndarray)
+    got = outages([joined])
+    alone = np.concatenate([outages([s]) for s in sets])
+    assert got.tobytes() == alone.tobytes()
 
 
 def row_columns(curve, repeat=1):

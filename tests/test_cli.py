@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
@@ -202,6 +203,19 @@ class TestConfigFile:
         assert run(["point", "--config", str(cfg), "--no-mc"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: cannot read config file {cfg}: ")
 
+    @pytest.mark.parametrize("args,config,message", [
+        (["--override", "x"], None, "--override 'x': expected key=value"),
+        (["--scenario", "hd-df"], None, "--scenario 'hd-df': expected duplex-relay-eh"),
+        ([], "scenario.eh = tsr-x\n",
+         "scenario: scenario label must look like 'hd-df-tsr', got 'hd-df-tsr-x'"),
+    ], ids=["override", "scenario-flag", "scenario-label"])
+    def test_malformed_setting_exit_line(self, args, config, message, tmp_path, capsys):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            args = [*args, "--config", str(tmp_path / "run.cfg")]
+        assert run(["point", "--no-mc", *args]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
 
 class TestSweep:
     def test_tau_sweep_rows(self, tmp_path):
@@ -339,6 +353,29 @@ class TestOptimize:
 
     def test_irr_rejected(self, capsys):
         assert run(["optimize", "--scenario", "hd-df-irr"]) == EXIT_CONFIG
+
+    def test_writes_the_printed_optimum(self, tmp_path, capsys):
+        out = tmp_path / "opt.csv"
+        assert run(["optimize", "--scenario", "hd-df-tsr", "--out", str(out)]) == EXIT_OK
+        printed = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines())
+        label, axis, arg, value, *mc = out.read_text().splitlines()[-1].split(",")
+        assert (label, axis, mc) == ("hd-df-tsr", "tau", ["", "", "", ""])
+        assert f"{float(arg):.6f}" == printed["optimal tau"]
+        assert f"{float(value):.9g}" == printed["outage at optimum"]
+
+    def test_json_row_has_no_mc(self, tmp_path, capsys):
+        out = tmp_path / "opt.json"
+        assert run(["optimize", "--scenario", "hd-af-psr", "--format", "json",
+                    "--out", str(out)]) == EXIT_OK
+        (row,) = json.loads(out.read_text())["rows"]
+        assert (row["scenario"], row["axis"], row["mc"]) == ("hd-af-psr", "rho", None)
+
+    def test_non_unimodal_warning(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "minimize_over_eh_param", lambda *args, **kwargs: opt.OptResult(
+            0.3, 0.1, 40, 1e-4, non_unimodal=True))
+        assert run(["optimize", "--scenario", "hd-df-tsr"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(
+            "\nwarning: multiple grid minima seen; dense-scan fallback used\n")
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-300"])
     def test_bad_tolerance_rejected(self, tol):
@@ -535,6 +572,13 @@ def test_run_that_fails_leaves_an_existing_output_file_alone(tmp_path, capsys):
     code = run(["point", "--no-mc", "--tau", "2", "--out", str(out)])
     assert code == EXIT_CONFIG and "tau" in capsys.readouterr().err
     assert out.read_text() == "earlier dataset\n"
+
+
+def test_emit_to_a_missing_directory_names_output_path(tmp_path):
+    out = tmp_path / "missing" / "out.csv"
+    settings = {**default_settings(), "output.path": str(out)}
+    with pytest.raises(cli.ConfigError, match=f"^output.path: cannot write {re.escape(str(out))}: "):
+        cli.emit(settings, [Row("hd-df-irr", "none", 0.0, 0.5)], [])
 
 
 class Evaluated(Exception):

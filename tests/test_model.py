@@ -253,6 +253,29 @@ def test_vector_indicator_matches_scalar_calls(s):
     assert np.array_equal(vec, end_to_end < cfg.cth)
 
 
+@pytest.mark.parametrize("s", ALL_SCENARIOS, ids=Scenario.label)
+def test_replaced_fade_has_the_products_of_its_gains(s):
+    # replace passes only the gains: z is the new x*y and the reciprocals are
+    # unset, not those of the old fade, which the memo had given them
+    rng = np.random.default_rng(61)
+    old = FadeSample(*(1e-3 * rng.uniform(0.5, 2.0, (3, 50))))
+    object.__setattr__(old, "rz", 1.0 / old.z)  # as montecarlo._attach_reciprocals does
+    object.__setattr__(old, "rx", 1.0 / old.x)
+    x, y = 1e3 * rng.uniform(0.5, 2.0, (2, 50))
+    new, fresh = replace(old, x=x, y=y), FadeSample(x, y, old.w)
+    assert new.z.tobytes() == (x * y).tobytes()
+    assert new.rx is None and new.rz is None
+    assert np.array_equal(outage_indicator(CFG, s, new), outage_indicator(CFG, s, fresh))
+    for got, want in zip(snr_pair(CFG, s, new), snr_pair(CFG, s, fresh)):
+        assert got is want is None or got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("derived", ["z", "rx", "rz"])
+def test_fade_sample_takes_only_its_gains(derived):
+    with pytest.raises(TypeError):
+        FadeSample(1.0, 2.0, **{derived: 2.0})
+
+
 def test_indicator_leaves_fades_unchanged():
     fades = sample_fades(np.random.default_rng(59), 500)
     before = [v.copy() for v in (fades.x, fades.y, fades.w)]
@@ -546,8 +569,9 @@ def test_curve_check_agrees_with_its_rows(case):
                 grids.axis_curve(cfg, base, axis, chosen, total=total)
             assert str(raised.value) == errors[0]
         else:  # built unchecked, each pair equals its checked row
-            pairs = grids.axis_curve(cfg, base, axis, chosen, total=total).pairs
-            assert pairs == tuple(curve.row(i) for i in range(len(chosen)))
+            built = grids.axis_curve(cfg, base, axis, chosen, total=total)
+            assert [built.pair(i) for i in range(len(chosen))] == \
+                [curve.row(i) for i in range(len(chosen))]
 
 
 @pytest.mark.parametrize("value", ["2", "x", None])
