@@ -64,8 +64,9 @@ def _reduce(columns: Columns):
     = X*Y < v/a, independently of W, and the others integrate _threshold."""
     cfg, scenario = columns.pair()
 
-    def rows(*values):  # a shared value broadcast to a column
-        return [np.full(columns.size, x) if np.ndim(x) == 0 else x for x in values]
+    def rows(*values):  # a shared value (a float, or np.where's 0-d array) broadcast to a column
+        return [x if isinstance(x, np.ndarray) and x.ndim else np.full(columns.size, x)
+                for x in values]
 
     v = threshold_snr(scenario, cfg.cth)
     settled = (v == 0.0) | np.isinf(v)

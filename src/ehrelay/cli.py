@@ -18,7 +18,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 
 # outage stays importable here: bench/spans.py hooks this name
 from .analytic import outage, outages  # noqa: F401
@@ -46,7 +46,7 @@ def _from_settings(cls, settings: dict, prefix: str):
     """The inverse of model.flat_fields: construct cls from its dotted keys."""
     kwargs = {}
     for f in fields(cls):
-        if is_dataclass(f.default):
+        if hasattr(f.default, "__dataclass_fields__"):  # is_dataclass, without its type test
             kwargs[f.name] = _from_settings(type(f.default), settings, f"{prefix}{f.name}.")
         else:
             kwargs[f.name] = settings[prefix + f.name]
@@ -142,7 +142,9 @@ class Row:
     seed: int | None = None
 
     def csv(self) -> str:
-        return ",".join(fmt_value(value) for value in vars(self).values())
+        # a cell: empty for None, any float (np.float64 too) to 12 significant digits, else str
+        return ",".join(["" if v is None else f"{v:.12g}" if isinstance(v, float) else str(v)
+                         for v in vars(self).values()])
 
 
 CSV_HEADER = ",".join(f.name for f in fields(Row))

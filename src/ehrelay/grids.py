@@ -21,10 +21,12 @@ SWEEP_AXES = ("tau", "rho", "cth", "d1", "sigma_db", "ps", "sigma_g_db")
 AXIS_FIELDS = {"tau": ("scenario.tau",), "rho": ("scenario.rho",), "cth": ("system.cth",),
                "d1": ("system.d1_m",), "sigma_db": ("system.ch1.sigma_db", "system.ch2.sigma_db"),
                "ps": ("system.ps_watts",), "sigma_g_db": ("system.chg.sigma_db",), "none": ()}
+# AXIS_FIELDS split once, each name past its owner: [field], or [field, leaf] for a ChannelSpec's
+_AXIS_PATHS = {axis: [name.split(".")[1:] for name in names] for axis, names in AXIS_FIELDS.items()}
 
 
 def fmt_value(value) -> str:
-    """A curve-name or dataset cell: floats to 12 significant digits, None as empty."""
+    """A value as a dataset cell shows it (see cli.Row.csv): floats to 12 digits, None empty."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -97,10 +99,11 @@ class Curve:
         if self.axis in ("tau", "rho"):  # the one scenario field an axis sets
             return self.cfg, make(self.scenario, **{self.axis: value})
         changes = {}
-        for name, field_value in self.fields(value).items():
-            _, field, *leaf = name.split(".")
-            changes[field] = (make(getattr(self.cfg, field), **{leaf[0]: field_value})
-                              if leaf else field_value)  # a nested ChannelSpec's field
+        for field, *leaf in _AXIS_PATHS[self.axis]:
+            changes[field] = (make(getattr(self.cfg, field), **{leaf[0]: value})
+                              if leaf else value)  # a nested ChannelSpec's field
+        if self.axis == "d1" and self.total is not None:  # as in fields
+            changes["d2_m"] = self.total - value
         return (make(self.cfg, **changes) if changes else self.cfg), self.scenario
 
 
@@ -114,7 +117,7 @@ def axis_curve(cfg: SystemConfig, base: Scenario, axis: str, values, name: str =
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = tuple(values)
     for value in values:  # numpy would read "2" as 2.0 and build an unchecked row
-        if not isinstance(value, numbers.Real):
+        if type(value) is not float and not isinstance(value, numbers.Real):
             raise ValueError(f"{axis} values must be real numbers, got {value!r}")
     curve = Curve(name or base.label(), axis, values, cfg, base, total, optimize)
     if not curve.valid():

@@ -58,7 +58,9 @@ def elementwise(fn, *args):
     erfc, non-integer powers) goes through here, so that an array gives bit
     for bit the floats its elements give alone: numpy's SIMD log, power and
     hypot differ from libm in the last bit on some inputs."""
-    array = args[0] if isinstance(args[0], np.ndarray) else args[-1]  # callers pass 1 or 2 args
+    if type(args[0]) is float is type(args[-1]):  # the common call, all floats (1 or 2 args)
+        return fn(*args)
+    array = args[0] if isinstance(args[0], np.ndarray) else args[-1]
     if not isinstance(array, np.ndarray):
         return fn(*args)
     flat = [a.ravel().tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)

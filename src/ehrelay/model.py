@@ -16,7 +16,7 @@ capacities and outage decisions are the Monte Carlo path's (montecarlo).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, is_dataclass
+from dataclasses import InitVar, dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,7 +98,7 @@ def flat_fields(obj, prefix: str = "") -> dict:
     nested instance adds a name level (ch1.mu_db)."""
     out = {}
     for name, value in vars(obj).items():
-        if is_dataclass(value):
+        if hasattr(value, "__dataclass_fields__"):  # is_dataclass, without its type test
             out.update(flat_fields(value, f"{prefix}{name}."))
         else:
             out[prefix + name] = value
@@ -202,8 +202,8 @@ def _differing(a, b, prefix: str) -> set:
     for name, value in ([] if a is b else vars(a).items()):
         other = vars(b)[name]
         if value is not other:
-            names |= (_differing(value, other, f"{prefix}{name}.") if is_dataclass(value)
-                      else {prefix + name})
+            names |= (_differing(value, other, f"{prefix}{name}.")
+                      if hasattr(value, "__dataclass_fields__") else {prefix + name})
     return names
 
 

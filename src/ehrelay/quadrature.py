@@ -109,14 +109,15 @@ def integrate_normal_batch(f, lo, hi, atol=ABS_TOL) -> np.ndarray:
     panels = np.where(active, np.fmax(np.ceil(_PANELS * share), 1.0), 0.0).astype(int)
     k = np.repeat(np.arange(width.size), panels)
     j = np.arange(k.size) - np.repeat(np.cumsum(panels) - panels, panels)  # panel j of integral k
-    a = s_lo[k] + width[k] * j / panels[k]
-    b = np.where(j + 1 < panels[k], s_lo[k] + width[k] * (j + 1) / panels[k], s_hi[k])
-    kept = (a[:0], b[:0], k[:0], a[:0], a[:0])  # panels that stay: a, b, k, value, error
+    start, step, n = s_lo[k], width[k], panels[k]
+    a = start + step * j / n
+    b = np.where(j + 1 < n, start + step * (j + 1) / n, s_hi[k])
+    kept = ()  # after the first round, the panels that stay: a, b, k, value, error
     while a.size:
-        fresh = ((a,), (b,), (k,), *zip(*(
+        fresh = (a, b, k, *map(np.concatenate, zip(*(
             _panel_rule(f, a[i:i + _CHUNK], b[i:i + _CHUNK], k[i:i + _CHUNK])
-            for i in range(0, a.size, _CHUNK))))
-        a, b, k, val, err = (np.concatenate((old, *new)) for old, new in zip(kept, fresh))
+            for i in range(0, a.size, _CHUNK)))))
+        a, b, k, val, err = map(np.concatenate, zip(kept, fresh)) if kept else fresh
         est = np.bincount(k, val, total.size)
         tol = np.maximum(atol, REL_TOL * np.abs(est))
         bad = ~(err <= tol[k] * (b - a) / width[k])  # a NaN error is never good
@@ -133,8 +134,9 @@ def integrate_normal_batch(f, lo, hi, atol=ABS_TOL) -> np.ndarray:
                 f"integral over s in [{s_lo[i]:.6g}, {s_hi[i]:.6g}] did not converge: "
                 f"error above tolerance {tol[i]:.3g} at the cap of {MAX_SUBDIVISIONS} subdivisions")
         panels += n_bad
-        kept = tuple(x[active[k] & ~bad] for x in (a, b, k, val, err))
-        split = active[k] & bad
+        live = active[k]
+        kept = tuple(x[live & ~bad] for x in (a, b, k, val, err))
+        split = live & bad
         a, b, k, mid = a[split], b[split], k[split], 0.5 * (a[split] + b[split])
         a, b, k = np.concatenate((a, mid)), np.concatenate((mid, b)), np.tile(k, 2)
     return total

@@ -745,6 +745,10 @@ def test_csv_header_matches_json_row_keys():
     row = Row("hd-df-tsr", "tau", 0.5, 0.25, 0.26, 0.01, 10000, 7)
     assert CSV_HEADER.split(",") == list(asdict(row))
     assert row.csv() == "hd-df-tsr,tau,0.5,0.25,0.26,0.01,10000,7"
+    # a column with no value is an empty cell; any float, np.float64 too, has 12 digits
+    assert Row("hd-df-irr", "none", 0.0, 1 / 3).csv() == "hd-df-irr,none,0,0.333333333333,,,,"
+    value = np.float64(0.1) + 0.2  # 0.30000000000000004
+    assert Row("hd-df-tsr", "tau", value, value).csv() == "hd-df-tsr,tau,0.3,0.3,,,,"
 
 
 def test_selftest_grid_covers_eight_scenarios():

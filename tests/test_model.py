@@ -572,6 +572,25 @@ def test_curve_check_agrees_with_its_rows(case):
             built = grids.axis_curve(cfg, base, axis, chosen, total=total)
             assert [built.pair(i) for i in range(len(chosen))] == \
                 [curve.row(i) for i in range(len(chosen))]
+            assert [built.pair(i) for i in range(len(chosen))] == \
+                [replaced_pair(cfg, base, axis, value, total) for value in chosen]
+
+
+def replaced_pair(cfg, scenario, axis, value, total):
+    """(cfg, scenario) with every field grids.AXIS_FIELDS names for `axis` set
+    to `value` by dataclasses.replace, a nested ChannelSpec's too, and d2_m
+    set to total - value on a d1 curve with a total: the row built
+    independently of grids.Curve."""
+    objs = {"system": cfg, "scenario": scenario}
+    names = dict.fromkeys(grids.AXIS_FIELDS[axis], value)
+    if axis == "d1" and total is not None:
+        names["system.d2_m"] = total - value
+    for name, field_value in names.items():
+        owner, field, *leaf = name.split(".")
+        if leaf:
+            field_value = replace(getattr(objs[owner], field), **{leaf[0]: field_value})
+        objs[owner] = replace(objs[owner], **{field: field_value})
+    return objs["system"], objs["scenario"]
 
 
 @pytest.mark.parametrize("value", ["2", "x", None])
