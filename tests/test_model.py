@@ -570,10 +570,9 @@ def test_curve_check_agrees_with_its_rows(case):
             assert str(raised.value) == errors[0]
         else:  # built unchecked, each pair equals its checked row
             built = grids.axis_curve(cfg, base, axis, chosen, total=total)
-            assert [built.pair(i) for i in range(len(chosen))] == \
-                [curve.row(i) for i in range(len(chosen))]
-            assert [built.pair(i) for i in range(len(chosen))] == \
-                [replaced_pair(cfg, base, axis, value, total) for value in chosen]
+            pairs = [built.pair(i) for i in range(len(chosen))]
+            assert pairs == [curve.row(i) for i in range(len(chosen))]
+            assert pairs == [replaced_pair(cfg, base, axis, value, total) for value in chosen]
 
 
 def replaced_pair(cfg, scenario, axis, value, total):
