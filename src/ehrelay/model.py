@@ -318,27 +318,29 @@ class FadeRangeError(ValueError):
 @dataclass(frozen=True)
 class FadeSample:
     """One joint realization of squared gains (arrays allowed): x = h1^2,
-    y = h2^2 and, for full-duplex, the loop-back gain w = g^2. z is x*y,
-    computed from the gains unless the Monte Carlo draw passes the product it
-    holds as _product, so a replace() of x or y gets its own. rx and rz, 1/x
-    and 1/z for an AF SNR, are None but where the Monte Carlo memo has set
-    them on a fade it keeps. `extremes` maps each gain's name to its (min,
-    max) from the checks."""
+    y = h2^2 and, for full-duplex, the loop-back gain w = g^2; a gain that is
+    not floating-point is taken as float64. z = x*y, rx = 1/x and rz = 1/z,
+    which the SNRs read, are computed from the gains unless the Monte Carlo
+    draw passes the arrays it holds as _derived, so a replace() of x or y gets
+    its own. `extremes` maps each gain's name to its (min, max) from the checks."""
 
     x: object
     y: object
     w: object = None
-    _product: InitVar[object] = None
+    _derived: InitVar[tuple] = None
     z: object = field(init=False, repr=False, compare=False)
-    rx: object = field(default=None, init=False, repr=False, compare=False)
-    rz: object = field(default=None, init=False, repr=False, compare=False)
+    rx: object = field(init=False, repr=False, compare=False)
+    rz: object = field(init=False, repr=False, compare=False)
     extremes: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _product):
+    def __post_init__(self, _derived):
         # two reductions per channel and no temporary; a NaN minimum fails too
         extremes = {}
         for name in ("x", "y") if self.w is None else ("x", "y", "w"):
             gains = np.asarray(getattr(self, name))
+            if gains.dtype.kind != "f":  # integers fail min(initial=inf), and x*y would wrap
+                gains = gains.astype(np.float64)
+                object.__setattr__(self, name, gains[()])
             low = float(gains.min(initial=np.inf))
             if not low > 0:
                 raise FadeRangeError(name, "strictly positive")
@@ -347,10 +349,13 @@ class FadeSample:
                 raise FadeRangeError(name, "finite")
             extremes[name] = low, high
         object.__setattr__(self, "extremes", extremes)
-        if _product is None:
-            with np.errstate(over="ignore"):  # an x*y that overflows: see montecarlo._product_snr
-                _product = np.multiply(self.x, self.y)
-        object.__setattr__(self, "z", _product)
+        if _derived is None:
+            # silent where x*y (see montecarlo._product_snr), 1/x or 1/z leaves the range
+            with np.errstate(all="ignore"):
+                z = np.multiply(self.x, self.y)
+                _derived = z, np.divide(1.0, self.x), np.divide(1.0, z)
+        for name, value in zip(("z", "rx", "rz"), _derived):
+            object.__setattr__(self, name, value)
 
 
 def hop_losses(cfg: SystemConfig) -> tuple[float, float]:

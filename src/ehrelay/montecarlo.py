@@ -15,10 +15,10 @@ and its product x*y with exact edges, and an AF trial by comparing the sum
 iota of its inverse SNR 1/(beta*iota) (see _inverse_form) with an exact
 edge; snr_pair, which computes the SNRs, is the reference.
 
-Rows of a dataset share their fades, with their products x*y and, once an
-AF row reads them, the reciprocals 1/x and 1/(x*y), through one read-only
-memo of whole block fades, where an FD fade extends its block's HD fade
-(see _block_fade); a block decides in arrays its thread reuses.
+Rows of a dataset share their fades, with their products x*y and the
+reciprocals 1/x and 1/(x*y), through one memo of whole block fades that are
+never written once kept, where an FD fade extends its block's HD fade (see
+_block_fade); a block decides in arrays its thread reuses.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ def _fade_shape(fade: FadeSample) -> tuple:
     return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
 
 
-def _empty_pair(fade: FadeSample):
-    """Two float64 arrays of the fades' broadcast shape (0-d for scalars)."""
-    shape = _fade_shape(fade)
-    return np.empty(shape), np.empty(shape)
-
-
 def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
     """Relay and destination SNRs (gamma_r, gamma_d); gamma_r is None for AF.
     They are fresh arrays, or numpy scalars for scalar fades; the fade arrays
@@ -63,13 +57,14 @@ def snr_pair(cfg: SystemConfig, scenario: Scenario, fade: FadeSample):
     finite where a*z and its denominator both overflow."""
     _check_fade(scenario, fade)
     coefficients = snr_coefficients(cfg, scenario)
-    r, d = _empty_pair(fade)
+    shape = _fade_shape(fade)
+    r, d = np.empty(shape), np.empty(shape)
     if scenario.relay == "af":
         form = _inverse_form(scenario.duplex, *coefficients)
         beta, k1 = form[0], coefficients[0]
-        with np.errstate(all="ignore"):  # reciprocals, and 1/0 where beta*iota underflows
+        with np.errstate(all="ignore"):  # iota may overflow; 1/0 where beta*iota underflows
             if 0 < beta < math.inf:
-                np.multiply(beta, _iota(scenario.duplex, form, k1, fade, (r, d)), out=d)
+                np.multiply(beta, _iota(scenario.duplex, form, k1, fade, d), out=d)
                 np.divide(1.0, d, out=d)
             else:
                 d.fill(_constant_snr(beta))
@@ -124,32 +119,26 @@ def _constant_snr(beta: float) -> float:
     return 0.0 if beta == math.inf else math.inf
 
 
-def _reciprocal(kept, gains, out):
-    """The kept reciprocals of `gains`, or 1/gains into out."""
-    return kept if kept is not None else np.divide(1.0, gains, out=out)
-
-
-def _iota(duplex: str, form: tuple, k1, fade: FadeSample, scratch):
+def _iota(duplex: str, form: tuple, k1, fade: FadeSample, s):
     """Every trial's iota of `form`, _inverse_form's for k1: a fade array where
-    iota is one gain or reciprocal, else the first scratch array; the second
-    takes the reciprocals a fade does not keep. A sum k1 + w that overflows is
-    held at DBL_MAX, so that it times an rz of 0 (an x*y that overflowed) is 0."""
+    iota is one gain or reciprocal, else the scratch array s. A sum k1 + w that
+    overflows is held at DBL_MAX, so that it times an rz of 0 (an x*y that
+    overflowed) is 0."""
     _, lam, first = form
-    s, t = scratch
     if duplex == "hd":
         if not first:
-            return _reciprocal(fade.rz, fade.z, s)
+            return fade.rz
         if not lam:
-            return _reciprocal(fade.rx, fade.x, s)
-        np.multiply(lam, _reciprocal(fade.rz, fade.z, s), out=s)
-        return np.add(s, _reciprocal(fade.rx, fade.x, t), out=s)
+            return fade.rx
+        np.multiply(lam, fade.rz, out=s)
+        return np.add(s, fade.rx, out=s)
     if first and not lam:
         return fade.w
     k1 = float(k1)
     np.add(k1, fade.w, out=s)
     if k1 + fade.extremes["w"][1] == math.inf:
         np.minimum(s, sys.float_info.max, out=s)
-    np.multiply(s, _reciprocal(fade.rz, fade.z, t), out=s)
+    np.multiply(s, fade.rz, out=s)
     if not first:
         return s
     np.multiply(lam, s, out=s)
@@ -275,9 +264,9 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
     that make it least, a lower bound of every trial's since each operation
     is monotone) is all True without a look at its arrays. Where its
     extreme gains let an operation leave the float range, a block is
-    decided under np.errstate. `scratch` is an optional pair of float64
-    arrays of the fades' shape; without it fresh ones are used. The fade
-    arrays are never written.
+    decided under np.errstate. `scratch` is an optional float64 array of the
+    fades' shape for the block's intermediate values; without it a fresh one
+    is used. The fade arrays are never written.
     """
     _check_fade(scenario, fade)
     duplex = scenario.duplex
@@ -293,7 +282,7 @@ def outage_indicator(cfg: SystemConfig, scenario: Scenario, fade: FadeSample,
         flags = fade.z < _relay_edge("hd", coefficients[1], cut)
     else:  # the errstate is entered here, not by the caller: pool threads do not inherit it
         with np.errstate(all="ignore"):
-            out = _empty_pair(fade)[0] if scratch is None else scratch[0]
+            out = np.empty(_fade_shape(fade)) if scratch is None else scratch
             flags = _product_snr(coefficients[1], fade, out) < cut
     if _any_past(duplex, fade, edge):
         flags |= fade.x < edge if duplex == "hd" else fade.w >= edge
@@ -313,7 +302,7 @@ def _inverse_flags(duplex: str, coefficients, cut: float, fade: FadeSample, scra
     if _iota_at(form, k1, x1, x1 * y1, w0) >= edge:
         return np.ones(_fade_shape(fade), bool)[()]
     if scratch is None:
-        scratch = _empty_pair(fade)
+        scratch = np.empty(_fade_shape(fade))
     # every operation stays in range where the largest iota and FD's k1 + w do
     if _iota_at(form, k1, x0, x0 * y0, w1) < math.inf and (k1 is None or k1 + w1 < math.inf):
         return _iota(duplex, form, k1, fade, scratch) >= edge
@@ -352,20 +341,12 @@ _local = threading.local()
 
 
 def _thread_array(key, size: int) -> np.ndarray:
-    """The calling thread's float64 array under `key`, cut to `size`. It is
-    replaced only when too short, so a run frees no block-sized array."""
+    """The calling thread's float64 array under `key`, cut to `size` (itself when it
+    has that size). It is replaced only when too short, so a run frees no block-sized array."""
     arr = vars(_local).get(key)
     if arr is None or arr.size < size:
         arr = vars(_local)[key] = np.empty(size)
-    return arr[:size]
-
-
-def _scratch(size: int) -> tuple:
-    """The calling thread's two float64 decision arrays, cut to `size`, in one lookup."""
-    pair = vars(_local).get("scratch")
-    if pair is None or pair[0].size < size:
-        pair = vars(_local)["scratch"] = np.empty(size), np.empty(size)
-    return pair if pair[0].size == size else (pair[0][:size], pair[1][:size])
+    return arr if arr.size == size else arr[:size]
 
 
 @functools.cache
@@ -378,12 +359,13 @@ def _pool(threads: int):
 
 # Bytes of gains the memo holds, 8 per trial and slot; only a plan whose gains fit on
 # their own adds to it (HD plans of up to 2**20 trials, FD ones of up to 699,050). Each HD
-# fade also holds its products x*y and, once an AF row reads it, the reciprocals 1/x and
-# 1/(x*y), uncounted, so the memo takes at most 40 MiB.
+# fade also holds its products x*y and reciprocals 1/x and 1/(x*y), uncounted, so the memo
+# takes at most 40 MiB.
 _KEPT_BYTES = 16 << 20
 # (seed, index, size, channels) -> (generator state after the block's last slot, its checked
 # FadeSample). An FD fade's x, y, z, rx and rz are the arrays of the HD entry for
-# channels[:2], which the memo keeps while it keeps the FD one. Kept arrays are read-only; no entry is replaced.
+# channels[:2], which the memo keeps while it keeps the FD one. Kept arrays are read-only and
+# no entry is replaced or written, so the lock guards only insertion and eviction.
 _memo: dict = {}
 _lock = threading.Lock()
 
@@ -397,11 +379,12 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
     """(Generator state after the last slot, checked FadeSample) of block `index` for
     `channels`. An HD fade draws slots 0 and 1 from the substream (seed, index); an FD fade
     extends the HD fade of channels[:2] by slot 2, drawn from the state that fade left. So
-    a kept fade is what a fresh draw gives, whichever call or thread asks. With `keep`, a
-    new fade goes into the memo once drawn and checked, an HD fade with its products z;
-    without, its new gains and an HD fade's products go into the running thread's arrays.
-    An FD fade shares its HD fade's x, y and z, and the reciprocals that an AF row
-    attaches to both (see _attach_reciprocals). An interrupted draw keeps nothing."""
+    a kept fade is what a fresh draw gives, whichever call or thread asks. A fade is built
+    whole: an HD fade with its products z = x*y and reciprocals rx = 1/x and rz = 1/z, an
+    FD fade sharing its HD fade's x, y, z, rx and rz. With `keep`, a new fade's arrays are
+    fresh and read-only, and the fade goes into the memo once drawn and checked; without,
+    its new gains and an HD fade's z, rx and rz go into the running thread's arrays. An
+    interrupted draw keeps nothing."""
     key = (seed, index, size, channels)
     entry = _memo.get(key)
     if entry is not None:
@@ -410,15 +393,23 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
     hd = _block_fade(seed, index, size, channels[:2], keep) if len(channels) == 3 else None
     if hd:
         rng.bit_generator.state = hd[0]
+
+    def out(name):  # where a new array goes: a fresh one, or the thread's
+        return None if keep else _thread_array(name, size)
+
     old = (hd[1].x, hd[1].y) if hd else ()
-    new = [sample_sq_gain(ch, rng, size, out=None if keep else _thread_array(slot, size))
+    new = [sample_sq_gain(ch, rng, size, out=out(slot))
            for slot, ch in enumerate(channels) if slot >= len(old)]
-    with np.errstate(all="ignore"):  # silent, as in FadeSample, which checks the gains
-        z = hd[1].z if hd else np.multiply(*new, out=None if keep else _thread_array("z", size))
-    entry = (rng.bit_generator.state, FadeSample(*old, *new, _product=z))
+    if hd:
+        derived = hd[1].z, hd[1].rx, hd[1].rz
+    else:
+        with np.errstate(all="ignore"):  # silent, as in FadeSample, which checks the gains
+            z = np.multiply(*new, out=out("z"))
+            derived = z, np.divide(1.0, new[0], out=out("rx")), np.divide(1.0, z, out=out("rz"))
+    entry = (rng.bit_generator.state, FadeSample(*old, *new, _derived=derived))
     if not keep:
         return entry
-    for arr in (*new, z):
+    for arr in (*new, *derived):
         arr.flags.writeable = False
     hd_key = (seed, index, size, channels[:2])
     with _lock:  # an FD fade only while the memo keeps the HD fade it extends
@@ -434,32 +425,11 @@ def _block_fade(seed: int, index: int, size: int, channels, keep: bool) -> tuple
         return _memo.setdefault(key, entry)
 
 
-def _attach_reciprocals(hd_key: tuple, fade: FadeSample) -> None:
-    """Give `fade` the read-only reciprocals 1/x and 1/z of the HD fade the memo keeps under
-    `hd_key`, if `fade` shares its x, computing them once, under the memo's lock, for the
-    first AF row that reads that HD fade or an FD fade extending it. Without a kept HD fade,
-    an AF row computes them into its thread's arrays (see _iota)."""
-    with _lock:
-        entry = _memo.get(hd_key)
-        if entry is None or entry[1].x is not fade.x:
-            return
-        hd = entry[1]
-        if hd.rx is None:
-            with np.errstate(all="ignore"):  # silent where 1/x or 1/z leaves the float range
-                rx, rz = np.divide(1.0, hd.x), np.divide(1.0, hd.z)
-            rx.flags.writeable = rz.flags.writeable = False
-            object.__setattr__(hd, "rz", rz)  # rz first: a fade with rx also has rz
-            object.__setattr__(hd, "rx", rx)
-        object.__setattr__(fade, "rz", hd.rz)
-        object.__setattr__(fade, "rx", hd.rx)
-
-
 def _block_outages(cfg: SystemConfig, scenario: Scenario, channels, keep: bool, seed: int,
                    index: int, size: int) -> int:
     fade = _block_fade(seed, index, size, channels, keep)[1]
-    if fade.rx is None and scenario.relay == "af":
-        _attach_reciprocals((seed, index, size, channels[:2]), fade)
-    return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=_scratch(size))))
+    scratch = _thread_array("scratch", size)
+    return int(np.count_nonzero(outage_indicator(cfg, scenario, fade, scratch=scratch)))
 
 
 def estimate_outage(cfg: SystemConfig, scenario: Scenario, plan: McPlan,

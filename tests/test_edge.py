@@ -98,7 +98,8 @@ def patched(coefficients, cut=None):
 def iotas(scenario, coefficients, fade):
     with np.errstate(all="ignore"):
         form = mc._inverse_form(scenario.duplex, *coefficients)
-        return mc._iota(scenario.duplex, form, coefficients[0], fade, mc._empty_pair(fade))
+        scratch = np.empty(mc._fade_shape(fade))
+        return mc._iota(scenario.duplex, form, coefficients[0], fade, scratch)
 
 
 def edge_window(scenario, coefficients, edge, rng):

@@ -255,16 +255,14 @@ def test_vector_indicator_matches_scalar_calls(s):
 
 @pytest.mark.parametrize("s", ALL_SCENARIOS, ids=Scenario.label)
 def test_replaced_fade_has_the_products_of_its_gains(s):
-    # replace passes only the gains: z is the new x*y and the reciprocals are
-    # unset, not those of the old fade, which the memo had given them
+    # replace passes only the gains: z, rx and rz are the new gains', not the old fade's
     rng = np.random.default_rng(61)
     old = FadeSample(*(1e-3 * rng.uniform(0.5, 2.0, (3, 50))))
-    object.__setattr__(old, "rz", 1.0 / old.z)  # as montecarlo._attach_reciprocals does
-    object.__setattr__(old, "rx", 1.0 / old.x)
     x, y = 1e3 * rng.uniform(0.5, 2.0, (2, 50))
     new, fresh = replace(old, x=x, y=y), FadeSample(x, y, old.w)
     assert new.z.tobytes() == (x * y).tobytes()
-    assert new.rx is None and new.rz is None
+    assert new.rx.tobytes() == (1.0 / x).tobytes()
+    assert new.rz.tobytes() == (1.0 / (x * y)).tobytes()
     assert np.array_equal(outage_indicator(CFG, s, new), outage_indicator(CFG, s, fresh))
     for got, want in zip(snr_pair(CFG, s, new), snr_pair(CFG, s, fresh)):
         assert got is want is None or got.tobytes() == want.tobytes()
@@ -274,6 +272,63 @@ def test_replaced_fade_has_the_products_of_its_gains(s):
 def test_fade_sample_takes_only_its_gains(derived):
     with pytest.raises(TypeError):
         FadeSample(1.0, 2.0, **{derived: 2.0})
+
+
+@pytest.mark.parametrize("as_scalars", [False, True], ids=["arrays", "scalars"])
+def test_fade_sample_holds_its_reciprocals(as_scalars):
+    # x*y in range, a subnormal x (1/x overflows), an x*y that overflows (rz = 0)
+    # and one that underflows (1/z overflows), each built without a RuntimeWarning
+    x = np.array([2.0, 5e-324, 1e200, 1e-200])
+    y = np.array([0.5, 4.0, 1e200, 1e-200])
+    with np.errstate(all="ignore"):
+        want = x * y, 1.0 / x, 1.0 / (x * y)
+    assert want[1][1] == want[2][3] == math.inf and want[2][2] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fades = ([FadeSample(float(a), float(b)) for a, b in zip(x, y)] if as_scalars
+                 else [FadeSample(x, y)])
+    got = [np.array([getattr(f, name) for f in fades]).ravel() for name in ("z", "rx", "rz")]
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("s", ALL_SCENARIOS, ids=Scenario.label)
+def test_integer_gains_decide_as_the_equal_floats(s):
+    # an integer x*y of 3e9 * 4e9 would wrap in int64; float gains are kept as given
+    gains = [np.array([3, 3_000_000_000, 1]), np.array([2, 4_000_000_000, 1]), np.array([5, 1, 2])]
+    arrays = gains, [g.astype(np.float64) for g in gains]
+    scalars = [int(g[0]) for g in gains], [float(g[0]) for g in gains]
+    hd = s.duplex == "hd"
+    for ints, same in (arrays, scalars):
+        got = FadeSample(*ints[:2], None if hd else ints[2])
+        want = FadeSample(*same[:2], None if hd else same[2])
+        assert want.x is same[0] and want.y is same[1]
+        for name in ("x", "y", "z", "rx", "rz"):
+            g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
+        assert np.array_equal(outage_indicator(CFG, s, got), outage_indicator(CFG, s, want))
+        for g, w in zip(snr_pair(CFG, s, got), snr_pair(CFG, s, want)):
+            assert g is w is None or np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_package_writes_no_object_once_it_is_built():
+    # a frozen dataclass sets its fields in __post_init__, before any caller
+    # holds it; object.__setattr__ anywhere else could write to an object that
+    # the memo already shares with other threads
+    found, in_post_init = [], 0
+    for path in sorted(Path(model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                   for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                if id(node) in allowed:
+                    in_post_init += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert in_post_init and not found, f"object.__setattr__ outside __post_init__: {found}"
 
 
 def test_indicator_leaves_fades_unchanged():

@@ -371,65 +371,39 @@ def test_over_budget_fd_plan_draws_only_its_loop_back_slot(monkeypatch, draws):
 
 @pytest.mark.usefixtures("small_blocks")
 def test_over_budget_plan_keeps_its_products_in_thread_arrays(monkeypatch):
-    """An over-budget FD-AF plan computes each block's products z = x*y into the
-    thread's one array, shared by the FD fade, keeps no reciprocals (the AF
-    decision computes them into the thread's scratch arrays) and allocates no
-    block-sized array per block once the thread's arrays exist."""
-    monkeypatch.setattr(mc, "_KEPT_BYTES", 0)
-    point = _selftest_batch()[-1]
+    """An over-budget plan builds each block's fade whole in the thread's arrays,
+    its products z = x*y and reciprocals rx = 1/x and rz = 1/z with its gains,
+    which an FD fade shares with its HD fade, and allocates no block-sized
+    array per block once the thread's arrays exist. Where the memo keeps only
+    HD fades, an FD fade over budget shares its kept HD fade's z, rx and rz."""
     entries, block_fade = [], mc._block_fade
     monkeypatch.setattr(mc, "_block_fade",
                         lambda *args: entries.append(block_fade(*args)) or entries[-1])
-    estimate_outage(point.cfg, point.scenario, SHORT_LAST)  # creates the thread's arrays
-    tracemalloc.start()
-    try:
-        got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [got] == _fresh([point], SHORT_LAST)
-    assert mc._memo == {} and len(entries) == 2 * 2 * len(SHORT_LAST.blocks())
-    for _, fade in entries:
-        assert np.shares_memory(fade.z, vars(mc._local)["z"]) and fade.z.flags.writeable
-        assert fade.rx is None and fade.rz is None
-    assert point.scenario.relay == "af" and peak < 8 * mc.BLOCK_SIZE  # one block's float64s
-
-
-@pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("budget", ["none", "hd"])
-def test_over_budget_plan_computes_reciprocals_for_af_rows_only(monkeypatch, budget):
-    """Over budget, an AF row computes the reciprocals 1/x and 1/z that its
-    fades do not keep into the thread's scratch arrays, and a DF row computes
-    none. Where the memo keeps only HD fades, an FD fade over budget shares
-    its HD fade's kept reciprocals, and no row computes any."""
-    monkeypatch.setattr(mc, "_KEPT_BYTES", 0 if budget == "none" else 8 * SHORT_LAST.trials * 2)
-    computed, reciprocal = [], mc._reciprocal
-
-    def counted(kept, gains, out):
-        if kept is None:
-            computed.append(out)
-        return reciprocal(kept, gains, out)
-
-    monkeypatch.setattr(mc, "_reciprocal", counted)
-    entries, block_fade = [], mc._block_fade
-    monkeypatch.setattr(mc, "_block_fade",
-                        lambda *args: entries.append(block_fade(*args)) or entries[-1])
-    for point in _selftest_batch():
-        computed.clear()
-        entries.clear()
-        got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
-        scratch = vars(mc._local)["scratch"]
-        if point.scenario.relay == "df" or budget == "hd":
-            assert not computed
-        else:
-            assert computed and all(any(np.shares_memory(out, arr) for arr in scratch)
-                                    for out in computed)
-        kept = {id(fade.x): fade for _, fade in mc._memo.values()}
-        for _, fade in entries:
-            assert (fade.rx, fade.rz) == (None, None) if budget == "none" else (
-                fade.rx is kept[id(fade.x)].rx and fade.rz is kept[id(fade.x)].rz)
-        assert [got] == _fresh([point], SHORT_LAST)
-    assert len(mc._memo) == (0 if budget == "none" else len(SHORT_LAST.blocks()))
+    for budget in (0, 8 * SHORT_LAST.trials * 2):  # nothing kept, then HD fades only
+        mc._memo.clear()
+        monkeypatch.setattr(mc, "_KEPT_BYTES", budget)
+        for point in _selftest_batch():
+            estimate_outage(point.cfg, point.scenario, SHORT_LAST)  # creates the thread's arrays
+            entries.clear()
+            tracemalloc.start()
+            try:
+                got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [got] == _fresh([point], SHORT_LAST)
+            assert peak < 8 * mc.BLOCK_SIZE  # one block's float64s
+            assert len(entries) == (len(_channels(point)) - 1) * len(SHORT_LAST.blocks())
+            kept = {id(fade.x): fade for _, fade in mc._memo.values()}
+            for _, fade in entries:
+                products = fade.z, fade.rx, fade.rz
+                hd = kept.get(id(fade.x))
+                if hd is not None:
+                    assert all(a is b for a, b in zip(products, (hd.z, hd.rx, hd.rz)))
+                else:
+                    assert all(np.shares_memory(a, vars(mc._local)[name]) and a.flags.writeable
+                               for a, name in zip(products, ("z", "rx", "rz")))
+        assert len(mc._memo) == (len(SHORT_LAST.blocks()) if budget else 0)
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -456,35 +430,34 @@ def test_fd_fade_extends_its_hd_fade(draws):
 
 
 @pytest.mark.usefixtures("small_blocks")
-def test_kept_fades_get_reciprocals_from_their_first_af_row(monkeypatch):
-    """The DF rows, first in selftest order, leave every kept fade without its
-    reciprocals 1/x and 1/z; the first AF row to read a kept fade attaches
-    them, read-only, to its HD fade, which every FD fade extending it shares,
-    and no AF row computes them into its thread's arrays."""
-    computed, reciprocal = [], mc._reciprocal
-    monkeypatch.setattr(mc, "_reciprocal", lambda kept, gains, out: (
-        kept is None and computed.append(out)) or reciprocal(kept, gains, out))
+def test_kept_fades_never_change_once_kept():
+    """The DF rows, first in selftest order, keep every fade whole, with its
+    products and read-only reciprocals 1/x and 1/z; the AF rows, at 1 and 2
+    threads, read them and change no attribute of any kept fade."""
     points = _selftest_batch()
     for point in points:
-        computed.clear()
-        got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
-        assert not computed
         if point.scenario.relay == "df":
-            assert all(fade.rx is fade.rz is None for _, fade in mc._memo.values())
-        assert [got] == _fresh([point], SHORT_LAST)
-    assert len(mc._memo) == 3 * 3
-    for key, (_, fade) in mc._memo.items():
-        hd = mc._memo[(*key[:3], key[3][:2])][1]
-        assert fade.rx is hd.rx and fade.rz is hd.rz
+            estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+    snapshot = {key: (entry, dict(vars(entry[1]))) for key, entry in mc._memo.items()}
+    assert len(snapshot) == 3 * 3
+    for _, fade in mc._memo.values():
         assert np.array_equal(fade.rx, 1.0 / fade.x) and np.array_equal(fade.rz, 1.0 / fade.z)
         assert not (fade.rx.flags.writeable or fade.rz.flags.writeable)
+    for threads, point in itertools.product((1, 2), points):
+        if point.scenario.relay == "af":
+            got = estimate_outage(point.cfg, point.scenario, SHORT_LAST, threads=threads)
+            assert [got] == _fresh([point], SHORT_LAST)
+    assert mc._memo.keys() == snapshot.keys()
+    for key, (entry, attributes) in snapshot.items():
+        assert mc._memo[key] is entry and vars(entry[1]).keys() == attributes.keys()
+        assert all(vars(entry[1])[name] is value for name, value in attributes.items())
 
 
 @pytest.mark.usefixtures("small_blocks", "short_switches")
-def test_concurrent_af_rows_attach_one_pair_of_reciprocals():
+def test_concurrent_af_rows_share_their_hd_fades_reciprocals():
     """AF rows of both duplex modes, estimated at once by more threads than
-    cores on the fades the DF rows kept, attach one pair of reciprocals per
-    HD fade, which every fade of its block shares."""
+    cores on the fades the DF rows kept, read one pair of reciprocals per HD
+    fade, which every fade of its block shares."""
     points = _selftest_batch()
     af = [p for p in points if p.scenario.relay == "af"] * 4
     for seed in range(3):
@@ -773,20 +746,19 @@ def test_selftest_decides_its_saturated_blocks_at_the_edge(monkeypatch, capsys):
 def test_selftest_decision_paths_give_one_flag_per_trial(monkeypatch, capsys):
     """Every block of `selftest --trials 131072 --seed 1` is decided on one
     path: at the certain-outage edge; by a DF block's two gain edges, with no
-    SNR computed and its scratch arrays untouched; or by an AF block's iota,
-    compared with its edge, which writes the scratch arrays. Each path gives
+    SNR computed and its scratch array untouched; or by an AF block's iota,
+    compared with its edge, which writes the scratch array. Each path gives
     one flag per trial, which is what the benchmark counts as a row's trials.
     The counts are a function of the seed alone."""
     paths, path = [], []
     indicator = mc.outage_indicator
 
     def watched(cfg, scenario, fade, scratch):
-        for arr in scratch:
-            arr.fill(np.nan)
+        scratch.fill(np.nan)
         path[:] = ["edge"]
         out = indicator(cfg, scenario, fade, scratch=scratch)
         assert out.dtype == bool and out.shape == fade.x.shape == (mc.BLOCK_SIZE,)
-        untouched = all(np.isnan(arr).all() for arr in scratch)
+        untouched = np.isnan(scratch).all()
         assert untouched == (path[0] in ("edge", "hd-df", "fd-df"))
         paths.append(path[0])
         return out
