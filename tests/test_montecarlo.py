@@ -374,36 +374,67 @@ def test_over_budget_plan_keeps_its_products_in_thread_arrays(monkeypatch):
     """An over-budget plan builds each block's fade whole in the thread's arrays,
     its products z = x*y and reciprocals rx = 1/x and rz = 1/z with its gains,
     which an FD fade shares with its HD fade, and allocates no block-sized
-    array per block once the thread's arrays exist. Where the memo keeps only
-    HD fades, an FD fade over budget shares its kept HD fade's z, rx and rz."""
+    array per block once the thread's arrays exist."""
+    monkeypatch.setattr(mc, "_KEPT_BYTES", 0)
     entries, block_fade = [], mc._block_fade
     monkeypatch.setattr(mc, "_block_fade",
                         lambda *args: entries.append(block_fade(*args)) or entries[-1])
-    for budget in (0, 8 * SHORT_LAST.trials * 2):  # nothing kept, then HD fades only
-        mc._memo.clear()
-        monkeypatch.setattr(mc, "_KEPT_BYTES", budget)
-        for point in _selftest_batch():
-            estimate_outage(point.cfg, point.scenario, SHORT_LAST)  # creates the thread's arrays
-            entries.clear()
-            tracemalloc.start()
-            try:
-                got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert [got] == _fresh([point], SHORT_LAST)
-            assert peak < 8 * mc.BLOCK_SIZE  # one block's float64s
-            assert len(entries) == (len(_channels(point)) - 1) * len(SHORT_LAST.blocks())
-            kept = {id(fade.x): fade for _, fade in mc._memo.values()}
-            for _, fade in entries:
-                products = fade.z, fade.rx, fade.rz
-                hd = kept.get(id(fade.x))
-                if hd is not None:
-                    assert all(a is b for a, b in zip(products, (hd.z, hd.rx, hd.rz)))
-                else:
-                    assert all(np.shares_memory(a, vars(mc._local)[name]) and a.flags.writeable
-                               for a, name in zip(products, ("z", "rx", "rz")))
-        assert len(mc._memo) == (len(SHORT_LAST.blocks()) if budget else 0)
+    for point in _selftest_batch():
+        estimate_outage(point.cfg, point.scenario, SHORT_LAST)  # creates the thread's arrays
+        entries.clear()
+        tracemalloc.start()
+        try:
+            got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [got] == _fresh([point], SHORT_LAST)
+        assert peak < 8 * mc.BLOCK_SIZE  # one block's float64s
+        assert len(entries) == (len(_channels(point)) - 1) * len(SHORT_LAST.blocks())
+        for _, fade in entries:
+            assert all(np.shares_memory(a, vars(mc._local)[name]) and a.flags.writeable
+                       for a, name in zip((fade.z, fade.rx, fade.rz), ("z", "rx", "rz")))
+    assert mc._memo == {}
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("budget", ["none", "hd"])
+def test_over_budget_plan_computes_reciprocals_for_af_rows_only(monkeypatch, budget):
+    """Over budget, the reciprocals 1/x and 1/z an AF row reads are computed
+    once, with its block's fade, and the decision computes none of its own:
+    it writes only its one scratch array and leaves the fade's rx and rz as
+    they were. Where nothing is kept they sit in the thread's arrays; where
+    the memo keeps only HD fades, an FD fade over budget shares its kept HD
+    fade's z, rx and rz."""
+    monkeypatch.setattr(mc, "_KEPT_BYTES", 0 if budget == "none" else 8 * SHORT_LAST.trials * 2)
+    decided, indicator = [], mc.outage_indicator
+
+    def watched(cfg, scenario, fade, scratch):
+        before = fade.rx.copy(), fade.rz.copy()
+        assert np.array_equal(before[0], 1.0 / fade.x) and np.array_equal(before[1], 1.0 / fade.z)
+        out = indicator(cfg, scenario, fade, scratch=scratch)
+        fade_arrays = fade.x, fade.y, fade.z, fade.rx, fade.rz
+        assert not any(np.shares_memory(scratch, a) for a in fade_arrays)
+        assert np.array_equal(fade.rx, before[0]) and np.array_equal(fade.rz, before[1])
+        decided.append(fade)
+        return out
+
+    monkeypatch.setattr(mc, "outage_indicator", watched)
+    for point in _selftest_batch():
+        decided.clear()
+        got = estimate_outage(point.cfg, point.scenario, SHORT_LAST)
+        assert [got] == _fresh([point], SHORT_LAST)
+        assert len(decided) == len(SHORT_LAST.blocks())
+        kept = {id(fade.x): fade for _, fade in mc._memo.values()}
+        for fade in decided:
+            hd = kept.get(id(fade.x))
+            if budget == "hd":
+                assert all(a is b for a, b in zip((fade.z, fade.rx, fade.rz), (hd.z, hd.rx, hd.rz)))
+            else:
+                assert hd is None
+                assert all(np.shares_memory(a, vars(mc._local)[name])
+                           for a, name in zip((fade.z, fade.rx, fade.rz), ("z", "rx", "rz")))
+    assert len(mc._memo) == (0 if budget == "none" else len(SHORT_LAST.blocks()))
 
 
 @pytest.mark.usefixtures("small_blocks")
